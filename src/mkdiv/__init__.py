@@ -50,7 +50,6 @@ from .functionals import (
 from .generators import (
     ConvexGenerator,
     DistortionSpec,
-    distortion_weight,
     dual_power,
     entropy_generator,
     exponential_generator,

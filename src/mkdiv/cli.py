@@ -10,8 +10,7 @@ elicit-check  expected-score argmin vs direct functional evaluation
 axioms        empirical risk-measure axiom report
 
 All JSON output is canonical: sorted keys, compact separators, floats at 17
-significant digits.  A fixed seed therefore yields byte-identical output,
-and (for ``verify --workers``) parallel and serial runs agree bitwise.
+significant digits.  A fixed seed therefore yields byte-identical output.
 
 Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
 verification deviates beyond tolerance.
@@ -149,7 +148,6 @@ def _cmd_verify(args, out) -> int:
         n_max=args.n,
         seed=args.seed,
         tolerance=args.tol,
-        workers=args.workers,
     )
     payload = result.to_json_dict()
     payload["score"] = specs.render_score(score)
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8, help="largest instance size")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p, tol=1e-9)
     p.set_defaults(func=_cmd_verify)
 

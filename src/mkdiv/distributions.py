@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, IngestionError
-from .numerics import midpoint_u, pairwise_mean
+from .numerics import first_outside, midpoint_u, pairwise_mean
 
 __all__ = [
     "Distribution",
@@ -64,7 +64,7 @@ class Distribution:
 
     def quantile(self, u):
         arr, scalar = _prepare(u)
-        if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+        if first_outside(arr, (0.0, 1.0)) is not None:
             raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
         return _finish(self._quantile(arr), scalar)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import Distribution, Empirical, from_samples, quantile_grid
 from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
-from .numerics import bisect_decreasing, golden_section, pairwise_mean
+from .numerics import bisect_decreasing, golden_section, pairwise_mean, pairwise_sum
 from .scores import LossFunction, Score, StepFunction, exponential_loss
 
 __all__ = [
@@ -256,17 +256,6 @@ class Entropic(Functional):
         return f"entropic[{self.gamma}]"
 
 
-def _pairwise_mean_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise counterpart of pairwise_mean with the identical fold tree."""
-    rows, n = mat.shape
-    width = 1 << (n - 1).bit_length()
-    if width != n:
-        mat = np.concatenate([mat, np.zeros((rows, width - n))], axis=1)
-    while mat.shape[1] > 1:
-        mat = mat[:, 0::2] + mat[:, 1::2]
-    return mat[:, 0] / n
-
-
 def expected_score(
     score: Score,
     dist: Distribution,
@@ -280,7 +269,7 @@ def expected_score(
     if z_arr.ndim == 0:
         return pairwise_mean(np.asarray(score(z_arr, sample)))
     vals = np.asarray(score(z_arr[:, None], sample[None, :]))
-    return _pairwise_mean_rows(vals)
+    return pairwise_sum(vals, axis=-1) / vals.shape[-1]
 
 
 def argmin_expected_score(

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, RangeError
+from .numerics import first_outside
 
 __all__ = [
     "ConvexGenerator",
@@ -32,7 +33,6 @@ __all__ = [
     "dual_power",
     "tvar_distortion",
     "power_distortion",
-    "distortion_weight",
 ]
 
 
@@ -69,16 +69,8 @@ class ConvexGenerator:
     strictly_convex: bool = True
 
     def _check_domain(self, x, what: str):
-        # only finite bounds are enforced: infinities arising from upstream
-        # overflow pass through and surface as non-finite results
         arr = np.asarray(x, dtype=float)
-        lo, hi = self.domain
-        bad = False
-        if arr.size and np.isfinite(lo):
-            bad = bool(np.any(arr <= lo))
-        if arr.size and not bad and np.isfinite(hi):
-            bad = bool(np.any(arr >= hi))
-        if bad:
+        if first_outside(arr, self.domain) is not None:
             raise DomainError(
                 f"{what} outside the domain {_interval_str(self.domain)} "
                 f"of generator '{self.name}'"
@@ -96,13 +88,7 @@ class ConvexGenerator:
 
     def inv_dphi(self, y):
         arr = np.asarray(y, dtype=float)
-        lo, hi = self.dphi_range
-        bad = False
-        if arr.size and np.isfinite(lo):
-            bad = bool(np.any(arr <= lo))
-        if arr.size and not bad and np.isfinite(hi):
-            bad = bool(np.any(arr >= hi))
-        if bad:
+        if first_outside(arr, self.dphi_range) is not None:
             raise RangeError(
                 f"value outside the range of dphi for generator '{self.name}'",
                 admissible=_interval_str(self.dphi_range),
@@ -178,7 +164,7 @@ class DistortionSpec:
 
     def gamma(self, u):
         arr = np.asarray(u, dtype=float)
-        if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+        if first_outside(arr, (0.0, 1.0)) is not None:
             raise DomainError(f"distortion weight needs u in (0, 1), got {u!r}")
         out = self.gamma_fn(arr)
         return float(out) if np.ndim(u) == 0 else out
@@ -193,11 +179,6 @@ class DistortionSpec:
     def mass(self, a: float = 0.0, b: float = 1.0) -> float:
         """Exact integral of gamma over [a, b], via the closed form of g."""
         return self.g(1.0 - a) - self.g(1.0 - b)
-
-
-def distortion_weight(d: DistortionSpec, u):
-    """Weight gamma(u); non-decreasing in u for every catalog distortion."""
-    return d.gamma(u)
 
 
 def identity_distortion() -> DistortionSpec:

@@ -1,18 +1,21 @@
 """Shared numerical primitives: deterministic reductions and 1-D searches.
 
 All reductions used for reported values go through :func:`pairwise_sum`, which
-fixes the summation tree (index-ascending, adjacent pairing).  The result is
-therefore bit-stable across runs and independent of how the summands were
-produced (serial or parallel).
+fixes the summation tree (index-ascending, adjacent pairing), so results are
+bit-stable across runs.  Every open-domain check goes through
+:func:`first_outside`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import EvaluationError
 
 __all__ = [
+    "first_outside",
     "pairwise_sum",
     "pairwise_mean",
     "bisect_decreasing",
@@ -21,23 +24,63 @@ __all__ = [
 ]
 
 
-def pairwise_sum(values) -> float:
+def first_outside(values, interval) -> int | None:
+    """Flat index of the first value outside the open ``interval``, or None.
+
+    Only finite bounds are enforced: infinities and NaN pass, so overflow
+    upstream surfaces as a non-finite result rather than as a domain error.
+    """
+    arr = np.asarray(values, dtype=float)
+    lo, hi = interval
+    if math.isfinite(lo):
+        bad = arr <= lo
+        if math.isfinite(hi):
+            bad |= arr >= hi
+    elif math.isfinite(hi):
+        bad = arr >= hi
+    else:
+        return None
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+_FOLD_BLOCK = 1 << 18  # values per block of rows in a fold along an axis
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Pairwise tree over the last axis of ``a``, which must be non-empty."""
+    n = a.shape[-1]
+    while n > 1:
+        half = np.empty(a.shape[:-1] + ((n + 1) // 2,))
+        np.add(a[..., 0 : n - 1 : 2], a[..., 1::2], out=half[..., : n // 2])
+        if n % 2:
+            # x + 0.0, not x: the padded tree turns -0.0 into +0.0
+            np.add(a[..., -1:], 0.0, out=half[..., -1:])
+        a, n = half, half.shape[-1]
+    return a[..., 0]
+
+
+def pairwise_sum(values, axis=None):
     """Sum an array by adjacent pairing in index-ascending order.
 
-    Zero-padding to the next power of two does not change the result, and the
-    fixed tree makes the reduction order a contract rather than an
-    implementation detail.
+    The tree is that of zero-padding to the next power of two: at each level
+    an odd last entry is paired with 0.0.  The fixed tree makes the reduction
+    order a contract rather than an implementation detail.  With ``axis=None``
+    the flattened array is summed to a float; otherwise each slice along
+    ``axis`` is folded by the same tree and an array is returned.
     """
-    a = np.asarray(values, dtype=float).ravel()
-    n = a.size
-    if n == 0:
-        return 0.0
-    width = 1 << (n - 1).bit_length()
-    if width != n:
-        a = np.concatenate([a, np.zeros(width - n)])
-    while a.size > 1:
-        a = a[0::2] + a[1::2]
-    return float(a[0])
+    a = np.asarray(values, dtype=float)
+    if axis is None:
+        return float(_fold(a.ravel())) if a.size else 0.0
+    a = np.moveaxis(a, axis, -1)
+    out = np.zeros(a.shape[:-1])
+    if a.size:
+        # blocks of rows keep the buffers near cache size: faster, and a
+        # lower peak RSS than halving the whole matrix at once
+        rows, flat = a.reshape(-1, a.shape[-1]), out.reshape(-1)
+        step = max(1, _FOLD_BLOCK // a.shape[-1])
+        for i in range(0, len(rows), step):
+            flat[i : i + step] = _fold(rows[i : i + step])
+    return out
 
 
 def pairwise_mean(values) -> float:

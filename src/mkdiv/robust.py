@@ -14,10 +14,6 @@ bracketed bisection on ``log lam``.
 
 The same engine with a signed weight drives the cheapest-payoff solver in
 :mod:`mkdiv.payoff` (the weight there is negative but still increasing).
-
-Nodewise formula evaluation may run in parallel; all reported reductions use
-the fixed pairwise tree, so results do not depend on the execution schedule.
-The calibration loop itself is sequential.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import numpy as np
 from .distributions import Distribution, QuantileGrid, quantile_grid
 from .errors import CalibrationError, DomainError, InfeasibleLambdaError
 from .generators import ConvexGenerator, DistortionSpec
-from .numerics import pairwise_mean
+from .numerics import first_outside, pairwise_mean
 
 __all__ = [
     "WorstCaseSolution",
@@ -85,22 +81,32 @@ def perturbed_nodes(
     Raises
     ------
     InfeasibleLambdaError
-        If the argument leaves the range of phi' at any node (reported with
-        the first offending node index).
+        If the argument leaves the range of phi', or the result the domain of
+        phi, at any node (reported with the first offending node index).
     """
     if not lam > 0.0:
         raise DomainError(f"multiplier must be positive, got {lam}")
     target = gen.dphi(ref_nodes) + weight / lam
-    lo, hi = gen.dphi_range
-    bad = (target <= lo) | (target >= hi)
-    if np.any(bad):
-        node = int(np.flatnonzero(bad)[0])
+    node = first_outside(target, gen.dphi_range)
+    # phi' attains no infinite value, so an infinite argument is infeasible
+    # even on an unbounded side of the range, where first_outside passes it
+    infinite = np.isinf(target)
+    if infinite.any():
+        first_inf = int(np.argmax(infinite))
+        node = first_inf if node is None else min(node, first_inf)
+    problem = "perturbed derivative leaves the range of phi'"
+    if node is None:
+        nodes = np.asarray(gen.inv_dphi_fn(target), dtype=float)
+        # the inverse can round onto a finite bound of the domain, e.g.
+        # xlogx's exp(y - 1) underflows to 0.0 at small multipliers
+        node = first_outside(nodes, gen.domain)
+        problem = f"perturbed node leaves the domain {gen.domain} of phi"
+    if node is not None:
         raise InfeasibleLambdaError(
-            f"perturbed derivative leaves the range of phi' for generator "
-            f"'{gen.name}' at node {node} (lambda={lam})",
+            f"{problem} for generator '{gen.name}' at node {node} (lambda={lam})",
             node=node,
         )
-    return np.asarray(gen.inv_dphi(target), dtype=float)
+    return nodes
 
 
 def bw_divergence_nodes(gen: ConvexGenerator, nodes_g, nodes_f) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .generators import ConvexGenerator, quadratic
+from .numerics import first_outside
 
 __all__ = [
     "MonotoneMap",
@@ -145,7 +146,7 @@ class StepFunction:
             )
         if bp.size and np.any(np.diff(bp) <= 0.0):
             raise ConfigError("breakpoints must be strictly increasing")
-        if np.any(lv <= 0.0) or np.any(lv >= 1.0):
+        if first_outside(lv, (0.0, 1.0)) is not None:
             raise ConfigError("levels must lie strictly inside (0, 1)")
         d = np.diff(lv)
         if not (np.all(d >= 0.0) or np.all(d <= 0.0)):
@@ -283,17 +284,9 @@ class Score:
         return out
 
     def _check(self, arr, interval, what):
-        # finite bounds only: overflow-born infinities flow through and show
-        # up as non-finite scores for the caller's error handling
-        lo, hi = interval
-        bad = False
-        if arr.size and np.isfinite(lo):
-            bad = bool(np.any(arr <= lo))
-        if arr.size and not bad and np.isfinite(hi):
-            bad = bool(np.any(arr >= hi))
-        if bad:
+        if first_outside(arr, interval) is not None:
             raise DomainError(
-                f"score family '{self.family}': {what} outside {lo, hi}"
+                f"score family '{self.family}': {what} outside {tuple(interval)}"
             )
 
     def _eval(self, z, y):

@@ -15,10 +15,6 @@ atoms directly, which is exact.  :func:`oracle_optimal` independently solves
 the finite problem to optimality (assignment problem for equal weights,
 linear programming on the transport polytope otherwise) so the closed form
 can be certified instance by instance.
-
-Grid evaluation may be parallelized across nodes; all reported values reduce
-through the fixed pairwise tree, so serial and parallel results agree bit
-for bit.  Oracle solves are single-threaded per instance.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .distributions import Distribution, Empirical, from_samples
 from .errors import CapacityError, DomainError, EvaluationError
-from .numerics import midpoint_u, pairwise_mean, pairwise_sum
+from .numerics import first_outside, midpoint_u, pairwise_mean, pairwise_sum
 from .scores import COMONOTONIC, Score
 
 __all__ = [
@@ -100,9 +96,12 @@ def coupling_value(score: Score, atoms1, atoms2, matching) -> float:
 
 
 def _first_offending_u(score: Score, q1, q2, u) -> float:
-    zlo, zhi = score.z_domain
-    ylo, yhi = score.y_domain
-    bad = (q2 <= zlo) | (q2 >= zhi) | (q1 <= ylo) | (q1 >= yhi)
+    # infinite nodes count as offending even on an unbounded side of a domain
+    bad = np.isinf(q1) | np.isinf(q2)
+    for q, domain in ((q2, score.z_domain), (q1, score.y_domain)):
+        k = first_outside(q, domain)
+        if k is not None:
+            bad[k] = True
     idx = np.flatnonzero(bad)
     return float(u[idx[0]]) if idx.size else float("nan")
 
@@ -414,7 +413,6 @@ def certify_optimal_coupling(
     n_max: int = 8,
     seed: int = 0,
     tolerance: float = 1e-9,
-    workers: int = 1,
 ) -> CertificationResult:
     """Randomized certification that the claimed quantile coupling is optimal.
 
@@ -422,21 +420,13 @@ def certify_optimal_coupling(
     [n_min, n_max], atoms uniform on the score's sampling interval, PCG64
     streams keyed by (seed, instance)), and compares the closed-form value
     and the sorted matching against the exact oracle.  Aggregation is a
-    maximum, hence independent of execution order; parallel and serial runs
-    agree bitwise.
+    maximum, hence independent of execution order.
     """
     if instances < 1:
         raise DomainError("certification needs at least one instance")
     if not 2 <= n_min <= n_max <= _MAX_ORACLE:
         raise DomainError(f"instance sizes must satisfy 2 <= n_min <= n_max <= {_MAX_ORACLE}")
-    args = [(score, seed, k, n_min, n_max) for k in range(instances)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _certify_instance(*t), args))
-    else:
-        results = [_certify_instance(*t) for t in args]
+    results = [_certify_instance(score, seed, k, n_min, n_max) for k in range(instances)]
     max_dev = max(r[0] for r in results)
     max_gap = max(r[1] for r in results)
     return CertificationResult(

@@ -4,7 +4,6 @@ import pytest
 from mkdiv import (
     DomainError,
     RangeError,
-    distortion_weight,
     dual_power,
     entropy_generator,
     exponential_generator,
@@ -94,21 +93,21 @@ class TestDistortionWeight:
     def test_identity_weight_one(self):
         d = identity_distortion()
         for u in (0.1, 0.5, 0.99):
-            assert distortion_weight(d, u) == 1.0
+            assert d.gamma(u) == 1.0
 
     def test_dual_power_derived(self):
         # g(x) = 1 - (1-x)^2 differentiates to gamma(u) = 2u
-        assert distortion_weight(dual_power(2.0), 0.25) == 0.5
+        assert dual_power(2.0).gamma(0.25) == 0.5
 
     def test_tvar_indicator(self):
         d = tvar_distortion(0.9)
-        assert distortion_weight(d, 0.95) == pytest.approx(10.0)
-        assert distortion_weight(d, 0.5) == 0.0
-        assert distortion_weight(d, 0.9) == pytest.approx(10.0)  # left derivative
+        assert d.gamma(0.95) == pytest.approx(10.0)
+        assert d.gamma(0.5) == 0.0
+        assert d.gamma(0.9) == pytest.approx(10.0)  # left derivative
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            distortion_weight(identity_distortion(), 1.0)
+            identity_distortion().gamma(1.0)
 
     def test_gamma_monotone(self):
         rng = np.random.default_rng(2)

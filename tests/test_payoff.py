@@ -124,6 +124,17 @@ class TestCheapestPayoff:
         assert sol.binding
         assert sol.cost < payoff_cost(market, quantile_grid(bench))
 
+    def test_entropy_generator_skips_underflowing_multipliers(self):
+        # with a negative weight exp(y - 1) underflows to 0.0 at small
+        # multipliers, outside the xlogx domain (0, inf); the calibration
+        # must treat those multipliers as infeasible and still bind
+        from mkdiv import entropy_generator
+
+        sol = cheapest_payoff(entropy_generator(), Uniform(0.5, 1.5), unit_market(), 0.02, m=2000)
+        assert sol.binding
+        assert sol.lambda_star == pytest.approx(2.2602, abs=1e-4)
+        assert abs(sol.divergence_at_solution - 0.02) <= 1e-12
+
     def test_lognormal_density_end_to_end(self):
         market = MarketSpec(LogNormal(-0.1, 0.3), rate=0.02, horizon=1.0)
         bench = Normal(1.0, 0.4)

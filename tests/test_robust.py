@@ -85,6 +85,25 @@ class TestPerturbedCurve:
         with pytest.raises(InfeasibleLambdaError, match="node"):
             perturbed_nodes(exponential_generator(), nodes, weight, 1e-3)
 
+    @pytest.mark.parametrize(
+        "gen, weight, node",
+        [
+            # an infinite argument is infeasible on an unbounded range too
+            (quadratic(), [1.0, np.inf, -np.inf], 1),
+            (quadratic(), [1.0, 2.0, -np.inf], 2),
+            (exponential_generator(), [1.0, -10.0, np.inf], 1),
+            (exponential_generator(), [np.inf, -10.0, 1.0], 0),
+            # exp(y - 1) underflows to 0.0, outside the xlogx domain
+            (entropy_generator(), [0.0, -1e4, -1e4], 1),
+        ],
+    )
+    def test_first_infeasible_node_reported(self, gen, weight, node):
+        from mkdiv.errors import InfeasibleLambdaError
+
+        with pytest.raises(InfeasibleLambdaError) as info:
+            perturbed_nodes(gen, np.array([0.5, 1.0, 1.5]), np.array(weight), 1.0)
+        assert info.value.node == node
+
 
 class TestSolve:
     def test_analytic_reduction(self):

@@ -260,3 +260,14 @@ class TestPairwiseSum:
     def test_deterministic_under_padding(self):
         x = np.arange(10.0)
         assert pairwise_sum(x) == pairwise_sum(list(x))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 1000, 1001])
+    def test_row_fold_matches_flat_fold_bitwise(self, width):
+        rng = np.random.default_rng(width)
+        # 300 rows span more than one block of the fold at the wider widths
+        mat = rng.normal(0, 1, (300, width)) * 10.0 ** rng.integers(-8, 8, (300, width))
+        mat[1] = -0.0
+        rows = pairwise_sum(mat, axis=-1)
+        assert rows.shape == (300,)
+        for row, got in zip(mat, rows):
+            assert np.float64(pairwise_sum(row)).tobytes() == got.tobytes()
