@@ -48,6 +48,8 @@ __all__ = ["main", "canonical_json"]
 _DEFAULT_M = 10_000
 _DEFAULT_DELTA = 1e-7
 _DEFAULT_TOL = 1e-8
+_BINDING_TOL_HELP = ("relative tolerance of 'binding': "
+                     "|divergence - eps| <= tol * eps (default 1e-8)")
 
 
 def canonical_json(obj) -> str:
@@ -229,12 +231,12 @@ def _cmd_axioms(args, out) -> int:
     return 0
 
 
-def _add_common(parser, tol=_DEFAULT_TOL):
+def _add_common(parser, tol=_DEFAULT_TOL, tol_help=None):
     parser.add_argument("--grid-m", type=int, default=None,
                         help="u-grid size (default 10000 or $MKDIV_GRID_M)")
     parser.add_argument("--delta", type=float, default=_DEFAULT_DELTA,
                         help="tail truncation level (default 1e-7)")
-    parser.add_argument("--tol", type=float, default=tol)
+    parser.add_argument("--tol", type=float, default=tol, help=tol_help)
     parser.add_argument("--out", default=None, help="write the artifact to a file")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distortion", required=True)
     p.add_argument("--ref", required=True, metavar="DIST")
     p.add_argument("--eps", type=float, required=True)
-    _add_common(p)
+    _add_common(p, tol_help=_BINDING_TOL_HELP)
     p.set_defaults(func=_cmd_worst_case)
 
     p = sub.add_parser("payoff", help="cheapest payoff under a benchmark constraint")
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", required=True, metavar="DIST")
     p.add_argument("--market", required=True)
     p.add_argument("--eps", type=float, required=True)
-    _add_common(p)
+    _add_common(p, tol_help=_BINDING_TOL_HELP)
     p.set_defaults(func=_cmd_payoff)
 
     p = sub.add_parser("elicit-check", help="argmin-vs-functional deviation")

@@ -19,6 +19,7 @@ __all__ = [
     "pairwise_sum",
     "pairwise_mean",
     "bisect_decreasing",
+    "brent_root",
     "golden_section",
     "midpoint_u",
 ]
@@ -138,6 +139,62 @@ def bisect_decreasing(
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14,
+               max_iter: int = 200):
+    """Root of ``f`` between ``a`` and ``b`` by Brent's method.
+
+    ``fa = f(a)`` and ``fb = f(b)`` must not have the same strict sign.
+    Residuals may be infinite but not NaN.  Each step takes a secant or
+    inverse quadratic step when it stays well inside the bracket and the
+    bracket shrinks fast enough, and bisects otherwise or when a residual in
+    use is infinite; every probe lies strictly inside the current bracket.
+    Steps are at least half the stopping width, so the search ends once the
+    bracket ``[x, c]`` is at most ``width_tol * (1 + |x| + |c|)`` wide.
+
+    Returns ``(x, f(x))`` for the end of the final bracket with the smaller
+    residual.  Reference: R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4.
+    """
+    if fa == 0.0:
+        return a, fa
+    if (fa > 0.0) == (fb > 0.0) and fb != 0.0:
+        raise EvaluationError(f"root not bracketed: f({a})={fa}, f({b})={fb}")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if fb == 0.0:
+            break
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * width_tol * (1.0 + abs(b) + abs(c))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb) and math.isfinite(fa) and math.isfinite(fc):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q, p = (-q, p) if p > 0.0 else (q, -p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b, fb
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi

@@ -125,7 +125,8 @@ def cheapest_payoff(
 ) -> PayoffSolution:
     """Cheapest payoff whose distribution stays within divergence ``eps`` of
     the benchmark; the multiplier is calibrated exactly as in the worst-case
-    solver, with the signed spd weight."""
+    solver, with the signed spd weight.  ``binding`` reports
+    ``|divergence_at_solution - eps| <= tol * eps``."""
     grid = quantile_grid(benchmark, m, delta)
     weight = market.neg_weight(midpoint_u(m, delta))
     lam, div, binding = calibrate_lambda(gen, grid.nodes, weight, eps, tol)

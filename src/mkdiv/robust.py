@@ -9,8 +9,10 @@ of the reference is achieved by the one-parameter family
 
 with the multiplier ``lam* > 0`` calibrated so the Bregman-Wasserstein
 divergence of ``G_lam`` from the reference equals ``eps`` exactly.  The
-divergence is continuously decreasing in ``lam``, so the calibration is a
-bracketed bisection on ``log lam``.
+divergence is continuously decreasing in ``lam`` wherever the formula is
+feasible, so :func:`calibrate_lambda` brackets ``lam*``, bisects on
+``log lam`` until both bracket ends have a finite divergence, and finishes
+with Brent's method on ``log divergence - log eps``.
 
 The same engine with a signed weight drives the cheapest-payoff solver in
 :mod:`mkdiv.payoff` (the weight there is negative but still increasing).
@@ -18,6 +20,7 @@ The same engine with a signed weight drives the cheapest-payoff solver in
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +29,7 @@ import numpy as np
 from .distributions import Distribution, QuantileGrid, quantile_grid
 from .errors import CalibrationError, DomainError, InfeasibleLambdaError
 from .generators import ConvexGenerator, DistortionSpec
-from .numerics import first_outside, pairwise_mean
+from .numerics import brent_root, first_outside, pairwise_mean
 
 __all__ = [
     "WorstCaseSolution",
@@ -43,6 +46,7 @@ __all__ = [
 _BRACKET_LO = 1e-8
 _BRACKET_HI = 1e8
 _EXPAND_DECADES = 4
+_WIDTH_TOL = 1e-14  # stopping width on log lam, relative to 1 + |ends|
 
 
 class UniquenessWarning(UserWarning):
@@ -74,9 +78,16 @@ def choquet(d: DistortionSpec, grid: QuantileGrid) -> float:
 
 
 def perturbed_nodes(
-    gen: ConvexGenerator, ref_nodes: np.ndarray, weight: np.ndarray, lam: float
+    gen: ConvexGenerator,
+    ref_nodes: np.ndarray,
+    weight: np.ndarray,
+    lam: float,
+    dphi_ref: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply (phi')^{-1}(phi'(node) + weight / lam) nodewise.
+
+    ``dphi_ref``, when given, is ``gen.dphi(ref_nodes)`` computed once by a
+    caller that perturbs the same nodes at many multipliers.
 
     Raises
     ------
@@ -86,7 +97,9 @@ def perturbed_nodes(
     """
     if not lam > 0.0:
         raise DomainError(f"multiplier must be positive, got {lam}")
-    target = gen.dphi(ref_nodes) + weight / lam
+    if dphi_ref is None:
+        dphi_ref = gen.dphi(ref_nodes)
+    target = dphi_ref + weight / lam
     node = first_outside(target, gen.dphi_range)
     # phi' attains no infinite value, so an infinite argument is infeasible
     # even on an unbounded side of the range, where first_outside passes it
@@ -136,31 +149,62 @@ def calibrate_lambda(
     eps: float,
     tol: float = 1e-8,
 ):
-    """Find lam with divergence(G_lam, ref) = eps by bisection on log lam.
+    """Find lam with divergence(G_lam, ref) = eps.
 
     The divergence is decreasing in lam; multipliers that make the formula
-    infeasible behave like an infinite divergence.  The initial bracket
-    [1e-8, 1e8] expands geometrically up to four decades each side before a
-    :class:`CalibrationError` reports the achievable divergence range.
+    infeasible behave like an infinite divergence.  The search runs in
+    s = log lam and evaluates no multiplier twice:
+
+    1. The bracket [1e-8, 1e8] expands geometrically up to four decades each
+       side before a :class:`CalibrationError` reports the achievable
+       divergence range.
+    2. Midpoint bisection on s narrows the bracket until both ends have a
+       finite, positive divergence.  If the bracket first falls below the
+       stopping width, ``lam*`` sits on the feasibility boundary of phi',
+       where the divergence jumps to infinity: the midpoint of that bracket
+       is returned with its divergence, finite or not, and ``binding`` is
+       False unless it meets the budget.
+    3. Brent's method finds the root of ``log div(e^s) - log eps``, which is
+       linear in s for the quadratic generator (div is proportional to
+       lam^-2) and near-linear for the others.  It stops once the bracket on
+       s is at most ``1e-14 * (1 + |a| + |b|)`` wide, the width at which step
+       2 stops, and returns the probe with the smaller residual.
+
+    phi(ref), phi'(ref) and the domain check of the reference are computed
+    once; each evaluation is one :func:`perturbed_nodes` call and one phi,
+    with the Bregman terms in the order of :meth:`ConvexGenerator.bregman`,
+    so every divergence is bit-identical to :func:`bw_divergence_nodes`.
 
     Returns
     -------
     (lam, divergence, binding)
+        ``binding`` is ``|divergence - eps| <= tol * eps``.
     """
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
+    ref_nodes = gen._check_domain(ref_nodes, "second Bregman argument")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_ref, dphi_ref = gen.phi(ref_nodes), gen.dphi(ref_nodes)
+    seen = {}  # multiplier -> divergence
 
     def div_at(lam: float) -> float:
         # extreme multipliers may overflow the generator transform; both an
         # out-of-range argument and a non-finite divergence mean the curve
-        # is infinitely far, so the bisection treats them as +inf
+        # is infinitely far, so the search treats them as +inf
+        if lam in seen:
+            return seen[lam]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                nodes = perturbed_nodes(gen, ref_nodes, weight, lam)
-                val = bw_divergence_nodes(gen, nodes, ref_nodes)
+                nodes = perturbed_nodes(gen, ref_nodes, weight, lam, dphi_ref)
+                terms = np.subtract(gen.phi(nodes), phi_ref)
+                nodes -= ref_nodes
+                nodes *= dphi_ref
+                terms -= nodes
+                val = pairwise_mean(terms)
         except InfeasibleLambdaError:
-            return np.inf
-        return val if np.isfinite(val) else np.inf
+            val = np.inf
+        seen[lam] = val if np.isfinite(val) else np.inf
+        return seen[lam]
 
     lo, hi = _BRACKET_LO, _BRACKET_HI
     for _ in range(_EXPAND_DECADES):
@@ -178,17 +222,31 @@ def calibrate_lambda(
             achieved_range=(d_hi, d_lo),
         )
     a, b = np.log(lo), np.log(hi)
-    for _ in range(200):
+    while math.isinf(d_lo) or not d_hi > 0.0:
         mid = 0.5 * (a + b)
-        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
-            break
-        if div_at(float(np.exp(mid))) >= eps:
-            a = mid
+        if b - a <= _WIDTH_TOL * (1.0 + abs(a) + abs(b)):
+            lam = float(np.exp(mid))
+            div = div_at(lam)
+            return lam, div, bool(abs(div - eps) <= tol * eps)
+        d_mid = div_at(float(np.exp(mid)))
+        if d_mid >= eps:
+            a, d_lo = mid, d_mid
         else:
-            b = mid
-    lam = float(np.exp(0.5 * (a + b)))
+            b, d_hi = mid, d_mid
+
+    log_eps = math.log(eps)
+
+    def residual(s: float) -> float:
+        d = div_at(float(np.exp(s)))
+        return math.log(d) - log_eps if d > 0.0 else -math.inf
+
+    s, _ = brent_root(
+        residual, float(a), float(b), math.log(d_lo) - log_eps, math.log(d_hi) - log_eps,
+        width_tol=_WIDTH_TOL,
+    )
+    lam = float(np.exp(s))
     div = div_at(lam)
-    return lam, div, bool(abs(div - eps) <= tol)
+    return lam, div, bool(abs(div - eps) <= tol * eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +285,8 @@ def solve_worst_case(
     tol: float = 1e-8,
 ) -> WorstCaseSolution:
     """Calibrate the multiplier and return the worst-case solution.
+
+    ``binding`` reports ``|divergence_at_solution - eps| <= tol * eps``.
 
     Warns when the generator is not strictly convex or the distortion not
     strictly concave (the formula still applies; uniqueness is what is lost).

@@ -96,14 +96,13 @@ def coupling_value(score: Score, atoms1, atoms2, matching) -> float:
 
 
 def _first_offending_u(score: Score, q1, q2, u) -> float:
-    # infinite nodes count as offending even on an unbounded side of a domain
-    bad = np.isinf(q1) | np.isinf(q2)
-    for q, domain in ((q2, score.z_domain), (q1, score.y_domain)):
-        k = first_outside(q, domain)
-        if k is not None:
-            bad[k] = True
-    idx = np.flatnonzero(bad)
-    return float(u[idx[0]]) if idx.size else float("nan")
+    # the first node at which Score's domain checks reject either argument
+    found = [
+        k
+        for k in (first_outside(q2, score.z_domain), first_outside(q1, score.y_domain))
+        if k is not None
+    ]
+    return float(u[min(found)]) if found else float("nan")
 
 
 def mk_divergence(

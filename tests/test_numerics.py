@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from mkdiv.errors import EvaluationError
 from mkdiv.numerics import (
     bisect_decreasing,
+    brent_root,
     first_outside,
     golden_section,
     midpoint_u,
@@ -89,6 +92,88 @@ class TestBisect:
     def test_invalid_bracket(self):
         with pytest.raises(EvaluationError):
             bisect_decreasing(lambda x: -x, 1.0, 2.0, target=0.0)
+
+
+class _Probes:
+    """Residual wrapper that records every probe and checks that it lies
+    strictly inside the bracket implied by the residual signs so far."""
+
+    def __init__(self, f, a, b):
+        self.f, self.xs = f, []
+        fa, fb = f(a), f(b)
+        self.pos, self.neg = (a, b) if fa > 0 else (b, a)
+        self.ends = (a, b, fa, fb)
+
+    def __call__(self, x):
+        assert min(self.pos, self.neg) < x < max(self.pos, self.neg)
+        self.xs.append(x)
+        fx = self.f(x)
+        if fx > 0:
+            self.pos = x
+        elif fx < 0:
+            self.neg = x
+        return fx
+
+
+class TestBrent:
+    def run(self, f, a, b, width_tol=1e-14):
+        probes = _Probes(f, a, b)
+        x, fx = brent_root(probes, *probes.ends, width_tol=width_tol)
+        return x, fx, probes
+
+    def test_linear_root_in_two_probes(self):
+        # the secant step lands on the root, or one step of half the
+        # stopping width past it closes the bracket
+        x, fx, probes = self.run(lambda x: 2.0 - x, 0.0, 5.0)
+        assert x == pytest.approx(2.0, abs=1e-14)
+        assert len(probes.xs) <= 2
+
+    def test_cubic_root(self):
+        x, fx, probes = self.run(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0)
+        assert x == pytest.approx(2.0945514815423265, rel=1e-14)
+        assert fx == x**3 - 2.0 * x - 5.0
+        assert len(probes.xs) <= 10
+
+    def test_log_root_from_either_end(self):
+        f = lambda s: math.log(3.0) - s  # decreasing: a positive left end
+        for a, b in ((-18.0, 18.0), (18.0, -18.0)):
+            x, _, probes = self.run(f, a, b)
+            assert x == pytest.approx(math.log(3.0), rel=1e-14)
+            assert len(probes.xs) <= 3
+        g = lambda x: math.log(x) - math.log(0.02)
+        x, _, probes = self.run(g, 1e-8, 1e8)
+        assert x == pytest.approx(0.02, rel=1e-12)
+        assert len(probes.xs) <= 40
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: math.inf if x < 1.0 else 2.0 - x,
+            lambda x: math.inf if x > 4.0 else x - 2.0,
+        ],
+    )
+    def test_infinite_residual_falls_back_to_bisection(self, f):
+        x, _, probes = self.run(f, 0.0, 5.0)
+        assert x == pytest.approx(2.0, abs=1e-14)
+        assert probes.xs[0] == 2.5  # a secant step through inf would not move
+
+    @pytest.mark.parametrize("width_tol", [1e-3, 1e-8, 1e-14])
+    def test_stops_at_the_width_rule(self, width_tol):
+        # a jump has no interpolable root: the bracket must still close
+        # to the stopping width around it, at the pace of bisection
+        root = 0.3
+        x, _, probes = self.run(lambda x: 1.0 if x < root else -1.0, 0.0, 1.0, width_tol)
+        other = probes.neg if x == probes.pos else probes.pos
+        assert x in (probes.pos, probes.neg)
+        assert min(x, other) < root <= max(x, other)
+        assert abs(x - other) <= width_tol * (1.0 + abs(x) + abs(other))
+        assert len(probes.xs) <= math.ceil(math.log2(1.0 / width_tol)) + 3
+
+    def test_zero_at_an_end_and_invalid_bracket(self):
+        assert brent_root(lambda x: 1.0 / 0.0, 1.0, 2.0, 0.0, -1.0) == (1.0, 0.0)
+        assert brent_root(lambda x: 1.0 / 0.0, 1.0, 2.0, 1.0, 0.0) == (2.0, 0.0)
+        with pytest.raises(EvaluationError):
+            brent_root(lambda x: x, 1.0, 2.0, 1.0, 2.0)
 
 
 class TestGolden:

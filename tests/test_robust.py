@@ -1,16 +1,24 @@
+import gc
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkdiv import (
     CalibrationError,
     Exponential,
     LogNormal,
+    MarketSpec,
     Normal,
     Uniform,
+    cheapest_payoff,
     choquet,
     dual_power,
     entropy_generator,
     exponential_generator,
+    generator_catalog,
     identity_distortion,
     quadratic,
     quantile_grid,
@@ -18,8 +26,14 @@ from mkdiv import (
     tvar_distortion,
     worst_case_quantile,
 )
+from mkdiv.errors import InfeasibleLambdaError
 from mkdiv.numerics import midpoint_u, pairwise_mean
-from mkdiv.robust import UniquenessWarning, bw_divergence_nodes, perturbed_nodes
+from mkdiv.robust import (
+    UniquenessWarning,
+    bw_divergence_nodes,
+    calibrate_lambda,
+    perturbed_nodes,
+)
 
 
 class TestChoquet:
@@ -201,6 +215,154 @@ class TestSolve:
             solve_worst_case(
                 quadratic(), dual_power(2.0), Uniform(0, 1), 1e30, m=100
             )
+
+
+def bisection_calibrate(gen, ref_nodes, weight, eps):
+    """The calibration as it was before Brent's method: bisection on log lam
+    to the same stopping width, divergences from bw_divergence_nodes."""
+
+    def div_at(lam):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = perturbed_nodes(gen, ref_nodes, weight, lam)
+                val = bw_divergence_nodes(gen, nodes, ref_nodes)
+        except InfeasibleLambdaError:
+            return np.inf
+        return val if np.isfinite(val) else np.inf
+
+    lo, hi = 1e-8, 1e8
+    for _ in range(4):
+        if div_at(lo) >= eps:
+            break
+        lo *= 0.1
+    for _ in range(4):
+        if div_at(hi) <= eps:
+            break
+        hi *= 10.0
+    a, b = np.log(lo), np.log(hi)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
+            break
+        if div_at(float(np.exp(mid))) >= eps:
+            a = mid
+        else:
+            b = mid
+    lam = float(np.exp(0.5 * (a + b)))
+    return lam, div_at(lam)
+
+
+CALIBRATION_REFS = [Uniform(0.5, 1.5), LogNormal(0.0, 0.25), Exponential(1.2)]
+CALIBRATION_M = 2000
+
+
+def calibration_cases():
+    for name in generator_catalog():
+        for k, ref in enumerate(CALIBRATION_REFS):
+            for kind in ("worst-case", "payoff"):
+                yield pytest.param(name, ref, kind, id=f"{name}-{kind}-ref{k}")
+
+
+def calibration_inputs(name, ref, kind):
+    grid = quantile_grid(ref, CALIBRATION_M, 1e-7)
+    if kind == "worst-case":
+        weight = dual_power(2.0).gamma(grid.u)
+    else:
+        weight = MarketSpec(LogNormal(-0.1, 0.3)).neg_weight(grid.u)
+    return generator_catalog()[name], grid.nodes, weight
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("name, ref, kind", list(calibration_cases()))
+    def test_matches_bisection_in_at_most_16_evaluations(self, name, ref, kind, monkeypatch):
+        gen, nodes, weight = calibration_inputs(name, ref, kind)
+        expected, _ = bisection_calibrate(gen, nodes, weight, 0.02)
+        calls = []
+        original = perturbed_nodes
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted)
+        lam, div, binding = calibrate_lambda(gen, nodes, weight, 0.02)
+        assert lam == pytest.approx(expected, rel=1e-12)
+        assert binding and abs(div - 0.02) <= 1e-8 * 0.02
+        assert len(calls) <= 16
+        assert len(set(calls)) == len(calls)  # no multiplier evaluated twice
+
+    def test_divergence_is_that_of_bw_divergence_nodes(self):
+        for name, gen in generator_catalog().items():
+            _, nodes, weight = calibration_inputs(name, LogNormal(0.0, 0.25), "worst-case")
+            lam, div, _ = calibrate_lambda(gen, nodes, weight, 0.02)
+            curve = perturbed_nodes(gen, nodes, weight, lam)
+            assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
+
+    @pytest.mark.parametrize(
+        "spd, bench, expected",
+        [
+            # phi' = e^x leaves (0, inf) below lam*: the divergence jumps
+            # from finite to infinite on the boundary, short of the budget
+            (Exponential(1.0), Uniform(0.5, 1.5), (6.427023177809351, math.inf)),
+            (LogNormal(-0.1, 0.3), Normal(0.0, 1.0), (176.32256538551508, math.inf)),
+            (Exponential(1.0), Uniform(0.0, 1.0), (10.596369820537179, 0.011701139762386844)),
+        ],
+    )
+    def test_feasibility_boundary_outcome_unchanged(self, spd, bench, expected):
+        m = 20_000
+        nodes = quantile_grid(bench, m, 1e-7).nodes
+        weight = MarketSpec(spd).neg_weight(midpoint_u(m, 1e-7))
+        gen = exponential_generator()
+        result = calibrate_lambda(gen, nodes, weight, 0.02)
+        assert result == (*expected, False)
+        assert bisection_calibrate(gen, nodes, weight, 0.02) == expected
+
+    def test_binding_is_relative_to_the_budget(self):
+        # the boundary case above stops at divergence 0.0117 for eps = 0.02;
+        # |0.0117 - 0.02| = 0.0083 is within 0.5 * eps but not 0.3 * eps
+        m = 20_000
+        nodes = quantile_grid(Uniform(0.0, 1.0), m, 1e-7).nodes
+        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m, 1e-7))
+        gen = exponential_generator()
+        assert calibrate_lambda(gen, nodes, weight, 0.02, tol=0.5)[2]
+        assert not calibrate_lambda(gen, nodes, weight, 0.02, tol=0.3)[2]
+
+    def test_tiny_budget_binds_relative_to_itself(self):
+        sol = solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 1e-12)
+        assert sol.binding
+        assert abs(sol.divergence_at_solution - 1e-12) <= 1e-8 * 1e-12
+
+    def test_solves_leave_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            solve_worst_case(entropy_generator(), dual_power(2.0), LogNormal(0, 0.3), 0.01, m=2000)
+            cheapest_payoff(
+                exponential_generator(), Uniform(0.5, 1.5), MarketSpec(Uniform(0.0, 1.0)),
+                0.02, m=2000,
+            )
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(generator_catalog())),
+    lo=st.floats(0.1, 2.0),
+    width=st.floats(0.1, 2.0),
+    lam=st.floats(0.05, 50.0),
+    ratio=st.floats(1.01, 100.0),
+)
+def test_divergence_strictly_decreases_in_lambda(name, lo, width, lam, ratio):
+    gen = generator_catalog()[name]
+    grid = quantile_grid(Uniform(lo, lo + width), m=200)
+    weight = dual_power(2.0).gamma(grid.u)
+    divs = [
+        bw_divergence_nodes(gen, perturbed_nodes(gen, grid.nodes, weight, x), grid.nodes)
+        for x in (lam, lam * ratio)
+    ]
+    assert divs[0] > divs[1] > 0.0
 
 
 class _nullcontext:

@@ -82,6 +82,22 @@ class TestMkDivergence:
         with pytest.raises(DomainError, match="u="):
             mk_divergence(s, from_samples([-1.0, 2.0]), from_samples([1.0, 3.0]))
 
+    def test_offending_node_is_one_the_score_rejects(self):
+        # +inf passes the domain check of an unbounded side; the first node
+        # the score rejects is node 1, the first negative one
+        from mkdiv.distributions import Distribution
+        from mkdiv.generators import entropy_generator
+
+        class Spiked(Distribution):
+            def _quantile(self, u):
+                q = np.full(u.shape, -1.0)
+                q[0] = np.inf
+                return q
+
+        s = BregmanScore(entropy_generator())
+        with pytest.raises(DomainError, match=r"u=0\.1875\)"):
+            mk_divergence(s, Spiked(), Normal(2.0, 0.1), m=8)
+
     def test_antitonic_grid_pairing(self):
         s = osband_transform(BregmanScore(quadratic()), reciprocal_map())
         a = np.array([0.5, 1.0, 2.0])
