@@ -161,9 +161,9 @@ def calibrate_lambda(
     2. Midpoint bisection on s narrows the bracket until both ends have a
        finite, positive divergence.  If the bracket first falls below the
        stopping width, ``lam*`` sits on the feasibility boundary of phi',
-       where the divergence jumps to infinity: the midpoint of that bracket
-       is returned with its divergence, finite or not, and ``binding`` is
-       False unless it meets the budget.
+       where the divergence jumps to infinity: the bracket's upper end is
+       returned with its divergence, which is finite and at most ``eps``,
+       and ``binding`` is False unless it meets the budget.
     3. Brent's method finds the root of ``log div(e^s) - log eps``, which is
        linear in s for the quadratic generator (div is proportional to
        lam^-2) and near-linear for the others.  It stops once the bracket on
@@ -223,16 +223,16 @@ def calibrate_lambda(
         )
     a, b = np.log(lo), np.log(hi)
     while math.isinf(d_lo) or not d_hi > 0.0:
-        mid = 0.5 * (a + b)
         if b - a <= _WIDTH_TOL * (1.0 + abs(a) + abs(b)):
-            lam = float(np.exp(mid))
-            div = div_at(lam)
-            return lam, div, bool(abs(div - eps) <= tol * eps)
-        d_mid = div_at(float(np.exp(mid)))
+            # the feasible end: its divergence is finite, the midpoint's may not be
+            return hi, d_hi, bool(abs(d_hi - eps) <= tol * eps)
+        mid = 0.5 * (a + b)
+        lam = float(np.exp(mid))
+        d_mid = div_at(lam)
         if d_mid >= eps:
             a, d_lo = mid, d_mid
         else:
-            b, d_hi = mid, d_mid
+            b, hi, d_hi = mid, lam, d_mid
 
     log_eps = math.log(eps)
 

@@ -135,6 +135,19 @@ class TestCheapestPayoff:
         assert sol.lambda_star == pytest.approx(2.2602, abs=1e-4)
         assert abs(sol.divergence_at_solution - 0.02) <= 1e-12
 
+    def test_feasibility_boundary_returns_the_feasible_end(self):
+        # phi' = e^x bounds the multiplier from below; the calibration stops
+        # on that boundary short of the budget, at a multiplier it can price
+        from mkdiv import Exponential, exponential_generator
+
+        sol = cheapest_payoff(
+            exponential_generator(), Uniform(0.5, 1.5), MarketSpec(Exponential(1.0)), 0.02,
+            m=20_000,
+        )
+        assert sol.lambda_star == pytest.approx(6.427023177809457, rel=1e-13)
+        assert sol.divergence_at_solution == pytest.approx(0.01929, abs=1e-5)
+        assert not sol.binding
+
     def test_lognormal_density_end_to_end(self):
         market = MarketSpec(LogNormal(-0.1, 0.3), rate=0.02, horizon=1.0)
         bench = Normal(1.0, 0.4)

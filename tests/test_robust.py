@@ -309,12 +309,18 @@ class TestCalibration:
         ],
     )
     def test_feasibility_boundary_outcome_unchanged(self, spd, bench, expected):
+        # the multiplier is the reference bisection's to its stopping width;
+        # the divergence is that of the feasible bracket end, never inf
         m = 20_000
         nodes = quantile_grid(bench, m, 1e-7).nodes
         weight = MarketSpec(spd).neg_weight(midpoint_u(m, 1e-7))
         gen = exponential_generator()
-        result = calibrate_lambda(gen, nodes, weight, 0.02)
-        assert result == (*expected, False)
+        lam, div, binding = calibrate_lambda(gen, nodes, weight, 0.02)
+        assert lam == pytest.approx(expected[0], rel=1e-13)
+        assert math.isfinite(div) and div < 0.02
+        curve = perturbed_nodes(gen, nodes, weight, lam)
+        assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
+        assert not binding
         assert bisection_calibrate(gen, nodes, weight, 0.02) == expected
 
     def test_binding_is_relative_to_the_budget(self):

@@ -1,8 +1,29 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mkdiv import ConfigError
+from mkdiv import (
+    ConfigError,
+    DecomposableScore,
+    EntropicScore,
+    Exponential,
+    ExpectileScore,
+    GPLScore,
+    LogNormal,
+    MarketSpec,
+    Normal,
+    PointMass,
+    ShortfallScore,
+    Uniform,
+    dual_power,
+    generator_catalog,
+    power_distortion,
+    tvar_distortion,
+)
+from mkdiv.functionals import Entropic, Expectile, Quantile, Shortfall
+from mkdiv.scores import LossFunction, transform_catalog
 from mkdiv.specs import (
     parse_distortion,
     parse_distribution,
@@ -144,3 +165,116 @@ class TestErrors:
     def test_extra_parameters_rejected(self):
         with pytest.raises(ConfigError, match="unexpected"):
             parse_score("score:bregman,phi=quadratic,alpha=0.5")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+LEVEL = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+WEIGHT = st.floats(0.0, 1.0)
+ORDERED = st.tuples(FINITE, FINITE).filter(lambda t: t[0] < t[1])
+GENERATORS = sorted(generator_catalog())
+INCREASING = ["identity", "exp", "log", "cube"]
+LOSSES = st.one_of(
+    st.just(("linear", ())),
+    POSITIVE.map(lambda g: ("exponential", (g,))),
+    POSITIVE.map(lambda p: ("power", (p,))),
+)
+
+
+def _loss(kind, params):
+    key = {"linear": (), "exponential": ("gamma",), "power": ("p",)}[kind]
+    return LossFunction(kind, **dict(zip(key, params)))
+
+
+def _loss_params(loss):
+    return {"linear": (), "exponential": (loss.gamma,), "power": (loss.p,)}[loss.kind]
+
+
+# each case: a strategy for the parameters, parameters -> object, and
+# object -> the same parameters read back
+ROUND_TRIP_CASES = {
+    "uniform": (ORDERED, lambda t: Uniform(*t), lambda d: (d.a, d.b)),
+    "normal": (st.tuples(FINITE, POSITIVE), lambda t: Normal(*t), lambda d: (d.mu, d.sigma)),
+    "lognormal": (
+        st.tuples(FINITE, POSITIVE), lambda t: LogNormal(*t), lambda d: (d.mu, d.sigma)
+    ),
+    "exponential": (st.tuples(POSITIVE), lambda t: Exponential(*t), lambda d: (d.rate,)),
+    "point": (st.tuples(FINITE), lambda t: PointMass(*t), lambda d: (d.c,)),
+    "dualpower": (
+        st.tuples(st.floats(1.0, 1e300)), lambda t: dual_power(*t),
+        lambda d: tuple(v for _, v in d.params),
+    ),
+    "tvar": (st.tuples(LEVEL), lambda t: tvar_distortion(*t),
+             lambda d: tuple(v for _, v in d.params)),
+    "power": (st.tuples(LEVEL), lambda t: power_distortion(*t),
+              lambda d: tuple(v for _, v in d.params)),
+    "score:gpl": (
+        st.tuples(LEVEL, st.sampled_from(INCREASING)),
+        lambda t: GPLScore(t[0], transform_catalog()[t[1]]),
+        lambda s: (s.alpha, s.transform.name),
+    ),
+    "score:expectile": (
+        st.tuples(LEVEL, st.sampled_from(GENERATORS)),
+        lambda t: ExpectileScore(t[0], generator_catalog()[t[1]]),
+        lambda s: (s.alpha, s.gen.name),
+    ),
+    "score:shortfall": (
+        st.tuples(LOSSES), lambda t: ShortfallScore(_loss(*t[0])),
+        lambda s: ((s.loss.kind, _loss_params(s.loss)),),
+    ),
+    "score:decomposable": (
+        st.tuples(st.sampled_from(["quadratic", "quartic"]), WEIGHT, WEIGHT),
+        lambda t: DecomposableScore(generator_catalog()[t[0]], t[1], t[2]),
+        lambda s: (s.gen.name, s.alpha, s.beta),
+    ),
+    "score:entropic": (
+        st.tuples(POSITIVE, st.sampled_from(GENERATORS)),
+        lambda t: EntropicScore(t[0], generator_catalog()[t[1]]),
+        lambda s: (s.gamma, s.gen.name),
+    ),
+    "functional:quantile": (st.tuples(LEVEL), lambda t: Quantile(*t), lambda f: (f.alpha,)),
+    "functional:expectile": (st.tuples(LEVEL), lambda t: Expectile(*t), lambda f: (f.alpha,)),
+    "functional:shortfall": (
+        st.tuples(LOSSES), lambda t: Shortfall(_loss(*t[0])),
+        lambda f: ((f.loss.kind, _loss_params(f.loss)),),
+    ),
+    "functional:entropic": (st.tuples(POSITIVE), lambda t: Entropic(*t), lambda f: (f.gamma,)),
+    # the state-price density needs support in [0, inf) and a finite mean
+    "market": (
+        st.tuples(
+            st.one_of(
+                st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+                .filter(lambda t: t[0] < t[1]).map(lambda t: Uniform(*t)),
+                st.floats(1e-6, 1e6).map(Exponential),
+                st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 3.0, exclude_min=True))
+                .map(lambda t: LogNormal(*t)),
+                st.floats(0.0, 1e6).map(PointMass),
+            ),
+            FINITE,
+            POSITIVE,
+        ),
+        lambda t: MarketSpec(*t),
+        lambda mk: (mk.spd, mk.rate, mk.horizon),
+    ),
+}
+
+_KIND = {
+    "score": (parse_score, render_score),
+    "functional": (parse_functional, render_functional),
+    "market": (parse_market, render_market),
+    "dualpower": (parse_distortion, render_distortion),
+    "tvar": (parse_distortion, render_distortion),
+    "power": (parse_distortion, render_distortion),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_CASES))
+@given(data=st.data())
+def test_render_parse_round_trip_keeps_drawn_parameters(case, data):
+    drawn, build, params = ROUND_TRIP_CASES[case]
+    parse, render = _KIND.get(case.split(":")[0], (parse_distribution, render_distribution))
+    drawn_params = data.draw(drawn)
+    text = render(build(drawn_params))
+    parsed = parse(text)
+    assert render(parsed) == text
+    assert params(parsed) == drawn_params

@@ -2,19 +2,30 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import mkdiv.transport
 from mkdiv import (
+    COMONOTONIC,
     BregmanScore,
     CapacityError,
+    DecomposableScore,
     DomainError,
+    ExpectileScore,
     GPLScore,
     Normal,
     PointMass,
+    ShortfallScore,
     antitonic_matching,
+    certify_optimal_coupling,
     comonotonic_matching,
     coupling_value,
+    exponential_loss,
     from_samples,
+    identity_map,
     mk_divergence,
+    negation_map,
     oracle_optimal,
     osband_transform,
     quadratic,
@@ -22,8 +33,33 @@ from mkdiv import (
     reciprocal_map,
     wasserstein_p,
 )
-from mkdiv.numerics import pairwise_sum
+from mkdiv.numerics import pairwise_mean, pairwise_sum
 from test_scores import catalog_scores
+
+
+def certify_scores():
+    """The nine scores the certify benchmark runs: six comonotonic, three
+    antitonic."""
+    como = [
+        BregmanScore(quadratic()),
+        BregmanScore(quartic()),
+        GPLScore(0.9, identity_map()),
+        ExpectileScore(0.7, quadratic()),
+        ShortfallScore(exponential_loss(1.0)),
+        DecomposableScore(quadratic(), 0.7, 0.3),
+    ]
+    anti = [
+        osband_transform(BregmanScore(quadratic()), negation_map()),
+        osband_transform(GPLScore(0.7, identity_map()), negation_map()),
+        osband_transform(ExpectileScore(0.7, quadratic()), negation_map()),
+    ]
+    return como + anti
+
+
+def uniform_lp_value(score, a, b):
+    """The LP oracle's value for equal weights on each side."""
+    w1, w2 = np.full(len(a), 1 / len(a)), np.full(len(b), 1 / len(b))
+    return oracle_optimal(score, a, b, w1, w2).value
 
 
 def brute_force_optimum(score, atoms1, atoms2):
@@ -65,13 +101,32 @@ class TestMkDivergence:
         assert mk_divergence(s, PointMass(1.0), PointMass(0.0)) == pytest.approx(1.0)
 
     def test_grid_path_matches_exact_path_on_repeated_atoms(self):
-        # unequal atom counts route through the grid; with m divisible by 4
-        # the grid hits the step quantiles exactly
+        # unequal atom counts pair exactly on the merged breakpoints
+        # {1/4, 1/2}: cells (0, 2), (0, 3) of mass 1/4 and (1, 3) of mass
+        # 1/2 cost 4/4 + 9/4 + 4/2 = 5.25, whatever the grid size m
         s = BregmanScore(quadratic())
         f1 = from_samples([0.0, 1.0])
         f2 = from_samples([2.0, 3.0, 3.0, 3.0])
         val = mk_divergence(s, f1, f2, m=10_000)
         assert val == pytest.approx(5.25, abs=1e-12)
+        assert mk_divergence(s, f1, f2, m=3, delta=0.1) == val
+
+    def test_antitonic_merge_by_hand(self):
+        # Q1 = 1, 2, 4 on thirds and Q2(1 - u) = 5 on u <= 1/2, 4 above:
+        # cells of mass 1/3, 1/6, 1/6, 1/3 pair (1, 5), (2, 5), (2, 4), (4, 4)
+        s = osband_transform(BregmanScore(quadratic()), negation_map())
+        val = mk_divergence(s, from_samples([1.0, 2.0, 4.0]), from_samples([4.0, 5.0]))
+        manual = (2 * s(5.0, 1.0) + s(5.0, 2.0) + s(4.0, 2.0) + 2 * s(4.0, 4.0)) / 6
+        assert val == pytest.approx(manual, rel=1e-15)
+
+    def test_equal_sizes_pair_sorted_atoms_bit_for_bit(self):
+        rng = np.random.default_rng(38)
+        for s in certify_scores():
+            a, b = rng.uniform(-2, 2, 17), rng.uniform(-2, 2, 17)
+            b_sorted = np.sort(b) if s.coupling == COMONOTONIC else np.sort(b)[::-1]
+            expected = max(pairwise_mean(s(b_sorted, np.sort(a))), 0.0)
+            got = mk_divergence(s, from_samples(a), from_samples(b))
+            assert repr(got) == repr(expected)
 
     def test_domain_violation_reports_offending_node(self):
         # the entropy generator rejects non-positive arguments; the error
@@ -136,6 +191,17 @@ class TestWasserstein:
             lhs = mk_divergence(s, f1, f2)
             rhs = wasserstein_p(f1, f2, 2.0) ** 2
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + rhs)
+
+    def test_unequal_sizes_match_the_lp_oracle(self):
+        rng = np.random.default_rng(39)
+        s = BregmanScore(quadratic())
+        for n1, n2 in [(3, 5), (7, 4), (12, 18), (1, 9)]:
+            a, b = rng.normal(0, 1, n1), rng.normal(1, 2, n2)
+            lp = uniform_lp_value(s, a, b)
+            for p in (1.0, 1.5, 2.0):
+                w = wasserstein_p(from_samples(a), from_samples(b), p)
+                assert w == wasserstein_p(from_samples(a), from_samples(b), p, m=3)
+            assert w**2 == pytest.approx(lp, rel=1e-12)
 
     def test_order_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -228,6 +294,64 @@ class TestOracle:
         r2 = oracle_optimal(s, a, b)
         assert r1.value == r2.value
         np.testing.assert_array_equal(r1.matching, r2.matching)
+
+    def test_lp_tolerance_regression(self):
+        # 24 vs 12 atoms on which HiGHS at its default feasibility
+        # tolerances stopped 1.8e-9 (on the 1 + |v| scale) above the optimum
+        a = [
+            -1.8087646812793348, 0.9970990679120542, -0.2942381999937349,
+            0.05019536645820777, 0.7838395747006688, 0.10130691558696236,
+            -0.40630049420012204, -1.8072054213285207, 0.07761938886381703,
+            -0.3794752609086758, 0.4382695890598445, 0.7209699164101764,
+            -1.6671413847007464, 1.1883053793558989, -1.669285419289273,
+            -1.7400457016875799, 1.5437215854052968, 0.8756811069688202,
+            -1.375237786825695, 0.5671069818055829, 0.17498135263305992,
+            -0.14327161783128073, 1.3339797821033441, -0.2515929005983297,
+        ]
+        b = [
+            -1.1466525071239042, -0.42506223686755096, -1.277003198947578,
+            -1.27703846313895, -0.7960399813396797, 1.7050324087654873,
+            0.10489308188664337, 0.8497280242137033, 1.575942449835149,
+            1.6785758711479817, -1.1934438706182497, -1.307466562670247,
+        ]
+        s = ShortfallScore(exponential_loss(1.0))
+        exact = mk_divergence(s, from_samples(a), from_samples(b))
+        assert abs(uniform_lp_value(s, a, b) - exact) <= 1e-12 * exact
+
+
+@given(
+    k=st.integers(0, 8),
+    n1=st.integers(2, 31),
+    n2=st.integers(2, 31),
+    data=st.data(),
+)
+def test_exact_merge_matches_lp_oracle(k, n1, n2, data):
+    assume(n1 != n2)
+    score = certify_scores()[k]
+    lo, hi = score.atom_interval
+    a = data.draw(st.lists(st.floats(lo, hi), min_size=n1, max_size=n1))
+    b = data.draw(st.lists(st.floats(lo, hi), min_size=n2, max_size=n2))
+    f1, f2 = from_samples(a), from_samples(b)
+    exact = mk_divergence(score, f1, f2)
+    assert abs(exact - uniform_lp_value(score, a, b)) <= 1e-9 * abs(exact)
+    assert mk_divergence(score, f1, f2, m=5, delta=0.05) == exact
+
+
+class TestCertification:
+    def test_one_assignment_solve_per_instance(self, monkeypatch):
+        calls = []
+        original = mkdiv.transport.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return original(cost)
+
+        monkeypatch.setattr("mkdiv.transport.linear_sum_assignment", counted)
+        for s in certify_scores():
+            calls.clear()
+            result = certify_optimal_coupling(s, instances=5, n_min=6, n_max=12, seed=3)
+            assert result.passed
+            assert len(calls) == 5
 
 
 class TestCouplingValue:
