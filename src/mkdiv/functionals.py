@@ -3,8 +3,9 @@
 Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`;
 parametric inputs are reduced to the midpoint quantile grid (one quadrature
 policy for the whole package), empirical inputs are handled exactly on their
-atoms.  Root-finds use bracketed bisection on monotone residuals, which is
-unconditionally safe.
+atoms.  The expectile is solved exactly on the sorted atoms, where its
+residual is piecewise linear; the shortfall root uses Brent's method on the
+sample range, which always brackets it.
 
 :func:`argmin_expected_score` provides the independent route to the same
 quantities: minimising the expected score over reports.  The two routes are
@@ -19,7 +20,7 @@ import numpy as np
 
 from .distributions import Distribution, Empirical, from_samples, quantile_grid
 from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
-from .numerics import bisect_decreasing, golden_section, pairwise_mean, pairwise_sum
+from .numerics import brent_root, golden_section, pairwise_mean, pairwise_sum
 from .scores import LossFunction, Score, StepFunction, exponential_loss
 
 __all__ = [
@@ -110,9 +111,20 @@ class Expectile(Functional):
         lo, hi = float(sample[0]), float(sample[-1])
         if lo == hi:
             return lo
-        return bisect_decreasing(
-            lambda z: self.residual(sample, z), lo, hi, target=0.0
-        )
+        # the residual is linear on [y_j, y_{j+1}] between the sorted atoms;
+        # j, the last atom where n * residual >= 0, is searched with cumsum
+        # and kept in [1, n-1].  The root is the weighted mean below (Newey
+        # and Powell, 1987); clipping to [y_j, y_{j+1}] removes only rounding
+        a, n = self.alpha, sample.size
+        k = np.arange(1, n + 1)
+        c = np.cumsum(sample)
+        r = a * (c[-1] - c - (n - k) * sample) - (1.0 - a) * (k * sample - c)
+        j = min(max(int(np.count_nonzero(r >= 0.0)), 1), n - 1)
+        num = a * pairwise_sum(sample[j:]) + (1.0 - a) * pairwise_sum(sample[:j])
+        z = num / (a * (n - j) + (1.0 - a) * j)
+        if not (np.isfinite(z) and np.all(np.isfinite(r))):
+            raise MomentError("expectile sums overflow the float range")
+        return min(max(z, float(sample[j - 1])), float(sample[j]))
 
     def describe(self):
         return f"expectile[{self.alpha}]"
@@ -120,21 +132,22 @@ class Expectile(Functional):
 
 @dataclass(frozen=True)
 class Shortfall(Functional):
-    """Smallest x with E[ell(W - x)] <= 0, by monotone bisection.
+    """Smallest x with E[ell(W - x)] <= 0, by Brent's method.
 
-    The initial bracket is the sample range, widened geometrically if the
-    residual has not changed sign (it always has, for sign-consistent
-    losses, but the widening keeps the solver total).
+    The sample range brackets the root: ``sample - min >= 0`` holds exactly
+    in floats and ``ell(s) >= 0`` for ``s >= 0`` for every loss kind, so the
+    residual is non-negative at the minimum, and by symmetry non-positive at
+    the maximum.
     """
 
     loss: LossFunction = field(default_factory=exponential_loss)
     kind = "shortfall"
 
     def residual(self, sample: np.ndarray, x: float) -> float:
-        vals = self.loss.ell(sample - x)
-        if not np.all(np.isfinite(vals)):
+        mean = pairwise_mean(self.loss.ell(sample - x))
+        if not np.isfinite(mean):
             raise MomentError("shortfall residual is not finite under quadrature")
-        return pairwise_mean(vals)
+        return mean
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         sample = _atoms(dist, m, delta)
@@ -142,19 +155,7 @@ class Shortfall(Functional):
         if lo == hi:
             return lo
         res = lambda x: self.residual(sample, x)
-        width = hi - lo
-        for _ in range(60):
-            if res(lo) >= 0.0:
-                break
-            lo -= width
-            width *= 2.0
-        width = hi - lo
-        for _ in range(60):
-            if res(hi) <= 0.0:
-                break
-            hi += width
-            width *= 2.0
-        return bisect_decreasing(res, lo, hi, target=0.0)
+        return brent_root(res, lo, hi, res(lo), res(hi))[0]
 
     def describe(self):
         return f"shortfall[{self.loss.kind}]"

@@ -3,7 +3,8 @@
 All reductions used for reported values go through :func:`pairwise_sum`, which
 fixes the summation tree (index-ascending, adjacent pairing), so results are
 bit-stable across runs.  Every open-domain check goes through
-:func:`first_outside`.
+:func:`first_outside`.  There is one root-finder, :func:`brent_root`, and one
+minimiser, :func:`golden_section`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "first_outside",
     "pairwise_sum",
     "pairwise_mean",
-    "bisect_decreasing",
     "brent_root",
     "golden_section",
     "midpoint_u",
@@ -97,48 +97,6 @@ def midpoint_u(m: int, delta: float = 0.0) -> np.ndarray:
     if delta > 0.0:
         u = np.clip(u, delta, 1.0 - delta)
     return u
-
-
-def bisect_decreasing(
-    f,
-    lo: float,
-    hi: float,
-    target: float = 0.0,
-    width_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of ``f(x) = target`` for a non-increasing ``f`` on ``[lo, hi]``.
-
-    Requires ``f(lo) >= target >= f(hi)``.  Bisection runs until the bracket
-    width falls below ``width_tol * (1 + |lo| + |hi|)``; it is unconditionally
-    safe for monotone residuals.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo < target:
-        raise EvaluationError(
-            f"bisection bracket invalid: f(lo)={flo} below target {target}"
-        )
-    if fhi > target:
-        raise EvaluationError(
-            f"bisection bracket invalid: f(hi)={fhi} above target {target}"
-        )
-    if flo == target:
-        return lo
-    if fhi == target:
-        return hi
-    a, b = lo, hi
-    tol = width_tol * (1.0 + abs(lo) + abs(hi))
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        if b - a <= tol or mid == a or mid == b:
-            break
-        fm = f(mid)
-        if fm >= target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14,

@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mkdiv
 from mkdiv.cli import canonical_json, main
 
 
@@ -220,6 +223,10 @@ class TestConsoleEntry:
             ],
             capture_output=True,
             text=True,
+            # the child imports the same mkdiv as this suite, installed or not
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(Path(mkdiv.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+            )},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 0.0

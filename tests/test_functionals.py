@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mkdiv import (
     AmbiguityError,
@@ -23,8 +25,10 @@ from mkdiv import (
     expected_score,
     from_samples,
     linear_loss,
+    power_loss,
     quadratic,
 )
+from mkdiv.numerics import pairwise_mean
 from mkdiv.scores import ExpectileScore, ShortfallScore
 
 TEST_DISTS = [
@@ -132,7 +136,7 @@ class TestExpectileFOC:
             t = Expectile(float(rng.uniform(0.1, 0.9)))
             z = t.evaluate(d)
             scale = 1.0 + np.mean(np.abs(sample))
-            assert abs(t.residual(d.values, z)) <= 1e-10 * scale
+            assert abs(t.residual(d.values, z)) <= 1e-14 * scale
 
     def test_shortfall_root_inside_sample_range(self):
         rng = np.random.default_rng(22)
@@ -141,6 +145,98 @@ class TestExpectileFOC:
                 sample = rng.normal(0, 1, 19)
                 v = Shortfall(loss).evaluate(from_samples(sample))
                 assert sample.min() - 1e-9 <= v <= sample.max() + 1e-9
+
+
+class TestExactExpectile:
+    def test_two_atoms_closed_form(self):
+        for alpha in (0.01, 0.3, 0.5, 0.77, 0.99):
+            for a, b in ((0.0, 1.0), (-3.25, 7.5), (1e-3, 2e-3), (-1e8, 1e8 + 3.0)):
+                z = Expectile(alpha).evaluate(from_samples([b, a]))
+                expected = alpha * b + (1.0 - alpha) * a
+                assert z == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_ties_and_tiny_spread_stay_in_sample_range(self):
+        samples = [
+            [2.0, 2.0, 2.0, 5.0],
+            [1.0, 4.0, 4.0, 4.0],
+            [3.0, 3.0, 3.0000000000000004],
+            [1e16, 1e16 + 2.0, 1e16 + 4.0],
+            [-1e16 - 4.0, -1e16 - 2.0, -1e16],
+        ]
+        for sample in samples:
+            for alpha in np.linspace(0.01, 0.99, 99):
+                z = Expectile(float(alpha)).evaluate(from_samples(sample))
+                assert min(sample) <= z <= max(sample)
+
+    def test_overflowing_sums_raise(self):
+        with pytest.raises(MomentError), np.errstate(over="ignore", invalid="ignore"):
+            Expectile(0.3).evaluate(from_samples([1e308, 1.1e308, 1.2e308, 1.3e308]))
+
+    def test_makes_no_residual_call(self, monkeypatch):
+        def refuse(self, sample, z):
+            raise AssertionError("residual called")
+
+        monkeypatch.setattr(Expectile, "residual", refuse)
+        for d in TEST_DISTS:
+            Expectile(0.7).evaluate(d)
+
+
+_ATOMS = st.lists(
+    st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([-2.5, 0.0, 1.0, 40.0])
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(
+    sample=_ATOMS,
+    alpha=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+    shift=st.floats(-1e6, 1e6, allow_nan=False),
+)
+def test_exact_expectile_first_order_condition_and_translation(sample, alpha, shift):
+    x = np.array(sample)
+    t = Expectile(alpha)
+    z = t.evaluate(from_samples(x))
+    scale = float(np.mean(np.abs(x)))
+    assert abs(t.residual(np.sort(x), z)) <= 1e-14 * (1.0 + scale)
+    moved = t.evaluate(from_samples(x + shift))
+    assert abs(moved - (z + shift)) <= 1e-13 * (1.0 + abs(shift) + scale)
+
+
+class TestShortfallBrent:
+    LOSSES = (linear_loss(), exponential_loss(1.0), power_loss(3.0), power_loss(0.5))
+
+    def test_residual_calls_per_evaluate(self, monkeypatch):
+        calls = []
+        residual = Shortfall.residual
+
+        def counted(self, sample, x):
+            calls.append(x)
+            return residual(self, sample, x)
+
+        monkeypatch.setattr(Shortfall, "residual", counted)
+        rng = np.random.default_rng(23)
+        dists = [from_samples(rng.normal(0.0, 1.5, int(rng.integers(5, 41)))) for _ in range(25)]
+        for loss in self.LOSSES:
+            for d in dists + TEST_DISTS:
+                calls.clear()
+                Shortfall(loss).evaluate(d)
+                assert len(calls) <= 16, (loss, len(calls))
+
+    def test_linear_is_the_pairwise_mean(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            sample = rng.normal(rng.normal(0.0, 5.0), 2.0, int(rng.integers(2, 50)))
+            mean = pairwise_mean(np.sort(sample))
+            v = Shortfall(linear_loss()).evaluate(from_samples(sample))
+            assert abs(v - mean) <= 1e-12 * abs(mean)
+
+    def test_overflowing_mean_raises(self):
+        # every loss value is finite; only their sum overflows
+        with pytest.raises(MomentError), np.errstate(over="ignore"):
+            Shortfall(linear_loss()).evaluate(from_samples([1.7e308, 1.7e308, 1.0]))
 
 
 class TestArgmin:

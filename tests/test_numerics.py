@@ -5,7 +5,6 @@ import pytest
 
 from mkdiv.errors import EvaluationError
 from mkdiv.numerics import (
-    bisect_decreasing,
     brent_root,
     first_outside,
     golden_section,
@@ -82,16 +81,6 @@ class TestMidpointGrid:
     def test_clipping(self):
         u = midpoint_u(4, delta=0.2)
         assert u[0] == 0.2 and u[-1] == 0.8
-
-
-class TestBisect:
-    def test_linear_root(self):
-        root = bisect_decreasing(lambda x: 1.0 - x, 0.0, 5.0, target=0.0)
-        assert root == pytest.approx(1.0, abs=1e-11)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(EvaluationError):
-            bisect_decreasing(lambda x: -x, 1.0, 2.0, target=0.0)
 
 
 class _Probes:

@@ -280,6 +280,48 @@ class TestSubmodularity:
             ok, witness = check_submodular(s, grid, grid)
             assert ok, f"{s.describe()} violated submodularity: {witness}"
 
+    def test_adjacent_minors_match_quadruple_scan(self):
+        rng = np.random.default_rng(31)
+        wavy = lambda z, y: np.sin(3.0 * z * y) + z * z - y  # noqa: E731
+        cases = [(s, s.atom_interval) for s in catalog_scores()]
+        cases += [
+            (osband_transform(BregmanScore(quadratic()), reciprocal_map()), (0.25, 3.0)),
+            (dist_transform(BregmanScore(quadratic()), reciprocal_map()), (0.25, 3.0)),
+            (wavy, (-1.0, 1.0)),
+        ]
+        outcomes = set()
+        for score, (lo, hi) in cases:
+            for _ in range(4):
+                zg = rng.uniform(lo, hi, int(rng.integers(2, 9)))
+                yg = rng.uniform(lo, hi, int(rng.integers(2, 9)))
+                ok, witness = check_submodular(score, zg, yg)
+                assert ok == _quadruple_scan_passes(score, zg, yg)
+                outcomes.add(ok)
+                if not ok:
+                    (z1p, z2), (z1, z2p), gap = witness
+                    # the witness is an adjacent quadruple with its own gap
+                    assert np.searchsorted(np.sort(zg), z1) + 1 == np.searchsorted(
+                        np.sort(zg), z1p
+                    )
+                    lattice = score(z2, z1) + score(z2p, z1p)
+                    crossed = score(z2, z1p) + score(z2p, z1)
+                    assert gap == pytest.approx(lattice - crossed)
+        assert outcomes == {True, False}
+
+
+def _quadruple_scan_passes(score, z_grid, y_grid):
+    """The O(n^2 m^2) lattice check over every quadruple, default slack."""
+    z1, z2 = np.sort(z_grid), np.sort(y_grid)
+    C = np.asarray(score(z2[None, :], z1[:, None]))
+    slack = 1e-12 * (1.0 + np.max(np.abs(C)))
+    for i in range(len(z1) - 1):
+        for ip in range(i + 1, len(z1)):
+            for j in range(len(z2) - 1):
+                for jp in range(j + 1, len(z2)):
+                    if C[i, j] + C[ip, jp] - C[ip, j] - C[i, jp] > slack:
+                        return False
+    return True
+
 
 class TestValidation:
     def test_gpl_alpha_domain(self):
