@@ -33,7 +33,6 @@ from .errors import (
     IngestionError,
     MkdivError,
     MomentError,
-    RangeError,
 )
 from .functionals import (
     AxiomReport,
@@ -66,7 +65,6 @@ from .robust import (
     WorstCaseSolution,
     choquet,
     solve_worst_case,
-    worst_case_quantile,
 )
 from .scores import (
     ANTITONIC,

@@ -304,9 +304,6 @@ class QuantileGrid:
     def u(self) -> np.ndarray:
         return midpoint_u(self.m, self.delta)
 
-    def node_mean(self) -> float:
-        return pairwise_mean(self.nodes)
-
 
 def quantile_grid(dist: Distribution, m: int = 10_000, delta: float = 1e-7) -> QuantileGrid:
     """Evaluate ``dist``'s quantile function on the clipped midpoint grid."""

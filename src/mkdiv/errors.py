@@ -14,19 +14,6 @@ class DomainError(MkdivError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class RangeError(MkdivError, ValueError):
-    """A value lies outside the range of an invertible map.
-
-    Carries the admissible interval so callers can report it.
-    """
-
-    def __init__(self, message, admissible=None):
-        if admissible is not None:
-            message = f"{message} (admissible interval: {admissible})"
-        super().__init__(message)
-        self.admissible = admissible
-
-
 class IngestionError(MkdivError, ValueError):
     """Raw data could not be ingested (empty, non-finite, malformed)."""
 
@@ -53,10 +40,9 @@ class InfeasibleLambdaError(MkdivError, ValueError):
     """A candidate multiplier makes the perturbed quantile formula leave the
     range of the generator derivative at some grid node."""
 
-    def __init__(self, message, node=None, u=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-        self.u = u
 
 
 class MomentError(MkdivError, ArithmeticError):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .numerics import first_outside
 
 __all__ = [
@@ -53,8 +53,9 @@ class ConvexGenerator:
     domain : (float, float)
         Open interval on which ``phi`` is defined.
     dphi_range : (float, float)
-        Open interval of values ``dphi`` attains; ``inv_dphi`` rejects
-        arguments outside it.
+        Open interval of values ``dphi`` attains, on which ``inv_dphi_fn``
+        is defined; :func:`mkdiv.robust.perturbed_nodes` checks its
+        arguments against it.
     strictly_convex : bool
         Strict generators have strictly increasing ``dphi``; only they give
         genuine divergences (zero iff the arguments coincide).
@@ -85,16 +86,6 @@ class ConvexGenerator:
         if np.ndim(a) == 0 and np.ndim(b) == 0:
             return float(out)
         return out
-
-    def inv_dphi(self, y):
-        arr = np.asarray(y, dtype=float)
-        if first_outside(arr, self.dphi_range) is not None:
-            raise RangeError(
-                f"value outside the range of dphi for generator '{self.name}'",
-                admissible=_interval_str(self.dphi_range),
-            )
-        out = self.inv_dphi_fn(arr)
-        return float(out) if np.ndim(y) == 0 else out
 
 
 def quadratic() -> ConvexGenerator:

@@ -109,7 +109,8 @@ def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1
     bracket shrinks fast enough, and bisects otherwise or when a residual in
     use is infinite; every probe lies strictly inside the current bracket.
     Steps are at least half the stopping width, so the search ends once the
-    bracket ``[x, c]`` is at most ``width_tol * (1 + |x| + |c|)`` wide.
+    bracket ``[x, c]`` is at most ``width_tol * (1 + |x| + |c|)`` wide, a
+    width summed from halved terms so that it stays finite near overflow.
 
     Returns ``(x, f(x))`` for the end of the final bracket with the smaller
     residual.  Reference: R. P. Brent, *Algorithms for Minimization without
@@ -130,7 +131,7 @@ def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * width_tol * (1.0 + abs(b) + abs(c))
+        tol = width_tol * (0.5 + 0.5 * abs(b) + 0.5 * abs(c))
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             break
@@ -174,7 +175,7 @@ def golden_section(f, a: float, b: float, width_tol: float = 1e-8, max_iter: int
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
     for _ in range(max_iter):
-        if h <= width_tol * (1.0 + abs(a) + abs(b)):
+        if 0.5 * h <= width_tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b)):
             break
         if fc <= fd:  # keep [a, d]; ties move left
             b, d, fd = d, c, fc

@@ -10,9 +10,9 @@ of the reference is achieved by the one-parameter family
 with the multiplier ``lam* > 0`` calibrated so the Bregman-Wasserstein
 divergence of ``G_lam`` from the reference equals ``eps`` exactly.  The
 divergence is continuously decreasing in ``lam`` wherever the formula is
-feasible, so :func:`calibrate_lambda` brackets ``lam*``, bisects on
-``log lam`` until both bracket ends have a finite divergence, and finishes
-with Brent's method on ``log divergence - log eps``.
+feasible, so :func:`calibrate_lambda` brackets ``lam*`` and runs one Brent
+search on ``log divergence - log eps`` over ``log lam``; its bisection steps
+take the infinite divergences of infeasible multipliers.
 
 The same engine with a signed weight drives the cheapest-payoff solver in
 :mod:`mkdiv.payoff` (the weight there is negative but still increasing).
@@ -36,7 +36,6 @@ __all__ = [
     "UniquenessWarning",
     "TruncationWarning",
     "choquet",
-    "worst_case_quantile",
     "solve_worst_case",
     "perturbed_nodes",
     "bw_divergence_nodes",
@@ -128,20 +127,6 @@ def bw_divergence_nodes(gen: ConvexGenerator, nodes_g, nodes_f) -> float:
     return pairwise_mean(np.asarray(gen.bregman(nodes_g, nodes_f)))
 
 
-def worst_case_quantile(
-    gen: ConvexGenerator,
-    d: DistortionSpec,
-    ref: Distribution,
-    lam: float,
-    m: int = 10_000,
-    delta: float = 1e-7,
-) -> QuantileGrid:
-    """Perturbed quantile curve at a given multiplier (no calibration)."""
-    grid = quantile_grid(ref, m, delta)
-    nodes = perturbed_nodes(gen, grid.nodes, np.asarray(d.gamma(grid.u)), lam)
-    return QuantileGrid(nodes=nodes, m=m, delta=delta)
-
-
 def calibrate_lambda(
     gen: ConvexGenerator,
     ref_nodes: np.ndarray,
@@ -158,17 +143,15 @@ def calibrate_lambda(
     1. The bracket [1e-8, 1e8] expands geometrically up to four decades each
        side before a :class:`CalibrationError` reports the achievable
        divergence range.
-    2. Midpoint bisection on s narrows the bracket until both ends have a
-       finite, positive divergence.  If the bracket first falls below the
-       stopping width, ``lam*`` sits on the feasibility boundary of phi',
-       where the divergence jumps to infinity: the bracket's upper end is
-       returned with its divergence, which is finite and at most ``eps``,
-       and ``binding`` is False unless it meets the budget.
-    3. Brent's method finds the root of ``log div(e^s) - log eps``, which is
+    2. Brent's method finds the root of ``log div(e^s) - log eps``, which is
        linear in s for the quadratic generator (div is proportional to
-       lam^-2) and near-linear for the others.  It stops once the bracket on
-       s is at most ``1e-14 * (1 + |a| + |b|)`` wide, the width at which step
-       2 stops, and returns the probe with the smaller residual.
+       lam^-2) and near-linear for the others; it bisects while a residual
+       in use is infinite.  It stops once the bracket on s is at most
+       ``1e-14 * (1 + |a| + |b|)`` wide and returns the probe with the
+       smaller residual.  If ``lam*`` sits on the feasibility boundary of
+       phi', where the divergence jumps to infinity, that is the feasible
+       end: its divergence is finite and at most ``eps``, and ``binding`` is
+       False unless it meets the budget.
 
     phi(ref), phi'(ref) and the domain check of the reference are computed
     once; each evaluation is one :func:`perturbed_nodes` call and one phi,
@@ -221,27 +204,15 @@ def calibrate_lambda(
             f"no multiplier in [{lo:g}, {hi:g}] meets the divergence budget {eps}",
             achieved_range=(d_hi, d_lo),
         )
-    a, b = np.log(lo), np.log(hi)
-    while math.isinf(d_lo) or not d_hi > 0.0:
-        if b - a <= _WIDTH_TOL * (1.0 + abs(a) + abs(b)):
-            # the feasible end: its divergence is finite, the midpoint's may not be
-            return hi, d_hi, bool(abs(d_hi - eps) <= tol * eps)
-        mid = 0.5 * (a + b)
-        lam = float(np.exp(mid))
-        d_mid = div_at(lam)
-        if d_mid >= eps:
-            a, d_lo = mid, d_mid
-        else:
-            b, hi, d_hi = mid, lam, d_mid
-
     log_eps = math.log(eps)
 
-    def residual(s: float) -> float:
-        d = div_at(float(np.exp(s)))
+    def log_gap(d: float) -> float:
         return math.log(d) - log_eps if d > 0.0 else -math.inf
 
+    # end residuals from the cache: exp(log(lo)) may round off lo and miss it
     s, _ = brent_root(
-        residual, float(a), float(b), math.log(d_lo) - log_eps, math.log(d_hi) - log_eps,
+        lambda s: log_gap(div_at(float(np.exp(s)))),
+        float(np.log(lo)), float(np.log(hi)), log_gap(d_lo), log_gap(d_hi),
         width_tol=_WIDTH_TOL,
     )
     lam = float(np.exp(s))

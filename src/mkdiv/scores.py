@@ -566,7 +566,8 @@ def check_submodular(score: Score, z_grid, y_grid, tol: float = 0.0):
     solved by the comonotonic coupling, a supermodular one by the antitonic
     coupling.  A minor fails when its gap ``c(min) + c(max) - c(z) - c(z')``
     exceeds ``tol`` (default ``1e-12 * (1 + max|c|)``); the gap of any
-    quadruple is the sum of the minors it spans.
+    quadruple is the sum of the minors it spans.  A non-finite cost raises
+    :class:`DomainError` naming the first such entry in row-major order.
 
     Returns
     -------
@@ -582,6 +583,13 @@ def check_submodular(score: Score, z_grid, y_grid, tol: float = 0.0):
         raise DomainError("submodularity check needs grids of size >= 2")
     # cost matrix on the lattice: C[i, j] = c(z1[i], z2[j]) = S(z2[j], z1[i])
     C = np.asarray(score(z2[None, :], z1[:, None]))
+    finite = np.isfinite(C)
+    if not finite.all():
+        i, j = np.unravel_index(np.argmin(finite), C.shape)
+        raise DomainError(
+            f"cost c(z1, z2) = {C[i, j]} is not finite at (z1, z2) = "
+            f"({float(z1[i])}, {float(z2[j])})"
+        )
     scale = 1.0 + float(np.max(np.abs(C)))
     slack = tol if tol > 0.0 else 1e-12 * scale
     D = (C[:-1, :-1] + C[1:, 1:]) - (C[1:, :-1] + C[:-1, 1:])

@@ -16,7 +16,8 @@ the integral is an exact O(n1 + n2) sum over the merged breakpoints
 grid.  :func:`oracle_optimal` independently solves the finite problem to
 optimality (assignment problem for equal weights, linear programming on the
 transport polytope otherwise) so the closed form can be certified instance
-by instance.
+by instance.  Certification compares optimal values; the oracle's matching is
+an optimal permutation, whichever one the solver finds among tied optima.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class CouplingReport:
 
     value: float
     matching: object
-    method: str  # "assignment" | "lp" | "closed_form"
+    method: str  # "assignment" | "lp"
 
 
 def comonotonic_matching(atoms1, atoms2) -> np.ndarray:
@@ -181,40 +182,6 @@ def _cost_matrix(score: Score, atoms1: np.ndarray, atoms2: np.ndarray) -> np.nda
     return np.asarray(score(atoms2[None, :], atoms1[:, None]), dtype=float)
 
 
-def _lexicographic_refine(cost: np.ndarray, optimum: float) -> np.ndarray:
-    """Lexicographically smallest permutation attaining ``optimum``.
-
-    Fixes rows in order; for each row takes the smallest column whose best
-    completion still meets the optimum (up to float-noise tolerance).
-    """
-    n = cost.shape[0]
-    tol = 1e-10 * (1.0 + abs(optimum))
-    rows = list(range(n))
-    cols = list(range(n))
-    sigma = np.empty(n, dtype=int)
-    remaining = optimum
-    for i in rows:
-        chosen = None
-        for j in cols:
-            rest_cols = [c for c in cols if c != j]
-            rest_rows = [r for r in rows if r > i]
-            if rest_rows:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                ri, ci = linear_sum_assignment(sub)
-                completion = cost[i, j] + float(sub[ri, ci].sum())
-            else:
-                completion = cost[i, j]
-            if completion <= remaining + tol:
-                chosen = j
-                break
-        if chosen is None:  # numerically impossible, guards float drift
-            raise EvaluationError("lexicographic refinement lost the optimum")
-        sigma[i] = chosen
-        cols.remove(chosen)
-        remaining -= cost[i, chosen]
-    return sigma
-
-
 def _repair_plan(support, w1: np.ndarray, w2: np.ndarray):
     """Re-solve flows exactly on an acyclic support by leaf elimination.
 
@@ -257,14 +224,14 @@ def oracle_optimal(
     atoms2,
     weights1=None,
     weights2=None,
-    lexicographic: bool = True,
 ) -> CouplingReport:
     """Exact optimum of the finite transport problem.
 
     Equal-weight instances (no weights given, equal atom counts, n <= 64)
     are solved as a linear assignment problem; an optimal vertex of the
-    doubly-stochastic polytope is a permutation.  Ties break toward the
-    lexicographically smallest permutation unless ``lexicographic=False``.
+    doubly-stochastic polytope is a permutation, and the report's
+    ``matching`` is an optimal permutation: which one, among tied optima,
+    is up to the assignment solver.
     General weights are solved to optimality as a linear program on the
     transport polytope with deterministic pivoting, followed by an exact
     flow recomputation on the support.
@@ -286,9 +253,6 @@ def oracle_optimal(
         ri, ci = linear_sum_assignment(cost)
         sigma = np.empty(a.size, dtype=int)
         sigma[ri] = ci
-        optimum = float(cost[ri, ci].sum())
-        if lexicographic:
-            sigma = _lexicographic_refine(cost, optimum)
         value = pairwise_sum(cost[np.arange(a.size), sigma]) / a.size
         _validate_permutation_report(cost, sigma, value)
         return CouplingReport(value=value, matching=sigma, method="assignment")
@@ -411,8 +375,7 @@ def _certify_instance(score: Score, seed: int, k: int, n_min: int, n_max: int):
     a = rng.uniform(lo, hi, n)
     b = rng.uniform(lo, hi, n)
     closed = mk_divergence(score, from_samples(a), from_samples(b))
-    # only the value is read, so any optimal matching will do
-    report = oracle_optimal(score, a, b, lexicographic=False)
+    report = oracle_optimal(score, a, b)
     scale = 1.0 + abs(report.value)
     deviation = abs(closed - report.value) / scale
     if score.coupling == COMONOTONIC:

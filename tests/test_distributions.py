@@ -13,6 +13,7 @@ from mkdiv import (
     quantile_grid,
     read_value_csv,
 )
+from mkdiv.numerics import pairwise_mean
 
 # Inverse standard-normal cdf at selected levels, computed beforehand with
 # 50-digit series evaluation (mpmath); frozen as the oracle for the rational
@@ -107,14 +108,14 @@ class TestQuantileGrid:
         g = quantile_grid(PointMass(7.0), m=3, delta=0.0)
         np.testing.assert_array_equal(g.nodes, [7.0, 7.0, 7.0])
 
-    def test_normal_node_mean_symmetry(self):
+    def test_normal_grid_mean_symmetry(self):
         g = quantile_grid(Normal(0, 1), m=100_000, delta=1e-7)
-        assert abs(g.node_mean()) <= 1e-4
+        assert abs(pairwise_mean(g.nodes)) <= 1e-4
 
     def test_grid_mean_tracks_distribution_mean(self):
         for d in ALL_DISTS:
             g = quantile_grid(d, m=20_000)
-            assert g.node_mean() == pytest.approx(d.mean(), abs=5e-3)
+            assert pairwise_mean(g.nodes) == pytest.approx(d.mean(), abs=5e-3)
 
     def test_precondition_errors(self):
         with pytest.raises(DomainError):

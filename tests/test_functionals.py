@@ -238,8 +238,22 @@ class TestShortfallBrent:
         with pytest.raises(MomentError), np.errstate(over="ignore"):
             Shortfall(linear_loss()).evaluate(from_samples([1.7e308, 1.7e308, 1.0]))
 
+    def test_bracket_near_the_largest_float(self):
+        # 1 + |b| + |c| overflows here; the stopping width must not
+        v = Shortfall(linear_loss()).evaluate(from_samples(HUGE))
+        assert abs(v - 1.15e308) <= 1e-12 * 1.15e308
+
+
+HUGE = [1e308, 1.1e308, 1.2e308, 1.3e308]
+
 
 class TestArgmin:
+    def test_bracket_near_the_largest_float(self):
+        # the 0.6-quantile of the four atoms; golden-section must refine
+        # although 1 + |a| + |b| overflows
+        z = argmin_expected_score(GPLScore(0.6), from_samples(HUGE), 1.0e308, 1.3e308)
+        assert abs(z - 1.2e308) <= 1e-8 * 1.2e308
+
     def test_pinball_median(self):
         z = argmin_expected_score(GPLScore(0.5), from_samples([1, 2, 3]), 0.0, 4.0)
         assert z == pytest.approx(2.0, abs=1e-2)  # within a grid step

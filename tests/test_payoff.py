@@ -14,7 +14,7 @@ from mkdiv import (
     quantile_grid,
 )
 from mkdiv.distributions import QuantileGrid
-from mkdiv.numerics import midpoint_u
+from mkdiv.numerics import midpoint_u, pairwise_mean
 from mkdiv.robust import perturbed_nodes
 
 
@@ -57,7 +57,7 @@ class TestPayoffCost:
         df = np.exp(-0.03)
         market = MarketSpec(PointMass(df), rate=0.03, horizon=1.0)
         g = quantile_grid(Uniform(1.0, 2.0), m=2_000, delta=0.0)
-        assert payoff_cost(market, g) == pytest.approx(df * g.node_mean(), abs=1e-12)
+        assert payoff_cost(market, g) == pytest.approx(df * pairwise_mean(g.nodes), abs=1e-12)
 
 
 class TestCheapestPayoff:

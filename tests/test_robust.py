@@ -24,10 +24,9 @@ from mkdiv import (
     quantile_grid,
     solve_worst_case,
     tvar_distortion,
-    worst_case_quantile,
 )
 from mkdiv.errors import InfeasibleLambdaError
-from mkdiv.numerics import midpoint_u, pairwise_mean
+from mkdiv.numerics import brent_root, midpoint_u, pairwise_mean
 from mkdiv.robust import (
     UniquenessWarning,
     bw_divergence_nodes,
@@ -70,24 +69,27 @@ class TestChoquet:
         assert choquet(tvar_distortion(0.9), g) == pytest.approx(0.95, abs=1e-5)
 
 
+def perturbed_curve(gen, d, grid, lam):
+    return perturbed_nodes(gen, grid.nodes, d.gamma(grid.u), lam)
+
+
 class TestPerturbedCurve:
     def test_quadratic_dual_power_closed_form(self):
         # (2u + 2u * (3/10)) / 2 = 1.3 u nodewise
-        g = worst_case_quantile(
-            quadratic(), dual_power(2.0), Uniform(0, 1), 10.0 / 3.0, m=500, delta=0.0
-        )
-        assert np.max(np.abs(g.nodes - 1.3 * g.u)) <= 1e-12
+        grid = quantile_grid(Uniform(0, 1), m=500, delta=0.0)
+        nodes = perturbed_curve(quadratic(), dual_power(2.0), grid, 10.0 / 3.0)
+        assert np.max(np.abs(nodes - 1.3 * grid.u)) <= 1e-12
 
     def test_large_multiplier_recovers_reference(self):
-        ref = Normal(0.2, 1.1)
-        base = quantile_grid(ref, m=200)
-        g = worst_case_quantile(quadratic(), dual_power(2.0), ref, 1e12, m=200)
-        assert np.max(np.abs(g.nodes - base.nodes)) <= 1e-9
+        base = quantile_grid(Normal(0.2, 1.1), m=200)
+        nodes = perturbed_curve(quadratic(), dual_power(2.0), base, 1e12)
+        assert np.max(np.abs(nodes - base.nodes)) <= 1e-9
 
     def test_curve_is_nondecreasing(self):
+        grid = quantile_grid(Normal(0, 1), m=300)
         for d in (dual_power(3.0), tvar_distortion(0.8)):
-            g = worst_case_quantile(quadratic(), d, Normal(0, 1), 0.7, m=300)
-            assert np.all(np.diff(g.nodes) >= 0.0)
+            nodes = perturbed_curve(quadratic(), d, grid, 0.7)
+            assert np.all(np.diff(nodes) >= 0.0)
 
     def test_infeasible_multiplier_with_negative_weight(self):
         # only a negative weight can push the exponential generator's
@@ -217,18 +219,24 @@ class TestSolve:
             )
 
 
+def reference_divergence(gen, ref_nodes, weight, lam):
+    """Divergence at one multiplier from bw_divergence_nodes; inf where the
+    multiplier is infeasible or the divergence overflows."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = perturbed_nodes(gen, ref_nodes, weight, lam)
+            val = bw_divergence_nodes(gen, nodes, ref_nodes)
+    except InfeasibleLambdaError:
+        return np.inf
+    return val if np.isfinite(val) else np.inf
+
+
 def bisection_calibrate(gen, ref_nodes, weight, eps):
     """The calibration as it was before Brent's method: bisection on log lam
     to the same stopping width, divergences from bw_divergence_nodes."""
 
     def div_at(lam):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                nodes = perturbed_nodes(gen, ref_nodes, weight, lam)
-                val = bw_divergence_nodes(gen, nodes, ref_nodes)
-        except InfeasibleLambdaError:
-            return np.inf
-        return val if np.isfinite(val) else np.inf
+        return reference_divergence(gen, ref_nodes, weight, lam)
 
     lo, hi = 1e-8, 1e8
     for _ in range(4):
@@ -250,6 +258,54 @@ def bisection_calibrate(gen, ref_nodes, weight, eps):
             b = mid
     lam = float(np.exp(0.5 * (a + b)))
     return lam, div_at(lam)
+
+
+def two_phase_calibrate(gen, ref_nodes, weight, eps, tol=1e-8):
+    """The calibration with a separate bisection phase in front of Brent's
+    method: bisect on log lam until both bracket ends have a finite, positive
+    divergence (returning the feasible end if the bracket first falls below
+    the stopping width), then Brent on the log-divergence.  Returns the
+    result and the number of multipliers evaluated."""
+    seen = {}
+
+    def div_at(lam):
+        if lam not in seen:
+            seen[lam] = reference_divergence(gen, ref_nodes, weight, lam)
+        return seen[lam]
+
+    lo, hi = 1e-8, 1e8
+    for _ in range(4):
+        if div_at(lo) >= eps:
+            break
+        lo *= 0.1
+    for _ in range(4):
+        if div_at(hi) <= eps:
+            break
+        hi *= 10.0
+    d_lo, d_hi = div_at(lo), div_at(hi)
+    a, b = np.log(lo), np.log(hi)
+    while math.isinf(d_lo) or not d_hi > 0.0:
+        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
+            return (hi, d_hi, bool(abs(d_hi - eps) <= tol * eps)), len(seen)
+        mid = 0.5 * (a + b)
+        lam = float(np.exp(mid))
+        d_mid = div_at(lam)
+        if d_mid >= eps:
+            a, d_lo = mid, d_mid
+        else:
+            b, hi, d_hi = mid, lam, d_mid
+
+    def residual(s):
+        d = div_at(float(np.exp(s)))
+        return math.log(d) - math.log(eps) if d > 0.0 else -math.inf
+
+    s, _ = brent_root(
+        residual, float(a), float(b),
+        math.log(d_lo) - math.log(eps), math.log(d_hi) - math.log(eps), width_tol=1e-14,
+    )
+    lam = float(np.exp(s))
+    div = div_at(lam)
+    return (lam, div, bool(abs(div - eps) <= tol * eps)), len(seen)
 
 
 CALIBRATION_REFS = [Uniform(0.5, 1.5), LogNormal(0.0, 0.25), Exponential(1.2)]
@@ -322,6 +378,39 @@ class TestCalibration:
         assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
         assert not binding
         assert bisection_calibrate(gen, nodes, weight, 0.02) == expected
+
+    @pytest.mark.parametrize("eps", [0.02, 0.3])
+    @pytest.mark.parametrize(
+        "bench", [Uniform(0.5, 1.5), Exponential(1.0), LogNormal(0.0, 0.5), Uniform(0.0, 1.0)]
+    )
+    @pytest.mark.parametrize("name", ["exp", "xlogx"])
+    def test_one_search_matches_two_phase_search(self, name, bench, eps, monkeypatch):
+        # every case probes an infeasible multiplier; for exp, lam* lies on
+        # the feasibility boundary, where the two-phase search spends 52
+        # evaluations: Brent's bisection steps take the same path
+        m = 20_000
+        nodes = quantile_grid(bench, m, 1e-7).nodes
+        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m, 1e-7))
+        gen = generator_catalog()[name]
+        expected, evals = two_phase_calibrate(gen, nodes, weight, eps)
+        calls, infeasible = [], []
+        original = perturbed_nodes
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            try:
+                return original(*args, **kwargs)
+            except InfeasibleLambdaError:
+                infeasible.append(args[3])
+                raise
+
+        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted)
+        result = calibrate_lambda(gen, nodes, weight, eps)
+        assert repr(result) == repr(expected)
+        assert len(calls) == evals
+        assert infeasible
+        if name == "exp":
+            assert evals == 52 and not result[2]
 
     def test_binding_is_relative_to_the_budget(self):
         # the boundary case above stops at divergence 0.0117 for eps = 0.02;

@@ -12,6 +12,7 @@ from mkdiv import (
     ExpectileScore,
     GPLScore,
     LambdaQuantileScore,
+    Score,
     ShortfallScore,
     StepFunction,
     check_submodular,
@@ -307,6 +308,22 @@ class TestSubmodularity:
                     crossed = score(z2, z1p) + score(z2p, z1)
                     assert gap == pytest.approx(lattice - crossed)
         assert outcomes == {True, False}
+
+    def test_overflowing_cost_rejected(self):
+        # exp(800) overflows: with an infinite slack every minor would pass
+        s = EntropicScore(1.0, quadratic())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=r"\(z1, z2\) = \(0\.0, 800\.0\)"):
+                check_submodular(s, [0, 1, 2, 800], [0, 1, 2, 800])
+
+    def test_nan_cost_rejected(self):
+        class NanAtOneEntry(Score):
+            # squared error, except S(1, 2) = c(2, 1) is NaN
+            def _eval(self, z, y):
+                return np.where((z == 1.0) & (y == 2.0), np.nan, (z - y) ** 2)
+
+        with pytest.raises(DomainError, match=r"nan is not finite at \(z1, z2\) = \(2\.0, 1\.0\)"):
+            check_submodular(NanAtOneEntry(), [0, 1, 2], [0, 1, 2])
 
 
 def _quadruple_scan_passes(score, z_grid, y_grid):

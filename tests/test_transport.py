@@ -217,16 +217,29 @@ class TestOracle:
 
     def test_identity_on_identical_lists(self):
         for s in [BregmanScore(quadratic()), GPLScore(0.7)]:
-            rep = oracle_optimal(s, [1.0, 1.0, 2.0], [1.0, 1.0, 2.0])
+            a = [1.0, 1.0, 2.0]
+            rep = oracle_optimal(s, a, a)
             assert rep.value == 0.0
-            np.testing.assert_array_equal(rep.matching, [0, 1, 2])  # lex smallest
+            assert coupling_value(s, a, a, rep.matching) == 0.0
 
-    def test_lexicographic_tie_breaking_with_repeated_atoms(self):
-        # rows 0 and 1 are identical; among the optimal matchings the
-        # lexicographically smallest assigns row 0 the smaller column
-        rep = oracle_optimal(BregmanScore(quadratic()), [0.0, 0.0, 1.0], [1.0, 1.0, 0.0])
-        assert rep.value == pytest.approx(1.0 / 3.0)
-        np.testing.assert_array_equal(rep.matching, [0, 2, 1])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]),
+            ([0.0, 0.0, 1.0], [1.0, 1.0, 0.0]),
+            ([0.5, 0.5, 0.5, 2.0], [0.5, 3.0, 3.0, 0.5]),
+            ([-1.0, 2.0, -1.0, 2.0, 0.0], [0.0, 0.0, 2.0, -1.0, 2.0]),
+        ],
+    )
+    def test_repeated_atoms_give_an_optimal_permutation(self, a, b):
+        # tied optima: any optimal permutation will do, and the value is
+        # that of the matching the report carries
+        for s in [BregmanScore(quadratic()), GPLScore(0.7), BregmanScore(quartic())]:
+            rep = oracle_optimal(s, a, b)
+            np.testing.assert_array_equal(np.sort(rep.matching), np.arange(len(a)))
+            matched = coupling_value(s, a, b, rep.matching)
+            assert abs(matched - rep.value) <= 1e-15 * abs(rep.value)
+            assert rep.value == pytest.approx(brute_force_optimum(s, a, b), rel=1e-12, abs=1e-15)
 
     def test_antitonic_matching_for_reciprocal_transform(self):
         s = osband_transform(BregmanScore(quadratic()), reciprocal_map())
