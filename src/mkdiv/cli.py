@@ -15,9 +15,6 @@ significant digits.  A fixed seed therefore yields byte-identical output.
 Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
 verification deviates beyond tolerance.
 
-The grid size defaults to 10000 and may be overridden globally with the
-``MKDIV_GRID_M`` environment variable; explicit ``--grid-m`` wins.
-
 Randomized subcommands draw from numpy's PCG64 generator.  ``verify`` keys
 one child stream per instance as ``default_rng([seed, k])`` and draws the
 size ``n ~ integers(n_min, n_max+1)`` followed by the two atom vectors
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -38,7 +34,6 @@ import numpy as np
 from . import specs
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
-from .numerics import midpoint_u
 from .payoff import cheapest_payoff
 from .robust import solve_worst_case
 from .transport import certify_optimal_coupling, mk_divergence
@@ -93,29 +88,16 @@ def _emit(obj, out: list):
         raise MkdivError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _grid_m(args) -> int:
-    if args.grid_m is not None:
-        return args.grid_m
-    env = os.environ.get("MKDIV_GRID_M")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise MkdivError(f"MKDIV_GRID_M={env!r} is not an integer") from exc
-    return _DEFAULT_M
-
-
-def _write_artifact(args, payload: dict, nodes=None, delta=None):
+def _write_artifact(args, payload: dict, curve=None):
     if args.out is None:
         return
     if args.format == "csv":
-        if nodes is None:
+        if curve is None:
             raise MkdivError("csv output is only available for quantile curves")
-        u = midpoint_u(len(nodes), delta or 0.0)
         lines = ["u,value"]
         lines += [
             f"{format(float(ui), '.17g')},{format(float(vi), '.17g')}"
-            for ui, vi in zip(u, nodes)
+            for ui, vi in zip(curve.u, curve.nodes)
         ]
         text = "\n".join(lines) + "\n"
     else:
@@ -128,13 +110,12 @@ def _cmd_divergence(args, out) -> int:
     score = specs.parse_score(args.score)
     f1 = specs.parse_distribution(args.from_spec)
     f2 = specs.parse_distribution(args.to_spec)
-    m = _grid_m(args)
-    value = mk_divergence(score, f1, f2, m=m, delta=args.delta)
+    value = mk_divergence(score, f1, f2, m=args.grid_m, delta=args.delta)
     payload = {
         "value": value,
         "coupling": score.coupling,
         "score": specs.render_score(score),
-        "grid": {"M": m, "delta": args.delta},
+        "grid": {"M": args.grid_m, "delta": args.delta},
     }
     print(canonical_json(payload), file=out)
     _write_artifact(args, payload)
@@ -162,11 +143,12 @@ def _cmd_worst_case(args, out) -> int:
     gen = specs.parse_generator(args.phi)
     d = specs.parse_distortion(args.distortion)
     ref = specs.parse_distribution(args.ref)
-    m = _grid_m(args)
-    sol = solve_worst_case(gen, d, ref, args.eps, m=m, delta=args.delta, tol=args.tol)
+    sol = solve_worst_case(
+        gen, d, ref, args.eps, m=args.grid_m, delta=args.delta, tol=args.tol
+    )
     payload = sol.to_json_dict()
     print(canonical_json(payload), file=out)
-    _write_artifact(args, payload, nodes=sol.worst_quantile.nodes, delta=sol.worst_quantile.delta)
+    _write_artifact(args, payload, curve=sol.worst_quantile)
     return 0
 
 
@@ -174,13 +156,12 @@ def _cmd_payoff(args, out) -> int:
     gen = specs.parse_generator(args.phi)
     benchmark = specs.parse_distribution(args.benchmark)
     market = specs.parse_market(args.market)
-    m = _grid_m(args)
     sol = cheapest_payoff(
-        gen, benchmark, market, args.eps, m=m, delta=args.delta, tol=args.tol
+        gen, benchmark, market, args.eps, m=args.grid_m, delta=args.delta, tol=args.tol
     )
     payload = sol.to_json_dict()
     print(canonical_json(payload), file=out)
-    _write_artifact(args, payload, nodes=sol.payoff_quantile.nodes, delta=sol.payoff_quantile.delta)
+    _write_artifact(args, payload, curve=sol.payoff_quantile)
     return 0
 
 
@@ -188,7 +169,7 @@ def _cmd_elicit_check(args, out) -> int:
     functional = specs.parse_functional(args.functional)
     score = specs.parse_score(args.score)
     dist = specs.parse_distribution(args.dist)
-    m = _grid_m(args)
+    m = args.grid_m
     if args.z_lo is not None and args.z_hi is not None:
         z_lo, z_hi = args.z_lo, args.z_hi
     else:
@@ -232,8 +213,8 @@ def _cmd_axioms(args, out) -> int:
 
 
 def _add_common(parser, tol=_DEFAULT_TOL, tol_help=None):
-    parser.add_argument("--grid-m", type=int, default=None,
-                        help="u-grid size (default 10000 or $MKDIV_GRID_M)")
+    parser.add_argument("--grid-m", type=int, default=_DEFAULT_M,
+                        help="u-grid size (default 10000)")
     parser.add_argument("--delta", type=float, default=_DEFAULT_DELTA,
                         help="tail truncation level (default 1e-7)")
     parser.add_argument("--tol", type=float, default=tol, help=tol_help)

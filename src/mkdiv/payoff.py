@@ -10,9 +10,11 @@ evaluated by :func:`payoff_cost`.  Minimising this cost subject to the
 payoff's distribution lying within Bregman-Wasserstein distance ``eps`` of a
 benchmark is the same calibration problem as the worst-case distortion bound
 with the signed, increasing weight ``-Q_xi(1 - u)``; the solver therefore
-reuses the engine from :mod:`mkdiv.robust` verbatim:
+runs the solve path of :mod:`mkdiv.robust`, whose calibrated curve
 
-    G_lam(u) = (phi')^{-1}( phi'(Q_bench(u)) - Q_xi(1 - u) / lam ).
+    G_lam(u) = (phi')^{-1}( phi'(Q_bench(u)) - Q_xi(1 - u) / lam )
+
+it prices with the same weight array it was calibrated with.
 
 The optimal curve may go negative even though payoffs are meant to be
 non-negative; the solver flags this (``nonneg_violation``) instead of
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, QuantileGrid, quantile_grid
+from .distributions import Distribution, QuantileGrid
 from .errors import DomainError
 from .generators import ConvexGenerator
-from .numerics import midpoint_u, pairwise_mean
-from .robust import calibrate_lambda, perturbed_nodes
+from .numerics import pairwise_mean
+from .robust import _calibrated_curve
 
 __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
 
@@ -127,15 +129,13 @@ def cheapest_payoff(
     the benchmark; the multiplier is calibrated exactly as in the worst-case
     solver, with the signed spd weight.  ``binding`` reports
     ``|divergence_at_solution - eps| <= tol * eps``."""
-    grid = quantile_grid(benchmark, m, delta)
-    weight = market.neg_weight(midpoint_u(m, delta))
-    lam, div, binding = calibrate_lambda(gen, grid.nodes, weight, eps, tol)
-    nodes = perturbed_nodes(gen, grid.nodes, weight, lam)
-    curve = QuantileGrid(nodes=nodes, m=m, delta=delta)
+    lam, div, binding, weight, nodes, curve = _calibrated_curve(
+        gen, benchmark, market.neg_weight, eps, m, delta, tol
+    )
     return PayoffSolution(
         lambda_star=lam,
         payoff_quantile=curve,
-        cost=payoff_cost(market, curve),
+        cost=pairwise_mean(-weight * curve.nodes),  # -weight is Q_xi(1 - u)
         divergence_at_solution=div,
         epsilon=eps,
         binding=binding,

@@ -12,10 +12,12 @@ divergence of ``G_lam`` from the reference equals ``eps`` exactly.  The
 divergence is continuously decreasing in ``lam`` wherever the formula is
 feasible, so :func:`calibrate_lambda` brackets ``lam*`` and runs one Brent
 search on ``log divergence - log eps`` over ``log lam``; its bisection steps
-take the infinite divergences of infeasible multipliers.
+take the infinite divergences of infeasible multipliers.  It returns its
+best probe with that probe's curve, which the solver emits.
 
-The same engine with a signed weight drives the cheapest-payoff solver in
-:mod:`mkdiv.payoff` (the weight there is negative but still increasing).
+The same path with a signed weight drives the cheapest-payoff solver in
+:mod:`mkdiv.payoff` (the weight there is negative but still increasing);
+both solvers take their value from the weight they calibrated with.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .numerics import brent_root, first_outside, pairwise_mean
 __all__ = [
     "WorstCaseSolution",
     "UniquenessWarning",
-    "TruncationWarning",
     "choquet",
     "solve_worst_case",
     "perturbed_nodes",
@@ -53,27 +54,24 @@ class UniquenessWarning(UserWarning):
     applies but uniqueness of the optimum is not guaranteed."""
 
 
-class TruncationWarning(UserWarning):
-    """Non-finite weight values were dropped at grid nodes."""
-
-
 def choquet(d: DistortionSpec, grid: QuantileGrid) -> float:
     """Choquet integral on the grid: mean over nodes of gamma(u_i) * node_i.
 
-    Non-finite weights (possible only for user-supplied distortions; the
-    catalog is finite on (0, 1)) are dropped with a warning.
+    Raises
+    ------
+    DomainError
+        If the weight is not finite at some node (possible only for
+        user-supplied distortions; the catalog is finite on (0, 1)).
     """
     gam = np.asarray(d.gamma(grid.u), dtype=float)
-    vals = gam * grid.nodes
     bad = ~np.isfinite(gam)
-    if np.any(bad):
-        warnings.warn(
-            f"{int(bad.sum())} non-finite weight values truncated",
-            TruncationWarning,
-            stacklevel=2,
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise DomainError(
+            f"distortion '{d.name}' has a non-finite weight {gam[node]} at "
+            f"node {node} (u={grid.u[node]})"
         )
-        vals = np.where(bad, 0.0, vals)
-    return pairwise_mean(vals)
+    return pairwise_mean(gam * grid.nodes)
 
 
 def perturbed_nodes(
@@ -134,7 +132,7 @@ def calibrate_lambda(
     eps: float,
     tol: float = 1e-8,
 ):
-    """Find lam with divergence(G_lam, ref) = eps.
+    """Find lam with divergence(G_lam, ref) = eps, and the curve G_lam.
 
     The divergence is decreasing in lam; multipliers that make the formula
     infeasible behave like an infinite divergence.  The search runs in
@@ -143,15 +141,19 @@ def calibrate_lambda(
     1. The bracket [1e-8, 1e8] expands geometrically up to four decades each
        side before a :class:`CalibrationError` reports the achievable
        divergence range.
-    2. Brent's method finds the root of ``log div(e^s) - log eps``, which is
-       linear in s for the quadratic generator (div is proportional to
-       lam^-2) and near-linear for the others; it bisects while a residual
-       in use is infinite.  It stops once the bracket on s is at most
-       ``1e-14 * (1 + |a| + |b|)`` wide and returns the probe with the
-       smaller residual.  If ``lam*`` sits on the feasibility boundary of
-       phi', where the divergence jumps to infinity, that is the feasible
-       end: its divergence is finite and at most ``eps``, and ``binding`` is
-       False unless it meets the budget.
+    2. Brent's method drives the probes toward the root of
+       ``log div(e^s) - log eps``, which is linear in s for the quadratic
+       generator (div is proportional to lam^-2) and near-linear for the
+       others; it bisects while a residual in use is infinite, and stops
+       once the bracket on s is at most ``1e-14 * (1 + |a| + |b|)`` wide.
+
+    The result is the best probe: the evaluated multiplier with a finite
+    divergence and the smallest ``|log div - log eps|`` (the later one on
+    ties), with its divergence and its curve.  Only that one curve is kept
+    while the search runs.  If ``lam*`` sits on the feasibility boundary of
+    phi', where the divergence jumps to infinity, the best probe is the
+    feasible end of the final bracket: its divergence is at most ``eps``,
+    and ``binding`` is False unless it meets the budget.
 
     phi(ref), phi'(ref) and the domain check of the reference are computed
     once; each evaluation is one :func:`perturbed_nodes` call and one phi,
@@ -160,64 +162,80 @@ def calibrate_lambda(
 
     Returns
     -------
-    (lam, divergence, binding)
-        ``binding`` is ``|divergence - eps| <= tol * eps``.
+    (lam, divergence, binding, nodes)
+        ``binding`` is ``|divergence - eps| <= tol * eps``; ``nodes`` is
+        ``perturbed_nodes(gen, ref_nodes, weight, lam)``.
     """
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
     ref_nodes = gen._check_domain(ref_nodes, "second Bregman argument")
     with np.errstate(over="ignore", invalid="ignore"):
         phi_ref, dphi_ref = gen.phi(ref_nodes), gen.dphi(ref_nodes)
-    seen = {}  # multiplier -> divergence
-
-    def div_at(lam: float) -> float:
-        # extreme multipliers may overflow the generator transform; both an
-        # out-of-range argument and a non-finite divergence mean the curve
-        # is infinitely far, so the search treats them as +inf
-        if lam in seen:
-            return seen[lam]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                nodes = perturbed_nodes(gen, ref_nodes, weight, lam, dphi_ref)
-                terms = np.subtract(gen.phi(nodes), phi_ref)
-                nodes -= ref_nodes
-                nodes *= dphi_ref
-                terms -= nodes
-                val = pairwise_mean(terms)
-        except InfeasibleLambdaError:
-            val = np.inf
-        seen[lam] = val if np.isfinite(val) else np.inf
-        return seen[lam]
-
-    lo, hi = _BRACKET_LO, _BRACKET_HI
-    for _ in range(_EXPAND_DECADES):
-        if div_at(lo) >= eps:
-            break
-        lo *= 0.1
-    for _ in range(_EXPAND_DECADES):
-        if div_at(hi) <= eps:
-            break
-        hi *= 10.0
-    d_lo, d_hi = div_at(lo), div_at(hi)
-    if d_lo < eps or d_hi > eps:
-        raise CalibrationError(
-            f"no multiplier in [{lo:g}, {hi:g}] meets the divergence budget {eps}",
-            achieved_range=(d_hi, d_lo),
-        )
     log_eps = math.log(eps)
 
     def log_gap(d: float) -> float:
         return math.log(d) - log_eps if d > 0.0 else -math.inf
 
-    # end residuals from the cache: exp(log(lo)) may round off lo and miss it
-    s, _ = brent_root(
+    best = None  # (|log gap|, lam, divergence, nodes) of the best probe so far
+
+    def div_at(lam: float) -> float:
+        # extreme multipliers may overflow the generator transform; both an
+        # out-of-range argument and a non-finite divergence mean the curve
+        # is infinitely far, so the search treats them as +inf
+        nonlocal best
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = perturbed_nodes(gen, ref_nodes, weight, lam, dphi_ref)
+                terms = np.subtract(gen.phi(nodes), phi_ref)
+                linear = np.subtract(nodes, ref_nodes)
+                linear *= dphi_ref
+                terms -= linear
+                val = pairwise_mean(terms)
+        except InfeasibleLambdaError:
+            val = np.inf
+        if not np.isfinite(val):
+            return np.inf
+        gap = abs(log_gap(val))
+        if best is None or gap <= best[0]:
+            best = (gap, lam, val, nodes)
+        return val
+
+    lo, d_lo = _BRACKET_LO, div_at(_BRACKET_LO)
+    for _ in range(_EXPAND_DECADES):
+        if d_lo >= eps:
+            break
+        lo *= 0.1
+        d_lo = div_at(lo)
+    hi, d_hi = _BRACKET_HI, div_at(_BRACKET_HI)
+    for _ in range(_EXPAND_DECADES):
+        if d_hi <= eps:
+            break
+        hi *= 10.0
+        d_hi = div_at(hi)
+    if d_lo < eps or d_hi > eps:
+        raise CalibrationError(
+            f"no multiplier in [{lo:g}, {hi:g}] meets the divergence budget {eps}",
+            achieved_range=(d_hi, d_lo),
+        )
+    brent_root(
         lambda s: log_gap(div_at(float(np.exp(s)))),
         float(np.log(lo)), float(np.log(hi)), log_gap(d_lo), log_gap(d_hi),
         width_tol=_WIDTH_TOL,
     )
-    lam = float(np.exp(s))
-    div = div_at(lam)
-    return lam, div, bool(abs(div - eps) <= tol * eps)
+    # hi passed the check above, so its finite divergence made it a candidate
+    _, lam, div, nodes = best
+    return lam, div, bool(abs(div - eps) <= tol * eps), nodes
+
+
+def _calibrated_curve(gen, ref, weight_of, eps, m, delta, tol):
+    """The path both solvers share: the grid of ``ref``, the weight
+    ``weight_of(u)`` on it, and the calibration.  Returns ``(lam, divergence,
+    binding, weight, nodes, QuantileGrid(nodes))``."""
+    grid = quantile_grid(ref, m, delta)
+    weight = np.asarray(weight_of(grid.u), dtype=float)
+    lam, div, binding, nodes = calibrate_lambda(gen, grid.nodes, weight, eps, tol)
+    curve = QuantileGrid(nodes=nodes, m=m, delta=delta)
+    return lam, div, binding, weight, nodes, curve
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,15 +294,13 @@ def solve_worst_case(
             UniquenessWarning,
             stacklevel=2,
         )
-    grid = quantile_grid(ref, m, delta)
-    weight = np.asarray(d.gamma(grid.u), dtype=float)
-    lam, div, binding = calibrate_lambda(gen, grid.nodes, weight, eps, tol)
-    nodes = perturbed_nodes(gen, grid.nodes, weight, lam)
-    worst = QuantileGrid(nodes=nodes, m=m, delta=delta)
+    lam, div, binding, weight, _, worst = _calibrated_curve(
+        gen, ref, d.gamma, eps, m, delta, tol
+    )
     return WorstCaseSolution(
         lambda_star=lam,
         worst_quantile=worst,
-        worst_value=choquet(d, worst),
+        worst_value=pairwise_mean(weight * worst.nodes),
         divergence_at_solution=div,
         epsilon=eps,
         binding=binding,

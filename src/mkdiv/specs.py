@@ -106,17 +106,21 @@ def _split_head(text: str, expected: str) -> str:
     return body
 
 
-def _parse_params(body: str, spec: str) -> tuple[str, dict]:
-    """Split 'name,k1=v1,k2=v2' into the name and a parameter dict."""
-    parts = body.split(",")
-    name = parts[0]
+def _parse_pairs(tokens, spec: str) -> dict:
+    """Parameter dict of 'k=v' tokens."""
     params = {}
-    for token in parts[1:]:
+    for token in tokens:
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ConfigError(f"malformed parameter {token!r} in spec {spec!r}")
         params[key] = value
-    return name, params
+    return params
+
+
+def _parse_params(body: str, spec: str) -> tuple[str, dict]:
+    """Split 'name,k1=v1,k2=v2' into the name and a parameter dict."""
+    name, *tokens = body.split(",")
+    return name, _parse_pairs(tokens, spec)
 
 
 def _pop_float(params: dict, key: str, spec: str) -> float:
@@ -152,12 +156,7 @@ def parse_distribution(spec: str) -> Distribution:
     if name == "empirical" and "=" not in body:
         # shorthand: empirical:<file.csv>
         return from_samples(read_value_csv(body), source_path=body)
-    params = {}
-    for token in body.split(","):
-        key, eq, value = token.partition("=")
-        if not eq or not key:
-            raise ConfigError(f"malformed parameter {token!r} in spec {spec!r}")
-        params[key] = value
+    params = _parse_pairs(body.split(","), spec)
     if name == "uniform":
         a = _pop_float(params, "a", spec)
         b = _pop_float(params, "b", spec)

@@ -11,9 +11,7 @@ import mkdiv
 from mkdiv.cli import canonical_json, main
 
 
-def run_cli(argv, env_m=None, monkeypatch=None):
-    if env_m is not None:
-        monkeypatch.setenv("MKDIV_GRID_M", str(env_m))
+def run_cli(argv):
     out = io.StringIO()
     err = io.StringIO()
     code = main(argv, out=out, err=err)
@@ -55,21 +53,6 @@ class TestDivergence:
         assert payload["coupling"] == "comonotonic"
         assert payload["score"] == "score:bregman,phi=quadratic"
         assert payload["grid"]["M"] == 10000
-
-    def test_env_grid_override(self, csv_pair, monkeypatch):
-        a, b = csv_pair
-        code, out, _ = run_cli(
-            [
-                "divergence",
-                "--score", "score:bregman,phi=quadratic",
-                "--from", f"empirical:path={a}",
-                "--to", f"empirical:path={b}",
-            ],
-            env_m=512,
-            monkeypatch=monkeypatch,
-        )
-        assert code == 0
-        assert json.loads(out)["grid"]["M"] == 512
 
     def test_bad_spec_exits_one(self, csv_pair):
         a, b = csv_pair

@@ -25,7 +25,7 @@ from mkdiv import (
     solve_worst_case,
     tvar_distortion,
 )
-from mkdiv.errors import InfeasibleLambdaError
+from mkdiv.errors import DomainError, InfeasibleLambdaError
 from mkdiv.numerics import brent_root, midpoint_u, pairwise_mean
 from mkdiv.robust import (
     UniquenessWarning,
@@ -36,11 +36,8 @@ from mkdiv.robust import (
 
 
 class TestChoquet:
-    def test_non_finite_weight_truncated_with_warning(self):
-        import warnings
-
+    def test_non_finite_weight_raises_naming_the_node(self):
         from mkdiv.generators import DistortionSpec
-        from mkdiv.robust import TruncationWarning
 
         weird = DistortionSpec(
             name="weird",
@@ -49,10 +46,8 @@ class TestChoquet:
             strictly_concave=False,
         )
         g = quantile_grid(Uniform(0, 1), m=100, delta=0.0)
-        with pytest.warns(TruncationWarning):
-            val = choquet(weird, g)
-        assert np.isfinite(val)
-        assert val == pytest.approx(0.405, abs=1e-12)  # mean of the kept 90%
+        with pytest.raises(DomainError, match=r"'weird' has a non-finite weight inf at node 90 "):
+            choquet(weird, g)
 
     def test_identity_is_the_mean(self):
         g = quantile_grid(Uniform(0, 1), m=10_000, delta=0.0)
@@ -341,18 +336,67 @@ class TestCalibration:
             return original(*args, **kwargs)
 
         monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted)
-        lam, div, binding = calibrate_lambda(gen, nodes, weight, 0.02)
+        lam, div, binding, _ = calibrate_lambda(gen, nodes, weight, 0.02)
         assert lam == pytest.approx(expected, rel=1e-12)
         assert binding and abs(div - 0.02) <= 1e-8 * 0.02
         assert len(calls) <= 16
         assert len(set(calls)) == len(calls)  # no multiplier evaluated twice
 
-    def test_divergence_is_that_of_bw_divergence_nodes(self):
+    @pytest.mark.parametrize("kind", ["worst-case", "payoff"])
+    def test_divergence_and_curve_are_those_of_the_multiplier(self, kind):
         for name, gen in generator_catalog().items():
-            _, nodes, weight = calibration_inputs(name, LogNormal(0.0, 0.25), "worst-case")
-            lam, div, _ = calibrate_lambda(gen, nodes, weight, 0.02)
-            curve = perturbed_nodes(gen, nodes, weight, lam)
+            _, nodes, weight = calibration_inputs(name, LogNormal(0.0, 0.25), kind)
+            lam, div, _, curve = calibrate_lambda(gen, nodes, weight, 0.02)
+            assert curve.tobytes() == perturbed_nodes(gen, nodes, weight, lam).tobytes()
             assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
+
+    def test_tiny_budget_returns_the_best_probe(self, monkeypatch):
+        # at eps = 1e-12 the divergence is at the level of float noise, and
+        # the last bracket of the search need not hold the closest probe:
+        # here an earlier probe is about 30 times closer than its ends
+        eps = 1e-12
+        grid = quantile_grid(Uniform(0.0, 1.0), CALIBRATION_M, 1e-7)
+        weight = dual_power(2.0).gamma(grid.u)
+        gen = quadratic()
+        probes = []
+        original = perturbed_nodes
+
+        def recorded(*args, **kwargs):
+            probes.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", recorded)
+        lam, div, _, _ = calibrate_lambda(gen, grid.nodes, weight, eps)
+        monkeypatch.undo()
+        gaps = [abs(reference_divergence(gen, grid.nodes, weight, x) - eps) for x in probes]
+        assert lam in probes
+        assert abs(div - eps) == min(gaps)
+
+    @pytest.mark.parametrize("kind", ["worst-case", "payoff"])
+    def test_solvers_perturb_only_inside_the_calibration(self, kind, monkeypatch):
+        import sys
+
+        calibration = calibrate_lambda.__code__
+        outside = []
+        original = perturbed_nodes
+
+        def checked(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not calibration:
+                frame = frame.f_back
+            if frame is None:
+                outside.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", checked)
+        # a module importing the helper by name would bypass the wrapper
+        monkeypatch.setattr("mkdiv.payoff.perturbed_nodes", checked, raising=False)
+        if kind == "worst-case":
+            solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 0.03, m=2000)
+        else:
+            cheapest_payoff(quadratic(), Uniform(0, 1), MarketSpec(Uniform(0.0, 1.0)),
+                            0.02, m=2000)
+        assert outside == []
 
     @pytest.mark.parametrize(
         "spd, bench, expected",
@@ -371,10 +415,10 @@ class TestCalibration:
         nodes = quantile_grid(bench, m, 1e-7).nodes
         weight = MarketSpec(spd).neg_weight(midpoint_u(m, 1e-7))
         gen = exponential_generator()
-        lam, div, binding = calibrate_lambda(gen, nodes, weight, 0.02)
+        lam, div, binding, curve = calibrate_lambda(gen, nodes, weight, 0.02)
         assert lam == pytest.approx(expected[0], rel=1e-13)
         assert math.isfinite(div) and div < 0.02
-        curve = perturbed_nodes(gen, nodes, weight, lam)
+        assert curve.tobytes() == perturbed_nodes(gen, nodes, weight, lam).tobytes()
         assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
         assert not binding
         assert bisection_calibrate(gen, nodes, weight, 0.02) == expected
@@ -406,7 +450,7 @@ class TestCalibration:
 
         monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted)
         result = calibrate_lambda(gen, nodes, weight, eps)
-        assert repr(result) == repr(expected)
+        assert repr(result[:3]) == repr(expected)
         assert len(calls) == evals
         assert infeasible
         if name == "exp":
