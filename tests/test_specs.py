@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mkdiv.errors
+import mkdiv.specs
 from mkdiv import (
     ConfigError,
     DecomposableScore,
@@ -165,6 +167,223 @@ class TestErrors:
     def test_extra_parameters_rejected(self):
         with pytest.raises(ConfigError, match="unexpected"):
             parse_score("score:bregman,phi=quadratic,alpha=0.5")
+
+
+# Spec corpus: every catalog kind with defaults and reordered parameters,
+# then missing, extra, non-numeric and malformed parameters, unknown names
+# and domain errors.  Each row is (kind, spec, outcome, text): "ok" pins the
+# canonical render, otherwise the exception type and its exact message.
+# "{tmp}" stands for the directory holding the corpus files.
+SPEC_CORPUS = [
+    ('distribution', 'uniform:a=0,b=1', 'ok', 'uniform:a=0.0,b=1.0'),
+    ('distribution', 'uniform:b=2,a=-1', 'ok', 'uniform:a=-1.0,b=2.0'),
+    ('distribution', 'uniform:a=0.5,b=1e3', 'ok', 'uniform:a=0.5,b=1000.0'),
+    ('distribution', 'uniform:a=1_0,b=20', 'ok', 'uniform:a=10.0,b=20.0'),
+    ('distribution', 'normal:mu=0,sigma=1', 'ok', 'normal:mu=0.0,sigma=1.0'),
+    ('distribution', 'normal:sigma=2,mu=-1.5', 'ok', 'normal:mu=-1.5,sigma=2.0'),
+    ('distribution', 'normal:mu= 1,sigma=1', 'ok', 'normal:mu=1.0,sigma=1.0'),
+    ('distribution', 'lognormal:mu=0,sigma=0.2', 'ok', 'lognormal:mu=0.0,sigma=0.2'),
+    ('distribution', 'lognormal:sigma=1,mu=0.5', 'ok', 'lognormal:mu=0.5,sigma=1.0'),
+    ('distribution', 'exponential:rate=1', 'ok', 'exponential:rate=1.0'),
+    ('distribution', 'exponential:rate=2.5', 'ok', 'exponential:rate=2.5'),
+    ('distribution', 'point:c=2', 'ok', 'point:c=2.0'),
+    ('distribution', 'point:c=-0.0', 'ok', 'point:c=-0.0'),
+    ('distribution', 'empirical:path={tmp}/vals.csv', 'ok', 'empirical:path={tmp}/vals.csv'),
+    ('distribution', 'empirical:{tmp}/vals.csv', 'ok', 'empirical:path={tmp}/vals.csv'),
+    ('distribution', 'banana', 'ConfigError', "malformed distribution spec 'banana'"),
+    ('distribution', 'uniform', 'ConfigError', "malformed distribution spec 'uniform'"),
+    ('distribution', 'uniform:', 'ConfigError', "malformed distribution spec 'uniform:'"),
+    ('distribution', ':a=0', 'ConfigError', "unknown distribution kind '' in spec ':a=0'"),
+    ('distribution', 'uniform:a=0', 'ConfigError', "spec 'uniform:a=0' is missing parameter 'b'"),
+    ('distribution', 'uniform:b=1', 'ConfigError', "spec 'uniform:b=1' is missing parameter 'a'"),
+    ('distribution', 'uniform:a=zero,b=1', 'ConfigError', "parameter a='zero' in 'uniform:a=zero,b=1' is not numeric"),
+    ('distribution', 'uniform:a=0,b=', 'ConfigError', "parameter b='' in 'uniform:a=0,b=' is not numeric"),
+    ('distribution', 'uniform:a=0,b=1,c=2', 'ConfigError', "unexpected parameter(s) c in spec 'uniform:a=0,b=1,c=2'"),
+    ('distribution', 'uniform:a=0,b=1,d=3,c=2', 'ConfigError', "unexpected parameter(s) c, d in spec 'uniform:a=0,b=1,d=3,c=2'"),
+    ('distribution', 'uniform:a=1,b=0', 'DomainError', 'uniform requires finite a < b, got (1.0, 0.0)'),
+    ('distribution', 'uniform:a=0,,b=1', 'ConfigError', "malformed parameter '' in spec 'uniform:a=0,,b=1'"),
+    ('distribution', 'uniform:a=0,b', 'ConfigError', "malformed parameter 'b' in spec 'uniform:a=0,b'"),
+    ('distribution', 'uniform:=1,a=0,b=1', 'ConfigError', "malformed parameter '=1' in spec 'uniform:=1,a=0,b=1'"),
+    ('distribution', 'normal:mu=0,sigma=0', 'DomainError', 'normal requires sigma > 0, got sigma=0.0'),
+    ('distribution', 'normal:mu=0,sigma=-1', 'DomainError', 'normal requires sigma > 0, got sigma=-1.0'),
+    ('distribution', 'normal:mu=inf,sigma=1', 'DomainError', 'normal requires sigma > 0, got sigma=1.0'),
+    ('distribution', 'normal:mu=nan,sigma=1', 'DomainError', 'normal requires sigma > 0, got sigma=1.0'),
+    ('distribution', 'lognormal:mu=0,sigma=0', 'DomainError', 'lognormal requires sigma > 0, got sigma=0.0'),
+    ('distribution', 'exponential:rate=0', 'DomainError', 'exponential requires rate > 0, got 0.0'),
+    ('distribution', 'exponential:rate=-1', 'DomainError', 'exponential requires rate > 0, got -1.0'),
+    ('distribution', 'exponential:lambda=1', 'ConfigError', "spec 'exponential:lambda=1' is missing parameter 'rate'"),
+    ('distribution', 'point:c=inf', 'DomainError', 'point mass location must be finite, got inf'),
+    ('distribution', 'gamma:k=1', 'ConfigError', "unknown distribution kind 'gamma' in spec 'gamma:k=1'"),
+    ('distribution', 'empirical:path={tmp}/bad.csv', 'IngestionError', "{tmp}/bad.csv: line 2 is not numeric: 'x'"),
+    ('distribution', 'empirical:path={tmp}/empty.csv', 'IngestionError', '{tmp}/empty.csv: no numeric values found'),
+    ('distribution', 'empirical:path={tmp}/nan.csv', 'IngestionError', 'non-finite sample value at index 1: np.float64(nan)'),
+    ('distribution', 'empirical:{tmp}/bad.csv', 'IngestionError', "{tmp}/bad.csv: line 2 is not numeric: 'x'"),
+    ('distribution', 'empirical:path={tmp}/vals.csv,x=1', 'ConfigError', "unexpected parameter(s) x in spec 'empirical:path={tmp}/vals.csv,x=1'"),
+    ('distribution', 'empirical:x=1', 'ConfigError', "spec 'empirical:x=1' is missing parameter 'path'"),
+    ('distribution', 'uniform:a=0,b=1,b=2', 'ok', 'uniform:a=0.0,b=2.0'),
+    ('distribution', 'normal:mu=0,sigma=1,mu=0', 'ok', 'normal:mu=0.0,sigma=1.0'),
+    ('generator', 'phi:quadratic', 'ok', 'phi:quadratic'),
+    ('generator', 'phi:quartic', 'ok', 'phi:quartic'),
+    ('generator', 'phi:exp', 'ok', 'phi:exp'),
+    ('generator', 'phi:xlogx', 'ok', 'phi:xlogx'),
+    ('generator', 'phi:cubic', 'ConfigError', "unknown generator 'cubic'; choose from ['exp', 'quadratic', 'quartic', 'xlogx']"),
+    ('generator', 'phi', 'ConfigError', "malformed spec 'phi': missing ':'"),
+    ('generator', 'phi:', 'ConfigError', "unknown generator ''; choose from ['exp', 'quadratic', 'quartic', 'xlogx']"),
+    ('generator', 'gen:quadratic', 'ConfigError', "expected a 'phi:' spec, got 'gen:quadratic'"),
+    ('generator', 'phi:quadratic,k=1', 'ConfigError', "unknown generator 'quadratic,k=1'; choose from ['exp', 'quadratic', 'quartic', 'xlogx']"),
+    ('distortion', 'distortion:identity', 'ok', 'distortion:identity'),
+    ('distortion', 'distortion:dualpower,k=2', 'ok', 'distortion:dualpower,k=2.0'),
+    ('distortion', 'distortion:dualpower,k=1', 'ok', 'distortion:dualpower,k=1.0'),
+    ('distortion', 'distortion:dualpower,k=3.5', 'ok', 'distortion:dualpower,k=3.5'),
+    ('distortion', 'distortion:tvar,alpha=0.9', 'ok', 'distortion:tvar,alpha=0.9'),
+    ('distortion', 'distortion:power,c=0.5', 'ok', 'distortion:power,c=0.5'),
+    ('distortion', 'distortion:dualpower,k=0.5', 'DomainError', 'dual-power distortion needs k >= 1, got 0.5'),
+    ('distortion', 'distortion:tvar,alpha=1', 'DomainError', 'tail level must lie in (0, 1), got 1.0'),
+    ('distortion', 'distortion:tvar,alpha=0', 'DomainError', 'tail level must lie in (0, 1), got 0.0'),
+    ('distortion', 'distortion:power,c=1', 'DomainError', 'power distortion needs 0 < c < 1, got 1.0'),
+    ('distortion', 'distortion:dualpower', 'ConfigError', "spec 'distortion:dualpower' is missing parameter 'k'"),
+    ('distortion', 'distortion:dualpower,k=two', 'ConfigError', "parameter k='two' in 'distortion:dualpower,k=two' is not numeric"),
+    ('distortion', 'distortion:identity,k=2', 'ConfigError', "unexpected parameter(s) k in spec 'distortion:identity,k=2'"),
+    ('distortion', 'distortion:tvar,alpha=0.9,beta=1', 'ConfigError', "unexpected parameter(s) beta in spec 'distortion:tvar,alpha=0.9,beta=1'"),
+    ('distortion', 'distortion:wang,lam=1', 'ConfigError', "unknown distortion 'wang' in spec 'distortion:wang,lam=1'"),
+    ('distortion', 'distortion', 'ConfigError', "malformed spec 'distortion': missing ':'"),
+    ('distortion', 'distortion:', 'ConfigError', "unknown distortion '' in spec 'distortion:'"),
+    ('distortion', 'distort:identity', 'ConfigError', "expected a 'distortion:' spec, got 'distort:identity'"),
+    ('distortion', 'distortion:dualpower,k', 'ConfigError', "malformed parameter 'k' in spec 'distortion:dualpower,k'"),
+    ('distortion', 'distortion:dualpower,k=2,k=3', 'ok', 'distortion:dualpower,k=3.0'),
+    ('score', 'score:bregman,phi=quadratic', 'ok', 'score:bregman,phi=quadratic'),
+    ('score', 'score:bregman,phi=quartic', 'ok', 'score:bregman,phi=quartic'),
+    ('score', 'score:bregman,phi=exp', 'ok', 'score:bregman,phi=exp'),
+    ('score', 'score:bregman,phi=xlogx', 'ok', 'score:bregman,phi=xlogx'),
+    ('score', 'score:gpl,alpha=0.9,g=identity', 'ok', 'score:gpl,alpha=0.9,g=identity'),
+    ('score', 'score:gpl,alpha=0.9', 'ok', 'score:gpl,alpha=0.9,g=identity'),
+    ('score', 'score:gpl,g=cube,alpha=0.5', 'ok', 'score:gpl,alpha=0.5,g=cube'),
+    ('score', 'score:gpl,alpha=0.3,g=log', 'ok', 'score:gpl,alpha=0.3,g=log'),
+    ('score', 'score:gpl,alpha=0.3,g=exp', 'ok', 'score:gpl,alpha=0.3,g=exp'),
+    ('score', 'score:gpl,alpha=0.3,g=reciprocal', 'ConfigError', 'gpl transform must be increasing'),
+    ('score', 'score:gpl,alpha=0.3,g=negate', 'ConfigError', 'gpl transform must be increasing'),
+    ('score', 'score:expectile,alpha=0.7,phi=quadratic', 'ok', 'score:expectile,alpha=0.7,phi=quadratic'),
+    ('score', 'score:expectile,phi=exp,alpha=0.2', 'ok', 'score:expectile,alpha=0.2,phi=exp'),
+    ('score', 'score:shortfall,loss=linear', 'ok', 'score:shortfall,loss=linear'),
+    ('score', 'score:shortfall,loss=exponential', 'ok', 'score:shortfall,loss=exponential,gamma=1.0'),
+    ('score', 'score:shortfall,loss=exponential,gamma=2', 'ok', 'score:shortfall,loss=exponential,gamma=2.0'),
+    ('score', 'score:shortfall,gamma=0.5,loss=exponential', 'ok', 'score:shortfall,loss=exponential,gamma=0.5'),
+    ('score', 'score:shortfall,loss=power', 'ok', 'score:shortfall,loss=power,p=3.0'),
+    ('score', 'score:shortfall,loss=power,p=2', 'ok', 'score:shortfall,loss=power,p=2.0'),
+    ('score', 'score:lambda,file={tmp}/steps.json', 'ok', 'score:lambda,file={tmp}/steps.json'),
+    ('score', 'score:decomposable,phi=quadratic,alpha=0.7,beta=0.3', 'ok', 'score:decomposable,phi=quadratic,alpha=0.7,beta=0.3'),
+    ('score', 'score:decomposable,beta=0.3,alpha=0.7,phi=quartic', 'ok', 'score:decomposable,phi=quartic,alpha=0.7,beta=0.3'),
+    ('score', 'score:entropic,gamma=1,phi=quadratic', 'ok', 'score:entropic,gamma=1.0,phi=quadratic'),
+    ('score', 'score:entropic,phi=exp,gamma=0.5', 'ok', 'score:entropic,gamma=0.5,phi=exp'),
+    ('score', 'score:nonsense', 'ConfigError', "unknown score family 'nonsense' in spec 'score:nonsense'"),
+    ('score', 'score:', 'ConfigError', "unknown score family '' in spec 'score:'"),
+    ('score', 'score', 'ConfigError', "malformed spec 'score': missing ':'"),
+    ('score', 'scores:bregman,phi=quadratic', 'ConfigError', "expected a 'score:' spec, got 'scores:bregman,phi=quadratic'"),
+    ('score', 'score:bregman', 'ConfigError', "spec 'score:bregman' is missing parameter 'phi'"),
+    ('score', 'score:bregman,phi=unknown', 'ConfigError', "unknown generator 'unknown' in spec 'score:bregman,phi=unknown'"),
+    ('score', 'score:bregman,phi=quadratic,alpha=0.5', 'ConfigError', "unexpected parameter(s) alpha in spec 'score:bregman,phi=quadratic,alpha=0.5'"),
+    ('score', 'score:bregman,phi', 'ConfigError', "malformed parameter 'phi' in spec 'score:bregman,phi'"),
+    ('score', 'score:gpl', 'ConfigError', "spec 'score:gpl' is missing parameter 'alpha'"),
+    ('score', 'score:gpl,alpha=x', 'ConfigError', "parameter alpha='x' in 'score:gpl,alpha=x' is not numeric"),
+    ('score', 'score:gpl,alpha=0.5,g=sqrt', 'ConfigError', "unknown transform 'sqrt' in spec 'score:gpl,alpha=0.5,g=sqrt'"),
+    ('score', 'score:gpl,alpha=1.5', 'DomainError', 'gpl level must lie in (0, 1), got 1.5'),
+    ('score', 'score:gpl,alpha=1.5,g=sqrt', 'ConfigError', "unknown transform 'sqrt' in spec 'score:gpl,alpha=1.5,g=sqrt'"),
+    ('score', 'score:expectile,alpha=0.7', 'ConfigError', "spec 'score:expectile,alpha=0.7' is missing parameter 'phi'"),
+    ('score', 'score:expectile,phi=quadratic', 'ConfigError', "spec 'score:expectile,phi=quadratic' is missing parameter 'alpha'"),
+    ('score', 'score:expectile,alpha=0,phi=quadratic', 'DomainError', 'expectile level must lie in (0, 1), got 0.0'),
+    ('score', 'score:expectile,alpha=0.7,phi=cubic', 'ConfigError', "unknown generator 'cubic' in spec 'score:expectile,alpha=0.7,phi=cubic'"),
+    ('score', 'score:shortfall', 'ConfigError', "spec 'score:shortfall' is missing parameter 'loss'"),
+    ('score', 'score:shortfall,loss=cubic', 'ConfigError', "unknown loss 'cubic' in spec 'score:shortfall,loss=cubic'"),
+    ('score', 'score:shortfall,loss=exponential,gamma=0', 'ConfigError', 'exponential loss needs gamma > 0, got 0.0'),
+    ('score', 'score:shortfall,loss=exponential,gamma=abc', 'ConfigError', "parameter gamma='abc' in 'score:shortfall,loss=exponential,gamma=abc' is not numeric"),
+    ('score', 'score:shortfall,loss=power,p=-1', 'ConfigError', 'power loss needs p > 0, got -1.0'),
+    ('score', 'score:shortfall,loss=linear,gamma=1', 'ConfigError', "unexpected parameter(s) gamma in spec 'score:shortfall,loss=linear,gamma=1'"),
+    ('score', 'score:shortfall,loss=power,gamma=1', 'ConfigError', "unexpected parameter(s) gamma in spec 'score:shortfall,loss=power,gamma=1'"),
+    ('score', 'score:lambda', 'ConfigError', "spec 'score:lambda' is missing parameter 'file'"),
+    ('score', 'score:lambda,file={tmp}/steps_nokey.json', 'ConfigError', "{tmp}/steps_nokey.json: step-function JSON needs 'levels'"),
+    ('score', 'score:lambda,file={tmp}/steps_out.json', 'ConfigError', 'levels must lie strictly inside (0, 1)'),
+    ('score', 'score:lambda,file={tmp}/steps_len.json', 'ConfigError', 'need len(levels) == len(breakpoints) + 1, got 2 and 2'),
+    ('score', 'score:lambda,file={tmp}/steps.json,x=1', 'ConfigError', "unexpected parameter(s) x in spec 'score:lambda,file={tmp}/steps.json,x=1'"),
+    ('score', 'score:decomposable,phi=quadratic,alpha=0.7', 'ConfigError', "spec 'score:decomposable,phi=quadratic,alpha=0.7' is missing parameter 'beta'"),
+    ('score', 'score:decomposable,phi=quadratic,alpha=1.5,beta=0.3', 'DomainError', 'decomposable weights must lie in [0, 1]'),
+    ('score', 'score:entropic,phi=quadratic', 'ConfigError', "spec 'score:entropic,phi=quadratic' is missing parameter 'gamma'"),
+    ('score', 'score:entropic,gamma=0,phi=quadratic', 'DomainError', 'entropic parameter must be positive, got 0.0'),
+    ('score', 'score:entropic,gamma=1,phi=quadratic,phi=quartic', 'ok', 'score:entropic,gamma=1.0,phi=quartic'),
+    ('score', 'score:gpl,alpha=0.9,g=identity,alpha=0.8', 'ok', 'score:gpl,alpha=0.8,g=identity'),
+    ('functional', 'functional:mean', 'ok', 'functional:mean'),
+    ('functional', 'functional:quantile,alpha=0.9', 'ok', 'functional:quantile,alpha=0.9'),
+    ('functional', 'functional:expectile,alpha=0.7', 'ok', 'functional:expectile,alpha=0.7'),
+    ('functional', 'functional:shortfall,loss=linear', 'ok', 'functional:shortfall,loss=linear'),
+    ('functional', 'functional:shortfall,loss=exponential', 'ok', 'functional:shortfall,loss=exponential,gamma=1.0'),
+    ('functional', 'functional:shortfall,loss=exponential,gamma=1', 'ok', 'functional:shortfall,loss=exponential,gamma=1.0'),
+    ('functional', 'functional:shortfall,p=2,loss=power', 'ok', 'functional:shortfall,loss=power,p=2.0'),
+    ('functional', 'functional:lambda,file={tmp}/steps.json', 'ok', 'functional:lambda,file={tmp}/steps.json'),
+    ('functional', 'functional:entropic,gamma=1', 'ok', 'functional:entropic,gamma=1.0'),
+    ('functional', 'functional:entropic,gamma=2.5', 'ok', 'functional:entropic,gamma=2.5'),
+    ('functional', 'functional:median', 'ConfigError', "unknown functional 'median' in spec 'functional:median'"),
+    ('functional', 'functional:mean,alpha=0.5', 'ConfigError', "unexpected parameter(s) alpha in spec 'functional:mean,alpha=0.5'"),
+    ('functional', 'functional:quantile', 'ConfigError', "spec 'functional:quantile' is missing parameter 'alpha'"),
+    ('functional', 'functional:quantile,alpha=1', 'DomainError', 'quantile level must lie in (0, 1), got 1.0'),
+    ('functional', 'functional:quantile,alpha=high', 'ConfigError', "parameter alpha='high' in 'functional:quantile,alpha=high' is not numeric"),
+    ('functional', 'functional:expectile,alpha=-0.1', 'DomainError', 'expectile level must lie in (0, 1), got -0.1'),
+    ('functional', 'functional:shortfall', 'ConfigError', "spec 'functional:shortfall' is missing parameter 'loss'"),
+    ('functional', 'functional:shortfall,loss=quadratic', 'ConfigError', "unknown loss 'quadratic' in spec 'functional:shortfall,loss=quadratic'"),
+    ('functional', 'functional:shortfall,loss=power,p=0', 'ConfigError', 'power loss needs p > 0, got 0.0'),
+    ('functional', 'functional:lambda', 'ConfigError', "spec 'functional:lambda' is missing parameter 'file'"),
+    ('functional', 'functional:lambda,file={tmp}/steps_out.json', 'ConfigError', 'levels must lie strictly inside (0, 1)'),
+    ('functional', 'functional:entropic', 'ConfigError', "spec 'functional:entropic' is missing parameter 'gamma'"),
+    ('functional', 'functional:entropic,gamma=0', 'DomainError', 'entropic parameter must be positive, got 0.0'),
+    ('functional', 'functional', 'ConfigError', "malformed spec 'functional': missing ':'"),
+    ('functional', 'func:mean', 'ConfigError', "expected a 'functional:' spec, got 'func:mean'"),
+    ('functional', 'functional:quantile,alpha=0.9,alpha=0.1', 'ok', 'functional:quantile,alpha=0.1'),
+    ('market', 'market:spd=uniform:a=0,b=1', 'ok', 'market:spd=uniform:a=0.0,b=1.0;r=0.0;T=1.0'),
+    ('market', 'market:spd=lognormal:mu=0,sigma=0.2;r=0.01;T=1', 'ok', 'market:spd=lognormal:mu=0.0,sigma=0.2;r=0.01;T=1.0'),
+    ('market', 'market:T=2;r=0.05;spd=exponential:rate=1', 'ok', 'market:spd=exponential:rate=1.0;r=0.05;T=2.0'),
+    ('market', 'market:spd=point:c=1;r=-0.01', 'ok', 'market:spd=point:c=1.0;r=-0.01;T=1.0'),
+    ('market', 'market:r=0.01', 'ConfigError', "market spec 'market:r=0.01' is missing the spd"),
+    ('market', 'market:spd=uniform:a=0,b=1;r=abc', 'ConfigError', "market rate 'abc' is not numeric"),
+    ('market', 'market:spd=uniform:a=0,b=1;T=x', 'ConfigError', "market horizon 'x' is not numeric"),
+    ('market', 'market:spd=uniform:a=0,b=1;q=1', 'ConfigError', "unknown market parameter 'q' in 'market:spd=uniform:a=0,b=1;q=1'"),
+    ('market', 'market:spd=uniform:a=0,b=1;r', 'ConfigError', "malformed market token 'r' in 'market:spd=uniform:a=0,b=1;r'"),
+    ('market', 'market:spd=banana', 'ConfigError', "malformed distribution spec 'banana'"),
+    ('market', 'market:spd=uniform:a=0,b=1;T=0', 'DomainError', 'horizon must be positive, got 0.0'),
+    ('market', 'market', 'ConfigError', "malformed spec 'market': missing ':'"),
+    ('market', 'mkt:spd=uniform:a=0,b=1', 'ConfigError', "expected a 'market:' spec, got 'mkt:spd=uniform:a=0,b=1'"),
+    ('market', 'market:spd=uniform:a=0,b=1;spd=exponential:rate=1', 'ok', 'market:spd=exponential:rate=1.0;r=0.0;T=1.0'),
+    ('market', 'market:spd=uniform:a=0,b=1;r=0.01;r=0.02', 'ok', 'market:spd=uniform:a=0.0,b=1.0;r=0.02;T=1.0'),
+]
+
+CORPUS_FILES = {
+    "vals.csv": "value\n3\n1\n2\n",
+    "bad.csv": "1\nx\n",
+    "empty.csv": "value\n",
+    "nan.csv": "1\nnan\n",
+    "steps.json": json.dumps({"breakpoints": [0.0], "levels": [0.3, 0.7]}),
+    "steps_nokey.json": json.dumps({"breakpoints": [0.0]}),
+    "steps_out.json": json.dumps({"breakpoints": [0.0], "levels": [0.3, 1.0]}),
+    "steps_len.json": json.dumps({"breakpoints": [0.0, 1.0], "levels": [0.3, 0.7]}),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    for name, text in CORPUS_FILES.items():
+        (root / name).write_text(text)
+    return str(root)
+
+
+@pytest.mark.parametrize("kind,spec,outcome,text", SPEC_CORPUS)
+def test_spec_corpus(kind, spec, outcome, text, corpus_dir):
+    parse, render = (getattr(mkdiv.specs, f"{verb}_{kind}") for verb in ("parse", "render"))
+    spec, text = (s.replace("{tmp}", corpus_dir) for s in (spec, text))
+    if outcome == "ok":
+        assert render(parse(spec)) == text
+        return
+    with pytest.raises(getattr(mkdiv.errors, outcome)) as info:
+        parse(spec)
+    assert type(info.value).__name__ == outcome
+    assert str(info.value) == text
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
