@@ -12,8 +12,11 @@ axioms        empirical risk-measure axiom report
 All JSON output is canonical: sorted keys, compact separators, floats at 17
 significant digits.  A fixed seed therefore yields byte-identical output.
 
-Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
-verification deviates beyond tolerance.
+Exit status: 0 on success (and for ``--help``), 1 on usage, domain or
+configuration errors, 2 when a verification deviates beyond tolerance.
+Each subcommand takes only the flags it reads; ``--out FILE`` also writes
+the JSON payload to a file, and on ``worst-case`` and ``payoff``
+``--format csv`` writes the quantile curve there instead.
 
 Randomized subcommands draw from numpy's PCG64 generator.  ``verify`` keys
 one child stream per instance as ``default_rng([seed, k])`` and draws the
@@ -34,17 +37,12 @@ import numpy as np
 from . import specs
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
+from .numerics import _DEFAULT_DELTA, _DEFAULT_M
 from .payoff import cheapest_payoff
 from .robust import solve_worst_case
 from .transport import certify_optimal_coupling, mk_divergence
 
 __all__ = ["main", "canonical_json"]
-
-_DEFAULT_M = 10_000
-_DEFAULT_DELTA = 1e-7
-_DEFAULT_TOL = 1e-8
-_BINDING_TOL_HELP = ("relative tolerance of 'binding': "
-                     "|divergence - eps| <= tol * eps (default 1e-8)")
 
 
 def canonical_json(obj) -> str:
@@ -88,41 +86,33 @@ def _emit(obj, out: list):
         raise MkdivError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _write_artifact(args, payload: dict, curve=None):
-    if args.out is None:
-        return
-    if args.format == "csv":
-        if curve is None:
-            raise MkdivError("csv output is only available for quantile curves")
-        lines = ["u,value"]
-        lines += [
-            f"{format(float(ui), '.17g')},{format(float(vi), '.17g')}"
-            for ui, vi in zip(curve.u, curve.nodes)
-        ]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = canonical_json(payload) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_artifact(path: str, text: str, curve):
+    """The JSON ``text``, or ``curve`` as ``u,value`` CSV rows, written to ``path``."""
+    if curve is not None:
+        rows = [f"{format(float(ui), '.17g')},{format(float(vi), '.17g')}"
+                for ui, vi in zip(curve.u, curve.nodes)]
+        text = "\n".join(["u,value", *rows])
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise MkdivError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _cmd_divergence(args, out) -> int:
+def _cmd_divergence(args):
     score = specs.parse_score(args.score)
     f1 = specs.parse_distribution(args.from_spec)
     f2 = specs.parse_distribution(args.to_spec)
     value = mk_divergence(score, f1, f2, m=args.grid_m, delta=args.delta)
-    payload = {
+    return {
         "value": value,
         "coupling": score.coupling,
         "score": specs.render_score(score),
         "grid": {"M": args.grid_m, "delta": args.delta},
-    }
-    print(canonical_json(payload), file=out)
-    _write_artifact(args, payload)
-    return 0
+    }, None
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     score = specs.parse_score(args.score)
     result = certify_optimal_coupling(
         score,
@@ -134,53 +124,43 @@ def _cmd_verify(args, out) -> int:
     )
     payload = result.to_json_dict()
     payload["score"] = specs.render_score(score)
-    print(canonical_json(payload), file=out)
-    _write_artifact(args, payload)
-    return 0 if result.passed else 2
+    return payload, None
 
 
-def _cmd_worst_case(args, out) -> int:
+def _cmd_worst_case(args):
     gen = specs.parse_generator(args.phi)
     d = specs.parse_distortion(args.distortion)
     ref = specs.parse_distribution(args.ref)
     sol = solve_worst_case(
         gen, d, ref, args.eps, m=args.grid_m, delta=args.delta, tol=args.tol
     )
-    payload = sol.to_json_dict()
-    print(canonical_json(payload), file=out)
-    _write_artifact(args, payload, curve=sol.worst_quantile)
-    return 0
+    return sol.to_json_dict(), sol.worst_quantile if args.format == "csv" else None
 
 
-def _cmd_payoff(args, out) -> int:
+def _cmd_payoff(args):
     gen = specs.parse_generator(args.phi)
     benchmark = specs.parse_distribution(args.benchmark)
     market = specs.parse_market(args.market)
     sol = cheapest_payoff(
         gen, benchmark, market, args.eps, m=args.grid_m, delta=args.delta, tol=args.tol
     )
-    payload = sol.to_json_dict()
-    print(canonical_json(payload), file=out)
-    _write_artifact(args, payload, curve=sol.payoff_quantile)
-    return 0
+    return sol.to_json_dict(), sol.payoff_quantile if args.format == "csv" else None
 
 
-def _cmd_elicit_check(args, out) -> int:
+def _cmd_elicit_check(args):
     functional = specs.parse_functional(args.functional)
     score = specs.parse_score(args.score)
     dist = specs.parse_distribution(args.dist)
     m = args.grid_m
-    if args.z_lo is not None and args.z_hi is not None:
-        z_lo, z_hi = args.z_lo, args.z_hi
-    else:
-        z_lo = float(dist.quantile(0.001)) - 1.0
-        z_hi = float(dist.quantile(0.999)) + 1.0
+    # a bound that is not given defaults to one unit beyond the 0.1% tail
+    z_lo = float(dist.quantile(0.001)) - 1.0 if args.z_lo is None else args.z_lo
+    z_hi = float(dist.quantile(0.999)) + 1.0 if args.z_hi is None else args.z_hi
     direct = functional.evaluate(dist, m=m, delta=args.delta)
     indirect = argmin_expected_score(
         score, dist, z_lo, z_hi, steps=args.steps, m=m, delta=args.delta
     )
     deviation = abs(direct - indirect)
-    payload = {
+    return {
         "functional": specs.render_functional(functional),
         "score": specs.render_score(score),
         "dist": specs.render_distribution(dist),
@@ -189,13 +169,10 @@ def _cmd_elicit_check(args, out) -> int:
         "deviation": deviation,
         "tolerance": args.tol,
         "passed": bool(deviation <= args.tol),
-    }
-    print(canonical_json(payload), file=out)
-    _write_artifact(args, payload)
-    return 0 if deviation <= args.tol else 2
+    }, None
 
 
-def _cmd_axioms(args, out) -> int:
+def _cmd_axioms(args):
     functional = specs.parse_functional(args.functional)
     rng = np.random.default_rng(args.seed)
     pairs = [
@@ -207,19 +184,23 @@ def _cmd_axioms(args, out) -> int:
     payload["pairs"] = args.pairs
     payload["size"] = args.size
     payload["seed"] = args.seed
-    print(canonical_json(payload), file=out)
-    _write_artifact(args, payload)
-    return 0
+    return payload, None
 
 
-def _add_common(parser, tol=_DEFAULT_TOL, tol_help=None):
+def _add_grid(parser):
     parser.add_argument("--grid-m", type=int, default=_DEFAULT_M,
-                        help="u-grid size (default 10000)")
+                        help="u-grid size (default %(default)s)")
     parser.add_argument("--delta", type=float, default=_DEFAULT_DELTA,
-                        help="tail truncation level (default 1e-7)")
-    parser.add_argument("--tol", type=float, default=tol, help=tol_help)
-    parser.add_argument("--out", default=None, help="write the artifact to a file")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+                        help="tail truncation level (default %(default)s)")
+
+
+def _add_solver(parser):
+    _add_grid(parser)
+    parser.add_argument("--tol", type=float, default=1e-8,
+                        help="relative tolerance of 'binding': "
+                        "|divergence - eps| <= tol * eps (default %(default)s)")
+    parser.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="artifact format; csv writes the quantile curve as u,value rows")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", required=True)
     p.add_argument("--from", dest="from_spec", required=True, metavar="DIST")
     p.add_argument("--to", dest="to_spec", required=True, metavar="DIST")
-    _add_common(p)
+    _add_grid(p)
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("verify", help="seeded random oracle certification")
@@ -242,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8, help="largest instance size")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest closed-form vs oracle deviation (default %(default)s)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("worst-case", help="worst-case distortion risk measure")
@@ -250,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distortion", required=True)
     p.add_argument("--ref", required=True, metavar="DIST")
     p.add_argument("--eps", type=float, required=True)
-    _add_common(p, tol_help=_BINDING_TOL_HELP)
+    _add_solver(p)
     p.set_defaults(func=_cmd_worst_case)
 
     p = sub.add_parser("payoff", help="cheapest payoff under a benchmark constraint")
@@ -258,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", required=True, metavar="DIST")
     p.add_argument("--market", required=True)
     p.add_argument("--eps", type=float, required=True)
-    _add_common(p, tol_help=_BINDING_TOL_HELP)
+    _add_solver(p)
     p.set_defaults(func=_cmd_payoff)
 
     p = sub.add_parser("elicit-check", help="argmin-vs-functional deviation")
@@ -268,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-lo", type=float, default=None)
     p.add_argument("--z-hi", type=float, default=None)
     p.add_argument("--steps", type=int, default=513)
-    _add_common(p, tol=1e-5)
+    _add_grid(p)
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="largest argmin vs functional deviation (default %(default)s)")
     p.set_defaults(func=_cmd_elicit_check)
 
     p = sub.add_parser("axioms", help="risk-measure axiom report")
@@ -276,9 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--size", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest axiom violation counted as a pass (default %(default)s)")
     p.set_defaults(func=_cmd_axioms)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="also write the artifact to this file")
     return parser
 
 
@@ -289,12 +276,18 @@ def main(argv=None, out=None, err=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return 1 if exc.code else 0  # --help exits 0, a usage error 1
     try:
-        return args.func(args, out)
+        # each _cmd_* returns its payload and the curve --format csv asks for
+        payload, curve = args.func(args)
+        text = canonical_json(payload)
+        if args.out is not None:
+            _write_artifact(args.out, text, curve)
+        print(text, file=out)
     except MkdivError as exc:
         print(canonical_json({"error": str(exc)}), file=err)
         return 1
+    return 0 if payload.get("passed", True) else 2  # verify and elicit-check pass or fail
 
 
 def console_main() -> None:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, IngestionError
-from .numerics import first_outside, midpoint_u, pairwise_mean
+from .numerics import _DEFAULT_DELTA, _DEFAULT_M, first_outside, midpoint_u, pairwise_mean
 
 __all__ = [
     "Distribution",
@@ -305,7 +305,9 @@ class QuantileGrid:
         return midpoint_u(self.m, self.delta)
 
 
-def quantile_grid(dist: Distribution, m: int = 10_000, delta: float = 1e-7) -> QuantileGrid:
+def quantile_grid(
+    dist: Distribution, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA
+) -> QuantileGrid:
     """Evaluate ``dist``'s quantile function on the clipped midpoint grid."""
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise DomainError(f"grid needs an integer m >= 2, got {m!r}")
@@ -319,20 +321,23 @@ def quantile_grid(dist: Distribution, m: int = 10_000, delta: float = 1e-7) -> Q
 
 def read_value_csv(path) -> list[float]:
     """Read one numeric value per line; an optional header ``value`` is allowed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise IngestionError(f"{path}: cannot read ({reason})") from exc
     out: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if lineno == 1 and text.lower() == "value":
-                continue
-            try:
-                out.append(float(text))
-            except ValueError as exc:
-                raise IngestionError(
-                    f"{path}: line {lineno} is not numeric: {text!r}"
-                ) from exc
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        if lineno == 1 and text.lower() == "value":
+            continue
+        try:
+            out.append(float(text))
+        except ValueError as exc:
+            raise IngestionError(f"{path}: line {lineno} is not numeric: {text!r}") from exc
     if not out:
         raise IngestionError(f"{path}: no numeric values found")
     return out

@@ -20,7 +20,14 @@ import numpy as np
 
 from .distributions import Distribution, Empirical, from_samples, quantile_grid
 from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
-from .numerics import brent_root, golden_section, pairwise_mean, pairwise_sum
+from .numerics import (
+    _DEFAULT_DELTA,
+    _DEFAULT_M,
+    brent_root,
+    golden_section,
+    pairwise_mean,
+    pairwise_sum,
+)
 from .scores import LossFunction, Score, StepFunction, exponential_loss
 
 __all__ = [
@@ -37,9 +44,6 @@ __all__ = [
     "AxiomReport",
     "check_axioms",
 ]
-
-_DEFAULT_M = 10_000
-_DEFAULT_DELTA = 1e-7
 
 
 def _atoms(dist: Distribution, m: int, delta: float) -> np.ndarray:

@@ -91,6 +91,12 @@ def pairwise_mean(values) -> float:
     return pairwise_sum(a) / a.size
 
 
+# The default grid: _DEFAULT_M midpoint nodes clipped into
+# [_DEFAULT_DELTA, 1 - _DEFAULT_DELTA].
+_DEFAULT_M = 10_000
+_DEFAULT_DELTA = 1e-7
+
+
 def midpoint_u(m: int, delta: float = 0.0) -> np.ndarray:
     """Midpoint nodes u_i = (i - 1/2)/m clipped into [delta, 1 - delta]."""
     u = (np.arange(1, m + 1) - 0.5) / m

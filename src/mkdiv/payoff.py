@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import Distribution, QuantileGrid
 from .errors import DomainError
 from .generators import ConvexGenerator
-from .numerics import pairwise_mean
+from .numerics import _DEFAULT_DELTA, _DEFAULT_M, pairwise_mean
 from .robust import _calibrated_curve
 
 __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
@@ -121,8 +121,8 @@ def cheapest_payoff(
     benchmark: Distribution,
     market: MarketSpec,
     eps: float,
-    m: int = 10_000,
-    delta: float = 1e-7,
+    m: int = _DEFAULT_M,
+    delta: float = _DEFAULT_DELTA,
     tol: float = 1e-8,
 ) -> PayoffSolution:
     """Cheapest payoff whose distribution stays within divergence ``eps`` of

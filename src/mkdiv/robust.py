@@ -31,7 +31,7 @@ import numpy as np
 from .distributions import Distribution, QuantileGrid, quantile_grid
 from .errors import CalibrationError, DomainError, InfeasibleLambdaError
 from .generators import ConvexGenerator, DistortionSpec
-from .numerics import brent_root, first_outside, pairwise_mean
+from .numerics import _DEFAULT_DELTA, _DEFAULT_M, brent_root, first_outside, pairwise_mean
 
 __all__ = [
     "WorstCaseSolution",
@@ -269,8 +269,8 @@ def solve_worst_case(
     d: DistortionSpec,
     ref: Distribution,
     eps: float,
-    m: int = 10_000,
-    delta: float = 1e-7,
+    m: int = _DEFAULT_M,
+    delta: float = _DEFAULT_DELTA,
     tol: float = 1e-8,
 ) -> WorstCaseSolution:
     """Calibrate the multiplier and return the worst-case solution.

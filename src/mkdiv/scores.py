@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, IngestionError
 from .generators import ConvexGenerator, quadratic
 from .numerics import first_outside
 
@@ -138,8 +138,13 @@ class StepFunction:
     source_path: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        lv = np.asarray(self.levels, dtype=float)
+        try:
+            bp = np.asarray(self.breakpoints, dtype=float)
+            lv = np.asarray(self.levels, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"breakpoints and levels must be numeric: {exc}") from exc
+        if bp.ndim != 1 or lv.ndim != 1:
+            raise ConfigError("breakpoints and levels must be flat lists")
         if lv.size != bp.size + 1:
             raise ConfigError(
                 f"need len(levels) == len(breakpoints) + 1, got {lv.size} and {bp.size}"
@@ -190,8 +195,15 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, path) -> "StepFunction":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or JSON
+            reason = getattr(exc, "strerror", None) or exc
+            raise IngestionError(f"{path}: cannot read step-function JSON ({reason})") from exc
+        if not isinstance(payload, dict):
+            raise IngestionError(f"{path}: step-function JSON must be an object, "
+                                 f"got {type(payload).__name__}")
         try:
             return cls(payload["breakpoints"], payload["levels"], source_path=str(path))
         except KeyError as exc:

@@ -14,21 +14,25 @@ Grammar (informal)::
     distortion     distortion:identity | distortion:dualpower,k=2 |
                    distortion:tvar,alpha=0.9 | distortion:power,c=0.5
     score          score:bregman,phi=quadratic |
-                   score:gpl,alpha=0.9,g=identity |
+                   score:gpl,alpha=0.9[,g=identity] |
                    score:expectile,alpha=0.7,phi=quadratic |
                    score:shortfall,loss=linear |
-                   score:shortfall,loss=exponential,gamma=1 |
-                   score:shortfall,loss=power,p=3 |
+                   score:shortfall,loss=exponential[,gamma=1] |
+                   score:shortfall,loss=power[,p=3] |
                    score:lambda,file=steps.json |
                    score:decomposable,phi=quadratic,alpha=0.7,beta=0.3 |
                    score:entropic,gamma=1,phi=quadratic
     functional     functional:mean | functional:quantile,alpha=0.9 |
                    functional:expectile,alpha=0.7 |
-                   functional:shortfall,loss=exponential,gamma=1 |
+                   functional:shortfall,loss=exponential[,gamma=1] |
                    functional:lambda,file=steps.json |
                    functional:entropic,gamma=1
     market         market:spd=<distribution>;r=0.01;T=1
 
+Parameters may come in any order, each at most once.  Bracketed ones are
+optional and default to the value shown (``g=identity``, ``gamma=1``,
+``p=3``; a market's ``r=0`` and ``T=1``); renderers always write them.
+``empirical:values.csv`` is shorthand for ``empirical:path=values.csv``.
 The step-function JSON referenced by ``file=`` is
 ``{"breakpoints": [...], "levels": [...]}`` with one more level than
 breakpoints.
@@ -48,15 +52,7 @@ from .distributions import (
     read_value_csv,
 )
 from .errors import ConfigError
-from .functionals import (
-    Entropic,
-    Expectile,
-    Functional,
-    LambdaQuantile,
-    Mean,
-    Quantile,
-    Shortfall,
-)
+from .functionals import Entropic, Expectile, Functional, LambdaQuantile, Mean, Quantile, Shortfall
 from .generators import (
     ConvexGenerator,
     DistortionSpec,
@@ -74,10 +70,12 @@ from .scores import (
     ExpectileScore,
     GPLScore,
     LambdaQuantileScore,
-    LossFunction,
     Score,
     ShortfallScore,
     StepFunction,
+    exponential_loss,
+    linear_loss,
+    power_loss,
     transform_catalog,
 )
 
@@ -106,6 +104,12 @@ def _split_head(text: str, expected: str) -> str:
     return body
 
 
+def _put(params: dict, key: str, value, spec: str):
+    if key in params:
+        raise ConfigError(f"repeated parameter {key!r} in spec {spec!r}")
+    params[key] = value
+
+
 def _parse_pairs(tokens, spec: str) -> dict:
     """Parameter dict of 'k=v' tokens."""
     params = {}
@@ -113,40 +117,136 @@ def _parse_pairs(tokens, spec: str) -> dict:
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ConfigError(f"malformed parameter {token!r} in spec {spec!r}")
-        params[key] = value
+        _put(params, key, value, spec)
     return params
 
 
-def _parse_params(body: str, spec: str) -> tuple[str, dict]:
-    """Split 'name,k1=v1,k2=v2' into the name and a parameter dict."""
-    name, *tokens = body.split(",")
-    return name, _parse_pairs(tokens, spec)
+def _lookup(catalog: dict, name: str, what: str, where: str):
+    if name not in catalog:
+        raise ConfigError(f"unknown {what} {name!r}{where}")
+    return catalog[name]
 
 
-def _pop_float(params: dict, key: str, spec: str) -> float:
-    if key not in params:
-        raise ConfigError(f"spec {spec!r} is missing parameter {key!r}")
-    raw = params.pop(key)
+def _float(raw: str, what: str) -> float:
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"parameter {key}={raw!r} in {spec!r} is not numeric") from exc
-
-
-def _pop_str(params: dict, key: str, spec: str) -> str:
-    if key not in params:
-        raise ConfigError(f"spec {spec!r} is missing parameter {key!r}")
-    return params.pop(key)
-
-
-def _reject_extras(params: dict, spec: str):
-    if params:
-        extra = ", ".join(sorted(params))
-        raise ConfigError(f"unexpected parameter(s) {extra} in spec {spec!r}")
+        raise ConfigError(f"{what} is not numeric") from exc
 
 
 def _num(x: float) -> str:
     return repr(float(x))
+
+
+def _read(fields, params: dict, spec: str) -> dict:
+    """Keyword arguments of ``fields``, popped from ``params`` in field order."""
+    kwargs = {}
+    for key, attr, (parse, _, default) in fields:
+        raw = params.pop(key, default)
+        if raw is None:
+            raise ConfigError(f"spec {spec!r} is missing parameter {key!r}")
+        kwargs[attr] = parse(raw, key, params, spec)
+    return kwargs
+
+
+def _build(table: dict, what: str, spec: str, name: str, *tokens: str):
+    """The ``name`` entry of ``table`` made from 'k=v' ``tokens``; leftovers are rejected."""
+    params = _parse_pairs(tokens, spec)
+    make, fields = _lookup(table, name, what, f" in spec {spec!r}")
+    kwargs = _read(fields, params, spec)
+    if params:
+        extra = ", ".join(sorted(params))
+        raise ConfigError(f"unexpected parameter(s) {extra} in spec {spec!r}")
+    return make(**kwargs)
+
+
+def _render(table: dict, obj, head: str = "", sep: str = ",", name: str | None = None) -> str:
+    """``head``, the entry name, ``sep`` and the fields of ``obj`` in field order."""
+    name = name or next((n for n, (make, _) in table.items() if make is type(obj)), None)
+    if name is None:
+        raise ConfigError(f"cannot render {obj!r} as a spec string")
+    pairs = []
+    for key, attr, (_, render, _) in table[name][1]:
+        text = render(getattr(obj, attr))
+        if text is None:
+            raise ConfigError(f"{head}{name} has no {key} to render as a spec string")
+        pairs.append(f"{key}={text}")
+    return head + name + (sep + ",".join(pairs) if pairs else "")
+
+
+def _loss(raw, key, params, spec):
+    """The ``raw`` loss made from its own fields; the caller rejects leftovers."""
+    make, fields = _lookup(_LOSSES, raw, "loss", f" in spec {spec!r}")
+    return make(**_read(fields, params, spec))
+
+
+def _catalog(catalog, what: str, default: str | None = None) -> tuple:
+    """Kind of a name looked up in ``catalog()`` and rendered back as its ``.name``."""
+    return (lambda raw, _, __, spec: _lookup(catalog(), raw, what, f" in spec {spec!r}"),
+            lambda obj: obj.name, default)
+
+
+def _empirical(source_path: str) -> Empirical:
+    return from_samples(read_value_csv(source_path), source_path=source_path)
+
+
+# A kind is (parse, render, default): ``parse(raw, key, params, spec)`` turns
+# the raw string into the value, ``render`` turns the attribute back into
+# text, and ``default`` is the raw string taken when the key is absent (None:
+# the key is required).  A field is (spec key, attribute, kind): the entry is
+# made with the attribute as a keyword and rendered back from it.
+_FLOAT = (lambda raw, key, _, spec: _float(raw, f"parameter {key}={raw!r} in {spec!r}"),
+          _num, None)
+_GENERATOR = _catalog(generator_catalog, "generator")
+_TRANSFORM = _catalog(transform_catalog, "transform", "identity")
+_LOSS = (_loss, lambda loss: _render(_LOSSES, loss, name=loss.kind), None)
+_STEP_FILE = (lambda raw, *_: StepFunction.from_json(raw), lambda step: step.source_path, None)
+_PATH = (lambda raw, *_: raw, lambda path: path, None)
+
+_PHI = ("phi", "gen", _GENERATOR)
+_ALPHA = ("alpha", "alpha", _FLOAT)
+
+_LOSSES = {
+    "linear": (linear_loss, ()),
+    "exponential": (exponential_loss, (("gamma", "gamma", (_FLOAT[0], _num, "1")),)),
+    "power": (power_loss, (("p", "p", (_FLOAT[0], _num, "3")),)),
+}
+
+_DISTRIBUTIONS = {
+    "uniform": (Uniform, (("a", "a", _FLOAT), ("b", "b", _FLOAT))),
+    "normal": (Normal, (("mu", "mu", _FLOAT), ("sigma", "sigma", _FLOAT))),
+    "lognormal": (LogNormal, (("mu", "mu", _FLOAT), ("sigma", "sigma", _FLOAT))),
+    "exponential": (Exponential, (("rate", "rate", _FLOAT),)),
+    "point": (PointMass, (("c", "c", _FLOAT),)),
+    # made by a function that reads the file, so render_distribution picks it by type
+    "empirical": (_empirical, (("path", "source_path", _PATH),)),
+}
+
+_DISTORTIONS = {
+    "identity": (identity_distortion, ()),
+    "dualpower": (dual_power, (("k", "k", _FLOAT),)),
+    "tvar": (tvar_distortion, (_ALPHA,)),
+    "power": (power_distortion, (("c", "c", _FLOAT),)),
+}
+
+_SCORES = {
+    "bregman": (BregmanScore, (_PHI,)),
+    "gpl": (GPLScore, (_ALPHA, ("g", "transform", _TRANSFORM))),
+    "expectile": (ExpectileScore, (_ALPHA, _PHI)),
+    "shortfall": (ShortfallScore, (("loss", "loss", _LOSS),)),
+    "lambda": (LambdaQuantileScore, (("file", "step", _STEP_FILE),)),
+    "decomposable": (DecomposableScore, (_PHI, _ALPHA, ("beta", "beta", _FLOAT))),
+    "entropic": (EntropicScore, (("gamma", "gamma", _FLOAT), _PHI)),
+}
+
+_FUNCTIONALS = {
+    "mean": (Mean, ()),
+    "quantile": (Quantile, (_ALPHA,)),
+    "expectile": (Expectile, (_ALPHA,)),
+    "shortfall": (Shortfall, (("loss", "loss", _LOSS),)),
+    "lambda": (LambdaQuantile, (("file", "step", _STEP_FILE),)),
+    "entropic": (Entropic, (("gamma", "gamma", _FLOAT),)),
+}
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -154,66 +254,19 @@ def parse_distribution(spec: str) -> Distribution:
     if not sep or not body:
         raise ConfigError(f"malformed distribution spec {spec!r}")
     if name == "empirical" and "=" not in body:
-        # shorthand: empirical:<file.csv>
-        return from_samples(read_value_csv(body), source_path=body)
-    params = _parse_pairs(body.split(","), spec)
-    if name == "uniform":
-        a = _pop_float(params, "a", spec)
-        b = _pop_float(params, "b", spec)
-        _reject_extras(params, spec)
-        return Uniform(a, b)
-    if name == "normal":
-        mu = _pop_float(params, "mu", spec)
-        sigma = _pop_float(params, "sigma", spec)
-        _reject_extras(params, spec)
-        return Normal(mu, sigma)
-    if name == "lognormal":
-        mu = _pop_float(params, "mu", spec)
-        sigma = _pop_float(params, "sigma", spec)
-        _reject_extras(params, spec)
-        return LogNormal(mu, sigma)
-    if name == "exponential":
-        rate = _pop_float(params, "rate", spec)
-        _reject_extras(params, spec)
-        return Exponential(rate)
-    if name == "point":
-        c = _pop_float(params, "c", spec)
-        _reject_extras(params, spec)
-        return PointMass(c)
-    if name == "empirical":
-        path = _pop_str(params, "path", spec)
-        _reject_extras(params, spec)
-        return from_samples(read_value_csv(path), source_path=path)
-    raise ConfigError(f"unknown distribution kind {name!r} in spec {spec!r}")
+        return _empirical(body)  # shorthand: empirical:<file.csv>
+    return _build(_DISTRIBUTIONS, "distribution kind", spec, name, *body.split(","))
 
 
 def render_distribution(dist: Distribution) -> str:
-    if isinstance(dist, Uniform):
-        return f"uniform:a={_num(dist.a)},b={_num(dist.b)}"
-    if isinstance(dist, Normal):
-        return f"normal:mu={_num(dist.mu)},sigma={_num(dist.sigma)}"
-    if isinstance(dist, LogNormal):
-        return f"lognormal:mu={_num(dist.mu)},sigma={_num(dist.sigma)}"
-    if isinstance(dist, Exponential):
-        return f"exponential:rate={_num(dist.rate)}"
-    if isinstance(dist, PointMass):
-        return f"point:c={_num(dist.c)}"
-    if isinstance(dist, Empirical):
-        if dist.source_path is None:
-            raise ConfigError("empirical distribution without a source path "
-                              "cannot be rendered as a spec string")
-        return f"empirical:path={dist.source_path}"
-    raise ConfigError(f"cannot render distribution {dist!r}")
+    return _render(_DISTRIBUTIONS, dist, sep=":",
+                   name="empirical" if isinstance(dist, Empirical) else None)
 
 
 def parse_generator(spec: str) -> ConvexGenerator:
     name = _split_head(spec, "phi")
     catalog = generator_catalog()
-    if name not in catalog:
-        raise ConfigError(
-            f"unknown generator {name!r}; choose from {sorted(catalog)}"
-        )
-    return catalog[name]
+    return _lookup(catalog, name, "generator", f"; choose from {sorted(catalog)}")
 
 
 def render_generator(gen: ConvexGenerator) -> str:
@@ -221,24 +274,7 @@ def render_generator(gen: ConvexGenerator) -> str:
 
 
 def parse_distortion(spec: str) -> DistortionSpec:
-    body = _split_head(spec, "distortion")
-    name, params = _parse_params(body, spec)
-    if name == "identity":
-        _reject_extras(params, spec)
-        return identity_distortion()
-    if name == "dualpower":
-        k = _pop_float(params, "k", spec)
-        _reject_extras(params, spec)
-        return dual_power(k)
-    if name == "tvar":
-        alpha = _pop_float(params, "alpha", spec)
-        _reject_extras(params, spec)
-        return tvar_distortion(alpha)
-    if name == "power":
-        c = _pop_float(params, "c", spec)
-        _reject_extras(params, spec)
-        return power_distortion(c)
-    raise ConfigError(f"unknown distortion {name!r} in spec {spec!r}")
+    return _build(_DISTORTIONS, "distortion", spec, *_split_head(spec, "distortion").split(","))
 
 
 def render_distortion(d: DistortionSpec) -> str:
@@ -246,178 +282,41 @@ def render_distortion(d: DistortionSpec) -> str:
     return f"distortion:{d.name}{suffix}"
 
 
-def _pop_generator(params: dict, spec: str, key: str = "phi") -> ConvexGenerator:
-    name = _pop_str(params, key, spec)
-    catalog = generator_catalog()
-    if name not in catalog:
-        raise ConfigError(f"unknown generator {name!r} in spec {spec!r}")
-    return catalog[name]
-
-
-def _pop_loss(params: dict, spec: str) -> LossFunction:
-    kind = _pop_str(params, "loss", spec)
-    if kind == "linear":
-        return LossFunction("linear")
-    if kind == "exponential":
-        gamma = _pop_float(params, "gamma", spec) if "gamma" in params else 1.0
-        return LossFunction("exponential", gamma=gamma)
-    if kind == "power":
-        p = _pop_float(params, "p", spec) if "p" in params else 3.0
-        return LossFunction("power", p=p)
-    raise ConfigError(f"unknown loss {kind!r} in spec {spec!r}")
-
-
-def _render_loss(loss: LossFunction) -> str:
-    if loss.kind == "linear":
-        return "loss=linear"
-    if loss.kind == "exponential":
-        return f"loss=exponential,gamma={_num(loss.gamma)}"
-    return f"loss=power,p={_num(loss.p)}"
-
-
 def parse_score(spec: str) -> Score:
-    body = _split_head(spec, "score")
-    name, params = _parse_params(body, spec)
-    if name == "bregman":
-        gen = _pop_generator(params, spec)
-        _reject_extras(params, spec)
-        return BregmanScore(gen=gen)
-    if name == "gpl":
-        alpha = _pop_float(params, "alpha", spec)
-        gname = params.pop("g", "identity")
-        catalog = transform_catalog()
-        if gname not in catalog:
-            raise ConfigError(f"unknown transform {gname!r} in spec {spec!r}")
-        _reject_extras(params, spec)
-        return GPLScore(alpha=alpha, transform=catalog[gname])
-    if name == "expectile":
-        alpha = _pop_float(params, "alpha", spec)
-        gen = _pop_generator(params, spec)
-        _reject_extras(params, spec)
-        return ExpectileScore(alpha=alpha, gen=gen)
-    if name == "shortfall":
-        loss = _pop_loss(params, spec)
-        _reject_extras(params, spec)
-        return ShortfallScore(loss=loss)
-    if name == "lambda":
-        path = _pop_str(params, "file", spec)
-        _reject_extras(params, spec)
-        return LambdaQuantileScore(step=StepFunction.from_json(path))
-    if name == "decomposable":
-        gen = _pop_generator(params, spec)
-        alpha = _pop_float(params, "alpha", spec)
-        beta = _pop_float(params, "beta", spec)
-        _reject_extras(params, spec)
-        return DecomposableScore(gen=gen, alpha=alpha, beta=beta)
-    if name == "entropic":
-        gamma = _pop_float(params, "gamma", spec)
-        gen = _pop_generator(params, spec)
-        _reject_extras(params, spec)
-        return EntropicScore(gamma=gamma, gen=gen)
-    raise ConfigError(f"unknown score family {name!r} in spec {spec!r}")
+    return _build(_SCORES, "score family", spec, *_split_head(spec, "score").split(","))
 
 
 def render_score(score: Score) -> str:
-    if isinstance(score, BregmanScore):
-        return f"score:bregman,phi={score.gen.name}"
-    if isinstance(score, GPLScore):
-        return f"score:gpl,alpha={_num(score.alpha)},g={score.transform.name}"
-    if isinstance(score, ExpectileScore):
-        return f"score:expectile,alpha={_num(score.alpha)},phi={score.gen.name}"
-    if isinstance(score, ShortfallScore):
-        return f"score:shortfall,{_render_loss(score.loss)}"
-    if isinstance(score, LambdaQuantileScore):
-        if score.step.source_path is None:
-            raise ConfigError("lambda score without a source file cannot be rendered")
-        return f"score:lambda,file={score.step.source_path}"
-    if isinstance(score, DecomposableScore):
-        return (
-            f"score:decomposable,phi={score.gen.name},"
-            f"alpha={_num(score.alpha)},beta={_num(score.beta)}"
-        )
-    if isinstance(score, EntropicScore):
-        return f"score:entropic,gamma={_num(score.gamma)},phi={score.gen.name}"
-    raise ConfigError(f"cannot render score {score.describe()!r} as a spec string")
+    return _render(_SCORES, score, "score:")
 
 
 def parse_functional(spec: str) -> Functional:
-    body = _split_head(spec, "functional")
-    name, params = _parse_params(body, spec)
-    if name == "mean":
-        _reject_extras(params, spec)
-        return Mean()
-    if name == "quantile":
-        alpha = _pop_float(params, "alpha", spec)
-        _reject_extras(params, spec)
-        return Quantile(alpha)
-    if name == "expectile":
-        alpha = _pop_float(params, "alpha", spec)
-        _reject_extras(params, spec)
-        return Expectile(alpha)
-    if name == "shortfall":
-        loss = _pop_loss(params, spec)
-        _reject_extras(params, spec)
-        return Shortfall(loss)
-    if name == "lambda":
-        path = _pop_str(params, "file", spec)
-        _reject_extras(params, spec)
-        return LambdaQuantile(step=StepFunction.from_json(path))
-    if name == "entropic":
-        gamma = _pop_float(params, "gamma", spec)
-        _reject_extras(params, spec)
-        return Entropic(gamma)
-    raise ConfigError(f"unknown functional {name!r} in spec {spec!r}")
+    return _build(_FUNCTIONALS, "functional", spec, *_split_head(spec, "functional").split(","))
 
 
 def render_functional(t: Functional) -> str:
-    if isinstance(t, Mean):
-        return "functional:mean"
-    if isinstance(t, Quantile):
-        return f"functional:quantile,alpha={_num(t.alpha)}"
-    if isinstance(t, Expectile):
-        return f"functional:expectile,alpha={_num(t.alpha)}"
-    if isinstance(t, Shortfall):
-        return f"functional:shortfall,{_render_loss(t.loss)}"
-    if isinstance(t, LambdaQuantile):
-        if t.step.source_path is None:
-            raise ConfigError("lambda functional without a source file "
-                              "cannot be rendered")
-        return f"functional:lambda,file={t.step.source_path}"
-    if isinstance(t, Entropic):
-        return f"functional:entropic,gamma={_num(t.gamma)}"
-    raise ConfigError(f"cannot render functional {t.describe()!r}")
+    return _render(_FUNCTIONALS, t, "functional:")
 
 
 def parse_market(spec: str) -> MarketSpec:
     body = _split_head(spec, "market")
-    spd = None
-    rate = 0.0
-    horizon = 1.0
+    values = {}
     for token in body.split(";"):
         key, sep, value = token.partition("=")
         if not sep:
             raise ConfigError(f"malformed market token {token!r} in {spec!r}")
         if key == "spd":
-            spd = parse_distribution(value)
-        elif key == "r":
-            try:
-                rate = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"market rate {value!r} is not numeric") from exc
-        elif key == "T":
-            try:
-                horizon = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"market horizon {value!r} is not numeric") from exc
+            value = parse_distribution(value)
+        elif key in ("r", "T"):
+            value = _float(value, f"market {'rate' if key == 'r' else 'horizon'} {value!r}")
         else:
             raise ConfigError(f"unknown market parameter {key!r} in {spec!r}")
-    if spd is None:
+        _put(values, key, value, spec)
+    if "spd" not in values:
         raise ConfigError(f"market spec {spec!r} is missing the spd")
-    return MarketSpec(spd=spd, rate=rate, horizon=horizon)
+    return MarketSpec(spd=values["spd"], rate=values.get("r", 0.0), horizon=values.get("T", 1.0))
 
 
 def render_market(market: MarketSpec) -> str:
-    return (
-        f"market:spd={render_distribution(market.spd)}"
-        f";r={_num(market.rate)};T={_num(market.horizon)}"
-    )
+    spd = render_distribution(market.spd)
+    return f"market:spd={spd};r={_num(market.rate)};T={_num(market.horizon)}"

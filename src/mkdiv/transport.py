@@ -30,7 +30,14 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .distributions import Distribution, Empirical, from_samples
 from .errors import CapacityError, DomainError, EvaluationError
-from .numerics import first_outside, midpoint_u, pairwise_mean, pairwise_sum
+from .numerics import (
+    _DEFAULT_DELTA,
+    _DEFAULT_M,
+    first_outside,
+    midpoint_u,
+    pairwise_mean,
+    pairwise_sum,
+)
 from .scores import COMONOTONIC, Score
 
 __all__ = [
@@ -138,8 +145,8 @@ def mk_divergence(
     score: Score,
     f1: Distribution,
     f2: Distribution,
-    m: int = 10_000,
-    delta: float = 1e-7,
+    m: int = _DEFAULT_M,
+    delta: float = _DEFAULT_DELTA,
 ) -> float:
     """Divergence from ``f1`` to ``f2`` via the score's claimed coupling.
 
@@ -165,8 +172,8 @@ def wasserstein_p(
     f1: Distribution,
     f2: Distribution,
     p: float = 2.0,
-    m: int = 10_000,
-    delta: float = 1e-7,
+    m: int = _DEFAULT_M,
+    delta: float = _DEFAULT_DELTA,
 ) -> float:
     """p-Wasserstein distance via the quantile representation
     (int |Q1 - Q2|^p du)^(1/p); exact on two empirical inputs of any sizes,

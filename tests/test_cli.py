@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mkdiv
-from mkdiv.cli import canonical_json, main
+from mkdiv.cli import build_parser, canonical_json, main
 
 
 def run_cli(argv):
@@ -213,3 +214,128 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 0.0
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--score", "score:gpl,alpha=0.9", "--grid-m", "3", "--delta", "0.4"],
+            ["divergence", "--score", "score:bregman,phi=quadratic",
+             "--from", "point:c=0", "--to", "point:c=1", "--tol", "1e-3"],
+            ["axioms", "--functional", "functional:mean", "--format", "csv"],
+            ["elicit-check", "--functional", "functional:mean",
+             "--score", "score:bregman,phi=quadratic", "--dist", "point:c=0",
+             "--format", "csv"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+# A small run of every subcommand.
+WALK_ARGS = {
+    "divergence": ["--score", "score:bregman,phi=quadratic", "--from", "uniform:a=0,b=1",
+                   "--to", "point:c=2", "--grid-m", "64"],
+    "verify": ["--score", "score:gpl,alpha=0.9", "--instances", "3"],
+    "worst-case": ["--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+                   "--ref", "uniform:a=0,b=1", "--eps", "0.03", "--grid-m", "64"],
+    "payoff": ["--phi", "phi:quadratic", "--benchmark", "uniform:a=0,b=1",
+               "--market", "market:spd=uniform:a=0,b=1", "--eps", "0.02", "--grid-m", "64"],
+    "elicit-check": ["--functional", "functional:mean", "--score", "score:bregman,phi=quadratic",
+                     "--dist", "uniform:a=0,b=1", "--grid-m", "64", "--steps", "9"],
+    "axioms": ["--functional", "functional:mean", "--pairs", "2", "--size", "5"],
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_walk_runs_every_subcommand():
+    assert set(_subparsers()) == set(WALK_ARGS)
+
+
+@pytest.mark.parametrize("command", sorted(WALK_ARGS))
+def test_every_declared_flag_is_read(command, tmp_path, monkeypatch):
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, args=None, namespace=None):
+        parsed = parse_args(self, args, Recording())
+        reads.clear()  # argparse reads the namespace while it fills in defaults
+        return parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    argv = [command, *WALK_ARGS[command], "--out", str(tmp_path / "artifact")]
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    declared = {a.dest for a in _subparsers()[command]._actions if a.dest != "help"}
+    assert declared - reads == set()
+
+
+class TestElicitBracket:
+    ARGS = ["elicit-check", "--functional", "functional:mean",
+            "--score", "score:bregman,phi=quadratic", "--dist", "normal:mu=0,sigma=1"]
+
+    def test_lower_bound_alone_is_honoured(self):
+        code, out, _ = run_cli(self.ARGS + ["--z-lo", "0.5"])
+        assert code == 2
+        assert json.loads(out)["argmin"] >= 0.5
+
+    def test_upper_bound_alone_is_honoured(self):
+        code, out, _ = run_cli(self.ARGS + ["--z-hi", "-0.5"])
+        assert code == 2
+        assert json.loads(out)["argmin"] <= -0.5
+
+
+BREG = ["--score", "score:bregman,phi=quadratic"]
+WORST = ["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+         "--ref", "uniform:a=0,b=1", "--eps", "0.03", "--grid-m", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv,path,reason",
+    [
+        (["divergence", *BREG, "--from", "empirical:path={tmp}/none.csv", "--to", "point:c=0"],
+         "{tmp}/none.csv", "cannot read (No such file or directory)"),
+        (["divergence", *BREG, "--from", "empirical:path={tmp}", "--to", "point:c=0"],
+         "{tmp}", "cannot read (Is a directory)"),
+        (["divergence", *BREG, "--from", "empirical:{tmp}/latin.csv", "--to", "point:c=0"],
+         "{tmp}/latin.csv", "cannot read ('utf-8' codec can't decode"),
+        (["verify", "--score", "score:lambda,file={tmp}/none.json"],
+         "{tmp}/none.json", "cannot read step-function JSON (No such file or directory)"),
+        (["verify", "--score", "score:lambda,file={tmp}/list.json"],
+         "{tmp}/list.json", "step-function JSON must be an object, got list"),
+        (["verify", "--score", "score:lambda,file={tmp}/bad.json"],
+         "{tmp}/bad.json", "cannot read step-function JSON (Expecting property name"),
+        ([*WORST, "--out", "{tmp}/none/x.json"],
+         "cannot write {tmp}/none/x.json", "No such file or directory"),
+    ],
+    ids=["missing-csv", "directory", "non-utf8-csv", "missing-json", "json-list", "bad-json",
+         "out-in-missing-dir"],
+)
+def test_file_errors_are_reported_not_raised(argv, path, reason, tmp_path):
+    (tmp_path / "latin.csv").write_bytes(b"\xff\xfe1\n")
+    (tmp_path / "list.json").write_text("[1,2]")
+    (tmp_path / "bad.json").write_text("{bad")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    message = json.loads(err)["error"]
+    assert message.startswith(path.replace("{tmp}", str(tmp_path)))
+    assert reason in message

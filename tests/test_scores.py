@@ -103,6 +103,14 @@ class TestStepFunction:
         with pytest.raises(ConfigError):
             StepFunction([0.0], [0.0, 0.7])
 
+    @pytest.mark.parametrize(
+        "breakpoints,levels,message",
+        [(["a"], [0.3, 0.7], "numeric"), (0.0, [0.3, 0.7], "flat"), ([0.0], [[0.3, 0.7]], "flat")],
+    )
+    def test_malformed_entries_rejected(self, breakpoints, levels, message):
+        with pytest.raises(ConfigError, match=message):
+            StepFunction(breakpoints, levels)
+
     def test_decreasing_levels_allowed(self):
         step = StepFunction([0.0], [0.7, 0.3])
         assert step(-1.0) == 0.7

@@ -12,6 +12,7 @@ from mkdiv import (
     EntropicScore,
     Exponential,
     ExpectileScore,
+    IngestionError,
     GPLScore,
     LogNormal,
     MarketSpec,
@@ -168,12 +169,42 @@ class TestErrors:
         with pytest.raises(ConfigError, match="unexpected"):
             parse_score("score:bregman,phi=quadratic,alpha=0.5")
 
+    @pytest.mark.parametrize(
+        "spec,parser",
+        [
+            ("distortion:dualpower,k=2,k=3", parse_distortion),
+            ("score:shortfall,loss=exponential,gamma=1,gamma=2", parse_score),
+            ("market:spd=uniform:a=0,b=1;spd=exponential:rate=1", parse_market),
+        ],
+    )
+    def test_repeated_parameter_rejected(self, spec, parser):
+        with pytest.raises(ConfigError, match="repeated parameter"):
+            parser(spec)
+
+    @pytest.mark.parametrize(
+        "spec,parser",
+        [
+            ("empirical:path={tmp}/none.csv", parse_distribution),
+            ("empirical:{tmp}", parse_distribution),
+            ("empirical:{tmp}/latin.csv", parse_distribution),
+            ("score:lambda,file={tmp}/none.json", parse_score),
+            ("functional:lambda,file={tmp}/list.json", parse_functional),
+            ("functional:lambda,file={tmp}/bad.json", parse_functional),
+        ],
+    )
+    def test_unreadable_file_raises_ingestion_error(self, spec, parser, tmp_path):
+        (tmp_path / "latin.csv").write_bytes(b"\xff\xfe1\n")
+        (tmp_path / "list.json").write_text("[1,2]")
+        (tmp_path / "bad.json").write_text("{bad")
+        with pytest.raises(IngestionError, match="cannot read|must be an object"):
+            parser(spec.replace("{tmp}", str(tmp_path)))
+
 
 # Spec corpus: every catalog kind with defaults and reordered parameters,
-# then missing, extra, non-numeric and malformed parameters, unknown names
-# and domain errors.  Each row is (kind, spec, outcome, text): "ok" pins the
-# canonical render, otherwise the exception type and its exact message.
-# "{tmp}" stands for the directory holding the corpus files.
+# then missing, extra, non-numeric and malformed parameters, unknown names,
+# domain errors and repeated keys.  Each row is (kind, spec, outcome, text):
+# "ok" pins the canonical render, otherwise the exception type and its exact
+# message.  "{tmp}" stands for the directory holding the corpus files.
 SPEC_CORPUS = [
     ('distribution', 'uniform:a=0,b=1', 'ok', 'uniform:a=0.0,b=1.0'),
     ('distribution', 'uniform:b=2,a=-1', 'ok', 'uniform:a=-1.0,b=2.0'),
@@ -220,8 +251,8 @@ SPEC_CORPUS = [
     ('distribution', 'empirical:{tmp}/bad.csv', 'IngestionError', "{tmp}/bad.csv: line 2 is not numeric: 'x'"),
     ('distribution', 'empirical:path={tmp}/vals.csv,x=1', 'ConfigError', "unexpected parameter(s) x in spec 'empirical:path={tmp}/vals.csv,x=1'"),
     ('distribution', 'empirical:x=1', 'ConfigError', "spec 'empirical:x=1' is missing parameter 'path'"),
-    ('distribution', 'uniform:a=0,b=1,b=2', 'ok', 'uniform:a=0.0,b=2.0'),
-    ('distribution', 'normal:mu=0,sigma=1,mu=0', 'ok', 'normal:mu=0.0,sigma=1.0'),
+    ('distribution', 'uniform:a=0,b=1,b=2', 'ConfigError', "repeated parameter 'b' in spec 'uniform:a=0,b=1,b=2'"),
+    ('distribution', 'normal:mu=0,sigma=1,mu=0', 'ConfigError', "repeated parameter 'mu' in spec 'normal:mu=0,sigma=1,mu=0'"),
     ('generator', 'phi:quadratic', 'ok', 'phi:quadratic'),
     ('generator', 'phi:quartic', 'ok', 'phi:quartic'),
     ('generator', 'phi:exp', 'ok', 'phi:exp'),
@@ -250,7 +281,7 @@ SPEC_CORPUS = [
     ('distortion', 'distortion:', 'ConfigError', "unknown distortion '' in spec 'distortion:'"),
     ('distortion', 'distort:identity', 'ConfigError', "expected a 'distortion:' spec, got 'distort:identity'"),
     ('distortion', 'distortion:dualpower,k', 'ConfigError', "malformed parameter 'k' in spec 'distortion:dualpower,k'"),
-    ('distortion', 'distortion:dualpower,k=2,k=3', 'ok', 'distortion:dualpower,k=3.0'),
+    ('distortion', 'distortion:dualpower,k=2,k=3', 'ConfigError', "repeated parameter 'k' in spec 'distortion:dualpower,k=2,k=3'"),
     ('score', 'score:bregman,phi=quadratic', 'ok', 'score:bregman,phi=quadratic'),
     ('score', 'score:bregman,phi=quartic', 'ok', 'score:bregman,phi=quartic'),
     ('score', 'score:bregman,phi=exp', 'ok', 'score:bregman,phi=exp'),
@@ -308,8 +339,8 @@ SPEC_CORPUS = [
     ('score', 'score:decomposable,phi=quadratic,alpha=1.5,beta=0.3', 'DomainError', 'decomposable weights must lie in [0, 1]'),
     ('score', 'score:entropic,phi=quadratic', 'ConfigError', "spec 'score:entropic,phi=quadratic' is missing parameter 'gamma'"),
     ('score', 'score:entropic,gamma=0,phi=quadratic', 'DomainError', 'entropic parameter must be positive, got 0.0'),
-    ('score', 'score:entropic,gamma=1,phi=quadratic,phi=quartic', 'ok', 'score:entropic,gamma=1.0,phi=quartic'),
-    ('score', 'score:gpl,alpha=0.9,g=identity,alpha=0.8', 'ok', 'score:gpl,alpha=0.8,g=identity'),
+    ('score', 'score:entropic,gamma=1,phi=quadratic,phi=quartic', 'ConfigError', "repeated parameter 'phi' in spec 'score:entropic,gamma=1,phi=quadratic,phi=quartic'"),
+    ('score', 'score:gpl,alpha=0.9,g=identity,alpha=0.8', 'ConfigError', "repeated parameter 'alpha' in spec 'score:gpl,alpha=0.9,g=identity,alpha=0.8'"),
     ('functional', 'functional:mean', 'ok', 'functional:mean'),
     ('functional', 'functional:quantile,alpha=0.9', 'ok', 'functional:quantile,alpha=0.9'),
     ('functional', 'functional:expectile,alpha=0.7', 'ok', 'functional:expectile,alpha=0.7'),
@@ -335,7 +366,7 @@ SPEC_CORPUS = [
     ('functional', 'functional:entropic,gamma=0', 'DomainError', 'entropic parameter must be positive, got 0.0'),
     ('functional', 'functional', 'ConfigError', "malformed spec 'functional': missing ':'"),
     ('functional', 'func:mean', 'ConfigError', "expected a 'functional:' spec, got 'func:mean'"),
-    ('functional', 'functional:quantile,alpha=0.9,alpha=0.1', 'ok', 'functional:quantile,alpha=0.1'),
+    ('functional', 'functional:quantile,alpha=0.9,alpha=0.1', 'ConfigError', "repeated parameter 'alpha' in spec 'functional:quantile,alpha=0.9,alpha=0.1'"),
     ('market', 'market:spd=uniform:a=0,b=1', 'ok', 'market:spd=uniform:a=0.0,b=1.0;r=0.0;T=1.0'),
     ('market', 'market:spd=lognormal:mu=0,sigma=0.2;r=0.01;T=1', 'ok', 'market:spd=lognormal:mu=0.0,sigma=0.2;r=0.01;T=1.0'),
     ('market', 'market:T=2;r=0.05;spd=exponential:rate=1', 'ok', 'market:spd=exponential:rate=1.0;r=0.05;T=2.0'),
@@ -349,8 +380,8 @@ SPEC_CORPUS = [
     ('market', 'market:spd=uniform:a=0,b=1;T=0', 'DomainError', 'horizon must be positive, got 0.0'),
     ('market', 'market', 'ConfigError', "malformed spec 'market': missing ':'"),
     ('market', 'mkt:spd=uniform:a=0,b=1', 'ConfigError', "expected a 'market:' spec, got 'mkt:spd=uniform:a=0,b=1'"),
-    ('market', 'market:spd=uniform:a=0,b=1;spd=exponential:rate=1', 'ok', 'market:spd=exponential:rate=1.0;r=0.0;T=1.0'),
-    ('market', 'market:spd=uniform:a=0,b=1;r=0.01;r=0.02', 'ok', 'market:spd=uniform:a=0.0,b=1.0;r=0.02;T=1.0'),
+    ('market', 'market:spd=uniform:a=0,b=1;spd=exponential:rate=1', 'ConfigError', "repeated parameter 'spd' in spec 'market:spd=uniform:a=0,b=1;spd=exponential:rate=1'"),
+    ('market', 'market:spd=uniform:a=0,b=1;r=0.01;r=0.02', 'ConfigError', "repeated parameter 'r' in spec 'market:spd=uniform:a=0,b=1;r=0.01;r=0.02'"),
 ]
 
 CORPUS_FILES = {
