@@ -191,7 +191,8 @@ def _add_grid(parser):
     parser.add_argument("--grid-m", type=int, default=_DEFAULT_M,
                         help="u-grid size (default %(default)s)")
     parser.add_argument("--delta", type=float, default=_DEFAULT_DELTA,
-                        help="tail truncation level (default %(default)s)")
+                        help="declared tail level, checked to lie in [0, 0.5/m); "
+                        "the midpoint nodes never reach it (default %(default)s)")
 
 
 def _add_solver(parser):

@@ -8,18 +8,17 @@ Every distribution exposes
 * ``mean()``      -- closed form where available, exact for samples,
 
 and all downstream integrals are computed on :class:`QuantileGrid` objects:
-quantile values at the midpoint nodes ``u_i = (i - 1/2) / m`` clipped into
-``[delta, 1 - delta]``.  The truncation level ``delta`` is the declared policy
-for unbounded supports.
+quantile values at the midpoint nodes ``u_i = (i - 1/2) / m``.  The grid's
+tail level ``delta`` is checked (``0 <= delta < 0.5/m``) and reported; the
+nodes lie inside ``[delta, 1 - delta]`` and delta moves none of them.
 
 Objects are immutable after construction; every method is pure and safe for
 concurrent reads.
 
 Notes
 -----
-``quantile`` is only defined on the open interval (0, 1); the limit behaviour
-at u -> 1 for unbounded supports is governed by the grid truncation, never by
-returning infinities.
+``quantile`` is only defined on the open interval (0, 1); a grid never asks
+for the levels 0 or 1, whose quantiles may be infinite.
 """
 
 from __future__ import annotations
@@ -30,7 +29,15 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, IngestionError
-from .numerics import _DEFAULT_DELTA, _DEFAULT_M, first_outside, midpoint_u, pairwise_mean
+from .numerics import (
+    _DEFAULT_DELTA,
+    _DEFAULT_M,
+    _check_finite,
+    _check_grid,
+    first_outside,
+    midpoint_u,
+    pairwise_mean,
+)
 
 __all__ = [
     "Distribution",
@@ -118,7 +125,8 @@ class Normal(Distribution):
     kind = "normal"
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.sigma > 0.0):
+        _check_finite("normal", mu=self.mu, sigma=self.sigma)
+        if not self.sigma > 0.0:
             raise DomainError(f"normal requires sigma > 0, got sigma={self.sigma}")
 
     def _quantile(self, u):
@@ -145,7 +153,8 @@ class LogNormal(Distribution):
     kind = "lognormal"
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.sigma > 0.0):
+        _check_finite("lognormal", mu=self.mu, sigma=self.sigma)
+        if not self.sigma > 0.0:
             raise DomainError(f"lognormal requires sigma > 0, got sigma={self.sigma}")
 
     def _quantile(self, u):
@@ -171,6 +180,7 @@ class Exponential(Distribution):
     kind = "exponential"
 
     def __post_init__(self):
+        _check_finite("exponential", rate=self.rate)
         if not self.rate > 0.0:
             raise DomainError(f"exponential requires rate > 0, got {self.rate}")
 
@@ -194,8 +204,7 @@ class PointMass(Distribution):
     kind = "point_mass"
 
     def __post_init__(self):
-        if not np.isfinite(self.c):
-            raise DomainError(f"point mass location must be finite, got {self.c}")
+        _check_finite("point mass", c=self.c)
 
     def _quantile(self, u):
         return np.full_like(u, self.c)
@@ -217,7 +226,8 @@ class Empirical(Distribution):
 
     ``quantile(u)`` returns the ceil(u*n)-th order statistic, which is the
     left-continuous generalized inverse of the empirical cdf; ties contribute
-    multiplicity to the cdf.
+    multiplicity to the cdf.  The sample must be non-empty and finite; a
+    non-finite entry is named by its index in ``values`` as given.
     """
 
     values: np.ndarray
@@ -225,9 +235,14 @@ class Empirical(Distribution):
     kind = "empirical"
 
     def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=float))
+        vals = np.asarray(self.values, dtype=float)
         if vals.size == 0:
-            raise IngestionError("empirical distribution needs a non-empty sample")
+            raise IngestionError("cannot build a distribution from an empty sample")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise IngestionError(f"non-finite sample value at index {i}: {vals[i]!r}")
+        vals = np.sort(vals)
         object.__setattr__(self, "values", vals)
         self.values.setflags(write=False)
 
@@ -252,31 +267,20 @@ class Empirical(Distribution):
 
 
 def from_samples(values, source_path: str | None = None) -> Empirical:
-    """Build an equal-weight empirical distribution; input order is irrelevant.
-
-    Raises
-    ------
-    IngestionError
-        On an empty input, or on the first non-finite entry (named by index).
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise IngestionError("cannot build a distribution from an empty sample")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i = int(bad[0])
-        raise IngestionError(f"non-finite sample value at index {i}: {arr[i]!r}")
-    return Empirical(arr, source_path=source_path)
+    """The :class:`Empirical` law of any iterable of values; input order is
+    irrelevant, and an empty or non-finite sample raises IngestionError."""
+    return Empirical(np.asarray(list(values), dtype=float), source_path=source_path)
 
 
 @dataclass(frozen=True, eq=False)
 class QuantileGrid:
     """Discretized quantile function on the midpoint u-grid.
 
-    ``nodes[i]`` holds the quantile at ``u_i = (i - 1/2) / m`` clipped into
-    ``[delta, 1 - delta]``.  Nodes are validated to be non-decreasing; dips
-    below resolution (1e-9 relative) are treated as float dust and removed by
-    a running maximum, anything larger is an error.
+    ``nodes[i]`` holds the quantile at ``u_i = (i - 1/2) / m``; ``(m, delta)``
+    passes the grid check of :func:`~mkdiv.numerics.midpoint_u`, and
+    ``delta`` is reported, not applied.  Nodes are validated to be
+    non-decreasing; dips below resolution (1e-9 relative) are treated as
+    float dust and removed by a running maximum, anything larger is an error.
     """
 
     nodes: np.ndarray
@@ -284,16 +288,11 @@ class QuantileGrid:
     delta: float = 0.0
 
     def __post_init__(self):
+        _check_grid(self.m, self.delta)
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size != self.m:
             raise DomainError("grid nodes must be a 1-D array of length m")
-        if self.m < 2:
-            raise DomainError(f"grid needs m >= 2, got {self.m}")
-        if not 0.0 <= self.delta < 0.5 / self.m:
-            raise DomainError(
-                f"truncation level must satisfy 0 <= delta < 1/(2m), got {self.delta}"
-            )
-        scale = 1.0 + float(np.max(np.abs(nodes))) if nodes.size else 1.0
+        scale = 1.0 + float(np.max(np.abs(nodes)))
         if np.any(np.diff(nodes) < -1e-9 * scale):
             raise DomainError("grid nodes are not non-decreasing")
         nodes = np.maximum.accumulate(nodes)
@@ -308,14 +307,8 @@ class QuantileGrid:
 def quantile_grid(
     dist: Distribution, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA
 ) -> QuantileGrid:
-    """Evaluate ``dist``'s quantile function on the clipped midpoint grid."""
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise DomainError(f"grid needs an integer m >= 2, got {m!r}")
-    if not 0.0 <= delta < 0.5 / m:
-        raise DomainError(
-            f"truncation level must satisfy 0 <= delta < 1/(2m), got {delta}"
-        )
-    u = midpoint_u(int(m), delta)
+    """Evaluate ``dist``'s quantile function on the midpoint grid ``(m, delta)``."""
+    u = midpoint_u(m, delta)
     return QuantileGrid(nodes=dist.quantile(u), m=int(m), delta=delta)
 
 

@@ -11,7 +11,12 @@ class MkdivError(Exception):
 
 
 class DomainError(MkdivError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation;
+    ``index``, when known, is the flat index of its first offending entry."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class IngestionError(MkdivError, ValueError):

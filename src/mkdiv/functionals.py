@@ -23,6 +23,7 @@ from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
+    _check_finite,
     brent_root,
     golden_section,
     pairwise_mean,
@@ -185,7 +186,7 @@ class LambdaQuantile(Functional):
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         if isinstance(dist, Empirical):
             return self._evaluate_empirical(dist)
-        return self._evaluate_continuous(dist, delta)
+        return self._evaluate_continuous(dist)
 
     def _evaluate_empirical(self, dist: Empirical) -> float:
         events = np.unique(np.concatenate([dist.values, self.step.breakpoints]))
@@ -201,7 +202,7 @@ class LambdaQuantile(Functional):
             )
         return float(events[first])
 
-    def _evaluate_continuous(self, dist: Distribution, delta: float) -> float:
+    def _evaluate_continuous(self, dist: Distribution) -> float:
         bp = self.step.breakpoints
         lv = self.step.levels
         nseg = lv.size
@@ -242,6 +243,7 @@ class Entropic(Functional):
     kind = "entropic"
 
     def __post_init__(self):
+        _check_finite("entropic functional", gamma=self.gamma)
         if not self.gamma > 0.0:
             raise DomainError(f"entropic parameter must be positive, got {self.gamma}")
 

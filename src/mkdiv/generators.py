@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import first_outside
+from .numerics import _check_finite, first_outside
 
 __all__ = [
     "ConvexGenerator",
@@ -34,11 +34,6 @@ __all__ = [
     "tvar_distortion",
     "power_distortion",
 ]
-
-
-def _interval_str(interval) -> str:
-    lo, hi = interval
-    return f"({lo}, {hi})"
 
 
 @dataclass(frozen=True)
@@ -71,10 +66,12 @@ class ConvexGenerator:
 
     def _check_domain(self, x, what: str):
         arr = np.asarray(x, dtype=float)
-        if first_outside(arr, self.domain) is not None:
+        i = first_outside(arr, self.domain)
+        if i is not None:
             raise DomainError(
-                f"{what} outside the domain {_interval_str(self.domain)} "
-                f"of generator '{self.name}'"
+                f"{what} outside the domain {tuple(self.domain)} "
+                f"of generator '{self.name}'",
+                index=i,
             )
         return arr
 
@@ -183,6 +180,7 @@ def identity_distortion() -> DistortionSpec:
 
 def dual_power(k: float = 2.0) -> DistortionSpec:
     """g(x) = 1 - (1 - x)^k with k >= 1; gamma(u) = k * u^(k-1)."""
+    _check_finite("dual-power distortion", k=k)
     if k < 1.0:
         raise DomainError(f"dual-power distortion needs k >= 1, got {k}")
     return DistortionSpec(
@@ -213,8 +211,9 @@ def tvar_distortion(alpha: float = 0.9) -> DistortionSpec:
 def power_distortion(c: float = 0.5) -> DistortionSpec:
     """g(x) = x^c with 0 < c < 1; gamma is unbounded near u = 1.
 
-    Integrals against gamma rely on the grid truncation policy; the exact
-    mass is available through :meth:`DistortionSpec.mass`.
+    Grid integrals against gamma stay finite because the last midpoint node
+    is 1 - 0.5/m; the exact mass is available through
+    :meth:`DistortionSpec.mass`.
     """
     if not 0.0 < c < 1.0:
         raise DomainError(f"power distortion needs 0 < c < 1, got {c}")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import DomainError, EvaluationError
 
 __all__ = [
     "first_outside",
@@ -91,18 +91,35 @@ def pairwise_mean(values) -> float:
     return pairwise_sum(a) / a.size
 
 
-# The default grid: _DEFAULT_M midpoint nodes clipped into
-# [_DEFAULT_DELTA, 1 - _DEFAULT_DELTA].
+# The default grid: _DEFAULT_M midpoint nodes, declared tail level _DEFAULT_DELTA.
 _DEFAULT_M = 10_000
 _DEFAULT_DELTA = 1e-7
 
 
+def _check_grid(m, delta) -> None:
+    """The one midpoint-grid check: an integer m >= 2 and 0 <= delta < 0.5/m."""
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise DomainError(f"grid needs an integer m >= 2, got {m!r}")
+    if not 0.0 <= delta < 0.5 / m:
+        raise DomainError(f"truncation level must satisfy 0 <= delta < 1/(2m), got {delta}")
+
+
 def midpoint_u(m: int, delta: float = 0.0) -> np.ndarray:
-    """Midpoint nodes u_i = (i - 1/2)/m clipped into [delta, 1 - delta]."""
-    u = (np.arange(1, m + 1) - 0.5) / m
-    if delta > 0.0:
-        u = np.clip(u, delta, 1.0 - delta)
-    return u
+    """Midpoint nodes u_i = (i - 1/2)/m of the grid ``(m, delta)``, checked.
+
+    The nodes lie in [delta, 1 - delta] for every accepted delta, so delta
+    moves none of them: the first node is the float 0.5/m the check compares
+    delta against, and 1 - delta rounds to at least the last node.
+    """
+    _check_grid(m, delta)
+    return (np.arange(1, m + 1) - 0.5) / m
+
+
+def _check_finite(owner: str, **params) -> None:
+    """Reject a NaN or infinite parameter of ``owner``, naming it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{owner} needs a finite {name}, got {name}={value}")
 
 
 def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14,

@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import Distribution, QuantileGrid
 from .errors import DomainError
 from .generators import ConvexGenerator
-from .numerics import _DEFAULT_DELTA, _DEFAULT_M, pairwise_mean
+from .numerics import _DEFAULT_DELTA, _DEFAULT_M, _check_finite, pairwise_mean
 from .robust import _calibrated_curve
 
 __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
@@ -53,6 +53,7 @@ class MarketSpec:
     normalized: bool = False
 
     def __post_init__(self):
+        _check_finite("market", rate=self.rate, horizon=self.horizon)
         if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         lo, _ = self.spd.support

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, IngestionError
 from .generators import ConvexGenerator, quadratic
-from .numerics import first_outside
+from .numerics import _check_finite, first_outside
 
 __all__ = [
     "MonotoneMap",
@@ -79,11 +79,6 @@ class MonotoneMap:
     increasing: bool = True
     domain: tuple = _FULL_LINE
     codomain: tuple = _FULL_LINE
-
-    def inv(self, x):
-        if self.inverse is None:
-            raise ConfigError(f"map '{self.name}' has no inverse supplied")
-        return self.inverse(x)
 
 
 def identity_map() -> MonotoneMap:
@@ -208,6 +203,8 @@ class StepFunction:
             return cls(payload["breakpoints"], payload["levels"], source_path=str(path))
         except KeyError as exc:
             raise ConfigError(f"{path}: step-function JSON needs {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,6 +228,7 @@ class LossFunction:
     def __post_init__(self):
         if self.kind not in ("linear", "exponential", "power"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
+        _check_finite(f"{self.kind} loss", gamma=self.gamma, p=self.p)
         if self.kind == "exponential" and not self.gamma > 0.0:
             raise ConfigError(f"exponential loss needs gamma > 0, got {self.gamma}")
         if self.kind == "power" and not self.p > 0.0:
@@ -296,9 +294,10 @@ class Score:
         return out
 
     def _check(self, arr, interval, what):
-        if first_outside(arr, interval) is not None:
+        i = first_outside(arr, interval)
+        if i is not None:
             raise DomainError(
-                f"score family '{self.family}': {what} outside {tuple(interval)}"
+                f"score family '{self.family}': {what} outside {tuple(interval)}", index=i
             )
 
     def _eval(self, z, y):
@@ -442,7 +441,8 @@ class DecomposableScore(Score):
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise DomainError("decomposable weights must lie in [0, 1]")
+            raise DomainError(f"decomposable weights must lie in [0, 1], "
+                              f"got alpha={self.alpha}, beta={self.beta}")
         lo, hi = self.gen.domain
         if lo > 0.0 or hi < np.inf:
             raise ConfigError("decomposable generator must be defined on [0, inf)")
@@ -475,6 +475,7 @@ class EntropicScore(Score):
     family = "entropic"
 
     def __post_init__(self):
+        _check_finite("entropic score", gamma=self.gamma)
         if not self.gamma > 0.0:
             raise DomainError(f"entropic parameter must be positive, got {self.gamma}")
         lo, hi = self.gen.domain
@@ -521,7 +522,7 @@ class OsbandScore(Score):
         object.__setattr__(self, "y_domain", self.inner.y_domain)
 
     def _eval(self, z, y):
-        return np.asarray(self.inner(self.gmap.inv(z), y))
+        return np.asarray(self.inner(self.gmap.inverse(z), y))
 
     def point_value(self, y):
         return self.gmap.fn(self.inner.point_value(y))

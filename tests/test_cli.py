@@ -68,6 +68,22 @@ class TestDivergence:
         assert code == 1
         assert "nonsense" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("grid", [["--grid-m", "10", "--delta", "0.3"], ["--grid-m", "1"]])
+    def test_invalid_grid_exits_one_as_elicit_check_does(self, grid):
+        divergence = run_cli(["divergence", "--score", "score:gpl,alpha=0.9",
+                              "--from", "uniform:a=0,b=1", "--to", "normal:mu=1,sigma=2", *grid])
+        elicit = run_cli(["elicit-check", "--functional", "functional:quantile,alpha=0.9",
+                          "--score", "score:gpl,alpha=0.9", "--dist", "normal:mu=1,sigma=2", *grid])
+        assert divergence[0] == elicit[0] == 1
+        assert divergence[1:] == elicit[1:]
+        assert "grid needs" in divergence[2] or "truncation level" in divergence[2]
+
+    def test_undefined_divergence_exits_one(self):
+        code, out, err = run_cli(["divergence", "--score", "score:entropic,gamma=1,phi=quadratic",
+                                  "--from", "normal:mu=0,sigma=100", "--to", "normal:mu=1,sigma=100"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "divergence is undefined: the score values sum to nan"
+
 
 class TestVerify:
     ARGS = [
@@ -322,16 +338,19 @@ WORST = ["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dua
          "{tmp}/list.json", "step-function JSON must be an object, got list"),
         (["verify", "--score", "score:lambda,file={tmp}/bad.json"],
          "{tmp}/bad.json", "cannot read step-function JSON (Expecting property name"),
+        (["verify", "--score", "score:lambda,file={tmp}/out.json"],
+         "{tmp}/out.json", "levels must lie strictly inside (0, 1)"),
         ([*WORST, "--out", "{tmp}/none/x.json"],
          "cannot write {tmp}/none/x.json", "No such file or directory"),
     ],
     ids=["missing-csv", "directory", "non-utf8-csv", "missing-json", "json-list", "bad-json",
-         "out-in-missing-dir"],
+         "json-level-outside", "out-in-missing-dir"],
 )
 def test_file_errors_are_reported_not_raised(argv, path, reason, tmp_path):
     (tmp_path / "latin.csv").write_bytes(b"\xff\xfe1\n")
     (tmp_path / "list.json").write_text("[1,2]")
     (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "out.json").write_text('{"breakpoints": [0.0], "levels": [0.3, 1.0]}')
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run_cli(argv)
     assert code == 1

@@ -3,6 +3,7 @@ import pytest
 
 from mkdiv import (
     DomainError,
+    Empirical,
     Exponential,
     IngestionError,
     LogNormal,
@@ -97,6 +98,8 @@ class TestFromSamples:
     def test_non_finite_named_by_index(self):
         with pytest.raises(IngestionError, match="index 2"):
             from_samples([1.0, 2.0, np.nan, 4.0])
+        with pytest.raises(IngestionError, match="index 1"):  # the index before the sort
+            Empirical(np.array([1.0, np.nan, 0.5]))
 
 
 class TestQuantileGrid:
@@ -122,6 +125,8 @@ class TestQuantileGrid:
             quantile_grid(Uniform(0, 1), m=1)
         with pytest.raises(DomainError):
             quantile_grid(Uniform(0, 1), m=10, delta=0.2)  # delta >= 1/(2m)
+        with pytest.raises(DomainError):
+            quantile_grid(Uniform(0, 1), m=4, delta=0.2)  # no longer clips u_1 = 0.125
 
 
 class TestInvariants:

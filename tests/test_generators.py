@@ -47,6 +47,9 @@ class TestBregman:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             entropy_generator().bregman(-1.0, 1.0)
+        with pytest.raises(DomainError, match="second Bregman argument") as info:
+            entropy_generator().bregman(np.ones(3), np.array([1.0, 0.0, -1.0]))
+        assert info.value.index == 1
 
     def test_nonnegative_and_strict(self):
         rng = np.random.default_rng(0)

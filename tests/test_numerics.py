@@ -78,10 +78,6 @@ class TestMidpointGrid:
     def test_nodes(self):
         np.testing.assert_allclose(midpoint_u(4), [0.125, 0.375, 0.625, 0.875])
 
-    def test_clipping(self):
-        u = midpoint_u(4, delta=0.2)
-        assert u[0] == 0.2 and u[-1] == 0.8
-
 
 class _Probes:
     """Residual wrapper that records every probe and checks that it lies

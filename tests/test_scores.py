@@ -78,8 +78,11 @@ class TestEvalExamples:
 
     def test_domain_error_names_family(self):
         s = BregmanScore(entropy_generator())
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="score family 'bregman'"):
             s(-1.0, 1.0)
+        with pytest.raises(DomainError) as info:
+            s(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, -3.0]))
+        assert info.value.index == 2
 
 
 class TestStepFunction:

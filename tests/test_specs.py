@@ -237,13 +237,16 @@ SPEC_CORPUS = [
     ('distribution', 'uniform:=1,a=0,b=1', 'ConfigError', "malformed parameter '=1' in spec 'uniform:=1,a=0,b=1'"),
     ('distribution', 'normal:mu=0,sigma=0', 'DomainError', 'normal requires sigma > 0, got sigma=0.0'),
     ('distribution', 'normal:mu=0,sigma=-1', 'DomainError', 'normal requires sigma > 0, got sigma=-1.0'),
-    ('distribution', 'normal:mu=inf,sigma=1', 'DomainError', 'normal requires sigma > 0, got sigma=1.0'),
-    ('distribution', 'normal:mu=nan,sigma=1', 'DomainError', 'normal requires sigma > 0, got sigma=1.0'),
+    ('distribution', 'normal:mu=inf,sigma=1', 'DomainError', 'normal needs a finite mu, got mu=inf'),
+    ('distribution', 'normal:mu=nan,sigma=1', 'DomainError', 'normal needs a finite mu, got mu=nan'),
+    ('distribution', 'normal:mu=0,sigma=inf', 'DomainError', 'normal needs a finite sigma, got sigma=inf'),
     ('distribution', 'lognormal:mu=0,sigma=0', 'DomainError', 'lognormal requires sigma > 0, got sigma=0.0'),
+    ('distribution', 'lognormal:mu=nan,sigma=1', 'DomainError', 'lognormal needs a finite mu, got mu=nan'),
     ('distribution', 'exponential:rate=0', 'DomainError', 'exponential requires rate > 0, got 0.0'),
     ('distribution', 'exponential:rate=-1', 'DomainError', 'exponential requires rate > 0, got -1.0'),
+    ('distribution', 'exponential:rate=inf', 'DomainError', 'exponential needs a finite rate, got rate=inf'),
     ('distribution', 'exponential:lambda=1', 'ConfigError', "spec 'exponential:lambda=1' is missing parameter 'rate'"),
-    ('distribution', 'point:c=inf', 'DomainError', 'point mass location must be finite, got inf'),
+    ('distribution', 'point:c=inf', 'DomainError', 'point mass needs a finite c, got c=inf'),
     ('distribution', 'gamma:k=1', 'ConfigError', "unknown distribution kind 'gamma' in spec 'gamma:k=1'"),
     ('distribution', 'empirical:path={tmp}/bad.csv', 'IngestionError', "{tmp}/bad.csv: line 2 is not numeric: 'x'"),
     ('distribution', 'empirical:path={tmp}/empty.csv', 'IngestionError', '{tmp}/empty.csv: no numeric values found'),
@@ -269,6 +272,8 @@ SPEC_CORPUS = [
     ('distortion', 'distortion:tvar,alpha=0.9', 'ok', 'distortion:tvar,alpha=0.9'),
     ('distortion', 'distortion:power,c=0.5', 'ok', 'distortion:power,c=0.5'),
     ('distortion', 'distortion:dualpower,k=0.5', 'DomainError', 'dual-power distortion needs k >= 1, got 0.5'),
+    ('distortion', 'distortion:dualpower,k=nan', 'DomainError', 'dual-power distortion needs a finite k, got k=nan'),
+    ('distortion', 'distortion:dualpower,k=inf', 'DomainError', 'dual-power distortion needs a finite k, got k=inf'),
     ('distortion', 'distortion:tvar,alpha=1', 'DomainError', 'tail level must lie in (0, 1), got 1.0'),
     ('distortion', 'distortion:tvar,alpha=0', 'DomainError', 'tail level must lie in (0, 1), got 0.0'),
     ('distortion', 'distortion:power,c=1', 'DomainError', 'power distortion needs 0 < c < 1, got 1.0'),
@@ -328,17 +333,21 @@ SPEC_CORPUS = [
     ('score', 'score:shortfall,loss=exponential,gamma=0', 'ConfigError', 'exponential loss needs gamma > 0, got 0.0'),
     ('score', 'score:shortfall,loss=exponential,gamma=abc', 'ConfigError', "parameter gamma='abc' in 'score:shortfall,loss=exponential,gamma=abc' is not numeric"),
     ('score', 'score:shortfall,loss=power,p=-1', 'ConfigError', 'power loss needs p > 0, got -1.0'),
+    ('score', 'score:shortfall,loss=power,p=inf', 'DomainError', 'power loss needs a finite p, got p=inf'),
+    ('score', 'score:shortfall,loss=exponential,gamma=inf', 'DomainError', 'exponential loss needs a finite gamma, got gamma=inf'),
     ('score', 'score:shortfall,loss=linear,gamma=1', 'ConfigError', "unexpected parameter(s) gamma in spec 'score:shortfall,loss=linear,gamma=1'"),
     ('score', 'score:shortfall,loss=power,gamma=1', 'ConfigError', "unexpected parameter(s) gamma in spec 'score:shortfall,loss=power,gamma=1'"),
     ('score', 'score:lambda', 'ConfigError', "spec 'score:lambda' is missing parameter 'file'"),
     ('score', 'score:lambda,file={tmp}/steps_nokey.json', 'ConfigError', "{tmp}/steps_nokey.json: step-function JSON needs 'levels'"),
-    ('score', 'score:lambda,file={tmp}/steps_out.json', 'ConfigError', 'levels must lie strictly inside (0, 1)'),
-    ('score', 'score:lambda,file={tmp}/steps_len.json', 'ConfigError', 'need len(levels) == len(breakpoints) + 1, got 2 and 2'),
+    ('score', 'score:lambda,file={tmp}/steps_out.json', 'ConfigError', '{tmp}/steps_out.json: levels must lie strictly inside (0, 1)'),
+    ('score', 'score:lambda,file={tmp}/steps_len.json', 'ConfigError', '{tmp}/steps_len.json: need len(levels) == len(breakpoints) + 1, got 2 and 2'),
     ('score', 'score:lambda,file={tmp}/steps.json,x=1', 'ConfigError', "unexpected parameter(s) x in spec 'score:lambda,file={tmp}/steps.json,x=1'"),
     ('score', 'score:decomposable,phi=quadratic,alpha=0.7', 'ConfigError', "spec 'score:decomposable,phi=quadratic,alpha=0.7' is missing parameter 'beta'"),
-    ('score', 'score:decomposable,phi=quadratic,alpha=1.5,beta=0.3', 'DomainError', 'decomposable weights must lie in [0, 1]'),
+    ('score', 'score:decomposable,phi=quadratic,alpha=1.5,beta=0.3', 'DomainError', 'decomposable weights must lie in [0, 1], got alpha=1.5, beta=0.3'),
+    ('score', 'score:decomposable,phi=quadratic,alpha=0.7,beta=nan', 'DomainError', 'decomposable weights must lie in [0, 1], got alpha=0.7, beta=nan'),
     ('score', 'score:entropic,phi=quadratic', 'ConfigError', "spec 'score:entropic,phi=quadratic' is missing parameter 'gamma'"),
     ('score', 'score:entropic,gamma=0,phi=quadratic', 'DomainError', 'entropic parameter must be positive, got 0.0'),
+    ('score', 'score:entropic,gamma=inf,phi=quadratic', 'DomainError', 'entropic score needs a finite gamma, got gamma=inf'),
     ('score', 'score:entropic,gamma=1,phi=quadratic,phi=quartic', 'ConfigError', "repeated parameter 'phi' in spec 'score:entropic,gamma=1,phi=quadratic,phi=quartic'"),
     ('score', 'score:gpl,alpha=0.9,g=identity,alpha=0.8', 'ConfigError', "repeated parameter 'alpha' in spec 'score:gpl,alpha=0.9,g=identity,alpha=0.8'"),
     ('functional', 'functional:mean', 'ok', 'functional:mean'),
@@ -361,9 +370,10 @@ SPEC_CORPUS = [
     ('functional', 'functional:shortfall,loss=quadratic', 'ConfigError', "unknown loss 'quadratic' in spec 'functional:shortfall,loss=quadratic'"),
     ('functional', 'functional:shortfall,loss=power,p=0', 'ConfigError', 'power loss needs p > 0, got 0.0'),
     ('functional', 'functional:lambda', 'ConfigError', "spec 'functional:lambda' is missing parameter 'file'"),
-    ('functional', 'functional:lambda,file={tmp}/steps_out.json', 'ConfigError', 'levels must lie strictly inside (0, 1)'),
+    ('functional', 'functional:lambda,file={tmp}/steps_out.json', 'ConfigError', '{tmp}/steps_out.json: levels must lie strictly inside (0, 1)'),
     ('functional', 'functional:entropic', 'ConfigError', "spec 'functional:entropic' is missing parameter 'gamma'"),
     ('functional', 'functional:entropic,gamma=0', 'DomainError', 'entropic parameter must be positive, got 0.0'),
+    ('functional', 'functional:entropic,gamma=inf', 'DomainError', 'entropic functional needs a finite gamma, got gamma=inf'),
     ('functional', 'functional', 'ConfigError', "malformed spec 'functional': missing ':'"),
     ('functional', 'func:mean', 'ConfigError', "expected a 'functional:' spec, got 'func:mean'"),
     ('functional', 'functional:quantile,alpha=0.9,alpha=0.1', 'ConfigError', "repeated parameter 'alpha' in spec 'functional:quantile,alpha=0.9,alpha=0.1'"),
@@ -378,6 +388,9 @@ SPEC_CORPUS = [
     ('market', 'market:spd=uniform:a=0,b=1;r', 'ConfigError', "malformed market token 'r' in 'market:spd=uniform:a=0,b=1;r'"),
     ('market', 'market:spd=banana', 'ConfigError', "malformed distribution spec 'banana'"),
     ('market', 'market:spd=uniform:a=0,b=1;T=0', 'DomainError', 'horizon must be positive, got 0.0'),
+    ('market', 'market:spd=uniform:a=0,b=1;T=inf', 'DomainError', 'market needs a finite horizon, got horizon=inf'),
+    ('market', 'market:spd=uniform:a=0,b=1;r=nan', 'DomainError', 'market needs a finite rate, got rate=nan'),
+    ('market', 'market:spd=uniform:a=0,b=1;r=inf', 'DomainError', 'market needs a finite rate, got rate=inf'),
     ('market', 'market', 'ConfigError', "malformed spec 'market': missing ':'"),
     ('market', 'mkt:spd=uniform:a=0,b=1', 'ConfigError', "expected a 'market:' spec, got 'mkt:spd=uniform:a=0,b=1'"),
     ('market', 'market:spd=uniform:a=0,b=1;spd=exponential:rate=1', 'ConfigError', "repeated parameter 'spd' in spec 'market:spd=uniform:a=0,b=1;spd=exponential:rate=1'"),

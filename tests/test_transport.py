@@ -12,11 +12,14 @@ from mkdiv import (
     CapacityError,
     DecomposableScore,
     DomainError,
+    EntropicScore,
     ExpectileScore,
+    MomentError,
     GPLScore,
     Normal,
     PointMass,
     ShortfallScore,
+    Uniform,
     antitonic_matching,
     certify_optimal_coupling,
     comonotonic_matching,
@@ -152,6 +155,29 @@ class TestMkDivergence:
         s = BregmanScore(entropy_generator())
         with pytest.raises(DomainError, match=r"u=0\.1875\)"):
             mk_divergence(s, Spiked(), Normal(2.0, 0.1), m=8)
+        # antitonic: the report z = Q2(1 - u) is checked first and leaves
+        # (0, inf) at u = 0.6875, though y = Q1(u) is negative from u = 0.0625
+        s = osband_transform(BregmanScore(entropy_generator()), reciprocal_map())
+        with pytest.raises(DomainError, match=r"report z .*u=0\.6875\)") as info:
+            mk_divergence(s, Uniform(-1, 3), Uniform(-2, 3), m=8)
+        assert info.value.index == 5
+
+    @pytest.mark.parametrize("m,delta", [(10, 0.3), (4, 0.2), (10.5, 0.0), (1, 0.0)])
+    def test_parametric_grid_is_checked(self, m, delta):
+        # the exact empirical merge takes no grid; every other pair is on it
+        f1, f2 = Uniform(0, 1), Normal(1, 2)
+        with pytest.raises(DomainError, match="grid needs|truncation level"):
+            mk_divergence(GPLScore(0.9), f1, f2, m=m, delta=delta)
+        with pytest.raises(DomainError, match="grid needs|truncation level"):
+            wasserstein_p(f1, f2, 2.0, m=m, delta=delta)
+
+    def test_undefined_sum_raises(self):
+        # exp(800) overflows: both Bregman terms are inf and their difference NaN
+        s = EntropicScore(1.0, quadratic())
+        with pytest.raises(MomentError, match="sum to nan"):
+            mk_divergence(s, Normal(0, 100), Normal(1, 100))
+        with pytest.raises(MomentError, match="sum to nan"):
+            mk_divergence(s, from_samples([800.0, 1.0]), from_samples([801.0, 2.0]))
 
     def test_antitonic_grid_pairing(self):
         s = osband_transform(BregmanScore(quadratic()), reciprocal_map())
