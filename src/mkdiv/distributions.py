@@ -71,7 +71,7 @@ class Distribution:
 
     def quantile(self, u):
         arr, scalar = _prepare(u)
-        if first_outside(arr, (0.0, 1.0)) is not None:
+        if np.isnan(arr).any() or first_outside(arr, (0.0, 1.0)) is not None:
             raise DomainError(f"quantile level must lie in (0, 1), got {u!r}")
         return _finish(self._quantile(arr), scalar)
 
@@ -227,7 +227,8 @@ class Empirical(Distribution):
     ``quantile(u)`` returns the ceil(u*n)-th order statistic, which is the
     left-continuous generalized inverse of the empirical cdf; ties contribute
     multiplicity to the cdf.  The sample must be non-empty and finite; a
-    non-finite entry is named by its index in ``values`` as given.
+    non-finite entry is named by its index in ``values`` as given, after the
+    ``source_path`` it was read from, if any.
     """
 
     values: np.ndarray
@@ -241,7 +242,8 @@ class Empirical(Distribution):
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             i = int(bad[0])
-            raise IngestionError(f"non-finite sample value at index {i}: {vals[i]!r}")
+            where = f"{self.source_path}: " if self.source_path else ""
+            raise IngestionError(f"{where}non-finite sample value at index {i}: {float(vals[i])}")
         vals = np.sort(vals)
         object.__setattr__(self, "values", vals)
         self.values.setflags(write=False)
@@ -251,9 +253,8 @@ class Empirical(Distribution):
         return int(self.values.size)
 
     def _quantile(self, u):
-        k = np.ceil(u * self.n).astype(int)
-        k = np.clip(k, 1, self.n)
-        return self.values[k - 1]
+        # ceil(u * n) lies in [1, n] for every checked u in (0, 1)
+        return self.values[np.ceil(u * self.n).astype(int) - 1]
 
     def _cdf(self, x):
         return np.searchsorted(self.values, x, side="right") / self.n

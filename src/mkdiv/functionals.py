@@ -263,6 +263,25 @@ class Entropic(Functional):
         return f"entropic[{self.gamma}]"
 
 
+_SCORE_BLOCK = 1 << 18  # score values per block of reports
+
+
+def _mean_scores(score: Score, sample: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Mean of S(z_i, Y) over the atoms ``sample`` for each report in the 1-D ``z``.
+
+    Reports are scored in blocks of at most ``_SCORE_BLOCK`` values, so memory
+    stays bounded as the grid grows.  Scores are elementwise and each row is
+    folded by the tree of :func:`pairwise_sum`, so a report's mean does not
+    depend on the block it lands in.
+    """
+    k = max(1, _SCORE_BLOCK // sample.size)
+    out = np.empty(z.size)
+    for i in range(0, z.size, k):
+        vals = score(z[i : i + k, None], sample[None, :])
+        out[i : i + k] = pairwise_sum(vals, axis=-1) / sample.size
+    return out
+
+
 def expected_score(
     score: Score,
     dist: Distribution,
@@ -270,13 +289,11 @@ def expected_score(
     m: int = _DEFAULT_M,
     delta: float = _DEFAULT_DELTA,
 ):
-    """E_F[S(z, Y)] for scalar or array reports z."""
-    sample = _atoms(dist, m, delta)
+    """E_F[S(z, Y)] over the atoms of ``dist``: a float for a scalar report,
+    otherwise an array of z's shape, each entry bit-identical to its scalar call."""
     z_arr = np.asarray(z, dtype=float)
-    if z_arr.ndim == 0:
-        return pairwise_mean(np.asarray(score(z_arr, sample)))
-    vals = np.asarray(score(z_arr[:, None], sample[None, :]))
-    return pairwise_sum(vals, axis=-1) / vals.shape[-1]
+    means = _mean_scores(score, _atoms(dist, m, delta), z_arr.ravel()).reshape(z_arr.shape)
+    return float(means) if z_arr.ndim == 0 else means
 
 
 def argmin_expected_score(
@@ -292,7 +309,9 @@ def argmin_expected_score(
 
     Ties break toward the smallest report.  The grid stage scans ``steps``
     points on [z_lo, z_hi]; golden-section then refines inside the best
-    bracket down to 1e-8 relative width.
+    bracket down to 1e-8 relative width.  Both stages score reports against
+    the same atoms of ``dist`` in bounded blocks, as :func:`expected_score`
+    does.
     """
     if not z_lo < z_hi:
         raise DomainError(f"need z_lo < z_hi, got ({z_lo}, {z_hi})")
@@ -300,11 +319,7 @@ def argmin_expected_score(
         raise DomainError(f"need steps >= 2, got {steps}")
     sample = _atoms(dist, m, delta)
     zs = np.linspace(z_lo, z_hi, steps)
-
-    def objective(z):
-        return pairwise_mean(np.asarray(score(z, sample)))
-
-    values = expected_score(score, dist, zs, m, delta)
+    values = _mean_scores(score, sample, zs)
     finite = np.isfinite(values)
     if not np.any(finite):
         raise EvaluationError("expected score is non-finite over the whole grid")
@@ -312,6 +327,7 @@ def argmin_expected_score(
     i = int(np.argmin(values))  # argmin returns the first, i.e. smallest z
     lo = zs[max(i - 1, 0)]
     hi = zs[min(i + 1, steps - 1)]
+    objective = lambda z: _mean_scores(score, sample, np.array([z]))[0]
     return float(golden_section(objective, float(lo), float(hi), width_tol=1e-8))
 
 

@@ -152,7 +152,7 @@ class DistortionSpec:
 
     def gamma(self, u):
         arr = np.asarray(u, dtype=float)
-        if first_outside(arr, (0.0, 1.0)) is not None:
+        if np.isnan(arr).any() or first_outside(arr, (0.0, 1.0)) is not None:
             raise DomainError(f"distortion weight needs u in (0, 1), got {u!r}")
         out = self.gamma_fn(arr)
         return float(out) if np.ndim(u) == 0 else out

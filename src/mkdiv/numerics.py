@@ -44,9 +44,6 @@ def first_outside(values, interval) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-_FOLD_BLOCK = 1 << 18  # values per block of rows in a fold along an axis
-
-
 def _fold(a: np.ndarray) -> np.ndarray:
     """Pairwise tree over the last axis of ``a``, which must be non-empty."""
     n = a.shape[-1]
@@ -67,21 +64,16 @@ def pairwise_sum(values, axis=None):
     an odd last entry is paired with 0.0.  The fixed tree makes the reduction
     order a contract rather than an implementation detail.  With ``axis=None``
     the flattened array is summed to a float; otherwise each slice along
-    ``axis`` is folded by the same tree and an array is returned.
+    ``axis`` is folded by the same tree, all slices at once, and an array is
+    returned.  The fold holds buffers as large as ``values``, so callers
+    with many slices pass them in bounded blocks.
     """
     a = np.asarray(values, dtype=float)
     if axis is None:
         return float(_fold(a.ravel())) if a.size else 0.0
     a = np.moveaxis(a, axis, -1)
-    out = np.zeros(a.shape[:-1])
-    if a.size:
-        # blocks of rows keep the buffers near cache size: faster, and a
-        # lower peak RSS than halving the whole matrix at once
-        rows, flat = a.reshape(-1, a.shape[-1]), out.reshape(-1)
-        step = max(1, _FOLD_BLOCK // a.shape[-1])
-        for i in range(0, len(rows), step):
-            flat[i : i + step] = _fold(rows[i : i + step])
-    return out
+    # copied: a width-1 fold is a view of ``values``
+    return _fold(a).copy() if a.size else np.zeros(a.shape[:-1])
 
 
 def pairwise_mean(values) -> float:

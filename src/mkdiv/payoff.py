@@ -40,17 +40,12 @@ __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
 class MarketSpec:
     """State-price density with a flat rate and horizon.
 
-    ``spd`` must be supported on [0, inf) with a finite mean (checked by the
-    grid quadrature).  When ``normalized=True`` the mean is additionally
-    required to match the discount factor exp(-rate * horizon) to 1e-3
-    relative, a consistency check for densities meant to price the bank
-    account correctly.
+    ``spd`` must be supported on [0, inf) with a finite mean.
     """
 
     spd: Distribution
     rate: float = 0.0
     horizon: float = 1.0
-    normalized: bool = False
 
     def __post_init__(self):
         _check_finite("market", rate=self.rate, horizon=self.horizon)
@@ -62,19 +57,8 @@ class MarketSpec:
                 f"state-price density must be supported on [0, inf), "
                 f"got lower bound {lo}"
             )
-        mean = self.spd.mean()
-        if not np.isfinite(mean):
+        if not np.isfinite(self.spd.mean()):
             raise DomainError("state-price density must have a finite mean")
-        if self.normalized:
-            df = float(np.exp(-self.rate * self.horizon))
-            if abs(mean - df) > 1e-3 * df:
-                raise DomainError(
-                    f"state-price density mean {mean} does not match the "
-                    f"discount factor {df}"
-                )
-
-    def discount_factor(self) -> float:
-        return float(np.exp(-self.rate * self.horizon))
 
     def neg_weight(self, u: np.ndarray) -> np.ndarray:
         """The signed weight -Q_xi(1 - u); negative but increasing in u."""

@@ -123,7 +123,8 @@ def transform_catalog() -> dict:
 class StepFunction:
     """Right-continuous step function with values in a band inside (0, 1).
 
-    ``levels`` has one more entry than ``breakpoints``; the function takes
+    ``levels`` has one more entry than ``breakpoints``, which must be finite
+    and strictly increasing; the function takes
     ``levels[j]`` on ``[breakpoints[j-1], breakpoints[j])`` with the obvious
     conventions at the ends.  Levels must be monotone (either direction).
     """
@@ -144,6 +145,10 @@ class StepFunction:
             raise ConfigError(
                 f"need len(levels) == len(breakpoints) + 1, got {lv.size} and {bp.size}"
             )
+        bad = np.flatnonzero(~np.isfinite(bp))
+        if bad.size:
+            i = int(bad[0])
+            raise ConfigError(f"breakpoints must be finite, got {float(bp[i])} at index {i}")
         if bp.size and np.any(np.diff(bp) <= 0.0):
             raise ConfigError("breakpoints must be strictly increasing")
         if first_outside(lv, (0.0, 1.0)) is not None:
@@ -183,10 +188,6 @@ class StepFunction:
     def integral(self, y, z):
         """Exact integral of the step function from y to z (signed)."""
         return self._antiderivative(z) - self._antiderivative(y)
-
-    @property
-    def band(self):
-        return float(np.min(self.levels)), float(np.max(self.levels))
 
     @classmethod
     def from_json(cls, path) -> "StepFunction":

@@ -161,11 +161,15 @@ def wasserstein_p(
 ) -> float:
     """p-Wasserstein distance via the quantile representation
     (int |Q1 - Q2|^p du)^(1/p); exact on two empirical inputs of any sizes,
-    to which ``m`` and ``delta`` do not apply."""
+    to which ``m`` and ``delta`` do not apply.  A NaN sum, as from two
+    quantiles that overflow to the same infinity, raises :class:`MomentError`."""
     if p < 1.0:
         raise DomainError(f"wasserstein order must satisfy p >= 1, got {p}")
     q1, q2, counts, total, _ = _paired_quantiles(f1, f2, COMONOTONIC, m, delta)
-    return float((pairwise_sum(counts * np.abs(q1 - q2) ** p) / total) ** (1.0 / p))
+    value = pairwise_sum(counts * np.abs(q1 - q2) ** p) / total
+    if math.isnan(value):
+        raise MomentError("wasserstein distance is undefined: the |Q1 - Q2|^p values sum to nan")
+    return float(value ** (1.0 / p))
 
 
 def _cost_matrix(score: Score, atoms1: np.ndarray, atoms2: np.ndarray) -> np.ndarray:

@@ -57,6 +57,10 @@ class TestQuantile:
         for u in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
                 Uniform(0, 1).quantile(u)
+        for d in (Normal(0, 1), from_samples([3, 1, 2])):
+            for u in (np.nan, [0.5, np.nan]):
+                with pytest.raises(DomainError, match="must lie in"):
+                    d.quantile(u)
 
     def test_vectorized(self):
         u = np.array([0.1, 0.5, 0.9])

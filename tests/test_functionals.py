@@ -283,13 +283,34 @@ class TestArgmin:
         with pytest.raises(EvaluationError):
             argmin_expected_score(s, d, 800.0, 1000.0, steps=11)
 
-    def test_expected_score_scalar_matches_rows(self):
-        d = from_samples([0.0, 0.7, 1.3])
-        s = ShortfallScore(exponential_loss(1.0))
-        zs = np.array([-0.3, 0.2, 0.9])
+    @pytest.mark.parametrize(
+        "s,d,zs",
+        [
+            (ShortfallScore(exponential_loss(1.0)), from_samples([0.0, 0.7, 1.3]),
+             np.array([-0.3, 0.2, 0.9])),
+            # 60 reports x 10^4 nodes span three blocks of 2^18 score values
+            (ExpectileScore(0.7, quadratic()), Normal(0.3, 0.8), np.linspace(-2.0, 2.5, 60)),
+        ],
+    )
+    def test_expected_score_scalar_matches_rows(self, s, d, zs):
         rows = expected_score(s, d, zs)
+        assert rows.shape == zs.shape
         for z, row in zip(zs, rows):
-            assert expected_score(s, d, float(z)) == row
+            assert np.float64(expected_score(s, d, float(z))).tobytes() == row.tobytes()
+
+    def test_argmin_memory_is_bounded(self):
+        # the 513 x 10^4 report-by-atom matrix alone would take 39 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            argmin_expected_score(ExpectileScore(0.7, quadratic()), Normal(0, 1), -4.0, 4.0,
+                                  steps=513, m=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestAxioms:

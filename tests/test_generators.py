@@ -106,6 +106,9 @@ class TestDistortionWeight:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             identity_distortion().gamma(1.0)
+        for u in (np.nan, [0.5, np.nan]):
+            with pytest.raises(DomainError, match="needs u in"):
+                dual_power(2).gamma(u)
 
     def test_gamma_monotone(self):
         rng = np.random.default_rng(2)

@@ -27,13 +27,6 @@ class TestMarketSpec:
         with pytest.raises(DomainError):
             MarketSpec(Normal(0.0, 1.0))
 
-    def test_normalized_flag_checks_discount_factor(self):
-        # E[xi] = 0.5 but exp(-rT) = 1
-        with pytest.raises(DomainError):
-            MarketSpec(Uniform(0, 1), rate=0.0, horizon=1.0, normalized=True)
-        # matching case: rate = ln 2 makes exp(-rT) = 0.5
-        MarketSpec(Uniform(0, 1), rate=np.log(2.0), horizon=1.0, normalized=True)
-
     def test_horizon_positive(self):
         with pytest.raises(DomainError):
             MarketSpec(Uniform(0, 1), horizon=0.0)

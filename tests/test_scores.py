@@ -114,6 +114,15 @@ class TestStepFunction:
         with pytest.raises(ConfigError, match=message):
             StepFunction(breakpoints, levels)
 
+    @pytest.mark.parametrize(
+        "breakpoints,index",
+        [([np.nan], 0), ([np.inf], 0), ([0.0, np.nan], 1), ([-np.inf, 0.0], 0)],
+    )
+    def test_non_finite_breakpoints_rejected(self, breakpoints, index):
+        levels = np.linspace(0.3, 0.7, len(breakpoints) + 1)
+        with pytest.raises(ConfigError, match=f"breakpoints must be finite, got .* at index {index}$"):
+            StepFunction(breakpoints, levels)
+
     def test_decreasing_levels_allowed(self):
         step = StepFunction([0.0], [0.7, 0.3])
         assert step(-1.0) == 0.7

@@ -250,7 +250,7 @@ SPEC_CORPUS = [
     ('distribution', 'gamma:k=1', 'ConfigError', "unknown distribution kind 'gamma' in spec 'gamma:k=1'"),
     ('distribution', 'empirical:path={tmp}/bad.csv', 'IngestionError', "{tmp}/bad.csv: line 2 is not numeric: 'x'"),
     ('distribution', 'empirical:path={tmp}/empty.csv', 'IngestionError', '{tmp}/empty.csv: no numeric values found'),
-    ('distribution', 'empirical:path={tmp}/nan.csv', 'IngestionError', 'non-finite sample value at index 1: np.float64(nan)'),
+    ('distribution', 'empirical:path={tmp}/nan.csv', 'IngestionError', '{tmp}/nan.csv: non-finite sample value at index 1: nan'),
     ('distribution', 'empirical:{tmp}/bad.csv', 'IngestionError', "{tmp}/bad.csv: line 2 is not numeric: 'x'"),
     ('distribution', 'empirical:path={tmp}/vals.csv,x=1', 'ConfigError', "unexpected parameter(s) x in spec 'empirical:path={tmp}/vals.csv,x=1'"),
     ('distribution', 'empirical:x=1', 'ConfigError', "spec 'empirical:x=1' is missing parameter 'path'"),
@@ -341,6 +341,7 @@ SPEC_CORPUS = [
     ('score', 'score:lambda,file={tmp}/steps_nokey.json', 'ConfigError', "{tmp}/steps_nokey.json: step-function JSON needs 'levels'"),
     ('score', 'score:lambda,file={tmp}/steps_out.json', 'ConfigError', '{tmp}/steps_out.json: levels must lie strictly inside (0, 1)'),
     ('score', 'score:lambda,file={tmp}/steps_len.json', 'ConfigError', '{tmp}/steps_len.json: need len(levels) == len(breakpoints) + 1, got 2 and 2'),
+    ('score', 'score:lambda,file={tmp}/steps_nan.json', 'ConfigError', '{tmp}/steps_nan.json: breakpoints must be finite, got nan at index 1'),
     ('score', 'score:lambda,file={tmp}/steps.json,x=1', 'ConfigError', "unexpected parameter(s) x in spec 'score:lambda,file={tmp}/steps.json,x=1'"),
     ('score', 'score:decomposable,phi=quadratic,alpha=0.7', 'ConfigError', "spec 'score:decomposable,phi=quadratic,alpha=0.7' is missing parameter 'beta'"),
     ('score', 'score:decomposable,phi=quadratic,alpha=1.5,beta=0.3', 'DomainError', 'decomposable weights must lie in [0, 1], got alpha=1.5, beta=0.3'),
@@ -406,6 +407,7 @@ CORPUS_FILES = {
     "steps_nokey.json": json.dumps({"breakpoints": [0.0]}),
     "steps_out.json": json.dumps({"breakpoints": [0.0], "levels": [0.3, 1.0]}),
     "steps_len.json": json.dumps({"breakpoints": [0.0, 1.0], "levels": [0.3, 0.7]}),
+    "steps_nan.json": json.dumps({"breakpoints": [0.0, float("nan")], "levels": [0.3, 0.5, 0.7]}),
 }
 
 

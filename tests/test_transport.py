@@ -16,6 +16,7 @@ from mkdiv import (
     ExpectileScore,
     MomentError,
     GPLScore,
+    LogNormal,
     Normal,
     PointMass,
     ShortfallScore,
@@ -178,6 +179,9 @@ class TestMkDivergence:
             mk_divergence(s, Normal(0, 100), Normal(1, 100))
         with pytest.raises(MomentError, match="sum to nan"):
             mk_divergence(s, from_samples([800.0, 1.0]), from_samples([801.0, 2.0]))
+        # both top quantile nodes overflow to inf, and |inf - inf|^2 is NaN
+        with pytest.raises(MomentError, match="sum to nan"):
+            wasserstein_p(LogNormal(0, 300), LogNormal(0, 300), 2.0, m=1000)
 
     def test_antitonic_grid_pairing(self):
         s = osband_transform(BregmanScore(quadratic()), reciprocal_map())
