@@ -37,7 +37,7 @@ import numpy as np
 from . import specs
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
-from .numerics import _DEFAULT_DELTA, _DEFAULT_M
+from .numerics import _DEFAULT_DELTA, _DEFAULT_M, _check_tolerance
 from .payoff import cheapest_payoff
 from .robust import solve_worst_case
 from .transport import certify_optimal_coupling, mk_divergence
@@ -148,6 +148,7 @@ def _cmd_payoff(args):
 
 
 def _cmd_elicit_check(args):
+    _check_tolerance("elicit-check", tol=args.tol)
     functional = specs.parse_functional(args.functional)
     score = specs.parse_score(args.score)
     dist = specs.parse_distribution(args.dist)

@@ -24,6 +24,7 @@ from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
     _check_finite,
+    _check_tolerance,
     brent_root,
     golden_section,
     pairwise_mean,
@@ -404,6 +405,7 @@ def check_axioms(
     ]
     if not pairs:
         raise DomainError("axiom check needs at least one sample pair")
+    _check_tolerance("axiom check", tol=tol)
     for k, (x, y) in enumerate(pairs):
         if x.size == 0 or x.shape != y.shape:
             raise DomainError(f"sample pair {k} is empty or misaligned")

@@ -1,8 +1,8 @@
 """Convex generators and concave distortion functions.
 
 A :class:`ConvexGenerator` packages a convex function together with its
-derivative and the inverse of that derivative; these three maps drive the
-Bregman machinery used throughout the package.  A :class:`DistortionSpec`
+first and second derivatives and the inverse of the first; these maps drive
+the Bregman machinery used throughout the package.  A :class:`DistortionSpec`
 represents a concave distortion ``g`` through its weight function
 ``gamma(u) = left-derivative of g at 1 - u``, the density of the associated
 Choquet integral.
@@ -42,9 +42,11 @@ class ConvexGenerator:
 
     Attributes
     ----------
-    phi, dphi, inv_dphi_fn : callable
-        The generator, its (non-decreasing) derivative and the partial
-        inverse of the derivative.  All accept scalars or arrays.
+    phi, dphi, d2phi, inv_dphi_fn : callable
+        The generator, its (non-decreasing) derivative, its second
+        derivative and the partial inverse of the first derivative.  All
+        accept scalars or arrays; a ``d2phi`` that is constant may return
+        one number for an array.
     domain : (float, float)
         Open interval on which ``phi`` is defined.
     dphi_range : (float, float)
@@ -59,6 +61,7 @@ class ConvexGenerator:
     name: str
     phi: Callable = field(repr=False)
     dphi: Callable = field(repr=False)
+    d2phi: Callable = field(repr=False)
     inv_dphi_fn: Callable = field(repr=False)
     domain: tuple = (-np.inf, np.inf)
     dphi_range: tuple = (-np.inf, np.inf)
@@ -90,6 +93,7 @@ def quadratic() -> ConvexGenerator:
         name="quadratic",
         phi=lambda x: x * x,
         dphi=lambda x: 2.0 * x,
+        d2phi=lambda x: 2.0,
         inv_dphi_fn=lambda y: 0.5 * y,
     )
 
@@ -99,6 +103,7 @@ def quartic() -> ConvexGenerator:
         name="quartic",
         phi=lambda x: x**4,
         dphi=lambda x: 4.0 * x**3,
+        d2phi=lambda x: 12.0 * x * x,
         inv_dphi_fn=lambda y: np.cbrt(0.25 * y),
     )
 
@@ -108,17 +113,19 @@ def exponential_generator() -> ConvexGenerator:
         name="exp",
         phi=np.exp,
         dphi=np.exp,
+        d2phi=np.exp,
         inv_dphi_fn=np.log,
         dphi_range=(0.0, np.inf),
     )
 
 
 def entropy_generator() -> ConvexGenerator:
-    """x * log(x) on (0, inf); dphi = log(x) + 1, inverse exp(y - 1)."""
+    """x * log(x) on (0, inf); dphi = log(x) + 1, d2phi = 1/x, inverse exp(y - 1)."""
     return ConvexGenerator(
         name="xlogx",
         phi=lambda x: x * np.log(x),
         dphi=lambda x: np.log(x) + 1.0,
+        d2phi=lambda x: 1.0 / x,
         inv_dphi_fn=lambda y: np.exp(y - 1.0),
         domain=(0.0, np.inf),
     )

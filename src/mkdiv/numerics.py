@@ -114,6 +114,14 @@ def _check_finite(owner: str, **params) -> None:
             raise DomainError(f"{owner} needs a finite {name}, got {name}={value}")
 
 
+def _check_tolerance(owner: str, **params) -> None:
+    """Reject a NaN, infinite or negative tolerance of ``owner``, naming it."""
+    _check_finite(owner, **params)
+    for name, value in params.items():
+        if value < 0.0:
+            raise DomainError(f"{owner} needs a non-negative {name}, got {name}={value}")
+
+
 def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14,
                max_iter: int = 200):
     """Root of ``f`` between ``a`` and ``b`` by Brent's method.

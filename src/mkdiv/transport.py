@@ -18,6 +18,8 @@ optimality (assignment problem for equal weights, linear programming on the
 transport polytope otherwise) so the closed form can be certified instance
 by instance.  Certification compares optimal values; the oracle's matching is
 an optimal permutation, whichever one the solver finds among tied optima.
+The oracle imports ``scipy.optimize`` on its first call, so a process that
+never certifies does not load it.
 """
 
 from __future__ import annotations
@@ -26,11 +28,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .distributions import Distribution, Empirical, from_samples
 from .errors import CapacityError, DomainError, EvaluationError, MomentError
-from .numerics import _DEFAULT_DELTA, _DEFAULT_M, midpoint_u, pairwise_mean, pairwise_sum
+from .numerics import (
+    _DEFAULT_DELTA,
+    _DEFAULT_M,
+    _check_tolerance,
+    midpoint_u,
+    pairwise_mean,
+    pairwise_sum,
+)
 from .scores import COMONOTONIC, Score
 
 __all__ = [
@@ -231,6 +239,8 @@ def oracle_optimal(
     transport polytope with deterministic pivoting, followed by an exact
     flow recomputation on the support.
     """
+    from scipy.optimize import linear_sum_assignment  # loaded by the first oracle call
+
     a = np.asarray(atoms1, dtype=float)
     b = np.asarray(atoms2, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
@@ -254,6 +264,8 @@ def oracle_optimal(
 
 
 def _oracle_lp(score, a, b, weights1, weights2) -> CouplingReport:
+    from scipy.optimize import linprog  # loaded by the first oracle call
+
     w1 = _checked_weights(weights1, a.size, "first")
     w2 = _checked_weights(weights2, b.size, "second")
     if a.size + b.size > _MAX_ORACLE:
@@ -391,6 +403,7 @@ def certify_optimal_coupling(
     """
     if instances < 1:
         raise DomainError("certification needs at least one instance")
+    _check_tolerance("certification", tolerance=tolerance)
     if not 2 <= n_min <= n_max <= _MAX_ORACLE:
         raise DomainError(f"instance sizes must satisfy 2 <= n_min <= n_max <= {_MAX_ORACLE}")
     results = [_certify_instance(score, seed, k, n_min, n_max) for k in range(instances)]

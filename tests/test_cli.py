@@ -249,6 +249,24 @@ class TestUsage:
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--score", "score:gpl,alpha=0.9", "--instances", "2", "--tol", "nan"],
+             "certification needs a finite tolerance, got tolerance=nan"),
+            (["elicit-check", "--functional", "functional:mean",
+              "--score", "score:bregman,phi=quadratic", "--dist", "point:c=0", "--tol", "nan"],
+             "elicit-check needs a finite tol, got tol=nan"),
+            (["axioms", "--functional", "functional:mean", "--tol", "-1"],
+             "axiom check needs a non-negative tol, got tol=-1.0"),
+            (["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+              "--ref", "uniform:a=0,b=1", "--eps", "0.03", "--tol", "inf"],
+             "calibration needs a finite tol, got tol=inf"),
+        ],
+    )
+    def test_invalid_tolerance_exits_one_naming_it(self, argv, message):
+        assert run_cli(argv) == (1, "", canonical_json({"error": message}) + "\n")
+
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         assert main(argv) == 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mkdiv import (
     AmbiguityError,
     BregmanScore,
+    DomainError,
     Entropic,
     Expectile,
     GPLScore,
@@ -319,6 +320,18 @@ class TestAxioms:
         return [
             (rng.normal(0, 1, size), rng.normal(0, 1, size)) for _ in range(pairs)
         ]
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (np.nan, "needs a finite tol, got tol=nan"),
+            (-np.inf, "needs a finite tol, got tol=-inf"),
+            (-1e-9, "needs a non-negative tol, got tol=-1e-09"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, tol, message):
+        with pytest.raises(DomainError, match=message):
+            check_axioms(Mean(), self._pairs(pairs=1), tol=tol)
 
     def test_mean_trivial_transformations(self):
         report = check_axioms(Mean(), self._pairs(pairs=5), shifts=(0.0,), scales=(1.0,))

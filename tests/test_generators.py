@@ -87,6 +87,16 @@ class TestInverseDerivative:
             assert np.all(np.diff(d)[distinct] > 0.0)  # catalog is strict
 
 
+class TestSecondDerivative:
+    def test_matches_central_difference_of_the_derivative(self):
+        rng = np.random.default_rng(4)
+        h = 1e-5
+        for gen in generator_catalog().values():
+            x = _domain_sample(gen, rng)
+            diff = (gen.dphi(x + h) - gen.dphi(x - h)) / (2.0 * h)
+            assert np.all(np.abs(gen.d2phi(x) - diff) <= 1e-6 * (1.0 + np.abs(diff))), gen.name
+
+
 class TestDistortionWeight:
     def test_identity_weight_one(self):
         d = identity_distortion()

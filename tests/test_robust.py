@@ -303,6 +303,20 @@ def two_phase_calibrate(gen, ref_nodes, weight, eps, tol=1e-8):
     return (lam, div, bool(abs(div - eps) <= tol * eps)), len(seen)
 
 
+def recorded_probes(monkeypatch):
+    """The list of multipliers the calibration passes to perturbed_nodes,
+    filled in as it runs."""
+    calls = []
+    original = perturbed_nodes
+
+    def recorded(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("mkdiv.robust.perturbed_nodes", recorded)
+    return calls
+
+
 CALIBRATION_REFS = [Uniform(0.5, 1.5), LogNormal(0.0, 0.25), Exponential(1.2)]
 CALIBRATION_M = 2000
 
@@ -429,9 +443,11 @@ class TestCalibration:
     )
     @pytest.mark.parametrize("name", ["exp", "xlogx"])
     def test_one_search_matches_two_phase_search(self, name, bench, eps, monkeypatch):
-        # every case probes an infeasible multiplier; for exp, lam* lies on
-        # the feasibility boundary, where the two-phase search spends 52
-        # evaluations: Brent's bisection steps take the same path
+        # for exp, lam* lies on the feasibility boundary: the Newton start is
+        # infeasible and hands over at once, and the bracket search then
+        # takes the two-phase search's 52 evaluations (Brent's bisection
+        # steps take the same path); for xlogx, Newton steps from the
+        # small-budget multiplier meet the residual stop in fewer
         m = 20_000
         nodes = quantile_grid(bench, m, 1e-7).nodes
         weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m, 1e-7))
@@ -450,11 +466,73 @@ class TestCalibration:
 
         monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted)
         result = calibrate_lambda(gen, nodes, weight, eps)
-        assert repr(result[:3]) == repr(expected)
-        assert len(calls) == evals
-        assert infeasible
+        assert len(set(calls)) == len(calls)
         if name == "exp":
-            assert evals == 52 and not result[2]
+            assert repr(result[:3]) == repr(expected)
+            assert evals == 52 and len(calls) == 53 and not result[2]
+            assert infeasible[0] == calls[0]
+        else:
+            lam, div, binding, _ = result
+            assert lam == pytest.approx(expected[0], rel=5e-14)
+            assert abs(math.log(div) - math.log(eps)) <= 1e-13
+            assert binding and len(calls) < evals
+
+    def test_newton_sweep_meets_the_residual_stop(self, monkeypatch):
+        # every binding case stops on |log div - log eps| <= 1e-13 with lam
+        # within 5e-14 of the two-phase search's, in fewer evaluations overall
+        calls = recorded_probes(monkeypatch)
+        binding, newton_evals, two_phase_evals = 0, 0, 0
+        for ref in (Uniform(0.5, 1.5), Exponential(1.0), LogNormal(0.0, 0.5)):
+            grid = quantile_grid(ref, CALIBRATION_M, 1e-7)
+            weights = (
+                dual_power(2.0).gamma(grid.u),
+                tvar_distortion(0.9).gamma(grid.u),
+                MarketSpec(Exponential(1.0)).neg_weight(grid.u),
+            )
+            for gen in generator_catalog().values():
+                for weight in weights:
+                    for eps in (0.02, 0.3):
+                        (lam_ref, _, bind_ref), evals = two_phase_calibrate(
+                            gen, grid.nodes, weight, eps
+                        )
+                        calls.clear()
+                        lam, div, bind, _ = calibrate_lambda(gen, grid.nodes, weight, eps)
+                        assert len(set(calls)) == len(calls)
+                        if not bind_ref:  # exp on the feasibility boundary
+                            continue
+                        assert bind
+                        assert lam == pytest.approx(lam_ref, rel=5e-14)
+                        assert abs(math.log(div) - math.log(eps)) <= 1e-13
+                        binding += 1
+                        newton_evals += len(calls)
+                        two_phase_evals += evals
+        assert binding == 69  # all but three exp/payoff boundary cases
+        assert newton_evals < two_phase_evals
+
+    @pytest.mark.parametrize("kind", ["worst-case", "payoff"])
+    def test_analytic_reductions_calibrate_in_one_evaluation(self, kind, monkeypatch):
+        # for the quadratic generator the small-budget multiplier is exact
+        calls = recorded_probes(monkeypatch)
+        if kind == "worst-case":
+            sol = solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 0.03)
+            assert sol.lambda_star == pytest.approx(10.0 / 3.0, abs=1e-6)
+        else:
+            sol = cheapest_payoff(quadratic(), Uniform(0, 1), MarketSpec(Uniform(0.0, 1.0)),
+                                  1.0 / 48.0)
+            assert sol.lambda_star == pytest.approx(2.0, abs=1e-6)
+        assert len(calls) == 1 and sol.binding
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (math.nan, "needs a finite tol, got tol=nan"),
+            (math.inf, "needs a finite tol, got tol=inf"),
+            (-1e-8, "needs a non-negative tol, got tol=-1e-08"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, tol, message):
+        with pytest.raises(DomainError, match=message):
+            solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 0.03, m=100, tol=tol)
 
     def test_binding_is_relative_to_the_budget(self):
         # the boundary case above stops at divergence 0.0117 for eps = 0.02;

@@ -203,6 +203,7 @@ class TestReductions:
             name="abs",
             phi=lambda x: x + 0.0,
             dphi=lambda x: np.ones_like(x),
+            d2phi=lambda x: np.zeros_like(x),
             inv_dphi_fn=lambda y: y,
             strictly_convex=False,
         )

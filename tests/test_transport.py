@@ -1,11 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import mkdiv.transport
+import mkdiv
 from mkdiv import (
     COMONOTONIC,
     BregmanScore,
@@ -382,19 +386,48 @@ def test_exact_merge_matches_lp_oracle(k, n1, n2, data):
 
 class TestCertification:
     def test_one_assignment_solve_per_instance(self, monkeypatch):
+        # the oracle imports the solver from scipy.optimize at each call
+        import scipy.optimize
+
         calls = []
-        original = mkdiv.transport.linear_sum_assignment
+        original = scipy.optimize.linear_sum_assignment
 
         def counted(cost):
             calls.append(cost.shape)
             return original(cost)
 
-        monkeypatch.setattr("mkdiv.transport.linear_sum_assignment", counted)
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", counted)
         for s in certify_scores():
             calls.clear()
             result = certify_optimal_coupling(s, instances=5, n_min=6, n_max=12, seed=3)
             assert result.passed
             assert len(calls) == 5
+
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (np.nan, "needs a finite tolerance, got tolerance=nan"),
+            (np.inf, "needs a finite tolerance, got tolerance=inf"),
+            (-1.0, "needs a non-negative tolerance, got tolerance=-1.0"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance, message):
+        with pytest.raises(DomainError, match=message):
+            certify_optimal_coupling(GPLScore(0.7), instances=2, tolerance=tolerance)
+
+
+def test_scipy_optimize_loads_with_the_first_oracle_call():
+    script = (
+        "import sys, mkdiv, mkdiv.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "mkdiv.oracle_optimal(mkdiv.GPLScore(0.7), [0.0, 1.0], [2.0, 3.0])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(mkdiv.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env=env)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class TestCouplingValue:
