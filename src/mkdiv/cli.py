@@ -37,7 +37,7 @@ import numpy as np
 from . import specs
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
-from .numerics import _DEFAULT_DELTA, _DEFAULT_M, _check_tolerance
+from .numerics import _DEFAULT_M, _check_tolerance
 from .payoff import cheapest_payoff
 from .robust import solve_worst_case
 from .transport import certify_optimal_coupling, mk_divergence
@@ -64,6 +64,11 @@ def _emit(obj, out: list):
         if not np.isfinite(x):
             raise MkdivError(f"non-finite value in JSON output: {x}")
         out.append(format(x, ".17g"))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
+        bad = np.flatnonzero(~np.isfinite(obj))
+        if bad.size:
+            raise MkdivError(f"non-finite value in JSON output: {float(obj[bad[0]])}")
+        out.append("[" + ",".join(map("{:.17g}".format, obj.tolist())) + "]")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -103,12 +108,12 @@ def _cmd_divergence(args):
     score = specs.parse_score(args.score)
     f1 = specs.parse_distribution(args.from_spec)
     f2 = specs.parse_distribution(args.to_spec)
-    value = mk_divergence(score, f1, f2, m=args.grid_m, delta=args.delta)
+    value = mk_divergence(score, f1, f2, m=args.grid_m)
     return {
         "value": value,
         "coupling": score.coupling,
         "score": specs.render_score(score),
-        "grid": {"M": args.grid_m, "delta": args.delta},
+        "grid": {"M": args.grid_m},
     }, None
 
 
@@ -131,9 +136,7 @@ def _cmd_worst_case(args):
     gen = specs.parse_generator(args.phi)
     d = specs.parse_distortion(args.distortion)
     ref = specs.parse_distribution(args.ref)
-    sol = solve_worst_case(
-        gen, d, ref, args.eps, m=args.grid_m, delta=args.delta, tol=args.tol
-    )
+    sol = solve_worst_case(gen, d, ref, args.eps, m=args.grid_m, tol=args.tol)
     return sol.to_json_dict(), sol.worst_quantile if args.format == "csv" else None
 
 
@@ -141,9 +144,7 @@ def _cmd_payoff(args):
     gen = specs.parse_generator(args.phi)
     benchmark = specs.parse_distribution(args.benchmark)
     market = specs.parse_market(args.market)
-    sol = cheapest_payoff(
-        gen, benchmark, market, args.eps, m=args.grid_m, delta=args.delta, tol=args.tol
-    )
+    sol = cheapest_payoff(gen, benchmark, market, args.eps, m=args.grid_m, tol=args.tol)
     return sol.to_json_dict(), sol.payoff_quantile if args.format == "csv" else None
 
 
@@ -156,10 +157,8 @@ def _cmd_elicit_check(args):
     # a bound that is not given defaults to one unit beyond the 0.1% tail
     z_lo = float(dist.quantile(0.001)) - 1.0 if args.z_lo is None else args.z_lo
     z_hi = float(dist.quantile(0.999)) + 1.0 if args.z_hi is None else args.z_hi
-    direct = functional.evaluate(dist, m=m, delta=args.delta)
-    indirect = argmin_expected_score(
-        score, dist, z_lo, z_hi, steps=args.steps, m=m, delta=args.delta
-    )
+    direct = functional.evaluate(dist, m=m)
+    indirect = argmin_expected_score(score, dist, z_lo, z_hi, steps=args.steps, m=m)
     deviation = abs(direct - indirect)
     return {
         "functional": specs.render_functional(functional),
@@ -191,9 +190,6 @@ def _cmd_axioms(args):
 def _add_grid(parser):
     parser.add_argument("--grid-m", type=int, default=_DEFAULT_M,
                         help="u-grid size (default %(default)s)")
-    parser.add_argument("--delta", type=float, default=_DEFAULT_DELTA,
-                        help="declared tail level, checked to lie in [0, 0.5/m); "
-                        "the midpoint nodes never reach it (default %(default)s)")
 
 
 def _add_solver(parser):
@@ -280,8 +276,11 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0  # --help exits 0, a usage error 1
     try:
-        # each _cmd_* returns its payload and the curve --format csv asks for
-        payload, curve = args.func(args)
+        # each _cmd_* returns its payload and the curve --format csv asks for;
+        # a non-finite intermediate ends in an MkdivError, so NumPy's warnings
+        # about it would only precede the JSON error on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            payload, curve = args.func(args)
         text = canonical_json(payload)
         if args.out is not None:
             _write_artifact(args.out, text, curve)

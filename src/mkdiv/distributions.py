@@ -8,9 +8,11 @@ Every distribution exposes
 * ``mean()``      -- closed form where available, exact for samples,
 
 and all downstream integrals are computed on :class:`QuantileGrid` objects:
-quantile values at the midpoint nodes ``u_i = (i - 1/2) / m``.  The grid's
-tail level ``delta`` is checked (``0 <= delta < 0.5/m``) and reported; the
-nodes lie inside ``[delta, 1 - delta]`` and delta moves none of them.
+non-decreasing quantile values at the midpoint nodes ``u_i = (i - 1/2) / m``.
+A grid is its nodes: ``m`` is their count, and a decreasing node is an error,
+never repaired.  :func:`quantile_grid` still takes a tail level ``delta``,
+checked (``0 <= delta < 0.5/m``) and then unused, since the nodes lie inside
+``[delta, 1 - delta]`` for every accepted value.
 
 Objects are immutable after construction; every method is pure and safe for
 concurrent reads.
@@ -33,7 +35,6 @@ from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
     _check_finite,
-    _check_grid,
     first_outside,
     midpoint_u,
     pairwise_mean,
@@ -277,40 +278,46 @@ def from_samples(values, source_path: str | None = None) -> Empirical:
 class QuantileGrid:
     """Discretized quantile function on the midpoint u-grid.
 
-    ``nodes[i]`` holds the quantile at ``u_i = (i - 1/2) / m``; ``(m, delta)``
-    passes the grid check of :func:`~mkdiv.numerics.midpoint_u`, and
-    ``delta`` is reported, not applied.  Nodes are validated to be
-    non-decreasing; dips below resolution (1e-9 relative) are treated as
-    float dust and removed by a running maximum, anything larger is an error.
+    ``nodes[i]`` holds the quantile at ``u_i = (i - 1/2) / m``, where ``m``
+    is the number of nodes.  The nodes must form a 1-D array of at least two
+    entries that never decreases; the first decrease raises a DomainError
+    naming its index.  The grid keeps a read-only view of the array it is
+    given.
     """
 
     nodes: np.ndarray
-    m: int
-    delta: float = 0.0
 
     def __post_init__(self):
-        _check_grid(self.m, self.delta)
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size != self.m:
-            raise DomainError("grid nodes must be a 1-D array of length m")
-        scale = 1.0 + float(np.max(np.abs(nodes)))
-        if np.any(np.diff(nodes) < -1e-9 * scale):
-            raise DomainError("grid nodes are not non-decreasing")
-        nodes = np.maximum.accumulate(nodes)
+        nodes = np.asarray(self.nodes, dtype=float).view()
+        if nodes.ndim != 1 or nodes.size < 2:
+            raise DomainError(
+                f"grid nodes must be a 1-D array of at least 2 entries, got shape {nodes.shape}"
+            )
+        dips = np.flatnonzero(nodes[1:] < nodes[:-1])
+        if dips.size:
+            i = int(dips[0]) + 1
+            raise DomainError(
+                f"grid nodes must not decrease: node {i} is {float(nodes[i])} "
+                f"after {float(nodes[i - 1])}",
+                index=i,
+            )
+        nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        self.nodes.setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return self.nodes.size
 
     @property
     def u(self) -> np.ndarray:
-        return midpoint_u(self.m, self.delta)
+        return midpoint_u(self.m)
 
 
 def quantile_grid(
     dist: Distribution, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA
 ) -> QuantileGrid:
     """Evaluate ``dist``'s quantile function on the midpoint grid ``(m, delta)``."""
-    u = midpoint_u(m, delta)
-    return QuantileGrid(nodes=dist.quantile(u), m=int(m), delta=delta)
+    return QuantileGrid(nodes=dist.quantile(midpoint_u(m, delta)))
 
 
 def read_value_csv(path) -> list[float]:

@@ -413,48 +413,36 @@ def check_axioms(
     def T(sample):
         return functional.evaluate(from_samples(sample))
 
-    translation = _worst(
-        (
-            (abs(T(x + m) - (T(x) + m)), {"pair": k, "shift": m})
-            for k, (x, _) in enumerate(pairs)
-            for m in shifts
-        ),
-        tol,
-        "translation_invariance",
+    rows = [(x, y, T(x), T(y)) for x, y in pairs]  # T[X] and T[Y] once per pair
+    # (axiom, witness key, parameters, violation at one row and parameter)
+    table = (
+        ("translation_invariance", "shift", shifts,
+         lambda x, y, tx, ty, m: abs(T(x + m) - (tx + m))),
+        ("positive_homogeneity", "scale", scales,
+         lambda x, y, tx, ty, s: abs(T(s * x) - s * tx)),
+        ("convexity", "mix", mixes,
+         lambda x, y, tx, ty, lam: T(lam * x + (1.0 - lam) * y)
+         - (lam * tx + (1.0 - lam) * ty)),
     )
-    homogeneity = _worst(
-        (
-            (abs(T(s * x) - s * T(x)), {"pair": k, "scale": s})
-            for k, (x, _) in enumerate(pairs)
-            for s in scales
-        ),
-        tol,
-        "positive_homogeneity",
-    )
-    convexity = _worst(
-        (
-            (
-                T(lam * x + (1.0 - lam) * y) - (lam * T(x) + (1.0 - lam) * T(y)),
-                {"pair": k, "mix": lam},
-            )
-            for k, (x, y) in enumerate(pairs)
-            for lam in mixes
-        ),
-        tol,
-        "convexity",
-    )
+    checks = [
+        _worst(
+            ((violation(*row, p), {"pair": k, key: p})
+             for k, row in enumerate(rows) for p in params),
+            tol,
+            name,
+        )
+        for name, key, params, violation in table
+    ]
     monotonicity = _worst(
-        (
-            (T(np.minimum(x, y)) - T(np.maximum(x, y)), {"pair": k})
-            for k, (x, y) in enumerate(pairs)
-        ),
+        ((T(np.minimum(x, y)) - T(np.maximum(x, y)), {"pair": k})
+         for k, (x, y, _, _) in enumerate(rows)),
         tol,
         "monotonicity",
     )
     return AxiomReport(
         functional=functional.describe(),
         tol=tol,
-        checks=(translation, homogeneity, convexity, monotonicity),
+        checks=(*checks, monotonicity),
     )
 
 

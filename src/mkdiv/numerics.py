@@ -83,9 +83,10 @@ def pairwise_mean(values) -> float:
     return pairwise_sum(a) / a.size
 
 
-# The default grid: _DEFAULT_M midpoint nodes, declared tail level _DEFAULT_DELTA.
+# The default grid: _DEFAULT_M midpoint nodes; the default tail level 0 passes
+# the delta check at every m.
 _DEFAULT_M = 10_000
-_DEFAULT_DELTA = 1e-7
+_DEFAULT_DELTA = 0.0
 
 
 def _check_grid(m, delta) -> None:

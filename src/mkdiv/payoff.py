@@ -93,11 +93,7 @@ class PayoffSolution:
             "binding": self.binding,
             "nonneg_violation": self.nonneg_violation,
             "divergence_at_solution": self.divergence_at_solution,
-            "truncation_delta": self.payoff_quantile.delta,
-            "grid": {
-                "M": self.payoff_quantile.m,
-                "nodes": [float(v) for v in self.payoff_quantile.nodes],
-            },
+            "grid": {"M": self.payoff_quantile.m, "nodes": self.payoff_quantile.nodes},
         }
 
 
@@ -114,7 +110,7 @@ def cheapest_payoff(
     the benchmark; the multiplier is calibrated exactly as in the worst-case
     solver, with the signed spd weight.  ``binding`` reports
     ``|divergence_at_solution - eps| <= tol * eps``."""
-    lam, div, binding, weight, nodes, curve = _calibrated_curve(
+    lam, div, binding, weight, curve = _calibrated_curve(
         gen, benchmark, market.neg_weight, eps, m, delta, tol
     )
     return PayoffSolution(
@@ -124,5 +120,5 @@ def cheapest_payoff(
         divergence_at_solution=div,
         epsilon=eps,
         binding=binding,
-        nonneg_violation=bool(np.any(nodes < 0.0)),
+        nonneg_violation=bool(np.any(curve.nodes < 0.0)),
     )

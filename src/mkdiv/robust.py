@@ -311,12 +311,11 @@ def calibrate_lambda(
 def _calibrated_curve(gen, ref, weight_of, eps, m, delta, tol):
     """The path both solvers share: the grid of ``ref``, the weight
     ``weight_of(u)`` on it, and the calibration.  Returns ``(lam, divergence,
-    binding, weight, nodes, QuantileGrid(nodes))``."""
+    binding, weight, QuantileGrid(nodes))``."""
     grid = quantile_grid(ref, m, delta)
     weight = np.asarray(weight_of(grid.u), dtype=float)
     lam, div, binding, nodes = calibrate_lambda(gen, grid.nodes, weight, eps, tol)
-    curve = QuantileGrid(nodes=nodes, m=m, delta=delta)
-    return lam, div, binding, weight, nodes, curve
+    return lam, div, binding, weight, QuantileGrid(nodes=nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,11 +336,7 @@ class WorstCaseSolution:
             "epsilon": self.epsilon,
             "binding": self.binding,
             "divergence_at_solution": self.divergence_at_solution,
-            "truncation_delta": self.worst_quantile.delta,
-            "grid": {
-                "M": self.worst_quantile.m,
-                "nodes": [float(v) for v in self.worst_quantile.nodes],
-            },
+            "grid": {"M": self.worst_quantile.m, "nodes": self.worst_quantile.nodes},
         }
 
 
@@ -375,7 +370,7 @@ def solve_worst_case(
             UniquenessWarning,
             stacklevel=2,
         )
-    lam, div, binding, weight, _, worst = _calibrated_curve(
+    lam, div, binding, weight, worst = _calibrated_curve(
         gen, ref, d.gamma, eps, m, delta, tol
     )
     return WorstCaseSolution(

@@ -141,12 +141,13 @@ def mk_divergence(
     """Divergence from ``f1`` to ``f2`` via the score's claimed coupling.
 
     Two empirical inputs are evaluated exactly at any sizes, on the merged
-    breakpoints of their step quantile functions; ``m`` and ``delta`` set
-    the midpoint grid for all other inputs and do not affect empirical
-    pairs.  The result is non-negative; finite negative float dust from
-    cancellation is clamped to zero.  A NaN or -inf sum, as from an
-    overflowing score, raises :class:`MomentError`.  A domain violation of
-    the score propagates with the u-node of the entry its check rejected.
+    breakpoints of their step quantile functions; ``m`` sets the midpoint
+    grid (``delta`` is only checked against it) for all other inputs and
+    does not affect empirical pairs.  The result is non-negative; finite
+    negative float dust from cancellation is clamped to zero.  A NaN or -inf
+    sum, as from an overflowing score, raises :class:`MomentError`.  A domain
+    violation of the score propagates with the u-node of the entry its check
+    rejected.
     """
     q1, q2, counts, total, u = _paired_quantiles(f1, f2, score.coupling, m, delta)
     try:

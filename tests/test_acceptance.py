@@ -205,9 +205,9 @@ def test_criterion_5_cheapest_payoff_analytic_reduction():
 
         # structural identity with the worst-case engine under the signed
         # weight gamma(u) = -Q_xi(1 - u)
-        m, delta = sol.payoff_quantile.m, sol.payoff_quantile.delta
-        grid = quantile_grid(bench, m, delta)
-        weight = -market.spd.quantile(1.0 - midpoint_u(m, delta))
+        m = sol.payoff_quantile.m
+        grid = quantile_grid(bench, m)
+        weight = -market.spd.quantile(1.0 - midpoint_u(m))
         manual = perturbed_nodes(quadratic(), grid.nodes, weight, sol.lambda_star)
         assert np.max(np.abs(manual - sol.payoff_quantile.nodes)) <= 1e-12
 

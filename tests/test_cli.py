@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mkdiv
 from mkdiv.cli import build_parser, canonical_json, main
+from mkdiv.errors import MkdivError
 
 
 def run_cli(argv):
@@ -36,6 +38,28 @@ class TestCanonicalJson:
     def test_nested(self):
         assert canonical_json({"g": {"M": 4, "v": [1.5, 2]}}) == '{"g":{"M":4,"v":[1.5,2]}}'
 
+    def test_float_array_renders_as_its_elements(self):
+        nodes = np.random.default_rng(0).normal(size=10_000) * np.logspace(-300, 300, 10_000)
+        nodes[[0, 17, 9999]] = [-0.0, 0.0, 1.0 / 3.0]
+        want = "[" + ",".join(format(float(x), ".17g") for x in nodes) + "]"
+        assert "-0," in want
+        assert canonical_json(nodes) == want
+        assert canonical_json({"nodes": nodes}) == '{"nodes":' + want + "}"
+
+    def test_solutions_hand_over_their_node_arrays(self):
+        worst = mkdiv.solve_worst_case(mkdiv.quadratic(), mkdiv.dual_power(2.0),
+                                       mkdiv.Uniform(0, 1), 0.03, m=64)
+        assert worst.to_json_dict()["grid"]["nodes"] is worst.worst_quantile.nodes
+        market = mkdiv.MarketSpec(mkdiv.Uniform(0, 1))
+        pay = mkdiv.cheapest_payoff(mkdiv.quadratic(), mkdiv.Uniform(0, 1), market, 0.02, m=64)
+        assert pay.to_json_dict()["grid"]["nodes"] is pay.payoff_quantile.nodes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_entry_is_named(self, bad):
+        nodes = np.array([0.0, 1.0, bad, np.nan])
+        with pytest.raises(MkdivError, match=f"non-finite value in JSON output: {bad}$"):
+            canonical_json({"nodes": nodes})
+
 
 class TestDivergence:
     def test_hand_value(self, csv_pair):
@@ -53,7 +77,8 @@ class TestDivergence:
         assert payload["value"] == 4.0
         assert payload["coupling"] == "comonotonic"
         assert payload["score"] == "score:bregman,phi=quadratic"
-        assert payload["grid"]["M"] == 10000
+        assert payload["grid"] == {"M": 10000}
+        assert set(payload) == {"value", "coupling", "score", "grid"}
 
     def test_bad_spec_exits_one(self, csv_pair):
         a, b = csv_pair
@@ -68,7 +93,7 @@ class TestDivergence:
         assert code == 1
         assert "nonsense" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("grid", [["--grid-m", "10", "--delta", "0.3"], ["--grid-m", "1"]])
+    @pytest.mark.parametrize("grid", [["--grid-m", "0"], ["--grid-m", "1"]])
     def test_invalid_grid_exits_one_as_elicit_check_does(self, grid):
         divergence = run_cli(["divergence", "--score", "score:gpl,alpha=0.9",
                               "--from", "uniform:a=0,b=1", "--to", "normal:mu=1,sigma=2", *grid])
@@ -132,6 +157,9 @@ class TestWorstCase:
         assert payload["lambda_star"] == pytest.approx(10.0 / 3.0, abs=1e-6)
         assert payload["binding"] is True
         assert len(payload["grid"]["nodes"]) == payload["grid"]["M"]
+        assert set(payload) == {"lambda_star", "worst_value", "epsilon", "binding",
+                                "divergence_at_solution", "grid"}
+        assert set(payload["grid"]) == {"M", "nodes"}
 
     def test_repeat_is_byte_identical(self):
         _, out1, _ = run_cli(self.ARGS)
@@ -165,6 +193,9 @@ class TestPayoff:
         assert payload["lambda_star"] == pytest.approx(2.0, abs=1e-6)
         assert payload["cost"] == pytest.approx(1.0 / 12.0, abs=1e-5)
         assert payload["nonneg_violation"] is True
+        assert set(payload) == {"lambda_star", "cost", "epsilon", "binding",
+                                "nonneg_violation", "divergence_at_solution", "grid"}
+        assert set(payload["grid"]) == {"M", "nodes"}
 
 
 class TestElicitCheck:
@@ -231,6 +262,28 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 0.0
 
+    def test_stderr_is_one_json_error(self):
+        # the top quantile nodes overflow to inf on the way to a NaN sum
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mkdiv.cli",
+                "divergence",
+                "--score", "score:bregman,phi=quadratic",
+                "--from", "lognormal:mu=0,sigma=300",
+                "--to", "lognormal:mu=0,sigma=300",
+                "--grid-m", "1000",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(Path(mkdiv.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+            )},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "divergence is undefined: the score values sum to nan"
+        }
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -248,6 +301,11 @@ class TestUsage:
     def test_flag_the_subcommand_does_not_read_exits_one(self, argv, capsys):
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["divergence", "worst-case", "payoff", "elicit-check"])
+    def test_delta_is_a_usage_error(self, command, capsys):
+        assert main([command, *WALK_ARGS[command], "--delta", "0"]) == 1
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",

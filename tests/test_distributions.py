@@ -9,12 +9,13 @@ from mkdiv import (
     LogNormal,
     Normal,
     PointMass,
+    QuantileGrid,
     Uniform,
     from_samples,
     quantile_grid,
     read_value_csv,
 )
-from mkdiv.numerics import pairwise_mean
+from mkdiv.numerics import _DEFAULT_DELTA, _check_grid, pairwise_mean
 
 # Inverse standard-normal cdf at selected levels, computed beforehand with
 # 50-digit series evaluation (mpmath); frozen as the oracle for the rational
@@ -131,6 +132,32 @@ class TestQuantileGrid:
             quantile_grid(Uniform(0, 1), m=10, delta=0.2)  # delta >= 1/(2m)
         with pytest.raises(DomainError):
             quantile_grid(Uniform(0, 1), m=4, delta=0.2)  # no longer clips u_1 = 0.125
+
+    def test_default_delta_admits_every_m(self):
+        _check_grid(10**12, _DEFAULT_DELTA)
+
+    def test_grid_is_its_nodes(self):
+        g = QuantileGrid(nodes=[0.0, 1.0, 1.0, 2.5])
+        assert g.m == 4
+        np.testing.assert_array_equal(g.u, [0.125, 0.375, 0.625, 0.875])
+
+    def test_tiny_dip_raises_naming_the_node(self):
+        nodes = np.linspace(0.0, 1.0, 100)
+        nodes[37] = nodes[36] - 1e-12
+        with pytest.raises(DomainError, match="node 37") as exc:
+            QuantileGrid(nodes=nodes)
+        assert exc.value.index == 37
+
+    @pytest.mark.parametrize("nodes", [[1.0], [], [[0.0, 1.0], [2.0, 3.0]]])
+    def test_shape_errors(self, nodes):
+        with pytest.raises(DomainError, match="1-D array of at least 2 entries"):
+            QuantileGrid(nodes=nodes)
+
+    def test_read_only_view_leaves_the_callers_array_writable(self):
+        nodes = np.array([0.0, 1.0, 2.0])
+        g = QuantileGrid(nodes=nodes)
+        assert g.nodes.base is nodes
+        assert not g.nodes.flags.writeable and nodes.flags.writeable
 
 
 class TestInvariants:

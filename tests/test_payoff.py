@@ -40,7 +40,7 @@ class TestPayoffCost:
 
     def test_constant_payoff_prices_at_mean(self):
         c = 2.5
-        g = QuantileGrid(nodes=np.full(1000, c), m=1000, delta=0.0)
+        g = QuantileGrid(nodes=np.full(1000, c))
         market = MarketSpec(LogNormal(0.0, 0.2))
         assert payoff_cost(market, g) == pytest.approx(
             c * market.spd.mean(), abs=1e-4
@@ -99,9 +99,9 @@ class TestCheapestPayoff:
         bench = Normal(1.0, 0.5)
         eps = 0.01
         sol = cheapest_payoff(quadratic(), bench, market, eps)
-        m, delta = sol.payoff_quantile.m, sol.payoff_quantile.delta
-        grid = quantile_grid(bench, m, delta)
-        weight = -market.spd.quantile(1.0 - midpoint_u(m, delta))
+        m = sol.payoff_quantile.m
+        grid = quantile_grid(bench, m)
+        weight = -market.spd.quantile(1.0 - midpoint_u(m))
         manual = perturbed_nodes(quadratic(), grid.nodes, weight, sol.lambda_star)
         assert np.max(np.abs(manual - sol.payoff_quantile.nodes)) <= 1e-12
 
