@@ -14,6 +14,8 @@ significant digits.  A fixed seed therefore yields byte-identical output.
 
 Exit status: 0 on success (and for ``--help``), 1 on usage, domain or
 configuration errors, 2 when a verification deviates beyond tolerance.
+stderr holds only JSON lines: the ``{"error": ...}`` object of a failed run,
+or one ``{"warning": ...}`` object per warning of a successful one.
 Each subcommand takes only the flags it reads; ``--out FILE`` also writes
 the JSON payload to a file, and on ``worst-case`` and ``payoff``
 ``--format csv`` writes the quantile curve there instead.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -278,8 +281,11 @@ def main(argv=None, out=None, err=None) -> int:
     try:
         # each _cmd_* returns its payload and the curve --format csv asks for;
         # a non-finite intermediate ends in an MkdivError, so NumPy's warnings
-        # about it would only precede the JSON error on stderr
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # about it would only precede the JSON error on stderr.  Other warnings
+        # are held back: a failed run reports only its error, a successful one
+        # each warning as a JSON line after the payload
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             payload, curve = args.func(args)
         text = canonical_json(payload)
         if args.out is not None:
@@ -288,6 +294,8 @@ def main(argv=None, out=None, err=None) -> int:
     except MkdivError as exc:
         print(canonical_json({"error": str(exc)}), file=err)
         return 1
+    for w in caught:
+        print(canonical_json({"warning": str(w.message)}), file=err)
     return 0 if payload.get("passed", True) else 2  # verify and elicit-check pass or fail
 
 

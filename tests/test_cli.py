@@ -1,10 +1,6 @@
 import argparse
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,49 +236,60 @@ class TestAxioms:
         assert out1 == out2
 
 
+TVAR_WORST_CASE = ["worst-case", "--distortion", "distortion:tvar,alpha=0.9",
+                   "--ref", "normal:mu=0,sigma=1", "--eps", "0.02", "--grid-m", "100"]
+TVAR_WARNING = {
+    "warning": "distortion 'tvar' is not strictly concave; the solution may not be unique"
+}
+
+
 class TestConsoleEntry:
-    def test_module_invocation(self, tmp_path):
+    def test_module_invocation(self, tmp_path, run_python):
         a = tmp_path / "a.csv"
         a.write_text("1\n2\n")
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "mkdiv.cli",
-                "divergence",
-                "--score", "score:bregman,phi=quadratic",
-                "--from", f"empirical:path={a}",
-                "--to", f"empirical:path={a}",
-            ],
-            capture_output=True,
-            text=True,
-            # the child imports the same mkdiv as this suite, installed or not
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                [str(Path(mkdiv.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-            )},
+        proc = run_python(
+            "-m", "mkdiv.cli", "divergence",
+            "--score", "score:bregman,phi=quadratic",
+            "--from", f"empirical:path={a}",
+            "--to", f"empirical:path={a}",
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 0.0
 
-    def test_stderr_is_one_json_error(self):
+    def test_stderr_is_one_json_error(self, run_python):
         # the top quantile nodes overflow to inf on the way to a NaN sum
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "mkdiv.cli",
-                "divergence",
-                "--score", "score:bregman,phi=quadratic",
-                "--from", "lognormal:mu=0,sigma=300",
-                "--to", "lognormal:mu=0,sigma=300",
-                "--grid-m", "1000",
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                [str(Path(mkdiv.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-            )},
+        proc = run_python(
+            "-m", "mkdiv.cli", "divergence",
+            "--score", "score:bregman,phi=quadratic",
+            "--from", "lognormal:mu=0,sigma=300",
+            "--to", "lognormal:mu=0,sigma=300",
+            "--grid-m", "1000",
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert json.loads(proc.stderr) == {
             "error": "divergence is undefined: the score values sum to nan"
         }
+
+    def test_a_failed_warned_solve_prints_only_its_error(self, run_python):
+        # xlogx has no room for the negative nodes of Normal(0, 1)
+        proc = run_python("-m", "mkdiv.cli", *TVAR_WORST_CASE, "--phi", "phi:xlogx")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {
+            "error": "second Bregman argument outside the domain (0.0, inf) "
+            "of generator 'xlogx'"
+        }
+
+    def test_a_warned_solve_prints_each_warning_as_json(self, run_python):
+        proc = run_python("-m", "mkdiv.cli", *TVAR_WORST_CASE, "--phi", "phi:quadratic")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["binding"] is True
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [TVAR_WARNING]
+
+    def test_in_process_runs_report_their_warning_each_time(self):
+        for _ in range(2):
+            code, out, err = run_cli([*TVAR_WORST_CASE, "--phi", "phi:quadratic"])
+            assert code == 0 and out
+            assert json.loads(err) == TVAR_WARNING
 
 
 class TestUsage:

@@ -15,6 +15,7 @@ from mkdiv import (
     quantile_grid,
     read_value_csv,
 )
+from mkdiv.distributions import _EXP_M2, _ndtr, _ndtri
 from mkdiv.numerics import _DEFAULT_DELTA, _check_grid, pairwise_mean
 
 # Inverse standard-normal cdf at selected levels, computed beforehand with
@@ -84,6 +85,75 @@ class TestCdf:
     def test_lognormal_zero_below_support(self):
         assert LogNormal(0, 1).cdf(-1.0) == 0.0
         assert LogNormal(0, 1).cdf(0.0) == 0.0
+
+
+class TestProbit:
+    """The Cephes port behind Normal and LogNormal, certified against mpmath
+    and compared with scipy.special, which the library itself never loads."""
+
+    @staticmethod
+    def probit(u):
+        # one Halley step on Phi(x) = u from the port's value: its 1e-15
+        # relative start leaves an error near 1e-45, far below the bound
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(340):
+            u = mpmath.mpf(float(u))
+            x = mpmath.mpf(float(_ndtri(float(u))))
+            f = (mpmath.ncdf(x) - u) / mpmath.npdf(x)
+            return float(x - f / (1 + x * f / 2))
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            np.logspace(-300, -1, 61),
+            np.linspace(_EXP_M2, 1.0 - _EXP_M2, 41)[1:],
+            1.0 - 10.0 ** -np.arange(1, 17),
+        ],
+        ids=["lower-tail", "central", "upper-tail"],
+    )
+    def test_within_1e_15_of_mpmath(self, levels):
+        exact = np.array([self.probit(u) for u in levels])
+        err = np.abs(_ndtri(levels) - exact)
+        assert np.all(err <= 1e-15 * np.abs(exact))
+
+    def test_central_band_is_scipys_bit_for_bit(self):
+        # the band uses no log, only + - * / in Cephes' order
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        lo, hi = np.nextafter(_EXP_M2, 1.0), 1.0 - _EXP_M2
+        u = np.concatenate([[lo, 0.5, hi], np.random.default_rng(5).uniform(lo, hi, 100_000)])
+        np.testing.assert_array_equal(_ndtri(u), ndtri(u))
+
+    def test_tails_within_8_ulp_of_scipy(self):
+        # np.log may differ from the C library's log by an ulp, which moves
+        # s = sqrt(-2 log y) by an ulp: up to 5 ulp of the quantile near the
+        # band edge, where s is in [2, 4) and |x| < 2
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        rng = np.random.default_rng(6)
+        lower = np.concatenate([np.logspace(-300, -1, 3000), rng.uniform(0.0, _EXP_M2, 100_000)])
+        lower = lower[(lower > 0.0) & (lower <= _EXP_M2)]
+        for u in (lower, 1.0 - lower[lower >= 1e-16]):
+            port, ref = _ndtri(u), ndtri(u)
+            assert np.all(np.abs(port - ref) <= 8 * np.spacing(np.abs(ref)))
+
+    def test_ndtr_within_1e_12_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.linspace(-37.0, 8.0, 451)
+        with mpmath.workdps(50):
+            exact = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in x])
+        assert np.all(np.abs(_ndtr(x) - exact) <= 1e-12 * exact)
+
+    def test_ndtr_limits_and_nan(self):
+        np.testing.assert_array_equal(_ndtr([-np.inf, 0.0, np.inf]), [0.0, 0.5, 1.0])
+        assert np.isnan(_ndtr(np.nan))
+
+    @pytest.mark.parametrize("law", [Normal(0.3, 2.0), LogNormal(0.3, 2.0)], ids=repr)
+    def test_return_types(self, law):
+        for scalar in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(law.quantile(scalar)) is float
+            assert type(law.cdf(scalar)) is float
+        u = np.array([[0.1], [0.7]])
+        for out in (law.quantile(u), law.cdf(u)):
+            assert type(out) is np.ndarray and out.shape == (2, 1) and out.dtype == float
 
 
 class TestFromSamples:

@@ -1,15 +1,10 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import mkdiv
 from mkdiv import (
     COMONOTONIC,
     BregmanScore,
@@ -417,18 +412,30 @@ class TestCertification:
             certify_optimal_coupling(GPLScore(0.7), instances=2, tolerance=tolerance)
 
 
-def test_scipy_optimize_loads_with_the_first_oracle_call():
-    script = (
+def test_scipy_optimize_loads_with_the_first_oracle_call(run_python):
+    proc = run_python(
+        "-c",
         "import sys, mkdiv, mkdiv.cli\n"
         "print('scipy.optimize' in sys.modules)\n"
         "mkdiv.oracle_optimal(mkdiv.GPLScore(0.7), [0.0, 1.0], [2.0, 3.0])\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print('scipy.optimize' in sys.modules)\n",
     )
-    src = str(Path(mkdiv.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          check=True, env=env)
-    assert proc.stdout.split() == ["False", "True"]
+    assert (proc.returncode, proc.stdout.split()) == (0, ["False", "True"])
+
+
+def test_normal_laws_and_the_cli_load_no_scipy(run_python):
+    proc = run_python(
+        "-c",
+        "import io, sys, mkdiv, mkdiv.cli\n"
+        "for law in (mkdiv.Normal(0.5, 2.0), mkdiv.LogNormal(0.0, 0.5)):\n"
+        "    mkdiv.quantile_grid(law, 1000)\n"
+        "    law.cdf([0.5, 1.5])\n"
+        "print(mkdiv.cli.main(['divergence', '--score', 'score:bregman,phi=quadratic',\n"
+        "                      '--from', 'normal:mu=0,sigma=1', '--to', 'normal:mu=1,sigma=2'],\n"
+        "                     out=io.StringIO()))\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n",
+    )
+    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "[]"])
 
 
 class TestCouplingValue:
