@@ -38,6 +38,7 @@ import warnings
 import numpy as np
 
 from . import specs
+from .distributions import Empirical, quantile_grid
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
 from .numerics import _DEFAULT_M, _check_tolerance
@@ -160,8 +161,11 @@ def _cmd_elicit_check(args):
     # a bound that is not given defaults to one unit beyond the 0.1% tail
     z_lo = float(dist.quantile(0.001)) - 1.0 if args.z_lo is None else args.z_lo
     z_hi = float(dist.quantile(0.999)) + 1.0 if args.z_hi is None else args.z_hi
-    direct = functional.evaluate(dist, m=m)
-    indirect = argmin_expected_score(score, dist, z_lo, z_hi, steps=args.steps, m=m)
+    # the functional and the argmin both read one law: a parametric law's m
+    # grid atoms, which is what the argmin could score anyway
+    law = dist if isinstance(dist, Empirical) else Empirical(quantile_grid(dist, m).nodes)
+    direct = functional.evaluate(law)
+    indirect = argmin_expected_score(score, law, z_lo, z_hi, steps=args.steps)
     deviation = abs(direct - indirect)
     return {
         "functional": specs.render_functional(functional),

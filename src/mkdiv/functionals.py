@@ -377,23 +377,20 @@ class AxiomReport:
         }
 
 
-def check_axioms(
-    functional: Functional,
-    sample_pairs,
-    shifts=(-1.5, 2.0),
-    scales=(0.5, 2.0),
-    mixes=(0.5,),
-    tol: float = 1e-9,
-) -> AxiomReport:
+# the shifts m, scales s and mixes lam every axiom check tries
+_SHIFTS, _SCALES, _MIXES = (-1.5, 2.0), (0.5, 2.0), (0.5,)
+
+
+def check_axioms(functional: Functional, sample_pairs, tol: float = 1e-9) -> AxiomReport:
     """Empirical risk-measure axiom check on elementwise-coupled sample pairs.
 
     For every pair ``(x, y)`` of equal-length samples the following are
     tested on the induced empirical distributions:
 
-    * translation invariance  T[X + m] = T[X] + m
-    * positive homogeneity    T[s X] = s T[X]
+    * translation invariance  T[X + m] = T[X] + m, for m in (-1.5, 2)
+    * positive homogeneity    T[s X] = s T[X], for s in (0.5, 2)
     * convexity               T[lam X + (1-lam) Y] <= lam T[X] + (1-lam) T[Y],
-      with X, Y coupled elementwise as given
+      for lam = 0.5, with X, Y coupled elementwise as given
     * monotonicity            T[min(X, Y)] <= T[max(X, Y)]
 
     The report carries the worst violation and a witness per failed axiom;
@@ -416,11 +413,11 @@ def check_axioms(
     rows = [(x, y, T(x), T(y)) for x, y in pairs]  # T[X] and T[Y] once per pair
     # (axiom, witness key, parameters, violation at one row and parameter)
     table = (
-        ("translation_invariance", "shift", shifts,
+        ("translation_invariance", "shift", _SHIFTS,
          lambda x, y, tx, ty, m: abs(T(x + m) - (tx + m))),
-        ("positive_homogeneity", "scale", scales,
+        ("positive_homogeneity", "scale", _SCALES,
          lambda x, y, tx, ty, s: abs(T(s * x) - s * tx)),
-        ("convexity", "mix", mixes,
+        ("convexity", "mix", _MIXES,
          lambda x, y, tx, ty, lam: T(lam * x + (1.0 - lam) * y)
          - (lam * tx + (1.0 - lam) * ty)),
     )

@@ -14,10 +14,12 @@ feasible, with slope ``dD/dlam = -lam^-3 * integral of gamma^2 / phi''(G_lam)``.
 :func:`calibrate_lambda` therefore takes Newton steps on
 ``log D - log eps`` over ``log lam``, from the small-budget multiplier
 ``sqrt(integral of gamma^2 / phi''(Q_ref) / (2 eps))`` (exact for the
-quadratic generator).  Where those steps stall or leave the feasible set it
-brackets ``lam*`` and runs one Brent search, whose bisection steps take the
-infinite divergences of infeasible multipliers.  It returns its best probe
-with that probe's curve, which the solver emits.
+quadratic generator), inside the bracket on ``lam*`` that its own probes
+prove, with infeasible multipliers below it.  Where a step is unavailable,
+stalls or would leave the bracket, it bisects the bracket in ``log lam``.  It
+stops once ``|log D - log eps| <= 1e-13`` or once the bracket is narrower
+than 1e-14 relative, and returns its best probe with that probe's curve,
+which the solver emits.
 
 The same path with a signed weight drives the cheapest-payoff solver in
 :mod:`mkdiv.payoff` (the weight there is negative but still increasing);
@@ -39,7 +41,6 @@ from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
     _check_tolerance,
-    brent_root,
     first_outside,
     pairwise_mean,
 )
@@ -54,15 +55,9 @@ __all__ = [
     "calibrate_lambda",
 ]
 
-_BRACKET_LO = 1e-8
-_BRACKET_HI = 1e8
-_EXPAND_DECADES = 4
+_LAM_MIN, _LAM_MAX = 1e-12, 1e12  # the multipliers the search may probe
 _WIDTH_TOL = 1e-14  # stopping width on log lam, relative to 1 + |ends|
-_RESIDUAL_TOL = 1e-13  # Newton stops once |log div - log eps| is this small
-_NEWTON_STEPS = 10
-# Newton iterates stay within the widest bracket, [1e-12, 1e12]
-_LAM_MIN = _BRACKET_LO * 0.1**_EXPAND_DECADES
-_LAM_MAX = _BRACKET_HI * 10.0**_EXPAND_DECADES
+_RESIDUAL_TOL = 1e-13  # the search stops once |log div - log eps| is this small
 
 
 class UniquenessWarning(UserWarning):
@@ -151,42 +146,42 @@ def calibrate_lambda(
     """Find lam with divergence(G_lam, ref) = eps, and the curve G_lam.
 
     The divergence D is decreasing in lam; multipliers that make the formula
-    infeasible behave like an infinite divergence.  The search runs in
-    s = log lam on ``f(s) = log D(e^s) - log eps`` and evaluates no
-    multiplier twice:
+    infeasible behave like an infinite divergence.  One search runs in
+    s = log lam on ``f(s) = log D(e^s) - log eps``, a Newton iteration
+    safeguarded by the bracket ``lo < lam* < hi`` that its own probes prove
+    (Press et al., *Numerical Recipes*, sec. 9.4, "rtsafe"):
 
-    1. Newton steps start from the small-budget multiplier
-       ``lam0 = sqrt(I(ref) / (2 eps))``, where ``I(G)`` is the mean of
-       ``weight^2 / phi''(G)`` over the nodes: expanding the Bregman terms to
-       second order gives ``D ~ I(ref) / (2 lam^2)``, exact for the quadratic
-       generator.  Each step ``s - f / f'(s)`` takes its slope
-       ``f'(s) = -I(G_lam) / (lam^2 D)`` from the curve the evaluation built.
-       They stop once ``|f| <= 1e-13``.
-    2. They hand over to the bracket search below when an iterate is
-       infeasible or has a non-finite divergence, when ``lam0`` or a slope is
-       not finite (quartic phi'' vanishes at 0), when ``|f|`` stops
-       decreasing (at tiny budgets rounding puts a floor under it), when an
-       iterate would leave [1e-12, 1e12], or after ten steps.
-    3. The bracket [1e-8, 1e8] expands geometrically up to four decades each
-       side before a :class:`CalibrationError` reports the achievable
-       divergence range.
-    4. Brent's method drives the probes toward the root of f, which is
-       linear in s for the quadratic generator (D is proportional to
-       lam^-2) and near-linear for the others; it bisects while a residual in
-       use is infinite, and stops once the bracket on s is at most
-       ``1e-14 * (1 + |a| + |b|)`` wide.
+    * It starts from the small-budget multiplier
+      ``lam0 = sqrt(I(ref) / (2 eps))``, where ``I(G)`` is the mean of
+      ``weight^2 / phi''(G)`` over the nodes (a zero weight adds 0):
+      expanding the Bregman terms to second order gives
+      ``D ~ I(ref) / (2 lam^2)``, exact for the quadratic generator.  Where
+      ``I(ref)`` is zero or not finite it starts from lam = 1.
+    * A probe with ``f > 0``, or an infeasible one, becomes ``lo``; one with
+      ``f < 0`` becomes ``hi``.
+    * The next probe is the Newton step ``s - f / f'(s)``, whose slope
+      ``f'(s) = -I(G_lam) / (lam^2 D)`` comes from the curve the probe
+      built, if ``f`` is finite, ``|f|`` fell, ``I(G_lam)`` is finite and
+      positive, and the step lands strictly inside ``(lo, hi)``.  Otherwise
+      it is the midpoint of the bracket in log lam once both ends are known,
+      and a decade beyond the known end before that.  Every probe is clamped
+      to [1e-12, 1e12].
+    * It stops once ``|f| <= 1e-13``, or once both ends are known and
+      ``log hi - log lo <= 1e-14 * (1 + |log lo| + |log hi|)``.  A probe at
+      either end of [1e-12, 1e12] that leaves the bracket open past it
+      raises :class:`CalibrationError` with the range of divergences probed.
 
-    The result is the best probe of both phases: the evaluated multiplier
+    No multiplier is probed twice.  The result is the best probe: the one
     with a finite divergence and the smallest ``|f|`` (the later one on
     ties), with its divergence and its curve.  Only that one curve is kept
     while the search runs.  If ``lam*`` sits on the feasibility boundary of
-    phi', where the divergence jumps to infinity, the best probe is the
-    feasible end of the final bracket: its divergence is at most ``eps``,
-    and ``binding`` is False unless it meets the budget.
+    phi', where the divergence jumps to infinity, the bracket closes on the
+    boundary and the best probe is its feasible end: its divergence is at
+    most ``eps``, and ``binding`` is False unless it meets the budget.
 
     phi(ref), phi'(ref), I(ref) and the domain check of the reference are
-    computed once; each evaluation is one :func:`perturbed_nodes` call and
-    one phi, with the Bregman terms in the order of
+    computed once; each probe is one :func:`perturbed_nodes` call and one
+    phi, with the Bregman terms in the order of
     :meth:`ConvexGenerator.bregman`, so every divergence is bit-identical to
     :func:`bw_divergence_nodes`.  A Newton step adds I(G_lam), which reuses
     phi(G_lam) where phi'' is phi (the exp generator) and I(ref) where phi''
@@ -206,18 +201,12 @@ def calibrate_lambda(
         phi_ref, dphi_ref = gen.phi(ref_nodes), gen.dphi(ref_nodes)
     log_eps = math.log(eps)
 
-    def log_gap(d: float) -> float:
-        return math.log(d) - log_eps if d > 0.0 else -math.inf
-
-    best = None  # (|log gap|, lam, divergence, nodes) of the best probe so far
-
     def probe(lam: float):
         """Divergence at ``lam`` with the nodes and phi(nodes) it came from;
         ``(inf, None, None)`` where the curve is infinitely far."""
         # extreme multipliers may overflow the generator transform; both an
         # out-of-range argument and a non-finite divergence mean the curve
         # is infinitely far, so the search treats them as +inf
-        nonlocal best
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 nodes = perturbed_nodes(gen, ref_nodes, weight, lam, dphi_ref)
@@ -233,77 +222,65 @@ def calibrate_lambda(
             val = np.inf
         if not np.isfinite(val):
             return np.inf, None, None
-        gap = abs(log_gap(val))
-        if best is None or gap <= best[0]:
-            best = (gap, lam, val, nodes)
         return val, nodes, phi_nodes
 
-    def newton() -> bool:
-        """Newton steps from lam0; True once |f| meets the stop."""
+    def inverse_curvature_mean(nodes, phi_nodes):
+        # I(G) = mean of weight^2 / phi''(G), and whether phi'' is one number
+        # (then I is the same at every lam); a zero weight adds 0 even where
+        # phi'' vanishes, and a zero or overflowing phi'' under a nonzero
+        # weight makes I infinite or zero, which rules out the Newton step
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            curvature = phi_nodes if gen.d2phi is gen.phi else gen.d2phi(nodes)
+            terms = np.divide(weight, curvature, out=np.zeros(np.shape(weight)),
+                              where=weight != 0.0)
+            terms *= weight
+            return pairwise_mean(terms), np.ndim(curvature) == 0
 
-        def inverse_curvature_mean(nodes, phi_nodes):
-            # I(G) = mean of weight^2 / phi''(G), and whether phi'' is one
-            # number (then I is the same at every lam); a zero or overflowing
-            # phi'' makes I infinite, NaN or zero, which ends the steps
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                curvature = phi_nodes if gen.d2phi is gen.phi else gen.d2phi(nodes)
-                terms = weight / curvature
-                terms *= weight
-                return pairwise_mean(terms), np.ndim(curvature) == 0
-
-        integral, constant = inverse_curvature_mean(ref_nodes, phi_ref)
-        if not 0.0 < integral < math.inf:
-            return False
-        lam, prev = math.sqrt(integral / (2.0 * eps)), math.inf
-        for _ in range(_NEWTON_STEPS):
-            if not _LAM_MIN <= lam <= _LAM_MAX:
-                return False
-            div, nodes, phi_nodes = probe(lam)
-            f = log_gap(div)
-            if abs(f) <= _RESIDUAL_TOL:
-                return True
-            if not abs(f) < prev:  # stalled, or infeasible (|f| = inf)
-                return False
-            prev = abs(f)
+    integral, constant = inverse_curvature_mean(ref_nodes, phi_ref)
+    lam = math.sqrt(integral / (2.0 * eps)) if 0.0 < integral < math.inf else 1.0
+    lo, hi = 0.0, math.inf
+    prev = math.inf  # |f| at the previous probe
+    best = None  # (|f|, lam, divergence, nodes) of the best probe so far
+    low, high = math.inf, -math.inf  # range of the divergences probed
+    while True:
+        lam = min(max(lam, _LAM_MIN), _LAM_MAX)
+        div, nodes, phi_nodes = probe(lam)
+        low, high = min(low, div), max(high, div)
+        f = math.log(div) - log_eps if div > 0.0 else -math.inf
+        if div < math.inf and (best is None or abs(f) <= best[0]):
+            best = (abs(f), lam, div, nodes)
+        if abs(f) <= _RESIDUAL_TOL:
+            break
+        if f > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        if lo == _LAM_MAX or hi == _LAM_MIN:
+            raise CalibrationError(
+                f"no multiplier in [{_LAM_MIN:g}, {_LAM_MAX:g}] meets the "
+                f"divergence budget {eps}",
+                achieved_range=(low, high),
+            )
+        if 0.0 < lo and hi < math.inf:
+            a, b = math.log(lo), math.log(hi)
+            if b - a <= _WIDTH_TOL * (1.0 + abs(a) + abs(b)):
+                break
+            fallback = math.exp(0.5 * (a + b))
+        else:
+            fallback = lo * 10.0 if 0.0 < lo else hi / 10.0
+        step = math.nan
+        if abs(f) < prev:  # f is finite and |f| fell
             if not constant:
                 integral, _ = inverse_curvature_mean(nodes, phi_nodes)
-                if not 0.0 < integral < math.inf:
-                    return False
-            del nodes, phi_nodes  # only the best probe's curve outlives a step
-            # s - f / f'(s) with f'(s) = -I(G_lam) / (lam^2 div); a step that
-            # overflows gives lam = inf, which the range check rejects
-            with np.errstate(over="ignore"):
-                lam = float(np.exp(math.log(lam) + f * lam * lam * div / integral))
-        return False
-
-    def div_at(lam: float) -> float:
-        return probe(lam)[0]
-
-    if not newton():
-        lo, d_lo = _BRACKET_LO, div_at(_BRACKET_LO)
-        for _ in range(_EXPAND_DECADES):
-            if d_lo >= eps:
-                break
-            lo *= 0.1
-            d_lo = div_at(lo)
-        hi, d_hi = _BRACKET_HI, div_at(_BRACKET_HI)
-        for _ in range(_EXPAND_DECADES):
-            if d_hi <= eps:
-                break
-            hi *= 10.0
-            d_hi = div_at(hi)
-        if d_lo < eps or d_hi > eps:
-            raise CalibrationError(
-                f"no multiplier in [{lo:g}, {hi:g}] meets the divergence budget {eps}",
-                achieved_range=(d_hi, d_lo),
-            )
-        brent_root(
-            lambda s: log_gap(div_at(float(np.exp(s)))),
-            float(np.log(lo)), float(np.log(hi)), log_gap(d_lo), log_gap(d_hi),
-            width_tol=_WIDTH_TOL,
-        )
-    # a Newton stop or the bracket's hi end had a finite divergence, so
-    # there is a best probe
+            if 0.0 < integral < math.inf:
+                # s - f / f'(s) with f'(s) = -I(G_lam) / (lam^2 div); a step
+                # that overflows gives inf, which the bracket rejects
+                with np.errstate(over="ignore"):
+                    step = float(np.exp(math.log(lam) + f * lam * lam * div / integral))
+        prev = abs(f)
+        del nodes, phi_nodes  # only the best probe's curve outlives a probe
+        lam = step if lo < step < hi else fallback
+    # both stops follow a probe with a finite divergence, so there is a best
     _, lam, div, nodes = best
     return lam, div, bool(abs(div - eps) <= tol * eps), nodes
 

@@ -209,6 +209,26 @@ class TestElicitCheck:
         assert payload["passed"] is True
         assert payload["deviation"] <= 1e-5
 
+    def test_mean_of_a_skewed_law_is_that_of_the_scored_atoms(self):
+        # the argmin scores the m grid atoms, so the mean it is checked
+        # against is theirs, not the exact mean 1 of the law
+        code, out, _ = run_cli(["elicit-check", "--functional", "functional:mean",
+                                "--score", "score:bregman,phi=quadratic",
+                                "--dist", "exponential:rate=1"])
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] is True
+        assert payload["functional_value"] == pytest.approx(0.99996534305763873, rel=1e-15)
+        assert payload["deviation"] <= 1e-8
+
+    def test_non_finite_atom_exits_one_with_one_error(self):
+        code, out, err = run_cli(["elicit-check", "--functional", "functional:mean",
+                                  "--score", "score:bregman,phi=quadratic",
+                                  "--dist", "lognormal:mu=0,sigma=300"])
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "non-finite sample value at index 9910: inf"}
+
 
 class TestAxioms:
     def test_expectile_03_reports_convexity_failure(self):

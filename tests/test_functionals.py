@@ -334,8 +334,8 @@ class TestAxioms:
             check_axioms(Mean(), self._pairs(pairs=1), tol=tol)
 
     def test_mean_trivial_transformations(self):
-        report = check_axioms(Mean(), self._pairs(pairs=5), shifts=(0.0,), scales=(1.0,))
-        assert report.all_passed
+        # the mean is affine, so every default shift, scale and mix passes
+        assert check_axioms(Mean(), self._pairs(pairs=5)).all_passed
 
     def test_expectile_07_coherent(self):
         report = check_axioms(Expectile(0.7), self._pairs())

