@@ -18,7 +18,8 @@ stderr holds only JSON lines: the ``{"error": ...}`` object of a failed run,
 or one ``{"warning": ...}`` object per warning of a successful one.
 Each subcommand takes only the flags it reads; ``--out FILE`` also writes
 the JSON payload to a file, and on ``worst-case`` and ``payoff``
-``--format csv`` writes the quantile curve there instead.
+``--format csv`` writes the quantile curve there instead (without ``--out``
+it is a usage error).
 
 Randomized subcommands draw from numpy's PCG64 generator.  ``verify`` keys
 one child stream per instance as ``default_rng([seed, k])`` and draws the
@@ -280,6 +281,8 @@ def main(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "format", "json") == "csv" and args.out is None:
+            parser.error(f"{args.command}: --format csv needs --out FILE")
     except SystemExit as exc:
         return 1 if exc.code else 0  # --help exits 0, a usage error 1
     try:

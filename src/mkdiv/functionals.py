@@ -1,8 +1,9 @@
 """Elicitable functionals: evaluation, expected-score minimisation, axioms.
 
-Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`;
-parametric inputs are reduced to the midpoint quantile grid (one quadrature
-policy for the whole package), empirical inputs are handled exactly on their
+Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`.
+:class:`Mean`, :class:`Quantile` and :class:`LambdaQuantile` are exact on
+every law: they read the law's own mean, quantile and cdf.  The others reduce
+a parametric law to its midpoint quantile grid and an empirical law to its
 atoms.  The expectile is solved exactly on the sorted atoms, where its
 residual is piecewise linear; the shortfall root uses Brent's method on the
 sample range, which always brackets it.
@@ -167,43 +168,32 @@ class Shortfall(Functional):
         return f"shortfall[{self.loss.kind}]"
 
 
+def _upper_quantile(dist: Distribution, level: float) -> float:
+    """Q+(level) = inf{y : F(y) > level}: the quantile of a law without flats,
+    and on atoms the first one whose cdf exceeds the level, which steps over
+    a flat of the cdf at exactly that level."""
+    if isinstance(dist, Empirical):
+        v = dist.values
+        return float(v[np.searchsorted(dist.cdf(v), level, "right")])
+    return float(dist.quantile(level))
+
+
 @dataclass(frozen=True, eq=False)
 class LambdaQuantile(Functional):
-    """First crossing of the cdf over a step threshold Lambda.
+    """First crossing inf{y : F(y) > Lambda(y)} of the cdf over a step
+    threshold Lambda.
 
-    Requires a unique crossing: the scan walks every breakpoint of both the
-    cdf (atoms, for empirical inputs) and Lambda, locates the first point
-    where ``F > Lambda`` and raises :class:`AmbiguityError` if the sign dips
-    back afterwards.
+    One scan over the segments of Lambda serves every law: on the segment
+    [b_{j-1}, b_j) with level l_j the first point where ``F > l_j`` is
+    ``max(b_{j-1}, Q+(l_j))``.  The crossing must be unique: past it the cdf
+    must stay above Lambda, which on each later segment is checked at its
+    left end, where F is smallest; a dip raises :class:`AmbiguityError`.
     """
 
-    step: StepFunction = None
+    step: StepFunction
     kind = "lambda_quantile"
 
-    def __post_init__(self):
-        if self.step is None:
-            raise DomainError("lambda-quantile needs a step function")
-
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        if isinstance(dist, Empirical):
-            return self._evaluate_empirical(dist)
-        return self._evaluate_continuous(dist)
-
-    def _evaluate_empirical(self, dist: Empirical) -> float:
-        events = np.unique(np.concatenate([dist.values, self.step.breakpoints]))
-        d = dist.cdf(events) - self.step(events)
-        above = np.flatnonzero(d > 0.0)
-        if above.size == 0:
-            raise AmbiguityError("cdf never exceeds the threshold on the scan")
-        first = int(above[0])
-        later = d[first + 1 :]
-        if np.any(later < -1e-12):
-            raise AmbiguityError(
-                "multiple cdf/threshold crossings detected on the scan grid"
-            )
-        return float(events[first])
-
-    def _evaluate_continuous(self, dist: Distribution) -> float:
         bp = self.step.breakpoints
         lv = self.step.levels
         nseg = lv.size
@@ -212,28 +202,17 @@ class LambdaQuantile(Functional):
             seg_lo = -np.inf if j == 0 else float(bp[j - 1])
             seg_hi = np.inf if j == nseg - 1 else float(bp[j])
             level = float(lv[j])
-            q = float(dist.quantile(level))
             if crossing is None:
-                # inf{y in segment : F(y) > level}; for a cdf with no flat
-                # piece at exactly this level that is max(seg_lo, quantile)
-                candidate = max(seg_lo, q)
+                candidate = max(seg_lo, _upper_quantile(dist, level))
                 if candidate < seg_hi:
                     crossing = candidate
-            else:
-                # uniqueness: F must stay above the threshold from the
-                # crossing onward; the minimum over the remaining segment is
-                # at its left end since F is non-decreasing
-                start = max(seg_lo, crossing)
-                if float(dist.cdf(start)) < level - 1e-12:
-                    raise AmbiguityError(
-                        "multiple cdf/threshold crossings detected on the scan grid"
-                    )
+            elif float(dist.cdf(max(seg_lo, crossing))) < level - 1e-12:
+                raise AmbiguityError(
+                    "multiple cdf/threshold crossings detected on the scan grid"
+                )
         if crossing is None:
             raise AmbiguityError("cdf never exceeds the threshold on the scan")
         return float(crossing)
-
-    def describe(self):
-        return "lambda_quantile"
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 All reductions used for reported values go through :func:`pairwise_sum`, which
 fixes the summation tree (index-ascending, adjacent pairing), so results are
 bit-stable across runs.  Every open-domain check goes through
-:func:`first_outside`.  There is one root-finder, :func:`brent_root`, and one
-minimiser, :func:`golden_section`.
+:func:`first_outside`.  :func:`brent_root` finds the shortfall root and
+:func:`golden_section` refines expected-score minima; the multiplier of the
+robust solvers has its own bracketed Newton search,
+:func:`mkdiv.robust.calibrate_lambda`.
 """
 
 from __future__ import annotations

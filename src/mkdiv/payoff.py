@@ -31,7 +31,7 @@ from .distributions import Distribution, QuantileGrid
 from .errors import DomainError
 from .generators import ConvexGenerator
 from .numerics import _DEFAULT_DELTA, _DEFAULT_M, _check_finite, pairwise_mean
-from .robust import _calibrated_curve
+from .robust import _calibrated_curve, _checked_weight
 
 __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
 
@@ -65,11 +65,15 @@ class MarketSpec:
         return -np.asarray(self.spd.quantile(1.0 - u), dtype=float)
 
 
+def _spd_name(market: MarketSpec) -> str:
+    return f"state-price density '{market.spd.kind}'"
+
+
 def payoff_cost(market: MarketSpec, grid: QuantileGrid) -> float:
     """Price of the cost-efficient payoff with quantile curve ``grid``:
-    mean over nodes of Q_xi(1 - u_i) * node_i."""
-    u = grid.u
-    spd_rev = np.asarray(market.spd.quantile(1.0 - u), dtype=float)
+    mean over nodes of Q_xi(1 - u_i) * node_i.  A non-finite Q_xi(1 - u_i)
+    raises DomainError naming node i."""
+    spd_rev = -_checked_weight(_spd_name(market), market.neg_weight, grid.u)
     return pairwise_mean(spd_rev * grid.nodes)
 
 
@@ -111,7 +115,7 @@ def cheapest_payoff(
     solver, with the signed spd weight.  ``binding`` reports
     ``|divergence_at_solution - eps| <= tol * eps``."""
     lam, div, binding, weight, curve = _calibrated_curve(
-        gen, benchmark, market.neg_weight, eps, m, delta, tol
+        gen, benchmark, _spd_name(market), market.neg_weight, eps, m, delta, tol
     )
     return PayoffSolution(
         lambda_star=lam,

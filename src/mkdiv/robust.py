@@ -65,6 +65,26 @@ class UniquenessWarning(UserWarning):
     applies but uniqueness of the optimum is not guaranteed."""
 
 
+def _checked_weight(what: str, weight_of, u: np.ndarray) -> np.ndarray:
+    """``weight_of(u)`` as a float array, the weight of every robust value.
+
+    Raises
+    ------
+    DomainError
+        At the first node where the weight is not finite, naming ``what``,
+        the node and its u.
+    """
+    weight = np.asarray(weight_of(u), dtype=float)
+    finite = np.isfinite(weight)
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise DomainError(
+            f"{what} has a non-finite weight {weight[node]} at node {node} (u={u[node]})",
+            index=node,
+        )
+    return weight
+
+
 def choquet(d: DistortionSpec, grid: QuantileGrid) -> float:
     """Choquet integral on the grid: mean over nodes of gamma(u_i) * node_i.
 
@@ -74,14 +94,7 @@ def choquet(d: DistortionSpec, grid: QuantileGrid) -> float:
         If the weight is not finite at some node (possible only for
         user-supplied distortions; the catalog is finite on (0, 1)).
     """
-    gam = np.asarray(d.gamma(grid.u), dtype=float)
-    bad = ~np.isfinite(gam)
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise DomainError(
-            f"distortion '{d.name}' has a non-finite weight {gam[node]} at "
-            f"node {node} (u={grid.u[node]})"
-        )
+    gam = _checked_weight(f"distortion '{d.name}'", d.gamma, grid.u)
     return pairwise_mean(gam * grid.nodes)
 
 
@@ -285,12 +298,13 @@ def calibrate_lambda(
     return lam, div, bool(abs(div - eps) <= tol * eps), nodes
 
 
-def _calibrated_curve(gen, ref, weight_of, eps, m, delta, tol):
+def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta, tol):
     """The path both solvers share: the grid of ``ref``, the weight
-    ``weight_of(u)`` on it, and the calibration.  Returns ``(lam, divergence,
-    binding, weight, QuantileGrid(nodes))``."""
+    ``weight_of(u)`` of ``what`` on it, checked finite before any probe, and
+    the calibration.  Returns ``(lam, divergence, binding, weight,
+    QuantileGrid(nodes))``."""
     grid = quantile_grid(ref, m, delta)
-    weight = np.asarray(weight_of(grid.u), dtype=float)
+    weight = _checked_weight(what, weight_of, grid.u)
     lam, div, binding, nodes = calibrate_lambda(gen, grid.nodes, weight, eps, tol)
     return lam, div, binding, weight, QuantileGrid(nodes=nodes)
 
@@ -348,7 +362,7 @@ def solve_worst_case(
             stacklevel=2,
         )
     lam, div, binding, weight, worst = _calibrated_curve(
-        gen, ref, d.gamma, eps, m, delta, tol
+        gen, ref, f"distortion '{d.name}'", d.gamma, eps, m, delta, tol
     )
     return WorstCaseSolution(
         lambda_star=lam,

@@ -377,18 +377,11 @@ class LambdaQuantileScore(Score):
     quadrature error enters the cost function.
     """
 
-    step: StepFunction = None
+    step: StepFunction
     family = "lambda_quantile"
-
-    def __post_init__(self):
-        if self.step is None:
-            raise ConfigError("lambda-quantile score needs a step function")
 
     def _eval(self, z, y):
         return np.maximum(z - y, 0.0) - self.step.integral(y, z)
-
-    def describe(self):
-        return "lambda_quantile"
 
 
 @dataclass(frozen=True)
@@ -507,13 +500,11 @@ class OsbandScore(Score):
     exactly when g is decreasing.
     """
 
-    inner: Score = None
-    gmap: MonotoneMap = None
+    inner: Score
+    gmap: MonotoneMap
     family = "osband"
 
     def __post_init__(self):
-        if self.inner is None or self.gmap is None:
-            raise ConfigError("osband transform needs an inner score and a map")
         if self.gmap.inverse is None:
             raise ConfigError(f"map '{self.gmap.name}' is not invertible")
         claim = self.inner.coupling if self.gmap.increasing else _flip(self.inner.coupling)
@@ -540,13 +531,11 @@ class DistTransformScore(Score):
     when h is decreasing.
     """
 
-    inner: Score = None
-    hmap: MonotoneMap = None
+    inner: Score
+    hmap: MonotoneMap
     family = "dist_transform"
 
     def __post_init__(self):
-        if self.inner is None or self.hmap is None:
-            raise ConfigError("distribution transform needs an inner score and a map")
         claim = self.inner.coupling if self.hmap.increasing else _flip(self.inner.coupling)
         object.__setattr__(self, "coupling", claim)
         object.__setattr__(self, "z_domain", self.inner.z_domain)

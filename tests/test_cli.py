@@ -194,6 +194,22 @@ class TestPayoff:
         assert set(payload["grid"]) == {"M", "nodes"}
 
 
+    def test_non_finite_weight_exits_one_before_any_probe(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("perturbed_nodes called")
+
+        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", refuse)
+        code, out, err = run_cli(
+            ["payoff", "--phi", "phi:quadratic", "--benchmark", "uniform:a=0,b=1",
+             "--market", "market:spd=lognormal:mu=706,sigma=1;r=0;T=1", "--eps", "0.02"]
+        )
+        assert (code, out) == (1, "")
+        assert err == canonical_json({
+            "error": "state-price density 'lognormal' has a non-finite weight -inf "
+            "at node 0 (u=5e-05)"
+        }) + "\n"
+
+
 class TestElicitCheck:
     def test_expectile_agreement(self):
         code, out, _ = run_cli(
@@ -328,6 +344,13 @@ class TestUsage:
     def test_flag_the_subcommand_does_not_read_exits_one(self, argv, capsys):
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["worst-case", "payoff"])
+    def test_csv_format_without_out_is_a_usage_error(self, command, capsys):
+        assert main([command, *WALK_ARGS[command], "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{command}: --format csv needs --out FILE" in captured.err
 
     @pytest.mark.parametrize("command", ["divergence", "worst-case", "payoff", "elicit-check"])
     def test_delta_is_a_usage_error(self, command, capsys):

@@ -114,6 +114,69 @@ class TestEvaluate:
         )
 
 
+def event_scan(step, dist):
+    """Reference lambda-quantile of an empirical law: F - Lambda on every atom
+    and breakpoint, the first event where it is positive, and an
+    AmbiguityError if it dips below -1e-12 at any later event."""
+    events = np.unique(np.concatenate([dist.values, step.breakpoints]))
+    d = dist.cdf(events) - step(events)
+    above = np.flatnonzero(d > 0.0)
+    if above.size == 0:
+        raise AmbiguityError("cdf never exceeds the threshold on the scan")
+    first = int(above[0])
+    if np.any(d[first + 1 :] < -1e-12):
+        raise AmbiguityError("multiple cdf/threshold crossings detected on the scan grid")
+    return float(events[first])
+
+
+def lambda_corpus(count, seed=41):
+    """Seeded (step, empirical law) pairs: n <= 30 atoms, every other sample
+    of integers with ties, breakpoints on atoms or between them, levels at
+    k/n or anywhere in (0, 1), and both step directions."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 31))
+        values = rng.integers(-3, 4, n).astype(float) if k % 2 else rng.normal(0.0, 1.0, n)
+        nbp = int(rng.integers(0, 4))
+        pool = np.concatenate([values, rng.uniform(-3.5, 3.5, nbp)])
+        bp = np.unique(rng.choice(pool, size=min(nbp, pool.size), replace=False))
+        if n >= 2 and rng.random() < 0.7:
+            levels = np.sort(rng.integers(1, n, bp.size + 1)) / n
+        else:
+            levels = np.sort(rng.uniform(0.01, 0.99, bp.size + 1))
+        if rng.random() < 0.5:
+            levels = levels[::-1]
+        yield StepFunction(bp, levels), from_samples(values)
+
+
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except AmbiguityError as exc:
+        return f"AmbiguityError: {exc}"
+
+
+class TestLambdaQuantileScan:
+    def test_segment_scan_matches_the_event_scan_on_atoms(self):
+        outcomes = []
+        for step, dist in lambda_corpus(4000):
+            want = outcome(lambda: event_scan(step, dist))
+            got = outcome(lambda: LambdaQuantile(step).evaluate(dist))
+            assert repr(got) == repr(want), (step, dist.values)
+            outcomes.append(got)
+        # levels lie inside (0, 1), so the last segment always crosses and
+        # the only error the corpus can reach is a second crossing
+        errors = [o for o in outcomes if isinstance(o, str)]
+        assert 0 < len(errors) < len(outcomes) // 2
+
+    def test_flat_level_gives_the_upper_quantile(self):
+        # F of {1, 2, 3, 4} is 0.5 on [2, 3): the first y with F(y) > 0.5 is 3,
+        # where the lower quantile stops at 2
+        dist = from_samples([1, 2, 3, 4])
+        assert LambdaQuantile(StepFunction([], [0.5])).evaluate(dist) == 3.0
+        assert Quantile(0.5).evaluate(dist) == 2.0
+
+
 class TestEvaluateErrors:
     def test_ambiguous_crossings(self):
         # F of {0,1} sits at 0.5 on [0,1); a threshold stepping 0.45 -> 0.55

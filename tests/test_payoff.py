@@ -54,6 +54,14 @@ class TestPayoffCost:
         g = quantile_grid(Uniform(1.0, 2.0), m=2_000, delta=0.0)
         assert payoff_cost(market, g) == pytest.approx(df * pairwise_mean(g.nodes), abs=1e-12)
 
+    def test_non_finite_price_names_the_node(self):
+        g = quantile_grid(Uniform(0, 1), m=10_000, delta=0.0)
+        with pytest.raises(
+            DomainError, match=r"^state-price density 'lognormal' has a non-finite weight -inf at node 0 "
+        ) as exc, np.errstate(over="ignore"):
+            payoff_cost(MarketSpec(LogNormal(706.0, 1.0)), g)
+        assert exc.value.index == 0
+
 
 class TestCheapestPayoff:
     def test_analytic_reduction(self):

@@ -46,8 +46,9 @@ class TestChoquet:
             strictly_concave=False,
         )
         g = quantile_grid(Uniform(0, 1), m=100, delta=0.0)
-        with pytest.raises(DomainError, match=r"'weird' has a non-finite weight inf at node 90 "):
+        with pytest.raises(DomainError, match=r"'weird' has a non-finite weight inf at node 90 ") as exc:
             choquet(weird, g)
+        assert exc.value.index == 90
 
     def test_identity_is_the_mean(self):
         g = quantile_grid(Uniform(0, 1), m=10_000, delta=0.0)
@@ -315,6 +316,41 @@ def recorded_probes(monkeypatch):
 
     monkeypatch.setattr("mkdiv.robust.perturbed_nodes", recorded)
     return calls
+
+
+class TestNonFiniteWeight:
+    """A weight that is not finite at some node is rejected, naming the node,
+    before the calibration probes any multiplier."""
+
+    def test_worst_case(self, monkeypatch):
+        from mkdiv.generators import DistortionSpec
+
+        spike = DistortionSpec(
+            name="spike",
+            gamma_fn=lambda u: np.where(u > 0.9, np.inf, 1.0),
+            g_fn=lambda x: x,
+        )
+        probes = recorded_probes(monkeypatch)
+        with pytest.raises(
+            DomainError,
+            match=r"^distortion 'spike' has a non-finite weight inf at node 90 \(u=0\.905\)$",
+        ) as exc:
+            solve_worst_case(quadratic(), spike, Uniform(0, 1), 0.02, m=100)
+        assert exc.value.index == 90
+        assert probes == []
+
+    def test_payoff(self, monkeypatch):
+        # Q_xi(1 - u) = exp(706 + ndtri(1 - u)) overflows at the first node
+        market = MarketSpec(LogNormal(706.0, 1.0))
+        probes = recorded_probes(monkeypatch)
+        with pytest.raises(
+            DomainError,
+            match=r"^state-price density 'lognormal' has a non-finite weight -inf "
+            r"at node 0 \(u=5e-05\)$",
+        ) as exc, np.errstate(over="ignore"):
+            cheapest_payoff(quadratic(), Uniform(0, 1), market, 0.02, m=10_000)
+        assert exc.value.index == 0
+        assert probes == []
 
 
 CALIBRATION_REFS = [Uniform(0.5, 1.5), LogNormal(0.0, 0.25), Exponential(1.2)]
