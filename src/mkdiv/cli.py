@@ -15,7 +15,8 @@ significant digits.  A fixed seed therefore yields byte-identical output.
 Exit status: 0 on success (and for ``--help``), 1 on usage, domain or
 configuration errors, 2 when a verification deviates beyond tolerance.
 stderr holds only JSON lines: the ``{"error": ...}`` object of a failed run,
-or one ``{"warning": ...}`` object per warning of a successful one.
+usage errors included, or one ``{"warning": ...}`` object per warning of a
+successful one.
 Each subcommand takes only the flags it reads; ``--out FILE`` also writes
 the JSON payload to a file, and on ``worst-case`` and ``payoff``
 ``--format csv`` writes the quantile curve there instead (without ``--out``
@@ -100,7 +101,7 @@ def _write_artifact(path: str, text: str, curve):
     """The JSON ``text``, or ``curve`` as ``u,value`` CSV rows, written to ``path``."""
     if curve is not None:
         rows = [f"{format(float(ui), '.17g')},{format(float(vi), '.17g')}"
-                for ui, vi in zip(curve.u, curve.nodes)]
+                for ui, vi in zip(curve.rule.u, curve.nodes)]
         text = "\n".join(["u,value", *rows])
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -209,8 +210,17 @@ def _add_solver(parser):
                         help="artifact format; csv writes the quantile curve as u,value rows")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an MkdivError, which ``main`` reports as one
+    JSON line, where argparse would print its usage text; subparsers inherit
+    the class."""
+
+    def error(self, message):
+        raise MkdivError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mkdiv",
         description="Transport divergences from scoring functions: "
         "computation, certification and robust-optimization solvers.",
@@ -278,14 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help printed its text; a usage error raises instead
+            return 0
         if getattr(args, "format", "json") == "csv" and args.out is None:
-            parser.error(f"{args.command}: --format csv needs --out FILE")
-    except SystemExit as exc:
-        return 1 if exc.code else 0  # --help exits 0, a usage error 1
-    try:
+            raise MkdivError(f"mkdiv {args.command}: --format csv needs --out FILE")
         # each _cmd_* returns its payload and the curve --format csv asks for;
         # a non-finite intermediate ends in an MkdivError, so NumPy's warnings
         # about it would only precede the JSON error on stderr.  Other warnings

@@ -7,12 +7,12 @@ Every distribution exposes
   ``inf{y : F(y) >= u}`` for ``u`` in (0, 1),
 * ``mean()``      -- closed form where available, exact for samples,
 
-and all downstream integrals are computed on :class:`QuantileGrid` objects:
-non-decreasing quantile values at the midpoint nodes ``u_i = (i - 1/2) / m``.
-A grid is its nodes: ``m`` is their count, and a decreasing node is an error,
-never repaired.  :func:`quantile_grid` still takes a tail level ``delta``,
-checked (``0 <= delta < 0.5/m``) and then unused, since the nodes lie inside
-``[delta, 1 - delta]`` for every accepted value.
+and every downstream integral over u is a :class:`~mkdiv.numerics.Rule`: the
+midpoint rule of a :class:`QuantileGrid`, whose non-decreasing nodes are the
+quantiles at ``u_i = (i - 1/2) / m``, or the merged breakpoints of two
+empirical laws.  A grid is its nodes: ``m`` is their count, and a decreasing
+node is an error, never repaired.  :func:`quantile_grid` still takes a tail
+level ``delta``, which :func:`~mkdiv.numerics.midpoint_rule` checks.
 
 Objects are immutable after construction; every method is pure and safe for
 concurrent reads.
@@ -34,9 +34,10 @@ from .errors import DomainError, IngestionError
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
+    Rule,
     _check_finite,
     first_outside,
-    midpoint_u,
+    midpoint_rule,
     pairwise_mean,
 )
 
@@ -389,11 +390,11 @@ def from_samples(values, source_path: str | None = None) -> Empirical:
 class QuantileGrid:
     """Discretized quantile function on the midpoint u-grid.
 
-    ``nodes[i]`` holds the quantile at ``u_i = (i - 1/2) / m``, where ``m``
-    is the number of nodes.  The nodes must form a 1-D array of at least two
-    entries that never decreases; the first decrease raises a DomainError
-    naming its index.  The grid keeps a read-only view of the array it is
-    given.
+    ``nodes[i]`` holds the quantile at ``rule.u[i] = (i - 1/2) / m``, where
+    ``m`` is the number of nodes.  The nodes must form a 1-D array of at
+    least two entries that never decreases; the first decrease raises a
+    DomainError naming its index.  The grid keeps a read-only view of the
+    array it is given.
     """
 
     nodes: np.ndarray
@@ -420,15 +421,15 @@ class QuantileGrid:
         return self.nodes.size
 
     @property
-    def u(self) -> np.ndarray:
-        return midpoint_u(self.m)
+    def rule(self) -> Rule:
+        return midpoint_rule(self.m)
 
 
 def quantile_grid(
     dist: Distribution, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA
 ) -> QuantileGrid:
     """Evaluate ``dist``'s quantile function on the midpoint grid ``(m, delta)``."""
-    return QuantileGrid(nodes=dist.quantile(midpoint_u(m, delta)))
+    return QuantileGrid(nodes=dist.quantile(midpoint_rule(m, delta).u))
 
 
 def read_value_csv(path) -> list[float]:

@@ -171,11 +171,16 @@ class Shortfall(Functional):
 def _upper_quantile(dist: Distribution, level: float) -> float:
     """Q+(level) = inf{y : F(y) > level}: the quantile of a law without flats,
     and on atoms the first one whose cdf exceeds the level, which steps over
-    a flat of the cdf at exactly that level."""
+    a flat of the cdf at exactly that level.  A quantile that overflows
+    raises MomentError naming the level."""
     if isinstance(dist, Empirical):
         v = dist.values
         return float(v[np.searchsorted(dist.cdf(v), level, "right")])
-    return float(dist.quantile(level))
+    with np.errstate(over="ignore"):
+        q = float(dist.quantile(level))
+    if not np.isfinite(q):
+        raise MomentError(f"the quantile at level {level} is not finite: {q}")
+    return q
 
 
 @dataclass(frozen=True, eq=False)

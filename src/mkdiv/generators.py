@@ -145,15 +145,13 @@ class DistortionSpec:
     """Concave distortion ``g`` with weight ``gamma(u)``.
 
     ``gamma`` is non-negative and non-decreasing exactly when ``g`` is
-    concave.  ``g_fn`` keeps the closed form of ``g`` so cell masses
-    ``g(1-a) - g(1-b)`` can be computed without quadrature.  Non-strictly
-    concave members (identity, tail-value-at-risk) are admitted but flagged,
-    since uniqueness claims downstream require strict concavity.
+    concave.  Non-strictly concave members (identity, tail-value-at-risk) are
+    admitted but flagged, since uniqueness claims downstream require strict
+    concavity.
     """
 
     name: str
     gamma_fn: Callable = field(repr=False)
-    g_fn: Callable = field(repr=False)
     strictly_concave: bool = True
     params: tuple = ()
 
@@ -164,23 +162,11 @@ class DistortionSpec:
         out = self.gamma_fn(arr)
         return float(out) if np.ndim(u) == 0 else out
 
-    def g(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0)):
-            raise DomainError(f"distortion argument needs x in [0, 1], got {x!r}")
-        out = self.g_fn(arr)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def mass(self, a: float = 0.0, b: float = 1.0) -> float:
-        """Exact integral of gamma over [a, b], via the closed form of g."""
-        return self.g(1.0 - a) - self.g(1.0 - b)
-
 
 def identity_distortion() -> DistortionSpec:
     return DistortionSpec(
         name="identity",
         gamma_fn=lambda u: np.ones_like(u),
-        g_fn=lambda x: x,
         strictly_concave=False,
     )
 
@@ -193,7 +179,6 @@ def dual_power(k: float = 2.0) -> DistortionSpec:
     return DistortionSpec(
         name="dualpower",
         gamma_fn=lambda u: k * u ** (k - 1.0),
-        g_fn=lambda x: 1.0 - (1.0 - x) ** k,
         strictly_concave=k > 1.0,
         params=(("k", float(k)),),
     )
@@ -209,7 +194,6 @@ def tvar_distortion(alpha: float = 0.9) -> DistortionSpec:
     return DistortionSpec(
         name="tvar",
         gamma_fn=lambda u: (u >= alpha).astype(float) / (1.0 - alpha),
-        g_fn=lambda x: np.minimum(x / (1.0 - alpha), 1.0),
         strictly_concave=False,
         params=(("alpha", float(alpha)),),
     )
@@ -219,15 +203,13 @@ def power_distortion(c: float = 0.5) -> DistortionSpec:
     """g(x) = x^c with 0 < c < 1; gamma is unbounded near u = 1.
 
     Grid integrals against gamma stay finite because the last midpoint node
-    is 1 - 0.5/m; the exact mass is available through
-    :meth:`DistortionSpec.mass`.
+    is 1 - 0.5/m.
     """
     if not 0.0 < c < 1.0:
         raise DomainError(f"power distortion needs 0 < c < 1, got {c}")
     return DistortionSpec(
         name="power",
         gamma_fn=lambda u: c * (1.0 - u) ** (c - 1.0),
-        g_fn=lambda x: x**c,
         strictly_concave=True,
         params=(("c", float(c)),),
     )

@@ -1,17 +1,18 @@
-"""Shared numerical primitives: deterministic reductions and 1-D searches.
+"""Shared numerical primitives: reductions, the rule over u and 1-D searches.
 
 All reductions used for reported values go through :func:`pairwise_sum`, which
 fixes the summation tree (index-ascending, adjacent pairing), so results are
-bit-stable across runs.  Every open-domain check goes through
-:func:`first_outside`.  :func:`brent_root` finds the shortfall root and
-:func:`golden_section` refines expected-score minima; the multiplier of the
-robust solvers has its own bracketed Newton search,
-:func:`mkdiv.robust.calibrate_lambda`.
+bit-stable across runs.  Every integral over the quantile level u is one
+:class:`Rule`, and every open-domain check goes through :func:`first_outside`.
+:func:`brent_root` finds the shortfall root and :func:`golden_section` refines
+expected-score minima; the multiplier of the robust solvers has its own
+bracketed Newton search, :func:`mkdiv.robust.calibrate_lambda`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,8 @@ __all__ = [
     "pairwise_mean",
     "brent_root",
     "golden_section",
-    "midpoint_u",
+    "Rule",
+    "midpoint_rule",
 ]
 
 
@@ -91,23 +93,38 @@ _DEFAULT_M = 10_000
 _DEFAULT_DELTA = 0.0
 
 
-def _check_grid(m, delta) -> None:
-    """The one midpoint-grid check: an integer m >= 2 and 0 <= delta < 0.5/m."""
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """Quadrature over u in (0, 1): cell k has mass ``counts[k] / total`` and
+    midpoint level ``u[k]``, computed when read; ``counts=None`` means
+    ``total`` equal cells, the midpoint grid."""
+
+    counts: np.ndarray | None
+    total: int
+
+    @property
+    def u(self) -> np.ndarray:
+        if self.counts is None:
+            return (np.arange(1, self.total + 1) - 0.5) / self.total
+        return (np.cumsum(self.counts) - 0.5 * self.counts) / self.total
+
+    def integrate(self, values) -> float:
+        """Sum of cell mass times value, by the tree of :func:`pairwise_sum`;
+        on equal cells ``values`` is folded as it is, with no product."""
+        weighted = values if self.counts is None else self.counts * values
+        return pairwise_sum(weighted) / self.total
+
+
+def midpoint_rule(m: int, delta: float = 0.0) -> Rule:
+    """The midpoint grid ``(m, delta)``, checked: an integer m >= 2 and
+    0 <= delta < 0.5/m.  Delta moves none of its levels (i - 1/2)/m: the first
+    is the float 0.5/m the check compares delta against, and 1 - delta rounds
+    to at least the last."""
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise DomainError(f"grid needs an integer m >= 2, got {m!r}")
     if not 0.0 <= delta < 0.5 / m:
         raise DomainError(f"truncation level must satisfy 0 <= delta < 1/(2m), got {delta}")
-
-
-def midpoint_u(m: int, delta: float = 0.0) -> np.ndarray:
-    """Midpoint nodes u_i = (i - 1/2)/m of the grid ``(m, delta)``, checked.
-
-    The nodes lie in [delta, 1 - delta] for every accepted delta, so delta
-    moves none of them: the first node is the float 0.5/m the check compares
-    delta against, and 1 - delta rounds to at least the last node.
-    """
-    _check_grid(m, delta)
-    return (np.arange(1, m + 1) - 0.5) / m
+    return Rule(None, int(m))  # an np.integer m would make integrals np.float64
 
 
 def _check_finite(owner: str, **params) -> None:

@@ -4,7 +4,7 @@ A payoff is represented by its quantile curve ``G`` on the midpoint u-grid.
 Among all payoffs with a given distribution the cheapest one is
 anti-monotone in the state-price density ``xi``, and its cost is
 
-    cost(G) = mean over u of  Q_xi(1 - u) * G(u),
+    cost(G) = integral over u of  Q_xi(1 - u) * G(u),
 
 evaluated by :func:`payoff_cost`.  Minimising this cost subject to the
 payoff's distribution lying within Bregman-Wasserstein distance ``eps`` of a
@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import Distribution, QuantileGrid
 from .errors import DomainError
 from .generators import ConvexGenerator
-from .numerics import _DEFAULT_DELTA, _DEFAULT_M, _check_finite, pairwise_mean
+from .numerics import _DEFAULT_DELTA, _DEFAULT_M, _check_finite
 from .robust import _calibrated_curve, _checked_weight
 
 __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
@@ -70,11 +70,11 @@ def _spd_name(market: MarketSpec) -> str:
 
 
 def payoff_cost(market: MarketSpec, grid: QuantileGrid) -> float:
-    """Price of the cost-efficient payoff with quantile curve ``grid``:
-    mean over nodes of Q_xi(1 - u_i) * node_i.  A non-finite Q_xi(1 - u_i)
+    """Price of the cost-efficient payoff with quantile curve ``grid``: the
+    grid's rule integrates Q_xi(1 - u) * node.  A non-finite Q_xi(1 - u_i)
     raises DomainError naming node i."""
-    spd_rev = -_checked_weight(_spd_name(market), market.neg_weight, grid.u)
-    return pairwise_mean(spd_rev * grid.nodes)
+    spd_rev = -_checked_weight(_spd_name(market), market.neg_weight, grid.rule.u)
+    return grid.rule.integrate(spd_rev * grid.nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +120,7 @@ def cheapest_payoff(
     return PayoffSolution(
         lambda_star=lam,
         payoff_quantile=curve,
-        cost=pairwise_mean(-weight * curve.nodes),  # -weight is Q_xi(1 - u)
+        cost=curve.rule.integrate(-weight * curve.nodes),  # -weight is Q_xi(1 - u)
         divergence_at_solution=div,
         epsilon=eps,
         binding=binding,

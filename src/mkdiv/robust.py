@@ -86,7 +86,7 @@ def _checked_weight(what: str, weight_of, u: np.ndarray) -> np.ndarray:
 
 
 def choquet(d: DistortionSpec, grid: QuantileGrid) -> float:
-    """Choquet integral on the grid: mean over nodes of gamma(u_i) * node_i.
+    """Choquet integral on the grid: the grid's rule integrates gamma(u) * node.
 
     Raises
     ------
@@ -94,8 +94,8 @@ def choquet(d: DistortionSpec, grid: QuantileGrid) -> float:
         If the weight is not finite at some node (possible only for
         user-supplied distortions; the catalog is finite on (0, 1)).
     """
-    gam = _checked_weight(f"distortion '{d.name}'", d.gamma, grid.u)
-    return pairwise_mean(gam * grid.nodes)
+    gam = _checked_weight(f"distortion '{d.name}'", d.gamma, grid.rule.u)
+    return grid.rule.integrate(gam * grid.nodes)
 
 
 def perturbed_nodes(
@@ -151,7 +151,7 @@ def bw_divergence_nodes(gen: ConvexGenerator, nodes_g, nodes_f) -> float:
 
 def calibrate_lambda(
     gen: ConvexGenerator,
-    ref_nodes: np.ndarray,
+    ref: QuantileGrid,
     weight: np.ndarray,
     eps: float,
     tol: float = 1e-8,
@@ -165,8 +165,8 @@ def calibrate_lambda(
     (Press et al., *Numerical Recipes*, sec. 9.4, "rtsafe"):
 
     * It starts from the small-budget multiplier
-      ``lam0 = sqrt(I(ref) / (2 eps))``, where ``I(G)`` is the mean of
-      ``weight^2 / phi''(G)`` over the nodes (a zero weight adds 0):
+      ``lam0 = sqrt(I(ref) / (2 eps))``, where ``I(G)`` is the integral of
+      ``weight^2 / phi''(G)`` by the rule of ``ref`` (a zero weight adds 0):
       expanding the Bregman terms to second order gives
       ``D ~ I(ref) / (2 lam^2)``, exact for the quadratic generator.  Where
       ``I(ref)`` is zero or not finite it starts from lam = 1.
@@ -195,21 +195,21 @@ def calibrate_lambda(
     phi(ref), phi'(ref), I(ref) and the domain check of the reference are
     computed once; each probe is one :func:`perturbed_nodes` call and one
     phi, with the Bregman terms in the order of
-    :meth:`ConvexGenerator.bregman`, so every divergence is bit-identical to
-    :func:`bw_divergence_nodes`.  A Newton step adds I(G_lam), which reuses
-    phi(G_lam) where phi'' is phi (the exp generator) and I(ref) where phi''
-    is constant.
+    :meth:`ConvexGenerator.bregman` and the rule of ``ref``, so every
+    divergence is bit-identical to :func:`bw_divergence_nodes`.  A Newton
+    step adds I(G_lam), which reuses phi(G_lam) where phi'' is phi (the exp
+    generator) and I(ref) where phi'' is constant.
 
     Returns
     -------
     (lam, divergence, binding, nodes)
         ``binding`` is ``|divergence - eps| <= tol * eps``; ``nodes`` is
-        ``perturbed_nodes(gen, ref_nodes, weight, lam)``.
+        ``perturbed_nodes(gen, ref.nodes, weight, lam)``.
     """
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
     _check_tolerance("calibration", tol=tol)
-    ref_nodes = gen._check_domain(ref_nodes, "second Bregman argument")
+    ref_nodes = gen._check_domain(ref.nodes, "second Bregman argument")
     with np.errstate(over="ignore", invalid="ignore"):
         phi_ref, dphi_ref = gen.phi(ref_nodes), gen.dphi(ref_nodes)
     log_eps = math.log(eps)
@@ -230,7 +230,7 @@ def calibrate_lambda(
                 terms = np.subtract(nodes, ref_nodes)
                 terms *= dphi_ref
                 np.subtract(np.subtract(phi_nodes, phi_ref), terms, out=terms)
-                val = pairwise_mean(terms)
+                val = ref.rule.integrate(terms)
         except InfeasibleLambdaError:
             val = np.inf
         if not np.isfinite(val):
@@ -238,7 +238,7 @@ def calibrate_lambda(
         return val, nodes, phi_nodes
 
     def inverse_curvature_mean(nodes, phi_nodes):
-        # I(G) = mean of weight^2 / phi''(G), and whether phi'' is one number
+        # I(G) = integral of weight^2 / phi''(G), and whether phi'' is one number
         # (then I is the same at every lam); a zero weight adds 0 even where
         # phi'' vanishes, and a zero or overflowing phi'' under a nonzero
         # weight makes I infinite or zero, which rules out the Newton step
@@ -247,7 +247,7 @@ def calibrate_lambda(
             terms = np.divide(weight, curvature, out=np.zeros(np.shape(weight)),
                               where=weight != 0.0)
             terms *= weight
-            return pairwise_mean(terms), np.ndim(curvature) == 0
+            return ref.rule.integrate(terms), np.ndim(curvature) == 0
 
     integral, constant = inverse_curvature_mean(ref_nodes, phi_ref)
     lam = math.sqrt(integral / (2.0 * eps)) if 0.0 < integral < math.inf else 1.0
@@ -304,8 +304,8 @@ def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta, tol):
     the calibration.  Returns ``(lam, divergence, binding, weight,
     QuantileGrid(nodes))``."""
     grid = quantile_grid(ref, m, delta)
-    weight = _checked_weight(what, weight_of, grid.u)
-    lam, div, binding, nodes = calibrate_lambda(gen, grid.nodes, weight, eps, tol)
+    weight = _checked_weight(what, weight_of, grid.rule.u)
+    lam, div, binding, nodes = calibrate_lambda(gen, grid, weight, eps, tol)
     return lam, div, binding, weight, QuantileGrid(nodes=nodes)
 
 
@@ -367,7 +367,7 @@ def solve_worst_case(
     return WorstCaseSolution(
         lambda_star=lam,
         worst_quantile=worst,
-        worst_value=pairwise_mean(weight * worst.nodes),
+        worst_value=worst.rule.integrate(weight * worst.nodes),
         divergence_at_solution=div,
         epsilon=eps,
         binding=binding,

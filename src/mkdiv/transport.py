@@ -10,16 +10,16 @@ single pass over paired quantiles:
 * comonotonic:  integral over u of  S(Q2(u),   Q1(u))
 * antitonic:    integral over u of  S(Q2(1-u), Q1(u))
 
-Two empirical laws of any sizes n1 and n2 have step quantile functions, so
-the integral is an exact O(n1 + n2) sum over the merged breakpoints
-{k/n1} and {j/n2}; every other input is evaluated on the shared midpoint
-grid.  :func:`oracle_optimal` independently solves the finite problem to
-optimality (assignment problem for equal weights, linear programming on the
-transport polytope otherwise) so the closed form can be certified instance
-by instance.  Certification compares optimal values; the oracle's matching is
-an optimal permutation, whichever one the solver finds among tied optima.
-The oracle imports ``scipy.optimize`` on its first call, so a process that
-never certifies does not load it.
+Each integral is one :class:`~mkdiv.numerics.Rule`.  Two empirical laws of
+any sizes n1 and n2 have step quantile functions, so their rule is exact: an
+O(n1 + n2) sum over the merged breakpoints {k/n1} and {j/n2}; every other
+input is on the midpoint rule.  :func:`oracle_optimal` independently solves
+the finite problem to optimality (assignment problem for equal weights,
+linear programming on the transport polytope otherwise) so the closed form
+can be certified instance by instance.  Certification compares optimal
+values; the oracle's matching is an optimal permutation, whichever one the
+solver finds among tied optima.  The oracle imports ``scipy.optimize`` on its
+first call, so a process that never certifies does not load it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from .errors import CapacityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
+    Rule,
     _check_tolerance,
-    midpoint_u,
+    midpoint_rule,
     pairwise_mean,
     pairwise_sum,
 )
@@ -110,12 +111,12 @@ def coupling_value(score: Score, atoms1, atoms2, matching) -> float:
 
 
 def _paired_quantiles(f1: Distribution, f2: Distribution, coupling: str, m: int, delta: float):
-    """Paired quantiles ``(q1, q2, counts, total, u)`` of two laws.
+    """Paired quantiles ``(q1, q2, rule)`` of two laws.
 
-    Cell k has mass ``counts[k] / total`` and midpoint level ``u[k]``; it pairs
-    Q1(u) with Q2(u), or with Q2(1 - u) when antitonic.  Two empirical laws
-    are paired exactly on the merged breakpoints {k/n1} and {j/n2}, in units
-    of 1/lcm(n1, n2); any other pair on the m-node midpoint grid.
+    Cell k of ``rule`` pairs Q1(u) with Q2(u), or with Q2(1 - u) when
+    antitonic, at its midpoint level u.  Two empirical laws are paired
+    exactly on the merged breakpoints {k/n1} and {j/n2}, in cells of
+    1/lcm(n1, n2); any other pair on the m-node midpoint grid.
     """
     if isinstance(f1, Empirical) and isinstance(f2, Empirical):
         total = math.lcm(f1.n, f2.n)
@@ -124,11 +125,10 @@ def _paired_quantiles(f1: Distribution, f2: Distribution, coupling: str, m: int,
         counts = np.diff(cuts, append=total)
         # Q2(1 - u) for u between c and c + count is Q2 between L - c - count and L - c
         second = cuts if coupling == COMONOTONIC else total - cuts - counts
-        u = (cuts + 0.5 * counts) / total
-        return f1.values[cuts // step1], f2.values[second // step2], counts, total, u
-    u = midpoint_u(m, delta)
-    q1 = f1.quantile(u)
-    return q1, f2.quantile(u if coupling == COMONOTONIC else 1.0 - u), 1, m, u
+        return f1.values[cuts // step1], f2.values[second // step2], Rule(counts, total)
+    rule = midpoint_rule(m, delta)
+    u = rule.u
+    return f1.quantile(u), f2.quantile(u if coupling == COMONOTONIC else 1.0 - u), rule
 
 
 def mk_divergence(
@@ -149,13 +149,13 @@ def mk_divergence(
     violation of the score propagates with the u-node of the entry its check
     rejected.
     """
-    q1, q2, counts, total, u = _paired_quantiles(f1, f2, score.coupling, m, delta)
+    q1, q2, rule = _paired_quantiles(f1, f2, score.coupling, m, delta)
     try:
         vals = np.asarray(score(q2, q1))
     except DomainError as exc:
-        node = float("nan") if exc.index is None else float(u[exc.index])
+        node = float("nan") if exc.index is None else float(rule.u[exc.index])
         raise DomainError(f"{exc} (first offending grid node: u={node})", index=exc.index) from exc
-    value = pairwise_sum(counts * vals) / total
+    value = rule.integrate(vals)
     if math.isnan(value) or value == -math.inf:
         raise MomentError(f"divergence is undefined: the score values sum to {value}")
     return value if value > 0.0 else 0.0
@@ -174,8 +174,8 @@ def wasserstein_p(
     quantiles that overflow to the same infinity, raises :class:`MomentError`."""
     if p < 1.0:
         raise DomainError(f"wasserstein order must satisfy p >= 1, got {p}")
-    q1, q2, counts, total, _ = _paired_quantiles(f1, f2, COMONOTONIC, m, delta)
-    value = pairwise_sum(counts * np.abs(q1 - q2) ** p) / total
+    q1, q2, rule = _paired_quantiles(f1, f2, COMONOTONIC, m, delta)
+    value = rule.integrate(np.abs(q1 - q2) ** p)
     if math.isnan(value):
         raise MomentError("wasserstein distance is undefined: the |Q1 - Q2|^p values sum to nan")
     return float(value ** (1.0 / p))

@@ -58,7 +58,7 @@ from mkdiv import (
 )
 from mkdiv.cli import main as cli_main
 from mkdiv.generators import exponential_generator
-from mkdiv.numerics import midpoint_u, pairwise_mean
+from mkdiv.numerics import midpoint_rule, pairwise_mean
 from mkdiv.robust import perturbed_nodes
 
 TWO_STEP = StepFunction([0.0], [0.3, 0.7])
@@ -169,7 +169,7 @@ def test_criterion_4_worst_case_analytic_reduction():
             (Normal(1.5, 0.5), dual_power(2.0), 0.08),
             (Uniform(0.2, 2.2), dual_power(3.0), 0.03),
         ]
-        u = midpoint_u(10_000, 1e-7)
+        u = midpoint_rule(10_000, 1e-7).u
         for ref, d, eps in cases:
             sol = solve_worst_case(quadratic(), d, ref, eps)
             base = choquet(d, quantile_grid(ref))
@@ -207,7 +207,7 @@ def test_criterion_5_cheapest_payoff_analytic_reduction():
         # weight gamma(u) = -Q_xi(1 - u)
         m = sol.payoff_quantile.m
         grid = quantile_grid(bench, m)
-        weight = -market.spd.quantile(1.0 - midpoint_u(m))
+        weight = -market.spd.quantile(1.0 - midpoint_rule(m).u)
         manual = perturbed_nodes(quadratic(), grid.nodes, weight, sol.lambda_star)
         assert np.max(np.abs(manual - sol.payoff_quantile.nodes)) <= 1e-12
 

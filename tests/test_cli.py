@@ -380,6 +380,32 @@ class TestUsage:
         assert main(argv) == 0
         assert "usage:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, prefix, phrase",
+        [
+            (["divergence", "--score", "score:bregman,phi=quadratic", "--from", "point:c=0",
+              "--to", "point:c=1", "--delta", "0"],
+             "mkdiv: ", "unrecognized arguments: --delta 0"),
+            (["divergence", "--score", "score:bregman,phi=quadratic", "--from", "point:c=0"],
+             "mkdiv divergence: ", "the following arguments are required: --to"),
+            (["diverge"], "mkdiv: ", "invalid choice: 'diverge'"),
+            (["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+              "--ref", "uniform:a=0,b=1", "--eps", "x"],
+             "mkdiv worst-case: ", "argument --eps: invalid float value: 'x'"),
+            (["payoff", "--phi", "phi:quadratic", "--benchmark", "uniform:a=0,b=1",
+              "--market", "market:spd=uniform:a=0,b=1", "--eps", "0.02", "--format", "csv"],
+             "mkdiv payoff: ", "--format csv needs --out FILE"),
+        ],
+    )
+    def test_usage_error_is_one_json_line(self, argv, prefix, phrase, capsys):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        message = json.loads(line)["error"]
+        assert line == canonical_json({"error": message})
+        assert message.startswith(prefix) and phrase in message
+        assert capsys.readouterr() == ("", "")  # nothing bypasses err
+
 
 # A small run of every subcommand.
 WALK_ARGS = {

@@ -16,7 +16,7 @@ from mkdiv import (
     read_value_csv,
 )
 from mkdiv.distributions import _EXP_M2, _ndtr, _ndtri
-from mkdiv.numerics import _DEFAULT_DELTA, _check_grid, pairwise_mean
+from mkdiv.numerics import _DEFAULT_DELTA, midpoint_rule, pairwise_mean
 
 # Inverse standard-normal cdf at selected levels, computed beforehand with
 # 50-digit series evaluation (mpmath); frozen as the oracle for the rational
@@ -204,12 +204,12 @@ class TestQuantileGrid:
             quantile_grid(Uniform(0, 1), m=4, delta=0.2)  # no longer clips u_1 = 0.125
 
     def test_default_delta_admits_every_m(self):
-        _check_grid(10**12, _DEFAULT_DELTA)
+        midpoint_rule(10**12, _DEFAULT_DELTA)
 
     def test_grid_is_its_nodes(self):
         g = QuantileGrid(nodes=[0.0, 1.0, 1.0, 2.5])
         assert g.m == 4
-        np.testing.assert_array_equal(g.u, [0.125, 0.375, 0.625, 0.875])
+        np.testing.assert_array_equal(g.rule.u, [0.125, 0.375, 0.625, 0.875])
 
     def test_tiny_dip_raises_naming_the_node(self):
         nodes = np.linspace(0.0, 1.0, 100)

@@ -185,6 +185,13 @@ class TestEvaluateErrors:
         with pytest.raises(AmbiguityError):
             t.evaluate(from_samples([0.0, 1.0]))
 
+    def test_overflowing_quantile_names_its_level(self):
+        # exp(706 + ndtri(0.99999)) overflows; the scan must not read the
+        # infinite candidate as a threshold the cdf never exceeds
+        t = LambdaQuantile(StepFunction([], [0.99999]))
+        with pytest.raises(MomentError, match=r"^the quantile at level 0\.99999 is not finite: inf$"):
+            t.evaluate(LogNormal(706.0, 1.0))
+
     def test_moment_error_on_overflowing_tail(self):
         t = Entropic(1.0)
         with pytest.raises(MomentError):

@@ -16,7 +16,7 @@ from mkdiv import (
     quantile_grid,
 )
 from mkdiv.distributions import QuantileGrid
-from mkdiv.numerics import midpoint_u, pairwise_mean
+from mkdiv.numerics import midpoint_rule, pairwise_mean
 from mkdiv.robust import bw_divergence_nodes, perturbed_nodes
 
 
@@ -86,7 +86,7 @@ class TestCheapestPayoff:
         full_price = c * market.spd.mean()
         assert sol.cost < full_price
         # closed form: G(u) = c - Q_xi(1-u) / (2 lam)
-        u = sol.payoff_quantile.u
+        u = sol.payoff_quantile.rule.u
         manual = c - market.spd.quantile(1.0 - u) / (2.0 * sol.lambda_star)
         assert np.max(np.abs(sol.payoff_quantile.nodes - manual)) <= 1e-12
 
@@ -111,7 +111,7 @@ class TestCheapestPayoff:
         sol = cheapest_payoff(quadratic(), bench, market, eps)
         m = sol.payoff_quantile.m
         grid = quantile_grid(bench, m)
-        weight = -market.spd.quantile(1.0 - midpoint_u(m))
+        weight = -market.spd.quantile(1.0 - midpoint_rule(m).u)
         manual = perturbed_nodes(quadratic(), grid.nodes, weight, sol.lambda_star)
         assert np.max(np.abs(manual - sol.payoff_quantile.nodes)) <= 1e-12
 
@@ -149,7 +149,7 @@ class TestCheapestPayoff:
         # the feasible end's divergence moves in its third digit within 1e-14
         # of the multiplier, so it is checked against the multiplier's own
         nodes = quantile_grid(bench, 20_000).nodes
-        curve = perturbed_nodes(gen, nodes, market.neg_weight(midpoint_u(20_000)), sol.lambda_star)
+        curve = perturbed_nodes(gen, nodes, market.neg_weight(midpoint_rule(20_000).u), sol.lambda_star)
         assert curve.tobytes() == sol.payoff_quantile.nodes.tobytes()
         div = sol.divergence_at_solution
         assert math.isfinite(div) and div < 0.02

@@ -12,6 +12,7 @@ from mkdiv import (
     LogNormal,
     MarketSpec,
     Normal,
+    QuantileGrid,
     Uniform,
     cheapest_payoff,
     choquet,
@@ -26,7 +27,7 @@ from mkdiv import (
     tvar_distortion,
 )
 from mkdiv.errors import DomainError, InfeasibleLambdaError
-from mkdiv.numerics import brent_root, midpoint_u, pairwise_mean
+from mkdiv.numerics import brent_root, midpoint_rule, pairwise_mean
 from mkdiv.robust import (
     UniquenessWarning,
     bw_divergence_nodes,
@@ -42,7 +43,6 @@ class TestChoquet:
         weird = DistortionSpec(
             name="weird",
             gamma_fn=lambda u: np.where(u > 0.9, np.inf, 1.0),
-            g_fn=lambda x: x,
             strictly_concave=False,
         )
         g = quantile_grid(Uniform(0, 1), m=100, delta=0.0)
@@ -66,7 +66,7 @@ class TestChoquet:
 
 
 def perturbed_curve(gen, d, grid, lam):
-    return perturbed_nodes(gen, grid.nodes, d.gamma(grid.u), lam)
+    return perturbed_nodes(gen, grid.nodes, d.gamma(grid.rule.u), lam)
 
 
 class TestPerturbedCurve:
@@ -74,7 +74,7 @@ class TestPerturbedCurve:
         # (2u + 2u * (3/10)) / 2 = 1.3 u nodewise
         grid = quantile_grid(Uniform(0, 1), m=500, delta=0.0)
         nodes = perturbed_curve(quadratic(), dual_power(2.0), grid, 10.0 / 3.0)
-        assert np.max(np.abs(nodes - 1.3 * grid.u)) <= 1e-12
+        assert np.max(np.abs(nodes - 1.3 * grid.rule.u)) <= 1e-12
 
     def test_large_multiplier_recovers_reference(self):
         base = quantile_grid(Normal(0.2, 1.1), m=200)
@@ -140,7 +140,7 @@ class TestSolve:
             (Exponential(1.0), tvar_distortion(0.9), 0.04),
             (LogNormal(0, 0.25), dual_power(2.0), 0.03),
         ]
-        u = midpoint_u(10_000, 1e-7)
+        u = midpoint_rule(10_000, 1e-7).u
         for ref, d, eps in cases:
             with pytest.warns(UniquenessWarning) if not d.strictly_concave else _nullcontext():
                 sol = solve_worst_case(quadratic(), d, ref, eps)
@@ -159,7 +159,7 @@ class TestSolve:
     def test_divergence_decreases_in_lambda_nodewise(self):
         ref = Normal(0, 1)
         grid = quantile_grid(ref, m=500)
-        gamma = dual_power(2.0).gamma(grid.u)
+        gamma = dual_power(2.0).gamma(grid.rule.u)
         g1 = perturbed_nodes(quadratic(), grid.nodes, gamma, 0.5)
         g2 = perturbed_nodes(quadratic(), grid.nodes, gamma, 2.0)
         assert np.all(g1 > g2)  # smaller multiplier lifts the curve more
@@ -192,7 +192,7 @@ class TestSolve:
         sol = solve_worst_case(entropy_generator(), dual_power(2.0), ref, 0.01)
         assert sol.binding
         g = quantile_grid(ref)
-        manual = g.nodes * np.exp(dual_power(2.0).gamma(g.u) / sol.lambda_star)
+        manual = g.nodes * np.exp(dual_power(2.0).gamma(g.rule.u) / sol.lambda_star)
         assert np.max(np.abs(manual - sol.worst_quantile.nodes)) <= 1e-12 * np.max(manual)
 
     def test_exponential_generator_solves(self):
@@ -328,7 +328,6 @@ class TestNonFiniteWeight:
         spike = DistortionSpec(
             name="spike",
             gamma_fn=lambda u: np.where(u > 0.9, np.inf, 1.0),
-            g_fn=lambda x: x,
         )
         probes = recorded_probes(monkeypatch)
         with pytest.raises(
@@ -367,9 +366,9 @@ def calibration_cases():
 def calibration_inputs(name, ref, kind):
     grid = quantile_grid(ref, CALIBRATION_M, 1e-7)
     if kind == "worst-case":
-        weight = dual_power(2.0).gamma(grid.u)
+        weight = dual_power(2.0).gamma(grid.rule.u)
     else:
-        weight = MarketSpec(LogNormal(-0.1, 0.3)).neg_weight(grid.u)
+        weight = MarketSpec(LogNormal(-0.1, 0.3)).neg_weight(grid.rule.u)
     return generator_catalog()[name], grid.nodes, weight
 
 
@@ -379,7 +378,7 @@ class TestCalibration:
         gen, nodes, weight = calibration_inputs(name, ref, kind)
         expected, _ = bisection_calibrate(gen, nodes, weight, 0.02)
         calls = recorded_probes(monkeypatch)
-        lam, div, binding, _ = calibrate_lambda(gen, nodes, weight, 0.02)
+        lam, div, binding, _ = calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02)
         assert lam == pytest.approx(expected, rel=1e-12)
         assert binding and abs(div - 0.02) <= 1e-8 * 0.02
         assert len(calls) <= 16
@@ -389,7 +388,7 @@ class TestCalibration:
     def test_divergence_and_curve_are_those_of_the_multiplier(self, kind):
         for name, gen in generator_catalog().items():
             _, nodes, weight = calibration_inputs(name, LogNormal(0.0, 0.25), kind)
-            lam, div, _, curve = calibrate_lambda(gen, nodes, weight, 0.02)
+            lam, div, _, curve = calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02)
             assert curve.tobytes() == perturbed_nodes(gen, nodes, weight, lam).tobytes()
             assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
 
@@ -399,10 +398,10 @@ class TestCalibration:
         # here an earlier probe is about 30 times closer than its ends
         eps = 1e-12
         grid = quantile_grid(Uniform(0.0, 1.0), CALIBRATION_M, 1e-7)
-        weight = dual_power(2.0).gamma(grid.u)
+        weight = dual_power(2.0).gamma(grid.rule.u)
         gen = quadratic()
         probes = recorded_probes(monkeypatch)
-        lam, div, _, _ = calibrate_lambda(gen, grid.nodes, weight, eps)
+        lam, div, _, _ = calibrate_lambda(gen, grid, weight, eps)
         monkeypatch.undo()
         gaps = [abs(reference_divergence(gen, grid.nodes, weight, x) - eps) for x in probes]
         assert lam in probes
@@ -449,9 +448,9 @@ class TestCalibration:
         # the divergence is that of the feasible bracket end, never inf
         m = 20_000
         nodes = quantile_grid(bench, m, 1e-7).nodes
-        weight = MarketSpec(spd).neg_weight(midpoint_u(m, 1e-7))
+        weight = MarketSpec(spd).neg_weight(midpoint_rule(m, 1e-7).u)
         gen = exponential_generator()
-        lam, div, binding, curve = calibrate_lambda(gen, nodes, weight, 0.02)
+        lam, div, binding, curve = calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02)
         assert lam == pytest.approx(expected[0], rel=1e-13)
         assert math.isfinite(div) and div < 0.02
         assert curve.tobytes() == perturbed_nodes(gen, nodes, weight, lam).tobytes()
@@ -471,11 +470,11 @@ class TestCalibration:
         # small-budget multiplier meet the residual stop in fewer evaluations
         m = 20_000
         nodes = quantile_grid(bench, m, 1e-7).nodes
-        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m, 1e-7))
+        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_rule(m, 1e-7).u)
         gen = generator_catalog()[name]
         expected, evals = two_phase_calibrate(gen, nodes, weight, eps)
         calls = recorded_probes(monkeypatch)
-        lam, div, binding, curve = calibrate_lambda(gen, nodes, weight, eps)
+        lam, div, binding, curve = calibrate_lambda(gen, QuantileGrid(nodes), weight, eps)
         assert len(set(calls)) == len(calls)
         if name == "exp":
             # the feasible end's divergence changes in its third digit within
@@ -503,11 +502,11 @@ class TestCalibration:
         # which adds 0 to I(ref), so the search starts at lam0
         grid = quantile_grid(Normal(0.0, 1.0), 2001)
         assert grid.nodes[1000] == 0.0
-        weight = d.gamma(grid.u)
+        weight = d.gamma(grid.rule.u)
         gen = generator_catalog()["quartic"]
         expected, _ = bisection_calibrate(gen, grid.nodes, weight, eps)
         calls = recorded_probes(monkeypatch)
-        lam, div, binding, _ = calibrate_lambda(gen, grid.nodes, weight, eps)
+        lam, div, binding, _ = calibrate_lambda(gen, grid, weight, eps)
         assert (calls[0] == 1.0) == (weight[1000] != 0.0)
         assert lam == pytest.approx(expected, rel=1e-12)
         assert binding and abs(math.log(div) - math.log(eps)) <= 1e-13
@@ -520,10 +519,10 @@ class TestCalibration:
         # the bracket is its midpoint in log lam
         m = 20_000
         nodes = quantile_grid(Uniform(0.5, 1.5), m).nodes
-        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m))
+        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_rule(m).u)
         gen = exponential_generator()
         calls = recorded_probes(monkeypatch)
-        calibrate_lambda(gen, nodes, weight, 0.02)
+        calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02)
         assert reference_divergence(gen, nodes, weight, calls[0]) == math.inf
         assert calls[1] == 10.0 * calls[0]
         midpoints = [
@@ -542,11 +541,11 @@ class TestCalibration:
     )
     def test_unreachable_budget_raises_past_the_range_end(self, scale, eps, end, monkeypatch):
         grid = quantile_grid(Uniform(0.0, 1.0), 100)
-        weight = scale * dual_power(2.0).gamma(grid.u)
+        weight = scale * dual_power(2.0).gamma(grid.rule.u)
         calls = recorded_probes(monkeypatch)
         message = r"no multiplier in \[1e-12, 1e\+12\] meets the divergence budget"
         with pytest.raises(CalibrationError, match=message) as info:
-            calibrate_lambda(quadratic(), grid.nodes, weight, eps)
+            calibrate_lambda(quadratic(), grid, weight, eps)
         assert calls[-1] == end
         divs = [reference_divergence(quadratic(), grid.nodes, weight, x) for x in calls]
         assert info.value.achieved_range == (min(divs), max(divs))
@@ -560,9 +559,9 @@ class TestCalibration:
         for ref in (Uniform(0.5, 1.5), Exponential(1.0), LogNormal(0.0, 0.5)):
             grid = quantile_grid(ref, CALIBRATION_M, 1e-7)
             weights = (
-                dual_power(2.0).gamma(grid.u),
-                tvar_distortion(0.9).gamma(grid.u),
-                MarketSpec(Exponential(1.0)).neg_weight(grid.u),
+                dual_power(2.0).gamma(grid.rule.u),
+                tvar_distortion(0.9).gamma(grid.rule.u),
+                MarketSpec(Exponential(1.0)).neg_weight(grid.rule.u),
             )
             for gen in generator_catalog().values():
                 for weight in weights:
@@ -571,7 +570,7 @@ class TestCalibration:
                             gen, grid.nodes, weight, eps
                         )
                         calls.clear()
-                        lam, div, bind, _ = calibrate_lambda(gen, grid.nodes, weight, eps)
+                        lam, div, bind, _ = calibrate_lambda(gen, grid, weight, eps)
                         assert len(set(calls)) == len(calls)
                         if not bind_ref:  # exp on the feasibility boundary
                             continue
@@ -614,10 +613,10 @@ class TestCalibration:
         # |0.0117 - 0.02| = 0.0083 is within 0.5 * eps but not 0.3 * eps
         m = 20_000
         nodes = quantile_grid(Uniform(0.0, 1.0), m, 1e-7).nodes
-        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_u(m, 1e-7))
+        weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_rule(m, 1e-7).u)
         gen = exponential_generator()
-        assert calibrate_lambda(gen, nodes, weight, 0.02, tol=0.5)[2]
-        assert not calibrate_lambda(gen, nodes, weight, 0.02, tol=0.3)[2]
+        assert calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02, tol=0.5)[2]
+        assert not calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02, tol=0.3)[2]
 
     def test_tiny_budget_binds_relative_to_itself(self):
         sol = solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 1e-12)
@@ -649,7 +648,7 @@ class TestCalibration:
 def test_divergence_strictly_decreases_in_lambda(name, lo, width, lam, ratio):
     gen = generator_catalog()[name]
     grid = quantile_grid(Uniform(lo, lo + width), m=200)
-    weight = dual_power(2.0).gamma(grid.u)
+    weight = dual_power(2.0).gamma(grid.rule.u)
     divs = [
         bw_divergence_nodes(gen, perturbed_nodes(gen, grid.nodes, weight, x), grid.nodes)
         for x in (lam, lam * ratio)
