@@ -339,9 +339,9 @@ class Empirical(Distribution):
 
     ``quantile(u)`` returns the ceil(u*n)-th order statistic, which is the
     left-continuous generalized inverse of the empirical cdf; ties contribute
-    multiplicity to the cdf.  The sample must be non-empty and finite; a
-    non-finite entry is named by its index in ``values`` as given, after the
-    ``source_path`` it was read from, if any.
+    multiplicity to the cdf.  The sample must be a non-empty, finite 1-D
+    array; a non-finite entry is named by its index in ``values`` as given,
+    after the ``source_path`` it was read from, if any.
     """
 
     values: np.ndarray
@@ -350,6 +350,8 @@ class Empirical(Distribution):
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise IngestionError(f"a sample must be 1-D, got shape {vals.shape}")
         if vals.size == 0:
             raise IngestionError("cannot build a distribution from an empty sample")
         bad = np.flatnonzero(~np.isfinite(vals))
@@ -392,9 +394,9 @@ class QuantileGrid:
 
     ``nodes[i]`` holds the quantile at ``rule.u[i] = (i - 1/2) / m``, where
     ``m`` is the number of nodes.  The nodes must form a 1-D array of at
-    least two entries that never decreases; the first decrease raises a
-    DomainError naming its index.  The grid keeps a read-only view of the
-    array it is given.
+    least two entries that never decreases; the first decrease, or a NaN
+    node, raises a DomainError naming its index.  The grid keeps a read-only
+    view of the array it is given.
     """
 
     nodes: np.ndarray
@@ -405,9 +407,13 @@ class QuantileGrid:
             raise DomainError(
                 f"grid nodes must be a 1-D array of at least 2 entries, got shape {nodes.shape}"
             )
-        dips = np.flatnonzero(nodes[1:] < nodes[:-1])
+        dips = np.flatnonzero(~(nodes[1:] >= nodes[:-1]))  # a NaN fails it too
         if dips.size:
             i = int(dips[0]) + 1
+            if math.isnan(nodes[i - 1]):  # only a NaN at node 0 is caught on its right
+                i -= 1
+            if math.isnan(nodes[i]):
+                raise DomainError(f"grid node {i} is nan", index=i)
             raise DomainError(
                 f"grid nodes must not decrease: node {i} is {float(nodes[i])} "
                 f"after {float(nodes[i - 1])}",

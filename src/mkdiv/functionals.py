@@ -15,6 +15,7 @@ compared in the test-suite for every functional/score pair of the catalog.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,13 +294,13 @@ def argmin_expected_score(
     """Grid minimiser of the expected score, refined by golden-section.
 
     Ties break toward the smallest report.  The grid stage scans ``steps``
-    points on [z_lo, z_hi]; golden-section then refines inside the best
-    bracket down to 1e-8 relative width.  Both stages score reports against
-    the same atoms of ``dist`` in bounded blocks, as :func:`expected_score`
-    does.
+    points on the finite interval [z_lo, z_hi]; golden-section then refines
+    inside the best bracket down to 1e-8 relative width.  Both stages score
+    reports against the same atoms of ``dist`` in bounded blocks, as
+    :func:`expected_score` does.
     """
-    if not z_lo < z_hi:
-        raise DomainError(f"need z_lo < z_hi, got ({z_lo}, {z_hi})")
+    if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
+        raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps}")
     sample = _atoms(dist, m, delta)

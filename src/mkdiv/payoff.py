@@ -40,7 +40,10 @@ __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
 class MarketSpec:
     """State-price density with a flat rate and horizon.
 
-    ``spd`` must be supported on [0, inf) with a finite mean.
+    ``spd`` must be supported on [0, inf) with a finite mean.  Prices read
+    only ``spd``: ``rate`` and ``horizon`` are checked, parsed from a market
+    spec's ``r`` and ``T`` and rendered, but enter no price, so discounting
+    belongs in ``spd`` itself.
     """
 
     spd: Distribution

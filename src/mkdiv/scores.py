@@ -559,6 +559,22 @@ def dist_transform(inner: Score, hmap: MonotoneMap) -> DistTransformScore:
     return DistTransformScore(inner=inner, hmap=hmap)
 
 
+def _transport_cost(score: Score, z1, z2) -> np.ndarray:
+    """The transport cost c(z1, z2) = S(z2, z1) over broadcast ``z1`` and
+    ``z2``.  An entry that is not finite, as from an overflowing score,
+    raises :class:`DomainError` naming the first such (z1, z2) in C order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = np.asarray(score(z2, z1), dtype=float)
+    finite = np.isfinite(C)
+    if not finite.all():
+        k = np.unravel_index(np.argmin(finite), C.shape)
+        at1, at2 = (np.broadcast_to(z, C.shape)[k] for z in (z1, z2))
+        raise DomainError(
+            f"cost c(z1, z2) = {C[k]} is not finite at (z1, z2) = ({float(at1)}, {float(at2)})"
+        )
+    return C
+
+
 def check_submodular(score: Score, z_grid, y_grid, tol: float = 0.0):
     """Check the transport cost c(z1, z2) = S(z2, z1) for submodularity.
 
@@ -584,15 +600,7 @@ def check_submodular(score: Score, z_grid, y_grid, tol: float = 0.0):
     z2 = np.sort(np.asarray(y_grid, dtype=float))
     if z1.size < 2 or z2.size < 2:
         raise DomainError("submodularity check needs grids of size >= 2")
-    # cost matrix on the lattice: C[i, j] = c(z1[i], z2[j]) = S(z2[j], z1[i])
-    C = np.asarray(score(z2[None, :], z1[:, None]))
-    finite = np.isfinite(C)
-    if not finite.all():
-        i, j = np.unravel_index(np.argmin(finite), C.shape)
-        raise DomainError(
-            f"cost c(z1, z2) = {C[i, j]} is not finite at (z1, z2) = "
-            f"({float(z1[i])}, {float(z2[j])})"
-        )
+    C = _transport_cost(score, z1[:, None], z2[None, :])  # C[i, j] = c(z1[i], z2[j])
     scale = 1.0 + float(np.max(np.abs(C)))
     slack = tol if tol > 0.0 else 1e-12 * scale
     D = (C[:-1, :-1] + C[1:, 1:]) - (C[1:, :-1] + C[:-1, 1:])

@@ -469,6 +469,11 @@ class TestElicitBracket:
         assert code == 2
         assert json.loads(out)["argmin"] <= -0.5
 
+    def test_infinite_bound_is_one_error(self):
+        code, out, err = run_cli(self.ARGS + ["--z-lo=-inf"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("need finite z_lo < z_hi, got (-inf, ")
+
 
 BREG = ["--score", "score:bregman,phi=quadratic"]
 WORST = ["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",

@@ -176,6 +176,12 @@ class TestFromSamples:
         with pytest.raises(IngestionError, match="index 1"):  # the index before the sort
             Empirical(np.array([1.0, np.nan, 0.5]))
 
+    def test_sample_must_be_one_dimensional(self):
+        with pytest.raises(IngestionError, match=r"sample must be 1-D, got shape \(2, 2\)"):
+            from_samples([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(IngestionError, match=r"got shape \(\)"):
+            Empirical(np.float64(1.0))
+
 
 class TestQuantileGrid:
     def test_uniform_midpoints(self):
@@ -217,6 +223,14 @@ class TestQuantileGrid:
         with pytest.raises(DomainError, match="node 37") as exc:
             QuantileGrid(nodes=nodes)
         assert exc.value.index == 37
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_nan_node_raises_naming_it(self, i):
+        nodes = np.array([0.0, 0.5, 1.0])
+        nodes[i] = np.nan
+        with pytest.raises(DomainError, match=f"grid node {i} is nan") as exc:
+            QuantileGrid(nodes=nodes)
+        assert exc.value.index == i
 
     @pytest.mark.parametrize("nodes", [[1.0], [], [[0.0, 1.0], [2.0, 3.0]]])
     def test_shape_errors(self, nodes):

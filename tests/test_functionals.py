@@ -346,6 +346,11 @@ class TestArgmin:
         z = argmin_expected_score(GPLScore(0.5), from_samples([0.0, 1.0]), -1.0, 2.0)
         assert z <= 0.01
 
+    @pytest.mark.parametrize("z_lo,z_hi", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_bracket_must_be_finite(self, z_lo, z_hi):
+        with pytest.raises(DomainError, match="need finite z_lo < z_hi"):
+            argmin_expected_score(BregmanScore(quadratic()), from_samples([0, 1]), z_lo, z_hi)
+
     def test_all_overflow_grid_raises_evaluation_error(self):
         from mkdiv import EntropicScore, EvaluationError, quadratic
 

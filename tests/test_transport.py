@@ -12,6 +12,7 @@ from mkdiv import (
     DecomposableScore,
     DomainError,
     EntropicScore,
+    EvaluationError,
     ExpectileScore,
     MomentError,
     GPLScore,
@@ -24,6 +25,7 @@ from mkdiv import (
     certify_optimal_coupling,
     comonotonic_matching,
     coupling_value,
+    exponential_generator,
     exponential_loss,
     from_samples,
     identity_map,
@@ -37,6 +39,7 @@ from mkdiv import (
     wasserstein_p,
 )
 from mkdiv.numerics import pairwise_mean, pairwise_sum
+from mkdiv.transport import _leaf_elimination
 from test_scores import catalog_scores
 
 
@@ -237,6 +240,13 @@ class TestWasserstein:
         with pytest.raises(DomainError):
             wasserstein_p(PointMass(0), PointMass(1), 0.5)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_order_rejected(self, p):
+        # x ** inf is 0 or inf, so the p-th root of the integral read 1.0
+        # for every pair although W-infinity is 2 here
+        with pytest.raises(DomainError, match="finite p >= 1"):
+            wasserstein_p(Uniform(0, 1), Uniform(0, 3), p=p)
+
 
 class TestOracle:
     def test_hand_instance(self):
@@ -300,6 +310,27 @@ class TestOracle:
             oracle_optimal(s, [0, 1], [2, 3], weights1=[0.5, -0.5], weights2=[0.5, 0.5])
         with pytest.raises(DomainError):
             oracle_optimal(s, [0, 1], [2, 3], weights1=[0.7, 0.7], weights2=[0.5, 0.5])
+        with pytest.raises(DomainError, match="first weight vector length mismatch"):
+            oracle_optimal(s, [0, 1], [2, 3], weights1=[[0.5], [0.5]], weights2=[0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [None, [0.5, 0.5]], ids=["assignment", "lp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_atoms_rejected(self, bad, weights):
+        with pytest.raises(DomainError, match=f"second atoms must be finite: atom 1 is {bad}"):
+            oracle_optimal(BregmanScore(quadratic()), [0.0, 1.0], [2.0, bad], weights, weights)
+
+    @pytest.mark.parametrize("weights", [None, [0.5, 0.5]], ids=["assignment", "lp"])
+    def test_overflowing_cost_names_its_pair(self, weights):
+        s = BregmanScore(exponential_generator())
+        with pytest.raises(DomainError, match=r"not finite at \(z1, z2\) = \(1000.0, 0.0\)"):
+            oracle_optimal(s, [1000.0, 0.0], [0.0, 1.0], weights, weights)
+
+    def test_non_finite_weights_rejected(self):
+        s = BregmanScore(quadratic())
+        with pytest.raises(DomainError, match="first weights must be finite"):
+            oracle_optimal(s, [0, 1], [2, 3], weights1=[np.nan, 0.5], weights2=[0.5, 0.5])
+        with pytest.raises(DomainError, match="second weights must be finite"):
+            oracle_optimal(s, [0, 1], [2, 3], weights1=[0.5, 0.5], weights2=[np.inf, 0.5])
 
     def test_lp_frozen_hand_value(self):
         # marginals (0.5, 0.5) on {0,1} and (0.25, 0.75) on {2,3} with
@@ -360,6 +391,31 @@ class TestOracle:
         s = ShortfallScore(exponential_loss(1.0))
         exact = mk_divergence(s, from_samples(a), from_samples(b))
         assert abs(uniform_lp_value(s, a, b) - exact) <= 1e-12 * exact
+
+
+class TestLeafElimination:
+    def test_spanning_tree_meets_its_marginals_exactly(self):
+        # a staircase on 3 x 3 atoms: five edges, one of them a zero-mass
+        # degenerate cell; dyadic weights keep every float sum exact
+        rows, cols = np.array([0, 0, 1, 2, 2]), np.array([0, 1, 1, 1, 2])
+        w1, w2 = np.array([0.25, 0.5, 0.25]), np.array([0.125, 0.625, 0.25])
+        mass = _leaf_elimination(rows, cols, w1, w2)
+        np.testing.assert_array_equal(mass, [0.125, 0.125, 0.5, 0.0, 0.25])
+        np.testing.assert_array_equal(np.bincount(rows, mass), w1)
+        np.testing.assert_array_equal(np.bincount(cols, mass), w2)
+        np.testing.assert_array_equal(w1, [0.25, 0.5, 0.25])  # the weights are not consumed
+
+    def test_spanning_tree_meets_inexact_marginals_to_rounding(self):
+        rows, cols = np.array([0, 1, 1, 2]), np.array([0, 0, 1, 1])
+        w1, w2 = np.array([0.1, 0.2, 0.7]), np.array([0.3, 0.7])
+        mass = _leaf_elimination(rows, cols, w1, w2)
+        assert np.max(np.abs(np.bincount(rows, mass) - w1)) <= 2**-53
+        assert np.max(np.abs(np.bincount(cols, mass) - w2)) <= 2**-53
+
+    def test_cyclic_support_raises(self):
+        with pytest.raises(EvaluationError, match="cycle"):
+            _leaf_elimination(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                              np.full(2, 0.5), np.full(2, 0.5))
 
 
 @given(
@@ -451,6 +507,23 @@ class TestCouplingValue:
     def test_permutation_validated(self):
         with pytest.raises(DomainError):
             coupling_value(BregmanScore(quadratic()), [0, 1], [2, 3], [0, 0])
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda a, b: coupling_value(BregmanScore(quadratic()), a, b, [0, 1]),
+         comonotonic_matching, antitonic_matching],
+        ids=["coupling_value", "comonotonic", "antitonic"],
+    )
+    def test_atom_lists_must_be_1d_and_finite(self, call):
+        with pytest.raises(DomainError, match="first atoms must be finite: atom 0 is nan"):
+            call([np.nan, 1.0], [0.0, 1.0])
+        with pytest.raises(DomainError, match=r"second atoms must form a 1-D list, got shape"):
+            call([0.0, 1.0], [[2.0, 3.0]])
+
+    def test_overflowing_cost_names_its_pair(self):
+        s = BregmanScore(exponential_generator())
+        with pytest.raises(DomainError, match=r"not finite at \(z1, z2\) = \(800.0, 0.0\)"):
+            coupling_value(s, [800.0, 1.0], [0.0, 1.0], [0, 1])
 
     def test_dominance_over_random_permutations(self):
         rng = np.random.default_rng(36)
