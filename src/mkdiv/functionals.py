@@ -249,22 +249,44 @@ class Entropic(Functional):
         return f"entropic[{self.gamma}]"
 
 
-_SCORE_BLOCK = 1 << 18  # score values per block of reports
+_TILE = 1 << 15  # score values per tile: a tile and its fold stay in L2
 
 
 def _mean_scores(score: Score, sample: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Mean of S(z_i, Y) over the atoms ``sample`` for each report in the 1-D ``z``.
 
-    Reports are scored in blocks of at most ``_SCORE_BLOCK`` values, so memory
-    stays bounded as the grid grows.  Scores are elementwise and each row is
-    folded by the tree of :func:`pairwise_sum`, so a report's mean does not
-    depend on the block it lands in.
+    Scores are taken in tiles of at most ``_TILE`` values, atoms down and
+    reports across: an aligned block of a power of two of atoms against as
+    many reports as fit.  Each tile is folded down its atoms by the tree of
+    :func:`pairwise_sum`, and the sums of the blocks merge as they complete,
+    by the same tree, on a stack of aligned subtrees whose levels strictly
+    decrease, like a binary counter.  So every mean is bit-identical to the
+    fold of its own row of scores, whatever tile it lands in, and memory
+    stays bounded by a tile plus ``len(z) * log2(len(sample))`` sums.
     """
-    k = max(1, _SCORE_BLOCK // sample.size)
+    m = sample.size
+    per_tile = max(1, _TILE // max(z.size, 1))
+    rows = min(1 << (per_tile.bit_length() - 1), 1 << (m - 1).bit_length())
+    cols = _TILE // rows
     out = np.empty(z.size)
-    for i in range(0, z.size, k):
-        vals = score(z[i : i + k, None], sample[None, :])
-        out[i : i + k] = pairwise_sum(vals, axis=-1) / sample.size
+    for j in range(0, z.size, cols):
+        reports = z[None, j : j + cols]
+        stack = []  # (level, sums of an aligned subtree of 2**level atoms)
+        for i in range(0, m, rows):
+            sums = pairwise_sum(score(reports, sample[i : i + rows, None]), axis=0)
+            level = (min(rows, m - i) - 1).bit_length()
+            while stack and stack[-1][0] == level:
+                sums = stack.pop()[1] + sums
+                level += 1
+            stack.append((level, sums))
+        level, sums = stack.pop()
+        while stack:
+            left_level, left = stack.pop()
+            if level < left_level:
+                sums += 0.0  # paired with its all-zero sibling, as the padded tree does
+            sums = left + sums
+            level = left_level + 1
+        out[j : j + cols] = sums / m
     return out
 
 
@@ -296,7 +318,7 @@ def argmin_expected_score(
     Ties break toward the smallest report.  The grid stage scans ``steps``
     points on the finite interval [z_lo, z_hi]; golden-section then refines
     inside the best bracket down to 1e-8 relative width.  Both stages score
-    reports against the same atoms of ``dist`` in bounded blocks, as
+    reports against the same atoms of ``dist`` in tiles, as
     :func:`expected_score` does.
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):

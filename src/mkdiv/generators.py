@@ -101,8 +101,11 @@ def quadratic() -> ConvexGenerator:
 def quartic() -> ConvexGenerator:
     return ConvexGenerator(
         name="quartic",
-        phi=lambda x: x**4,
-        dphi=lambda x: 4.0 * x**3,
+        # through |x|: exactly even and odd, and numpy's fast power loop,
+        # which a negative base leaves for a per-element pow; np.power, not
+        # **, keeps a scalar in that loop too, so it rounds as an array does
+        phi=lambda x: np.power(np.abs(x), 4),
+        dphi=lambda x: 4.0 * np.copysign(np.power(np.abs(x), 3), x),
         d2phi=lambda x: 12.0 * x * x,
         inv_dphi_fn=lambda y: np.cbrt(0.25 * y),
     )

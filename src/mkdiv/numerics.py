@@ -1,9 +1,10 @@
 """Shared numerical primitives: reductions, the rule over u and 1-D searches.
 
 All reductions used for reported values go through :func:`pairwise_sum`, which
-fixes the summation tree (index-ascending, adjacent pairing), so results are
-bit-stable across runs.  Every integral over the quantile level u is one
-:class:`Rule`, and every open-domain check goes through :func:`first_outside`.
+fixes the summation tree (index-ascending, adjacent pairing, folded down the
+leading axis), so results are bit-stable across runs.  Every integral over
+the quantile level u is one :class:`Rule`, and every open-domain check goes
+through :func:`first_outside`.
 :func:`brent_root` finds the shortfall root and :func:`golden_section` refines
 expected-score minima; the multiplier of the robust solvers has its own
 bracketed Newton search, :func:`mkdiv.robust.calibrate_lambda`.
@@ -49,16 +50,20 @@ def first_outside(values, interval) -> int | None:
 
 
 def _fold(a: np.ndarray) -> np.ndarray:
-    """Pairwise tree over the last axis of ``a``, which must be non-empty."""
-    n = a.shape[-1]
+    """Pairwise tree over the leading axis of ``a``, which must be non-empty.
+
+    Each level adds whole rows: one ``np.add`` sums every pair of rows, each
+    row a run over the trailing axes.
+    """
+    n = a.shape[0]
     while n > 1:
-        half = np.empty(a.shape[:-1] + ((n + 1) // 2,))
-        np.add(a[..., 0 : n - 1 : 2], a[..., 1::2], out=half[..., : n // 2])
+        half = np.empty(((n + 1) // 2,) + a.shape[1:])
+        np.add(a[0 : n - 1 : 2], a[1::2], out=half[: n // 2])
         if n % 2:
             # x + 0.0, not x: the padded tree turns -0.0 into +0.0
-            np.add(a[..., -1:], 0.0, out=half[..., -1:])
-        a, n = half, half.shape[-1]
-    return a[..., 0]
+            np.add(a[-1:], 0.0, out=half[-1:])
+        a, n = half, half.shape[0]
+    return a[0]
 
 
 def pairwise_sum(values, axis=None):
@@ -67,17 +72,24 @@ def pairwise_sum(values, axis=None):
     The tree is that of zero-padding to the next power of two: at each level
     an odd last entry is paired with 0.0.  The fixed tree makes the reduction
     order a contract rather than an implementation detail.  With ``axis=None``
-    the flattened array is summed to a float; otherwise each slice along
-    ``axis`` is folded by the same tree, all slices at once, and an array is
-    returned.  The fold holds buffers as large as ``values``, so callers
-    with many slices pass them in bounded blocks.
+    the flattened array is summed to a float; otherwise ``axis`` is moved to
+    the front and each slice along it is folded by the same tree, all slices
+    at once, a level of the tree per ``np.add`` over the leading axis, and an
+    array is returned.  The fold holds buffers as large as ``values``, so
+    callers with many slices pass them in bounded blocks.
+
+    The tree of an aligned block of 2**k entries is the subtree of the whole
+    tree at level k, so summing such blocks first and then folding their sums
+    by the same tree gives the same result.  A last block of r < 2**k
+    entries is that subtree padded with zeros: its sum, paired with 0.0 once,
+    stands for it at level k.
     """
     a = np.asarray(values, dtype=float)
     if axis is None:
         return float(_fold(a.ravel())) if a.size else 0.0
-    a = np.moveaxis(a, axis, -1)
+    a = np.rollaxis(a, axis)  # moveaxis(a, axis, 0), at a tenth of the cost
     # copied: a width-1 fold is a view of ``values``
-    return _fold(a).copy() if a.size else np.zeros(a.shape[:-1])
+    return _fold(a).copy() if a.size else np.zeros(a.shape[1:])
 
 
 def pairwise_mean(values) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, QuantileGrid, quantile_grid
+from .distributions import Distribution, QuantileGrid
 from .errors import CalibrationError, DomainError, InfeasibleLambdaError
 from .generators import ConvexGenerator, DistortionSpec
 from .numerics import (
@@ -42,6 +42,7 @@ from .numerics import (
     _DEFAULT_M,
     _check_tolerance,
     first_outside,
+    midpoint_rule,
     pairwise_mean,
 )
 
@@ -303,8 +304,10 @@ def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta, tol):
     ``weight_of(u)`` of ``what`` on it, checked finite before any probe, and
     the calibration.  Returns ``(lam, divergence, binding, weight,
     QuantileGrid(nodes))``."""
-    grid = quantile_grid(ref, m, delta)
-    weight = _checked_weight(what, weight_of, grid.rule.u)
+    u = midpoint_rule(m, delta).u  # built once: the nodes and the weight share it
+    grid = QuantileGrid(nodes=ref.quantile(u))
+    weight = _checked_weight(what, weight_of, u)
+    del u  # not held through the calibration, where it would raise the peak
     lam, div, binding, nodes = calibrate_lambda(gen, grid, weight, eps, tol)
     return lam, div, binding, weight, QuantileGrid(nodes=nodes)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,8 +31,10 @@ from mkdiv import (
     power_loss,
     quadratic,
 )
+from mkdiv.functionals import _TILE, _mean_scores
 from mkdiv.numerics import pairwise_mean
-from mkdiv.scores import ExpectileScore, ShortfallScore
+from mkdiv.scores import ExpectileScore, Score, ShortfallScore
+from test_scores import catalog_scores
 
 TEST_DISTS = [
     from_samples([1.0, 2.0, 3.0]),
@@ -364,7 +368,7 @@ class TestArgmin:
         [
             (ShortfallScore(exponential_loss(1.0)), from_samples([0.0, 0.7, 1.3]),
              np.array([-0.3, 0.2, 0.9])),
-            # 60 reports x 10^4 nodes span three blocks of 2^18 score values
+            # 60 reports x 10^4 nodes span 20 tiles of 512 nodes; one report, one tile
             (ExpectileScore(0.7, quadratic()), Normal(0.3, 0.8), np.linspace(-2.0, 2.5, 60)),
         ],
     )
@@ -387,6 +391,89 @@ class TestArgmin:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class _ProductScore(Score):
+    """S(z, y) = z y: signed zeros, infinities and NaN pass straight through."""
+
+    family = "product"
+
+    def _eval(self, z, y):
+        return z * y
+
+
+def _tiled(score, atoms, zs):
+    return [repr(float(v)) for v in _mean_scores(score, atoms, np.asarray(zs, dtype=float))]
+
+
+def _per_report(score, atoms, zs):
+    """The reference: each report's scores folded alone, as one 1-D row."""
+    return [repr(pairwise_mean(score(float(z), atoms))) for z in zs]
+
+
+class TestTiledMeans:
+    """Every mean of the tiled scan is repr-equal to the 1-D fold of its row."""
+
+    @pytest.mark.parametrize("reports", [0, 1, 513])
+    @pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, _TILE - 1, _TILE + 1, 10_000, 40_001])
+    def test_tile_geometry(self, m, reports):
+        rng = np.random.default_rng(m)
+        # magnitudes over 12 decades make the sum depend on the tree
+        atoms = rng.normal(0, 1, m) * 10.0 ** rng.integers(-6, 6, m)
+        zs = rng.normal(0, 1, reports)
+        score = BregmanScore(quadratic())
+        assert _tiled(score, atoms, zs) == _per_report(score, atoms, zs)
+
+    @pytest.mark.parametrize("m", [33, 1000])
+    @pytest.mark.parametrize("score", catalog_scores(), ids=lambda s: s.describe())
+    def test_every_catalog_score(self, score, m):
+        rng = np.random.default_rng(m)
+        lo, hi = score.atom_interval
+        atoms, zs = rng.uniform(lo, hi, m), rng.uniform(lo, hi, 513)
+        assert _tiled(score, atoms, zs) == _per_report(score, atoms, zs)
+
+    @pytest.mark.parametrize("m", [1, 3, 33])
+    def test_more_reports_than_one_tile(self, m):
+        rng = np.random.default_rng(m)
+        atoms, zs = rng.normal(0, 1, m), rng.normal(0, 1, _TILE + 1)
+        score = ShortfallScore(exponential_loss(1.0))
+        got = _tiled(score, atoms, zs)
+        # both ends of each report chunk, and a stride through the first
+        picks = np.r_[0:40, 0:_TILE:997, _TILE - 40 : _TILE + 1]
+        assert [got[i] for i in picks] == _per_report(score, atoms, zs[picks])
+
+    @pytest.mark.parametrize("special", ["negative_zeros", "mixed_zeros", "inf", "both_infs", "nan"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 32, 33, 64, 1000])
+    def test_signed_zeros_infinities_and_nan(self, m, special):
+        rng = np.random.default_rng(m)
+        atoms = np.full(m, -0.0)
+        if special != "negative_zeros":
+            atoms = rng.normal(0, 1, m)
+            atoms[rng.integers(0, m, max(1, m // 4))] = -0.0
+        if special in ("inf", "both_infs"):
+            atoms[m // 2] = np.inf
+        if special == "both_infs":
+            atoms[0] = -np.inf
+        if special == "nan":
+            atoms[-1] = np.nan
+        zs = np.concatenate([[-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan], rng.normal(0, 1, 506)])
+        score = _ProductScore()
+        with np.errstate(invalid="ignore"):
+            assert _tiled(score, atoms, zs) == _per_report(score, atoms, zs)
+
+    @pytest.mark.parametrize("m, reports", [(10_000, 513), (1_000_000, 65)])
+    def test_memory_is_bounded(self, m, reports):
+        # a tile, its fold and the stack of partial sums, at any m
+        score = ExpectileScore(0.7, quadratic())
+        atoms, zs = np.linspace(-3.0, 3.0, m), np.linspace(-2.0, 2.0, reports)
+        _mean_scores(score, atoms[:64], zs)  # warm: the first call allocates interpreter state
+        tracemalloc.start()
+        try:
+            _mean_scores(score, atoms, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestAxioms:

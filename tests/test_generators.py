@@ -39,6 +39,13 @@ class TestBregman:
         # phi(0) - phi(1) - 4*1^3*(0 - 1) = 0 - 1 + 4 = 3
         assert quartic().bregman(0.0, 1.0) == 3.0
 
+    def test_quartic_is_exactly_even_and_odd(self):
+        x = np.sort(np.random.default_rng(7).normal(0, 1, 10_000))
+        x[0] = -0.0
+        gen = quartic()
+        assert gen.phi(-x).tobytes() == gen.phi(x).tobytes()
+        assert gen.dphi(-x).tobytes() == (-gen.dphi(x)).tobytes()
+
     def test_identity_case_zero(self):
         for gen in generator_catalog().values():
             a = 0.7 if gen.domain[0] == 0.0 else -0.7

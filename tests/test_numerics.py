@@ -46,6 +46,18 @@ class TestPairwise:
             got, want = pairwise_sum(values), padded_tree(values)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
+    def test_axis_folds_each_slice_by_the_flat_tree(self, axis):
+        rng = np.random.default_rng(5)
+        x = rng.normal(0, 1, (33, 8, 7)) * 10.0 ** rng.integers(-12, 12, (33, 8, 7))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[0] = -0.0  # all-negative-zero slices of widths 8 and 7
+        got = pairwise_sum(x, axis=axis)
+        slices = np.moveaxis(x, axis, -1)
+        assert got.shape == slices.shape[:-1]
+        for index in np.ndindex(got.shape):
+            assert np.float64(pairwise_sum(slices[index])).tobytes() == got[index].tobytes()
+
 
 INF = np.inf
 
