@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from . import specs
-from .distributions import Empirical, quantile_grid
+from .distributions import Empirical
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
 from .numerics import _DEFAULT_M, _check_tolerance
@@ -165,7 +165,7 @@ def _cmd_elicit_check(args):
     z_hi = float(dist.quantile(0.999)) + 1.0 if args.z_hi is None else args.z_hi
     # the functional and the argmin both read one law: a parametric law's m
     # grid atoms, which is what the argmin could score anyway
-    law = dist if isinstance(dist, Empirical) else Empirical(quantile_grid(dist, m).nodes)
+    law = Empirical(dist.atoms(m))
     direct = functional.evaluate(law)
     indirect = argmin_expected_score(score, law, z_lo, z_hi, steps=args.steps)
     deviation = abs(direct - indirect)

@@ -6,13 +6,16 @@ Every distribution exposes
 * ``quantile(u)`` -- the left-continuous generalized inverse
   ``inf{y : F(y) >= u}`` for ``u`` in (0, 1),
 * ``mean()``      -- closed form where available, exact for samples,
+* ``atoms(m, delta)`` -- the sorted equal-weight atoms every computation
+  reads: an :class:`Empirical` sample, else the checked midpoint grid's nodes,
+* ``_upper_quantile(level)`` -- Q+(level) = inf{y : F(y) > level},
 
-and every downstream integral over u is a :class:`~mkdiv.numerics.Rule`: the
-midpoint rule of a :class:`QuantileGrid`, whose non-decreasing nodes are the
-quantiles at ``u_i = (i - 1/2) / m``, or the merged breakpoints of two
-empirical laws.  A grid is its nodes: ``m`` is their count, and a decreasing
-node is an error, never repaired.  :func:`quantile_grid` still takes a tail
-level ``delta``, which :func:`~mkdiv.numerics.midpoint_rule` checks.
+and every downstream integral over u is a :class:`~mkdiv.numerics.Rule` on
+the atoms: the midpoint rule of a :class:`QuantileGrid`, whose non-decreasing
+nodes are the quantiles at ``u_i = (i - 1/2) / m``, or the merged breakpoints
+of two atom lists.  A grid is its nodes: ``m`` is their count, and a
+decreasing node is an error, never repaired.  :func:`quantile_grid` still
+takes a tail level ``delta``, which :func:`~mkdiv.numerics.midpoint_rule` checks.
 
 Objects are immutable after construction; every method is pure and safe for
 concurrent reads.
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IngestionError
+from .errors import DomainError, IngestionError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
@@ -83,6 +86,18 @@ class Distribution:
 
     def mean(self) -> float:
         raise NotImplementedError
+
+    def atoms(self, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA) -> np.ndarray:
+        """The nodes of the checked midpoint grid ``(m, delta)``."""
+        return quantile_grid(self, m, delta).nodes
+
+    def _upper_quantile(self, level: float) -> float:
+        """Q+(level) of a law without flats; an overflow raises MomentError."""
+        with np.errstate(over="ignore"):
+            q = float(self.quantile(level))
+        if not np.isfinite(q):
+            raise MomentError(f"the quantile at level {level} is not finite: {q}")
+        return q
 
     @property
     def support(self):
@@ -376,6 +391,14 @@ class Empirical(Distribution):
 
     def mean(self):
         return pairwise_mean(self.values)
+
+    def atoms(self, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+        """The sorted sample; ``m`` and ``delta`` are not read."""
+        return self.values
+
+    def _upper_quantile(self, level):
+        """The first atom whose cdf exceeds ``level``: it steps over a flat."""
+        return float(self.values[np.searchsorted(self._cdf(self.values), level, "right")])
 
     @property
     def support(self):

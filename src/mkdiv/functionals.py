@@ -2,9 +2,9 @@
 
 Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`.
 :class:`Mean`, :class:`Quantile` and :class:`LambdaQuantile` are exact on
-every law: they read the law's own mean, quantile and cdf.  The others reduce
-a parametric law to its midpoint quantile grid and an empirical law to its
-atoms.  The expectile is solved exactly on the sorted atoms, where its
+every law: they read the law's own mean, quantile, Q+ and cdf.  The others
+read its ``atoms(m, delta)``: a parametric law's m grid nodes, an empirical
+law's sample.  The expectile is solved exactly on the sorted atoms, where its
 residual is piecewise linear; the shortfall root uses Brent's method on the
 sample range, which always brackets it.
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, from_samples, quantile_grid
+from .distributions import Distribution, from_samples
 from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
@@ -48,13 +48,6 @@ __all__ = [
     "AxiomReport",
     "check_axioms",
 ]
-
-
-def _atoms(dist: Distribution, m: int, delta: float) -> np.ndarray:
-    """Representative equal-weight sample: exact atoms or grid nodes."""
-    if isinstance(dist, Empirical):
-        return dist.values
-    return quantile_grid(dist, m, delta).nodes
 
 
 class Functional:
@@ -113,7 +106,7 @@ class Expectile(Functional):
         return self.alpha * up - (1.0 - self.alpha) * down
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        sample = _atoms(dist, m, delta)
+        sample = dist.atoms(m, delta)
         if not np.all(np.isfinite(sample)):
             raise MomentError("expectile needs a finite-mean distribution")
         lo, hi = float(sample[0]), float(sample[-1])
@@ -158,7 +151,7 @@ class Shortfall(Functional):
         return mean
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        sample = _atoms(dist, m, delta)
+        sample = dist.atoms(m, delta)
         lo, hi = float(sample[0]), float(sample[-1])
         if lo == hi:
             return lo
@@ -167,21 +160,6 @@ class Shortfall(Functional):
 
     def describe(self):
         return f"shortfall[{self.loss.kind}]"
-
-
-def _upper_quantile(dist: Distribution, level: float) -> float:
-    """Q+(level) = inf{y : F(y) > level}: the quantile of a law without flats,
-    and on atoms the first one whose cdf exceeds the level, which steps over
-    a flat of the cdf at exactly that level.  A quantile that overflows
-    raises MomentError naming the level."""
-    if isinstance(dist, Empirical):
-        v = dist.values
-        return float(v[np.searchsorted(dist.cdf(v), level, "right")])
-    with np.errstate(over="ignore"):
-        q = float(dist.quantile(level))
-    if not np.isfinite(q):
-        raise MomentError(f"the quantile at level {level} is not finite: {q}")
-    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +187,7 @@ class LambdaQuantile(Functional):
             seg_hi = np.inf if j == nseg - 1 else float(bp[j])
             level = float(lv[j])
             if crossing is None:
-                candidate = max(seg_lo, _upper_quantile(dist, level))
+                candidate = max(seg_lo, dist._upper_quantile(level))
                 if candidate < seg_hi:
                     crossing = candidate
             elif float(dist.cdf(max(seg_lo, crossing))) < level - 1e-12:
@@ -234,7 +212,7 @@ class Entropic(Functional):
             raise DomainError(f"entropic parameter must be positive, got {self.gamma}")
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        sample = _atoms(dist, m, delta)
+        sample = dist.atoms(m, delta)
         # deliberately plain exponential: a divergent moment shows up as a
         # non-finite quadrature value rather than being masked
         with np.errstate(over="ignore"):
@@ -300,7 +278,7 @@ def expected_score(
     """E_F[S(z, Y)] over the atoms of ``dist``: a float for a scalar report,
     otherwise an array of z's shape, each entry bit-identical to its scalar call."""
     z_arr = np.asarray(z, dtype=float)
-    means = _mean_scores(score, _atoms(dist, m, delta), z_arr.ravel()).reshape(z_arr.shape)
+    means = _mean_scores(score, dist.atoms(m, delta), z_arr.ravel()).reshape(z_arr.shape)
     return float(means) if z_arr.ndim == 0 else means
 
 
@@ -325,7 +303,7 @@ def argmin_expected_score(
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
     if steps < 2:
         raise DomainError(f"need steps >= 2, got {steps}")
-    sample = _atoms(dist, m, delta)
+    sample = dist.atoms(m, delta)
     zs = np.linspace(z_lo, z_hi, steps)
     values = _mean_scores(score, sample, zs)
     finite = np.isfinite(values)

@@ -117,7 +117,7 @@ class Rule:
     @property
     def u(self) -> np.ndarray:
         if self.counts is None:
-            return (np.arange(1, self.total + 1) - 0.5) / self.total
+            return np.arange(0.5, self.total) / self.total  # exact numerators i - 1/2
         return (np.cumsum(self.counts) - 0.5 * self.counts) / self.total
 
     def integrate(self, values) -> float:

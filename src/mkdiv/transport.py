@@ -10,16 +10,16 @@ single pass over paired quantiles:
 * comonotonic:  integral over u of  S(Q2(u),   Q1(u))
 * antitonic:    integral over u of  S(Q2(1-u), Q1(u))
 
-Each integral is one :class:`~mkdiv.numerics.Rule`.  Two empirical laws of
-any sizes n1 and n2 have step quantile functions, so their rule is exact: an
-O(n1 + n2) sum over the merged breakpoints {k/n1} and {j/n2}; every other
-input is on the midpoint rule.  :func:`oracle_optimal` independently solves
-the finite problem to optimality (assignment problem for equal weights,
-linear programming on the transport polytope otherwise) so the closed form
-can be certified instance by instance.  Certification compares optimal
-values; the oracle's matching is an optimal permutation, whichever one the
-solver finds among tied optima.  The oracle imports ``scipy.optimize`` on its
-first call, so a process that never certifies does not load it.
+Each integral is one :class:`~mkdiv.numerics.Rule` over the laws' atoms, read
+as step quantile functions: lists of n atoms pair cell by cell, and lists of
+n1 != n2 atoms in an O(n1 + n2) sum over the merged breakpoints {k/n1} and
+{j/n2}, so an empirical side is always exact.  :func:`oracle_optimal`
+independently solves the finite problem to optimality (assignment problem for
+equal weights, linear programming on the transport polytope otherwise) so the
+closed form can be certified instance by instance.  Certification compares
+optimal values; the oracle's matching is an optimal permutation, whichever one
+the solver finds among tied optima.  The oracle imports ``scipy.optimize`` on
+its first call, so a process that never certifies does not load it.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, from_samples
+from .distributions import Distribution, from_samples
 from .errors import CapacityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
     Rule,
     _check_tolerance,
-    midpoint_rule,
     pairwise_mean,
     pairwise_sum,
 )
@@ -123,24 +122,18 @@ def _checked_atoms(atoms, which) -> np.ndarray:
 
 
 def _paired_quantiles(f1: Distribution, f2: Distribution, coupling: str, m: int, delta: float):
-    """Paired quantiles ``(q1, q2, rule)`` of two laws.
-
-    Cell k of ``rule`` pairs Q1(u) with Q2(u), or with Q2(1 - u) when
-    antitonic, at its midpoint level u.  Two empirical laws are paired
-    exactly on the merged breakpoints {k/n1} and {j/n2}, in cells of
-    1/lcm(n1, n2); any other pair on the m-node midpoint grid.
-    """
-    if isinstance(f1, Empirical) and isinstance(f2, Empirical):
-        total = math.lcm(f1.n, f2.n)
-        step1, step2 = total // f1.n, total // f2.n
-        cuts = np.union1d(np.arange(f1.n) * step1, np.arange(f2.n) * step2)
-        counts = np.diff(cuts, append=total)
-        # Q2(1 - u) for u between c and c + count is Q2 between L - c - count and L - c
-        second = cuts if coupling == COMONOTONIC else total - cuts - counts
-        return f1.values[cuts // step1], f2.values[second // step2], Rule(counts, total)
-    rule = midpoint_rule(m, delta)
-    u = rule.u
-    return f1.quantile(u), f2.quantile(u if coupling == COMONOTONIC else 1.0 - u), rule
+    """Paired atoms ``(q1, q2, rule)``: cell k of ``rule`` pairs Q1(u) with
+    Q2(u), or when antitonic with Q2(1 - u), the reversed list, at its level
+    u.  Lists of n atoms pair cell by cell, lists of n1 != n2 atoms on the
+    merged breakpoints {k/n1} and {j/n2}, in cells of 1/lcm(n1, n2)."""
+    q1, q2 = f1.atoms(m, delta), f2.atoms(m, delta)
+    q2 = q2 if coupling == COMONOTONIC else q2[::-1]
+    if q1.size == q2.size:
+        return q1, q2, Rule(None, q1.size)
+    total = math.lcm(q1.size, q2.size)
+    step1, step2 = total // q1.size, total // q2.size
+    cuts = np.union1d(np.arange(q1.size) * step1, np.arange(q2.size) * step2)
+    return q1[cuts // step1], q2[cuts // step2], Rule(np.diff(cuts, append=total), total)
 
 
 def mk_divergence(
@@ -152,14 +145,14 @@ def mk_divergence(
 ) -> float:
     """Divergence from ``f1`` to ``f2`` via the score's claimed coupling.
 
-    Two empirical inputs are evaluated exactly at any sizes, on the merged
-    breakpoints of their step quantile functions; ``m`` sets the midpoint
-    grid (``delta`` is only checked against it) for all other inputs and
-    does not affect empirical pairs.  The result is non-negative; finite
-    negative float dust from cancellation is clamped to zero.  A NaN or -inf
-    sum, as from an overflowing score, raises :class:`MomentError`.  A domain
-    violation of the score propagates with the u-node of the entry its check
-    rejected.
+    One rule serves every pair: it pairs both laws' atoms as step quantile
+    functions, so a pair is exact on each empirical side, at any sizes.  ``m``
+    sets a parametric law's atom count, its midpoint grid (``delta`` is only
+    checked against it); an empirical law does not read it.  The result
+    is non-negative; finite negative float dust from cancellation is clamped
+    to zero.  A NaN or -inf sum, as from an overflowing score, raises
+    :class:`MomentError`.  A domain violation of the score propagates with the
+    u-node of the entry its check rejected.
     """
     q1, q2, rule = _paired_quantiles(f1, f2, score.coupling, m, delta)
     try:
@@ -181,8 +174,9 @@ def wasserstein_p(
     delta: float = _DEFAULT_DELTA,
 ) -> float:
     """p-Wasserstein distance via the quantile representation
-    (int |Q1 - Q2|^p du)^(1/p); exact on two empirical inputs of any sizes,
-    to which ``m`` and ``delta`` do not apply.  A NaN sum, as from two
+    (int |Q1 - Q2|^p du)^(1/p), on the one pairing rule of
+    :func:`mk_divergence`: exact on each empirical side, at any sizes, with
+    ``m`` setting a parametric law's atom count.  A NaN sum, as from two
     quantiles that overflow to the same infinity, raises :class:`MomentError`."""
     if not (p >= 1.0 and math.isfinite(p)):
         raise DomainError(f"wasserstein order must be a finite p >= 1, got {p}")
@@ -210,13 +204,13 @@ def oracle_optimal(
     General weights are solved to optimality as a linear program on the
     transport polytope with deterministic pivoting, followed by an exact
     flow recomputation on the support (:func:`_leaf_elimination`).
-    A non-finite atom or weight, or a cost that overflows, raises
-    :class:`DomainError`; an LP plan whose support has a cycle, or whose
-    recomputed marginals miss the weights by more than 1e-12, raises
-    :class:`EvaluationError`.  Weights spanning many orders of magnitude
-    hit that limit: with Dirichlet(0.1) weights (entries down to 1e-28) on
-    up to 32 atoms a side, about half of seeded instances fail the marginal
-    check or are reported infeasible by the solver.
+    A non-finite atom or weight, a weight total more than 1e-13 from one, or a
+    cost that overflows, raises :class:`DomainError`; an LP plan whose support
+    has a cycle, or whose recomputed marginals miss the weights by more than
+    1e-12, raises :class:`EvaluationError`.  Weights spanning many orders of
+    magnitude hit that limit: with Dirichlet(0.1) weights (entries down to
+    1e-28) on up to 32 atoms a side, about half of seeded instances fail the
+    marginal check or are reported infeasible by the solver.
     """
     from scipy.optimize import linear_sum_assignment  # loaded by the first oracle call
 
@@ -315,8 +309,10 @@ def _checked_weights(w, n, which) -> np.ndarray:
         raise DomainError(f"{which} weights must be finite")
     if np.any(arr < 0.0):
         raise DomainError(f"{which} weights must be non-negative")
-    if abs(pairwise_sum(arr) - 1.0) > 1e-9:
-        raise DomainError(f"{which} weights must sum to one")
+    # a total further from one can fail the plan's 1e-12 marginal check
+    total = pairwise_sum(arr)
+    if abs(total - 1.0) > 1e-13:
+        raise DomainError(f"{which} weights must sum to one within 1e-13, got {total!r}")
     return arr
 
 

@@ -1,0 +1,62 @@
+"""Layout rules of the library, checked on its source."""
+
+import ast
+import pathlib
+
+import mkdiv
+
+SRC = pathlib.Path(mkdiv.__file__).parent
+
+# where the library may ask whether a law is empirical: the law's own module,
+# and the spec renderer, which names the kind
+ALLOWED = {("distributions.py", None), ("specs.py", "render_distribution")}
+
+
+def empirical_type_tests(source: str):
+    """(outermost enclosing function, line) of each ``isinstance(x, ...)``
+    whose types name ``Empirical``, plainly, through a module or in a tuple."""
+    hits, scope = [], []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and len(node.args) == 2):
+                names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+                if "Empirical" in names:
+                    hits.append((scope[0] if scope else None, node.lineno))
+            self.generic_visit(node)
+
+    Finder().visit(ast.parse(source))
+    return hits
+
+
+def test_the_finder_sees_every_spelling():
+    source = (
+        "def f(d):\n"
+        "    return isinstance(d, Empirical)\n"
+        "class C:\n"
+        "    def g(self, d):\n"
+        "        return isinstance(d, (Normal, distributions.Empirical))\n"
+        "ok = isinstance(x, Normal)\n"
+    )
+    assert empirical_type_tests(source) == [("f", 2), ("g", 5)]
+
+
+def test_only_the_law_asks_whether_it_is_empirical():
+    # every other module reads a law through its methods: atoms,
+    # _upper_quantile, quantile, cdf and mean
+    found = [
+        (path.name, func, line)
+        for path in sorted(SRC.glob("*.py"))
+        for func, line in empirical_type_tests(path.read_text(encoding="utf-8"))
+        if (path.name, None) not in ALLOWED and (path.name, func) not in ALLOWED
+    ]
+    assert found == []

@@ -110,8 +110,12 @@ class TestRule:
         rule = _paired_quantiles(f1, f2, COMONOTONIC, 10, 0.0)[2]
         total = math.lcm(n1, n2)
         cuts = np.union1d(np.arange(n1) * (total // n1), np.arange(n2) * (total // n2))
-        assert rule.total == total and rule.counts.sum() == total
-        assert rule.u.tobytes() == ((cuts + 0.5 * rule.counts) / total).tobytes()
+        counts = np.diff(cuts, append=total)
+        assert rule.total == total
+        # equal counts give the midpoint rule of n cells: the merged cells
+        assert (rule.counts is None) == (n1 == n2)
+        assert rule.counts is None or rule.counts.tobytes() == counts.tobytes()
+        assert rule.u.tobytes() == ((cuts + 0.5 * counts) / total).tobytes()
 
     def test_equal_cells_add_no_array_to_the_peak(self):
         # a counts * x product would add one 2 MB array to the fold's 1.5 MB

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mkdiv import (
     EntropicScore,
     EvaluationError,
     ExpectileScore,
+    Exponential,
     MomentError,
     GPLScore,
     LogNormal,
@@ -38,7 +40,7 @@ from mkdiv import (
     reciprocal_map,
     wasserstein_p,
 )
-from mkdiv.numerics import pairwise_mean, pairwise_sum
+from mkdiv.numerics import _DEFAULT_M, midpoint_rule, pairwise_mean, pairwise_sum
 from mkdiv.transport import _leaf_elimination
 from test_scores import catalog_scores
 
@@ -144,8 +146,31 @@ class TestMkDivergence:
             mk_divergence(s, from_samples([-1.0, 2.0]), from_samples([1.0, 3.0]))
 
     def test_offending_node_is_one_the_score_rejects(self):
-        # +inf passes the domain check of an unbounded side; the first node
-        # the score rejects is node 1, the first negative one
+        # +inf passes the domain check of an unbounded side: the reversed
+        # report list starts at +inf, and the first node the score rejects
+        # is cell 4, the first negative report
+        from mkdiv.distributions import Distribution
+        from mkdiv.generators import entropy_generator
+
+        class Stepped(Distribution):
+            def _quantile(self, u):
+                q = np.where(u > 0.5, 1.0, -1.0)
+                q[-1] = np.inf
+                return q
+
+        s = osband_transform(BregmanScore(entropy_generator()), reciprocal_map())
+        with pytest.raises(DomainError, match=r"report z .*u=0\.5625\)") as info:
+            mk_divergence(s, Uniform(1.0, 2.0), Stepped(), m=8)
+        assert info.value.index == 4
+        # the report z = Q2(1 - u) is checked first and leaves (0, inf) at
+        # u = 0.6875, though y = Q1(u) is negative from u = 0.0625
+        with pytest.raises(DomainError, match=r"report z .*u=0\.6875\)") as info:
+            mk_divergence(s, Uniform(-1, 3), Uniform(-2, 3), m=8)
+        assert info.value.index == 5
+
+    def test_a_dipping_law_fails_its_grid_check(self):
+        # every pair reads each law's checked grid, so a law whose quantile
+        # decreases fails there, at the node that dips, before any score
         from mkdiv.distributions import Distribution
         from mkdiv.generators import entropy_generator
 
@@ -156,14 +181,9 @@ class TestMkDivergence:
                 return q
 
         s = BregmanScore(entropy_generator())
-        with pytest.raises(DomainError, match=r"u=0\.1875\)"):
+        with pytest.raises(DomainError, match="node 1 is -1.0 after inf") as info:
             mk_divergence(s, Spiked(), Normal(2.0, 0.1), m=8)
-        # antitonic: the report z = Q2(1 - u) is checked first and leaves
-        # (0, inf) at u = 0.6875, though y = Q1(u) is negative from u = 0.0625
-        s = osband_transform(BregmanScore(entropy_generator()), reciprocal_map())
-        with pytest.raises(DomainError, match=r"report z .*u=0\.6875\)") as info:
-            mk_divergence(s, Uniform(-1, 3), Uniform(-2, 3), m=8)
-        assert info.value.index == 5
+        assert info.value.index == 1
 
     @pytest.mark.parametrize("m,delta", [(10, 0.3), (4, 0.2), (10.5, 0.0), (1, 0.0)])
     def test_parametric_grid_is_checked(self, m, delta):
@@ -193,6 +213,91 @@ class TestMkDivergence:
         val = mk_divergence(s, from_samples(a), from_samples(b))
         manual = np.mean([s(b[2 - i], a[i]) for i in range(3)])
         assert val == pytest.approx(manual, abs=1e-15)
+
+
+# the laws of the identity corpus; every catalog score takes the whole line
+PARAMETRIC_LAWS = (
+    Uniform(-1.0, 2.0), Normal(0.5, 1.5), LogNormal(0.0, 0.5), Exponential(1.5), PointMass(0.7),
+)
+
+
+def midpoint_pairing(score, f1, f2, m):
+    """Reference: the m-cell midpoint pairing, Q1(u) against Q2(u), or
+    against Q2(1 - u) when antitonic, at the grid levels u."""
+    rule = midpoint_rule(m)
+    u = rule.u
+    q2 = f2.quantile(u if score.coupling == COMONOTONIC else 1.0 - u)
+    value = rule.integrate(np.asarray(score(q2, f1.quantile(u))))
+    return value if value > 0.0 else 0.0
+
+
+def breakpoint_value(score, a, b):
+    """Reference: the claimed coupling of the step quantile functions of the
+    equal-weight atoms ``a`` and ``b``, integrated cell by cell between the
+    float breakpoints {k/n1} and {j/n2}."""
+    a, b = np.sort(a), np.sort(b)
+    t = np.unique(np.concatenate([np.arange(a.size + 1) / a.size, np.arange(b.size + 1) / b.size]))
+    mid = 0.5 * (t[:-1] + t[1:])
+    v = mid if score.coupling == COMONOTONIC else 1.0 - mid
+    q1 = a[np.clip(np.ceil(mid * a.size).astype(int), 1, a.size) - 1]
+    q2 = b[np.clip(np.ceil(v * b.size).astype(int), 1, b.size) - 1]
+    return float(np.sum(np.diff(t) * np.asarray(score(q2, q1))))
+
+
+class TestOnePairingRule:
+    """Every pair of laws is paired from its atoms by one rule."""
+
+    @pytest.mark.parametrize("m", [_DEFAULT_M, 3])
+    def test_mixed_pair_is_exact_on_its_empirical_side(self, m):
+        # Q1 = 0, 1, 5 on thirds against the point mass 2: (4 + 1 + 9)/3
+        f1, f2 = from_samples([0.0, 1.0, 5.0]), PointMass(2.0)
+        exact = pytest.approx(14 / 3, rel=1e-15, abs=0.0)
+        assert mk_divergence(BregmanScore(quadratic()), f1, f2, m=m) == exact
+        assert wasserstein_p(f1, f2, 2.0, m=m) ** 2 == exact
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["comonotonic", "antitonic"])
+    def test_corpus_matches_the_breakpoint_integral(self, flip):
+        # mixed pairs read a parametric law as its m grid atoms; empirical
+        # pairs have unequal sizes, so every instance takes the merge
+        rng = np.random.default_rng(19)
+        scores = catalog_scores()
+        for k in range(240):
+            s = scores[k % len(scores)]
+            s = osband_transform(s, negation_map()) if flip else s
+            lo, hi = s.atom_interval
+            n = int(rng.integers(1, 41))
+            sample = from_samples(rng.uniform(lo, hi, n))
+            if k % 2:
+                m = int(rng.integers(2, 61))
+                law = PARAMETRIC_LAWS[k // 2 % len(PARAMETRIC_LAWS)]
+                other, atoms = law, law.quantile((np.arange(m) + 0.5) / m)
+            else:
+                m = int(rng.integers(1, 41))
+                m += m >= n  # a size other than n
+                other = from_samples(rng.uniform(lo, hi, m))
+                atoms = other.values
+            pair = (sample, other) if k % 4 < 2 else (other, sample)
+            a, b = (sample.values, atoms) if k % 4 < 2 else (atoms, sample.values)
+            got = mk_divergence(s, *pair, m=m)
+            assert got == pytest.approx(breakpoint_value(s, a, b), rel=1e-13, abs=0.0), k
+
+    @pytest.mark.parametrize("m", [2, 3, 1000, 10_000])
+    def test_parametric_pairs_keep_the_midpoint_values(self, m):
+        # comonotonic pairs read the same levels.  Antitonic pairs read the
+        # level u_(m+1-k), correctly rounded, instead of 1 - u_k, which is up
+        # to 2**-54 off: relatively 2**-53 * m near the tail's level 0.5/m.
+        # The exponential of two scores lifts that to 9e-14 at m = 1000.
+        rule = midpoint_rule(m)
+        for f1, f2 in itertools.product(PARAMETRIC_LAWS, repeat=2):
+            for s in catalog_scores():
+                assert repr(mk_divergence(s, f1, f2, m=m)) == repr(midpoint_pairing(s, f1, f2, m))
+                flipped = osband_transform(s, negation_map())
+                ref = midpoint_pairing(flipped, f1, f2, m)
+                rel = 1e-13 if s.describe().startswith(("entropic", "bregman[exp]")) else 1e-14
+                got = mk_divergence(flipped, f1, f2, m=m)
+                assert got == pytest.approx(ref, rel=rel, abs=0.0), (s.describe(), f1, f2)
+            diff = np.abs(f1.quantile(rule.u) - f2.quantile(rule.u))
+            assert repr(wasserstein_p(f1, f2, 2.0, m=m)) == repr(rule.integrate(diff**2.0) ** 0.5)
 
 
 class TestWasserstein:
@@ -312,6 +417,22 @@ class TestOracle:
             oracle_optimal(s, [0, 1], [2, 3], weights1=[0.7, 0.7], weights2=[0.5, 0.5])
         with pytest.raises(DomainError, match="first weight vector length mismatch"):
             oracle_optimal(s, [0, 1], [2, 3], weights1=[[0.5], [0.5]], weights2=[0.5, 0.5])
+
+    @pytest.mark.parametrize("d", [1e-10, 1e-11])
+    def test_total_the_marginal_check_cannot_meet_is_rejected(self, d):
+        # a total this far from one ends in HiGHS "infeasible" (1e-10) or in
+        # the 1e-12 marginal check (1e-11) unless it is rejected up front
+        w = [0.5, 0.5 + d]
+        msg = re.escape(f"first weights must sum to one within 1e-13, got {0.5 + (0.5 + d)!r}")
+        with pytest.raises(DomainError, match=msg):
+            oracle_optimal(BregmanScore(quadratic()), [0, 1], [2, 3], weights1=w, weights2=[0.5, 0.5])
+
+    def test_total_within_the_bound_still_solves(self):
+        report = oracle_optimal(
+            BregmanScore(quadratic()), [0, 1], [2, 3], weights1=[0.5, 0.5 + 5e-14],
+            weights2=[0.5, 0.5],
+        )
+        assert report.method == "lp" and report.value == pytest.approx(4.0, rel=1e-12)
 
     @pytest.mark.parametrize("weights", [None, [0.5, 0.5]], ids=["assignment", "lp"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
