@@ -219,7 +219,9 @@ def golden_section(f, a: float, b: float, width_tol: float = 1e-8, max_iter: int
     """Minimiser of a unimodal ``f`` on ``[a, b]`` by golden-section search.
 
     On ties the right part of the bracket is discarded, so the search drifts
-    toward the smallest minimiser of a flat-bottomed objective.
+    toward the smallest minimiser of a flat-bottomed objective.  An end that
+    was a probe keeps its value; only an original end is evaluated, once,
+    and only if it is still an end at the final pick.
     """
     if b < a:
         a, b = b, a
@@ -229,21 +231,22 @@ def golden_section(f, a: float, b: float, width_tol: float = 1e-8, max_iter: int
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
+    fa = fb = None  # unknown until an end is a former probe
     for _ in range(max_iter):
         if 0.5 * h <= width_tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b)):
             break
         if fc <= fd:  # keep [a, d]; ties move left
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             h = b - a
             c = a + _INVPHI2 * h
             fc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             h = b - a
             d = a + _INVPHI * h
             fd = f(d)
     # final pick among probes, preferring the smallest argument on ties
     xs = (a, c, d, b)
-    fs = (f(a), fc, fd, f(b))
+    fs = (f(a) if fa is None else fa, fc, fd, f(b) if fb is None else fb)
     best = min(range(4), key=lambda i: (fs[i], xs[i]))
     return xs[best]

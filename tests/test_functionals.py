@@ -10,7 +10,9 @@ from mkdiv import (
     BregmanScore,
     DomainError,
     Entropic,
+    EvaluationError,
     Expectile,
+    Exponential,
     GPLScore,
     LambdaQuantile,
     LogNormal,
@@ -24,15 +26,20 @@ from mkdiv import (
     Uniform,
     argmin_expected_score,
     check_axioms,
+    cube_map,
+    dist_transform,
+    exp_map,
     exponential_loss,
     expected_score,
     from_samples,
     linear_loss,
+    osband_transform,
     power_loss,
     quadratic,
 )
+from mkdiv import functionals
 from mkdiv.functionals import _TILE, _mean_scores
-from mkdiv.numerics import pairwise_mean
+from mkdiv.numerics import golden_section, pairwise_mean
 from mkdiv.scores import ExpectileScore, Score, ShortfallScore
 from test_scores import catalog_scores
 
@@ -391,6 +398,104 @@ class TestArgmin:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def _whole_grid_argmin(score, dist, z_lo, z_hi, steps, m):
+    """The reference: every grid report scored, the first minimum refined."""
+    sample = dist.atoms(m, 0.0)
+    zs = np.linspace(z_lo, z_hi, steps)
+    values = _mean_scores(score, sample, zs)
+    finite = np.isfinite(values)
+    if not np.any(finite):
+        raise EvaluationError("expected score is non-finite over the whole grid")
+    i = int(np.argmin(np.where(finite, values, np.inf)))
+    objective = lambda z: _mean_scores(score, sample, np.array([z]))[0]
+    lo, hi = float(zs[max(i - 1, 0)]), float(zs[min(i + 1, steps - 1)])
+    return float(golden_section(objective, lo, hi, width_tol=1e-8))
+
+
+_SCAN_SCORES = [
+    *catalog_scores(),
+    osband_transform(BregmanScore(quadratic()), cube_map()),
+    dist_transform(GPLScore(0.7), exp_map()),
+]
+_SCAN_DISTS = [
+    Normal(0.3, 0.8),
+    Uniform(-0.5, 1.5),
+    LogNormal(0.0, 0.5),
+    Exponential(1.0),
+    PointMass(0.4),
+    from_samples(np.random.default_rng(21).normal(0.5, 1.2, 37)),
+    from_samples(np.random.default_rng(22).uniform(0.5, 3.0, 11)),
+    from_samples(np.random.default_rng(23).integers(0, 4, 10)),  # tied integers
+]
+
+
+def _counting_reports(monkeypatch):
+    """Wrap ``_mean_scores``; returns the list of report counts per call."""
+    sizes = []
+    inner = functionals._mean_scores
+
+    def counted(score, sample, z):
+        sizes.append(z.size)
+        return inner(score, sample, z)
+
+    monkeypatch.setattr(functionals, "_mean_scores", counted)
+    return sizes
+
+
+class TestCoarseToFineScan:
+    """The two-level scan returns the whole-grid scan's argmin, repr for repr."""
+
+    @pytest.mark.parametrize("score", _SCAN_SCORES, ids=lambda s: s.describe())
+    def test_matches_the_whole_grid_scan(self, score):
+        for dist in _SCAN_DISTS:
+            z_lo = float(dist.quantile(0.01)) - 1.0
+            z_hi = float(dist.quantile(0.99)) + 1.0
+            for steps in (2, 3, 9, 33, 100, 513, 801):
+                want = _whole_grid_argmin(score, dist, z_lo, z_hi, steps, 1000)
+                got = argmin_expected_score(score, dist, z_lo, z_hi, steps=steps, m=1000)
+                assert repr(got) == repr(want), (dist.kind, steps)
+
+    def test_flat_minimum_over_several_coarse_cells(self):
+        # 0.9 * 10 atoms is an integer: the expected pinball loss is flat between
+        # the ninth and tenth atoms, up to rounding noise that a scan without
+        # the band around the coarse minimum would follow to a later report
+        sample = [-0.59, 0.63, 1.04, 1.03, 1.82, -0.39, 0.54, -0.37, -1.42, -0.7]
+        dist, score = from_samples(sample), GPLScore(0.9)
+        want = _whole_grid_argmin(score, dist, -1.92, 2.32, 513, 10)
+        assert repr(argmin_expected_score(score, dist, -1.92, 2.32)) == repr(want)
+        assert 1.04 <= want <= 1.82  # on the flat
+
+    def test_no_finite_coarse_value_scans_the_whole_grid(self, monkeypatch):
+        class Window(Score):
+            """Squared error, finite only for reports strictly between the
+            coarse points 16 and 32 of the integer grid 0, ..., 512."""
+
+            family = "window"
+
+            def _eval(self, z, y):
+                return np.where((z > 16.0) & (z < 32.0), (z - y) ** 2, np.inf)
+
+        dist = from_samples([20.0, 21.0])
+        sizes = _counting_reports(monkeypatch)
+        got = argmin_expected_score(Window(), dist, 0.0, 512.0)
+        assert sizes[:2] == [33, 513]
+        assert repr(got) == repr(_whole_grid_argmin(Window(), dist, 0.0, 512.0, 513, 2))
+        assert got == pytest.approx(20.5, abs=1e-6)
+
+    def test_a_unimodal_grid_scores_at_most_70_reports(self, monkeypatch):
+        sizes = _counting_reports(monkeypatch)
+        argmin_expected_score(ExpectileScore(0.7, quadratic()), Normal(0, 1), -4.0, 4.0)
+        grid = [n for n in sizes if n > 1]
+        assert len(grid) == 2 and sum(grid) <= 70
+        assert sizes[: len(grid)] == grid  # golden-section then scores one report a call
+
+    @pytest.mark.parametrize("steps", [513.0, "513", None, 1, np.int64(1)])
+    def test_steps_must_be_an_integer_of_at_least_two(self, steps):
+        with pytest.raises(DomainError, match="integer steps >= 2"):
+            argmin_expected_score(BregmanScore(quadratic()), from_samples([0, 1]), 0.0, 1.0,
+                                  steps=steps)
 
 
 class _ProductScore(Score):

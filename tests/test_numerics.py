@@ -229,3 +229,22 @@ class TestGolden:
         f = lambda z: max(abs(z) - 1.0, 0.0)  # flat minimum on [-1, 1]
         x = golden_section(f, -3.0, 3.0, width_tol=1e-10)
         assert x <= -0.99
+
+    @pytest.mark.parametrize(
+        "f, original_ends",
+        [
+            (lambda z: (z - 0.3) ** 2, 0),  # both ends are former probes at the end
+            (lambda z: z, 1),  # the left end never moves
+            (lambda z: -z, 1),  # the right end never moves
+        ],
+    )
+    def test_each_point_is_evaluated_once(self, f, original_ends):
+        seen = []
+
+        def probe(z):
+            seen.append(z)
+            return f(z)
+
+        golden_section(probe, -1.0, 1.0)
+        assert len(seen) == len(set(seen))
+        assert (-1.0 in seen) + (1.0 in seen) == original_ends
