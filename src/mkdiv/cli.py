@@ -43,7 +43,7 @@ from . import specs
 from .distributions import Empirical
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
-from .numerics import _DEFAULT_M, _check_tolerance
+from .numerics import _DEFAULT_M, _check_count, _check_tolerance
 from .payoff import cheapest_payoff
 from .robust import solve_worst_case
 from .transport import certify_optimal_coupling, mk_divergence
@@ -183,6 +183,7 @@ def _cmd_elicit_check(args):
 
 def _cmd_axioms(args):
     functional = specs.parse_functional(args.functional)
+    _check_count("axiom check", 0, seed=args.seed, size=args.size)
     rng = np.random.default_rng(args.seed)
     pairs = [
         (rng.normal(0.0, 1.0, args.size), rng.normal(0.0, 1.0, args.size))

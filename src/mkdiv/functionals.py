@@ -5,8 +5,8 @@ Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`.
 every law: they read the law's own mean, quantile, Q+ and cdf.  The others
 read its ``atoms(m, delta)``: a parametric law's m grid nodes, an empirical
 law's sample.  The expectile is solved exactly on the sorted atoms, where its
-residual is piecewise linear; the shortfall root uses Brent's method on the
-sample range, which always brackets it.
+residual is piecewise linear; the shortfall of the exponential loss is the
+entropic functional, and the other shortfall roots use Brent's method.
 
 :func:`argmin_expected_score` provides the independent route to the same
 quantities: minimising the expected score over reports.  The two routes are
@@ -28,6 +28,7 @@ from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
+    _check_count,
     _check_finite,
     _check_tolerance,
     brent_root,
@@ -136,12 +137,11 @@ class Expectile(Functional):
 
 @dataclass(frozen=True)
 class Shortfall(Functional):
-    """Smallest x with E[ell(W - x)] <= 0, by Brent's method.
+    """Smallest x with E[ell(W - x)] <= 0: the entropic functional for the exponential loss.
 
-    The sample range brackets the root: ``sample - min >= 0`` holds exactly
-    in floats and ``ell(s) >= 0`` for ``s >= 0`` for every loss kind, so the
-    residual is non-negative at the minimum, and by symmetry non-positive at
-    the maximum.
+    Other losses use Brent's method on the sample range, which brackets the root:
+    ``sample - min >= 0`` holds exactly in floats and ``ell(s) >= 0`` for ``s >= 0``,
+    so the residual is non-negative at the minimum and non-positive at the maximum.
     """
 
     loss: LossFunction = field(default_factory=exponential_loss)
@@ -155,9 +155,9 @@ class Shortfall(Functional):
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         sample = dist.atoms(m, delta)
+        if self.loss.kind == "exponential":
+            return _log_mean_exp(sample, self.loss.gamma)
         lo, hi = float(sample[0]), float(sample[-1])
-        if lo == hi:
-            return lo
         res = lambda x: self.residual(sample, x)
         return brent_root(res, lo, hi, res(lo), res(hi))[0]
 
@@ -215,19 +215,24 @@ class Entropic(Functional):
             raise DomainError(f"entropic parameter must be positive, got {self.gamma}")
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        sample = dist.atoms(m, delta)
-        # deliberately plain exponential: a divergent moment shows up as a
-        # non-finite quadrature value rather than being masked
-        with np.errstate(over="ignore"):
-            mgf = pairwise_mean(np.exp(self.gamma * sample))
-        if not np.isfinite(mgf) or mgf <= 0.0:
-            raise MomentError(
-                f"exponential moment not finite under quadrature (gamma={self.gamma})"
-            )
-        return float(np.log(mgf) / self.gamma)
+        value = _log_mean_exp(dist.atoms(m, delta), self.gamma)
+        if self.gamma * value <= np.log(np.finfo(float).max):  # e^{gamma value} is finite
+            return value
+        raise MomentError(f"exponential moment not finite under quadrature (gamma={self.gamma})")
 
     def describe(self):
         return f"entropic[{self.gamma}]"
+
+
+def _log_mean_exp(sample: np.ndarray, gamma: float) -> float:
+    """log(mean of e^{gamma w} over the sorted atoms) / gamma, shifted by the last atom
+    so that no exponential overflows; an infinite atom raises :class:`MomentError`."""
+    hi = float(sample[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf exponents give exactly 0
+        value = hi + math.log(pairwise_mean(np.exp(gamma * (sample - hi)))) / gamma
+    if not math.isfinite(value):
+        raise MomentError(f"exponential moment not finite under quadrature (gamma={gamma})")
+    return value
 
 
 _TILE = 1 << 15  # score values per tile: a tile and its fold stay in L2
@@ -312,8 +317,7 @@ def argmin_expected_score(
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise DomainError(f"need an integer steps >= 2, got steps={steps!r}")
+    _check_count("argmin", 2, steps=steps)
     sample = dist.atoms(m, delta)
     zs = np.linspace(z_lo, z_hi, steps)
     stride = max(1, round(math.sqrt(steps / 2)))

@@ -5,9 +5,8 @@ fixes the summation tree (index-ascending, adjacent pairing, folded down the
 leading axis), so results are bit-stable across runs.  Every integral over
 the quantile level u is one :class:`Rule`, and every open-domain check goes
 through :func:`first_outside`.
-:func:`brent_root` finds the shortfall root and :func:`golden_section` refines
-expected-score minima; the multiplier of the robust solvers has its own
-bracketed Newton search, :func:`mkdiv.robust.calibrate_lambda`.
+:func:`brent_root` and :func:`golden_section` are the 1-D searches; the robust
+solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.
 """
 
 from __future__ import annotations
@@ -132,8 +131,7 @@ def midpoint_rule(m: int, delta: float = 0.0) -> Rule:
     0 <= delta < 0.5/m.  Delta moves none of its levels (i - 1/2)/m: the first
     is the float 0.5/m the check compares delta against, and 1 - delta rounds
     to at least the last."""
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise DomainError(f"grid needs an integer m >= 2, got {m!r}")
+    _check_count("grid", 2, m=m)
     if not 0.0 <= delta < 0.5 / m:
         raise DomainError(f"truncation level must satisfy 0 <= delta < 1/(2m), got {delta}")
     return Rule(None, int(m))  # an np.integer m would make integrals np.float64
@@ -152,6 +150,13 @@ def _check_tolerance(owner: str, **params) -> None:
     for name, value in params.items():
         if value < 0.0:
             raise DomainError(f"{owner} needs a non-negative {name}, got {name}={value}")
+
+
+def _check_count(owner: str, low: int, **params) -> None:
+    """Reject a parameter of ``owner`` that is not an integer >= ``low``, naming it."""
+    for name, value in params.items():
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise DomainError(f"{owner} needs an integer {name} >= {low}, got {name}={value!r}")
 
 
 def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14,

@@ -135,6 +135,15 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["passed"] is False
 
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-30", "0"])
+    def test_payload_keys_and_pass_rule(self, tol):
+        code, out, _ = run_cli(self.ARGS + ["--tol", tol])
+        payload = json.loads(out)
+        assert set(payload) == {"score", "coupling", "instances", "n_min", "n_max", "seed",
+                                "max_deviation", "tolerance", "passed"}
+        assert payload["passed"] is (payload["max_deviation"] <= payload["tolerance"])
+        assert code == (0 if payload["passed"] else 2)
+
 
 class TestWorstCase:
     ARGS = [
@@ -373,6 +382,20 @@ class TestUsage:
         ],
     )
     def test_invalid_tolerance_exits_one_naming_it(self, argv, message):
+        assert run_cli(argv) == (1, "", canonical_json({"error": message}) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--score", "score:gpl,alpha=0.9", "--seed", "-1"],
+             "certification needs an integer seed >= 0, got seed=-1"),
+            (["axioms", "--functional", "functional:mean", "--seed", "-1"],
+             "axiom check needs an integer seed >= 0, got seed=-1"),
+            (["axioms", "--functional", "functional:mean", "--size", "-1"],
+             "axiom check needs an integer size >= 0, got size=-1"),
+        ],
+    )
+    def test_negative_seed_or_size_exits_one_naming_it(self, argv, message):
         assert run_cli(argv) == (1, "", canonical_json({"error": message}) + "\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])

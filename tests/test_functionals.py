@@ -64,10 +64,25 @@ class TestEvaluate:
         )
 
     def test_shortfall_exponential_equals_entropic(self):
-        for d in TEST_DISTS:
-            s = Shortfall(exponential_loss(1.0)).evaluate(d)
-            e = Entropic(1.0).evaluate(d)
-            assert s == pytest.approx(e, abs=1e-9)
+        # one closed form serves both: the values are the same float wherever
+        # the entropic functional returns; Normal(800, 1) has a mean of e^Y
+        # beyond the float range, so only the shortfall returns there
+        rng = np.random.default_rng(25)
+        dists = TEST_DISTS + [Normal(800.0, 1.0), Normal(-800.0, 1.0)] + [
+            from_samples(rng.normal(rng.normal(0.0, 3.0), 2.0, 40)) for _ in range(10)
+        ]
+        returned = 0
+        for d in dists:
+            for gamma in (0.3, 1.0, 2.0):
+                s = Shortfall(exponential_loss(gamma)).evaluate(d)
+                try:
+                    e = Entropic(gamma).evaluate(d)
+                except MomentError:
+                    assert gamma * s > 709.0, (d, gamma)
+                    continue
+                returned += 1
+                assert repr(s) == repr(e), (d, gamma)
+        assert returned == 3 * len(dists) - 2
 
     def test_shortfall_linear_is_the_mean(self):
         d = from_samples([0.0, 1.0, 5.0])
@@ -208,6 +223,12 @@ class TestEvaluateErrors:
         with pytest.raises(MomentError):
             t.evaluate(LogNormal(0.0, 4.0))
 
+    def test_law_far_below_zero_is_finite(self):
+        # every e^{w} underflows to 0 unshifted; the value is that of
+        # Normal(0, 1) moved by -800 (about -799.5)
+        v = Entropic(1.0).evaluate(Normal(-800.0, 1.0))
+        assert v == pytest.approx(Entropic(1.0).evaluate(Normal(0.0, 1.0)) - 800.0, abs=1e-12)
+
 
 class TestExpectileFOC:
     def test_residual_at_solution(self):
@@ -289,6 +310,14 @@ def test_exact_expectile_first_order_condition_and_translation(sample, alpha, sh
 
 class TestShortfallBrent:
     LOSSES = (linear_loss(), exponential_loss(1.0), power_loss(3.0), power_loss(0.5))
+
+    def test_exponential_makes_no_residual_call(self, monkeypatch):
+        def refuse(self, sample, x):
+            raise AssertionError("residual called")
+
+        monkeypatch.setattr(Shortfall, "residual", refuse)
+        for d in TEST_DISTS:
+            Shortfall(exponential_loss(0.7)).evaluate(d)
 
     def test_residual_calls_per_evaluate(self, monkeypatch):
         calls = []

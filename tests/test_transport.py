@@ -588,6 +588,21 @@ class TestCertification:
         with pytest.raises(DomainError, match=message):
             certify_optimal_coupling(GPLScore(0.7), instances=2, tolerance=tolerance)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"instances": 2.0}, "instances >= 1, got instances=2.0"),
+            ({"instances": 0}, "instances >= 1, got instances=0"),
+            ({"n_min": 2.5}, "n_min >= 0, got n_min=2.5"),
+            ({"n_max": 3.0}, "n_max >= 0, got n_max=3.0"),
+            ({"seed": -1}, "seed >= 0, got seed=-1"),
+            ({"seed": 1.5}, "seed >= 0, got seed=1.5"),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, kwargs, message):
+        with pytest.raises(DomainError, match=f"^certification needs an integer {message}$"):
+            certify_optimal_coupling(GPLScore(0.7), **{"instances": 2, **kwargs})
+
 
 def test_scipy_optimize_loads_with_the_first_oracle_call(run_python):
     proc = run_python(
