@@ -9,6 +9,10 @@ payoff        calibrated cheapest payoff under a benchmark constraint
 elicit-check  expected-score argmin vs direct functional evaluation
 axioms        empirical risk-measure axiom report
 
+This module alone lays out the JSON payloads: each ``_cmd_*`` builds its
+subcommand's payload from the fields of the library's plain result objects,
+which know nothing of the output format.
+
 All JSON output is canonical: sorted keys, compact separators, floats at 17
 significant digits.  A fixed seed therefore yields byte-identical output.
 
@@ -133,9 +137,31 @@ def _cmd_verify(args):
         seed=args.seed,
         tolerance=args.tol,
     )
-    payload = result.to_json_dict()
-    payload["score"] = specs.render_score(score)
-    return payload, None
+    return {
+        "score": specs.render_score(score),
+        "coupling": result.coupling,
+        "instances": result.instances,
+        "n_min": result.n_range[0],
+        "n_max": result.n_range[1],
+        "seed": result.seed,
+        "max_deviation": result.max_deviation,
+        "tolerance": result.tolerance,
+        "passed": result.passed,
+    }, None
+
+
+def _solution_payload(sol, curve, fmt: str, **own):
+    """The payload of a calibrated solution whose quantile curve is ``curve``:
+    the keys both solvers share, then ``own``; and the curve, which
+    ``--format csv`` writes.  The grid hands over the curve's own node array."""
+    return {
+        "lambda_star": sol.lambda_star,
+        "epsilon": sol.epsilon,
+        "binding": sol.binding,
+        "divergence_at_solution": sol.divergence_at_solution,
+        "grid": {"M": curve.m, "nodes": curve.nodes},
+        **own,
+    }, curve if fmt == "csv" else None
 
 
 def _cmd_worst_case(args):
@@ -143,7 +169,7 @@ def _cmd_worst_case(args):
     d = specs.parse_distortion(args.distortion)
     ref = specs.parse_distribution(args.ref)
     sol = solve_worst_case(gen, d, ref, args.eps, m=args.grid_m, tol=args.tol)
-    return sol.to_json_dict(), sol.worst_quantile if args.format == "csv" else None
+    return _solution_payload(sol, sol.worst_quantile, args.format, worst_value=sol.worst_value)
 
 
 def _cmd_payoff(args):
@@ -151,7 +177,8 @@ def _cmd_payoff(args):
     benchmark = specs.parse_distribution(args.benchmark)
     market = specs.parse_market(args.market)
     sol = cheapest_payoff(gen, benchmark, market, args.eps, m=args.grid_m, tol=args.tol)
-    return sol.to_json_dict(), sol.payoff_quantile if args.format == "csv" else None
+    return _solution_payload(sol, sol.payoff_quantile, args.format,
+                             cost=sol.cost, nonneg_violation=sol.nonneg_violation)
 
 
 def _cmd_elicit_check(args):
@@ -190,11 +217,19 @@ def _cmd_axioms(args):
         for _ in range(args.pairs)
     ]
     report = check_axioms(functional, pairs, tol=args.tol)
-    payload = report.to_json_dict()
-    payload["pairs"] = args.pairs
-    payload["size"] = args.size
-    payload["seed"] = args.seed
-    return payload, None
+    return {
+        "functional": report.functional,
+        "tol": report.tol,
+        "all_passed": report.all_passed,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "max_violation": c.max_violation,
+             **({} if c.witness is None else {"witness": c.witness})}
+            for c in report.checks
+        ],
+        "pairs": args.pairs,
+        "size": args.size,
+        "seed": args.seed,
+    }, None
 
 
 def _add_grid(parser):

@@ -154,9 +154,9 @@ class Shortfall(Functional):
         return mean
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        sample = dist.atoms(m, delta)
         if self.loss.kind == "exponential":
-            return _log_mean_exp(sample, self.loss.gamma)
+            return Entropic(self.loss.gamma).evaluate(dist, m, delta)
+        sample = dist.atoms(m, delta)
         lo, hi = float(sample[0]), float(sample[-1])
         res = lambda x: self.residual(sample, x)
         return brent_root(res, lo, hi, res(lo), res(hi))[0]
@@ -215,24 +215,19 @@ class Entropic(Functional):
             raise DomainError(f"entropic parameter must be positive, got {self.gamma}")
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        value = _log_mean_exp(dist.atoms(m, delta), self.gamma)
-        if self.gamma * value <= np.log(np.finfo(float).max):  # e^{gamma value} is finite
+        # log of the mean of e^{gamma w} over the sorted atoms, shifted by the
+        # last atom so that no exponential overflows; an infinite atom gives nan
+        sample = dist.atoms(m, delta)
+        gamma, hi = self.gamma, float(sample[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # -inf exponents give exactly 0
+            value = hi + math.log(pairwise_mean(np.exp(gamma * (sample - hi)))) / gamma
+        # e^{gamma value}, the mean of e^{gamma w}, must be a finite float
+        if math.isfinite(value) and gamma * value <= np.log(np.finfo(float).max):
             return value
-        raise MomentError(f"exponential moment not finite under quadrature (gamma={self.gamma})")
+        raise MomentError(f"exponential moment not finite under quadrature (gamma={gamma})")
 
     def describe(self):
         return f"entropic[{self.gamma}]"
-
-
-def _log_mean_exp(sample: np.ndarray, gamma: float) -> float:
-    """log(mean of e^{gamma w} over the sorted atoms) / gamma, shifted by the last atom
-    so that no exponential overflows; an infinite atom raises :class:`MomentError`."""
-    hi = float(sample[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # -inf exponents give exactly 0
-        value = hi + math.log(pairwise_mean(np.exp(gamma * (sample - hi)))) / gamma
-    if not math.isfinite(value):
-        raise MomentError(f"exponential moment not finite under quadrature (gamma={gamma})")
-    return value
 
 
 _TILE = 1 << 15  # score values per tile: a tile and its fold stay in L2
@@ -350,16 +345,6 @@ class AxiomCheck:
     max_violation: float
     witness: dict | None = None
 
-    def to_json_dict(self):
-        out = {
-            "name": self.name,
-            "passed": self.passed,
-            "max_violation": self.max_violation,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -376,14 +361,6 @@ class AxiomReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_json_dict(self):
-        return {
-            "functional": self.functional,
-            "tol": self.tol,
-            "all_passed": self.all_passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
 
 
 # the shifts m, scales s and mixes lam every axiom check tries

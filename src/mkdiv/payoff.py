@@ -6,15 +6,17 @@ anti-monotone in the state-price density ``xi``, and its cost is
 
     cost(G) = integral over u of  Q_xi(1 - u) * G(u),
 
-evaluated by :func:`payoff_cost`.  Minimising this cost subject to the
-payoff's distribution lying within Bregman-Wasserstein distance ``eps`` of a
-benchmark is the same calibration problem as the worst-case distortion bound
-with the signed, increasing weight ``-Q_xi(1 - u)``; the solver therefore
-runs the solve path of :mod:`mkdiv.robust`, whose calibrated curve
+which :func:`payoff_cost` evaluates for any curve.  Minimising this cost
+subject to the payoff's distribution lying within Bregman-Wasserstein
+distance ``eps`` of a benchmark is the same calibration problem as the
+worst-case distortion bound with the signed, increasing weight
+``-Q_xi(1 - u)``; the solver therefore runs the solve path of
+:mod:`mkdiv.robust`, whose calibrated curve
 
     G_lam(u) = (phi')^{-1}( phi'(Q_bench(u)) - Q_xi(1 - u) / lam )
 
-it prices with the same weight array it was calibrated with.
+it prices inline, with the same weight array it was calibrated with, not
+through :func:`payoff_cost`.
 
 The optimal curve may go negative even though payoffs are meant to be
 non-negative; the solver flags this (``nonneg_violation``) instead of
@@ -91,17 +93,6 @@ class PayoffSolution:
     epsilon: float
     binding: bool
     nonneg_violation: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_star": self.lambda_star,
-            "cost": self.cost,
-            "epsilon": self.epsilon,
-            "binding": self.binding,
-            "nonneg_violation": self.nonneg_violation,
-            "divergence_at_solution": self.divergence_at_solution,
-            "grid": {"M": self.payoff_quantile.m, "nodes": self.payoff_quantile.nodes},
-        }
 
 
 def cheapest_payoff(

@@ -323,16 +323,6 @@ class WorstCaseSolution:
     epsilon: float
     binding: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_star": self.lambda_star,
-            "worst_value": self.worst_value,
-            "epsilon": self.epsilon,
-            "binding": self.binding,
-            "divergence_at_solution": self.divergence_at_solution,
-            "grid": {"M": self.worst_quantile.m, "nodes": self.worst_quantile.nodes},
-        }
-
 
 def solve_worst_case(
     gen: ConvexGenerator,

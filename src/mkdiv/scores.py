@@ -207,12 +207,6 @@ class StepFunction:
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "levels": [float(v) for v in self.levels],
-        }
-
 
 @dataclass(frozen=True)
 class LossFunction:

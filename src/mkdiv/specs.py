@@ -24,7 +24,7 @@ Grammar (informal)::
                    score:entropic,gamma=1,phi=quadratic
     functional     functional:mean | functional:quantile,alpha=0.9 |
                    functional:expectile,alpha=0.7 |
-                   functional:shortfall,loss=exponential[,gamma=1] |
+                   functional:shortfall,loss=linear|exponential[,gamma=1]|power[,p=3] |
                    functional:lambda,file=steps.json |
                    functional:entropic,gamma=1
     market         market:spd=<distribution>;r=0.01;T=1

@@ -178,13 +178,20 @@ def wasserstein_p(
     (int |Q1 - Q2|^p du)^(1/p), on the one pairing rule of
     :func:`mk_divergence`: exact on each empirical side, at any sizes, with
     ``m`` setting a parametric law's atom count.  A NaN sum, as from two
-    quantiles that overflow to the same infinity, raises :class:`MomentError`."""
+    quantiles that overflow to the same infinity, raises :class:`MomentError`.
+    When the integral overflows but every gap is finite, it is taken again on
+    the gaps divided by the largest one, which then scales the root."""
     if not (p >= 1.0 and math.isfinite(p)):
         raise DomainError(f"wasserstein order must be a finite p >= 1, got {p}")
     q1, q2, rule = _paired_quantiles(f1, f2, COMONOTONIC, m, delta)
-    value = rule.integrate(np.abs(q1 - q2) ** p)
+    gaps = np.abs(q1 - q2)
+    with np.errstate(over="ignore"):
+        value = rule.integrate(gaps ** p)
     if math.isnan(value):
         raise MomentError("wasserstein distance is undefined: the |Q1 - Q2|^p values sum to nan")
+    if value == math.inf and np.all(np.isfinite(gaps)):
+        top = float(gaps.max())
+        return float(top * rule.integrate((gaps / top) ** p) ** (1.0 / p))
     return float(value ** (1.0 / p))
 
 
@@ -332,19 +339,6 @@ class CertificationResult:
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "coupling": self.coupling,
-            "instances": self.instances,
-            "n_min": self.n_range[0],
-            "n_max": self.n_range[1],
-            "seed": self.seed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def _certify_instance(score: Score, seed: int, k: int, n_min: int, n_max: int) -> float:

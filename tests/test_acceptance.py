@@ -264,7 +264,7 @@ def test_criterion_7_risk_axiom_suite():
         pairs = [(rng.normal(0, 1, 40), rng.normal(0, 1, 40)) for _ in range(50)]
 
         coherent = check_axioms(Expectile(0.7), pairs, tol=1e-9)
-        assert coherent.all_passed, coherent.to_json_dict()
+        assert coherent.all_passed, coherent
 
         lower = check_axioms(Expectile(0.3), pairs, tol=1e-9)
         assert not lower["convexity"].passed

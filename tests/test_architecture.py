@@ -50,6 +50,39 @@ def test_the_finder_sees_every_spelling():
     assert empirical_type_tests(source) == [("f", 2), ("g", 5)]
 
 
+def json_layouts(source: str):
+    """Sorted lines of the functions and methods named ``to_json_dict``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "to_json_dict"
+    )
+
+
+def test_the_layout_finder_sees_methods_and_functions():
+    source = (
+        "class C:\n"
+        "    def to_json_dict(self):\n"
+        "        return {}\n"
+        "def to_json_dict(x):\n"
+        "    return {}\n"
+        "def to_json(x):\n"
+        "    return {}\n"
+    )
+    assert json_layouts(source) == [2, 4]
+
+
+def test_only_the_cli_lays_out_json():
+    # result objects are plain data; cli.py builds every payload from their fields
+    found = [
+        (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in json_layouts(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
 def test_only_the_law_asks_whether_it_is_empirical():
     # every other module reads a law through its methods: atoms,
     # _upper_quantile, quantile, cdf and mean

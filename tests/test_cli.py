@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mkdiv
+from mkdiv import cli
 from mkdiv.cli import build_parser, canonical_json, main
 from mkdiv.errors import MkdivError
 
@@ -45,10 +46,13 @@ class TestCanonicalJson:
     def test_solutions_hand_over_their_node_arrays(self):
         worst = mkdiv.solve_worst_case(mkdiv.quadratic(), mkdiv.dual_power(2.0),
                                        mkdiv.Uniform(0, 1), 0.03, m=64)
-        assert worst.to_json_dict()["grid"]["nodes"] is worst.worst_quantile.nodes
         market = mkdiv.MarketSpec(mkdiv.Uniform(0, 1))
         pay = mkdiv.cheapest_payoff(mkdiv.quadratic(), mkdiv.Uniform(0, 1), market, 0.02, m=64)
-        assert pay.to_json_dict()["grid"]["nodes"] is pay.payoff_quantile.nodes
+        for sol, curve in [(worst, worst.worst_quantile), (pay, pay.payoff_quantile)]:
+            payload, csv_curve = cli._solution_payload(sol, curve, "csv")
+            assert payload["grid"]["nodes"] is curve.nodes
+            assert csv_curve is curve
+            assert cli._solution_payload(sol, curve, "json")[1] is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_entry_is_named(self, bad):
@@ -254,6 +258,15 @@ class TestElicitCheck:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "non-finite sample value at index 9910: inf"}
 
+    def test_payload_keys(self):
+        code, out, _ = run_cli(["elicit-check", "--functional", "functional:mean",
+                                "--score", "score:bregman,phi=quadratic",
+                                "--dist", "uniform:a=0,b=1", "--grid-m", "64", "--steps", "9"])
+        payload = json.loads(out)
+        assert set(payload) == {"functional", "score", "dist", "functional_value", "argmin",
+                                "deviation", "tolerance", "passed"}
+        assert code == (0 if payload["passed"] else 2)
+
 
 class TestAxioms:
     def test_expectile_03_reports_convexity_failure(self):
@@ -272,6 +285,22 @@ class TestAxioms:
         assert by_name["convexity"]["passed"] is False
         assert "witness" in by_name["convexity"]
         assert by_name["translation_invariance"]["passed"] is True
+
+    def test_payload_keys_and_witness_only_on_failure(self):
+        code, out, _ = run_cli(["axioms", "--functional", "functional:expectile,alpha=0.3",
+                                "--pairs", "5", "--size", "40", "--seed", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"functional", "tol", "all_passed", "checks",
+                                "pairs", "size", "seed"}
+        assert [c["name"] for c in payload["checks"]] == [
+            "translation_invariance", "positive_homogeneity", "convexity", "monotonicity"]
+        for c in payload["checks"]:
+            keys = {"name", "passed", "max_violation"}
+            assert set(c) == (keys if c["passed"] else keys | {"witness"})
+        assert payload["checks"][2]["passed"] is False
+        assert payload["all_passed"] is False
+        assert (payload["pairs"], payload["size"], payload["seed"]) == (5, 40, 3)
 
     def test_deterministic(self):
         args = ["axioms", "--functional", "functional:expectile,alpha=0.7",

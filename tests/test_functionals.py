@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,9 +65,9 @@ class TestEvaluate:
         )
 
     def test_shortfall_exponential_equals_entropic(self):
-        # one closed form serves both: the values are the same float wherever
-        # the entropic functional returns; Normal(800, 1) has a mean of e^Y
-        # beyond the float range, so only the shortfall returns there
+        # the exponential shortfall is the entropic functional: the same float
+        # wherever the entropic functional returns, and the same error where
+        # it raises; Normal(800, 1) has a mean of e^Y beyond the float range
         rng = np.random.default_rng(25)
         dists = TEST_DISTS + [Normal(800.0, 1.0), Normal(-800.0, 1.0)] + [
             from_samples(rng.normal(rng.normal(0.0, 3.0), 2.0, 40)) for _ in range(10)
@@ -74,15 +75,24 @@ class TestEvaluate:
         returned = 0
         for d in dists:
             for gamma in (0.3, 1.0, 2.0):
-                s = Shortfall(exponential_loss(gamma)).evaluate(d)
+                shortfall = Shortfall(exponential_loss(gamma))
                 try:
                     e = Entropic(gamma).evaluate(d)
-                except MomentError:
-                    assert gamma * s > 709.0, (d, gamma)
+                except MomentError as exc:
+                    with pytest.raises(MomentError, match=f"^{re.escape(str(exc))}$"):
+                        shortfall.evaluate(d)
                     continue
                 returned += 1
-                assert repr(s) == repr(e), (d, gamma)
+                assert repr(shortfall.evaluate(d)) == repr(e), (d, gamma)
         assert returned == 3 * len(dists) - 2
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_shortfall_exponential_raises_with_entropic_on_lognormal(self, gamma):
+        # the grid's top atom of LogNormal(0, 4) makes e^{gamma Y} average
+        # beyond the float range, though the atoms' log-mean-exp is finite
+        for functional in (Shortfall(exponential_loss(gamma)), Entropic(gamma)):
+            with pytest.raises(MomentError, match="exponential moment not finite"):
+                functional.evaluate(LogNormal(0, 4))
 
     def test_shortfall_linear_is_the_mean(self):
         d = from_samples([0.0, 1.0, 5.0])
@@ -635,7 +645,7 @@ class TestAxioms:
 
     def test_expectile_07_coherent(self):
         report = check_axioms(Expectile(0.7), self._pairs())
-        assert report.all_passed, report.to_json_dict()
+        assert report.all_passed, report
 
     def test_expectile_03_convexity_violation_with_witness(self):
         report = check_axioms(Expectile(0.3), self._pairs())

@@ -132,7 +132,7 @@ class TestStepFunction:
         import json
 
         p = tmp_path / "steps.json"
-        p.write_text(json.dumps(TWO_STEP.to_json_dict()))
+        p.write_text(json.dumps({"breakpoints": [0.0], "levels": [0.3, 0.7]}))
         loaded = StepFunction.from_json(p)
         np.testing.assert_array_equal(loaded.breakpoints, TWO_STEP.breakpoints)
         np.testing.assert_array_equal(loaded.levels, TWO_STEP.levels)

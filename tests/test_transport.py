@@ -345,6 +345,18 @@ class TestWasserstein:
         with pytest.raises(DomainError):
             wasserstein_p(PointMass(0), PointMass(1), 0.5)
 
+    @pytest.mark.parametrize(
+        "f1,f2,p,want",
+        [
+            # 5^1000 and (2e200)^2 overflow, the distances do not
+            (Uniform(0, 1), Uniform(5, 6), 1000.0, 5.0),
+            (from_samples([0, 1]), from_samples([1e200, 2e200]), 2.0, 2.5**0.5 * 1e200),
+        ],
+        ids=["uniform-p1000", "samples-1e200"],
+    )
+    def test_overflowing_powers_give_the_finite_distance(self, f1, f2, p, want):
+        assert wasserstein_p(f1, f2, p) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("p", [np.inf, np.nan])
     def test_non_finite_order_rejected(self, p):
         # x ** inf is 0 or inf, so the p-th root of the integral read 1.0
