@@ -9,6 +9,7 @@ Every distribution exposes
 * ``atoms(m, delta)`` -- the sorted equal-weight atoms every computation
   reads: an :class:`Empirical` sample, else the checked midpoint grid's nodes,
 * ``_upper_quantile(level)`` -- Q+(level) = inf{y : F(y) > level},
+* ``_exp_moment_finite(gamma)`` -- whether E[e^{gamma Y}] is finite, gamma > 0,
 
 and every downstream integral over u is a :class:`~mkdiv.numerics.Rule` on
 the atoms: the midpoint rule of a :class:`QuantileGrid`, whose non-decreasing
@@ -98,6 +99,12 @@ class Distribution:
         if not np.isfinite(q):
             raise MomentError(f"the quantile at level {level} is not finite: {q}")
         return q
+
+    def _exp_moment_finite(self, gamma: float) -> bool:
+        """Whether E[e^{gamma Y}] is finite, for gamma > 0.  It is when the
+        support is bounded above; a law unbounded above whose right tail is
+        light enough overrides this."""
+        return math.isfinite(self.support[1])
 
     @property
     def support(self):
@@ -269,6 +276,9 @@ class Normal(Distribution):
     def mean(self):
         return self.mu
 
+    def _exp_moment_finite(self, gamma):
+        return True
+
     @property
     def support(self):
         return (-np.inf, np.inf)
@@ -320,6 +330,9 @@ class Exponential(Distribution):
 
     def mean(self):
         return 1.0 / self.rate
+
+    def _exp_moment_finite(self, gamma):
+        return self.rate > gamma
 
     @property
     def support(self):

@@ -6,7 +6,8 @@ every law: they read the law's own mean, quantile, Q+ and cdf.  The others
 read its ``atoms(m, delta)``: a parametric law's m grid nodes, an empirical
 law's sample.  The expectile is solved exactly on the sorted atoms, where its
 residual is piecewise linear; the shortfall of the exponential loss is the
-entropic functional, and the other shortfall roots use Brent's method.
+entropic functional, that of the linear loss the atoms' mean, and the power
+loss's root is found by Brent's method.
 
 :func:`argmin_expected_score` provides the independent route to the same
 quantities: minimising the expected score over reports.  The two routes are
@@ -137,9 +138,12 @@ class Expectile(Functional):
 
 @dataclass(frozen=True)
 class Shortfall(Functional):
-    """Smallest x with E[ell(W - x)] <= 0: the entropic functional for the exponential loss.
+    """Smallest x with E[ell(W - x)] <= 0: the entropic functional for the
+    exponential loss, and the mean of the atoms for the linear loss.  Where
+    the atoms' sum overflows, the linear root is lo + E[W - lo] on the
+    smallest atom lo, and a :class:`MomentError` if that sum overflows too.
 
-    Other losses use Brent's method on the sample range, which brackets the root:
+    The power loss uses Brent's method on the sample range, which brackets the root:
     ``sample - min >= 0`` holds exactly in floats and ``ell(s) >= 0`` for ``s >= 0``,
     so the residual is non-negative at the minimum and non-positive at the maximum.
     """
@@ -159,6 +163,10 @@ class Shortfall(Functional):
         sample = dist.atoms(m, delta)
         lo, hi = float(sample[0]), float(sample[-1])
         res = lambda x: self.residual(sample, x)
+        if self.loss.kind == "linear":
+            with np.errstate(over="ignore"):
+                mean = pairwise_mean(sample)
+            return mean if math.isfinite(mean) else lo + res(lo)
         return brent_root(res, lo, hi, res(lo), res(hi))[0]
 
     def describe(self):
@@ -204,7 +212,9 @@ class LambdaQuantile(Functional):
 
 @dataclass(frozen=True)
 class Entropic(Functional):
-    """log E[e^{gamma Y}] / gamma; divergence surfaces as a non-finite mean."""
+    """log E[e^{gamma Y}] / gamma, on the atoms; a law whose exponential
+    moment is infinite, or one whose atoms' mean of e^{gamma w} overflows,
+    raises :class:`MomentError`."""
 
     gamma: float = 1.0
     kind = "entropic"
@@ -215,10 +225,15 @@ class Entropic(Functional):
             raise DomainError(f"entropic parameter must be positive, got {self.gamma}")
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+        gamma = self.gamma
+        if not dist._exp_moment_finite(gamma):
+            raise MomentError(
+                f"exponential moment not finite for the {dist.kind} law (gamma={gamma})"
+            )
         # log of the mean of e^{gamma w} over the sorted atoms, shifted by the
         # last atom so that no exponential overflows; an infinite atom gives nan
         sample = dist.atoms(m, delta)
-        gamma, hi = self.gamma, float(sample[-1])
+        hi = float(sample[-1])
         with np.errstate(over="ignore", invalid="ignore"):  # -inf exponents give exactly 0
             value = hi + math.log(pairwise_mean(np.exp(gamma * (sample - hi)))) / gamma
         # e^{gamma value}, the mean of e^{gamma w}, must be a finite float

@@ -14,16 +14,21 @@ Each integral is one :class:`~mkdiv.numerics.Rule` over the laws' atoms, read
 as step quantile functions: lists of n atoms pair cell by cell, and lists of
 n1 != n2 atoms in an O(n1 + n2) sum over the merged breakpoints {k/n1} and
 {j/n2}, so an empirical side is always exact.  :func:`oracle_optimal`
-independently solves the finite problem to optimality (assignment problem for
-equal weights, linear programming on the transport polytope otherwise) so the
-closed form can be certified instance by instance.  Certification compares
-optimal values; the oracle's matching is an optimal permutation, whichever one
-the solver finds among tied optima.  The oracle imports ``scipy.optimize`` on
-its first call, so a process that never certifies does not load it.
+independently solves the finite problem to optimality so the closed form can
+be certified instance by instance: equal weights on n <= 8 atoms by dynamic
+programming over column subsets, on 9 to 64 atoms by scipy's
+``linear_sum_assignment``, and general weights by linear programming on the
+transport polytope (HiGHS).  Certification compares optimal values; the
+oracle's matching is an optimal permutation: on ties the dynamic program takes
+the first argmin column for each subset, and ``linear_sum_assignment``
+whichever optimum it finds.  Only the last two import ``scipy.optimize``, so a
+process that certifies only instances of at most 8 atoms, as a default
+``verify`` does, never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +60,10 @@ __all__ = [
 ]
 
 _MAX_ORACLE = 64
+# the largest equal-weight instance solved by _assignment_dp: its n 2^n
+# steps cost far less than importing scipy.optimize for linear_sum_assignment,
+# and it is verify's default --n, so a default verify loads no scipy
+_MAX_DP = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +216,11 @@ def oracle_optimal(
     Equal-weight instances (no weights given, equal atom counts, n <= 64)
     are solved as a linear assignment problem; an optimal vertex of the
     doubly-stochastic polytope is a permutation, and the report's
-    ``matching`` is an optimal permutation: which one, among tied optima,
-    is up to the assignment solver.
+    ``matching`` is an optimal permutation.  Up to n = 8 atoms it is found
+    by :func:`_assignment_dp`, which on ties takes the first argmin column
+    for each subset of columns; from 9 atoms on by scipy's
+    ``linear_sum_assignment``, which picks among tied optima as it will.
+    Either way ``value`` is the pairwise mean of the matched costs.
     General weights are solved to optimality as a linear program on the
     transport polytope with deterministic pivoting, followed by an exact
     flow recomputation on the support (:func:`_leaf_elimination`).
@@ -220,8 +232,6 @@ def oracle_optimal(
     1e-28) on up to 32 atoms a side, about half of seeded instances fail the
     marginal check or are reported infeasible by the solver.
     """
-    from scipy.optimize import linear_sum_assignment  # loaded by the first oracle call
-
     a = _checked_atoms(atoms1, "first")
     b = _checked_atoms(atoms2, "second")
     if a.size == 0 or b.size == 0:
@@ -236,16 +246,70 @@ def oracle_optimal(
                 f"assignment oracle capped at n <= {_MAX_ORACLE}, got {a.size}"
             )
         cost = _transport_cost(score, a[:, None], b[None, :])
-        ri, ci = linear_sum_assignment(cost)
-        sigma = np.empty(a.size, dtype=int)
-        sigma[ri] = ci
+        if a.size <= _MAX_DP:
+            sigma = _assignment_dp(cost)
+        else:
+            from scipy.optimize import linear_sum_assignment  # loaded by the first such call
+
+            ri, ci = linear_sum_assignment(cost)
+            sigma = np.empty(a.size, dtype=int)
+            sigma[ri] = ci
         value = pairwise_sum(cost[np.arange(a.size), sigma]) / a.size
         return CouplingReport(value=value, matching=sigma, method="assignment")
     return _oracle_lp(score, a, b, weights1, weights2)
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_layers(n: int) -> tuple:
+    """Per row i of an n x n assignment, the subsets of i + 1 columns as
+    ``(masks, cols, prev)``: the ascending bit masks, each mask's columns in
+    ascending order, and for each such column j the mask without j."""
+    masks = np.arange(1, 1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1
+    size = member.sum(axis=1)
+    layers = []
+    for k in range(1, n + 1):
+        layer = masks[size == k]
+        cols = np.nonzero(member[size == k])[1].reshape(layer.size, k)
+        prev = layer[:, None] ^ (1 << cols)
+        for arr in (layer, cols, prev):
+            arr.setflags(write=False)  # shared by every call
+        layers.append((layer, cols, prev))
+    return tuple(layers)
+
+
+def _assignment_dp(cost: np.ndarray) -> np.ndarray:
+    """Optimal permutation of the square ``cost`` matrix by dynamic programming
+    over column subsets (Bellman, 1962; Held and Karp, 1962).
+
+    ``best[mask]`` is the least row-order sum C[0, s_0] + ... + C[i, s_i] over
+    the assignments of rows 0..i to the i + 1 columns of ``mask``:
+    ``best[mask] = min over j in mask of best[mask - j] + C[i, j]``, one
+    vectorised step per row, then backtracking from the full mask.  Float
+    addition is monotone, so this is the exact least row-order float sum over
+    all n! permutations.  On ties each subset takes its first argmin column.
+    Time and memory grow as n 2^n.
+    """
+    n = cost.shape[0]
+    best = np.empty(1 << n)
+    best[0] = 0.0
+    choice = np.empty(1 << n, dtype=int)
+    for row, (masks, cols, prev) in zip(cost, _subset_layers(n)):
+        vals = best[prev] + row[cols]
+        first = np.argmin(vals, axis=1)
+        pick = np.arange(masks.size)
+        best[masks] = vals[pick, first]
+        choice[masks] = cols[pick, first]
+    sigma = np.empty(n, dtype=int)
+    mask = (1 << n) - 1
+    for i in range(n - 1, -1, -1):
+        sigma[i] = choice[mask]
+        mask ^= 1 << int(sigma[i])
+    return sigma
+
+
 def _oracle_lp(score, a, b, weights1, weights2) -> CouplingReport:
-    from scipy.optimize import linprog  # loaded by the first oracle call
+    from scipy.optimize import linprog  # loaded by the first weighted oracle call
 
     w1 = _checked_weights(weights1, a.size, "first")
     w2 = _checked_weights(weights2, b.size, "second")

@@ -93,3 +93,70 @@ def test_only_the_law_asks_whether_it_is_empirical():
         if (path.name, None) not in ALLOWED and (path.name, func) not in ALLOWED
     ]
     assert found == []
+
+
+# where the library may import scipy: the two oracle solvers that need it,
+# so that a process that never calls them never loads scipy
+SCIPY_ALLOWED = {("transport.py", "oracle_optimal"), ("transport.py", "_oracle_lp")}
+
+
+def scipy_imports(source: str):
+    """(enclosing top-level function or None, line) of each import of
+    ``scipy`` or a submodule, in any spelling; an import inside a class, or
+    in a function nested in one, has no top-level function."""
+    hits, scope = [], []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Import(self, node):
+            self.record(node, [alias.name for alias in node.names])
+
+        def visit_ImportFrom(self, node):
+            self.record(node, [node.module or ""] if node.level == 0 else [])
+
+        def record(self, node, modules):
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                top = scope[0] if scope else None
+                hits.append((top if top in top_level else None, node.lineno))
+
+    tree = ast.parse(source)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    top_level = {n.name for n in tree.body if isinstance(n, functions)}
+    Finder().visit(tree)
+    return hits
+
+
+def test_the_scipy_finder_sees_every_spelling():
+    source = (
+        "import scipy\n"
+        "from scipy.optimize import linprog\n"
+        "def f():\n"
+        "    import numpy, scipy.optimize as so\n"
+        "    def g():\n"
+        "        from scipy import special\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        from scipy.optimize import linear_sum_assignment\n"
+        "from scipyish import x\n"
+        "from .scipy import y\n"
+    )
+    assert scipy_imports(source) == [(None, 1), (None, 2), ("f", 4), ("f", 6), (None, 9)]
+
+
+def test_only_the_oracle_solvers_import_scipy():
+    # numpy serves every other path: a default verify, and every other
+    # subcommand, load no scipy module
+    found = [
+        (path.name, func, line)
+        for path in sorted(SRC.glob("*.py"))
+        for func, line in scipy_imports(path.read_text(encoding="utf-8"))
+        if (path.name, func) not in SCIPY_ALLOWED
+    ]
+    assert found == []

@@ -41,7 +41,8 @@ from mkdiv import (
     wasserstein_p,
 )
 from mkdiv.numerics import _DEFAULT_M, midpoint_rule, pairwise_mean, pairwise_sum
-from mkdiv.transport import _leaf_elimination
+from mkdiv.scores import _transport_cost
+from mkdiv.transport import _assignment_dp, _leaf_elimination
 from test_scores import catalog_scores
 
 
@@ -79,6 +80,14 @@ def brute_force_optimum(score, atoms1, atoms2):
         val = float(np.mean([score(b[j], a[i]) for i, j in enumerate(perm)]))
         best = min(best, val)
     return best
+
+
+def row_order_sum(cost, sigma):
+    """C[0, sigma[0]] + C[1, sigma[1]] + ..., added left to right from 0.0."""
+    total = 0.0
+    for i, j in enumerate(sigma):
+        total += float(cost[i, j])
+    return total
 
 
 class TestMkDivergence:
@@ -415,6 +424,26 @@ class TestOracle:
                 brute = brute_force_optimum(s, a, b)
                 assert rep.value == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
+    def test_dp_agrees_with_linear_sum_assignment(self):
+        # every size the dynamic program takes; odd instances repeat atoms,
+        # so that optima tie and the two solvers may pick different ones
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(36)
+        for s in catalog_scores():
+            lo, hi = s.atom_interval
+            for k in range(40):
+                n = k % 8 + 1
+                a, b = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+                if k % 2:
+                    a, b = np.round(a, 1), np.round(b, 1)
+                cost = _transport_cost(s, a[:, None], b[None, :])
+                rows, cols = linear_sum_assignment(cost)
+                expected = pairwise_sum(cost[rows, cols]) / n
+                report = oracle_optimal(s, a, b)
+                assert report.method == "assignment"
+                assert abs(report.value - expected) <= 1e-15 * abs(expected), (s, a, b)
+
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             oracle_optimal(
@@ -526,6 +555,29 @@ class TestOracle:
         assert abs(uniform_lp_value(s, a, b) - exact) <= 1e-12 * exact
 
 
+@given(n=st.integers(1, 7), k=st.integers(0, 12), data=st.data())
+def test_assignment_dp_is_the_least_row_order_sum(n, k, data):
+    # k < 12: the cost matrix of catalog score k; k = 12: costs in halves,
+    # so that many permutations tie
+    if k < 12:
+        score = catalog_scores()[k]
+        lo, hi = score.atom_interval
+        a = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+        b = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+        cost = _transport_cost(score, a[:, None], b[None, :])
+    else:
+        raw = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))
+        cost = np.round(2.0 * np.array(raw)).reshape(n, n) / 2.0
+    sigma = _assignment_dp(cost)
+    assert sorted(sigma.tolist()) == list(range(n))
+    brute = min(row_order_sum(cost, p) for p in itertools.permutations(range(n)))
+    assert repr(row_order_sum(cost, sigma)) == repr(brute)
+    if k < 12:
+        report = oracle_optimal(score, a, b)
+        np.testing.assert_array_equal(report.matching, sigma)
+        assert repr(report.value) == repr(pairwise_sum(cost[np.arange(n), sigma]) / n)
+
+
 class TestLeafElimination:
     def test_spanning_tree_meets_its_marginals_exactly(self):
         # a staircase on 3 x 3 atoms: five edges, one of them a zero-mass
@@ -571,7 +623,8 @@ def test_exact_merge_matches_lp_oracle(k, n1, n2, data):
 
 class TestCertification:
     def test_one_assignment_solve_per_instance(self, monkeypatch):
-        # the oracle imports the solver from scipy.optimize at each call
+        # beyond 8 atoms the oracle imports the solver from scipy.optimize at
+        # each call; up to 8 atoms the dynamic program solves, with no call
         import scipy.optimize
 
         calls = []
@@ -584,9 +637,12 @@ class TestCertification:
         monkeypatch.setattr("scipy.optimize.linear_sum_assignment", counted)
         for s in certify_scores():
             calls.clear()
-            result = certify_optimal_coupling(s, instances=5, n_min=6, n_max=12, seed=3)
+            result = certify_optimal_coupling(s, instances=5, n_min=9, n_max=12, seed=3)
             assert result.passed
             assert len(calls) == 5
+            calls.clear()
+            assert certify_optimal_coupling(s, instances=5, n_min=2, n_max=8, seed=3).passed
+            assert calls == []
 
     @pytest.mark.parametrize(
         "tolerance, message",
@@ -617,14 +673,17 @@ class TestCertification:
 
 
 def test_scipy_optimize_loads_with_the_first_oracle_call(run_python):
+    # the first call that needs it: an assignment of more than 8 atoms
     proc = run_python(
         "-c",
         "import sys, mkdiv, mkdiv.cli\n"
         "print('scipy.optimize' in sys.modules)\n"
         "mkdiv.oracle_optimal(mkdiv.GPLScore(0.7), [0.0, 1.0], [2.0, 3.0])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "mkdiv.oracle_optimal(mkdiv.GPLScore(0.7), list(range(9)), list(range(1, 10)))\n"
         "print('scipy.optimize' in sys.modules)\n",
     )
-    assert (proc.returncode, proc.stdout.split()) == (0, ["False", "True"])
+    assert (proc.returncode, proc.stdout.split()) == (0, ["False", "False", "True"])
 
 
 def test_normal_laws_and_the_cli_load_no_scipy(run_python):
@@ -637,9 +696,10 @@ def test_normal_laws_and_the_cli_load_no_scipy(run_python):
         "print(mkdiv.cli.main(['divergence', '--score', 'score:bregman,phi=quadratic',\n"
         "                      '--from', 'normal:mu=0,sigma=1', '--to', 'normal:mu=1,sigma=2'],\n"
         "                     out=io.StringIO()))\n"
+        "print(mkdiv.cli.main(['verify', '--score', 'score:gpl,alpha=0.9'], out=io.StringIO()))\n"
         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n",
     )
-    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "[]"])
+    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "0", "[]"])
 
 
 class TestCouplingValue:
