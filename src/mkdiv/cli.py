@@ -10,8 +10,8 @@ elicit-check  expected-score argmin vs direct functional evaluation
 axioms        empirical risk-measure axiom report
 
 This module alone lays out the JSON payloads: each ``_cmd_*`` builds its
-subcommand's payload from the fields of the library's plain result objects,
-which know nothing of the output format.
+subcommand's payload from its arguments and the computed fields of the
+library's plain result objects, which know nothing of the output format.
 
 All JSON output is canonical: sorted keys, compact separators, floats at 17
 significant digits.  A fixed seed therefore yields byte-identical output.
@@ -139,29 +139,29 @@ def _cmd_verify(args):
     )
     return {
         "score": specs.render_score(score),
-        "coupling": result.coupling,
-        "instances": result.instances,
-        "n_min": result.n_range[0],
-        "n_max": result.n_range[1],
-        "seed": result.seed,
+        "coupling": score.coupling,
+        "instances": args.instances,
+        "n_min": 2,
+        "n_max": args.n,
+        "seed": args.seed,
         "max_deviation": result.max_deviation,
-        "tolerance": result.tolerance,
+        "tolerance": args.tol,
         "passed": result.passed,
     }, None
 
 
-def _solution_payload(sol, curve, fmt: str, **own):
+def _solution_payload(sol, curve, args, **own):
     """The payload of a calibrated solution whose quantile curve is ``curve``:
     the keys both solvers share, then ``own``; and the curve, which
     ``--format csv`` writes.  The grid hands over the curve's own node array."""
     return {
         "lambda_star": sol.lambda_star,
-        "epsilon": sol.epsilon,
+        "epsilon": args.eps,
         "binding": sol.binding,
         "divergence_at_solution": sol.divergence_at_solution,
         "grid": {"M": curve.m, "nodes": curve.nodes},
         **own,
-    }, curve if fmt == "csv" else None
+    }, curve if args.format == "csv" else None
 
 
 def _cmd_worst_case(args):
@@ -169,7 +169,7 @@ def _cmd_worst_case(args):
     d = specs.parse_distortion(args.distortion)
     ref = specs.parse_distribution(args.ref)
     sol = solve_worst_case(gen, d, ref, args.eps, m=args.grid_m, tol=args.tol)
-    return _solution_payload(sol, sol.worst_quantile, args.format, worst_value=sol.worst_value)
+    return _solution_payload(sol, sol.worst_quantile, args, worst_value=sol.worst_value)
 
 
 def _cmd_payoff(args):
@@ -177,7 +177,7 @@ def _cmd_payoff(args):
     benchmark = specs.parse_distribution(args.benchmark)
     market = specs.parse_market(args.market)
     sol = cheapest_payoff(gen, benchmark, market, args.eps, m=args.grid_m, tol=args.tol)
-    return _solution_payload(sol, sol.payoff_quantile, args.format,
+    return _solution_payload(sol, sol.payoff_quantile, args,
                              cost=sol.cost, nonneg_violation=sol.nonneg_violation)
 
 
@@ -191,7 +191,9 @@ def _cmd_elicit_check(args):
     z_lo = float(dist.quantile(0.001)) - 1.0 if args.z_lo is None else args.z_lo
     z_hi = float(dist.quantile(0.999)) + 1.0 if args.z_hi is None else args.z_hi
     # the functional and the argmin both read one law: a parametric law's m
-    # grid atoms, which is what the argmin could score anyway
+    # grid atoms, which is what the argmin could score anyway; only the law
+    # itself can tell whether the functional is defined on it
+    functional._check_law(dist)
     law = Empirical(dist.atoms(m))
     direct = functional.evaluate(law)
     indirect = argmin_expected_score(score, law, z_lo, z_hi, steps=args.steps)
@@ -218,8 +220,8 @@ def _cmd_axioms(args):
     ]
     report = check_axioms(functional, pairs, tol=args.tol)
     return {
-        "functional": report.functional,
-        "tol": report.tol,
+        "functional": functional.describe(),
+        "tol": args.tol,
         "all_passed": report.all_passed,
         "checks": [
             {"name": c.name, "passed": c.passed, "max_violation": c.max_violation,

@@ -63,6 +63,10 @@ class Functional:
     def evaluate(self, dist: Distribution, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA) -> float:
         raise NotImplementedError
 
+    def _check_law(self, dist: Distribution) -> None:
+        """Raise if the functional is undefined on ``dist`` whatever its
+        atoms, as :meth:`evaluate` does before it reads any."""
+
     def describe(self) -> str:
         return self.kind
 
@@ -157,6 +161,10 @@ class Shortfall(Functional):
             raise MomentError("shortfall residual is not finite under quadrature")
         return mean
 
+    def _check_law(self, dist):
+        if self.loss.kind == "exponential":
+            Entropic(self.loss.gamma)._check_law(dist)
+
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         if self.loss.kind == "exponential":
             return Entropic(self.loss.gamma).evaluate(dist, m, delta)
@@ -224,12 +232,15 @@ class Entropic(Functional):
         if not self.gamma > 0.0:
             raise DomainError(f"entropic parameter must be positive, got {self.gamma}")
 
-    def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        gamma = self.gamma
-        if not dist._exp_moment_finite(gamma):
+    def _check_law(self, dist):
+        if not dist._exp_moment_finite(self.gamma):
             raise MomentError(
-                f"exponential moment not finite for the {dist.kind} law (gamma={gamma})"
+                f"exponential moment not finite for the {dist.kind} law (gamma={self.gamma})"
             )
+
+    def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+        self._check_law(dist)
+        gamma = self.gamma
         # log of the mean of e^{gamma w} over the sorted atoms, shifted by the
         # last atom so that no exponential overflows; an infinite atom gives nan
         sample = dist.atoms(m, delta)
@@ -363,8 +374,9 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    functional: str
-    tol: float
+    """Each axiom's :class:`AxiomCheck`, in the order :func:`check_axioms`
+    runs them; ``report[name]`` looks one up by name."""
+
     checks: tuple
 
     @property
@@ -437,11 +449,7 @@ def check_axioms(functional: Functional, sample_pairs, tol: float = 1e-9) -> Axi
         tol,
         "monotonicity",
     )
-    return AxiomReport(
-        functional=functional.describe(),
-        tol=tol,
-        checks=(*checks, monotonicity),
-    )
+    return AxiomReport(checks=(*checks, monotonicity))
 
 
 def _worst(violations, tol: float, name: str) -> AxiomCheck:

@@ -153,14 +153,16 @@ def _check_tolerance(owner: str, **params) -> None:
 
 
 def _check_count(owner: str, low: int, **params) -> None:
-    """Reject a parameter of ``owner`` that is not an integer >= ``low``, naming it."""
+    """Reject a parameter of ``owner`` that is not a non-bool integer >= ``low``, naming it."""
     for name, value in params.items():
-        if not isinstance(value, (int, np.integer)) or value < low:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
             raise DomainError(f"{owner} needs an integer {name} >= {low}, got {name}={value!r}")
 
 
-def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14,
-               max_iter: int = 200):
+_MAX_ITER = 200  # steps either 1-D search takes at most
+
+
+def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14):
     """Root of ``f`` between ``a`` and ``b`` by Brent's method.
 
     ``fa = f(a)`` and ``fb = f(b)`` must not have the same strict sign.
@@ -182,7 +184,7 @@ def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1
         raise EvaluationError(f"root not bracketed: f({a})={fa}, f({b})={fb}")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if fb == 0.0:
             break
         if (fb > 0.0) == (fc > 0.0):
@@ -220,7 +222,7 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def golden_section(f, a: float, b: float, width_tol: float = 1e-8, max_iter: int = 200):
+def golden_section(f, a: float, b: float, width_tol: float = 1e-8):
     """Minimiser of a unimodal ``f`` on ``[a, b]`` by golden-section search.
 
     On ties the right part of the bracket is discarded, so the search drifts
@@ -237,7 +239,7 @@ def golden_section(f, a: float, b: float, width_tol: float = 1e-8, max_iter: int
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
     fa = fb = None  # unknown until an end is a former probe
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if 0.5 * h <= width_tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b)):
             break
         if fc <= fd:  # keep [a, d]; ties move left

@@ -90,7 +90,6 @@ class PayoffSolution:
     payoff_quantile: QuantileGrid
     cost: float
     divergence_at_solution: float
-    epsilon: float
     binding: bool
     nonneg_violation: bool
 
@@ -116,7 +115,6 @@ def cheapest_payoff(
         payoff_quantile=curve,
         cost=curve.rule.integrate(-weight * curve.nodes),  # -weight is Q_xi(1 - u)
         divergence_at_solution=div,
-        epsilon=eps,
         binding=binding,
         nonneg_violation=bool(np.any(curve.nodes < 0.0)),
     )

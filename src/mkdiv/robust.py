@@ -320,7 +320,6 @@ class WorstCaseSolution:
     worst_quantile: QuantileGrid
     worst_value: float
     divergence_at_solution: float
-    epsilon: float
     binding: bool
 
 
@@ -362,6 +361,5 @@ def solve_worst_case(
         worst_quantile=worst,
         worst_value=worst.rule.integrate(weight * worst.nodes),
         divergence_at_solution=div,
-        epsilon=eps,
         binding=binding,
     )

@@ -569,7 +569,7 @@ def _transport_cost(score: Score, z1, z2) -> np.ndarray:
     return C
 
 
-def check_submodular(score: Score, z_grid, y_grid, tol: float = 0.0):
+def check_submodular(score: Score, z_grid, y_grid):
     """Check the transport cost c(z1, z2) = S(z2, z1) for submodularity.
 
     Tests ``c(min) + c(max) <= c(z) + c(z')`` on the adjacent 2x2 minors of
@@ -578,7 +578,7 @@ def check_submodular(score: Score, z_grid, y_grid, tol: float = 0.0):
     1996); a one-dimensional transport problem with submodular cost is
     solved by the comonotonic coupling, a supermodular one by the antitonic
     coupling.  A minor fails when its gap ``c(min) + c(max) - c(z) - c(z')``
-    exceeds ``tol`` (default ``1e-12 * (1 + max|c|)``); the gap of any
+    exceeds ``1e-12 * (1 + max|c|)``; the gap of any
     quadruple is the sum of the minors it spans.  A non-finite cost raises
     :class:`DomainError` naming the first such entry in row-major order.
 
@@ -595,8 +595,7 @@ def check_submodular(score: Score, z_grid, y_grid, tol: float = 0.0):
     if z1.size < 2 or z2.size < 2:
         raise DomainError("submodularity check needs grids of size >= 2")
     C = _transport_cost(score, z1[:, None], z2[None, :])  # C[i, j] = c(z1[i], z2[j])
-    scale = 1.0 + float(np.max(np.abs(C)))
-    slack = tol if tol > 0.0 else 1e-12 * scale
+    slack = 1e-12 * (1.0 + float(np.max(np.abs(C))))
     D = (C[:-1, :-1] + C[1:, 1:]) - (C[1:, :-1] + C[:-1, 1:])
     bad = np.flatnonzero(D > slack)
     if bad.size == 0:

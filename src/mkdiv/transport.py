@@ -390,19 +390,11 @@ def _checked_weights(w, n, which) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Aggregate of a randomized closed-form-vs-oracle certification run."""
+    """Outcome of a randomized closed-form-vs-oracle certification run: the
+    largest relative deviation, and whether it is within the tolerance."""
 
-    score: str
-    coupling: str
-    instances: int
-    n_range: tuple
-    seed: int
     max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
+    passed: bool
 
 
 def _certify_instance(score: Score, seed: int, k: int, n_min: int, n_max: int) -> float:
@@ -432,7 +424,7 @@ def certify_optimal_coupling(
     [n_min, n_max], atoms uniform on the score's sampling interval, PCG64
     streams keyed by (seed, instance)), and compares the closed-form value
     with the exact oracle's.  Aggregation is a maximum, hence independent of
-    execution order.
+    execution order; the run passes when it is at most ``tolerance``.
     """
     _check_count("certification", 1, instances=instances)
     _check_count("certification", 0, n_min=n_min, n_max=n_max, seed=seed)
@@ -440,12 +432,4 @@ def certify_optimal_coupling(
     if not 2 <= n_min <= n_max <= _MAX_ORACLE:
         raise DomainError(f"instance sizes must satisfy 2 <= n_min <= n_max <= {_MAX_ORACLE}")
     max_dev = max(_certify_instance(score, seed, k, n_min, n_max) for k in range(instances))
-    return CertificationResult(
-        score=score.describe(),
-        coupling=score.coupling,
-        instances=instances,
-        n_range=(n_min, n_max),
-        seed=seed,
-        max_deviation=max_dev,
-        tolerance=tolerance,
-    )
+    return CertificationResult(max_deviation=max_dev, passed=max_dev <= tolerance)

@@ -1,7 +1,10 @@
 """Layout rules of the library, checked on its source."""
 
 import ast
+import dataclasses
 import pathlib
+
+import pytest
 
 import mkdiv
 
@@ -160,3 +163,70 @@ def test_only_the_oracle_solvers_import_scipy():
         if (path.name, func) not in SCIPY_ALLOWED
     ]
     assert found == []
+
+
+def describe_calls(source: str):
+    """(innermost enclosing function or None, line) of each ``x.describe()``
+    call."""
+    hits, scope = [], []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "describe":
+                hits.append((scope[-1] if scope else None, node.lineno))
+            self.generic_visit(node)
+
+    Finder().visit(ast.parse(source))
+    return hits
+
+
+def test_the_describe_finder_sees_every_call():
+    source = (
+        "class C:\n"
+        "    def describe(self):\n"
+        "        return f'c[{self.inner.describe()}]'\n"
+        "def certify(score):\n"
+        "    return Result(score=score.describe())\n"
+        "name = Score().describe()\n"
+        "def describe_all(items):\n"
+        "    return [describe(x) for x in items]\n"
+    )
+    assert describe_calls(source) == [("describe", 3), ("certify", 5), (None, 6)]
+
+
+def test_only_describe_methods_and_the_cli_call_describe():
+    # a result holds what its call computed; the name of the score or
+    # functional it ran on is the caller's, and the cli renders it
+    found = [
+        (path.name, func, line)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for func, line in describe_calls(path.read_text(encoding="utf-8"))
+        if func != "describe"
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "result, names",
+    [
+        (mkdiv.transport.CertificationResult, ["max_deviation", "passed"]),
+        (mkdiv.AxiomReport, ["checks"]),
+        (mkdiv.WorstCaseSolution,
+         ["lambda_star", "worst_quantile", "worst_value", "divergence_at_solution", "binding"]),
+        (mkdiv.PayoffSolution,
+         ["lambda_star", "payoff_quantile", "cost", "divergence_at_solution", "binding",
+          "nonneg_violation"]),
+    ],
+)
+def test_results_hold_only_what_their_call_computed(result, names):
+    # the arguments of the call (score, seed, tolerance, budget, ...) stay
+    # with the caller
+    assert [f.name for f in dataclasses.fields(result)] == names

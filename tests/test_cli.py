@@ -48,11 +48,14 @@ class TestCanonicalJson:
                                        mkdiv.Uniform(0, 1), 0.03, m=64)
         market = mkdiv.MarketSpec(mkdiv.Uniform(0, 1))
         pay = mkdiv.cheapest_payoff(mkdiv.quadratic(), mkdiv.Uniform(0, 1), market, 0.02, m=64)
-        for sol, curve in [(worst, worst.worst_quantile), (pay, pay.payoff_quantile)]:
-            payload, csv_curve = cli._solution_payload(sol, curve, "csv")
+        for sol, curve, eps in [(worst, worst.worst_quantile, 0.03),
+                                (pay, pay.payoff_quantile, 0.02)]:
+            csv_args = argparse.Namespace(eps=eps, format="csv")
+            payload, csv_curve = cli._solution_payload(sol, curve, csv_args)
             assert payload["grid"]["nodes"] is curve.nodes
             assert csv_curve is curve
-            assert cli._solution_payload(sol, curve, "json")[1] is None
+            json_args = argparse.Namespace(eps=eps, format="json")
+            assert cli._solution_payload(sol, curve, json_args)[1] is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_entry_is_named(self, bad):
@@ -257,6 +260,25 @@ class TestElicitCheck:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "non-finite sample value at index 9910: inf"}
+
+    @pytest.mark.parametrize(
+        "functional, score, dist",
+        [
+            ("functional:entropic,gamma=1", "score:entropic,gamma=1,phi=quadratic",
+             "exponential:rate=1"),
+            ("functional:entropic,gamma=1", "score:entropic,gamma=1,phi=quadratic",
+             "lognormal:mu=0,sigma=1"),
+            ("functional:shortfall,loss=exponential", "score:shortfall,loss=exponential",
+             "lognormal:mu=0,sigma=1"),
+        ],
+    )
+    def test_infinite_exponential_moment_exits_one(self, functional, score, dist):
+        # the m grid atoms of these laws are finite, so only the law itself
+        # can tell that E[e^Y] is infinite
+        argv = ["elicit-check", "--functional", functional, "--score", score, "--dist", dist]
+        kind = dist.split(":")[0]
+        message = f"exponential moment not finite for the {kind} law (gamma=1.0)"
+        assert run_cli(argv) == (1, "", canonical_json({"error": message}) + "\n")
 
     def test_payload_keys(self):
         code, out, _ = run_cli(["elicit-check", "--functional", "functional:mean",

@@ -665,6 +665,8 @@ class TestCertification:
             ({"n_max": 3.0}, "n_max >= 0, got n_max=3.0"),
             ({"seed": -1}, "seed >= 0, got seed=-1"),
             ({"seed": 1.5}, "seed >= 0, got seed=1.5"),
+            ({"instances": True}, "instances >= 1, got instances=True"),
+            ({"seed": False}, "seed >= 0, got seed=False"),
         ],
     )
     def test_counts_and_seed_must_be_integers(self, kwargs, message):
