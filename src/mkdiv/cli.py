@@ -24,7 +24,8 @@ successful one.
 Each subcommand takes only the flags it reads; ``--out FILE`` also writes
 the JSON payload to a file, and on ``worst-case`` and ``payoff``
 ``--format csv`` writes the quantile curve there instead (without ``--out``
-it is a usage error).
+it is a usage error).  ``--tol`` sets pass or fail on ``verify``,
+``elicit-check`` and ``axioms``; ``binding`` is ``|divergence - eps| <= 1e-8 * eps``.
 
 Randomized subcommands draw from numpy's PCG64 generator.  ``verify`` keys
 one child stream per instance as ``default_rng([seed, k])`` and draws the
@@ -168,7 +169,7 @@ def _cmd_worst_case(args):
     gen = specs.parse_generator(args.phi)
     d = specs.parse_distortion(args.distortion)
     ref = specs.parse_distribution(args.ref)
-    sol = solve_worst_case(gen, d, ref, args.eps, m=args.grid_m, tol=args.tol)
+    sol = solve_worst_case(gen, d, ref, args.eps, m=args.grid_m)
     return _solution_payload(sol, sol.worst_quantile, args, worst_value=sol.worst_value)
 
 
@@ -176,7 +177,7 @@ def _cmd_payoff(args):
     gen = specs.parse_generator(args.phi)
     benchmark = specs.parse_distribution(args.benchmark)
     market = specs.parse_market(args.market)
-    sol = cheapest_payoff(gen, benchmark, market, args.eps, m=args.grid_m, tol=args.tol)
+    sol = cheapest_payoff(gen, benchmark, market, args.eps, m=args.grid_m)
     return _solution_payload(sol, sol.payoff_quantile, args,
                              cost=sol.cost, nonneg_violation=sol.nonneg_violation)
 
@@ -241,9 +242,6 @@ def _add_grid(parser):
 
 def _add_solver(parser):
     _add_grid(parser)
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="relative tolerance of 'binding': "
-                        "|divergence - eps| <= tol * eps (default %(default)s)")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="artifact format; csv writes the quantile curve as u,value rows")
 

@@ -196,7 +196,7 @@ def tvar_distortion(alpha: float = 0.9) -> DistortionSpec:
         raise DomainError(f"tail level must lie in (0, 1), got {alpha}")
     return DistortionSpec(
         name="tvar",
-        gamma_fn=lambda u: (u >= alpha).astype(float) / (1.0 - alpha),
+        gamma_fn=lambda u: np.where(u >= alpha, 1.0 / (1.0 - alpha), 0.0),
         strictly_concave=False,
         params=(("alpha", float(alpha)),),
     )

@@ -101,14 +101,13 @@ def cheapest_payoff(
     eps: float,
     m: int = _DEFAULT_M,
     delta: float = _DEFAULT_DELTA,
-    tol: float = 1e-8,
 ) -> PayoffSolution:
     """Cheapest payoff whose distribution stays within divergence ``eps`` of
     the benchmark; the multiplier is calibrated exactly as in the worst-case
     solver, with the signed spd weight.  ``binding`` reports
-    ``|divergence_at_solution - eps| <= tol * eps``."""
+    ``|divergence_at_solution - eps| <= 1e-8 * eps``."""
     lam, div, binding, weight, curve = _calibrated_curve(
-        gen, benchmark, _spd_name(market), market.neg_weight, eps, m, delta, tol
+        gen, benchmark, _spd_name(market), market.neg_weight, eps, m, delta
     )
     return PayoffSolution(
         lambda_star=lam,

@@ -19,7 +19,9 @@ prove, with infeasible multipliers below it.  Where a step is unavailable,
 stalls or would leave the bracket, it bisects the bracket in ``log lam``.  It
 stops once ``|log D - log eps| <= 1e-13`` or once the bracket is narrower
 than 1e-14 relative, and returns its best probe with that probe's curve,
-which the solver emits.
+which the solver emits.  Both solvers call it ``binding`` when
+``|D - eps| <= 1e-8 * eps``: a converged search meets that by orders of
+magnitude, a stop on the feasibility boundary of phi' need not.
 
 The same path with a signed weight drives the cheapest-payoff solver in
 :mod:`mkdiv.payoff` (the weight there is negative but still increasing);
@@ -40,7 +42,6 @@ from .generators import ConvexGenerator, DistortionSpec
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
-    _check_tolerance,
     first_outside,
     midpoint_rule,
     pairwise_mean,
@@ -59,6 +60,7 @@ __all__ = [
 _LAM_MIN, _LAM_MAX = 1e-12, 1e12  # the multipliers the search may probe
 _WIDTH_TOL = 1e-14  # stopping width on log lam, relative to 1 + |ends|
 _RESIDUAL_TOL = 1e-13  # the search stops once |log div - log eps| is this small
+_BINDING_TOL = 1e-8  # a solution is binding when |div - eps| <= _BINDING_TOL * eps
 
 
 class UniquenessWarning(UserWarning):
@@ -155,7 +157,6 @@ def calibrate_lambda(
     ref: QuantileGrid,
     weight: np.ndarray,
     eps: float,
-    tol: float = 1e-8,
 ):
     """Find lam with divergence(G_lam, ref) = eps, and the curve G_lam.
 
@@ -204,12 +205,11 @@ def calibrate_lambda(
     Returns
     -------
     (lam, divergence, binding, nodes)
-        ``binding`` is ``|divergence - eps| <= tol * eps``; ``nodes`` is
+        ``binding`` is ``|divergence - eps| <= 1e-8 * eps``; ``nodes`` is
         ``perturbed_nodes(gen, ref.nodes, weight, lam)``.
     """
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
-    _check_tolerance("calibration", tol=tol)
     ref_nodes = gen._check_domain(ref.nodes, "second Bregman argument")
     with np.errstate(over="ignore", invalid="ignore"):
         phi_ref, dphi_ref = gen.phi(ref_nodes), gen.dphi(ref_nodes)
@@ -296,10 +296,10 @@ def calibrate_lambda(
         lam = step if lo < step < hi else fallback
     # both stops follow a probe with a finite divergence, so there is a best
     _, lam, div, nodes = best
-    return lam, div, bool(abs(div - eps) <= tol * eps), nodes
+    return lam, div, bool(abs(div - eps) <= _BINDING_TOL * eps), nodes
 
 
-def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta, tol):
+def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta):
     """The path both solvers share: the grid of ``ref``, the weight
     ``weight_of(u)`` of ``what`` on it, checked finite before any probe, and
     the calibration.  Returns ``(lam, divergence, binding, weight,
@@ -308,7 +308,7 @@ def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta, tol):
     grid = QuantileGrid(nodes=ref.quantile(u))
     weight = _checked_weight(what, weight_of, u)
     del u  # not held through the calibration, where it would raise the peak
-    lam, div, binding, nodes = calibrate_lambda(gen, grid, weight, eps, tol)
+    lam, div, binding, nodes = calibrate_lambda(gen, grid, weight, eps)
     return lam, div, binding, weight, QuantileGrid(nodes=nodes)
 
 
@@ -330,11 +330,10 @@ def solve_worst_case(
     eps: float,
     m: int = _DEFAULT_M,
     delta: float = _DEFAULT_DELTA,
-    tol: float = 1e-8,
 ) -> WorstCaseSolution:
     """Calibrate the multiplier and return the worst-case solution.
 
-    ``binding`` reports ``|divergence_at_solution - eps| <= tol * eps``.
+    ``binding`` reports ``|divergence_at_solution - eps| <= 1e-8 * eps``.
 
     Warns when the generator is not strictly convex or the distortion not
     strictly concave (the formula still applies; uniqueness is what is lost).
@@ -354,7 +353,7 @@ def solve_worst_case(
             stacklevel=2,
         )
     lam, div, binding, weight, worst = _calibrated_curve(
-        gen, ref, f"distortion '{d.name}'", d.gamma, eps, m, delta, tol
+        gen, ref, f"distortion '{d.name}'", d.gamma, eps, m, delta
     )
     return WorstCaseSolution(
         lambda_star=lam,

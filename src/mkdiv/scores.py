@@ -151,7 +151,7 @@ class StepFunction:
             raise ConfigError(f"breakpoints must be finite, got {float(bp[i])} at index {i}")
         if bp.size and np.any(np.diff(bp) <= 0.0):
             raise ConfigError("breakpoints must be strictly increasing")
-        if first_outside(lv, (0.0, 1.0)) is not None:
+        if np.isnan(lv).any() or first_outside(lv, (0.0, 1.0)) is not None:
             raise ConfigError("levels must lie strictly inside (0, 1)")
         d = np.diff(lv)
         if not (np.all(d >= 0.0) or np.all(d <= 0.0)):
@@ -357,7 +357,7 @@ class GPLScore(Score):
 
     def _eval(self, z, y):
         g = self.transform.fn
-        return ((y <= z).astype(float) - self.alpha) * (g(z) - g(y))
+        return np.where(y <= z, 1.0 - self.alpha, -self.alpha) * (g(z) - g(y))
 
     def describe(self):
         return f"gpl[{self.transform.name},alpha={self.alpha}]"
@@ -393,8 +393,7 @@ class ExpectileScore(Score):
         object.__setattr__(self, "y_domain", self.gen.domain)
 
     def _eval(self, z, y):
-        w = np.abs((y <= z).astype(float) - self.alpha)
-        return w * self.gen.bregman(y, z)
+        return np.where(y <= z, 1.0 - self.alpha, self.alpha) * self.gen.bregman(y, z)
 
     def describe(self):
         return f"expectile[{self.gen.name},alpha={self.alpha}]"
@@ -440,9 +439,7 @@ class DecomposableScore(Score):
             raise ConfigError("decomposable generator needs phi(0) = 0")
 
     def _eval(self, z, y):
-        gap = np.abs(z - y)
-        below = (y <= z).astype(float)
-        return self.gen.phi(gap) * (self.alpha * (1.0 - below) + self.beta * below)
+        return self.gen.phi(np.abs(z - y)) * np.where(y <= z, self.beta, self.alpha)
 
     def describe(self):
         return f"decomposable[{self.gen.name},alpha={self.alpha},beta={self.beta}]"

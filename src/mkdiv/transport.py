@@ -18,8 +18,8 @@ independently solves the finite problem to optimality so the closed form can
 be certified instance by instance: equal weights on n <= 8 atoms by dynamic
 programming over column subsets, on 9 to 64 atoms by scipy's
 ``linear_sum_assignment``, and general weights by linear programming on the
-transport polytope (HiGHS).  Certification compares optimal values; the
-oracle's matching is an optimal permutation: on ties the dynamic program takes
+transport polytope (HiGHS).  Certification compares optimal values; an
+equal-weight plan is an optimal permutation: on ties the dynamic program takes
 the first argmin column for each subset, and ``linear_sum_assignment``
 whichever optimum it finds.  Only the last two import ``scipy.optimize``, so a
 process that certifies only instances of at most 8 atoms, as a default
@@ -70,15 +70,16 @@ _MAX_DP = 8
 class CouplingReport:
     """Exact solution of a finite transport instance.
 
-    ``matching`` is a permutation array for the equal-weight assignment path
-    and a tuple of ``(i, j, mass)`` entries for the general-weight plan.
-    For a plan, :func:`oracle_optimal` validates that marginals are met to
-    1e-12 and sums ``value`` from the entries before it builds the report;
-    construction itself checks nothing.
+    ``plan`` is the optimal coupling as three arrays ``(rows, cols, mass)``:
+    entry k moves ``mass[k]`` from atom ``rows[k]`` of the first list to atom
+    ``cols[k]`` of the second.  The assignment path reports
+    ``(arange(n), sigma, 1/n)`` for an optimal permutation sigma, the LP path
+    the support of its plan, whose marginals :func:`oracle_optimal` checks to
+    1e-12 before it builds the report; construction itself checks nothing.
     """
 
     value: float
-    matching: object
+    plan: tuple  # (rows, cols, mass)
     method: str  # "assignment" | "lp"
 
 
@@ -215,15 +216,16 @@ def oracle_optimal(
 
     Equal-weight instances (no weights given, equal atom counts, n <= 64)
     are solved as a linear assignment problem; an optimal vertex of the
-    doubly-stochastic polytope is a permutation, and the report's
-    ``matching`` is an optimal permutation.  Up to n = 8 atoms it is found
+    doubly-stochastic polytope is a permutation sigma, and the report's
+    ``plan`` is ``(arange(n), sigma, 1/n)``.  Up to n = 8 atoms sigma is found
     by :func:`_assignment_dp`, which on ties takes the first argmin column
     for each subset of columns; from 9 atoms on by scipy's
     ``linear_sum_assignment``, which picks among tied optima as it will.
     Either way ``value`` is the pairwise mean of the matched costs.
     General weights are solved to optimality as a linear program on the
     transport polytope with deterministic pivoting, followed by an exact
-    flow recomputation on the support (:func:`_leaf_elimination`).
+    flow recomputation on the support (:func:`_leaf_elimination`); that
+    support with its masses is the ``plan``.
     A non-finite atom or weight, a weight total more than 1e-13 from one, or a
     cost that overflows, raises :class:`DomainError`; an LP plan whose support
     has a cycle, or whose recomputed marginals miss the weights by more than
@@ -254,8 +256,10 @@ def oracle_optimal(
             ri, ci = linear_sum_assignment(cost)
             sigma = np.empty(a.size, dtype=int)
             sigma[ri] = ci
-        value = pairwise_sum(cost[np.arange(a.size), sigma]) / a.size
-        return CouplingReport(value=value, matching=sigma, method="assignment")
+        rows = np.arange(a.size)
+        value = pairwise_sum(cost[rows, sigma]) / a.size
+        plan = (rows, sigma, np.full(a.size, 1.0 / a.size))
+        return CouplingReport(value=value, plan=plan, method="assignment")
     return _oracle_lp(score, a, b, weights1, weights2)
 
 
@@ -337,8 +341,7 @@ def _oracle_lp(score, a, b, weights1, weights2) -> CouplingReport:
             or np.max(np.abs(np.bincount(cols, mass, n2) - w2)) > 1e-12):
         raise EvaluationError("transport plan violates the marginal constraints")
     value = pairwise_sum(mass * cost[rows, cols])
-    entries = tuple(zip(rows.tolist(), cols.tolist(), mass.tolist()))
-    return CouplingReport(value=value, matching=entries, method="lp")
+    return CouplingReport(value=value, plan=(rows, cols, mass), method="lp")
 
 
 def _leaf_elimination(rows, cols, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

@@ -217,6 +217,7 @@ def test_only_describe_methods_and_the_cli_call_describe():
 @pytest.mark.parametrize(
     "result, names",
     [
+        (mkdiv.CouplingReport, ["value", "plan", "method"]),
         (mkdiv.transport.CertificationResult, ["max_deviation", "passed"]),
         (mkdiv.AxiomReport, ["checks"]),
         (mkdiv.WorstCaseSolution,

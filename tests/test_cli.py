@@ -427,12 +427,17 @@ class TestUsage:
              "elicit-check needs a finite tol, got tol=nan"),
             (["axioms", "--functional", "functional:mean", "--tol", "-1"],
              "axiom check needs a non-negative tol, got tol=-1.0"),
-            (["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
-              "--ref", "uniform:a=0,b=1", "--eps", "0.03", "--tol", "inf"],
-             "calibration needs a finite tol, got tol=inf"),
         ],
     )
     def test_invalid_tolerance_exits_one_naming_it(self, argv, message):
+        assert run_cli(argv) == (1, "", canonical_json({"error": message}) + "\n")
+
+    @pytest.mark.parametrize("tol", ["inf", "1e-8"])
+    @pytest.mark.parametrize("command", ["worst-case", "payoff"])
+    def test_solvers_take_no_tolerance(self, command, tol):
+        # binding has one rule, |divergence - eps| <= 1e-8 * eps
+        message = f"mkdiv: unrecognized arguments: --tol {tol}"
+        argv = [command, *WALK_ARGS[command], "--tol", tol]
         assert run_cli(argv) == (1, "", canonical_json({"error": message}) + "\n")
 
     @pytest.mark.parametrize(
@@ -571,17 +576,24 @@ WORST = ["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dua
          "{tmp}/bad.json", "cannot read step-function JSON (Expecting property name"),
         (["verify", "--score", "score:lambda,file={tmp}/out.json"],
          "{tmp}/out.json", "levels must lie strictly inside (0, 1)"),
+        (["verify", "--score", "score:lambda,file={tmp}/nan.json"],
+         "{tmp}/nan.json", "levels must lie strictly inside (0, 1)"),
+        (["divergence", "--score", "score:lambda,file={tmp}/nan.json",
+          "--from", "point:c=0", "--to", "point:c=1"],
+         "{tmp}/nan.json", "levels must lie strictly inside (0, 1)"),
         ([*WORST, "--out", "{tmp}/none/x.json"],
          "cannot write {tmp}/none/x.json", "No such file or directory"),
     ],
     ids=["missing-csv", "directory", "non-utf8-csv", "missing-json", "json-list", "bad-json",
-         "json-level-outside", "out-in-missing-dir"],
+         "json-level-outside", "verify-json-level-nan", "divergence-json-level-nan",
+         "out-in-missing-dir"],
 )
 def test_file_errors_are_reported_not_raised(argv, path, reason, tmp_path):
     (tmp_path / "latin.csv").write_bytes(b"\xff\xfe1\n")
     (tmp_path / "list.json").write_text("[1,2]")
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "out.json").write_text('{"breakpoints": [0.0], "levels": [0.3, 1.0]}')
+    (tmp_path / "nan.json").write_text('{"breakpoints": [], "levels": [NaN]}')  # json reads NaN
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run_cli(argv)
     assert code == 1

@@ -120,6 +120,14 @@ class TestDistortionWeight:
         assert d.gamma(0.5) == 0.0
         assert d.gamma(0.9) == pytest.approx(10.0)  # left derivative
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_tvar_weight_bits(self, alpha):
+        # the one np.where gives the bits of the float indicator over 1 - alpha
+        u = np.array([-np.inf, -1e308, -0.0, 0.0, alpha, np.nextafter(alpha, 0.0),
+                      np.nextafter(alpha, 1.0), 1.0, 1e308, np.inf, np.nan])
+        old = (u >= alpha).astype(float) / (1.0 - alpha)
+        assert tvar_distortion(alpha).gamma_fn(u).tobytes() == old.tobytes()
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             identity_distortion().gamma(1.0)

@@ -256,7 +256,7 @@ def bisection_calibrate(gen, ref_nodes, weight, eps):
     return lam, div_at(lam)
 
 
-def two_phase_calibrate(gen, ref_nodes, weight, eps, tol=1e-8):
+def two_phase_calibrate(gen, ref_nodes, weight, eps):
     """The calibration with a separate bisection phase in front of Brent's
     method: bisect on log lam until both bracket ends have a finite, positive
     divergence (returning the feasible end if the bracket first falls below
@@ -282,7 +282,7 @@ def two_phase_calibrate(gen, ref_nodes, weight, eps, tol=1e-8):
     a, b = np.log(lo), np.log(hi)
     while math.isinf(d_lo) or not d_hi > 0.0:
         if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
-            return (hi, d_hi, bool(abs(d_hi - eps) <= tol * eps)), len(seen)
+            return (hi, d_hi, bool(abs(d_hi - eps) <= 1e-8 * eps)), len(seen)
         mid = 0.5 * (a + b)
         lam = float(np.exp(mid))
         d_mid = div_at(lam)
@@ -301,7 +301,7 @@ def two_phase_calibrate(gen, ref_nodes, weight, eps, tol=1e-8):
     )
     lam = float(np.exp(s))
     div = div_at(lam)
-    return (lam, div, bool(abs(div - eps) <= tol * eps)), len(seen)
+    return (lam, div, bool(abs(div - eps) <= 1e-8 * eps)), len(seen)
 
 
 def recorded_probes(monkeypatch):
@@ -596,27 +596,18 @@ class TestCalibration:
             assert sol.lambda_star == pytest.approx(2.0, abs=1e-6)
         assert len(calls) == 1 and sol.binding
 
-    @pytest.mark.parametrize(
-        "tol, message",
-        [
-            (math.nan, "needs a finite tol, got tol=nan"),
-            (math.inf, "needs a finite tol, got tol=inf"),
-            (-1e-8, "needs a non-negative tol, got tol=-1e-08"),
-        ],
-    )
-    def test_tolerance_must_be_finite_and_non_negative(self, tol, message):
-        with pytest.raises(DomainError, match=message):
-            solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 0.03, m=100, tol=tol)
-
     def test_binding_is_relative_to_the_budget(self):
-        # the boundary case above stops at divergence 0.0117 for eps = 0.02;
-        # |0.0117 - 0.02| = 0.0083 is within 0.5 * eps but not 0.3 * eps
+        # binding is |D - eps| <= 1e-8 * eps: the boundary case above stops at
+        # divergence 0.0117, short of eps = 0.02, while eps = 0.01 lies inside
+        # the feasible range and is met
         m = 20_000
-        nodes = quantile_grid(Uniform(0.0, 1.0), m, 1e-7).nodes
+        grid = QuantileGrid(quantile_grid(Uniform(0.0, 1.0), m, 1e-7).nodes)
         weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_rule(m, 1e-7).u)
         gen = exponential_generator()
-        assert calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02, tol=0.5)[2]
-        assert not calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02, tol=0.3)[2]
+        _, div, binding, _ = calibrate_lambda(gen, grid, weight, 0.02)
+        assert div == pytest.approx(0.0117, abs=1e-4) and not binding
+        _, div, binding, _ = calibrate_lambda(gen, grid, weight, 0.01)
+        assert binding and abs(div - 0.01) <= 1e-8 * 0.01
 
     def test_tiny_budget_binds_relative_to_itself(self):
         sol = solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 1e-12)

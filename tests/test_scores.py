@@ -106,6 +106,11 @@ class TestStepFunction:
         with pytest.raises(ConfigError):
             StepFunction([0.0], [0.0, 0.7])
 
+    @pytest.mark.parametrize("breakpoints,levels", [([], [np.nan]), ([0.0], [0.3, np.nan])])
+    def test_nan_levels_rejected(self, breakpoints, levels):
+        with pytest.raises(ConfigError, match=r"^levels must lie strictly inside \(0, 1\)$"):
+            StepFunction(breakpoints, levels)
+
     @pytest.mark.parametrize(
         "breakpoints,levels,message",
         [(["a"], [0.3, 0.7], "numeric"), (0.0, [0.3, 0.7], "flat"), ([0.0], [[0.3, 0.7]], "flat")],
@@ -136,6 +141,66 @@ class TestStepFunction:
         loaded = StepFunction.from_json(p)
         np.testing.assert_array_equal(loaded.breakpoints, TWO_STEP.breakpoints)
         np.testing.assert_array_equal(loaded.levels, TWO_STEP.levels)
+
+
+# every float class a weight's comparison can meet: signed zeros and
+# infinities, NaN, and the ends of the finite range
+EDGE_VALUES = np.array([-np.inf, -1e308, -1.0, -0.0, 0.0, 0.5, 1.0, 1e308, np.inf, np.nan])
+
+
+class TestTwoSidedWeights:
+    """Each two-sided weight is one ``np.where``; on every pair of edge
+    values it gives the bits of the float-indicator arithmetic it replaces."""
+
+    Z, Y = (a.ravel() for a in np.meshgrid(EDGE_VALUES, EDGE_VALUES))
+
+    @staticmethod
+    def _same_bits(new, old):
+        assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("transform", [identity_map(), cube_map()], ids=["identity", "cube"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_gpl(self, transform, alpha):
+        z, y, g = self.Z, self.Y, transform.fn
+        with np.errstate(all="ignore"):
+            old = ((y <= z).astype(float) - alpha) * (g(z) - g(y))
+            self._same_bits(GPLScore(alpha, transform)._eval(z, y), old)
+
+    @pytest.mark.parametrize("gen", [quadratic(), exponential_generator()], ids=["quadratic", "exp"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_expectile(self, gen, alpha):
+        z, y = self.Z, self.Y
+        with np.errstate(all="ignore"):
+            old = np.abs((y <= z).astype(float) - alpha) * gen.bregman(y, z)
+            self._same_bits(ExpectileScore(alpha, gen)._eval(z, y), old)
+
+    @staticmethod
+    def _old_decomposable(score, z, y):
+        below = (y <= z).astype(float)
+        weight = score.alpha * (1.0 - below) + score.beta * below
+        return score.gen.phi(np.abs(z - y)) * weight
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(0.7, 0.3), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (0.5, 0.5)]
+    )
+    def test_decomposable(self, alpha, beta):
+        score = DecomposableScore(quadratic(), alpha, beta)
+        with np.errstate(all="ignore"):
+            self._same_bits(score._eval(self.Z, self.Y),
+                            self._old_decomposable(score, self.Z, self.Y))
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.0, 0.5), (0.5, -0.0)])
+    def test_decomposable_negative_zero_weight_keeps_its_sign(self, alpha, beta):
+        # a weight of -0.0 reaches the value as -0.0, which the float-indicator
+        # sum alpha * (1 - below) + beta * below turns into +0.0: the values
+        # are equal, and only zeros differ, in sign alone
+        score = DecomposableScore(quadratic(), alpha, beta)
+        with np.errstate(all="ignore"):
+            new = score._eval(self.Z, self.Y)
+            old = self._old_decomposable(score, self.Z, self.Y)
+        np.testing.assert_array_equal(new, old)
+        differ = new.view(np.uint64) != old.view(np.uint64)
+        assert differ.any() and np.all(new[differ] == 0.0)
 
 
 class TestNormalisation:

@@ -378,7 +378,10 @@ class TestOracle:
     def test_hand_instance(self):
         rep = oracle_optimal(BregmanScore(quadratic()), [0, 1], [2, 3])
         assert rep.value == 4.0
-        np.testing.assert_array_equal(rep.matching, [0, 1])
+        rows, cols, mass = rep.plan
+        np.testing.assert_array_equal(rows, [0, 1])
+        np.testing.assert_array_equal(cols, [0, 1])
+        np.testing.assert_array_equal(mass, [0.5, 0.5])
         assert rep.method == "assignment"
 
     def test_identity_on_identical_lists(self):
@@ -386,7 +389,7 @@ class TestOracle:
             a = [1.0, 1.0, 2.0]
             rep = oracle_optimal(s, a, a)
             assert rep.value == 0.0
-            assert coupling_value(s, a, a, rep.matching) == 0.0
+            assert coupling_value(s, a, a, rep.plan[1]) == 0.0
 
     @pytest.mark.parametrize(
         "a, b",
@@ -402,15 +405,15 @@ class TestOracle:
         # that of the matching the report carries
         for s in [BregmanScore(quadratic()), GPLScore(0.7), BregmanScore(quartic())]:
             rep = oracle_optimal(s, a, b)
-            np.testing.assert_array_equal(np.sort(rep.matching), np.arange(len(a)))
-            matched = coupling_value(s, a, b, rep.matching)
+            np.testing.assert_array_equal(np.sort(rep.plan[1]), np.arange(len(a)))
+            matched = coupling_value(s, a, b, rep.plan[1])
             assert abs(matched - rep.value) <= 1e-15 * abs(rep.value)
             assert rep.value == pytest.approx(brute_force_optimum(s, a, b), rel=1e-12, abs=1e-15)
 
     def test_antitonic_matching_for_reciprocal_transform(self):
         s = osband_transform(BregmanScore(quadratic()), reciprocal_map())
         rep = oracle_optimal(s, [1.0, 2.0], [1.0, 2.0])
-        np.testing.assert_array_equal(rep.matching, [1, 0])
+        np.testing.assert_array_equal(rep.plan[1], [1, 0])
         assert rep.value == pytest.approx(1.25 / 2.0)
 
     def test_against_brute_force_enumeration(self):
@@ -504,7 +507,7 @@ class TestOracle:
         )
         assert rep.method == "lp"
         assert rep.value == pytest.approx(5.25, abs=1e-12)
-        plan = {(i, j): mass for i, j, mass in rep.matching}
+        plan = {(int(i), int(j)): mass for i, j, mass in zip(*rep.plan)}
         assert plan[(0, 0)] == pytest.approx(0.25, abs=1e-12)
         assert plan[(0, 1)] == pytest.approx(0.25, abs=1e-12)
         assert plan[(1, 1)] == pytest.approx(0.5, abs=1e-12)
@@ -529,7 +532,37 @@ class TestOracle:
         r1 = oracle_optimal(s, a, b)
         r2 = oracle_optimal(s, a, b)
         assert r1.value == r2.value
-        np.testing.assert_array_equal(r1.matching, r2.matching)
+        for x1, x2 in zip(r1.plan, r2.plan):
+            np.testing.assert_array_equal(x1, x2)
+
+    @pytest.mark.parametrize("path", ["assignment", "lp"])
+    def test_plan_meets_the_weights_and_prices_to_the_value(self, path):
+        # both paths report one (rows, cols, mass) form: its row and column
+        # sums are the weights, and it prices to the reported value
+        rng = np.random.default_rng(37)
+        for s in catalog_scores():
+            lo, hi = s.atom_interval
+            for _ in range(4):
+                n1 = int(rng.integers(1, 13))
+                n2 = n1 if path == "assignment" else int(rng.integers(1, 13))
+                a, b = rng.uniform(lo, hi, n1), rng.uniform(lo, hi, n2)
+                if path == "assignment":
+                    w1, w2 = np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2)
+                    report = oracle_optimal(s, a, b)
+                else:
+                    w1, w2 = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
+                    report = oracle_optimal(s, a, b, w1, w2)
+                assert report.method == path
+                rows, cols, mass = report.plan
+                assert rows.shape == cols.shape == mass.shape
+                assert np.max(np.abs(np.bincount(rows, mass, n1) - w1)) <= 1e-12
+                assert np.max(np.abs(np.bincount(cols, mass, n2) - w2)) <= 1e-12
+                cost = _transport_cost(s, a[:, None], b[None, :])
+                priced = pairwise_sum(mass * cost[rows, cols])
+                if path == "lp":
+                    assert priced == report.value
+                else:  # the value is the pairwise sum of the costs, over n
+                    assert abs(priced - report.value) <= 1e-14 * abs(report.value), (s, a, b)
 
     def test_lp_tolerance_regression(self):
         # 24 vs 12 atoms on which HiGHS at its default feasibility
@@ -574,7 +607,7 @@ def test_assignment_dp_is_the_least_row_order_sum(n, k, data):
     assert repr(row_order_sum(cost, sigma)) == repr(brute)
     if k < 12:
         report = oracle_optimal(score, a, b)
-        np.testing.assert_array_equal(report.matching, sigma)
+        np.testing.assert_array_equal(report.plan[1], sigma)
         assert repr(report.value) == repr(pairwise_sum(cost[np.arange(n), sigma]) / n)
 
 
