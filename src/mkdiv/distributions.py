@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import DomainError, IngestionError, MomentError
 from .numerics import (
+    _BLOCK,
     _DEFAULT_DELTA,
     _DEFAULT_M,
     Rule,
@@ -166,7 +167,6 @@ _P2 = (3.23774891776946035970, 6.91522889068984211695, 3.93881025292474443415,
 _Q2 = (6.02427039364742014255, 3.67983563856160859403, 1.37702099489081330271,
        2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_NDTRI_BLOCK = 1 << 14  # levels per block: the temporaries of a block stay in cache
 
 
 def _ratio(x, p, q):
@@ -195,9 +195,9 @@ def _ndtri(u):
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     out = np.empty_like(flat)
-    for start in range(0, flat.size, _NDTRI_BLOCK):
-        b = flat[start:start + _NDTRI_BLOCK]
-        o = out[start:start + _NDTRI_BLOCK]
+    for start in range(0, flat.size, _BLOCK):
+        b = flat[start:start + _BLOCK]
+        o = out[start:start + _BLOCK]
         upper = b > 1.0 - _EXP_M2
         y = np.subtract(1.0, b, out=b.copy(), where=upper)
         central = y > _EXP_M2

@@ -29,6 +29,7 @@ from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
+    _BlockSum,
     _check_count,
     _check_finite,
     _check_tolerance,
@@ -264,12 +265,11 @@ def _mean_scores(score: Score, sample: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Scores are taken in tiles of at most ``_TILE`` values, atoms down and
     reports across: an aligned block of a power of two of atoms against as
-    many reports as fit.  Each tile is folded down its atoms by the tree of
-    :func:`pairwise_sum`, and the sums of the blocks merge as they complete,
-    by the same tree, on a stack of aligned subtrees whose levels strictly
-    decrease, like a binary counter.  So every mean is bit-identical to the
-    fold of its own row of scores, whatever tile it lands in, and memory
-    stays bounded by a tile plus ``len(z) * log2(len(sample))`` sums.
+    many reports as fit.  One :class:`mkdiv.numerics._BlockSum` per run of
+    reports folds its tiles down their atoms and merges them by the tree of
+    :func:`pairwise_sum`, so every mean is bit-identical to the fold of its
+    own row of scores, whatever tile it lands in, and memory stays bounded
+    by a tile plus ``len(z) * log2(len(sample))`` sums.
     """
     m = sample.size
     per_tile = max(1, _TILE // max(z.size, 1))
@@ -278,22 +278,10 @@ def _mean_scores(score: Score, sample: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.empty(z.size)
     for j in range(0, z.size, cols):
         reports = z[None, j : j + cols]
-        stack = []  # (level, sums of an aligned subtree of 2**level atoms)
+        sums = _BlockSum()
         for i in range(0, m, rows):
-            sums = pairwise_sum(score(reports, sample[i : i + rows, None]), axis=0)
-            level = (min(rows, m - i) - 1).bit_length()
-            while stack and stack[-1][0] == level:
-                sums = stack.pop()[1] + sums
-                level += 1
-            stack.append((level, sums))
-        level, sums = stack.pop()
-        while stack:
-            left_level, left = stack.pop()
-            if level < left_level:
-                sums += 0.0  # paired with its all-zero sibling, as the padded tree does
-            sums = left + sums
-            level = left_level + 1
-        out[j : j + cols] = sums / m
+            sums.add(score(reports, sample[i : i + rows, None]))
+        out[j : j + cols] = sums.total() / m
     return out
 
 

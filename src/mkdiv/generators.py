@@ -82,7 +82,12 @@ class ConvexGenerator:
         """phi(a) - phi(b) - dphi(b) * (a - b); non-negative on domain^2."""
         a_arr = self._check_domain(a, "first Bregman argument")
         b_arr = self._check_domain(b, "second Bregman argument")
-        out = self.phi(a_arr) - self.phi(b_arr) - self.dphi(b_arr) * (a_arr - b_arr)
+        # (phi(a) - phi(b)) - dphi(b) * (a - b), rounded as written, with the
+        # linear part built in a buffer of our own: nothing is written into
+        # an array that phi or dphi returned
+        out = np.asarray(a_arr - b_arr)
+        out *= self.dphi(b_arr)
+        np.subtract(self.phi(a_arr) - self.phi(b_arr), out, out=out)
         if np.ndim(a) == 0 and np.ndim(b) == 0:
             return float(out)
         return out

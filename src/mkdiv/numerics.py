@@ -2,7 +2,9 @@
 
 All reductions used for reported values go through :func:`pairwise_sum`, which
 fixes the summation tree (index-ascending, adjacent pairing, folded down the
-leading axis), so results are bit-stable across runs.  Every integral over
+leading axis), so results are bit-stable across runs; :class:`_BlockSum` folds
+the same tree over values that arrive in aligned blocks of ``_BLOCK`` entries
+or tiles, so that no caller holds all of them at once.  Every integral over
 the quantile level u is one :class:`Rule`, and every open-domain check goes
 through :func:`first_outside`.
 :func:`brent_root` and :func:`golden_section` are the 1-D searches; the robust
@@ -63,6 +65,44 @@ def _fold(a: np.ndarray) -> np.ndarray:
             np.add(a[-1:], 0.0, out=half[-1:])
         a, n = half, half.shape[0]
     return a[0]
+
+
+_BLOCK = 1 << 14  # nodes per block: the temporaries of a block stay in cache
+
+
+class _BlockSum:
+    """:func:`pairwise_sum` down the leading axis of values that arrive in
+    consecutive blocks: aligned blocks of one power of two of entries, of
+    which only the last may be shorter.
+
+    Each block is folded by :func:`_fold`, and the sums of the blocks merge
+    as they complete, by the same tree, on a stack of aligned subtrees whose
+    levels strictly decrease, like a binary counter.  So :meth:`total` is
+    bit-identical to the fold of all the values at once, and the stack holds
+    at most log2 of the number of blocks sums.
+    """
+
+    def __init__(self):
+        self._stack = []  # (level, sums of an aligned subtree of 2**level entries)
+
+    def add(self, block) -> None:
+        block = np.asarray(block, dtype=float)
+        sums, level = _fold(block), (block.shape[0] - 1).bit_length()
+        while self._stack and self._stack[-1][0] == level:
+            sums = self._stack.pop()[1] + sums
+            level += 1
+        self._stack.append((level, sums))
+
+    def total(self):
+        """The sum so far: a float for 1-D blocks, else an array; at least
+        one block must have been added."""
+        level, sums = self._stack[-1]
+        for left_level, left in reversed(self._stack[:-1]):
+            if level < left_level:
+                sums = sums + 0.0  # paired with its all-zero sibling, as the padded tree does
+            sums = left + sums
+            level = left_level + 1
+        return sums
 
 
 def pairwise_sum(values, axis=None):

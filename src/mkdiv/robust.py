@@ -40,8 +40,10 @@ from .distributions import Distribution, QuantileGrid
 from .errors import CalibrationError, DomainError, InfeasibleLambdaError
 from .generators import ConvexGenerator, DistortionSpec
 from .numerics import (
+    _BLOCK,
     _DEFAULT_DELTA,
     _DEFAULT_M,
+    _BlockSum,
     first_outside,
     midpoint_rule,
     pairwise_mean,
@@ -108,37 +110,50 @@ def perturbed_nodes(
     lam: float,
     dphi_ref: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply (phi')^{-1}(phi'(node) + weight / lam) nodewise.
+    """Apply (phi')^{-1}(phi'(node) + weight / lam) nodewise to the 1-D
+    ``ref_nodes``.
 
     ``dphi_ref``, when given, is ``gen.dphi(ref_nodes)`` computed once by a
-    caller that perturbs the same nodes at many multipliers.
+    caller that perturbs the same nodes at many multipliers.  The argument
+    is formed, checked and inverted in blocks of ``_BLOCK`` nodes, written
+    into the result, so the result is the only array of the nodes' size
+    that a call allocates.
 
     Raises
     ------
     InfeasibleLambdaError
-        If the argument leaves the range of phi', or the result the domain of
-        phi, at any node (reported with the first offending node index).
+        If the argument leaves the range of phi', or else the result the
+        domain of phi, at any node, reported with the first offending node
+        index: a node outside the range is reported before any node outside
+        the domain, wherever the two lie.
     """
     if not lam > 0.0:
         raise DomainError(f"multiplier must be positive, got {lam}")
-    if dphi_ref is None:
-        dphi_ref = gen.dphi(ref_nodes)
-    target = dphi_ref + weight / lam
-    node = first_outside(target, gen.dphi_range)
-    # phi' attains no infinite value, so an infinite argument is infeasible
-    # even on an unbounded side of the range, where first_outside passes it
-    infinite = np.isinf(target)
-    if infinite.any():
-        first_inf = int(np.argmax(infinite))
-        node = first_inf if node is None else min(node, first_inf)
-    problem = "perturbed derivative leaves the range of phi'"
-    if node is None:
-        nodes = np.asarray(gen.inv_dphi_fn(target), dtype=float)
-        # the inverse can round onto a finite bound of the domain, e.g.
-        # xlogx's exp(y - 1) underflows to 0.0 at small multipliers
-        node = first_outside(nodes, gen.domain)
-        problem = f"perturbed node leaves the domain {gen.domain} of phi"
-    if node is not None:
+    nodes = np.empty(len(ref_nodes))
+    failure = None  # (node, problem) of the first failure found
+    for start in range(0, nodes.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        dphi = gen.dphi(ref_nodes[blk]) if dphi_ref is None else dphi_ref[blk]
+        target = dphi + weight[blk] / lam
+        node = first_outside(target, gen.dphi_range)
+        # phi' attains no infinite value, so an infinite argument is infeasible
+        # even on an unbounded side of the range, where first_outside passes it
+        infinite = np.isinf(target)
+        if infinite.any():
+            first_inf = int(np.argmax(infinite))
+            node = first_inf if node is None else min(node, first_inf)
+        if node is not None:
+            failure = (start + node, "perturbed derivative leaves the range of phi'")
+            break
+        if failure is None:  # past a domain failure only the range is checked
+            nodes[blk] = gen.inv_dphi_fn(target)
+            # the inverse can round onto a finite bound of the domain, e.g.
+            # xlogx's exp(y - 1) underflows to 0.0 at small multipliers
+            node = first_outside(nodes[blk], gen.domain)
+            if node is not None:
+                failure = (start + node, f"perturbed node leaves the domain {gen.domain} of phi")
+    if failure is not None:
+        node, problem = failure
         raise InfeasibleLambdaError(
             f"{problem} for generator '{gen.name}' at node {node} (lambda={lam})",
             node=node,
@@ -150,6 +165,74 @@ def bw_divergence_nodes(gen: ConvexGenerator, nodes_g, nodes_f) -> float:
     """Bregman-Wasserstein divergence between two grids on the same u-nodes:
     the comonotonic coupling is optimal, so this is a plain nodewise mean."""
     return pairwise_mean(np.asarray(gen.bregman(nodes_g, nodes_f)))
+
+
+def _inverse_curvature_terms(gen, nodes, phi_nodes, weight):
+    """The terms weight^2 / phi''(nodes) of I, and whether phi'' is one
+    number (then I is the same at every lam).
+
+    A zero weight adds 0 even where phi'' vanishes, and a zero or
+    overflowing phi'' under a nonzero weight makes I infinite or zero,
+    which rules out the Newton step.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        curvature = phi_nodes if gen.d2phi is gen.phi else gen.d2phi(nodes)
+        terms = np.divide(weight, curvature, out=np.zeros(np.shape(weight)),
+                          where=weight != 0.0)
+        terms *= weight
+    return terms, np.ndim(curvature) == 0
+
+
+class _Probes:
+    """A calibration's probes: phi(ref) and phi'(ref), kept, and I(ref),
+    computed once in blocks of ``_BLOCK`` nodes; each call then probes one
+    multiplier, as :func:`calibrate_lambda` describes."""
+
+    def __init__(self, gen: ConvexGenerator, ref_nodes: np.ndarray, weight: np.ndarray):
+        self.gen, self.ref_nodes, self.weight = gen, ref_nodes, weight
+        m = ref_nodes.size
+        self.phi_ref, self.dphi_ref = np.empty(m), np.empty(m)
+        integral = _BlockSum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, m, _BLOCK):
+                blk = slice(start, start + _BLOCK)
+                ref = ref_nodes[blk]
+                self.phi_ref[blk], self.dphi_ref[blk] = gen.phi(ref), gen.dphi(ref)
+                terms, self.constant = _inverse_curvature_terms(
+                    gen, ref, self.phi_ref[blk], weight[blk])
+                integral.add(terms)
+        self.ref_integral = float(integral.total()) / m
+
+    def __call__(self, lam: float):
+        """``(D, I(G), G)`` at ``lam``, D and I by the equal-cell rule of the
+        reference; ``(inf, nan, None)`` where the curve is infinitely far."""
+        gen, ref_nodes, weight = self.gen, self.ref_nodes, self.weight
+        m = ref_nodes.size
+        div, integral = _BlockSum(), _BlockSum()
+        # extreme multipliers may overflow the generator transform; both an
+        # out-of-range argument and a non-finite divergence mean the curve
+        # is infinitely far, so the search treats them as +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                nodes = perturbed_nodes(gen, ref_nodes, weight, lam, self.dphi_ref)
+            except InfeasibleLambdaError:
+                return math.inf, math.nan, None
+            for start in range(0, m, _BLOCK):
+                blk = slice(start, start + _BLOCK)
+                g = nodes[blk]
+                phi_g = gen.phi(g)
+                # (phi(G) - phi(ref)) - phi'(ref) (G - ref), rounded as
+                # ConvexGenerator.bregman rounds it, on the linear part's buffer
+                terms = np.subtract(g, ref_nodes[blk])
+                terms *= self.dphi_ref[blk]
+                np.subtract(np.subtract(phi_g, self.phi_ref[blk]), terms, out=terms)
+                div.add(terms)
+                if not self.constant:
+                    integral.add(_inverse_curvature_terms(gen, g, phi_g, weight[blk])[0])
+        d = float(div.total()) / m
+        if not math.isfinite(d):
+            return math.inf, math.nan, None
+        return d, self.ref_integral if self.constant else float(integral.total()) / m, nodes
 
 
 def calibrate_lambda(
@@ -194,13 +277,18 @@ def calibrate_lambda(
     boundary and the best probe is its feasible end: its divergence is at
     most ``eps``, and ``binding`` is False unless it meets the budget.
 
-    phi(ref), phi'(ref), I(ref) and the domain check of the reference are
-    computed once; each probe is one :func:`perturbed_nodes` call and one
-    phi, with the Bregman terms in the order of
-    :meth:`ConvexGenerator.bregman` and the rule of ``ref``, so every
-    divergence is bit-identical to :func:`bw_divergence_nodes`.  A Newton
-    step adds I(G_lam), which reuses phi(G_lam) where phi'' is phi (the exp
-    generator) and I(ref) where phi'' is constant.
+    The domain check of the reference, phi(ref), phi'(ref) and I(ref) are
+    computed once.  Each probe is one :func:`perturbed_nodes` call and one
+    pass over the grid in blocks of ``_BLOCK`` nodes that computes phi(G),
+    the Bregman terms in the order of :meth:`ConvexGenerator.bregman` and,
+    where phi'' is not one number, the terms of I(G_lam), and folds each
+    block.  The block sums merge by the tree of
+    :func:`mkdiv.numerics.pairwise_sum`, so D and I are the whole-array
+    folds bit for bit, and every divergence is repr-equal to
+    :func:`bw_divergence_nodes`.  A probe keeps its curve and nothing else
+    of the grid's size, so a calibration holds four such arrays beyond its
+    inputs, plus a block's temporaries: phi(ref), phi'(ref), the best
+    curve and the probe's own.
 
     Returns
     -------
@@ -210,47 +298,9 @@ def calibrate_lambda(
     """
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
-    ref_nodes = gen._check_domain(ref.nodes, "second Bregman argument")
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi_ref, dphi_ref = gen.phi(ref_nodes), gen.dphi(ref_nodes)
+    probe = _Probes(gen, gen._check_domain(ref.nodes, "second Bregman argument"), weight)
     log_eps = math.log(eps)
-
-    def probe(lam: float):
-        """Divergence at ``lam`` with the nodes and phi(nodes) it came from;
-        ``(inf, None, None)`` where the curve is infinitely far."""
-        # extreme multipliers may overflow the generator transform; both an
-        # out-of-range argument and a non-finite divergence mean the curve
-        # is infinitely far, so the search treats them as +inf
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                nodes = perturbed_nodes(gen, ref_nodes, weight, lam, dphi_ref)
-                phi_nodes = gen.phi(nodes)
-                # (phi(G) - phi(ref)) - phi'(ref) (G - ref), written over the
-                # linear part, so that keeping phi(G) for the slope adds no
-                # array to the peak of a probe
-                terms = np.subtract(nodes, ref_nodes)
-                terms *= dphi_ref
-                np.subtract(np.subtract(phi_nodes, phi_ref), terms, out=terms)
-                val = ref.rule.integrate(terms)
-        except InfeasibleLambdaError:
-            val = np.inf
-        if not np.isfinite(val):
-            return np.inf, None, None
-        return val, nodes, phi_nodes
-
-    def inverse_curvature_mean(nodes, phi_nodes):
-        # I(G) = integral of weight^2 / phi''(G), and whether phi'' is one number
-        # (then I is the same at every lam); a zero weight adds 0 even where
-        # phi'' vanishes, and a zero or overflowing phi'' under a nonzero
-        # weight makes I infinite or zero, which rules out the Newton step
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            curvature = phi_nodes if gen.d2phi is gen.phi else gen.d2phi(nodes)
-            terms = np.divide(weight, curvature, out=np.zeros(np.shape(weight)),
-                              where=weight != 0.0)
-            terms *= weight
-            return ref.rule.integrate(terms), np.ndim(curvature) == 0
-
-    integral, constant = inverse_curvature_mean(ref_nodes, phi_ref)
+    integral = probe.ref_integral
     lam = math.sqrt(integral / (2.0 * eps)) if 0.0 < integral < math.inf else 1.0
     lo, hi = 0.0, math.inf
     prev = math.inf  # |f| at the previous probe
@@ -258,7 +308,7 @@ def calibrate_lambda(
     low, high = math.inf, -math.inf  # range of the divergences probed
     while True:
         lam = min(max(lam, _LAM_MIN), _LAM_MAX)
-        div, nodes, phi_nodes = probe(lam)
+        div, integral, nodes = probe(lam)
         low, high = min(low, div), max(high, div)
         f = math.log(div) - log_eps if div > 0.0 else -math.inf
         if div < math.inf and (best is None or abs(f) <= best[0]):
@@ -283,16 +333,13 @@ def calibrate_lambda(
         else:
             fallback = lo * 10.0 if 0.0 < lo else hi / 10.0
         step = math.nan
-        if abs(f) < prev:  # f is finite and |f| fell
-            if not constant:
-                integral, _ = inverse_curvature_mean(nodes, phi_nodes)
-            if 0.0 < integral < math.inf:
-                # s - f / f'(s) with f'(s) = -I(G_lam) / (lam^2 div); a step
-                # that overflows gives inf, which the bracket rejects
-                with np.errstate(over="ignore"):
-                    step = float(np.exp(math.log(lam) + f * lam * lam * div / integral))
+        if abs(f) < prev and 0.0 < integral < math.inf:  # f is finite and |f| fell
+            # s - f / f'(s) with f'(s) = -I(G_lam) / (lam^2 div); a step
+            # that overflows gives inf, which the bracket rejects
+            with np.errstate(over="ignore"):
+                step = float(np.exp(math.log(lam) + f * lam * lam * div / integral))
         prev = abs(f)
-        del nodes, phi_nodes  # only the best probe's curve outlives a probe
+        del nodes  # only the best probe's curve outlives a probe
         lam = step if lo < step < hi else fallback
     # both stops follow a probe with a finite divergence, so there is a best
     _, lam, div, nodes = best

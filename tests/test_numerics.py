@@ -7,6 +7,7 @@ import pytest
 from mkdiv import COMONOTONIC, from_samples
 from mkdiv.errors import EvaluationError
 from mkdiv.numerics import (
+    _BlockSum,
     brent_root,
     first_outside,
     golden_section,
@@ -57,6 +58,20 @@ class TestPairwise:
         assert got.shape == slices.shape[:-1]
         for index in np.ndindex(got.shape):
             assert np.float64(pairwise_sum(slices[index])).tobytes() == got[index].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 33, 100])
+    @pytest.mark.parametrize("block", [1, 2, 4, 8, 64])
+    def test_block_sum_is_the_fold_of_the_whole(self, n, block):
+        rng = np.random.default_rng(n)
+        x = rng.normal(0, 1, (n, 3)) * 10.0 ** rng.integers(-12, 12, (n, 3))
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[:, 0] = -0.0  # an all-negative-zero column
+        rows, column = _BlockSum(), _BlockSum()
+        for i in range(0, n, block):
+            rows.add(x[i : i + block])
+            column.add(x[i : i + block, 1])
+        assert rows.total().tobytes() == pairwise_sum(x, axis=0).tobytes()
+        assert np.float64(column.total()).tobytes() == np.float64(pairwise_sum(x[:, 1])).tobytes()
 
 
 INF = np.inf

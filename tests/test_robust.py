@@ -27,9 +27,11 @@ from mkdiv import (
     tvar_distortion,
 )
 from mkdiv.errors import DomainError, InfeasibleLambdaError
-from mkdiv.numerics import brent_root, midpoint_rule, pairwise_mean
+from mkdiv.generators import ConvexGenerator
+from mkdiv.numerics import _BLOCK, brent_root, midpoint_rule, pairwise_mean, pairwise_sum
 from mkdiv.robust import (
     UniquenessWarning,
+    _Probes,
     bw_divergence_nodes,
     calibrate_lambda,
     perturbed_nodes,
@@ -645,6 +647,112 @@ def test_divergence_strictly_decreases_in_lambda(name, lo, width, lam, ratio):
         for x in (lam, lam * ratio)
     ]
     assert divs[0] > divs[1] > 0.0
+
+
+BLOCK_EDGE_M = [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 250_000]
+BLOCK_EDGE_WEIGHTS = {
+    "dualpower": dual_power(2.0).gamma,
+    "tvar": tvar_distortion(0.9).gamma,  # zero below u = 0.9
+    "payoff": MarketSpec(Uniform(0.0, 1.0)).neg_weight,  # negative
+}
+
+
+def whole_array_integral(gen, nodes, weight):
+    """I(G): the rule over the whole array of the terms weight^2 / phi''(G)."""
+    terms = np.divide(weight, gen.d2phi(nodes), out=np.zeros(weight.shape), where=weight != 0.0)
+    return pairwise_sum(terms * weight) / nodes.size
+
+
+def sqrt_derivative_generator():
+    """phi(x) = (2/3) x^1.5 on (0, 1), so phi' = sqrt(x) ranges over (0, 1);
+    its inverse y * y underflows to 0.0, outside the domain, for y below
+    about 1.5e-162."""
+    return ConvexGenerator(
+        name="x^1.5",
+        phi=lambda x: (2.0 / 3.0) * x * np.sqrt(x),
+        dphi=np.sqrt,
+        d2phi=lambda x: 0.5 / np.sqrt(x),
+        inv_dphi_fn=lambda y: y * y,
+        domain=(0.0, 1.0),
+        dphi_range=(0.0, 1.0),
+    )
+
+
+class TestBlockedProbes:
+    """A probe works through the grid in blocks of _BLOCK nodes; its curve,
+    D and I(G) are those of the whole arrays, bit for bit."""
+
+    @pytest.mark.parametrize("weight_of", sorted(BLOCK_EDGE_WEIGHTS))
+    @pytest.mark.parametrize("m", BLOCK_EDGE_M)
+    def test_probes_are_the_whole_array_folds(self, m, weight_of):
+        grid = quantile_grid(Uniform(0.5, 1.5), m, 0.0)
+        ref, weight = grid.nodes, BLOCK_EDGE_WEIGHTS[weight_of](grid.rule.u)
+        for gen in generator_catalog().values():
+            probe = _Probes(gen, ref, weight)
+            assert repr(probe.ref_integral) == repr(whole_array_integral(gen, ref, weight))
+            for lam in (1.0, 4.0, 30.0):
+                div, integral, curve = probe(lam)
+                formula = np.asarray(gen.inv_dphi_fn(gen.dphi(ref) + weight / lam), dtype=float)
+                assert curve.tobytes() == formula.tobytes()
+                terms = gen.phi(curve) - gen.phi(ref) - gen.dphi(ref) * (curve - ref)
+                assert repr(div) == repr(pairwise_sum(terms) / m)
+                assert repr(div) == repr(bw_divergence_nodes(gen, curve, ref))
+                assert repr(integral) == repr(whole_array_integral(gen, curve, weight))
+            if weight.any():  # TVaR weighs neither node of the 2-node grid
+                lam, div, _, curve = calibrate_lambda(gen, grid, weight, 0.02)
+                assert curve.tobytes() == perturbed_nodes(gen, ref, weight, lam).tobytes()
+                assert repr(div) == repr(bw_divergence_nodes(gen, curve, ref))
+
+    @pytest.mark.parametrize(
+        "domain_at, range_at, node",
+        [
+            (5, None, 5),
+            (_BLOCK + 3, None, _BLOCK + 3),
+            (5, 9, 9),
+            (_BLOCK + 3, 5, 5),
+            # the range failure lies in a later block than the domain failure
+            (5, _BLOCK + 7, _BLOCK + 7),
+            (5, 2 * _BLOCK, 2 * _BLOCK),
+        ],
+    )
+    def test_a_range_failure_is_reported_before_any_domain_failure(
+        self, domain_at, range_at, node
+    ):
+        gen = sqrt_derivative_generator()
+        ref, weight = np.full(2 * _BLOCK + 1, 0.25), np.zeros(2 * _BLOCK + 1)
+        # phi'(1e-300) = 1e-150; minus the float below it leaves its last
+        # unit, about 1e-166, inside the range, and its square underflows
+        ref[domain_at] = 1e-300
+        weight[domain_at] = -np.nextafter(math.sqrt(1e-300), 0.0)
+        if range_at is not None:
+            weight[range_at] = 0.6  # phi'(0.25) + 0.6 = 1.1 leaves (0, 1)
+        problem = "derivative leaves the range of phi'" if range_at is not None else (
+            "node leaves the domain (0.0, 1.0) of phi"
+        )
+        with pytest.raises(InfeasibleLambdaError) as info:
+            perturbed_nodes(gen, ref, weight, 1.0)
+        assert info.value.node == node
+        assert str(info.value) == (
+            f"perturbed {problem} for generator 'x^1.5' at node {node} (lambda=1.0)"
+        )
+
+    @pytest.mark.parametrize("name", sorted(generator_catalog()))
+    def test_calibration_holds_four_grids_and_a_few_blocks(self, name):
+        import tracemalloc
+
+        m = 1 << 18
+        grid = quantile_grid(Uniform(0.5, 1.5), m, 0.0)
+        weight = dual_power(2.0).gamma(grid.rule.u)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            calibrate_lambda(generator_catalog()[name], grid, weight, 0.02)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # phi(ref), phi'(ref), the best curve and the probe's own; the
+        # whole-array probes held 6 (quadratic) or 7 such arrays
+        assert peak <= 8 * (4 * m + 6 * _BLOCK)
 
 
 class _nullcontext:
