@@ -78,16 +78,24 @@ class ConvexGenerator:
             )
         return arr
 
+    @staticmethod
+    def _bregman_terms(a, phi_a, b, phi_b, dphi_b):
+        """The Bregman kernel: (phi(a) - phi(b)) - dphi(b) * (a - b), rounded
+        as written, with the linear part built in a buffer of its own, which
+        is returned: nothing is written into an argument.  Every Bregman term
+        of the package, from :meth:`bregman` and from the probes of
+        :func:`mkdiv.robust.calibrate_lambda`, is computed here."""
+        out = np.asarray(a - b)
+        out *= dphi_b
+        np.subtract(phi_a - phi_b, out, out=out)
+        return out
+
     def bregman(self, a, b):
-        """phi(a) - phi(b) - dphi(b) * (a - b); non-negative on domain^2."""
+        """phi(a) - phi(b) - dphi(b) * (a - b), non-negative on domain^2, by
+        the kernel :meth:`_bregman_terms`."""
         a_arr = self._check_domain(a, "first Bregman argument")
         b_arr = self._check_domain(b, "second Bregman argument")
-        # (phi(a) - phi(b)) - dphi(b) * (a - b), rounded as written, with the
-        # linear part built in a buffer of our own: nothing is written into
-        # an array that phi or dphi returned
-        out = np.asarray(a_arr - b_arr)
-        out *= self.dphi(b_arr)
-        np.subtract(self.phi(a_arr) - self.phi(b_arr), out, out=out)
+        out = self._bregman_terms(a_arr, self.phi(a_arr), b_arr, self.phi(b_arr), self.dphi(b_arr))
         if np.ndim(a) == 0 and np.ndim(b) == 0:
             return float(out)
         return out

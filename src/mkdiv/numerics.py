@@ -2,11 +2,12 @@
 
 All reductions used for reported values go through :func:`pairwise_sum`, which
 fixes the summation tree (index-ascending, adjacent pairing, folded down the
-leading axis), so results are bit-stable across runs; :class:`_BlockSum` folds
-the same tree over values that arrive in aligned blocks of ``_BLOCK`` entries
-or tiles, so that no caller holds all of them at once.  Every integral over
-the quantile level u is one :class:`Rule`, and every open-domain check goes
-through :func:`first_outside`.
+leading axis), so results are bit-stable across runs; :class:`_BlockSum` sums
+each aligned block of ``_BLOCK`` entries or tiles that values arrive in by
+:func:`pairwise_sum` and merges the block sums by the same tree, so that no
+caller holds all of them at once.  Every integral over the quantile level u
+is one :class:`Rule`, and every open-domain check goes through
+:func:`first_outside`.
 :func:`brent_root` and :func:`golden_section` are the 1-D searches; the robust
 solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.
 """
@@ -75,10 +76,10 @@ class _BlockSum:
     consecutive blocks: aligned blocks of one power of two of entries, of
     which only the last may be shorter.
 
-    Each block is folded by :func:`_fold`, and the sums of the blocks merge
-    as they complete, by the same tree, on a stack of aligned subtrees whose
-    levels strictly decrease, like a binary counter.  So :meth:`total` is
-    bit-identical to the fold of all the values at once, and the stack holds
+    Each block is folded by :func:`pairwise_sum`, and the sums of the blocks
+    merge as they complete, by the same tree, on a stack of aligned subtrees
+    whose levels strictly decrease, like a binary counter.  So :meth:`total`
+    is bit-identical to the fold of all the values at once, and the stack holds
     at most log2 of the number of blocks sums.
     """
 
@@ -86,8 +87,7 @@ class _BlockSum:
         self._stack = []  # (level, sums of an aligned subtree of 2**level entries)
 
     def add(self, block) -> None:
-        block = np.asarray(block, dtype=float)
-        sums, level = _fold(block), (block.shape[0] - 1).bit_length()
+        sums, level = pairwise_sum(block, axis=0), (len(block) - 1).bit_length()
         while self._stack and self._stack[-1][0] == level:
             sums = self._stack.pop()[1] + sums
             level += 1

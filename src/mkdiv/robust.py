@@ -168,8 +168,7 @@ def bw_divergence_nodes(gen: ConvexGenerator, nodes_g, nodes_f) -> float:
 
 
 def _inverse_curvature_terms(gen, nodes, phi_nodes, weight):
-    """The terms weight^2 / phi''(nodes) of I, and whether phi'' is one
-    number (then I is the same at every lam).
+    """The terms weight^2 / phi''(nodes) of I.
 
     A zero weight adds 0 even where phi'' vanishes, and a zero or
     overflowing phi'' under a nonzero weight makes I infinite or zero,
@@ -180,7 +179,7 @@ def _inverse_curvature_terms(gen, nodes, phi_nodes, weight):
         terms = np.divide(weight, curvature, out=np.zeros(np.shape(weight)),
                           where=weight != 0.0)
         terms *= weight
-    return terms, np.ndim(curvature) == 0
+    return terms
 
 
 class _Probes:
@@ -198,9 +197,7 @@ class _Probes:
                 blk = slice(start, start + _BLOCK)
                 ref = ref_nodes[blk]
                 self.phi_ref[blk], self.dphi_ref[blk] = gen.phi(ref), gen.dphi(ref)
-                terms, self.constant = _inverse_curvature_terms(
-                    gen, ref, self.phi_ref[blk], weight[blk])
-                integral.add(terms)
+                integral.add(_inverse_curvature_terms(gen, ref, self.phi_ref[blk], weight[blk]))
         self.ref_integral = float(integral.total()) / m
 
     def __call__(self, lam: float):
@@ -221,18 +218,13 @@ class _Probes:
                 blk = slice(start, start + _BLOCK)
                 g = nodes[blk]
                 phi_g = gen.phi(g)
-                # (phi(G) - phi(ref)) - phi'(ref) (G - ref), rounded as
-                # ConvexGenerator.bregman rounds it, on the linear part's buffer
-                terms = np.subtract(g, ref_nodes[blk])
-                terms *= self.dphi_ref[blk]
-                np.subtract(np.subtract(phi_g, self.phi_ref[blk]), terms, out=terms)
-                div.add(terms)
-                if not self.constant:
-                    integral.add(_inverse_curvature_terms(gen, g, phi_g, weight[blk])[0])
+                div.add(gen._bregman_terms(
+                    g, phi_g, ref_nodes[blk], self.phi_ref[blk], self.dphi_ref[blk]))
+                integral.add(_inverse_curvature_terms(gen, g, phi_g, weight[blk]))
         d = float(div.total()) / m
         if not math.isfinite(d):
             return math.inf, math.nan, None
-        return d, self.ref_integral if self.constant else float(integral.total()) / m, nodes
+        return d, float(integral.total()) / m, nodes
 
 
 def calibrate_lambda(
@@ -280,13 +272,12 @@ def calibrate_lambda(
     The domain check of the reference, phi(ref), phi'(ref) and I(ref) are
     computed once.  Each probe is one :func:`perturbed_nodes` call and one
     pass over the grid in blocks of ``_BLOCK`` nodes that computes phi(G),
-    the Bregman terms in the order of :meth:`ConvexGenerator.bregman` and,
-    where phi'' is not one number, the terms of I(G_lam), and folds each
-    block.  The block sums merge by the tree of
-    :func:`mkdiv.numerics.pairwise_sum`, so D and I are the whole-array
-    folds bit for bit, and every divergence is repr-equal to
-    :func:`bw_divergence_nodes`.  A probe keeps its curve and nothing else
-    of the grid's size, so a calibration holds four such arrays beyond its
+    the Bregman terms by the generator's kernel, the one
+    :meth:`ConvexGenerator.bregman` uses, and the terms of I(G_lam), and
+    folds each block by :func:`mkdiv.numerics.pairwise_sum`.  The block sums
+    merge by the same tree, so D and I are the whole-array folds bit for
+    bit, and every divergence is repr-equal to :func:`bw_divergence_nodes`.
+    A probe keeps its curve and nothing else of the grid's size, so a calibration holds four such arrays beyond its
     inputs, plus a block's temporaries: phi(ref), phi'(ref), the best
     curve and the probe's own.
 
@@ -351,7 +342,10 @@ def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta):
     ``weight_of(u)`` of ``what`` on it, checked finite before any probe, and
     the calibration.  Returns ``(lam, divergence, binding, weight,
     QuantileGrid(nodes))``."""
-    u = midpoint_rule(m, delta).u  # built once: the nodes and the weight share it
+    # built once, before the nodes, and shared with the weight: building it
+    # again after the nodes, as quantile_grid and grid.rule.u would, lays the
+    # heap out so that warm solves peak one grid array higher
+    u = midpoint_rule(m, delta).u
     grid = QuantileGrid(nodes=ref.quantile(u))
     weight = _checked_weight(what, weight_of, u)
     del u  # not held through the calibration, where it would raise the peak
@@ -385,20 +379,13 @@ def solve_worst_case(
     Warns when the generator is not strictly convex or the distortion not
     strictly concave (the formula still applies; uniqueness is what is lost).
     """
-    if not gen.strictly_convex:
-        warnings.warn(
-            f"generator '{gen.name}' is not strictly convex; the solution "
-            "may not be unique",
-            UniquenessWarning,
-            stacklevel=2,
-        )
-    if not d.strictly_concave:
-        warnings.warn(
-            f"distortion '{d.name}' is not strictly concave; the solution "
-            "may not be unique",
-            UniquenessWarning,
-            stacklevel=2,
-        )
+    for strict, subject in (
+        (gen.strictly_convex, f"generator '{gen.name}' is not strictly convex"),
+        (d.strictly_concave, f"distortion '{d.name}' is not strictly concave"),
+    ):
+        if not strict:
+            warnings.warn(f"{subject}; the solution may not be unique",
+                          UniquenessWarning, stacklevel=2)
     lam, div, binding, weight, worst = _calibrated_curve(
         gen, ref, f"distortion '{d.name}'", d.gamma, eps, m, delta
     )

@@ -393,7 +393,9 @@ class ExpectileScore(Score):
         object.__setattr__(self, "y_domain", self.gen.domain)
 
     def _eval(self, z, y):
-        return np.where(y <= z, 1.0 - self.alpha, self.alpha) * self.gen.bregman(y, z)
+        out = self.gen.bregman(y, z)
+        out *= np.where(y <= z, 1.0 - self.alpha, self.alpha)  # in place: one tile fewer
+        return out
 
     def describe(self):
         return f"expectile[{self.gen.name},alpha={self.alpha}]"

@@ -23,3 +23,10 @@ def run_python():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return lambda *args: subprocess.run([sys.executable, *args], capture_output=True,
                                         text=True, env=env)
+
+
+def pytest_report_header(config):
+    """Name how the seeded CLI corpus is compared on this platform."""
+    from test_cli_corpus import COMPARISON
+
+    return f"cli corpus: compared by {COMPARISON}"

@@ -214,6 +214,67 @@ def test_only_describe_methods_and_the_cli_call_describe():
     assert found == []
 
 
+def fold_references(source: str):
+    """(innermost enclosing function or None, line) of each reference to
+    ``_fold``: a call, a bare name, an attribute or an import."""
+    hits, scope = [], []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id == "_fold" and isinstance(node.ctx, ast.Load):
+                self.record(node)
+
+        def visit_Attribute(self, node):
+            if node.attr == "_fold":
+                self.record(node)
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if any(alias.name == "_fold" for alias in node.names):
+                self.record(node)
+
+        def record(self, node):
+            hits.append((scope[-1] if scope else None, node.lineno))
+
+    Finder().visit(ast.parse(source))
+    return hits
+
+
+def test_the_fold_finder_sees_every_spelling():
+    source = (
+        "from .numerics import _fold\n"
+        "def _fold(a):\n"
+        "    return a\n"
+        "def pairwise_sum(a):\n"
+        "    return _fold(a)\n"
+        "class S:\n"
+        "    def add(self, b):\n"
+        "        return numerics._fold(b)\n"
+        "fold = _fold\n"
+        "_fold_count = 0\n"
+    )
+    assert fold_references(source) == [(None, 1), ("pairwise_sum", 5), ("add", 8), (None, 9)]
+
+
+def test_only_pairwise_sum_folds():
+    # every reduction, the blocked ones included, goes through pairwise_sum,
+    # which fixes the summation tree and which a tracer can wrap
+    found = [
+        (path.name, func, line)
+        for path in sorted(SRC.glob("*.py"))
+        for func, line in fold_references(path.read_text(encoding="utf-8"))
+        if (path.name, func) != ("numerics.py", "pairwise_sum")
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "result, names",
     [

@@ -207,6 +207,21 @@ class TestSolve:
             sol = solve_worst_case(quadratic(), tvar_distortion(0.9), Uniform(0, 1), 0.01)
         assert sol.binding
 
+    def test_both_uniqueness_warnings_name_their_subject_and_the_caller(self):
+        import dataclasses
+        import warnings
+
+        flat = dataclasses.replace(quadratic(), name="flat", strictly_convex=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_worst_case(flat, tvar_distortion(0.9), Uniform(0, 1), 0.01, m=100)
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (UniquenessWarning,
+             f"{subject}; the solution may not be unique", __file__)
+            for subject in ("generator 'flat' is not strictly convex",
+                            "distortion 'tvar' is not strictly concave")
+        ]
+
     def test_unreachable_budget_reports_range(self):
         # a bounded perturbation cannot reach the requested divergence when
         # the bracket bottoms out; force it with an absurd budget and a
@@ -735,6 +750,41 @@ class TestBlockedProbes:
         assert str(info.value) == (
             f"perturbed {problem} for generator 'x^1.5' at node {node} (lambda=1.0)"
         )
+
+    @pytest.mark.parametrize("name", sorted(generator_catalog()))
+    def test_every_block_is_folded_by_pairwise_sum(self, name, monkeypatch):
+        # I(ref) once, then D and I(G) on every probe whose curve exists,
+        # each over the whole grid, block by block
+        import mkdiv.numerics
+
+        m = 3 * _BLOCK + 1
+        grid = quantile_grid(Uniform(0.5, 1.5), m, 0.0)
+        weight = dual_power(2.0).gamma(grid.rule.u)
+        folded, curves = [], []
+        original_sum, original_nodes = mkdiv.numerics.pairwise_sum, perturbed_nodes
+
+        def counted_sum(values, axis=None):
+            folded.append(np.size(values))
+            return original_sum(values, axis)
+
+        def counted_nodes(*args):
+            curves.append(original_nodes(*args))
+            return curves[-1]
+
+        monkeypatch.setattr(mkdiv.numerics, "pairwise_sum", counted_sum)
+        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted_nodes)
+        calibrate_lambda(generator_catalog()[name], grid, weight, 0.02)
+        assert curves and all(size <= _BLOCK for size in folded)
+        assert sum(folded) == (1 + 2 * len(curves)) * m
+
+    @pytest.mark.parametrize("m", [_BLOCK + 1, 250_000])
+    def test_the_quadratic_probe_folds_the_terms_of_its_reference(self, m):
+        # phi'' is 2 everywhere, so I(G) has the terms of I(ref), and the
+        # same fold gives the same bits at every multiplier
+        grid = quantile_grid(Uniform(0.5, 1.5), m, 0.0)
+        probe = _Probes(quadratic(), grid.nodes, dual_power(2.0).gamma(grid.rule.u))
+        for lam in (0.3, 1.0, 30.0):
+            assert repr(probe(lam)[1]) == repr(probe.ref_integral)
 
     @pytest.mark.parametrize("name", sorted(generator_catalog()))
     def test_calibration_holds_four_grids_and_a_few_blocks(self, name):

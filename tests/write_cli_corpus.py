@@ -1,0 +1,70 @@
+"""Rewrite the seeded CLI corpus that ``test_cli_corpus.py`` replays.
+
+    PYTHONPATH=src python tests/write_cli_corpus.py
+
+The corpus is 66 argvs, each with the exit code, stdout and stderr of
+``cli.main`` run in process from the repository root, and the fingerprint of
+the platform that ran them:
+
+* the 42 argvs of the ``cli-oneshot`` benchmark workload at seeds 1 and 2, as
+  ``perfbench/workloads.py`` builds them, with the sample and step files they
+  read, written under ``tests/data/cli_corpus/seed<N>/``;
+* 24 argvs whose grids span several calibration blocks: ``worst-case`` with
+  a dual-power and a TVaR distortion, and ``payoff``, for each catalog
+  generator at ``--grid-m`` 16385 and 50001.
+
+Rewrite it only in a change that lists each output it moves; ``git diff``
+of ``corpus.json`` names them.
+"""
+
+import json
+import os
+import shutil
+import sys
+
+from test_cli_corpus import CORPUS, ROOT, fingerprint, run
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import CliOneshot  # noqa: E402
+
+SEEDS = (1, 2)
+GENERATORS = ("quadratic", "quartic", "exp", "xlogx")
+GRID_MS = (16385, 50001)  # one block and one past it; three blocks and part of a fourth
+
+
+def oneshot_argvs(seed: int) -> list:
+    """The argvs of the workload's pool of rounds at ``seed``; its set-up
+    writes the files they read into the corpus directory."""
+    work_dir = CORPUS.parent / f"seed{seed}"
+    shutil.rmtree(work_dir, ignore_errors=True)
+    work_dir.mkdir(parents=True)
+    workload = CliOneshot(seed, str(work_dir), refs=None, root=str(ROOT), env={})
+    workload.setup()
+    return [argv for argvs in workload.pool for _, argv in argvs]
+
+
+def multi_block_argvs() -> list:
+    argvs = []
+    for m in GRID_MS:
+        for phi in GENERATORS:
+            for distortion in ("distortion:dualpower,k=2", "distortion:tvar,alpha=0.9"):
+                argvs.append(["worst-case", "--phi", f"phi:{phi}", "--distortion", distortion,
+                              "--ref", "uniform:a=0.5,b=1.5", "--eps", "0.02",
+                              "--grid-m", str(m)])
+            argvs.append(["payoff", "--phi", f"phi:{phi}", "--benchmark", "uniform:a=0.5,b=1.5",
+                          "--market", "market:spd=lognormal:mu=-0.1,sigma=0.3;r=0;T=1",
+                          "--eps", "0.01", "--grid-m", str(m)])
+    return argvs
+
+
+def main() -> int:
+    os.chdir(ROOT)  # the argvs name their files relative to the root
+    argvs = [argv for seed in SEEDS for argv in oneshot_argvs(seed)] + multi_block_argvs()
+    corpus = {"fingerprint": fingerprint(), "cases": [run(argv) for argv in argvs]}
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(argvs)} cases to {CORPUS.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
