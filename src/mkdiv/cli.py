@@ -58,48 +58,34 @@ __all__ = ["main", "canonical_json"]
 
 def canonical_json(obj) -> str:
     """Render JSON with sorted keys and fixed 17-significant-digit floats."""
-    pieces: list[str] = []
-    _emit(obj, pieces)
-    return "".join(pieces)
+    return _emit(obj)
 
 
-def _emit(obj, out: list):
+def _emit(obj) -> str:
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not np.isfinite(x):
             raise MkdivError(f"non-finite value in JSON output: {x}")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
+        return format(x, ".17g")
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
         bad = np.flatnonzero(~np.isfinite(obj))
         if bad.size:
             raise MkdivError(f"non-finite value in JSON output: {float(obj[bad[0]])}")
-        out.append("[" + ",".join(map("{:.17g}".format, obj.tolist())) + "]")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, key in enumerate(sorted(obj)):
-            if k:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise MkdivError(f"cannot serialize {type(obj).__name__} to JSON")
+        return "[" + ",".join(map("{:.17g}".format, obj.tolist())) + "]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = (json.dumps(str(key)) + ":" + _emit(obj[key]) for key in sorted(obj))
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(map(_emit, obj)) + "]"
+    raise MkdivError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def _write_artifact(path: str, text: str, curve):

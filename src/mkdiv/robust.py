@@ -277,9 +277,9 @@ def calibrate_lambda(
     folds each block by :func:`mkdiv.numerics.pairwise_sum`.  The block sums
     merge by the same tree, so D and I are the whole-array folds bit for
     bit, and every divergence is repr-equal to :func:`bw_divergence_nodes`.
-    A probe keeps its curve and nothing else of the grid's size, so a calibration holds four such arrays beyond its
-    inputs, plus a block's temporaries: phi(ref), phi'(ref), the best
-    curve and the probe's own.
+    A probe keeps its curve and nothing else of the grid's size, so a
+    calibration holds four such arrays beyond its inputs, plus a block's
+    temporaries: phi(ref), phi'(ref), the best curve and the probe's own.
 
     Returns
     -------
@@ -342,9 +342,8 @@ def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta):
     ``weight_of(u)`` of ``what`` on it, checked finite before any probe, and
     the calibration.  Returns ``(lam, divergence, binding, weight,
     QuantileGrid(nodes))``."""
-    # built once, before the nodes, and shared with the weight: building it
-    # again after the nodes, as quantile_grid and grid.rule.u would, lays the
-    # heap out so that warm solves peak one grid array higher
+    # built once and shared by the grid and the weight, so that no solve
+    # builds it twice
     u = midpoint_rule(m, delta).u
     grid = QuantileGrid(nodes=ref.quantile(u))
     weight = _checked_weight(what, weight_of, u)

@@ -149,7 +149,7 @@ class StepFunction:
         if bad.size:
             i = int(bad[0])
             raise ConfigError(f"breakpoints must be finite, got {float(bp[i])} at index {i}")
-        if bp.size and np.any(np.diff(bp) <= 0.0):
+        if np.any(np.diff(bp) <= 0.0):
             raise ConfigError("breakpoints must be strictly increasing")
         if np.isnan(lv).any() or first_outside(lv, (0.0, 1.0)) is not None:
             raise ConfigError("levels must lie strictly inside (0, 1)")
@@ -162,11 +162,7 @@ class StepFunction:
         lv.setflags(write=False)
         # cumulative exact areas between consecutive breakpoints, anchored at
         # the first breakpoint (zero when there is none)
-        if bp.size:
-            seg = lv[1:-1] * np.diff(bp) if bp.size > 1 else np.empty(0)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-        else:
-            cum = np.zeros(1)
+        cum = np.concatenate([[0.0], np.cumsum(lv[1:-1] * np.diff(bp))])
         object.__setattr__(self, "_cum", cum)
 
     def __call__(self, x):
@@ -304,15 +300,18 @@ class Score:
 
     @property
     def atom_interval(self):
-        """Sampling interval for randomized certification instances."""
-        lo, hi = self.z_domain
-        ylo, yhi = self.y_domain
-        lo, hi = max(lo, ylo), min(hi, yhi)
+        """Sampling interval for randomized certification instances, strictly
+        inside both domains: (-2, 2) on the whole line, otherwise 0.1 to 3.0
+        inward from the lower end, or from the upper end if only that one is
+        finite, shrunk by the length of a domain shorter than 3.1."""
+        lo = max(self.z_domain[0], self.y_domain[0])
+        hi = min(self.z_domain[1], self.y_domain[1])
         if lo == -np.inf and hi == np.inf:
             return (-2.0, 2.0)
-        if lo == 0.0:
-            return (0.1, 3.0)
-        return (lo + 0.1, min(hi, lo + 3.0))
+        scale = min(hi - lo, 3.1) / 3.1
+        if lo > -np.inf:
+            return (lo + 0.1 * scale, lo + 3.0 * scale)
+        return (hi - 3.0 * scale, hi - 0.1 * scale)
 
     def describe(self) -> str:
         return self.family

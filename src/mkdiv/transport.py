@@ -18,12 +18,13 @@ independently solves the finite problem to optimality so the closed form can
 be certified instance by instance: equal weights on n <= 8 atoms by dynamic
 programming over column subsets, on 9 to 64 atoms by scipy's
 ``linear_sum_assignment``, and general weights by linear programming on the
-transport polytope (HiGHS).  Certification compares optimal values; an
-equal-weight plan is an optimal permutation: on ties the dynamic program takes
-the first argmin column for each subset, and ``linear_sum_assignment``
-whichever optimum it finds.  Only the last two import ``scipy.optimize``, so a
-process that certifies only instances of at most 8 atoms, as a default
-``verify`` does, never loads it.
+transport polytope (HiGHS).  A missing weight vector is uniform, at any
+sizes, so two weightless lists of unequal sizes go to the linear program.
+Certification compares optimal values; an equal-weight plan is an optimal
+permutation: on ties the dynamic program takes the first argmin column for
+each subset, and ``linear_sum_assignment`` whichever optimum it finds.  Only
+the last two import ``scipy.optimize``, so a process that certifies only
+instances of at most 8 atoms, as a default ``verify`` does, never loads it.
 """
 
 from __future__ import annotations
@@ -214,15 +215,17 @@ def oracle_optimal(
 ) -> CouplingReport:
     """Exact optimum of the finite transport problem.
 
-    Equal-weight instances (no weights given, equal atom counts, n <= 64)
-    are solved as a linear assignment problem; an optimal vertex of the
+    A missing weight vector is uniform, at any sizes.  Equal-weight
+    instances (no weights given, equal atom counts, n <= 64) are solved as
+    a linear assignment problem; an optimal vertex of the
     doubly-stochastic polytope is a permutation sigma, and the report's
     ``plan`` is ``(arange(n), sigma, 1/n)``.  Up to n = 8 atoms sigma is found
     by :func:`_assignment_dp`, which on ties takes the first argmin column
     for each subset of columns; from 9 atoms on by scipy's
     ``linear_sum_assignment``, which picks among tied optima as it will.
     Either way ``value`` is the pairwise mean of the matched costs.
-    General weights are solved to optimality as a linear program on the
+    Every other instance (weights given, or atom counts that differ; at most
+    64 atoms in all) is solved to optimality as a linear program on the
     transport polytope with deterministic pivoting, followed by an exact
     flow recomputation on the support (:func:`_leaf_elimination`); that
     support with its masses is the ``plan``.
@@ -238,11 +241,7 @@ def oracle_optimal(
     b = _checked_atoms(atoms2, "second")
     if a.size == 0 or b.size == 0:
         raise DomainError("oracle needs non-empty 1-D atom lists")
-    if weights1 is None and weights2 is None:
-        if a.size != b.size:
-            raise DomainError(
-                "equal-weight oracle needs equally many atoms on both sides"
-            )
+    if weights1 is None and weights2 is None and a.size == b.size:
         if a.size > _MAX_ORACLE:
             raise CapacityError(
                 f"assignment oracle capped at n <= {_MAX_ORACLE}, got {a.size}"

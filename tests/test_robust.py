@@ -23,6 +23,7 @@ from mkdiv import (
     identity_distortion,
     quadratic,
     quantile_grid,
+    quartic,
     solve_worst_case,
     tvar_distortion,
 )
@@ -750,6 +751,20 @@ class TestBlockedProbes:
         assert str(info.value) == (
             f"perturbed {problem} for generator 'x^1.5' at node {node} (lambda=1.0)"
         )
+
+    def test_a_divergence_that_overflows_is_an_infinitely_far_curve(self):
+        # at the far node G^4 overflows while phi'(G) = 4 G^3 stays finite:
+        # the curve exists, but its divergence does not
+        gen, ref, weight = quartic(), np.array([1.0, 2.0, 1.1e77]), np.array([0.0, 0.0, 1e220])
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(perturbed_nodes(gen, ref, weight, 1e-11)))
+        div, integral, curve = _Probes(gen, ref, weight)(1e-11)
+        assert div == math.inf and math.isnan(integral) and curve is None
+        # a budget whose search probes such multipliers still ends on a
+        # finite best probe
+        lam, div, binding, curve = calibrate_lambda(gen, QuantileGrid(nodes=ref), weight, 1e306)
+        assert lam > 1e-11 and math.isfinite(div) and div < 1e306 and not binding
+        assert np.all(np.isfinite(curve))
 
     @pytest.mark.parametrize("name", sorted(generator_catalog()))
     def test_every_block_is_folded_by_pairwise_sum(self, name, monkeypatch):

@@ -12,9 +12,11 @@ from mkdiv import (
     ExpectileScore,
     GPLScore,
     LambdaQuantileScore,
+    MonotoneMap,
     Score,
     ShortfallScore,
     StepFunction,
+    certify_optimal_coupling,
     check_submodular,
     cube_map,
     dist_transform,
@@ -127,6 +129,16 @@ class TestStepFunction:
         levels = np.linspace(0.3, 0.7, len(breakpoints) + 1)
         with pytest.raises(ConfigError, match=f"breakpoints must be finite, got .* at index {index}$"):
             StepFunction(breakpoints, levels)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 50])
+    def test_cumulative_areas_are_the_running_sum(self, k):
+        rng = np.random.default_rng(k)
+        bp = np.sort(rng.uniform(-5.0, 5.0, k))
+        lv = np.sort(rng.uniform(0.05, 0.95, k + 1))
+        want = [0.0]  # anchored at the first breakpoint, zero when there is none
+        for j in range(1, k):
+            want.append(want[-1] + lv[j] * (bp[j] - bp[j - 1]))
+        assert StepFunction(bp, lv)._cum.tobytes() == np.array(want).tobytes()
 
     def test_decreasing_levels_allowed(self):
         step = StepFunction([0.0], [0.7, 0.3])
@@ -424,6 +436,29 @@ def _quadruple_scan_passes(score, z_grid, y_grid):
                     if C[i, j] + C[ip, jp] - C[ip, j] - C[i, jp] > slack:
                         return False
     return True
+
+
+class TestAtomInterval:
+    # increasing transforms on bounded and upper-bounded domains
+    DOMAIN_MAPS = {
+        (0.0, 1.0): lambda x: np.log(x / (1.0 - x)),
+        (-np.inf, 0.0): lambda x: -np.log(-x),
+        (1.0, 2.0): lambda x: np.log((x - 1.0) / (2.0 - x)),
+    }
+
+    @pytest.mark.parametrize("domain", list(DOMAIN_MAPS), ids=str)
+    def test_instances_are_drawn_strictly_inside_the_domain(self, domain):
+        transform = MonotoneMap("g", self.DOMAIN_MAPS[domain], domain=domain)
+        score = GPLScore(0.3, transform)
+        lo, hi = score.atom_interval
+        assert domain[0] < lo < hi < domain[1]
+        assert certify_optimal_coupling(score, instances=20).passed
+
+    def test_catalog_intervals_are_kept(self):
+        for s in catalog_scores():
+            assert s.atom_interval == (-2.0, 2.0)
+        for s in (BregmanScore(entropy_generator()), GPLScore(0.5, log_map())):
+            assert s.atom_interval == (0.1, 3.0)
 
 
 class TestValidation:

@@ -452,6 +452,23 @@ class TestOracle:
             oracle_optimal(
                 BregmanScore(quadratic()), np.arange(65.0), np.arange(65.0)
             )
+        with pytest.raises(CapacityError, match="capped at 64 total support points, got 65"):
+            oracle_optimal(BregmanScore(quadratic()), np.arange(33.0), np.arange(32.0))
+
+    def test_weightless_lists_of_unequal_sizes_are_uniform(self):
+        # a missing weight vector is uniform at any sizes: the LP solves
+        # unequal sizes, and equal sizes stay on the assignment path
+        rng = np.random.default_rng(37)
+        for s in catalog_scores():
+            lo, hi = s.atom_interval
+            for n1, n2 in [(1, 2), (3, 7), (9, 4), (30, 34)]:
+                a, b = rng.uniform(lo, hi, n1), rng.uniform(lo, hi, n2)
+                report = oracle_optimal(s, a, b)
+                assert report.method == "lp"
+                assert report.value == uniform_lp_value(s, a, b)
+                exact = mk_divergence(s, from_samples(a), from_samples(b))
+                assert abs(report.value - exact) <= 1e-9 * abs(exact), (s, a, b)
+            assert oracle_optimal(s, a[:5], b[:5]).method == "assignment"
 
     def test_weight_validation(self):
         s = BregmanScore(quadratic())

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/write_cli_corpus.py
 
-The corpus is 66 argvs, each with the exit code, stdout and stderr of
+The corpus is 71 argvs, each with the exit code, stdout and stderr of
 ``cli.main`` run in process from the repository root, and the fingerprint of
 the platform that ran them:
 
@@ -11,7 +11,10 @@ the platform that ran them:
   read, written under ``tests/data/cli_corpus/seed<N>/``;
 * 24 argvs whose grids span several calibration blocks: ``worst-case`` with
   a dual-power and a TVaR distortion, and ``payoff``, for each catalog
-  generator at ``--grid-m`` 16385 and 50001.
+  generator at ``--grid-m`` 16385 and 50001;
+* 5 argvs that fail: an unknown flag, a zero budget, an infinite moment and
+  a malformed spec exit 1 with a JSON error line on stderr, and a ``verify``
+  whose nonzero deviation exceeds ``--tol 0`` exits 2.
 
 Rewrite it only in a change that lists each output it moves; ``git diff``
 of ``corpus.json`` names them.
@@ -57,9 +60,23 @@ def multi_block_argvs() -> list:
     return argvs
 
 
+FAILING_ARGVS = [
+    ["divergence", "--score", "score:bregman,phi=quadratic", "--from", "normal:mu=0,sigma=1",
+     "--to", "normal:mu=1,sigma=2", "--bogus"],
+    ["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+     "--ref", "uniform:a=0.5,b=1.5", "--eps", "0"],
+    ["elicit-check", "--functional", "functional:entropic,gamma=1",
+     "--score", "score:entropic,gamma=1,phi=quadratic", "--dist", "exponential:rate=1"],
+    ["divergence", "--score", "score:bregman,phi=quadratic", "--from", "normal:mu=0,sigma",
+     "--to", "normal:mu=1,sigma=2"],
+    ["verify", "--score", "score:bregman,phi=quartic", "--seed", "3", "--tol", "0"],
+]
+
+
 def main() -> int:
     os.chdir(ROOT)  # the argvs name their files relative to the root
-    argvs = [argv for seed in SEEDS for argv in oneshot_argvs(seed)] + multi_block_argvs()
+    argvs = ([argv for seed in SEEDS for argv in oneshot_argvs(seed)] + multi_block_argvs()
+             + FAILING_ARGVS)
     corpus = {"fingerprint": fingerprint(), "cases": [run(argv) for argv in argvs]}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(argvs)} cases to {CORPUS.relative_to(ROOT)}")
