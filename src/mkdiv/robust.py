@@ -267,7 +267,11 @@ def calibrate_lambda(
     while the search runs.  If ``lam*`` sits on the feasibility boundary of
     phi', where the divergence jumps to infinity, the bracket closes on the
     boundary and the best probe is its feasible end: its divergence is at
-    most ``eps``, and ``binding`` is False unless it meets the budget.
+    most ``eps``, and ``binding`` is False unless it meets the budget.  A
+    best probe that is not binding and whose divergence exceeds ``eps``
+    raises :class:`CalibrationError` with the range of divergences probed:
+    the bracket closed on a jump of D past the budget, as where a node's
+    G - Q falls below the ulp of Q and its term drops to 0.
 
     The domain check of the reference, phi(ref), phi'(ref) and I(ref) are
     computed once.  Each probe is one :func:`perturbed_nodes` call and one
@@ -334,7 +338,14 @@ def calibrate_lambda(
         lam = step if lo < step < hi else fallback
     # both stops follow a probe with a finite divergence, so there is a best
     _, lam, div, nodes = best
-    return lam, div, bool(abs(div - eps) <= _BINDING_TOL * eps), nodes
+    binding = abs(div - eps) <= _BINDING_TOL * eps
+    if not binding and div > eps:
+        raise CalibrationError(
+            f"the divergence jumps past the budget {eps} near lambda={lam!r}, "
+            f"where the closest probe gives {div!r}",
+            achieved_range=(low, high),
+        )
+    return lam, div, binding, nodes
 
 
 def _calibrated_curve(gen, ref, what, weight_of, eps, m, delta):

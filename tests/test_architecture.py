@@ -100,7 +100,7 @@ def test_only_the_law_asks_whether_it_is_empirical():
 
 # where the library may import scipy: the two oracle solvers that need it,
 # so that a process that never calls them never loads scipy
-SCIPY_ALLOWED = {("transport.py", "oracle_optimal"), ("transport.py", "_oracle_lp")}
+SCIPY_ALLOWED = {("transport.py", "_optimal_assignments"), ("transport.py", "_oracle_lp")}
 
 
 def scipy_imports(source: str):

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -765,6 +766,18 @@ class TestBlockedProbes:
         lam, div, binding, curve = calibrate_lambda(gen, QuantileGrid(nodes=ref), weight, 1e306)
         assert lam > 1e-11 and math.isfinite(div) and div < 1e306 and not binding
         assert np.all(np.isfinite(curve))
+
+    @pytest.mark.parametrize("eps", [1e-3, 1.0, 1e200])
+    def test_a_jump_past_the_budget_raises(self, eps):
+        # at large lam the far node's G - Q falls below the ulp of Q, so D
+        # drops from about 1e290 straight to 0: the bracket closes on that
+        # jump, and no probe comes near the budget
+        gen, ref, weight = quartic(), np.array([1.0, 2.0, 1.1e77]), np.array([0.0, 0.0, 1e220])
+        message = re.escape(f"the divergence jumps past the budget {eps} near lambda=")
+        with pytest.raises(CalibrationError, match=message) as info:
+            calibrate_lambda(gen, QuantileGrid(nodes=ref), weight, eps)
+        low, high = info.value.achieved_range
+        assert low <= high and high > 1e290
 
     @pytest.mark.parametrize("name", sorted(generator_catalog()))
     def test_every_block_is_folded_by_pairwise_sum(self, name, monkeypatch):

@@ -41,8 +41,14 @@ from mkdiv import (
     wasserstein_p,
 )
 from mkdiv.numerics import _DEFAULT_M, midpoint_rule, pairwise_mean, pairwise_sum
-from mkdiv.scores import _transport_cost
-from mkdiv.transport import _assignment_dp, _leaf_elimination
+from mkdiv.scores import Score, _transport_cost
+from mkdiv.transport import (
+    _assignment_dp,
+    _leaf_elimination,
+    _lp_report,
+    _optimal_assignments,
+    _subset_layers,
+)
 from test_scores import catalog_scores
 
 
@@ -604,6 +610,56 @@ class TestOracle:
         exact = mk_divergence(s, from_samples(a), from_samples(b))
         assert abs(uniform_lp_value(s, a, b) - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("refuse, presolves", [(False, [False]), (True, [False, True])])
+    def test_presolve_is_off_unless_a_solve_fails(self, refuse, presolves, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        original = scipy.optimize.linprog
+
+        def recorded(*args, options, **kwargs):
+            calls.append(options["presolve"])
+            sol = original(*args, options=options, **kwargs)
+            if refuse and not options["presolve"]:
+                sol.success, sol.message = False, "refused"
+            return sol
+
+        s, a, b = BregmanScore(quadratic()), [0.0, 1.0], [2.0, 3.0, 4.0]
+        want = uniform_lp_value(s, a, b)
+        monkeypatch.setattr("scipy.optimize.linprog", recorded)
+        assert uniform_lp_value(s, a, b) == want
+        assert calls == presolves
+
+    def test_wide_weights_fail_no_more_than_with_presolve_alone(self):
+        # Dirichlet(0.1) weights, entries down to 1e-28: an instance the
+        # oracle fails on fails with presolve on too, and the oracle solves
+        # some that presolve alone fails on
+        scores = catalog_scores()
+        fails, presolve_fails = 0, 0
+        for k in range(200):
+            rng = np.random.default_rng([7, k])
+            s = scores[k % len(scores)]
+            n1, n2 = int(rng.integers(1, 33)), int(rng.integers(1, 33))
+            lo, hi = s.atom_interval
+            a, b = rng.uniform(lo, hi, n1), rng.uniform(lo, hi, n2)
+            w1, w2 = rng.dirichlet(np.full(n1, 0.1)), rng.dirichlet(np.full(n2, 0.1))
+            w1, w2 = w1 / w1.sum(), w2 / w2.sum()
+            cost = _transport_cost(s, a[:, None], b[None, :])
+            sol = highs_solution(cost, w1, w2, primal_feasibility_tolerance=1e-10,
+                                 dual_feasibility_tolerance=1e-10)
+            try:
+                _lp_report(sol, cost, w1, w2)
+                presolve_failed = False
+            except EvaluationError:
+                presolve_failed = True
+            try:
+                oracle_optimal(s, a, b, w1, w2)
+            except EvaluationError:
+                assert presolve_failed, k
+                fails += 1
+            presolve_fails += presolve_failed
+        assert fails < presolve_fails
+
 
 @given(n=st.integers(1, 7), k=st.integers(0, 12), data=st.data())
 def test_assignment_dp_is_the_least_row_order_sum(n, k, data):
@@ -626,6 +682,45 @@ def test_assignment_dp_is_the_least_row_order_sum(n, k, data):
         report = oracle_optimal(score, a, b)
         np.testing.assert_array_equal(report.plan[1], sigma)
         assert repr(report.value) == repr(pairwise_sum(cost[np.arange(n), sigma]) / n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_dp_solves_each_slice_as_alone(n):
+    # cost stacks of catalog scores, and of halves, so that many permutations
+    # tie: the batch takes every slice's own first argmin columns
+    rng = np.random.default_rng([12, n])
+    stacks = [np.round(2.0 * rng.uniform(-2.0, 2.0, (6, n, n))) / 2.0]
+    for s in catalog_scores():
+        lo, hi = s.atom_interval
+        a, b = rng.uniform(lo, hi, (6, n)), rng.uniform(lo, hi, (6, n))
+        stacks.append(_transport_cost(s, a[:, :, None], b[:, None, :]))
+    for cost in stacks:
+        sigma, value = _optimal_assignments(cost)
+        for c, perm, v in zip(cost, sigma, value):
+            np.testing.assert_array_equal(perm, one_matrix_dp(c))
+            np.testing.assert_array_equal(perm, _assignment_dp(c))
+            assert repr(float(v)) == repr(pairwise_sum(c[np.arange(n), perm]) / n)
+
+
+def one_matrix_dp(cost):
+    """The subset dynamic program on one matrix, a row at a time: the
+    reference for the batched steps of _assignment_dp."""
+    n = cost.shape[0]
+    best = np.empty(1 << n)
+    best[0] = 0.0
+    choice = np.empty(1 << n, dtype=int)
+    for row, (masks, cols, prev) in zip(cost, _subset_layers(n)):
+        vals = best[prev] + row[cols]
+        first = np.argmin(vals, axis=1)
+        pick = np.arange(masks.size)
+        best[masks] = vals[pick, first]
+        choice[masks] = cols[pick, first]
+    sigma = np.empty(n, dtype=int)
+    mask = (1 << n) - 1
+    for i in range(n - 1, -1, -1):
+        sigma[i] = choice[mask]
+        mask ^= 1 << int(sigma[i])
+    return sigma
 
 
 class TestLeafElimination:
@@ -651,6 +746,70 @@ class TestLeafElimination:
         with pytest.raises(EvaluationError, match="cycle"):
             _leaf_elimination(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
                               np.full(2, 0.5), np.full(2, 0.5))
+
+    def test_cycle_behind_leaves_raises(self):
+        # rows 0-1 and columns 0-1 form a cycle; the pendant edges (2, 1)
+        # and (0, 2) are settled first, then no leaf is left
+        rows, cols = np.array([2, 0, 0, 1, 1, 0]), np.array([1, 0, 1, 0, 1, 2])
+        w = np.array([0.25, 0.5, 0.25])
+        with pytest.raises(EvaluationError, match="cycle"):
+            degree_recount_elimination(rows, cols, w, w)
+        with pytest.raises(EvaluationError, match="cycle"):
+            _leaf_elimination(rows, cols, w, w)
+
+    @pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+    def test_matches_the_degree_recount_loop_bit_for_bit(self, weights):
+        # supports of HiGHS plans, with and without presolve, on seeded
+        # instances of the catalog scores
+        scores = catalog_scores()
+        for k in range(36):
+            rng = np.random.default_rng([11, k])
+            s = scores[k % len(scores)]
+            n1, n2 = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+            lo, hi = s.atom_interval
+            a, b = rng.uniform(lo, hi, n1), rng.uniform(lo, hi, n2)
+            if weights == "uniform":
+                w1, w2 = np.full(n1, 1 / n1), np.full(n2, 1 / n2)
+            else:
+                w1, w2 = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
+            cost = _transport_cost(s, a[:, None], b[None, :])
+            for presolve in (False, True):
+                sol = highs_solution(cost, w1, w2, presolve=presolve)
+                rows, cols = np.nonzero(sol.x.reshape(n1, n2) > 1e-12)
+                want = degree_recount_elimination(rows, cols, w1, w2)
+                assert _leaf_elimination(rows, cols, w1, w2).tobytes() == want.tobytes()
+
+
+def highs_solution(cost, w1, w2, **options):
+    """linprog's HiGHS solution of the transport LP with costs ``cost`` and
+    marginals ``w1`` and ``w2``."""
+    from scipy.optimize import linprog
+
+    n1, n2 = cost.shape
+    a_eq = np.vstack([np.repeat(np.eye(n1), n2, axis=1), np.tile(np.eye(n2), n1)])
+    return linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w1, w2]), method="highs",
+                   options=options)
+
+
+def degree_recount_elimination(rows, cols, w1, w2):
+    """The leaf elimination with the live degrees recounted at every step:
+    the reference for the counted degrees of _leaf_elimination."""
+    r1, r2 = w1.copy(), w2.copy()
+    mass = np.empty(rows.size)
+    live = np.ones(rows.size, dtype=bool)
+    for _ in range(rows.size):
+        row_leaf = np.bincount(rows[live], minlength=r1.size)[rows] == 1
+        col_leaf = np.bincount(cols[live], minlength=r2.size)[cols] == 1
+        leaves = np.flatnonzero(live & (row_leaf | col_leaf))
+        if leaves.size == 0:
+            raise EvaluationError("transport plan support has a cycle")
+        k = leaves[0]
+        i, j = rows[k], cols[k]
+        mass[k] = r1[i] if row_leaf[k] else r2[j]
+        r1[i] -= mass[k]
+        r2[j] -= mass[k]
+        live[k] = False
+    return mass
 
 
 @given(
@@ -694,6 +853,50 @@ class TestCertification:
             assert certify_optimal_coupling(s, instances=5, n_min=2, n_max=8, seed=3).passed
             assert calls == []
 
+    @pytest.mark.parametrize("k", range(15))
+    def test_batches_match_the_per_instance_reference_bit_for_bit(self, k):
+        # the twelve catalog scores and the three antitonic certify scores
+        s = (catalog_scores() + certify_scores()[6:])[k]
+        for seed in range(10):
+            for n_min, n_max in ((2, 8), (9, 64), (2, 64)):
+                got = certify_optimal_coupling(s, instances=12, n_min=n_min, n_max=n_max,
+                                               seed=seed).max_deviation
+                want = per_instance_certification(s, 12, n_min, n_max, seed)
+                assert repr(got) == repr(want)
+
+    def test_negative_dust_is_clamped_as_in_mk_divergence(self):
+        # every value is -1e-20: the closed form clamps its sum to 0, the
+        # oracle keeps -1e-20, so the deviation is 1e-20 / (1 - 1e-20)
+        class Dust(Score):
+            family = "dust"
+
+            def _eval(self, z, y):
+                return np.full(np.broadcast(z, y).shape, -1e-20)
+
+        got = certify_optimal_coupling(Dust(), instances=6, n_min=2, n_max=12, seed=4)
+        assert got.max_deviation == per_instance_certification(Dust(), 6, 2, 12, 4) > 0.0
+
+    def test_an_error_names_the_first_failing_instance_in_draw_order(self):
+        # a cost that is infinite for atoms 3.5 apart; with seed 16 the
+        # instances have sizes 4, 4, 3, 5, 5, 4, 4, 3, and instances 4 and 5
+        # overflow, so the batch of size 4, drawn first, fails on instance 5
+        # while instance 4 is the first to fail in draw order
+        class Cliff(Score):
+            family = "cliff"
+
+            def _eval(self, z, y):
+                gap = np.abs(z - y)
+                return np.where(gap < 3.5, gap * gap, np.inf)
+
+        with pytest.raises(DomainError) as want:
+            per_instance_certification(Cliff(), 8, 3, 5, 16)
+        with pytest.raises(DomainError) as got:
+            certify_optimal_coupling(Cliff(), instances=8, n_min=3, n_max=5, seed=16)
+        assert str(got.value) == str(want.value) == (
+            "cost c(z1, z2) = inf is not finite at "
+            "(z1, z2) = (-1.9455876126610812, 1.949687302158713)"
+        )
+
     @pytest.mark.parametrize(
         "tolerance, message",
         [
@@ -722,6 +925,21 @@ class TestCertification:
     def test_counts_and_seed_must_be_integers(self, kwargs, message):
         with pytest.raises(DomainError, match=f"^certification needs an integer {message}$"):
             certify_optimal_coupling(GPLScore(0.7), **{"instances": 2, **kwargs})
+
+
+def per_instance_certification(score, instances, n_min, n_max, seed):
+    """The largest deviation of certify_optimal_coupling, one instance at a
+    time from its own laws, divergence and oracle call."""
+    devs = []
+    for k in range(instances):
+        rng = np.random.default_rng([seed, k])
+        n = int(rng.integers(n_min, n_max + 1))
+        lo, hi = score.atom_interval
+        a, b = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+        closed = mk_divergence(score, from_samples(a), from_samples(b))
+        optimum = oracle_optimal(score, a, b).value
+        devs.append(abs(closed - optimum) / (1.0 + abs(optimum)))
+    return max(devs)
 
 
 def test_scipy_optimize_loads_with_the_first_oracle_call(run_python):
