@@ -21,19 +21,19 @@ programming over column subsets, on 9 to 64 atoms by scipy's
 transport polytope (HiGHS, with presolve off: on these small dense LPs it
 only costs time).  A missing weight vector is uniform, at any sizes, so two
 weightless lists of unequal sizes go to the linear program.  Certification
-compares optimal values, one batch per instance size: one score call for
-the closed forms and one stack of cost matrices for the oracle.  An
-equal-weight plan is an optimal permutation: on ties the dynamic program
-takes the first argmin column for each subset, and ``linear_sum_assignment``
-whichever optimum it finds.  Only the last two import ``scipy.optimize``, so
-a process that certifies only instances of at most 8 atoms, as a default
-``verify`` does, never loads it.
+compares optimal values in chunks of 256 instances, one batch per instance
+size in each: one score call for the closed forms and one stack of cost
+matrices for the oracle.  An equal-weight plan is an optimal permutation:
+on ties the dynamic program takes the first argmin column for each subset,
+and ``linear_sum_assignment`` whichever optimum it finds.  Only the last two
+import ``scipy.optimize``, so a process that certifies only instances of at
+most 8 atoms, as a default ``verify`` does, never loads it.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +69,8 @@ _MAX_ORACLE = 64
 # steps cost far less than importing scipy.optimize for linear_sum_assignment,
 # and it is verify's default --n, so a default verify loads no scipy
 _MAX_DP = 8
+# instances certified at a time: at n = 64 a chunk's cost stack is 8 MiB
+_CERTIFY_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +178,18 @@ def mk_divergence(
     except DomainError as exc:
         node = float("nan") if exc.index is None else float(rule.u[exc.index])
         raise DomainError(f"{exc} (first offending grid node: u={node})", index=exc.index) from exc
-    value = rule.integrate(vals)
-    if math.isnan(value) or value == -math.inf:
-        raise MomentError(f"divergence is undefined: the score values sum to {value}")
-    return value if value > 0.0 else 0.0
+    return float(_checked_divergence(rule.integrate(vals)))
+
+
+def _checked_divergence(value):
+    """Divergence sums ``value``, a float or an array of them, as
+    divergences: a NaN or -inf sum raises :class:`MomentError`, and finite
+    negative float dust from cancellation is clamped to zero."""
+    value = np.asarray(value)
+    undefined = np.isnan(value) | (value == -np.inf)
+    if undefined.any():
+        raise MomentError(f"divergence is undefined: the score values sum to {value[undefined][0]}")
+    return np.where(value > 0.0, value, 0.0)
 
 
 def wasserstein_p(
@@ -280,7 +290,7 @@ def _optimal_assignments(cost: np.ndarray) -> tuple:
         for perm, c in zip(sigma, cost):
             ri, ci = linear_sum_assignment(c)
             perm[ri] = ci
-    matched = np.take_along_axis(cost, sigma[:, :, None], axis=2)[:, :, 0]
+    matched = cost[np.arange(cost.shape[0])[:, None], np.arange(n), sigma]
     return sigma, pairwise_sum(matched, axis=1) / n
 
 
@@ -324,9 +334,8 @@ def _assignment_dp(cost: np.ndarray) -> np.ndarray:
     choice = np.empty((batch.size, 1 << n), dtype=int)
     for i, (masks, cols, prev) in enumerate(_subset_layers(n)):
         vals = best[:, prev] + stack[:, i, cols]
-        first = np.argmin(vals, axis=2)[:, :, None]
-        best[:, masks] = np.take_along_axis(vals, first, axis=2)[:, :, 0]
-        choice[:, masks] = np.take_along_axis(cols[None], first, axis=2)[:, :, 0]
+        best[:, masks] = vals.min(axis=2)
+        choice[:, masks] = cols[np.arange(masks.size), np.argmin(vals, axis=2)]
     sigma = np.empty((batch.size, n), dtype=int)
     mask = np.full(batch.size, (1 << n) - 1)
     for i in range(n - 1, -1, -1):
@@ -395,10 +404,10 @@ def _leaf_elimination(rows, cols, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     (it takes the column's).  A support with a cycle has no such edge and
     raises :class:`EvaluationError`.
 
-    Live degrees are counted per row and column, and a heap holds the live
+    Live degrees are counted per row and column, and a set holds the live
     edges that are leaves: an edge stays a leaf until it is settled, and
     settling one can make a leaf only of the last live edge of its row or
-    column, so the steps take O(E log E) for E edges.
+    column, so no step recounts a degree.
     """
     r1, r2 = w1.tolist(), w2.tolist()
     rows, cols = rows.tolist(), cols.tolist()
@@ -408,14 +417,13 @@ def _leaf_elimination(rows, cols, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         col_edges[j].append(k)
     row_deg, col_deg = [len(e) for e in row_edges], [len(e) for e in col_edges]
     live = [True] * len(rows)
-    leaves = [k for k, (i, j) in enumerate(zip(rows, cols)) if row_deg[i] == 1 or col_deg[j] == 1]
+    leaves = {k for k, (i, j) in enumerate(zip(rows, cols)) if row_deg[i] == 1 or col_deg[j] == 1}
     mass = np.empty(len(rows))
     for _ in range(len(rows)):
-        while leaves and not live[leaves[0]]:  # an edge is pushed once per side
-            heapq.heappop(leaves)
         if not leaves:
             raise EvaluationError("transport plan support has a cycle")
-        k = heapq.heappop(leaves)
+        k = min(leaves)
+        leaves.remove(k)
         i, j = rows[k], cols[k]
         mass[k] = settled = r1[i] if row_deg[i] == 1 else r2[j]
         r1[i] -= settled
@@ -425,7 +433,7 @@ def _leaf_elimination(rows, cols, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         col_deg[j] -= 1
         for deg, edges in ((row_deg[i], row_edges[i]), (col_deg[j], col_edges[j])):
             if deg == 1:
-                heapq.heappush(leaves, next(e for e in edges if live[e]))
+                leaves.add(next(e for e in edges if live[e]))
     return mass
 
 
@@ -480,13 +488,31 @@ def _batch_deviations(score: Score, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with that instance's message."""
     q1, q2 = np.sort(a, axis=1), np.sort(b, axis=1)
     q2 = q2 if score.coupling == COMONOTONIC else q2[:, ::-1]
-    closed = pairwise_sum(np.asarray(score(q2, q1)), axis=1) / a.shape[1]
-    if np.any(np.isnan(closed) | (closed == -np.inf)):
-        raise MomentError("divergence is undefined for an instance of the batch")
-    closed = np.where(closed > 0.0, closed, 0.0)
+    closed = _checked_divergence(pairwise_sum(np.asarray(score(q2, q1)), axis=1) / a.shape[1])
     _, optimum = _optimal_assignments(_transport_cost(score, a[:, :, None], b[:, None, :]))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in float arithmetic
         return np.abs(closed - optimum) / (1.0 + np.abs(optimum))
+
+
+def _chunk_deviations(score: Score, seed: int, ks: range, n_min: int, n_max: int) -> list:
+    """Deviations of the instances ``ks``, in draw order, one batch per
+    size.  If a batch raises :class:`DomainError` or :class:`MomentError`,
+    the instances are rerun one at a time in draw order, so that the error
+    is the first failing instance's own."""
+    draws = [_draw_instance(score, seed, k, n_min, n_max) for k in ks]
+    by_size = {}
+    for i, (a, _) in enumerate(draws):
+        by_size.setdefault(a.size, []).append(i)
+    deviation = np.empty(len(draws))
+    try:
+        for rows in by_size.values():
+            a, b = (np.array(side) for side in zip(*(draws[i] for i in rows)))
+            deviation[rows] = _batch_deviations(score, a, b)
+    except (DomainError, MomentError):
+        for a, b in draws:
+            _instance_deviation(score, a, b)
+        raise
+    return deviation.tolist()
 
 
 def certify_optimal_coupling(
@@ -505,32 +531,25 @@ def certify_optimal_coupling(
     with the exact oracle's.  Aggregation is a maximum, hence independent of
     execution order; the run passes when it is at most ``tolerance``.
 
-    The instances are solved in one batch per size n: one score call for
+    The instances are drawn and solved in chunks of ``_CERTIFY_CHUNK``, in
+    draw order, and each chunk in one batch per size n: one score call for
     the closed forms, one cost stack and one :func:`_optimal_assignments`
     call, which holds B n^2 costs, and up to n = 8 B 2^n dynamic-program
-    entries, for the B instances of that size.  Every deviation is the one
-    :func:`mk_divergence` and :func:`oracle_optimal` give bit for bit.  If a
-    batch raises :class:`DomainError` or :class:`MomentError`, the instances
-    are rerun one at a time in draw order, so that the error is the first
-    failing instance's own.
+    entries, for the B instances of that size.  So memory is bounded by the
+    chunk, at most 8 MiB of costs at n = 64, whatever ``instances`` is.
+    Every deviation is the one :func:`mk_divergence` and
+    :func:`oracle_optimal` give bit for bit.  A chunk that fails is rerun
+    one instance at a time; every earlier chunk has passed, so the error is
+    the first failing instance's own.
     """
     _check_count("certification", 1, instances=instances)
     _check_count("certification", 0, n_min=n_min, n_max=n_max, seed=seed)
     _check_tolerance("certification", tolerance=tolerance)
     if not 2 <= n_min <= n_max <= _MAX_ORACLE:
         raise DomainError(f"instance sizes must satisfy 2 <= n_min <= n_max <= {_MAX_ORACLE}")
-    draws = [_draw_instance(score, seed, k, n_min, n_max) for k in range(instances)]
-    by_size = {}
-    for k, (a, _) in enumerate(draws):
-        by_size.setdefault(a.size, []).append(k)
-    deviation = np.empty(instances)
-    try:
-        for ks in by_size.values():
-            a, b = (np.array(side) for side in zip(*(draws[k] for k in ks)))
-            deviation[ks] = _batch_deviations(score, a, b)
-    except (DomainError, MomentError):
-        for a, b in draws:
-            _instance_deviation(score, a, b)
-        raise
-    max_dev = max(deviation.tolist())  # Python's max over draw order: np.max would take any NaN
+    chunks = (_chunk_deviations(score, seed, range(k, min(k + _CERTIFY_CHUNK, instances)),
+                                n_min, n_max)
+              for k in range(0, instances, _CERTIFY_CHUNK))
+    # Python's max over draw order: np.max would take any NaN
+    max_dev = max(itertools.chain.from_iterable(chunks))
     return CertificationResult(max_deviation=max_dev, passed=max_dev <= tolerance)

@@ -44,6 +44,8 @@ from mkdiv.numerics import _DEFAULT_M, midpoint_rule, pairwise_mean, pairwise_su
 from mkdiv.scores import Score, _transport_cost
 from mkdiv.transport import (
     _assignment_dp,
+    _batch_deviations,
+    _draw_instance,
     _leaf_elimination,
     _lp_report,
     _optimal_assignments,
@@ -876,11 +878,13 @@ class TestCertification:
         got = certify_optimal_coupling(Dust(), instances=6, n_min=2, n_max=12, seed=4)
         assert got.max_deviation == per_instance_certification(Dust(), 6, 2, 12, 4) > 0.0
 
-    def test_an_error_names_the_first_failing_instance_in_draw_order(self):
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 6, 256])
+    def test_an_error_names_the_first_failing_instance_in_draw_order(self, chunk, monkeypatch):
         # a cost that is infinite for atoms 3.5 apart; with seed 16 the
         # instances have sizes 4, 4, 3, 5, 5, 4, 4, 3, and instances 4 and 5
-        # overflow, so the batch of size 4, drawn first, fails on instance 5
-        # while instance 4 is the first to fail in draw order
+        # overflow, so in a chunk of 6 or more the batch of size 4, drawn
+        # first, fails on instance 5 while instance 4 is the first to fail
+        # in draw order; smaller chunks split the instances at every place
         class Cliff(Score):
             family = "cliff"
 
@@ -888,6 +892,7 @@ class TestCertification:
                 gap = np.abs(z - y)
                 return np.where(gap < 3.5, gap * gap, np.inf)
 
+        monkeypatch.setattr("mkdiv.transport._CERTIFY_CHUNK", chunk)
         with pytest.raises(DomainError) as want:
             per_instance_certification(Cliff(), 8, 3, 5, 16)
         with pytest.raises(DomainError) as got:
@@ -896,6 +901,31 @@ class TestCertification:
             "cost c(z1, z2) = inf is not finite at "
             "(z1, z2) = (-1.9455876126610812, 1.949687302158713)"
         )
+
+    def test_each_chunk_is_solved_before_the_next_is_drawn(self, monkeypatch):
+        # 10 instances in chunks of 4: draws 0-3, their batches, draws 4-7,
+        # their batches, draws 8-9, their batches; the maximum is the same
+        events = []
+
+        def logged_draw(score, seed, k, n_min, n_max):
+            events.append(("draw", k))
+            return _draw_instance(score, seed, k, n_min, n_max)
+
+        def logged_batch(score, a, b):
+            events.append(("batch", a.shape[0]))
+            return _batch_deviations(score, a, b)
+
+        monkeypatch.setattr("mkdiv.transport._CERTIFY_CHUNK", 4)
+        monkeypatch.setattr("mkdiv.transport._draw_instance", logged_draw)
+        monkeypatch.setattr("mkdiv.transport._batch_deviations", logged_batch)
+        s = GPLScore(0.7)
+        got = certify_optimal_coupling(s, instances=10, n_min=2, n_max=12, seed=5).max_deviation
+        steps = [(kind, sum(1 if kind == "draw" else n for _, n in group))
+                 for kind, group in itertools.groupby(events, key=lambda e: e[0])]
+        assert steps == [("draw", 4), ("batch", 4), ("draw", 4), ("batch", 4),
+                         ("draw", 2), ("batch", 2)]
+        assert [k for kind, k in events if kind == "draw"] == list(range(10))
+        assert repr(got) == repr(per_instance_certification(s, 10, 2, 12, 5))
 
     @pytest.mark.parametrize(
         "tolerance, message",
