@@ -48,7 +48,7 @@ from . import specs
 from .distributions import Empirical
 from .errors import MkdivError
 from .functionals import argmin_expected_score, check_axioms
-from .numerics import _DEFAULT_M, _check_count, _check_tolerance
+from .numerics import _DEFAULT_M, _check_count, _check_size, _check_tolerance
 from .payoff import cheapest_payoff
 from .robust import solve_worst_case
 from .transport import certify_optimal_coupling, mk_divergence
@@ -199,7 +199,8 @@ def _cmd_elicit_check(args):
 
 def _cmd_axioms(args):
     functional = specs.parse_functional(args.functional)
-    _check_count("axiom check", 0, seed=args.seed, size=args.size)
+    _check_count("axiom check", 0, seed=args.seed)
+    _check_size("axiom check", 0, size=args.size)
     rng = np.random.default_rng(args.seed)
     pairs = [
         (rng.normal(0.0, 1.0, args.size), rng.normal(0.0, 1.0, args.size))
@@ -329,8 +330,8 @@ def main(argv=None, out=None, err=None) -> int:
         if args.out is not None:
             _write_artifact(args.out, text, curve)
         print(text, file=out)
-    except MkdivError as exc:
-        print(canonical_json({"error": str(exc)}), file=err)
+    except (MkdivError, MemoryError) as exc:
+        print(canonical_json({"error": str(exc) or "out of memory"}), file=err)
         return 1
     for w in caught:
         print(canonical_json({"warning": str(w.message)}), file=err)

@@ -30,8 +30,8 @@ from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
     _BlockSum,
-    _check_count,
     _check_finite,
+    _check_size,
     _check_tolerance,
     brent_root,
     golden_section,
@@ -326,7 +326,7 @@ def argmin_expected_score(
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
-    _check_count("argmin", 2, steps=steps)
+    _check_size("argmin", 2, steps=steps)
     sample = dist.atoms(m, delta)
     zs = np.linspace(z_lo, z_hi, steps)
     stride = max(1, round(math.sqrt(steps / 2)))

@@ -5,9 +5,11 @@ fixes the summation tree (index-ascending, adjacent pairing, folded down the
 leading axis), so results are bit-stable across runs; :class:`_BlockSum` sums
 each aligned block of ``_BLOCK`` entries or tiles that values arrive in by
 :func:`pairwise_sum` and merges the block sums by the same tree, so that no
-caller holds all of them at once.  Every integral over the quantile level u
-is one :class:`Rule`, and every open-domain check goes through
-:func:`first_outside`.
+caller holds all of them at once.  A :class:`Rule` integrates over the
+quantile level u in the divergences, the worst-case value and the payoff
+cost; the lambda probes and the expected-score scan divide :class:`_BlockSum`
+totals by the node count, and node and atom means are :func:`pairwise_mean`.
+Every open-domain check goes through :func:`first_outside`.
 :func:`brent_root` and :func:`golden_section` are the 1-D searches; the robust
 solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.
 """
@@ -159,11 +161,12 @@ class Rule:
             return np.arange(0.5, self.total) / self.total  # exact numerators i - 1/2
         return (np.cumsum(self.counts) - 0.5 * self.counts) / self.total
 
-    def integrate(self, values) -> float:
+    def integrate(self, values):
         """Sum of cell mass times value, by the tree of :func:`pairwise_sum`;
-        on equal cells ``values`` is folded as it is, with no product."""
+        on equal cells ``values`` is folded as it is, with no product.  Stacked
+        values give an array, one integral per slice along the last axis."""
         weighted = values if self.counts is None else self.counts * values
-        return pairwise_sum(weighted) / self.total
+        return pairwise_sum(weighted, axis=-1 if np.ndim(weighted) > 1 else None) / self.total
 
 
 def midpoint_rule(m: int, delta: float = 0.0) -> Rule:
@@ -171,7 +174,7 @@ def midpoint_rule(m: int, delta: float = 0.0) -> Rule:
     0 <= delta < 0.5/m.  Delta moves none of its levels (i - 1/2)/m: the first
     is the float 0.5/m the check compares delta against, and 1 - delta rounds
     to at least the last."""
-    _check_count("grid", 2, m=m)
+    _check_size("grid", 2, m=m)
     if not 0.0 <= delta < 0.5 / m:
         raise DomainError(f"truncation level must satisfy 0 <= delta < 1/(2m), got {delta}")
     return Rule(None, int(m))  # an np.integer m would make integrals np.float64
@@ -197,6 +200,15 @@ def _check_count(owner: str, low: int, **params) -> None:
     for name, value in params.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
             raise DomainError(f"{owner} needs an integer {name} >= {low}, got {name}={value!r}")
+
+
+def _check_size(owner: str, low: int, **params) -> None:
+    """:func:`_check_count` for a number of float64 entries: at most one numpy array's worth."""
+    _check_count(owner, low, **params)
+    cap = np.iinfo(np.intp).max // 8
+    for name, value in params.items():
+        if value > cap:
+            raise DomainError(f"{owner} needs {name} <= {cap}, got {name}={value}")
 
 
 _MAX_ITER = 200  # steps either 1-D search takes at most

@@ -10,10 +10,11 @@ single pass over paired quantiles:
 * comonotonic:  integral over u of  S(Q2(u),   Q1(u))
 * antitonic:    integral over u of  S(Q2(1-u), Q1(u))
 
-Each integral is one :class:`~mkdiv.numerics.Rule` over the laws' atoms, read
+Each integral is one :class:`~mkdiv.numerics.Rule` over sorted atoms, read
 as step quantile functions: lists of n atoms pair cell by cell, and lists of
 n1 != n2 atoms in an O(n1 + n2) sum over the merged breakpoints {k/n1} and
-{j/n2}, so an empirical side is always exact.  :func:`oracle_optimal`
+{j/n2}, so an empirical side is always exact.  One closed form integrates a
+pair of laws or a stack of atom-list pairs.  :func:`oracle_optimal`
 independently solves the finite problem to optimality so the closed form can
 be certified instance by instance: equal weights on n <= 8 atoms by dynamic
 programming over column subsets, on 9 to 64 atoms by scipy's
@@ -21,13 +22,11 @@ programming over column subsets, on 9 to 64 atoms by scipy's
 transport polytope (HiGHS, with presolve off: on these small dense LPs it
 only costs time).  A missing weight vector is uniform, at any sizes, so two
 weightless lists of unequal sizes go to the linear program.  Certification
-compares optimal values in chunks of 256 instances, one batch per instance
-size in each: one score call for the closed forms and one stack of cost
-matrices for the oracle.  An equal-weight plan is an optimal permutation:
-on ties the dynamic program takes the first argmin column for each subset,
-and ``linear_sum_assignment`` whichever optimum it finds.  Only the last two
-import ``scipy.optimize``, so a process that certifies only instances of at
-most 8 atoms, as a default ``verify`` does, never loads it.
+compares the two in chunks of 256 instances, one batch per instance size in
+each: one closed form on the stacked atoms and one stack of cost matrices for
+the oracle.  Only ``linear_sum_assignment`` and the linear program import
+``scipy.optimize``, so a process that certifies only instances of at most 8
+atoms, as a default ``verify`` does, never loads it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, from_samples
+from .distributions import Distribution
 from .errors import CapacityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
@@ -117,13 +116,15 @@ def _sorted_matching(atoms1, atoms2, coupling: str) -> np.ndarray:
 def coupling_value(score: Score, atoms1, atoms2, matching) -> float:
     """Average cost of a candidate permutation coupling:
     mean over i of S(atoms2[sigma(i)], atoms1[i]).  An atom list that is
-    not 1-D, or a non-finite atom or cost, raises :class:`DomainError`."""
+    not 1-D, a matching that is not a 1-D integer array holding a
+    permutation, or a non-finite atom or cost, raises :class:`DomainError`."""
     a = _checked_atoms(atoms1, "first")
     b = _checked_atoms(atoms2, "second")
-    sigma = np.asarray(matching, dtype=int)
+    sigma = np.asarray(matching)
     if a.size != b.size or sigma.size != a.size:
         raise DomainError("coupling_value needs equal-length atoms and matching")
-    if np.any(np.sort(sigma) != np.arange(a.size)):
+    if (sigma.ndim != 1 or not np.issubdtype(sigma.dtype, np.integer)
+            or np.any(np.sort(sigma) != np.arange(a.size))):
         raise DomainError("matching is not a permutation")
     return pairwise_mean(_transport_cost(score, a, b[sigma]))
 
@@ -139,19 +140,20 @@ def _checked_atoms(atoms, which) -> np.ndarray:
     return x
 
 
-def _paired_quantiles(f1: Distribution, f2: Distribution, coupling: str, m: int, delta: float):
-    """Paired atoms ``(q1, q2, rule)``: cell k of ``rule`` pairs Q1(u) with
+def _paired_quantiles(q1: np.ndarray, q2: np.ndarray, coupling: str):
+    """Paired atoms ``(q1, q2, rule)`` of sorted atom lists, one list or a
+    stack of them along the last axis: cell k of ``rule`` pairs Q1(u) with
     Q2(u), or when antitonic with Q2(1 - u), the reversed list, at its level
     u.  Lists of n atoms pair cell by cell, lists of n1 != n2 atoms on the
     merged breakpoints {k/n1} and {j/n2}, in cells of 1/lcm(n1, n2)."""
-    q1, q2 = f1.atoms(m, delta), f2.atoms(m, delta)
-    q2 = q2 if coupling == COMONOTONIC else q2[::-1]
-    if q1.size == q2.size:
-        return q1, q2, Rule(None, q1.size)
-    total = math.lcm(q1.size, q2.size)
-    step1, step2 = total // q1.size, total // q2.size
-    cuts = np.union1d(np.arange(q1.size) * step1, np.arange(q2.size) * step2)
-    return q1[cuts // step1], q2[cuts // step2], Rule(np.diff(cuts, append=total), total)
+    q2 = q2 if coupling == COMONOTONIC else q2[..., ::-1]
+    n1, n2 = q1.shape[-1], q2.shape[-1]
+    if n1 == n2:
+        return q1, q2, Rule(None, n1)
+    total = math.lcm(n1, n2)
+    step1, step2 = total // n1, total // n2
+    cuts = np.union1d(np.arange(n1) * step1, np.arange(n2) * step2)
+    return q1[..., cuts // step1], q2[..., cuts // step2], Rule(np.diff(cuts, append=total), total)
 
 
 def mk_divergence(
@@ -172,20 +174,19 @@ def mk_divergence(
     :class:`MomentError`.  A domain violation of the score propagates with the
     u-node of the entry its check rejected.
     """
-    q1, q2, rule = _paired_quantiles(f1, f2, score.coupling, m, delta)
+    return float(_closed_form(score, f1.atoms(m, delta), f2.atoms(m, delta)))
+
+
+def _closed_form(score: Score, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """:func:`mk_divergence` of sorted atom lists ``q1`` to ``q2``, or of each
+    pair in stacks of them along the last axis, in one score call."""
+    q1, q2, rule = _paired_quantiles(q1, q2, score.coupling)
     try:
         vals = np.asarray(score(q2, q1))
     except DomainError as exc:
-        node = float("nan") if exc.index is None else float(rule.u[exc.index])
+        node = float("nan") if exc.index is None else float(rule.u[exc.index % q1.shape[-1]])
         raise DomainError(f"{exc} (first offending grid node: u={node})", index=exc.index) from exc
-    return float(_checked_divergence(rule.integrate(vals)))
-
-
-def _checked_divergence(value):
-    """Divergence sums ``value``, a float or an array of them, as
-    divergences: a NaN or -inf sum raises :class:`MomentError`, and finite
-    negative float dust from cancellation is clamped to zero."""
-    value = np.asarray(value)
+    value = np.asarray(rule.integrate(vals))
     undefined = np.isnan(value) | (value == -np.inf)
     if undefined.any():
         raise MomentError(f"divergence is undefined: the score values sum to {value[undefined][0]}")
@@ -208,7 +209,7 @@ def wasserstein_p(
     the gaps divided by the largest one, which then scales the root."""
     if not (p >= 1.0 and math.isfinite(p)):
         raise DomainError(f"wasserstein order must be a finite p >= 1, got {p}")
-    q1, q2, rule = _paired_quantiles(f1, f2, COMONOTONIC, m, delta)
+    q1, q2, rule = _paired_quantiles(f1.atoms(m, delta), f2.atoms(m, delta), COMONOTONIC)
     gaps = np.abs(q1 - q2)
     with np.errstate(over="ignore"):
         value = rule.integrate(gaps ** p)
@@ -472,23 +473,11 @@ def _draw_instance(score: Score, seed: int, k: int, n_min: int, n_max: int) -> t
     return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
 
 
-def _instance_deviation(score: Score, a, b) -> float:
-    """Relative deviation of the closed form from the oracle on one instance."""
-    closed = mk_divergence(score, from_samples(a), from_samples(b))
-    optimum = oracle_optimal(score, a, b).value
-    return abs(closed - optimum) / (1.0 + abs(optimum))
-
-
 def _batch_deviations(score: Score, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_instance_deviation` of each row pair of the (B, n) stacks ``a``
-    and ``b``, bit for bit: one score call on the sorted rows, each row folded
-    by the tree of :func:`mk_divergence`, and one cost stack for
-    :func:`_optimal_assignments`.  Raises :class:`DomainError` or
-    :class:`MomentError` where some instance would, though not necessarily
-    with that instance's message."""
-    q1, q2 = np.sort(a, axis=1), np.sort(b, axis=1)
-    q2 = q2 if score.coupling == COMONOTONIC else q2[:, ::-1]
-    closed = _checked_divergence(pairwise_sum(np.asarray(score(q2, q1)), axis=1) / a.shape[1])
+    """Relative deviations of the closed form from the oracle on the row pairs
+    of the (B, n) stacks ``a`` and ``b``, bit for bit those of :func:`mk_divergence`
+    and :func:`oracle_optimal`; with B = 1 an error is theirs too."""
+    closed = _closed_form(score, np.sort(a, axis=1), np.sort(b, axis=1))
     _, optimum = _optimal_assignments(_transport_cost(score, a[:, :, None], b[:, None, :]))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in float arithmetic
         return np.abs(closed - optimum) / (1.0 + np.abs(optimum))
@@ -497,8 +486,8 @@ def _batch_deviations(score: Score, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _chunk_deviations(score: Score, seed: int, ks: range, n_min: int, n_max: int) -> list:
     """Deviations of the instances ``ks``, in draw order, one batch per
     size.  If a batch raises :class:`DomainError` or :class:`MomentError`,
-    the instances are rerun one at a time in draw order, so that the error
-    is the first failing instance's own."""
+    the instances are rerun one at a time in draw order, as batches of one,
+    so that the error is the first failing instance's own."""
     draws = [_draw_instance(score, seed, k, n_min, n_max) for k in ks]
     by_size = {}
     for i, (a, _) in enumerate(draws):
@@ -510,7 +499,7 @@ def _chunk_deviations(score: Score, seed: int, ks: range, n_min: int, n_max: int
             deviation[rows] = _batch_deviations(score, a, b)
     except (DomainError, MomentError):
         for a, b in draws:
-            _instance_deviation(score, a, b)
+            _batch_deviations(score, a[None], b[None])
         raise
     return deviation.tolist()
 
@@ -531,16 +520,14 @@ def certify_optimal_coupling(
     with the exact oracle's.  Aggregation is a maximum, hence independent of
     execution order; the run passes when it is at most ``tolerance``.
 
-    The instances are drawn and solved in chunks of ``_CERTIFY_CHUNK``, in
-    draw order, and each chunk in one batch per size n: one score call for
-    the closed forms, one cost stack and one :func:`_optimal_assignments`
-    call, which holds B n^2 costs, and up to n = 8 B 2^n dynamic-program
-    entries, for the B instances of that size.  So memory is bounded by the
-    chunk, at most 8 MiB of costs at n = 64, whatever ``instances`` is.
-    Every deviation is the one :func:`mk_divergence` and
-    :func:`oracle_optimal` give bit for bit.  A chunk that fails is rerun
-    one instance at a time; every earlier chunk has passed, so the error is
-    the first failing instance's own.
+    The instances are drawn in chunks of ``_CERTIFY_CHUNK``, in draw order,
+    and each chunk is solved by :func:`_batch_deviations`, one batch per size
+    n, which holds B n^2 costs (and up to n = 8, B 2^n dynamic-program
+    entries): memory is bounded by the chunk, 8 MiB of costs at n = 64,
+    whatever ``instances`` is.  A chunk that fails is rerun in draw order as
+    batches of one; every earlier chunk has passed, so the error is the one
+    :func:`mk_divergence` or :func:`oracle_optimal` raises on the first
+    failing instance.
     """
     _check_count("certification", 1, instances=instances)
     _check_count("certification", 0, n_min=n_min, n_max=n_max, seed=seed)

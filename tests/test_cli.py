@@ -365,6 +365,39 @@ class TestConsoleEntry:
         assert json.loads(proc.stderr) == {
             "error": "divergence is undefined: the score values sum to nan"
         }
+        # sizes no numpy array can hold are rejected before any allocation
+        huge = str(2**62)
+        cap = np.iinfo(np.intp).max // 8
+        for argv, message in [
+            (["divergence", "--score", "score:bregman,phi=quadratic",
+              "--from", "normal:mu=0,sigma=1", "--to", "normal:mu=1,sigma=1", "--grid-m", huge],
+             f"grid needs m <= {cap}, got m={huge}"),
+            ([*TVAR_WORST_CASE[:-1], huge, "--phi", "phi:quadratic"],
+             f"grid needs m <= {cap}, got m={huge}"),
+            (["elicit-check", "--functional", "functional:mean",
+              "--score", "score:bregman,phi=quadratic", "--dist", "normal:mu=0,sigma=1",
+              "--steps", huge],
+             f"argmin needs steps <= {cap}, got steps={huge}"),
+            (["axioms", "--functional", "functional:mean", "--pairs", "1", "--size", huge],
+             f"axiom check needs size <= {cap}, got size={huge}"),
+        ]:
+            proc = run_python("-m", "mkdiv.cli", *argv)
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert json.loads(proc.stderr) == {"error": message}
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_a_memory_error_is_one_json_error(self, exc, message, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "mk_divergence", exhausted)
+        code, out, err = run_cli(["divergence", "--score", "score:bregman,phi=quadratic",
+                                  "--from", "normal:mu=0,sigma=1", "--to", "normal:mu=1,sigma=1"])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [canonical_json({"error": message})]
 
     def test_a_failed_warned_solve_prints_only_its_error(self, run_python):
         # xlogx has no room for the negative nodes of Normal(0, 1)

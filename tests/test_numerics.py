@@ -122,7 +122,7 @@ class TestRule:
     def test_merge_rule_has_the_merged_cells(self, n1, n2):
         rng = np.random.default_rng([n1, n2])
         f1, f2 = from_samples(rng.normal(size=n1)), from_samples(rng.normal(size=n2))
-        rule = _paired_quantiles(f1, f2, COMONOTONIC, 10, 0.0)[2]
+        rule = _paired_quantiles(f1.atoms(10, 0.0), f2.atoms(10, 0.0), COMONOTONIC)[2]
         total = math.lcm(n1, n2)
         cuts = np.union1d(np.arange(n1) * (total // n1), np.arange(n2) * (total // n2))
         counts = np.diff(cuts, append=total)

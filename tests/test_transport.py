@@ -27,6 +27,7 @@ from mkdiv import (
     certify_optimal_coupling,
     comonotonic_matching,
     coupling_value,
+    entropy_generator,
     exponential_generator,
     exponential_loss,
     from_samples,
@@ -892,15 +893,46 @@ class TestCertification:
                 gap = np.abs(z - y)
                 return np.where(gap < 3.5, gap * gap, np.inf)
 
+        # a closed form that sums to -inf where a report exceeds its
+        # realization by more than 1: at seeds 0, 1 and 4 an instance fails
+        # so before any cost does
+        class Sink(Score):
+            family = "sink"
+
+            def _eval(self, z, y):
+                return np.where(z - y > 1.0, -np.inf, (z - y) ** 2)
+
+        # a report domain that the draws cross: at seeds 1 and 3 the first
+        # instance to fail is not the first row of its size batch
+        class Ledge(Score):
+            family = "ledge"
+            z_domain = (-1.9, np.inf)
+            atom_interval = (-2.0, 2.0)
+
+            def _eval(self, z, y):
+                return (z - y) ** 2
+
+        # negated atoms leave the domain of xlogx: the score names its u-node
+        negated_entropy = osband_transform(BregmanScore(entropy_generator()), negation_map())
+        outside = "score family 'bregman': report z outside (0.0, inf) (first offending grid node: "
+        ledge = "score family 'ledge': report z outside (-1.9, inf) (first offending grid node: "
+        cases = [
+            (Cliff(), 3, 5, 16, DomainError, "cost c(z1, z2) = inf is not finite at "
+             "(z1, z2) = (-1.9455876126610812, 1.949687302158713)"),
+            *((Sink(), 3, 6, seed, MomentError, "divergence is undefined: the score values "
+               "sum to -inf") for seed in (0, 1, 4)),
+            (negated_entropy, 3, 6, 0, DomainError, outside + "u=0.08333333333333333)"),
+            (negated_entropy, 3, 6, 1, DomainError, outside + "u=0.125)"),
+            (Ledge(), 3, 6, 1, DomainError, ledge + "u=0.1)"),
+            (Ledge(), 3, 6, 3, DomainError, ledge + "u=0.08333333333333333)"),
+        ]
         monkeypatch.setattr("mkdiv.transport._CERTIFY_CHUNK", chunk)
-        with pytest.raises(DomainError) as want:
-            per_instance_certification(Cliff(), 8, 3, 5, 16)
-        with pytest.raises(DomainError) as got:
-            certify_optimal_coupling(Cliff(), instances=8, n_min=3, n_max=5, seed=16)
-        assert str(got.value) == str(want.value) == (
-            "cost c(z1, z2) = inf is not finite at "
-            "(z1, z2) = (-1.9455876126610812, 1.949687302158713)"
-        )
+        for score, n_min, n_max, seed, error, message in cases:
+            with pytest.raises(error) as want:
+                per_instance_certification(score, 8, n_min, n_max, seed)
+            with pytest.raises(error) as got:
+                certify_optimal_coupling(score, instances=8, n_min=n_min, n_max=n_max, seed=seed)
+            assert str(got.value) == str(want.value) == message
 
     def test_each_chunk_is_solved_before_the_next_is_drawn(self, monkeypatch):
         # 10 instances in chunks of 4: draws 0-3, their batches, draws 4-7,
@@ -1013,8 +1045,12 @@ class TestCouplingValue:
         assert coupling_value(s, [2.0], [5.0], [0]) == s(5.0, 2.0)
 
     def test_permutation_validated(self):
-        with pytest.raises(DomainError):
-            coupling_value(BregmanScore(quadratic()), [0, 1], [2, 3], [0, 0])
+        # booleans, floats and strings are not cast to indices, and a 2-D
+        # array is not compared row by row
+        s = BregmanScore(quadratic())
+        for matching in ([0, 0], [True, False], [1.7, 0.2], [[1, 0]], ["1", "0"]):
+            with pytest.raises(DomainError, match="^matching is not a permutation$"):
+                coupling_value(s, [0, 1], [2, 3], matching)
 
     @pytest.mark.parametrize(
         "call",
