@@ -12,6 +12,8 @@ axioms        empirical risk-measure axiom report
 This module alone lays out the JSON payloads: each ``_cmd_*`` builds its
 subcommand's payload from its arguments and the computed fields of the
 library's plain result objects, which know nothing of the output format.
+Each ``_cmd_*`` also imports the modules its subcommand runs, so that a
+process loads only those.
 
 All JSON output is canonical: sorted keys, compact separators, floats at 17
 significant digits.  A fixed seed therefore yields byte-identical output.
@@ -44,14 +46,8 @@ import warnings
 
 import numpy as np
 
-from . import specs
-from .distributions import Empirical
 from .errors import MkdivError
-from .functionals import argmin_expected_score, check_axioms
 from .numerics import _DEFAULT_M, _check_count, _check_size, _check_tolerance
-from .payoff import cheapest_payoff
-from .robust import solve_worst_case
-from .transport import certify_optimal_coupling, mk_divergence
 
 __all__ = ["main", "canonical_json"]
 
@@ -102,6 +98,9 @@ def _write_artifact(path: str, text: str, curve):
 
 
 def _cmd_divergence(args):
+    from . import specs
+    from .transport import mk_divergence
+
     score = specs.parse_score(args.score)
     f1 = specs.parse_distribution(args.from_spec)
     f2 = specs.parse_distribution(args.to_spec)
@@ -115,6 +114,9 @@ def _cmd_divergence(args):
 
 
 def _cmd_verify(args):
+    from . import specs
+    from .transport import certify_optimal_coupling
+
     score = specs.parse_score(args.score)
     result = certify_optimal_coupling(
         score,
@@ -152,6 +154,9 @@ def _solution_payload(sol, curve, args, **own):
 
 
 def _cmd_worst_case(args):
+    from . import specs
+    from .robust import solve_worst_case
+
     gen = specs.parse_generator(args.phi)
     d = specs.parse_distortion(args.distortion)
     ref = specs.parse_distribution(args.ref)
@@ -160,6 +165,9 @@ def _cmd_worst_case(args):
 
 
 def _cmd_payoff(args):
+    from . import specs
+    from .payoff import cheapest_payoff
+
     gen = specs.parse_generator(args.phi)
     benchmark = specs.parse_distribution(args.benchmark)
     market = specs.parse_market(args.market)
@@ -169,6 +177,10 @@ def _cmd_payoff(args):
 
 
 def _cmd_elicit_check(args):
+    from . import specs
+    from .distributions import Empirical
+    from .functionals import argmin_expected_score
+
     _check_tolerance("elicit-check", tol=args.tol)
     functional = specs.parse_functional(args.functional)
     score = specs.parse_score(args.score)
@@ -198,6 +210,9 @@ def _cmd_elicit_check(args):
 
 
 def _cmd_axioms(args):
+    from . import specs
+    from .functionals import check_axioms
+
     functional = specs.parse_functional(args.functional)
     _check_count("axiom check", 0, seed=args.seed)
     _check_size("axiom check", 0, size=args.size)

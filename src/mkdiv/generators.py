@@ -219,7 +219,10 @@ def power_distortion(c: float = 0.5) -> DistortionSpec:
     """g(x) = x^c with 0 < c < 1; gamma is unbounded near u = 1.
 
     Grid integrals against gamma stay finite because the last midpoint node
-    is 1 - 0.5/m.
+    is 1 - 0.5/m.  A worst case may still have no limit as m grows.  With
+    the ``xlogx`` generator the worst quantile is G = Q * exp(gamma / lam),
+    so its Bregman term grows like exp(c * (1 - u)**(c - 1) / lam) near
+    u = 1, and the continuum divergence is infinite at every lam.
     """
     if not 0.0 < c < 1.0:
         raise DomainError(f"power distortion needs 0 < c < 1, got {c}")

@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import importlib
+import json
 import pathlib
 
 import pytest
@@ -163,6 +165,84 @@ def test_only_the_oracle_solvers_import_scipy():
         if (path.name, func) not in SCIPY_ALLOWED
     ]
     assert found == []
+
+
+# what a fresh interpreter has loaded after running some statements: the
+# mkdiv submodules by name, and "scipy" for any scipy module
+LOADED = (
+    "\nimport json, sys\n"
+    "print(json.dumps(sorted({m[6:] if m.startswith('mkdiv.') else 'scipy' for m in sys.modules\n"
+    "                         if m.startswith(('mkdiv.', 'scipy.')) or m == 'scipy'})))\n"
+)
+MAIN = "import io\nfrom mkdiv import cli\nassert cli.main({!r}, out=io.StringIO()) == 0\n"
+
+# each subcommand, the module that runs it and the modules it must not load
+SUBCOMMANDS = [
+    (["divergence", "--score", "score:bregman,phi=quadratic", "--from", "normal:mu=0,sigma=1",
+      "--to", "normal:mu=1,sigma=2"], "transport", {"functionals", "robust", "payoff", "scipy"}),
+    (["verify", "--score", "score:gpl,alpha=0.9,g=identity"],
+     "transport", {"functionals", "robust", "payoff", "scipy"}),
+    (["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+      "--ref", "uniform:a=0,b=1", "--eps", "0.03"],
+     "robust", {"scores", "transport", "functionals", "scipy"}),
+    (["payoff", "--phi", "phi:quadratic", "--benchmark", "uniform:a=0,b=1",
+      "--market", "market:spd=uniform:a=0,b=1;r=0;T=1", "--eps", "0.02"],
+     "payoff", {"scores", "transport", "functionals", "scipy"}),
+    (["elicit-check", "--functional", "functional:mean", "--score", "score:bregman,phi=quadratic",
+      "--dist", "normal:mu=0,sigma=1"], "functionals", {"transport", "robust", "payoff", "scipy"}),
+    (["axioms", "--functional", "functional:expectile,alpha=0.3", "--seed", "3"],
+     "functionals", {"transport", "robust", "payoff", "scipy"}),
+]
+
+
+@pytest.fixture
+def loaded(run_python):
+    """The modules a fresh interpreter has loaded after ``statements``."""
+
+    def run(statements: str) -> set:
+        proc = run_python("-c", statements + LOADED)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout))
+
+    return run
+
+
+def test_importing_the_package_loads_no_module(loaded):
+    assert loaded("import mkdiv") == set()
+
+
+def test_importing_the_cli_loads_only_what_parsing_needs(loaded):
+    assert loaded("import mkdiv.cli") == {"cli", "errors", "numerics"}
+
+
+@pytest.mark.parametrize("argv, runner, forbidden", SUBCOMMANDS,
+                         ids=[argv[0] for argv, _, _ in SUBCOMMANDS])
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, runner, forbidden, loaded):
+    modules = loaded(MAIN.format(argv))
+    assert runner in modules
+    assert modules & forbidden == set()
+
+
+def test_every_public_name_is_its_module_object():
+    # importing every module binds each name wherever it is defined or
+    # imported; the package resolves each name to that one object
+    modules = [importlib.import_module(f"mkdiv.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    for name in mkdiv.__all__:
+        bound = [vars(module)[name] for module in modules if name in vars(module)]
+        assert bound and all(obj is getattr(mkdiv, name) for obj in bound), name
+    assert len(set(mkdiv.__all__)) == len(mkdiv.__all__) == 84
+
+
+def test_star_import_dir_and_submodules_resolve(run_python):
+    proc = run_python("-c", (
+        "import mkdiv\n"
+        "assert set(mkdiv.__all__) <= set(dir(mkdiv))\n"
+        "assert mkdiv.transport.__name__ == 'mkdiv.transport'\n"
+        "from mkdiv import *\n"
+        "assert all(globals()[name] is getattr(mkdiv, name) for name in mkdiv.__all__)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
 
 
 def describe_calls(source: str):

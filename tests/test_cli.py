@@ -393,7 +393,7 @@ class TestConsoleEntry:
         def exhausted(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "mk_divergence", exhausted)
+        monkeypatch.setattr("mkdiv.transport.mk_divergence", exhausted)
         code, out, err = run_cli(["divergence", "--score", "score:bregman,phi=quadratic",
                                   "--from", "normal:mu=0,sigma=1", "--to", "normal:mu=1,sigma=1"])
         assert (code, out) == (1, "")

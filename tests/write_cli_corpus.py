@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/write_cli_corpus.py
 
-The corpus is 71 argvs, each with the exit code, stdout and stderr of
+The corpus is 77 argvs, each with the exit code, stdout and stderr of
 ``cli.main`` run in process from the repository root, and the fingerprint of
 the platform that ran them:
 
@@ -14,7 +14,9 @@ the platform that ran them:
   generator at ``--grid-m`` 16385 and 50001;
 * 5 argvs that fail: an unknown flag, a zero budget, an infinite moment and
   a malformed spec exit 1 with a JSON error line on stderr, and a ``verify``
-  whose nonzero deviation exceeds ``--tol 0`` exits 2.
+  whose nonzero deviation exceeds ``--tol 0`` exits 2;
+* the 6 seeded calls of ``test_cli.py``: a ``verify`` and three ``axioms``
+  reports, and the two negative seeds that exit 1.
 
 Rewrite it only in a change that lists each output it moves; ``git diff``
 of ``corpus.json`` names them.
@@ -72,11 +74,24 @@ FAILING_ARGVS = [
     ["verify", "--score", "score:bregman,phi=quartic", "--seed", "3", "--tol", "0"],
 ]
 
+SEEDED_ARGVS = [
+    ["verify", "--score", "score:gpl,alpha=0.9,g=identity", "--n", "8", "--instances", "100",
+     "--seed", "7"],
+    ["axioms", "--functional", "functional:expectile,alpha=0.3", "--pairs", "50", "--size", "40",
+     "--seed", "3"],
+    ["axioms", "--functional", "functional:expectile,alpha=0.3", "--pairs", "5", "--size", "40",
+     "--seed", "3"],
+    ["axioms", "--functional", "functional:expectile,alpha=0.7", "--pairs", "10", "--size", "20",
+     "--seed", "5"],
+    ["verify", "--score", "score:gpl,alpha=0.9", "--seed", "-1"],
+    ["axioms", "--functional", "functional:mean", "--seed", "-1"],
+]
+
 
 def main() -> int:
     os.chdir(ROOT)  # the argvs name their files relative to the root
     argvs = ([argv for seed in SEEDS for argv in oneshot_argvs(seed)] + multi_block_argvs()
-             + FAILING_ARGVS)
+             + FAILING_ARGVS + SEEDED_ARGVS)
     corpus = {"fingerprint": fingerprint(), "cases": [run(argv) for argv in argvs]}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(argvs)} cases to {CORPUS.relative_to(ROOT)}")
