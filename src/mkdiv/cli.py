@@ -104,6 +104,7 @@ def _cmd_divergence(args):
     score = specs.parse_score(args.score)
     f1 = specs.parse_distribution(args.from_spec)
     f2 = specs.parse_distribution(args.to_spec)
+    _check_size("grid", 2, m=args.grid_m)  # checked here too: an empirical law does not read m
     value = mk_divergence(score, f1, f2, m=args.grid_m)
     return {
         "value": value,
@@ -193,6 +194,7 @@ def _cmd_elicit_check(args):
     # grid atoms, which is what the argmin could score anyway; only the law
     # itself can tell whether the functional is defined on it
     functional._check_law(dist)
+    _check_size("grid", 2, m=m)
     law = Empirical(dist.atoms(m))
     direct = functional.evaluate(law)
     indirect = argmin_expected_score(score, law, z_lo, z_hi, steps=args.steps)

@@ -323,10 +323,7 @@ class BregmanScore(Score):
 
     gen: ConvexGenerator = field(default_factory=quadratic)
     family = "bregman"
-
-    def __post_init__(self):
-        object.__setattr__(self, "z_domain", self.gen.domain)
-        object.__setattr__(self, "y_domain", self.gen.domain)
+    z_domain = y_domain = property(lambda self: self.gen.domain)
 
     def _eval(self, z, y):
         return self.gen.bregman(y, z)
@@ -345,14 +342,13 @@ class GPLScore(Score):
     alpha: float = 0.5
     transform: MonotoneMap = field(default_factory=identity_map)
     family = "gpl"
+    z_domain = y_domain = property(lambda self: self.transform.domain)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"gpl level must lie in (0, 1), got {self.alpha}")
         if not self.transform.increasing:
             raise ConfigError("gpl transform must be increasing")
-        object.__setattr__(self, "z_domain", self.transform.domain)
-        object.__setattr__(self, "y_domain", self.transform.domain)
 
     def _eval(self, z, y):
         g = self.transform.fn
@@ -384,12 +380,11 @@ class ExpectileScore(Score):
     alpha: float = 0.5
     gen: ConvexGenerator = field(default_factory=quadratic)
     family = "expectile"
+    z_domain = y_domain = property(lambda self: self.gen.domain)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"expectile level must lie in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "z_domain", self.gen.domain)
-        object.__setattr__(self, "y_domain", self.gen.domain)
 
     def _eval(self, z, y):
         out = self.gen.bregman(y, z)
@@ -480,8 +475,11 @@ class EntropicScore(Score):
         return f"entropic[{self.gen.name},gamma={self.gamma}]"
 
 
-def _flip(claim: str) -> str:
-    return ANTITONIC if claim == COMONOTONIC else COMONOTONIC
+def _claim(inner: Score, transform: MonotoneMap) -> str:
+    """The coupling claim of ``inner`` under ``transform``: flipped when it decreases."""
+    if transform.increasing:
+        return inner.coupling
+    return ANTITONIC if inner.coupling == COMONOTONIC else COMONOTONIC
 
 
 @dataclass(frozen=True)
@@ -495,15 +493,14 @@ class OsbandScore(Score):
     inner: Score
     gmap: MonotoneMap
     family = "osband"
+    coupling = property(lambda self: _claim(self.inner, self.gmap))
+    # reports live in the map's codomain, where the inverse is defined
+    z_domain = property(lambda self: self.gmap.codomain)
+    y_domain = property(lambda self: self.inner.y_domain)
 
     def __post_init__(self):
         if self.gmap.inverse is None:
             raise ConfigError(f"map '{self.gmap.name}' is not invertible")
-        claim = self.inner.coupling if self.gmap.increasing else _flip(self.inner.coupling)
-        object.__setattr__(self, "coupling", claim)
-        # reports live in the map's codomain, where the inverse is defined
-        object.__setattr__(self, "z_domain", self.gmap.codomain)
-        object.__setattr__(self, "y_domain", self.inner.y_domain)
 
     def _eval(self, z, y):
         return np.asarray(self.inner(self.gmap.inverse(z), y))
@@ -526,12 +523,9 @@ class DistTransformScore(Score):
     inner: Score
     hmap: MonotoneMap
     family = "dist_transform"
-
-    def __post_init__(self):
-        claim = self.inner.coupling if self.hmap.increasing else _flip(self.inner.coupling)
-        object.__setattr__(self, "coupling", claim)
-        object.__setattr__(self, "z_domain", self.inner.z_domain)
-        object.__setattr__(self, "y_domain", self.hmap.domain)
+    coupling = property(lambda self: _claim(self.inner, self.hmap))
+    z_domain = property(lambda self: self.inner.z_domain)
+    y_domain = property(lambda self: self.hmap.domain)
 
     def _eval(self, z, y):
         return np.asarray(self.inner(z, self.hmap.fn(y)))

@@ -42,9 +42,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import mkdiv
+
 from .errors import ConfigError
 
-if TYPE_CHECKING:  # annotations only: a kind imports its module when first used
+if TYPE_CHECKING:  # annotations only: the package imports a maker's module on first use
     from .distributions import Distribution, Empirical
     from .functionals import Functional
     from .generators import ConvexGenerator, DistortionSpec
@@ -121,6 +123,11 @@ def _read(fields, params: dict, spec: str) -> dict:
     return kwargs
 
 
+def _maker(make):
+    """The maker a table entry names by its public name; a function passes through."""
+    return getattr(mkdiv, make) if isinstance(make, str) else make
+
+
 def _build(table: dict, what: str, spec: str, name: str, *tokens: str):
     """The ``name`` entry of ``table`` made from 'k=v' ``tokens``; leftovers are rejected."""
     params = _parse_pairs(tokens, spec)
@@ -129,12 +136,12 @@ def _build(table: dict, what: str, spec: str, name: str, *tokens: str):
     if params:
         extra = ", ".join(sorted(params))
         raise ConfigError(f"unexpected parameter(s) {extra} in spec {spec!r}")
-    return make(**kwargs)
+    return _maker(make)(**kwargs)
 
 
 def _render(table: dict, obj, head: str = "", sep: str = ",", name: str | None = None) -> str:
     """``head``, the entry name, ``sep`` and the fields of ``obj`` in field order."""
-    name = name or next((n for n, (make, _) in table.items() if make is type(obj)), None)
+    name = name or next((n for n, (make, _) in table.items() if _maker(make) is type(obj)), None)
     if name is None:
         raise ConfigError(f"cannot render {obj!r} as a spec string")
     pairs = []
@@ -148,8 +155,8 @@ def _render(table: dict, obj, head: str = "", sep: str = ",", name: str | None =
 
 def _loss(raw, key, params, spec):
     """The ``raw`` loss made from its own fields; the caller rejects leftovers."""
-    make, fields = _lookup(_losses(), raw, "loss", f" in spec {spec!r}")
-    return make(**_read(fields, params, spec))
+    make, fields = _lookup(_LOSSES, raw, "loss", f" in spec {spec!r}")
+    return _maker(make)(**_read(fields, params, spec))
 
 
 def _catalog(catalog, what: str, default: str | None = None) -> tuple:
@@ -159,15 +166,11 @@ def _catalog(catalog, what: str, default: str | None = None) -> tuple:
 
 
 def _empirical(source_path: str) -> Empirical:
-    from .distributions import from_samples, read_value_csv
-
-    return from_samples(read_value_csv(source_path), source_path=source_path)
+    return mkdiv.from_samples(mkdiv.read_value_csv(source_path), source_path=source_path)
 
 
 def _step_file(raw: str, *_) -> StepFunction:
-    from .scores import StepFunction
-
-    return StepFunction.from_json(raw)
+    return mkdiv.StepFunction.from_json(raw)
 
 
 # A kind is (parse, render, default): ``parse(raw, key, params, spec)`` turns
@@ -177,87 +180,59 @@ def _step_file(raw: str, *_) -> StepFunction:
 # made with the attribute as a keyword and rendered back from it.
 _FLOAT = (lambda raw, key, _, spec: _float(raw, f"parameter {key}={raw!r} in {spec!r}"),
           _num, None)
-_LOSS = (_loss, lambda loss: _render(_losses(), loss, name=loss.kind), None)
+_LOSS = (_loss, lambda loss: _render(_LOSSES, loss, name=loss.kind), None)
 _STEP_FILE = (_step_file, lambda step: step.source_path, None)
 _PATH = (lambda raw, *_: raw, lambda path: path, None)
 
 _ALPHA = ("alpha", "alpha", _FLOAT)
+_PHI = ("phi", "gen", _catalog(lambda: mkdiv.generator_catalog(), "generator"))
+# transform_catalog is not a public name, so it is reached through its module
+_TRANSFORM = _catalog(lambda: mkdiv.scores.transform_catalog(), "transform", "identity")
 
+# An entry is (maker, fields).  The maker is named by its public name, which
+# the package imports from its module on first use; a spec kind thus loads
+# only the modules that make it.  A plain function passes through as itself.
+_LOSSES = {
+    "linear": ("linear_loss", ()),
+    "exponential": ("exponential_loss", (("gamma", "gamma", (_FLOAT[0], _num, "1")),)),
+    "power": ("power_loss", (("p", "p", (_FLOAT[0], _num, "3")),)),
+}
 
-# Each table is built by the parse or render that reads it, which imports the
-# modules that make its entries only then.
-def _losses() -> dict:
-    from .scores import exponential_loss, linear_loss, power_loss
+_DISTRIBUTIONS = {
+    "uniform": ("Uniform", (("a", "a", _FLOAT), ("b", "b", _FLOAT))),
+    "normal": ("Normal", (("mu", "mu", _FLOAT), ("sigma", "sigma", _FLOAT))),
+    "lognormal": ("LogNormal", (("mu", "mu", _FLOAT), ("sigma", "sigma", _FLOAT))),
+    "exponential": ("Exponential", (("rate", "rate", _FLOAT),)),
+    "point": ("PointMass", (("c", "c", _FLOAT),)),
+    # made by a function that reads the file, so render_distribution picks it by type
+    "empirical": (_empirical, (("path", "source_path", _PATH),)),
+}
 
-    return {
-        "linear": (linear_loss, ()),
-        "exponential": (exponential_loss, (("gamma", "gamma", (_FLOAT[0], _num, "1")),)),
-        "power": (power_loss, (("p", "p", (_FLOAT[0], _num, "3")),)),
-    }
+_DISTORTIONS = {
+    "identity": ("identity_distortion", ()),
+    "dualpower": ("dual_power", (("k", "k", _FLOAT),)),
+    "tvar": ("tvar_distortion", (_ALPHA,)),
+    "power": ("power_distortion", (("c", "c", _FLOAT),)),
+}
 
+_SCORES = {
+    "bregman": ("BregmanScore", (_PHI,)),
+    "gpl": ("GPLScore", (_ALPHA, ("g", "transform", _TRANSFORM))),
+    "expectile": ("ExpectileScore", (_ALPHA, _PHI)),
+    "shortfall": ("ShortfallScore", (("loss", "loss", _LOSS),)),
+    "lambda": ("LambdaQuantileScore", (("file", "step", _STEP_FILE),)),
+    "decomposable": ("DecomposableScore", (_PHI, _ALPHA, ("beta", "beta", _FLOAT))),
+    "entropic": ("EntropicScore", (("gamma", "gamma", _FLOAT), _PHI)),
+}
 
-def _distributions() -> dict:
-    from .distributions import Exponential, LogNormal, Normal, PointMass, Uniform
-
-    return {
-        "uniform": (Uniform, (("a", "a", _FLOAT), ("b", "b", _FLOAT))),
-        "normal": (Normal, (("mu", "mu", _FLOAT), ("sigma", "sigma", _FLOAT))),
-        "lognormal": (LogNormal, (("mu", "mu", _FLOAT), ("sigma", "sigma", _FLOAT))),
-        "exponential": (Exponential, (("rate", "rate", _FLOAT),)),
-        "point": (PointMass, (("c", "c", _FLOAT),)),
-        # made by a function that reads the file, so render_distribution picks it by type
-        "empirical": (_empirical, (("path", "source_path", _PATH),)),
-    }
-
-
-def _distortions() -> dict:
-    from .generators import dual_power, identity_distortion, power_distortion, tvar_distortion
-
-    return {
-        "identity": (identity_distortion, ()),
-        "dualpower": (dual_power, (("k", "k", _FLOAT),)),
-        "tvar": (tvar_distortion, (_ALPHA,)),
-        "power": (power_distortion, (("c", "c", _FLOAT),)),
-    }
-
-
-def _scores() -> dict:
-    from .generators import generator_catalog
-    from .scores import (
-        BregmanScore,
-        DecomposableScore,
-        EntropicScore,
-        ExpectileScore,
-        GPLScore,
-        LambdaQuantileScore,
-        ShortfallScore,
-        transform_catalog,
-    )
-
-    phi = ("phi", "gen", _catalog(generator_catalog, "generator"))
-    transform = _catalog(transform_catalog, "transform", "identity")
-    return {
-        "bregman": (BregmanScore, (phi,)),
-        "gpl": (GPLScore, (_ALPHA, ("g", "transform", transform))),
-        "expectile": (ExpectileScore, (_ALPHA, phi)),
-        "shortfall": (ShortfallScore, (("loss", "loss", _LOSS),)),
-        "lambda": (LambdaQuantileScore, (("file", "step", _STEP_FILE),)),
-        "decomposable": (DecomposableScore, (phi, _ALPHA, ("beta", "beta", _FLOAT))),
-        "entropic": (EntropicScore, (("gamma", "gamma", _FLOAT), phi)),
-    }
-
-
-def _functionals() -> dict:
-    from .functionals import Entropic, Expectile, LambdaQuantile, Mean, Quantile, Shortfall
-
-    return {
-        "mean": (Mean, ()),
-        "quantile": (Quantile, (_ALPHA,)),
-        "expectile": (Expectile, (_ALPHA,)),
-        "shortfall": (Shortfall, (("loss", "loss", _LOSS),)),
-        "lambda": (LambdaQuantile, (("file", "step", _STEP_FILE),)),
-        "entropic": (Entropic, (("gamma", "gamma", _FLOAT),)),
-    }
+_FUNCTIONALS = {
+    "mean": ("Mean", ()),
+    "quantile": ("Quantile", (_ALPHA,)),
+    "expectile": ("Expectile", (_ALPHA,)),
+    "shortfall": ("Shortfall", (("loss", "loss", _LOSS),)),
+    "lambda": ("LambdaQuantile", (("file", "step", _STEP_FILE),)),
+    "entropic": ("Entropic", (("gamma", "gamma", _FLOAT),)),
+}
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -266,21 +241,17 @@ def parse_distribution(spec: str) -> Distribution:
         raise ConfigError(f"malformed distribution spec {spec!r}")
     if name == "empirical" and "=" not in body:
         return _empirical(body)  # shorthand: empirical:<file.csv>
-    return _build(_distributions(), "distribution kind", spec, name, *body.split(","))
+    return _build(_DISTRIBUTIONS, "distribution kind", spec, name, *body.split(","))
 
 
 def render_distribution(dist: Distribution) -> str:
-    from .distributions import Empirical
-
-    return _render(_distributions(), dist, sep=":",
-                   name="empirical" if isinstance(dist, Empirical) else None)
+    return _render(_DISTRIBUTIONS, dist, sep=":",
+                   name="empirical" if isinstance(dist, mkdiv.Empirical) else None)
 
 
 def parse_generator(spec: str) -> ConvexGenerator:
-    from .generators import generator_catalog
-
     name = _split_head(spec, "phi")
-    catalog = generator_catalog()
+    catalog = mkdiv.generator_catalog()
     return _lookup(catalog, name, "generator", f"; choose from {sorted(catalog)}")
 
 
@@ -289,7 +260,7 @@ def render_generator(gen: ConvexGenerator) -> str:
 
 
 def parse_distortion(spec: str) -> DistortionSpec:
-    return _build(_distortions(), "distortion", spec, *_split_head(spec, "distortion").split(","))
+    return _build(_DISTORTIONS, "distortion", spec, *_split_head(spec, "distortion").split(","))
 
 
 def render_distortion(d: DistortionSpec) -> str:
@@ -298,24 +269,22 @@ def render_distortion(d: DistortionSpec) -> str:
 
 
 def parse_score(spec: str) -> Score:
-    return _build(_scores(), "score family", spec, *_split_head(spec, "score").split(","))
+    return _build(_SCORES, "score family", spec, *_split_head(spec, "score").split(","))
 
 
 def render_score(score: Score) -> str:
-    return _render(_scores(), score, "score:")
+    return _render(_SCORES, score, "score:")
 
 
 def parse_functional(spec: str) -> Functional:
-    return _build(_functionals(), "functional", spec, *_split_head(spec, "functional").split(","))
+    return _build(_FUNCTIONALS, "functional", spec, *_split_head(spec, "functional").split(","))
 
 
 def render_functional(t: Functional) -> str:
-    return _render(_functionals(), t, "functional:")
+    return _render(_FUNCTIONALS, t, "functional:")
 
 
 def parse_market(spec: str) -> MarketSpec:
-    from .payoff import MarketSpec
-
     body = _split_head(spec, "market")
     values = {}
     for token in body.split(";"):
@@ -331,7 +300,8 @@ def parse_market(spec: str) -> MarketSpec:
         _put(values, key, value, spec)
     if "spd" not in values:
         raise ConfigError(f"market spec {spec!r} is missing the spd")
-    return MarketSpec(spd=values["spd"], rate=values.get("r", 0.0), horizon=values.get("T", 1.0))
+    return mkdiv.MarketSpec(spd=values["spd"], rate=values.get("r", 0.0),
+                            horizon=values.get("T", 1.0))
 
 
 def render_market(market: MarketSpec) -> str:

@@ -223,6 +223,26 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, runner, forbidden, lo
     assert modules & forbidden == set()
 
 
+# one parse per spec kind and the exact modules it loads: its own, and what
+# they import
+SPEC_KINDS = [
+    ("parse_distribution('normal:mu=0,sigma=1')", {"distributions", "numerics"}),
+    ("parse_generator('phi:quadratic')", {"generators", "numerics"}),
+    ("parse_distortion('distortion:dualpower,k=2')", {"generators", "numerics"}),
+    ("parse_score('score:gpl,alpha=0.9,g=identity')", {"scores", "generators", "numerics"}),
+    ("parse_functional('functional:shortfall,loss=power')",
+     {"functionals", "scores", "distributions", "generators", "numerics"}),
+    ("parse_market('market:spd=uniform:a=0,b=1;r=0;T=1')",
+     {"payoff", "robust", "distributions", "generators", "numerics"}),
+]
+
+
+@pytest.mark.parametrize("call, modules", SPEC_KINDS,
+                         ids=[call.split("(")[0] for call, _ in SPEC_KINDS])
+def test_a_spec_kind_loads_only_its_own_modules(call, modules, loaded):
+    assert loaded(f"from mkdiv import specs\nspecs.{call}\n") == {"specs", "errors", *modules}
+
+
 def test_every_public_name_is_its_module_object():
     # importing every module binds each name wherever it is defined or
     # imported; the package resolves each name to that one object

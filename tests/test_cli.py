@@ -106,6 +106,19 @@ class TestDivergence:
         assert divergence[1:] == elicit[1:]
         assert "grid needs" in divergence[2] or "truncation level" in divergence[2]
 
+    @pytest.mark.parametrize("m", ["-5", "0", "1"])
+    def test_invalid_grid_exits_one_on_empirical_laws_too(self, csv_pair, m):
+        # no law reads m here, so only the subcommand itself can reject it
+        a, b = csv_pair
+        divergence = run_cli(["divergence", "--score", "score:bregman,phi=quadratic",
+                              "--from", f"empirical:path={a}", "--to", f"empirical:path={b}",
+                              "--grid-m", m])
+        elicit = run_cli(["elicit-check", "--functional", "functional:mean",
+                          "--score", "score:bregman,phi=quadratic",
+                          "--dist", f"empirical:path={a}", "--grid-m", m])
+        error = canonical_json({"error": f"grid needs an integer m >= 2, got m={m}"}) + "\n"
+        assert divergence == elicit == (1, "", error)
+
     def test_undefined_divergence_exits_one(self):
         code, out, err = run_cli(["divergence", "--score", "score:entropic,gamma=1,phi=quadratic",
                                   "--from", "normal:mu=0,sigma=100", "--to", "normal:mu=1,sigma=100"])
