@@ -19,7 +19,9 @@ All JSON output is canonical: sorted keys, compact separators, floats at 17
 significant digits.  A fixed seed therefore yields byte-identical output.
 
 Exit status: 0 on success (and for ``--help``), 1 on usage, domain or
-configuration errors, 2 when a verification deviates beyond tolerance.
+configuration errors, 2 when a verification deviates beyond tolerance,
+and 141 (128 + SIGPIPE), with nothing on stderr, when the ``mkdiv`` script's
+stdout is a pipe its reader closed before the output was written.
 stderr holds only JSON lines: the ``{"error": ...}`` object of a failed run,
 usage errors included, or one ``{"warning": ...}`` object per warning of a
 successful one.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -356,7 +359,16 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """The ``mkdiv`` script: :func:`main` on the process's own streams.  A
+    reader that closes stdout early ends the run quietly with status 141."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at interpreter exit would raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+    sys.exit(status)
 
 
 if __name__ == "__main__":

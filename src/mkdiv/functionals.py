@@ -12,9 +12,12 @@ loss's root is found by Brent's method.
 :func:`argmin_expected_score` provides the independent route to the same
 quantities: minimising the expected score over reports.  The two routes are
 compared in the test-suite for every functional/score pair of the catalog.
-Its report grid is scanned coarse to fine: the expected score of a strictly
-consistent score falls before the functional and rises after it, so only the
-reports around the coarse minimum can hold the grid's first argmin.
+Its report grid is refined level by level, each level a quarter of the
+last one's stride inside the window around the last level's minimum: the
+expected score of a strictly consistent score falls before the functional and
+rises after it, so only the reports around a level's minimum can hold the
+grid's first argmin.  Reports are scored in tiles of reports by atoms, so
+that every ufunc and fold runs along the atoms.
 """
 
 from __future__ import annotations
@@ -257,31 +260,34 @@ class Entropic(Functional):
         return f"entropic[{self.gamma}]"
 
 
-_TILE = 1 << 15  # score values per tile: a tile and its fold stay in L2
+# score values per tile: 128 KiB, glibc's default mmap threshold; the
+# temporaries of larger tiles faulted in fresh pages on every call
+_TILE = 1 << 14
 
 
 def _mean_scores(score: Score, sample: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Mean of S(z_i, Y) over the atoms ``sample`` for each report in the 1-D ``z``.
 
-    Scores are taken in tiles of at most ``_TILE`` values, atoms down and
-    reports across: an aligned block of a power of two of atoms against as
-    many reports as fit.  One :class:`mkdiv.numerics._BlockSum` per run of
-    reports folds its tiles down their atoms and merges them by the tree of
-    :func:`pairwise_sum`, so every mean is bit-identical to the fold of its
-    own row of scores, whatever tile it lands in, and memory stays bounded
-    by a tile plus ``len(z) * log2(len(sample))`` sums.
+    Scores are taken in tiles of at most ``_TILE`` values, reports down and
+    atoms across: as many reports as fit against an aligned block of a power
+    of two of atoms, so every ufunc and every level of the fold runs along
+    the atoms, however few the reports.  One
+    :class:`mkdiv.numerics._BlockSum` per run of reports folds its tiles
+    along their atoms and merges them by the tree of :func:`pairwise_sum`, so
+    every mean is bit-identical to the fold of its own row of scores, whatever
+    tile it lands in, and memory stays bounded by a tile plus
+    ``len(z) * log2(len(sample))`` sums.
     """
     m = sample.size
-    per_tile = max(1, _TILE // max(z.size, 1))
-    rows = min(1 << (per_tile.bit_length() - 1), 1 << (m - 1).bit_length())
-    cols = _TILE // rows
+    cols = min(_TILE, 1 << (m - 1).bit_length())
+    rows = max(1, _TILE // min(cols, m))
     out = np.empty(z.size)
-    for j in range(0, z.size, cols):
-        reports = z[None, j : j + cols]
+    for j in range(0, z.size, rows):
+        reports = z[j : j + rows, None]
         sums = _BlockSum()
-        for i in range(0, m, rows):
-            sums.add(score(reports, sample[i : i + rows, None]))
-        out[j : j + cols] = sums.total() / m
+        for i in range(0, m, cols):
+            sums.add(score(reports, sample[None, i : i + cols]))
+        out[j : j + rows] = sums.total() / m
     return out
 
 
@@ -311,35 +317,47 @@ def argmin_expected_score(
     """Grid minimiser of the expected score, refined by golden-section.
 
     Ties break toward the smallest report.  The grid is ``steps`` points on
-    the finite interval [z_lo, z_hi], scanned coarse to fine: every s-th
-    point and the last, s = round(sqrt(steps / 2)) (33 of 513), then every
-    point from the coarse point before the first coarse value within
-    ``1e-12 (1 + |min|)`` of the coarse minimum to the one after the last.
-    The result is that of scanning the whole grid whenever every value
-    outside that window exceeds the window's minimum, as it does when the
-    grid values are unimodal up to the band; with several local minima, as
-    for a lambda-quantile score whose crossing is not unique, it may be
-    another one.  A grid with no finite coarse value is scanned whole.
-    Golden-section then refines inside the best bracket down to 1e-8
-    relative width.  Every stage scores reports against the same atoms of
-    ``dist`` in tiles, as :func:`expected_score` does.
+    the finite interval [z_lo, z_hi], refined level by level: the first level
+    takes every s-th point and the last, s the largest power of 4 not above
+    (steps - 1) / 8 (64 at 513 steps), and each next level divides s by 4,
+    down to 1, inside a window: from the point before the first value within
+    ``1e-12 (1 + |min|)`` of the level's minimum to the point after the last.
+    A level scores only the points of its window not scored before: where
+    each band holds one point, 9 + 6 + 6 + 6 = 27 of 513 reports in 4
+    calls.  The result is that of scanning the
+    whole grid whenever the grid values are unimodal up to the band; with
+    several local minima, as for a lambda-quantile score whose crossing is
+    not unique, it may be another one.  A level with no finite value keeps
+    the whole grid as its window.  Golden-section then refines inside the
+    best bracket down to 1e-8 relative width.  Every stage scores reports
+    against the same atoms of ``dist`` in tiles, as :func:`expected_score`
+    does.
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
     _check_size("argmin", 2, steps=steps)
     sample = dist.atoms(m, delta)
     zs = np.linspace(z_lo, z_hi, steps)
-    stride = max(1, round(math.sqrt(steps / 2)))
-    coarse = np.arange(0, steps - 1 + stride, stride)
-    coarse[-1] = steps - 1
-    values = _finite_or_inf(_mean_scores(score, sample, zs[coarse]))
-    low = float(values.min())  # inf if no value is finite: the window is then the grid
-    near = np.flatnonzero(values <= low + 1e-12 * (1.0 + abs(low)))
-    first, last = coarse[max(near[0] - 1, 0)], coarse[min(near[-1] + 1, coarse.size - 1)]
-    values = _finite_or_inf(_mean_scores(score, sample, zs[first : last + 1]))
-    if not np.isfinite(values).any():
+    values = np.full(steps, np.nan)  # nan until scored; a non-finite score is inf
+    first, last, stride = 0, steps - 1, 1
+    while 4 * stride <= (steps - 1) // 8:
+        stride *= 4
+    while True:
+        points = np.arange(first, last + stride, stride)
+        points[-1] = last
+        new = points[np.isnan(values[points])]
+        values[new] = _finite_or_inf(_mean_scores(score, sample, zs[new]))
+        if stride == 1:
+            break
+        level = values[points]
+        low = float(level.min())  # inf if no value is finite: the window is then the grid
+        near = np.flatnonzero(level <= low + 1e-12 * (1.0 + abs(low)))
+        first, last = points[max(near[0] - 1, 0)], points[min(near[-1] + 1, points.size - 1)]
+        stride //= 4
+    window = values[first : last + 1]
+    if not np.isfinite(window).any():
         raise EvaluationError("expected score is non-finite over the whole grid")
-    i = first + int(np.argmin(values))  # argmin returns the first, i.e. smallest z
+    i = first + int(np.argmin(window))  # argmin returns the first, i.e. smallest z
     lo = zs[max(i - 1, 0)]
     hi = zs[min(i + 1, steps - 1)]
     objective = lambda z: _mean_scores(score, sample, np.array([z]))[0]

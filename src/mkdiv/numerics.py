@@ -1,8 +1,8 @@
 """Shared numerical primitives: reductions, the rule over u and 1-D searches.
 
 All reductions used for reported values go through :func:`pairwise_sum`, which
-fixes the summation tree (index-ascending, adjacent pairing, folded down the
-leading axis), so results are bit-stable across runs; :class:`_BlockSum` sums
+fixes the summation tree (index-ascending, adjacent pairing, folded along the
+last axis), so results are bit-stable across runs; :class:`_BlockSum` sums
 each aligned block of ``_BLOCK`` entries or tiles that values arrive in by
 :func:`pairwise_sum` and merges the block sums by the same tree, so that no
 caller holds all of them at once.  A :class:`Rule` integrates over the
@@ -54,29 +54,33 @@ def first_outside(values, interval) -> int | None:
 
 
 def _fold(a: np.ndarray) -> np.ndarray:
-    """Pairwise tree over the leading axis of ``a``, which must be non-empty.
+    """Pairwise tree over the last axis of ``a``, which must be non-empty.
 
-    Each level adds whole rows: one ``np.add`` sums every pair of rows, each
-    row a run over the trailing axes.
+    The first level pairs the entries into a zeroed buffer half the width
+    of the axis padded to a power of two, so the rest of the buffer is the
+    padding's own sums; each further level adds every adjacent pair of
+    entries, one ``np.add`` for all the slices.
     """
-    n = a.shape[0]
-    while n > 1:
-        half = np.empty(((n + 1) // 2,) + a.shape[1:])
-        np.add(a[0 : n - 1 : 2], a[1::2], out=half[: n // 2])
+    n = a.shape[-1]
+    if n > 1:
+        half = np.zeros(a.shape[:-1] + (1 << (n - 1).bit_length() - 1,))
+        np.add(a[..., 0 : n - 1 : 2], a[..., 1::2], out=half[..., : n // 2])
         if n % 2:
             # x + 0.0, not x: the padded tree turns -0.0 into +0.0
-            np.add(a[-1:], 0.0, out=half[-1:])
-        a, n = half, half.shape[0]
-    return a[0]
+            np.add(a[..., -1:], 0.0, out=half[..., n // 2 : n // 2 + 1])
+        a = half
+    while a.shape[-1] > 1:
+        a = a[..., ::2] + a[..., 1::2]
+    return a[..., 0]
 
 
 _BLOCK = 1 << 14  # nodes per block: the temporaries of a block stay in cache
 
 
 class _BlockSum:
-    """:func:`pairwise_sum` down the leading axis of values that arrive in
-    consecutive blocks: aligned blocks of one power of two of entries, of
-    which only the last may be shorter.
+    """:func:`pairwise_sum` along the last axis of values that arrive in
+    consecutive blocks along it: aligned blocks of one power of two of
+    entries, of which only the last may be shorter.
 
     Each block is folded by :func:`pairwise_sum`, and the sums of the blocks
     merge as they complete, by the same tree, on a stack of aligned subtrees
@@ -89,7 +93,7 @@ class _BlockSum:
         self._stack = []  # (level, sums of an aligned subtree of 2**level entries)
 
     def add(self, block) -> None:
-        sums, level = pairwise_sum(block, axis=0), (len(block) - 1).bit_length()
+        sums, level = pairwise_sum(block, axis=-1), (np.shape(block)[-1] - 1).bit_length()
         while self._stack and self._stack[-1][0] == level:
             sums = self._stack.pop()[1] + sums
             level += 1
@@ -113,11 +117,12 @@ def pairwise_sum(values, axis=None):
     The tree is that of zero-padding to the next power of two: at each level
     an odd last entry is paired with 0.0.  The fixed tree makes the reduction
     order a contract rather than an implementation detail.  With ``axis=None``
-    the flattened array is summed to a float; otherwise ``axis`` is moved to
-    the front and each slice along it is folded by the same tree, all slices
-    at once, a level of the tree per ``np.add`` over the leading axis, and an
-    array is returned.  The fold holds buffers as large as ``values``, so
-    callers with many slices pass them in bounded blocks.
+    the flattened array is summed to a float; otherwise ``axis`` is moved
+    last, unless it is last already, and each slice along it is folded by the
+    same tree, all slices at once, a level of the tree per ``np.add`` over
+    the last axis, and an array is returned.  The fold holds buffers nearly as
+    large as ``values``, so callers with many slices pass them in bounded
+    blocks.
 
     The tree of an aligned block of 2**k entries is the subtree of the whole
     tree at level k, so summing such blocks first and then folding their sums
@@ -128,9 +133,10 @@ def pairwise_sum(values, axis=None):
     a = np.asarray(values, dtype=float)
     if axis is None:
         return float(_fold(a.ravel())) if a.size else 0.0
-    a = np.rollaxis(a, axis)  # moveaxis(a, axis, 0), at a tenth of the cost
+    if axis not in (-1, a.ndim - 1):
+        a = np.moveaxis(a, axis, -1)
     # copied: a width-1 fold is a view of ``values``
-    return _fold(a).copy() if a.size else np.zeros(a.shape[1:])
+    return _fold(a).copy() if a.size else np.zeros(a.shape[:-1])
 
 
 def pairwise_mean(values) -> float:

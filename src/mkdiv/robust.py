@@ -46,7 +46,6 @@ from .numerics import (
     _BlockSum,
     first_outside,
     midpoint_rule,
-    pairwise_mean,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "choquet",
     "solve_worst_case",
     "perturbed_nodes",
-    "bw_divergence_nodes",
     "calibrate_lambda",
 ]
 
@@ -159,12 +157,6 @@ def perturbed_nodes(
             node=node,
         )
     return nodes
-
-
-def bw_divergence_nodes(gen: ConvexGenerator, nodes_g, nodes_f) -> float:
-    """Bregman-Wasserstein divergence between two grids on the same u-nodes:
-    the comonotonic coupling is optimal, so this is a plain nodewise mean."""
-    return pairwise_mean(np.asarray(gen.bregman(nodes_g, nodes_f)))
 
 
 def _inverse_curvature_terms(gen, nodes, phi_nodes, weight):
@@ -280,10 +272,11 @@ def calibrate_lambda(
     :meth:`ConvexGenerator.bregman` uses, and the terms of I(G_lam), and
     folds each block by :func:`mkdiv.numerics.pairwise_sum`.  The block sums
     merge by the same tree, so D and I are the whole-array folds bit for
-    bit, and every divergence is repr-equal to :func:`bw_divergence_nodes`.
-    A probe keeps its curve and nothing else of the grid's size, so a
-    calibration holds four such arrays beyond its inputs, plus a block's
-    temporaries: phi(ref), phi'(ref), the best curve and the probe's own.
+    bit, and every divergence is repr-equal to ``pairwise_mean(gen.bregman(G,
+    Q))`` on the probe's curve G and the reference nodes Q.  A probe keeps
+    its curve and nothing else of the grid's size, so a calibration holds
+    four such arrays beyond its inputs, plus a block's temporaries:
+    phi(ref), phi'(ref), the best curve and the probe's own.
 
     Returns
     -------

@@ -18,11 +18,12 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def run_python():
     """Run ``python *args`` in a child that imports the same mkdiv as this
-    suite, installed or not; returns the completed process, output as text."""
+    suite, installed or not; returns the completed process, output as text.
+    ``stdout`` may name another file descriptor for the child's stdout."""
     src = str(Path(mkdiv.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return lambda *args: subprocess.run([sys.executable, *args], capture_output=True,
-                                        text=True, env=env)
+    return lambda *args, stdout=subprocess.PIPE: subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def pytest_report_header(config):

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -426,6 +427,23 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["binding"] is True
         assert [json.loads(line) for line in proc.stderr.splitlines()] == [TVAR_WARNING]
+
+    @pytest.mark.parametrize("argv", [
+        ["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+         "--ref", "uniform:a=0,b=1", "--eps", "0.03"],
+        ["divergence", "--score", "score:bregman,phi=quadratic",
+         "--from", "normal:mu=0,sigma=1", "--to", "normal:mu=1,sigma=1", "--grid-m", "10"],
+    ])
+    def test_a_closed_stdout_pipe_exits_quietly(self, argv, run_python):
+        # the reader is gone before the child writes, as when `| head -c 10`
+        # has read its bytes: the payload's write fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python("-m", "mkdiv.cli", *argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     def test_in_process_runs_report_their_warning_each_time(self):
         for _ in range(2):

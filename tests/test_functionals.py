@@ -503,14 +503,15 @@ def _counting_reports(monkeypatch):
 
 
 class TestCoarseToFineScan:
-    """The two-level scan returns the whole-grid scan's argmin, repr for repr."""
+    """The level-by-level scan returns the whole-grid scan's argmin, repr for repr."""
 
     @pytest.mark.parametrize("score", _SCAN_SCORES, ids=lambda s: s.describe())
     def test_matches_the_whole_grid_scan(self, score):
         for dist in _SCAN_DISTS:
             z_lo = float(dist.quantile(0.01)) - 1.0
             z_hi = float(dist.quantile(0.99)) + 1.0
-            for steps in (2, 3, 9, 33, 100, 513, 801):
+            # 64, 65, 257, 1025 and 4097 sit at the boundaries of the first stride
+            for steps in (2, 3, 9, 33, 64, 65, 100, 257, 513, 801, 1025, 4097):
                 want = _whole_grid_argmin(score, dist, z_lo, z_hi, steps, 1000)
                 got = argmin_expected_score(score, dist, z_lo, z_hi, steps=steps, m=1000)
                 assert repr(got) == repr(want), (dist.kind, steps)
@@ -528,7 +529,8 @@ class TestCoarseToFineScan:
     def test_no_finite_coarse_value_scans_the_whole_grid(self, monkeypatch):
         class Window(Score):
             """Squared error, finite only for reports strictly between the
-            coarse points 16 and 32 of the integer grid 0, ..., 512."""
+            points 16 and 32 of the integer grid 0, ..., 512: no point of the
+            strides 64 and 16 is finite."""
 
             family = "window"
 
@@ -538,16 +540,18 @@ class TestCoarseToFineScan:
         dist = from_samples([20.0, 21.0])
         sizes = _counting_reports(monkeypatch)
         got = argmin_expected_score(Window(), dist, 0.0, 512.0)
-        assert sizes[:2] == [33, 513]
+        # 9 at stride 64, then the rest of the whole grid at strides 16 and
+        # 4, then 6 around the minimum at 20
+        assert sizes[:4] == [9, 33 - 9, 129 - 33, 6]
         assert repr(got) == repr(_whole_grid_argmin(Window(), dist, 0.0, 512.0, 513, 2))
         assert got == pytest.approx(20.5, abs=1e-6)
 
-    def test_a_unimodal_grid_scores_at_most_70_reports(self, monkeypatch):
+    def test_a_unimodal_grid_scores_27_reports_in_4_calls(self, monkeypatch):
         sizes = _counting_reports(monkeypatch)
         argmin_expected_score(ExpectileScore(0.7, quadratic()), Normal(0, 1), -4.0, 4.0)
-        grid = [n for n in sizes if n > 1]
-        assert len(grid) == 2 and sum(grid) <= 70
-        assert sizes[: len(grid)] == grid  # golden-section then scores one report a call
+        # 9 at stride 64, then the 6 new points of each window at strides 16, 4 and 1
+        assert sizes[:4] == [9, 6, 6, 6]
+        assert set(sizes[4:]) == {1}  # golden-section then scores one report a call
 
     @pytest.mark.parametrize("steps", [513.0, "513", None, 1, np.int64(1)])
     def test_steps_must_be_an_integer_of_at_least_two(self, steps):
@@ -577,7 +581,8 @@ def _per_report(score, atoms, zs):
 class TestTiledMeans:
     """Every mean of the tiled scan is repr-equal to the 1-D fold of its row."""
 
-    @pytest.mark.parametrize("reports", [0, 1, 513])
+    # 1, 2, 6, 9, 33 and 513 reports: the batches the argmin scans
+    @pytest.mark.parametrize("reports", [0, 1, 2, 6, 9, 33, 513])
     @pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, _TILE - 1, _TILE + 1, 10_000, 40_001])
     def test_tile_geometry(self, m, reports):
         rng = np.random.default_rng(m)
@@ -606,7 +611,7 @@ class TestTiledMeans:
         assert [got[i] for i in picks] == _per_report(score, atoms, zs[picks])
 
     @pytest.mark.parametrize("special", ["negative_zeros", "mixed_zeros", "inf", "both_infs", "nan"])
-    @pytest.mark.parametrize("m", [1, 2, 3, 32, 33, 64, 1000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 32, 33, 64, 1000, 10_000, 40_000])
     def test_signed_zeros_infinities_and_nan(self, m, special):
         rng = np.random.default_rng(m)
         atoms = np.full(m, -0.0)

@@ -62,16 +62,17 @@ class TestPairwise:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 33, 100])
     @pytest.mark.parametrize("block", [1, 2, 4, 8, 64])
     def test_block_sum_is_the_fold_of_the_whole(self, n, block):
+        # blocks arrive along the last axis, as report-by-atom tiles do
         rng = np.random.default_rng(n)
-        x = rng.normal(0, 1, (n, 3)) * 10.0 ** rng.integers(-12, 12, (n, 3))
+        x = rng.normal(0, 1, (3, n)) * 10.0 ** rng.integers(-12, 12, (3, n))
         x[rng.random(x.shape) < 0.3] = -0.0
-        x[:, 0] = -0.0  # an all-negative-zero column
-        rows, column = _BlockSum(), _BlockSum()
+        x[0] = -0.0  # an all-negative-zero row
+        rows, row = _BlockSum(), _BlockSum()
         for i in range(0, n, block):
-            rows.add(x[i : i + block])
-            column.add(x[i : i + block, 1])
-        assert rows.total().tobytes() == pairwise_sum(x, axis=0).tobytes()
-        assert np.float64(column.total()).tobytes() == np.float64(pairwise_sum(x[:, 1])).tobytes()
+            rows.add(x[:, i : i + block])
+            row.add(x[1, i : i + block])
+        assert rows.total().tobytes() == pairwise_sum(x, axis=-1).tobytes()
+        assert np.float64(row.total()).tobytes() == np.float64(pairwise_sum(x[1])).tobytes()
 
 
 INF = np.inf

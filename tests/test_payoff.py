@@ -17,7 +17,8 @@ from mkdiv import (
 )
 from mkdiv.distributions import QuantileGrid
 from mkdiv.numerics import midpoint_rule, pairwise_mean
-from mkdiv.robust import bw_divergence_nodes, perturbed_nodes
+from mkdiv.robust import perturbed_nodes
+from test_robust import bw_divergence_nodes
 
 
 def unit_market():

@@ -34,10 +34,15 @@ from mkdiv.numerics import _BLOCK, brent_root, midpoint_rule, pairwise_mean, pai
 from mkdiv.robust import (
     UniquenessWarning,
     _Probes,
-    bw_divergence_nodes,
     calibrate_lambda,
     perturbed_nodes,
 )
+
+
+def bw_divergence_nodes(gen, nodes_g, nodes_f):
+    """Bregman-Wasserstein divergence between two grids on the same u-nodes:
+    the comonotonic coupling is optimal, so this is a plain nodewise mean."""
+    return pairwise_mean(gen.bregman(nodes_g, nodes_f))
 
 
 class TestChoquet:
