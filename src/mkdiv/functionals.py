@@ -16,8 +16,10 @@ Its report grid is refined level by level, each level a quarter of the
 last one's stride inside the window around the last level's minimum: the
 expected score of a strictly consistent score falls before the functional and
 rises after it, so only the reports around a level's minimum can hold the
-grid's first argmin.  Reports are scored in tiles of reports by atoms, so
-that every ufunc and fold runs along the atoms.
+grid's first argmin.  The atoms are prepared for the score once per call
+(:meth:`mkdiv.scores.Score._prepare`), and reports are scored against the
+preparation in tiles of reports by atoms, so that every ufunc and fold runs
+along the atoms; a tile of one report and all the atoms is one 1-D row.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .numerics import (
     pairwise_mean,
     pairwise_sum,
 )
-from .scores import LossFunction, Score, StepFunction, exponential_loss
+from .scores import LossFunction, Score, StepFunction, _Prepared, exponential_loss
 
 __all__ = [
     "Functional",
@@ -265,28 +267,49 @@ class Entropic(Functional):
 _TILE = 1 << 14
 
 
-def _mean_scores(score: Score, sample: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mean of S(z_i, Y) over the atoms ``sample`` for each report in the 1-D ``z``.
+def _tile(m: int) -> tuple:
+    """(reports, atoms) of a tile over ``m`` atoms: an aligned block of a power
+    of two of atoms, and as many reports as fit in ``_TILE`` values."""
+    cols = min(_TILE, 1 << (m - 1).bit_length())
+    return max(1, _TILE // min(cols, m)), cols
+
+
+def _prepare_atoms(score: Score, sample: np.ndarray, z: np.ndarray):
+    """``score``'s preparation of the atoms ``sample``, made once for all the
+    reports, after the reports of ``z``'s first tile are checked: scoring
+    that tile checks them before its atoms, so a report error still comes
+    first."""
+    score._check(z[: _tile(sample.size)[0]], score.z_domain, "report z")
+    return score._prepare(sample)
+
+
+def _mean_scores(score: Score, prep, z: np.ndarray) -> np.ndarray:
+    """Mean of S(z_i, Y) over the atoms prepared in ``prep``, as
+    :func:`_prepare_atoms` returns them, for each report in the 1-D ``z``.
 
     Scores are taken in tiles of at most ``_TILE`` values, reports down and
     atoms across: as many reports as fit against an aligned block of a power
-    of two of atoms, so every ufunc and every level of the fold runs along
-    the atoms, however few the reports.  One
-    :class:`mkdiv.numerics._BlockSum` per run of reports folds its tiles
-    along their atoms and merges them by the tree of :func:`pairwise_sum`, so
-    every mean is bit-identical to the fold of its own row of scores, whatever
-    tile it lands in, and memory stays bounded by a tile plus
-    ``len(z) * log2(len(sample))`` sums.
+    of two of atoms, every prepared array sliced alike, so every ufunc and
+    every level of the fold runs along the atoms, however few the reports.
+    A tile of one report and all the atoms, at ``_TILE / 2 < m <= _TILE``, is
+    one 1-D row folded by :func:`pairwise_sum`; otherwise one
+    :class:`mkdiv.numerics._BlockSum` per run of reports folds its tiles and
+    merges them by the same tree.  So every mean is bit-identical to the fold
+    of its own row of scores, whatever tile it lands in, and memory stays
+    bounded by a tile plus ``len(z) * log2(m)`` sums.
     """
-    m = sample.size
-    cols = min(_TILE, 1 << (m - 1).bit_length())
-    rows = max(1, _TILE // min(cols, m))
+    m = prep[0].size
+    rows, cols = _tile(m)
     out = np.empty(z.size)
+    if rows == 1 and cols >= m:
+        for j in range(z.size):
+            out[j] = pairwise_sum(score(z[j : j + 1], prep)) / m
+        return out
     for j in range(0, z.size, rows):
         reports = z[j : j + rows, None]
         sums = _BlockSum()
         for i in range(0, m, cols):
-            sums.add(score(reports, sample[None, i : i + cols]))
+            sums.add(score(reports, _Prepared(p[None, i : i + cols] for p in prep)))
         out[j : j + rows] = sums.total() / m
     return out
 
@@ -299,9 +322,13 @@ def expected_score(
     delta: float = _DEFAULT_DELTA,
 ):
     """E_F[S(z, Y)] over the atoms of ``dist``: a float for a scalar report,
-    otherwise an array of z's shape, each entry bit-identical to its scalar call."""
+    otherwise an array of z's shape, each entry bit-identical to its scalar call.
+    The atoms are prepared once, unless there is no report to score."""
     z_arr = np.asarray(z, dtype=float)
-    means = _mean_scores(score, dist.atoms(m, delta), z_arr.ravel()).reshape(z_arr.shape)
+    zs, sample = z_arr.ravel(), dist.atoms(m, delta)
+    if zs.size == 0:
+        return np.empty(z_arr.shape)
+    means = _mean_scores(score, _prepare_atoms(score, sample, zs), zs).reshape(z_arr.shape)
     return float(means) if z_arr.ndim == 0 else means
 
 
@@ -329,9 +356,9 @@ def argmin_expected_score(
     several local minima, as for a lambda-quantile score whose crossing is
     not unique, it may be another one.  A level with no finite value keeps
     the whole grid as its window.  Golden-section then refines inside the
-    best bracket down to 1e-8 relative width.  Every stage scores reports
-    against the same atoms of ``dist`` in tiles, as :func:`expected_score`
-    does.
+    best bracket down to 1e-8 relative width.  The atoms of ``dist`` are
+    prepared once, and every stage scores its reports against them in tiles,
+    as :func:`expected_score` does.
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
@@ -342,11 +369,14 @@ def argmin_expected_score(
     first, last, stride = 0, steps - 1, 1
     while 4 * stride <= (steps - 1) // 8:
         stride *= 4
+    prep = None
     while True:
         points = np.arange(first, last + stride, stride)
         points[-1] = last
         new = points[np.isnan(values[points])]
-        values[new] = _finite_or_inf(_mean_scores(score, sample, zs[new]))
+        if prep is None:  # the first level: its reports are checked first
+            prep = _prepare_atoms(score, sample, zs[new])
+        values[new] = _finite_or_inf(_mean_scores(score, prep, zs[new]))
         if stride == 1:
             break
         level = values[points]
@@ -360,7 +390,7 @@ def argmin_expected_score(
     i = first + int(np.argmin(window))  # argmin returns the first, i.e. smallest z
     lo = zs[max(i - 1, 0)]
     hi = zs[min(i + 1, steps - 1)]
-    objective = lambda z: _mean_scores(score, sample, np.array([z]))[0]
+    objective = lambda z: _mean_scores(score, prep, np.array([z]))[0]
     return float(golden_section(objective, float(lo), float(hi), width_tol=1e-8))
 
 

@@ -7,8 +7,11 @@ each aligned block of ``_BLOCK`` entries or tiles that values arrive in by
 :func:`pairwise_sum` and merges the block sums by the same tree, so that no
 caller holds all of them at once.  A :class:`Rule` integrates over the
 quantile level u in the divergences, the worst-case value and the payoff
-cost; the lambda probes and the expected-score scan divide :class:`_BlockSum`
-totals by the node count, and node and atom means are :func:`pairwise_mean`.
+cost; the lambda probes divide :class:`_BlockSum` totals by the node count,
+and the expected-score scan divides the :func:`pairwise_sum` of a report's
+row, or a :class:`_BlockSum` total where a tile holds several reports or
+only part of the atoms, by the atom count; node and atom means are
+:func:`pairwise_mean`.
 Every open-domain check goes through :func:`first_outside`.
 :func:`brent_root` and :func:`golden_section` are the 1-D searches; the robust
 solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.

@@ -11,6 +11,13 @@ original claim.
 Scores are normalised: ``S(point_value(y), y) = 0`` where ``point_value(y)``
 is the value the elicited functional takes on the unit mass at ``y``.
 
+A score is evaluated in two halves.  :meth:`Score._prepare` checks the
+realizations and computes what the score reads of them alone, such as
+``phi(y)``; :meth:`Score._eval` combines that with the reports.  A caller that
+scores many reports against one set of realizations, as
+:mod:`mkdiv.functionals` does, prepares them once and passes the preparation
+as ``y``; every call still goes through :meth:`Score.__call__`.
+
 Everything here is immutable and evaluation is pure; scores broadcast over
 numpy arrays.
 """
@@ -256,8 +263,19 @@ def power_loss(p: float = 3.0) -> LossFunction:
     return LossFunction("power", p=p)
 
 
+class _Prepared(tuple):
+    """The arrays :meth:`Score._prepare` computed from checked realizations,
+    each shaped like them; passed to a score as ``y``, it is used as it is."""
+
+
 class Score:
     """Base scoring function S(z, y) with a coupling claim.
+
+    ``score(z, y)`` checks the reports ``z``, then prepares the realizations
+    ``y`` by :meth:`_prepare`, unless ``y`` already is a preparation for this
+    score, and returns ``_eval(z, *preparation)``.  A subclass defines
+    ``_eval(z, y)``, and overrides :meth:`_prepare` where part of the score
+    depends on ``y`` alone.
 
     Attributes
     ----------
@@ -276,11 +294,10 @@ class Score:
 
     def __call__(self, z, y):
         z_arr = np.asarray(z, dtype=float)
-        y_arr = np.asarray(y, dtype=float)
         self._check(z_arr, self.z_domain, "report z")
-        self._check(y_arr, self.y_domain, "realization y")
-        out = self._eval(z_arr, y_arr)
-        if np.ndim(z) == 0 and np.ndim(y) == 0:
+        prep = y if isinstance(y, _Prepared) else self._prepare(y)
+        out = self._eval(z_arr, *prep)
+        if np.ndim(z) == 0 and np.ndim(prep[0]) == 0:
             return float(out)
         return out
 
@@ -290,6 +307,17 @@ class Score:
             raise DomainError(
                 f"score family '{self.family}': {what} outside {tuple(interval)}", index=i
             )
+
+    def _realizations(self, y):
+        """``y`` as a float array, checked against ``y_domain``."""
+        y_arr = np.asarray(y, dtype=float)
+        self._check(y_arr, self.y_domain, "realization y")
+        return y_arr
+
+    def _prepare(self, y) -> _Prepared:
+        """The checked realizations and what :meth:`_eval` reads of them
+        alone, as the arguments after ``z``: ``(y,)`` by default."""
+        return _Prepared((self._realizations(y),))
 
     def _eval(self, z, y):
         raise NotImplementedError
@@ -325,8 +353,13 @@ class BregmanScore(Score):
     family = "bregman"
     z_domain = y_domain = property(lambda self: self.gen.domain)
 
-    def _eval(self, z, y):
-        return self.gen.bregman(y, z)
+    def _prepare(self, y):
+        y = self._realizations(y)
+        return _Prepared((y, self.gen.phi(y)))
+
+    def _eval(self, z, y, phi_y):
+        gen = self.gen
+        return gen._bregman_terms(y, phi_y, z, gen.phi(z), gen.dphi(z))
 
     def describe(self):
         return f"bregman[{self.gen.name}]"
@@ -350,9 +383,12 @@ class GPLScore(Score):
         if not self.transform.increasing:
             raise ConfigError("gpl transform must be increasing")
 
-    def _eval(self, z, y):
-        g = self.transform.fn
-        return np.where(y <= z, 1.0 - self.alpha, -self.alpha) * (g(z) - g(y))
+    def _prepare(self, y):
+        y = self._realizations(y)
+        return _Prepared((y, self.transform.fn(y)))
+
+    def _eval(self, z, y, g_y):
+        return np.where(y <= z, 1.0 - self.alpha, -self.alpha) * (self.transform.fn(z) - g_y)
 
     def describe(self):
         return f"gpl[{self.transform.name},alpha={self.alpha}]"
@@ -369,8 +405,13 @@ class LambdaQuantileScore(Score):
     step: StepFunction
     family = "lambda_quantile"
 
-    def _eval(self, z, y):
-        return np.maximum(z - y, 0.0) - self.step.integral(y, z)
+    def _prepare(self, y):
+        y = self._realizations(y)
+        return _Prepared((y, self.step._antiderivative(y)))
+
+    def _eval(self, z, y, area_y):
+        # the integral from y to z, as StepFunction.integral takes it
+        return np.maximum(z - y, 0.0) - (self.step._antiderivative(z) - area_y)
 
 
 @dataclass(frozen=True)
@@ -386,8 +427,13 @@ class ExpectileScore(Score):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"expectile level must lie in (0, 1), got {self.alpha}")
 
-    def _eval(self, z, y):
-        out = self.gen.bregman(y, z)
+    def _prepare(self, y):
+        y = self._realizations(y)
+        return _Prepared((y, self.gen.phi(y)))
+
+    def _eval(self, z, y, phi_y):
+        gen = self.gen
+        out = gen._bregman_terms(y, phi_y, z, gen.phi(z), gen.dphi(z))
         out *= np.where(y <= z, 1.0 - self.alpha, self.alpha)  # in place: one tile fewer
         return out
 
@@ -465,11 +511,19 @@ class EntropicScore(Score):
                 "entropic score needs a generator defined on (0, inf)"
             )
 
-    def _eval(self, z, y):
-        # overflow is allowed to produce inf/nan scores; callers treat
-        # non-finite expectations as moment/evaluation failures
+    # in both halves overflow is allowed to produce inf/nan scores; callers
+    # treat non-finite expectations as moment/evaluation failures
+    def _prepare(self, y):
+        y, gen = self._realizations(y), self.gen
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.gen.bregman(np.exp(self.gamma * y), np.exp(self.gamma * z))
+            e_y = gen._check_domain(np.exp(self.gamma * y), "first Bregman argument")
+            return _Prepared((e_y, gen.phi(e_y)))
+
+    def _eval(self, z, e_y, phi_e_y):
+        gen = self.gen
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_z = gen._check_domain(np.exp(self.gamma * z), "second Bregman argument")
+            return gen._bregman_terms(e_y, phi_e_y, e_z, gen.phi(e_z), gen.dphi(e_z))
 
     def describe(self):
         return f"entropic[{self.gen.name},gamma={self.gamma}]"
@@ -502,8 +556,11 @@ class OsbandScore(Score):
         if self.gmap.inverse is None:
             raise ConfigError(f"map '{self.gmap.name}' is not invertible")
 
-    def _eval(self, z, y):
-        return np.asarray(self.inner(self.gmap.inverse(z), y))
+    def _prepare(self, y):
+        return self.inner._prepare(self._realizations(y))
+
+    def _eval(self, z, *prep):
+        return np.asarray(self.inner(self.gmap.inverse(z), _Prepared(prep)))
 
     def point_value(self, y):
         return self.gmap.fn(self.inner.point_value(y))
@@ -527,8 +584,11 @@ class DistTransformScore(Score):
     z_domain = property(lambda self: self.inner.z_domain)
     y_domain = property(lambda self: self.hmap.domain)
 
-    def _eval(self, z, y):
-        return np.asarray(self.inner(z, self.hmap.fn(y)))
+    def _prepare(self, y):
+        return self.inner._prepare(self.hmap.fn(self._realizations(y)))
+
+    def _eval(self, z, *prep):
+        return np.asarray(self.inner(z, _Prepared(prep)))
 
     def point_value(self, y):
         return self.inner.point_value(self.hmap.fn(y))

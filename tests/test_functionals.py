@@ -34,6 +34,7 @@ from mkdiv import (
     expected_score,
     from_samples,
     linear_loss,
+    log_map,
     osband_transform,
     power_loss,
     quadratic,
@@ -443,6 +444,25 @@ class TestArgmin:
         for z, row in zip(zs, rows):
             assert np.float64(expected_score(s, d, float(z))).tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize(
+        "zs, message",
+        [
+            ((-1.0, 1.0), r"report z outside \(0\.0, inf\)"),
+            ((0.5, 2.0), r"realization y outside \(0\.0, inf\)"),
+            # the first tile's report is in the domain, so the atoms fail
+            # before a later report is checked
+            ((1.0, -1.0), r"realization y outside \(0\.0, inf\)"),
+        ],
+    )
+    def test_the_first_reports_are_checked_before_the_atoms(self, zs, message):
+        # every atom of Normal(0, 1) below its median leaves the domain of log
+        score, dist = GPLScore(0.5, log_map()), Normal(0.0, 1.0)
+        with pytest.raises(DomainError, match=message):
+            expected_score(score, dist, np.array(zs))
+        if zs[0] < zs[1]:
+            with pytest.raises(DomainError, match=message):
+                argmin_expected_score(score, dist, *zs)
+
     def test_argmin_memory_is_bounded(self):
         # the 513 x 10^4 report-by-atom matrix alone would take 39 MiB
         import tracemalloc
@@ -460,14 +480,14 @@ class TestArgmin:
 
 def _whole_grid_argmin(score, dist, z_lo, z_hi, steps, m):
     """The reference: every grid report scored, the first minimum refined."""
-    sample = dist.atoms(m, 0.0)
+    prep = score._prepare(dist.atoms(m, 0.0))
     zs = np.linspace(z_lo, z_hi, steps)
-    values = _mean_scores(score, sample, zs)
+    values = _mean_scores(score, prep, zs)
     finite = np.isfinite(values)
     if not np.any(finite):
         raise EvaluationError("expected score is non-finite over the whole grid")
     i = int(np.argmin(np.where(finite, values, np.inf)))
-    objective = lambda z: _mean_scores(score, sample, np.array([z]))[0]
+    objective = lambda z: _mean_scores(score, prep, np.array([z]))[0]
     lo, hi = float(zs[max(i - 1, 0)]), float(zs[min(i + 1, steps - 1)])
     return float(golden_section(objective, lo, hi, width_tol=1e-8))
 
@@ -494,9 +514,9 @@ def _counting_reports(monkeypatch):
     sizes = []
     inner = functionals._mean_scores
 
-    def counted(score, sample, z):
+    def counted(score, prep, z):
         sizes.append(z.size)
-        return inner(score, sample, z)
+        return inner(score, prep, z)
 
     monkeypatch.setattr(functionals, "_mean_scores", counted)
     return sizes
@@ -570,7 +590,8 @@ class _ProductScore(Score):
 
 
 def _tiled(score, atoms, zs):
-    return [repr(float(v)) for v in _mean_scores(score, atoms, np.asarray(zs, dtype=float))]
+    prep = score._prepare(atoms)
+    return [repr(float(v)) for v in _mean_scores(score, prep, np.asarray(zs, dtype=float))]
 
 
 def _per_report(score, atoms, zs):
@@ -593,7 +614,8 @@ class TestTiledMeans:
         assert _tiled(score, atoms, zs) == _per_report(score, atoms, zs)
 
     @pytest.mark.parametrize("m", [33, 1000])
-    @pytest.mark.parametrize("score", catalog_scores(), ids=lambda s: s.describe())
+    # the transforms prepare the atoms through their inner score
+    @pytest.mark.parametrize("score", _SCAN_SCORES, ids=lambda s: s.describe())
     def test_every_catalog_score(self, score, m):
         rng = np.random.default_rng(m)
         lo, hi = score.atom_interval
@@ -634,10 +656,12 @@ class TestTiledMeans:
         # a tile, its fold and the stack of partial sums, at any m
         score = ExpectileScore(0.7, quadratic())
         atoms, zs = np.linspace(-3.0, 3.0, m), np.linspace(-2.0, 2.0, reports)
-        _mean_scores(score, atoms[:64], zs)  # warm: the first call allocates interpreter state
+        # warm: the first call allocates interpreter state
+        _mean_scores(score, score._prepare(atoms[:64]), zs)
+        prep = score._prepare(atoms)  # the caller's: two arrays the size of the atoms
         tracemalloc.start()
         try:
-            _mean_scores(score, atoms, zs)
+            _mean_scores(score, prep, zs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -86,6 +86,17 @@ class TestEvalExamples:
             s(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, -3.0]))
         assert info.value.index == 2
 
+    @pytest.mark.parametrize(
+        "z, y, which", [(0.0, -800.0, "first"), (-800.0, 0.0, "second"), (-800.0, -800.0, "first")]
+    )
+    def test_entropic_checks_its_realization_side_first(self, z, y, which):
+        # e^{-800} underflows to 0, outside the domain of xlogx: e^{gamma y}
+        # is the first Bregman argument, and is checked before e^{gamma z}
+        s = EntropicScore(1.0, entropy_generator())
+        for args in ((z, y), (np.full(3, z), np.full((2, 1), y))):
+            with pytest.raises(DomainError, match=f"^{which} Bregman argument outside"):
+                s(*args)
+
 
 class TestStepFunction:
     def test_integral_matches_riemann_oracle(self):
@@ -176,7 +187,8 @@ class TestTwoSidedWeights:
         z, y, g = self.Z, self.Y, transform.fn
         with np.errstate(all="ignore"):
             old = ((y <= z).astype(float) - alpha) * (g(z) - g(y))
-            self._same_bits(GPLScore(alpha, transform)._eval(z, y), old)
+            score = GPLScore(alpha, transform)
+            self._same_bits(score._eval(z, *score._prepare(y)), old)
 
     @pytest.mark.parametrize("gen", [quadratic(), exponential_generator()], ids=["quadratic", "exp"])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
@@ -184,7 +196,8 @@ class TestTwoSidedWeights:
         z, y = self.Z, self.Y
         with np.errstate(all="ignore"):
             old = np.abs((y <= z).astype(float) - alpha) * gen.bregman(y, z)
-            self._same_bits(ExpectileScore(alpha, gen)._eval(z, y), old)
+            score = ExpectileScore(alpha, gen)
+            self._same_bits(score._eval(z, *score._prepare(y)), old)
 
     @staticmethod
     def _old_decomposable(score, z, y):

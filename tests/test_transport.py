@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -42,7 +43,7 @@ from mkdiv import (
     wasserstein_p,
 )
 from mkdiv.numerics import _DEFAULT_M, midpoint_rule, pairwise_mean, pairwise_sum
-from mkdiv.scores import Score, _transport_cost
+from mkdiv.scores import Score, _transport_cost, transform_catalog
 from mkdiv.transport import (
     _assignment_dp,
     _batch_deviations,
@@ -316,6 +317,40 @@ class TestOnePairingRule:
                 assert got == pytest.approx(ref, rel=rel, abs=0.0), (s.describe(), f1, f2)
             diff = np.abs(f1.quantile(rule.u) - f2.quantile(rule.u))
             assert repr(wasserstein_p(f1, f2, 2.0, m=m)) == repr(rule.integrate(diff**2.0) ** 0.5)
+
+
+def quantile_class_theta_sum(alpha, g, x1, x2):
+    """The divergence of GPL(alpha, g) from the sample ``x1`` to ``x2`` in the
+    two CDFs: every GPL score is a mixture over theta of elementary quantile
+    scores (Ehm, Gneiting, Jordan and Krueger, JRSS B 2016, Theorem 1), and
+    on the comonotonic pairing each contributes
+    (1 - alpha)(F1 - F2)_+ + alpha (F2 - F1)_+ at theta.  Both CDFs are steps
+    that stay constant between consecutive merged atoms theta_k, so the
+    integral over dg(theta) is a finite sum, of non-negative terms."""
+    theta = np.unique(np.concatenate([x1, x2]))
+    F1 = np.searchsorted(np.sort(x1), theta, side="right") / x1.size
+    F2 = np.searchsorted(np.sort(x2), theta, side="right") / x2.size
+    weight = (1.0 - alpha) * np.maximum(F1 - F2, 0.0) + alpha * np.maximum(F2 - F1, 0.0)
+    return math.fsum(weight[:-1] * np.diff(g(theta)))
+
+
+# atoms on a 0.1 grid, so that the samples tie within and across
+_TENTHS = st.lists(st.integers(-20, 20), min_size=1, max_size=40)
+_POSITIVE_TENTHS = st.lists(st.integers(1, 40), min_size=1, max_size=40)
+
+
+@given(
+    name=st.sampled_from(["identity", "exp", "cube", "log"]),
+    alpha=st.floats(0.01, 0.99),
+    data=st.data(),
+)
+def test_gpl_divergence_is_the_theta_sum_of_its_elementary_scores(name, alpha, data):
+    transform = transform_catalog()[name]
+    atoms = _POSITIVE_TENTHS if name == "log" else _TENTHS
+    x1, x2 = (np.array(data.draw(atoms)) / 10.0 for _ in range(2))
+    got = mk_divergence(GPLScore(alpha, transform), from_samples(x1), from_samples(x2))
+    want = quantile_class_theta_sum(alpha, transform.fn, x1, x2)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 class TestWasserstein:
