@@ -475,9 +475,10 @@ def quantile_grid(
 
 
 def read_value_csv(path) -> list[float]:
-    """Read one numeric value per line; an optional header ``value`` is allowed."""
+    """Read one numeric value per line; an optional header ``value`` and a
+    UTF-8 byte-order mark are allowed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc

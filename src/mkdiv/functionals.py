@@ -18,8 +18,9 @@ expected score of a strictly consistent score falls before the functional and
 rises after it, so only the reports around a level's minimum can hold the
 grid's first argmin.  The atoms are prepared for the score once per call
 (:meth:`mkdiv.scores.Score._prepare`), and reports are scored against the
-preparation in tiles of reports by atoms, so that every ufunc and fold runs
-along the atoms; a tile of one report and all the atoms is one 1-D row.
+preparation about ``_BLOCK`` values at a time, so that every ufunc and fold
+runs along the atoms: in tiles of several reports by all the atoms, or one
+report's 1-D row, in blocks where it holds more than ``_BLOCK`` atoms.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .distributions import Distribution, from_samples
 from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
 from .numerics import (
+    _BLOCK,
     _DEFAULT_DELTA,
     _DEFAULT_M,
     _BlockSum,
@@ -262,55 +264,44 @@ class Entropic(Functional):
         return f"entropic[{self.gamma}]"
 
 
-# score values per tile: 128 KiB, glibc's default mmap threshold; the
-# temporaries of larger tiles faulted in fresh pages on every call
-_TILE = 1 << 14
-
-
-def _tile(m: int) -> tuple:
-    """(reports, atoms) of a tile over ``m`` atoms: an aligned block of a power
-    of two of atoms, and as many reports as fit in ``_TILE`` values."""
-    cols = min(_TILE, 1 << (m - 1).bit_length())
-    return max(1, _TILE // min(cols, m)), cols
-
-
 def _prepare_atoms(score: Score, sample: np.ndarray, z: np.ndarray):
     """``score``'s preparation of the atoms ``sample``, made once for all the
     reports, after the reports of ``z``'s first tile are checked: scoring
     that tile checks them before its atoms, so a report error still comes
     first."""
-    score._check(z[: _tile(sample.size)[0]], score.z_domain, "report z")
+    score._check(z[: max(1, _BLOCK // sample.size)], score.z_domain, "report z")
     return score._prepare(sample)
 
 
 def _mean_scores(score: Score, prep, z: np.ndarray) -> np.ndarray:
-    """Mean of S(z_i, Y) over the atoms prepared in ``prep``, as
+    """Mean of S(z_i, Y) over the m atoms prepared in ``prep``, as
     :func:`_prepare_atoms` returns them, for each report in the 1-D ``z``.
 
-    Scores are taken in tiles of at most ``_TILE`` values, reports down and
-    atoms across: as many reports as fit against an aligned block of a power
-    of two of atoms, every prepared array sliced alike, so every ufunc and
-    every level of the fold runs along the atoms, however few the reports.
-    A tile of one report and all the atoms, at ``_TILE / 2 < m <= _TILE``, is
-    one 1-D row folded by :func:`pairwise_sum`; otherwise one
-    :class:`mkdiv.numerics._BlockSum` per run of reports folds its tiles and
-    merges them by the same tree.  So every mean is bit-identical to the fold
-    of its own row of scores, whatever tile it lands in, and memory stays
-    bounded by a tile plus ``len(z) * log2(m)`` sums.
+    Scores are taken about ``_BLOCK`` values at a time.  Where that holds two
+    reports or more, tiles of ``_BLOCK // m`` reports down and all the atoms
+    across are scored, and :func:`pairwise_sum` folds each tile's rows at
+    once.  Otherwise each report's scores are one 1-D row, folded by
+    :func:`pairwise_sum` up to ``_BLOCK`` atoms, and beyond that taken in
+    aligned blocks of ``_BLOCK`` atoms merged by
+    :class:`mkdiv.numerics._BlockSum`.  So every mean is bit-identical to the
+    fold of its own row of scores, and memory stays bounded by a tile.
     """
     m = prep[0].size
-    rows, cols = _tile(m)
+    rows = _BLOCK // m
     out = np.empty(z.size)
-    if rows == 1 and cols >= m:
-        for j in range(z.size):
-            out[j] = pairwise_sum(score(z[j : j + 1], prep)) / m
+    if rows >= 2:
+        tile = _Prepared(p[None] for p in prep)
+        for j in range(0, z.size, rows):
+            out[j : j + rows] = pairwise_sum(score(z[j : j + rows, None], tile)) / m
         return out
-    for j in range(0, z.size, rows):
-        reports = z[j : j + rows, None]
+    for j in range(z.size):
+        if m <= _BLOCK:
+            out[j] = pairwise_sum(score(z[j : j + 1], prep)) / m
+            continue
         sums = _BlockSum()
-        for i in range(0, m, cols):
-            sums.add(score(reports, _Prepared(p[None, i : i + cols] for p in prep)))
-        out[j : j + rows] = sums.total() / m
+        for i in range(0, m, _BLOCK):
+            sums.add(score(z[j : j + 1], _Prepared(p[i : i + _BLOCK] for p in prep)))
+        out[j] = sums.total() / m
     return out
 
 

@@ -83,8 +83,10 @@ class ConvexGenerator:
         """The Bregman kernel: (phi(a) - phi(b)) - dphi(b) * (a - b), rounded
         as written, with the linear part built in a buffer of its own, which
         is returned: nothing is written into an argument.  Every Bregman term
-        of the package, from :meth:`bregman` and from the probes of
-        :func:`mkdiv.robust.calibrate_lambda`, is computed here."""
+        of the package is computed here: by the Bregman, expectile and
+        entropic scores of :mod:`mkdiv.scores` on their prepared phi(y), by
+        the probes of :func:`mkdiv.robust.calibrate_lambda`, and by the
+        public :meth:`bregman`."""
         out = np.asarray(a - b)
         out *= dphi_b
         np.subtract(phi_a - phi_b, out, out=out)

@@ -1,17 +1,14 @@
 """Shared numerical primitives: reductions, the rule over u and 1-D searches.
 
-All reductions used for reported values go through :func:`pairwise_sum`, which
-fixes the summation tree (index-ascending, adjacent pairing, folded along the
-last axis), so results are bit-stable across runs; :class:`_BlockSum` sums
-each aligned block of ``_BLOCK`` entries or tiles that values arrive in by
-:func:`pairwise_sum` and merges the block sums by the same tree, so that no
-caller holds all of them at once.  A :class:`Rule` integrates over the
-quantile level u in the divergences, the worst-case value and the payoff
-cost; the lambda probes divide :class:`_BlockSum` totals by the node count,
-and the expected-score scan divides the :func:`pairwise_sum` of a report's
-row, or a :class:`_BlockSum` total where a tile holds several reports or
-only part of the atoms, by the atom count; node and atom means are
-:func:`pairwise_mean`.
+One fold rule and one block size serve every reduction used for reported
+values.  :func:`pairwise_sum` folds the last axis by a fixed tree
+(index-ascending, adjacent pairing), so results are bit-stable across runs;
+values too many to fold at once arrive in aligned blocks of ``_BLOCK``
+entries along that axis, and :class:`_BlockSum` folds each block by
+:func:`pairwise_sum` and merges the block sums by the same tree.  A
+:class:`Rule` integrates over the quantile level u in the divergences, the
+worst-case value and the payoff cost, and means are such sums divided by the
+count, :func:`pairwise_mean` for a single array.
 Every open-domain check goes through :func:`first_outside`.
 :func:`brent_root` and :func:`golden_section` are the 1-D searches; the robust
 solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.
@@ -77,13 +74,15 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
 
 
-_BLOCK = 1 << 14  # nodes per block: the temporaries of a block stay in cache
+# entries per block: 128 KiB, glibc's default mmap threshold, so a block's
+# temporaries stay in cache; larger ones faulted in fresh pages on every call
+_BLOCK = 1 << 14
 
 
 class _BlockSum:
-    """:func:`pairwise_sum` along the last axis of values that arrive in
-    consecutive blocks along it: aligned blocks of one power of two of
-    entries, of which only the last may be shorter.
+    """:func:`pairwise_sum` of values that arrive in consecutive blocks along
+    the last axis: aligned blocks of one power of two of entries, ``_BLOCK``
+    in the package, of which only the last may be shorter.
 
     Each block is folded by :func:`pairwise_sum`, and the sums of the blocks
     merge as they complete, by the same tree, on a stack of aligned subtrees
@@ -96,7 +95,7 @@ class _BlockSum:
         self._stack = []  # (level, sums of an aligned subtree of 2**level entries)
 
     def add(self, block) -> None:
-        sums, level = pairwise_sum(block, axis=-1), (np.shape(block)[-1] - 1).bit_length()
+        sums, level = pairwise_sum(block), (np.shape(block)[-1] - 1).bit_length()
         while self._stack and self._stack[-1][0] == level:
             sums = self._stack.pop()[1] + sums
             level += 1
@@ -114,18 +113,16 @@ class _BlockSum:
         return sums
 
 
-def pairwise_sum(values, axis=None):
-    """Sum an array by adjacent pairing in index-ascending order.
+def pairwise_sum(values):
+    """Sum the last axis of an array by adjacent pairing in index-ascending
+    order: a float for a 0-D or 1-D array, else the array of its row sums.
 
     The tree is that of zero-padding to the next power of two: at each level
     an odd last entry is paired with 0.0.  The fixed tree makes the reduction
-    order a contract rather than an implementation detail.  With ``axis=None``
-    the flattened array is summed to a float; otherwise ``axis`` is moved
-    last, unless it is last already, and each slice along it is folded by the
-    same tree, all slices at once, a level of the tree per ``np.add`` over
-    the last axis, and an array is returned.  The fold holds buffers nearly as
-    large as ``values``, so callers with many slices pass them in bounded
-    blocks.
+    order a contract rather than an implementation detail.  All the rows are
+    folded at once, a level of the tree per ``np.add`` over the last axis.
+    The fold holds buffers nearly as large as ``values``, so callers with
+    many rows pass them in bounded blocks.
 
     The tree of an aligned block of 2**k entries is the subtree of the whole
     tree at level k, so summing such blocks first and then folding their sums
@@ -134,10 +131,8 @@ def pairwise_sum(values, axis=None):
     stands for it at level k.
     """
     a = np.asarray(values, dtype=float)
-    if axis is None:
-        return float(_fold(a.ravel())) if a.size else 0.0
-    if axis not in (-1, a.ndim - 1):
-        a = np.moveaxis(a, axis, -1)
+    if a.ndim <= 1:
+        return float(_fold(a.reshape(-1))) if a.size else 0.0
     # copied: a width-1 fold is a view of ``values``
     return _fold(a).copy() if a.size else np.zeros(a.shape[:-1])
 
@@ -175,7 +170,7 @@ class Rule:
         on equal cells ``values`` is folded as it is, with no product.  Stacked
         values give an array, one integral per slice along the last axis."""
         weighted = values if self.counts is None else self.counts * values
-        return pairwise_sum(weighted, axis=-1 if np.ndim(weighted) > 1 else None) / self.total
+        return pairwise_sum(weighted) / self.total
 
 
 def midpoint_rule(m: int, delta: float = 0.0) -> Rule:

@@ -190,7 +190,7 @@ class _Probes:
                 ref = ref_nodes[blk]
                 self.phi_ref[blk], self.dphi_ref[blk] = gen.phi(ref), gen.dphi(ref)
                 integral.add(_inverse_curvature_terms(gen, ref, self.phi_ref[blk], weight[blk]))
-        self.ref_integral = float(integral.total()) / m
+        self.ref_integral = integral.total() / m
 
     def __call__(self, lam: float):
         """``(D, I(G), G)`` at ``lam``, D and I by the equal-cell rule of the
@@ -213,10 +213,10 @@ class _Probes:
                 div.add(gen._bregman_terms(
                     g, phi_g, ref_nodes[blk], self.phi_ref[blk], self.dphi_ref[blk]))
                 integral.add(_inverse_curvature_terms(gen, g, phi_g, weight[blk]))
-        d = float(div.total()) / m
+        d = div.total() / m
         if not math.isfinite(d):
             return math.inf, math.nan, None
-        return d, float(integral.total()) / m, nodes
+        return d, integral.total() / m, nodes
 
 
 def calibrate_lambda(

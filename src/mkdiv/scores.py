@@ -195,7 +195,7 @@ class StepFunction:
     @classmethod
     def from_json(cls, path) -> "StepFunction":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is allowed
                 payload = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or JSON
             reason = getattr(exc, "strerror", None) or exc

@@ -292,7 +292,7 @@ def _optimal_assignments(cost: np.ndarray) -> tuple:
             ri, ci = linear_sum_assignment(c)
             perm[ri] = ci
     matched = cost[np.arange(cost.shape[0])[:, None], np.arange(n), sigma]
-    return sigma, pairwise_sum(matched, axis=1) / n
+    return sigma, pairwise_sum(matched) / n
 
 
 @functools.lru_cache(maxsize=None)

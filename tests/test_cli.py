@@ -665,3 +665,27 @@ def test_file_errors_are_reported_not_raised(argv, path, reason, tmp_path):
     message = json.loads(err)["error"]
     assert message.startswith(path.replace("{tmp}", str(tmp_path)))
     assert reason in message
+
+
+def test_a_byte_order_mark_reads_as_the_same_file_without_it(tmp_path):
+    # Excel and PowerShell begin a UTF-8 file with the mark U+FEFF
+    (tmp_path / "plain.csv").write_text("value\n0.5\n3.25\n-1\n2\n", encoding="utf-8")
+    (tmp_path / "header.csv").write_text("value\n0.5\n3.25\n-1\n2\n", encoding="utf-8-sig")
+    (tmp_path / "bare.csv").write_text("0.5\n3.25\n-1\n2\n", encoding="utf-8-sig")
+    outs = {
+        name: run_cli(["divergence", *BREG, "--from", f"empirical:path={tmp_path / name}",
+                       "--to", "normal:mu=1,sigma=2"])
+        for name in ("plain.csv", "header.csv", "bare.csv")
+    }
+    assert outs["plain.csv"][0] == 0
+    assert outs["header.csv"] == outs["bare.csv"] == outs["plain.csv"]
+
+    steps = '{"breakpoints": [0.0, 1.5], "levels": [0.2, 0.5, 0.9]}'
+    (tmp_path / "plain.json").write_text(steps, encoding="utf-8")
+    (tmp_path / "bom.json").write_text(steps, encoding="utf-8-sig")
+    plain, bom = (run_cli(["divergence", "--score", f"score:lambda,file={tmp_path / name}",
+                           "--from", "uniform:a=-1,b=2", "--to", "normal:mu=1,sigma=2"])
+                  for name in ("plain.json", "bom.json"))
+    assert plain[0] == bom[0] == 0
+    # the payload echoes the score spec, and so the file's name
+    assert json.loads(bom[1])["value"] == json.loads(plain[1])["value"]

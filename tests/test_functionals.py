@@ -40,8 +40,8 @@ from mkdiv import (
     quadratic,
 )
 from mkdiv import functionals
-from mkdiv.functionals import _TILE, _mean_scores
-from mkdiv.numerics import golden_section, pairwise_mean
+from mkdiv.functionals import _mean_scores
+from mkdiv.numerics import _BLOCK, golden_section, pairwise_mean
 from mkdiv.scores import ExpectileScore, Score, ShortfallScore
 from test_scores import catalog_scores
 
@@ -604,7 +604,7 @@ class TestTiledMeans:
 
     # 1, 2, 6, 9, 33 and 513 reports: the batches the argmin scans
     @pytest.mark.parametrize("reports", [0, 1, 2, 6, 9, 33, 513])
-    @pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, _TILE - 1, _TILE + 1, 10_000, 40_001])
+    @pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, _BLOCK - 1, _BLOCK + 1, 10_000, 40_001])
     def test_tile_geometry(self, m, reports):
         rng = np.random.default_rng(m)
         # magnitudes over 12 decades make the sum depend on the tree
@@ -625,11 +625,11 @@ class TestTiledMeans:
     @pytest.mark.parametrize("m", [1, 3, 33])
     def test_more_reports_than_one_tile(self, m):
         rng = np.random.default_rng(m)
-        atoms, zs = rng.normal(0, 1, m), rng.normal(0, 1, _TILE + 1)
+        atoms, zs = rng.normal(0, 1, m), rng.normal(0, 1, _BLOCK + 1)
         score = ShortfallScore(exponential_loss(1.0))
         got = _tiled(score, atoms, zs)
         # both ends of each report chunk, and a stride through the first
-        picks = np.r_[0:40, 0:_TILE:997, _TILE - 40 : _TILE + 1]
+        picks = np.r_[0:40, 0:_BLOCK:997, _BLOCK - 40 : _BLOCK + 1]
         assert [got[i] for i in picks] == _per_report(score, atoms, zs[picks])
 
     @pytest.mark.parametrize("special", ["negative_zeros", "mixed_zeros", "inf", "both_infs", "nan"])

@@ -22,6 +22,10 @@ class TestPairwise:
     def test_empty_and_singleton(self):
         assert pairwise_sum([]) == 0.0
         assert pairwise_sum([3.5]) == 3.5
+        # a scalar or a row sums to a float; rows of no entries sum to zeros
+        for values in (3.5, np.array(3.5), np.array([3.0, 0.5])):
+            assert type(pairwise_sum(values)) is float and pairwise_sum(values) == 3.5
+        assert pairwise_sum(np.zeros((3, 0))).tobytes() == np.zeros(3).tobytes()
 
     def test_mean_requires_values(self):
         with pytest.raises(EvaluationError):
@@ -47,14 +51,15 @@ class TestPairwise:
             got, want = pairwise_sum(values), padded_tree(values)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    # each axis moved last: the last axis of a strided view is folded alike
     @pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
     def test_axis_folds_each_slice_by_the_flat_tree(self, axis):
         rng = np.random.default_rng(5)
         x = rng.normal(0, 1, (33, 8, 7)) * 10.0 ** rng.integers(-12, 12, (33, 8, 7))
         x[rng.random(x.shape) < 0.2] = -0.0
         x[0] = -0.0  # all-negative-zero slices of widths 8 and 7
-        got = pairwise_sum(x, axis=axis)
         slices = np.moveaxis(x, axis, -1)
+        got = pairwise_sum(slices)
         assert got.shape == slices.shape[:-1]
         for index in np.ndindex(got.shape):
             assert np.float64(pairwise_sum(slices[index])).tobytes() == got[index].tobytes()
@@ -71,7 +76,8 @@ class TestPairwise:
         for i in range(0, n, block):
             rows.add(x[:, i : i + block])
             row.add(x[1, i : i + block])
-        assert rows.total().tobytes() == pairwise_sum(x, axis=-1).tobytes()
+        assert rows.total().tobytes() == pairwise_sum(x).tobytes()
+        assert type(row.total()) is float
         assert np.float64(row.total()).tobytes() == np.float64(pairwise_sum(x[1])).tobytes()
 
 

@@ -32,6 +32,7 @@ from mkdiv import (
     exponential_generator,
     exponential_loss,
     from_samples,
+    generator_catalog,
     identity_map,
     mk_divergence,
     negation_map,
@@ -350,6 +351,47 @@ def test_gpl_divergence_is_the_theta_sum_of_its_elementary_scores(name, alpha, d
     x1, x2 = (np.array(data.draw(atoms)) / 10.0 for _ in range(2))
     got = mk_divergence(GPLScore(alpha, transform), from_samples(x1), from_samples(x2))
     want = quantile_class_theta_sum(alpha, transform.fn, x1, x2)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+def expectile_class_theta_sum(alpha, gen, x1, x2):
+    """The divergence of Expectile(alpha, gen) from the sample ``x1`` to
+    ``x2`` in the two CDFs: every expectile score is the mixture over theta,
+    with density phi''(theta), of elementary expectile scores (Ehm et al., as
+    above), and on the comonotonic pairing each contributes
+    D_theta = (1 - alpha) int_{x<theta} (F1(x) - F2(theta))_+ dx
+    + alpha int_{x>theta} (F2(theta) - F1(x))_+ dx.  Outside the merged
+    atoms D_theta is 0; between consecutive ones F2(theta) is constant and
+    D_theta is a line L, so each piece integrates by parts exactly, as
+    [phi'(theta) L(theta) - L' phi(theta)], from phi and phi' alone."""
+    theta = np.unique(np.concatenate([x1, x2]))
+    F1 = np.searchsorted(np.sort(x1), theta, side="right") / x1.size
+    F2 = np.searchsorted(np.sort(x2), theta, side="right") / x2.size
+    width, phi, dphi = np.diff(theta), gen.phi(theta), gen.dphi(theta)
+    terms = []
+    for k in range(width.size):
+        # the integrals over x left of theta_k and right of theta_(k+1)
+        below = math.fsum(width[:k] * np.maximum(F1[:k] - F2[k], 0.0))
+        above = math.fsum(width[k + 1 :] * np.maximum(F2[k] - F1[k + 1 : -1], 0.0))
+        up, down = max(F1[k] - F2[k], 0.0), max(F2[k] - F1[k], 0.0)
+        left = (1.0 - alpha) * below + alpha * (width[k] * down + above)
+        right = (1.0 - alpha) * (below + width[k] * up) + alpha * above
+        slope = (1.0 - alpha) * up - alpha * down
+        terms += [dphi[k + 1] * right, -dphi[k] * left, -slope * phi[k + 1], slope * phi[k]]
+    return math.fsum(terms)
+
+
+@given(
+    name=st.sampled_from(sorted(generator_catalog())),
+    alpha=st.floats(0.01, 0.99),
+    data=st.data(),
+)
+def test_expectile_divergence_is_the_theta_integral_of_its_elementary_scores(name, alpha, data):
+    gen = generator_catalog()[name]
+    atoms = _POSITIVE_TENTHS if name == "xlogx" else _TENTHS
+    x1, x2 = (np.array(data.draw(atoms)) / 10.0 for _ in range(2))
+    got = mk_divergence(ExpectileScore(alpha, gen), from_samples(x1), from_samples(x2))
+    want = expectile_class_theta_sum(alpha, gen, x1, x2)
     assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
@@ -1143,7 +1185,7 @@ class TestPairwiseSum:
         # 300 rows span more than one block of the fold at the wider widths
         mat = rng.normal(0, 1, (300, width)) * 10.0 ** rng.integers(-8, 8, (300, width))
         mat[1] = -0.0
-        rows = pairwise_sum(mat, axis=-1)
+        rows = pairwise_sum(mat)
         assert rows.shape == (300,)
         for row, got in zip(mat, rows):
             assert np.float64(pairwise_sum(row)).tobytes() == got.tobytes()
