@@ -107,7 +107,6 @@ def _cmd_divergence(args):
     score = specs.parse_score(args.score)
     f1 = specs.parse_distribution(args.from_spec)
     f2 = specs.parse_distribution(args.to_spec)
-    _check_size("grid", 2, m=args.grid_m)  # checked here too: an empirical law does not read m
     value = mk_divergence(score, f1, f2, m=args.grid_m)
     return {
         "value": value,
@@ -189,7 +188,6 @@ def _cmd_elicit_check(args):
     functional = specs.parse_functional(args.functional)
     score = specs.parse_score(args.score)
     dist = specs.parse_distribution(args.dist)
-    m = args.grid_m
     # a bound that is not given defaults to one unit beyond the 0.1% tail
     z_lo = float(dist.quantile(0.001)) - 1.0 if args.z_lo is None else args.z_lo
     z_hi = float(dist.quantile(0.999)) + 1.0 if args.z_hi is None else args.z_hi
@@ -197,8 +195,7 @@ def _cmd_elicit_check(args):
     # grid atoms, which is what the argmin could score anyway; only the law
     # itself can tell whether the functional is defined on it
     functional._check_law(dist)
-    _check_size("grid", 2, m=m)
-    law = Empirical(dist.atoms(m))
+    law = Empirical(dist.atoms(args.grid_m))
     direct = functional.evaluate(law)
     indirect = argmin_expected_score(score, law, z_lo, z_hi, steps=args.steps)
     deviation = abs(direct - indirect)

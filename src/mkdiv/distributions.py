@@ -6,8 +6,8 @@ Every distribution exposes
 * ``quantile(u)`` -- the left-continuous generalized inverse
   ``inf{y : F(y) >= u}`` for ``u`` in (0, 1),
 * ``mean()``      -- closed form where available, exact for samples,
-* ``atoms(m, delta)`` -- the sorted equal-weight atoms every computation
-  reads: an :class:`Empirical` sample, else the checked midpoint grid's nodes,
+* ``atoms(m, delta)`` -- once the grid ``(m, delta)`` is checked, the sorted
+  equal-weight atoms every computation reads: a sample, else the grid's nodes,
 * ``_upper_quantile(level)`` -- Q+(level) = inf{y : F(y) > level},
 * ``_exp_moment_finite(gamma)`` -- whether E[e^{gamma Y}] is finite, gamma > 0,
 
@@ -406,7 +406,8 @@ class Empirical(Distribution):
         return pairwise_mean(self.values)
 
     def atoms(self, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        """The sorted sample; ``m`` and ``delta`` are not read."""
+        """The sorted sample, once the grid ``(m, delta)`` is checked."""
+        midpoint_rule(m, delta)
         return self.values
 
     def _upper_quantile(self, level):
@@ -464,7 +465,7 @@ class QuantileGrid:
 
     @property
     def rule(self) -> Rule:
-        return midpoint_rule(self.m)
+        return Rule(None, self.m)
 
 
 def quantile_grid(
@@ -475,8 +476,8 @@ def quantile_grid(
 
 
 def read_value_csv(path) -> list[float]:
-    """Read one numeric value per line; an optional header ``value`` and a
-    UTF-8 byte-order mark are allowed."""
+    """Read one numeric value per line, with no digit separator ``_``; an
+    optional header ``value`` and a UTF-8 byte-order mark are allowed."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -491,6 +492,8 @@ def read_value_csv(path) -> list[float]:
         if lineno == 1 and text.lower() == "value":
             continue
         try:
+            if "_" in text:  # a digit separator, which float() would read
+                raise ValueError(text)
             out.append(float(text))
         except ValueError as exc:
             raise IngestionError(f"{path}: line {lineno} is not numeric: {text!r}") from exc

@@ -3,11 +3,12 @@
 Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`.
 :class:`Mean`, :class:`Quantile` and :class:`LambdaQuantile` are exact on
 every law: they read the law's own mean, quantile, Q+ and cdf.  The others
-read its ``atoms(m, delta)``: a parametric law's m grid nodes, an empirical
-law's sample.  The expectile is solved exactly on the sorted atoms, where its
-residual is piecewise linear; the shortfall of the exponential loss is the
-entropic functional, that of the linear loss the atoms' mean, and the power
-loss's root is found by Brent's method.
+read its ``atoms(m, delta)``, which any law gives only for a valid grid: a
+parametric law's m grid nodes, an empirical law's sample.  The expectile is
+solved exactly on the sorted atoms, where its residual is piecewise linear;
+the shortfall of the exponential loss is the entropic functional, that of the
+linear loss the atoms' mean, and the power loss's root is found by Brent's
+method.
 
 :func:`argmin_expected_score` provides the independent route to the same
 quantities: minimising the expected score over reports.  The two routes are

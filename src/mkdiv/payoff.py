@@ -33,14 +33,14 @@ from .distributions import Distribution, QuantileGrid
 from .errors import DomainError
 from .generators import ConvexGenerator
 from .numerics import _DEFAULT_DELTA, _DEFAULT_M, _check_finite
-from .robust import _calibrated_curve, _checked_weight
+from .robust import _calibrated_curve, _checked_weight, _warn_unless_unique
 
 __all__ = ["MarketSpec", "PayoffSolution", "payoff_cost", "cheapest_payoff"]
 
 
 @dataclass(frozen=True, eq=False)
 class MarketSpec:
-    """State-price density with a flat rate and horizon.
+    """State-price density, with a flat rate and horizon that price nothing.
 
     ``spd`` must be supported on [0, inf) with a finite mean.  Prices read
     only ``spd``: ``rate`` and ``horizon`` are checked, parsed from a market
@@ -105,7 +105,9 @@ def cheapest_payoff(
     """Cheapest payoff whose distribution stays within divergence ``eps`` of
     the benchmark; the multiplier is calibrated exactly as in the worst-case
     solver, with the signed spd weight.  ``binding`` reports
-    ``|divergence_at_solution - eps| <= 1e-8 * eps``."""
+    ``|divergence_at_solution - eps| <= 1e-8 * eps``.  Warns, as that solver
+    does, when the generator is not strictly convex."""
+    _warn_unless_unique(gen)
     lam, div, binding, weight, curve = _calibrated_curve(
         gen, benchmark, _spd_name(market), market.neg_weight, eps, m, delta
     )

@@ -64,8 +64,22 @@ _BINDING_TOL = 1e-8  # a solution is binding when |div - eps| <= _BINDING_TOL * 
 
 
 class UniquenessWarning(UserWarning):
-    """The distortion is not strictly concave; the solution formula still
-    applies but uniqueness of the optimum is not guaranteed."""
+    """The generator is not strictly convex, or the distortion not strictly
+    concave; the solution formula still applies but uniqueness of the
+    optimum is not guaranteed."""
+
+
+def _warn_unless_unique(gen: ConvexGenerator, *others) -> None:
+    """A :class:`UniquenessWarning`, attributed to the solver's caller, if
+    ``gen`` is not strictly convex, then one for each ``(strict, subject)``
+    of ``others`` that is not strict."""
+    for strict, subject in (
+        (gen.strictly_convex, f"generator '{gen.name}' is not strictly convex"),
+        *others,
+    ):
+        if not strict:
+            warnings.warn(f"{subject}; the solution may not be unique",
+                          UniquenessWarning, stacklevel=3)
 
 
 def _checked_weight(what: str, weight_of, u: np.ndarray) -> np.ndarray:
@@ -389,13 +403,9 @@ def solve_worst_case(
     1e6, and the value 1.579, 1.634, 1.735 and 1.980 (see
     :func:`~mkdiv.generators.power_distortion`).
     """
-    for strict, subject in (
-        (gen.strictly_convex, f"generator '{gen.name}' is not strictly convex"),
-        (d.strictly_concave, f"distortion '{d.name}' is not strictly concave"),
-    ):
-        if not strict:
-            warnings.warn(f"{subject}; the solution may not be unique",
-                          UniquenessWarning, stacklevel=2)
+    _warn_unless_unique(
+        gen, (d.strictly_concave, f"distortion '{d.name}' is not strictly concave")
+    )
     lam, div, binding, weight, worst = _calibrated_curve(
         gen, ref, f"distortion '{d.name}'", d.gamma, eps, m, delta
     )

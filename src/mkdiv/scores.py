@@ -144,7 +144,7 @@ class StepFunction:
         try:
             bp = np.asarray(self.breakpoints, dtype=float)
             lv = np.asarray(self.levels, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
             raise ConfigError(f"breakpoints and levels must be numeric: {exc}") from exc
         if bp.ndim != 1 or lv.ndim != 1:
             raise ConfigError("breakpoints and levels must be flat lists")
@@ -204,9 +204,17 @@ class StepFunction:
             raise IngestionError(f"{path}: step-function JSON must be an object, "
                                  f"got {type(payload).__name__}")
         try:
-            return cls(payload["breakpoints"], payload["levels"], source_path=str(path))
+            lists = {key: payload[key] for key in ("breakpoints", "levels")}
         except KeyError as exc:
             raise ConfigError(f"{path}: step-function JSON needs {exc}") from exc
+        for key, values in lists.items():
+            # numpy would read true as 1 and "2" as 2.0
+            for i, v in enumerate(values if isinstance(values, list) else ()):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ConfigError(f"{path}: {key} must be JSON numbers, "
+                                      f"got {json.dumps(v)} at index {i}")
+        try:
+            return cls(**lists, source_path=str(path))
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 

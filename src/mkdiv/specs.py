@@ -32,7 +32,10 @@ Grammar (informal)::
 Parameters may come in any order, each at most once.  Bracketed ones are
 optional and default to the value shown (``g=identity``, ``gamma=1``,
 ``p=3``; a market's ``r=0`` and ``T=1``); renderers always write them.
-``empirical:values.csv`` is shorthand for ``empirical:path=values.csv``.
+``empirical:values.csv`` is shorthand for ``empirical:path=values.csv``; only
+the shorthand carries a path with a comma, and only ``path=`` one with ``=``,
+so a path with both, a step file's path with a comma, or a state-price
+density's path with ``;`` has no spec string.
 The step-function JSON referenced by ``file=`` is
 ``{"breakpoints": [...], "levels": [...]}`` with one more level than
 breakpoints.
@@ -173,6 +176,12 @@ def _step_file(raw: str, *_) -> StepFunction:
     return mkdiv.StepFunction.from_json(raw)
 
 
+def _carried(path: str | None) -> str | None:
+    """``path`` as the value of a 'k=v' token, or None where it has none: a
+    comma would split the token."""
+    return None if path is None or "," in path else path
+
+
 # A kind is (parse, render, default): ``parse(raw, key, params, spec)`` turns
 # the raw string into the value, ``render`` turns the attribute back into
 # text, and ``default`` is the raw string taken when the key is absent (None:
@@ -181,8 +190,8 @@ def _step_file(raw: str, *_) -> StepFunction:
 _FLOAT = (lambda raw, key, _, spec: _float(raw, f"parameter {key}={raw!r} in {spec!r}"),
           _num, None)
 _LOSS = (_loss, lambda loss: _render(_LOSSES, loss, name=loss.kind), None)
-_STEP_FILE = (_step_file, lambda step: step.source_path, None)
-_PATH = (lambda raw, *_: raw, lambda path: path, None)
+_STEP_FILE = (_step_file, lambda step: _carried(step.source_path), None)
+_PATH = (lambda raw, *_: raw, _carried, None)
 
 _ALPHA = ("alpha", "alpha", _FLOAT)
 _PHI = ("phi", "gen", _catalog(lambda: mkdiv.generator_catalog(), "generator"))
@@ -245,8 +254,12 @@ def parse_distribution(spec: str) -> Distribution:
 
 
 def render_distribution(dist: Distribution) -> str:
-    return _render(_DISTRIBUTIONS, dist, sep=":",
-                   name="empirical" if isinstance(dist, mkdiv.Empirical) else None)
+    if not isinstance(dist, mkdiv.Empirical):
+        return _render(_DISTRIBUTIONS, dist, sep=":")
+    path = dist.source_path
+    if path is not None and "," in path and "=" not in path:
+        return f"empirical:{path}"  # only the shorthand carries a comma
+    return _render(_DISTRIBUTIONS, dist, sep=":", name="empirical")
 
 
 def parse_generator(spec: str) -> ConvexGenerator:
@@ -306,4 +319,6 @@ def parse_market(spec: str) -> MarketSpec:
 
 def render_market(market: MarketSpec) -> str:
     spd = render_distribution(market.spd)
+    if ";" in spd:  # it would end the spd token
+        raise ConfigError("market has no spd to render as a spec string")
     return f"market:spd={spd};r={_num(market.rate)};T={_num(market.horizon)}"

@@ -166,11 +166,11 @@ def mk_divergence(
     """Divergence from ``f1`` to ``f2`` via the score's claimed coupling.
 
     One rule serves every pair: it pairs both laws' atoms as step quantile
-    functions, so a pair is exact on each empirical side, at any sizes.  ``m``
-    sets a parametric law's atom count, its midpoint grid (``delta`` is only
-    checked against it); an empirical law does not read it.  The result
-    is non-negative; finite negative float dust from cancellation is clamped
-    to zero.  A NaN or -inf sum, as from an overflowing score, raises
+    functions, so a pair is exact on each empirical side, at any sizes.  Each
+    law checks the midpoint grid ``(m, delta)``, whose m nodes are a
+    parametric law's atoms; an empirical law's atoms are its sample.  The
+    result is non-negative; finite negative float dust from cancellation is
+    clamped to zero.  A NaN or -inf sum, as from an overflowing score, raises
     :class:`MomentError`.  A domain violation of the score propagates with the
     u-node of the entry its check rejected.
     """
@@ -203,8 +203,9 @@ def wasserstein_p(
     """p-Wasserstein distance via the quantile representation
     (int |Q1 - Q2|^p du)^(1/p), on the one pairing rule of
     :func:`mk_divergence`: exact on each empirical side, at any sizes, with
-    ``m`` setting a parametric law's atom count.  A NaN sum, as from two
-    quantiles that overflow to the same infinity, raises :class:`MomentError`.
+    the grid ``(m, delta)`` checked on each law and setting a parametric
+    law's atoms.  A NaN sum, as from two quantiles that overflow to the same
+    infinity, raises :class:`MomentError`.
     When the integral overflows but every gap is finite, it is taken again on
     the gaps divided by the largest one, which then scales the root."""
     if not (p >= 1.0 and math.isfinite(p)):

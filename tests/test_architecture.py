@@ -392,3 +392,56 @@ def test_results_hold_only_what_their_call_computed(result, names):
     # the arguments of the call (score, seed, tolerance, budget, ...) stay
     # with the caller
     assert [f.name for f in dataclasses.fields(result)] == names
+
+
+def check_calls(source: str):
+    """(innermost enclosing function or None, callee, keyword, value) of each
+    keyword argument of a call to a ``_check_*`` function, plainly or
+    through a module."""
+    hits, scope = [], []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name.startswith("_check_"):
+                hits.extend((scope[-1] if scope else None, name, kw.arg, ast.unparse(kw.value))
+                            for kw in node.keywords)
+            self.generic_visit(node)
+
+    Finder().visit(ast.parse(source))
+    return hits
+
+
+def test_the_check_finder_sees_every_spelling():
+    source = (
+        "def _cmd_a(args):\n"
+        "    _check_size('grid', 2, m=args.grid_m)\n"
+        "    numerics._check_count('x', 0, seed=args.seed, n=n)\n"
+        "    functional._check_law(dist)\n"
+        "    check_size('grid', 2, m=m)\n"
+        "_check_tolerance('t', tol=1.0)\n"
+    )
+    assert check_calls(source) == [
+        ("_cmd_a", "_check_size", "m", "args.grid_m"),
+        ("_cmd_a", "_check_count", "seed", "args.seed"),
+        ("_cmd_a", "_check_count", "n", "n"),
+        (None, "_check_tolerance", "tol", "1.0"),
+    ]
+
+
+def test_the_cli_checks_only_the_flags_it_reads_itself():
+    # every other flag goes to a library call, which checks it on every
+    # input it takes: --grid-m, say, is checked by the law reading its atoms
+    assert check_calls((SRC / "cli.py").read_text(encoding="utf-8")) == [
+        ("_cmd_elicit_check", "_check_tolerance", "tol", "args.tol"),
+        ("_cmd_axioms", "_check_count", "seed", "args.seed"),
+        ("_cmd_axioms", "_check_size", "size", "args.size"),
+    ]

@@ -10,6 +10,7 @@ import mkdiv
 from mkdiv import cli
 from mkdiv.cli import build_parser, canonical_json, main
 from mkdiv.errors import MkdivError
+from mkdiv.specs import parse_distribution
 
 
 def run_cli(argv):
@@ -109,7 +110,7 @@ class TestDivergence:
 
     @pytest.mark.parametrize("m", ["-5", "0", "1"])
     def test_invalid_grid_exits_one_on_empirical_laws_too(self, csv_pair, m):
-        # no law reads m here, so only the subcommand itself can reject it
+        # an empirical law's atoms are its sample, yet the law checks m
         a, b = csv_pair
         divergence = run_cli(["divergence", "--score", "score:bregman,phi=quadratic",
                               "--from", f"empirical:path={a}", "--to", f"empirical:path={b}",
@@ -119,6 +120,16 @@ class TestDivergence:
                           "--dist", f"empirical:path={a}", "--grid-m", m])
         error = canonical_json({"error": f"grid needs an integer m >= 2, got m={m}"}) + "\n"
         assert divergence == elicit == (1, "", error)
+
+    def test_the_echoed_dist_parses_back(self, tmp_path):
+        p = tmp_path / "a,b.csv"
+        p.write_text("value\n0.5\n0.25\n1\n")
+        code, out, _ = run_cli(["elicit-check", "--functional", "functional:mean",
+                                "--score", "score:bregman,phi=quadratic", "--dist", f"empirical:{p}"])
+        assert code == 0
+        dist = json.loads(out)["dist"]
+        assert dist == f"empirical:{p}"
+        assert parse_distribution(dist).values.tolist() == [0.25, 0.5, 1.0]
 
     def test_undefined_divergence_exits_one(self):
         code, out, err = run_cli(["divergence", "--score", "score:entropic,gamma=1,phi=quadratic",

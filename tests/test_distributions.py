@@ -2,18 +2,28 @@ import numpy as np
 import pytest
 
 from mkdiv import (
+    BregmanScore,
     DomainError,
     Empirical,
+    Entropic,
+    Expectile,
     Exponential,
     IngestionError,
     LogNormal,
     Normal,
     PointMass,
     QuantileGrid,
+    Shortfall,
     Uniform,
+    argmin_expected_score,
+    expected_score,
     from_samples,
+    mk_divergence,
+    power_loss,
+    quadratic,
     quantile_grid,
     read_value_csv,
+    wasserstein_p,
 )
 from mkdiv.distributions import _EXP_M2, _ndtr, _ndtri
 from mkdiv.numerics import _DEFAULT_DELTA, midpoint_rule, pairwise_mean
@@ -244,6 +254,36 @@ class TestQuantileGrid:
         assert not g.nodes.flags.writeable and nodes.flags.writeable
 
 
+# every reader of a law's atoms, called on a pair of laws or on the first
+GRID_READERS = {
+    "mk_divergence": lambda f1, f2, **grid: mk_divergence(BregmanScore(quadratic()), f1, f2, **grid),
+    "wasserstein_p": lambda f1, f2, **grid: wasserstein_p(f1, f2, 2.0, **grid),
+    "expected_score": lambda f1, _, **grid: expected_score(BregmanScore(quadratic()), f1, 0.5,
+                                                           **grid),
+    "argmin_expected_score": lambda f1, _, **grid: argmin_expected_score(
+        BregmanScore(quadratic()), f1, 0.0, 1.0, **grid),
+    "Expectile": lambda f1, _, **grid: Expectile(0.7).evaluate(f1, **grid),
+    "Shortfall": lambda f1, _, **grid: Shortfall(power_loss()).evaluate(f1, **grid),
+    "Entropic": lambda f1, _, **grid: Entropic(1.0).evaluate(f1, **grid),
+}
+BAD_GRIDS = [{"m": m} for m in (-5, 0, 1, 2.5, True, 2**61)] + [
+    {"m": 8, "delta": delta} for delta in (-1e-9, 0.5 / 8, float("nan"))
+]
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS, ids=lambda grid: repr(grid)[1:-1])
+@pytest.mark.parametrize("reader", list(GRID_READERS))
+def test_every_law_rejects_a_bad_grid_alike(reader, grid):
+    # an empirical law's atoms are its sample, but it checks the grid as a
+    # parametric law does before building its nodes
+    with pytest.raises(DomainError) as parametric:
+        GRID_READERS[reader](Normal(0.0, 1.0), Normal(0.0, 1.0), **grid)
+    with pytest.raises(DomainError) as empirical:
+        GRID_READERS[reader](from_samples([0.1, 0.5]), from_samples([0.2, 0.4, 0.9]), **grid)
+    assert str(empirical.value) == str(parametric.value)
+    assert "grid needs" in str(parametric.value) or "truncation level" in str(parametric.value)
+
+
 class TestInvariants:
     def test_quantile_monotone(self):
         rng = np.random.default_rng(42)
@@ -288,6 +328,14 @@ class TestCsv:
         p.write_text("1.0\nhello\n")
         with pytest.raises(IngestionError, match="line 2"):
             read_value_csv(p)
+
+    def test_digit_separator_is_not_numeric(self, tmp_path):
+        # float() reads "1_000" as 1000.0, a Python literal, not a CSV number
+        p = tmp_path / "d.csv"
+        p.write_text("value\n2.5\n1_000\n")
+        with pytest.raises(IngestionError) as exc:
+            read_value_csv(p)
+        assert str(exc.value) == f"{p}: line 3 is not numeric: '1_000'"
 
 
 class TestConstructionErrors:

@@ -10,6 +10,7 @@ from mkdiv import (
     Normal,
     PointMass,
     Uniform,
+    UniquenessWarning,
     cheapest_payoff,
     payoff_cost,
     quadratic,
@@ -175,3 +176,19 @@ class TestCheapestPayoff:
         assert sol.cost == pytest.approx(
             payoff_cost(unit_market(), sol.payoff_quantile), abs=1e-12
         )
+
+
+def test_a_generator_not_strictly_convex_warns_the_caller():
+    # the optimum (phi')^-1(phi'(Q) - Q_xi(1 - u) / lam) is no more unique
+    # than the worst case's, so it warns as solve_worst_case does
+    import dataclasses
+    import warnings
+
+    flat = dataclasses.replace(quadratic(), name="flat", strictly_convex=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cheapest_payoff(flat, Uniform(0.0, 1.0), MarketSpec(spd=Uniform(0.0, 1.0)), 0.02, m=100)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (UniquenessWarning, "generator 'flat' is not strictly convex; the solution may not be unique",
+         __file__)
+    ]

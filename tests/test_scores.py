@@ -165,6 +165,25 @@ class TestStepFunction:
         np.testing.assert_array_equal(loaded.breakpoints, TWO_STEP.breakpoints)
         np.testing.assert_array_equal(loaded.levels, TWO_STEP.levels)
 
+    @pytest.mark.parametrize("text, error", [
+        ('{"breakpoints": [true, "2"], "levels": ["0.2", 0.5, 0.7]}',
+         "breakpoints must be JSON numbers, got true at index 0"),
+        ('{"breakpoints": [1, "2"], "levels": [0.2, 0.5, 0.7]}',
+         'breakpoints must be JSON numbers, got "2" at index 1'),
+        ('{"breakpoints": [1, 2], "levels": [0.2, 0.5, false]}',
+         "levels must be JSON numbers, got false at index 2"),
+        ('{"breakpoints": [1, 2], "levels": ["0.2", 0.5, 0.7]}',
+         'levels must be JSON numbers, got "0.2" at index 0'),
+        ('{"breakpoints": [1' + "0" * 400 + '], "levels": [0.2, 0.5]}',
+         "breakpoints and levels must be numeric: int too large to convert to float"),
+    ], ids=["bool-and-string", "string-breakpoint", "bool-level", "string-level", "huge-int"])
+    def test_json_takes_numbers_only(self, tmp_path, text, error):
+        p = tmp_path / "steps.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            StepFunction.from_json(p)
+        assert str(exc.value) == f"{p}: {error}"
+
 
 # every float class a weight's comparison can meet: signed zeros and
 # infinities, NaN, and the ends of the finite range

@@ -14,13 +14,16 @@ from mkdiv import (
     ExpectileScore,
     IngestionError,
     GPLScore,
+    LambdaQuantileScore,
     LogNormal,
     MarketSpec,
     Normal,
     PointMass,
     ShortfallScore,
+    StepFunction,
     Uniform,
     dual_power,
+    from_samples,
     generator_catalog,
     power_distortion,
     tvar_distortion,
@@ -124,6 +127,29 @@ class TestRoundTrips:
         d = parse_distribution(f"empirical:{p}")
         assert d.n == 2
         assert render_distribution(d) == f"empirical:path={p}"
+
+    @pytest.mark.parametrize("name, form", [
+        ("a,b.csv", "empirical:{p}"),
+        ("x=y.csv", "empirical:path={p}"),
+        ("plain.csv", "empirical:path={p}"),
+    ])
+    def test_empirical_path_renders_in_a_form_that_carries_it(self, tmp_path, name, form):
+        # the shorthand cannot carry '=' and 'path=' cannot carry ','
+        p = tmp_path / name
+        p.write_text("value\n3\n1\n")
+        spec = form.format(p=p)
+        assert _roundtrip(parse_distribution, render_distribution, spec) == spec
+        assert parse_distribution(spec).values.tolist() == [1.0, 3.0]
+
+    def test_a_path_no_spec_string_carries_is_not_rendered(self):
+        with pytest.raises(ConfigError, match="^empirical has no path to render as a spec string$"):
+            render_distribution(from_samples([1.0], source_path="a,b=c.csv"))
+        step = StepFunction([0.0], [0.3, 0.7], source_path="s,t.json")
+        with pytest.raises(ConfigError, match="^score:lambda has no file to render as a spec string$"):
+            render_score(LambdaQuantileScore(step))
+        market = MarketSpec(spd=from_samples([1.0], source_path="a;b.csv"))
+        with pytest.raises(ConfigError, match="^market has no spd to render as a spec string$"):
+            render_market(market)
 
     def test_lambda_score_with_file(self, tmp_path):
         p = tmp_path / "steps.json"

@@ -207,7 +207,7 @@ class TestMkDivergence:
 
     @pytest.mark.parametrize("m,delta", [(10, 0.3), (4, 0.2), (10.5, 0.0), (1, 0.0)])
     def test_parametric_grid_is_checked(self, m, delta):
-        # the exact empirical merge takes no grid; every other pair is on it
+        # a parametric pair builds its grid; an empirical law checks it alike
         f1, f2 = Uniform(0, 1), Normal(1, 2)
         with pytest.raises(DomainError, match="grid needs|truncation level"):
             mk_divergence(GPLScore(0.9), f1, f2, m=m, delta=delta)
@@ -278,7 +278,8 @@ class TestOnePairingRule:
     @pytest.mark.parametrize("flip", [False, True], ids=["comonotonic", "antitonic"])
     def test_corpus_matches_the_breakpoint_integral(self, flip):
         # mixed pairs read a parametric law as its m grid atoms; empirical
-        # pairs have unequal sizes, so every instance takes the merge
+        # pairs have unequal sizes, so every instance takes the merge, and
+        # pass no m, which would only be checked
         rng = np.random.default_rng(19)
         scores = catalog_scores()
         for k in range(240):
@@ -290,15 +291,15 @@ class TestOnePairingRule:
             if k % 2:
                 m = int(rng.integers(2, 61))
                 law = PARAMETRIC_LAWS[k // 2 % len(PARAMETRIC_LAWS)]
-                other, atoms = law, law.quantile((np.arange(m) + 0.5) / m)
+                other, atoms, grid = law, law.quantile((np.arange(m) + 0.5) / m), {"m": m}
             else:
-                m = int(rng.integers(1, 41))
-                m += m >= n  # a size other than n
-                other = from_samples(rng.uniform(lo, hi, m))
-                atoms = other.values
+                size = int(rng.integers(1, 41))
+                size += size >= n  # a size other than n
+                other = from_samples(rng.uniform(lo, hi, size))
+                atoms, grid = other.values, {}
             pair = (sample, other) if k % 4 < 2 else (other, sample)
             a, b = (sample.values, atoms) if k % 4 < 2 else (atoms, sample.values)
-            got = mk_divergence(s, *pair, m=m)
+            got = mk_divergence(s, *pair, **grid)
             assert got == pytest.approx(breakpoint_value(s, a, b), rel=1e-13, abs=0.0), k
 
     @pytest.mark.parametrize("m", [2, 3, 1000, 10_000])

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/write_cli_corpus.py
 
-The corpus is 77 argvs, each with the exit code, stdout and stderr of
+The corpus is 132 argvs, each with the exit code, stdout and stderr of
 ``cli.main`` run in process from the repository root, and the fingerprint of
 the platform that ran them:
 
@@ -16,7 +16,14 @@ the platform that ran them:
   a malformed spec exit 1 with a JSON error line on stderr, and a ``verify``
   whose nonzero deviation exceeds ``--tol 0`` exits 2;
 * the 6 seeded calls of ``test_cli.py``: a ``verify`` and three ``axioms``
-  reports, and the two negative seeds that exit 1.
+  reports, and the two negative seeds that exit 1;
+* 55 argvs that run every score family and every functional: ``divergence``
+  for each of the 14 catalog scores on a parametric pair and on two samples
+  of unequal sizes, written under ``tests/data/cli_corpus/families/``;
+  ``elicit-check`` for each of the 8 functionals with its score at the
+  default grid and at ``--grid-m`` 1000 and 40001 (several reports per tile,
+  one report per row, and rows taken in blocks), whatever exit code each
+  gives; and ``verify`` for the shortfall, decomposable and entropic scores.
 
 Rewrite it only in a change that lists each output it moves; ``git diff``
 of ``corpus.json`` names them.
@@ -26,6 +33,8 @@ import json
 import os
 import shutil
 import sys
+
+import numpy as np
 
 from test_cli_corpus import CORPUS, ROOT, fingerprint, run
 
@@ -74,6 +83,54 @@ FAILING_ARGVS = [
     ["verify", "--score", "score:bregman,phi=quartic", "--seed", "3", "--tol", "0"],
 ]
 
+STEPS = "tests/data/cli_corpus/seed1/steps.json"
+FAMILY_SCORES = (
+    *(f"score:bregman,phi={phi}" for phi in GENERATORS),
+    *(f"score:gpl,alpha=0.9,g={g}" for g in ("identity", "exp", "log")),
+    "score:expectile,alpha=0.7,phi=quadratic",
+    *(f"score:shortfall,loss={loss}" for loss in ("linear", "exponential,gamma=1", "power,p=3")),
+    f"score:lambda,file={STEPS}",
+    "score:decomposable,phi=quadratic,alpha=0.7,beta=0.3",
+    "score:entropic,gamma=1,phi=quadratic",
+)
+FUNCTIONAL_SCORES = (
+    ("functional:mean", "score:bregman,phi=quadratic"),
+    ("functional:quantile,alpha=0.9", "score:gpl,alpha=0.9,g=identity"),
+    ("functional:expectile,alpha=0.7", "score:expectile,alpha=0.7,phi=quadratic"),
+    *((f"functional:shortfall,loss={loss}", f"score:shortfall,loss={loss}")
+      for loss in ("linear", "exponential,gamma=1", "power,p=3")),
+    (f"functional:lambda,file={STEPS}", f"score:lambda,file={STEPS}"),
+    ("functional:entropic,gamma=1", "score:entropic,gamma=1,phi=quadratic"),
+)
+
+
+def family_argvs() -> list:
+    """The argvs that run every score family and every functional; the two
+    samples they read, of 23 and 37 positive values, are written first."""
+    work_dir = CORPUS.parent / "families"
+    work_dir.mkdir(exist_ok=True)
+    rng = np.random.default_rng(11)
+    pairs = [("lognormal:mu=0,sigma=0.25", "uniform:a=0.5,b=1.5")]
+    paths = []
+    for name, n in (("x", 23), ("y", 37)):
+        path = work_dir / f"{name}.csv"
+        path.write_text("value\n" + "".join(f"{v!r}\n" for v in rng.uniform(0.5, 2.0, n).tolist()),
+                        encoding="utf-8")
+        paths.append(f"empirical:path={path.relative_to(ROOT)}")
+    pairs.append(tuple(paths))
+    argvs = [["divergence", "--score", score, "--from", f1, "--to", f2]
+             for score in FAMILY_SCORES for f1, f2 in pairs]
+    for m in (None, 1000, 40001):
+        for functional, score in FUNCTIONAL_SCORES:
+            argvs.append(["elicit-check", "--functional", functional, "--score", score,
+                          "--dist", "normal:mu=-1,sigma=1",
+                          *(() if m is None else ("--grid-m", str(m)))])
+    for score in FAMILY_SCORES:
+        if score.startswith(("score:shortfall,loss=power", "score:decomposable", "score:entropic")):
+            argvs.append(["verify", "--score", score, "--seed", "1"])
+    return argvs
+
+
 SEEDED_ARGVS = [
     ["verify", "--score", "score:gpl,alpha=0.9,g=identity", "--n", "8", "--instances", "100",
      "--seed", "7"],
@@ -91,7 +148,7 @@ SEEDED_ARGVS = [
 def main() -> int:
     os.chdir(ROOT)  # the argvs name their files relative to the root
     argvs = ([argv for seed in SEEDS for argv in oneshot_argvs(seed)] + multi_block_argvs()
-             + FAILING_ARGVS + SEEDED_ARGVS)
+             + FAILING_ARGVS + SEEDED_ARGVS + family_argvs())
     corpus = {"fingerprint": fingerprint(), "cases": [run(argv) for argv in argvs]}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(argvs)} cases to {CORPUS.relative_to(ROOT)}")
