@@ -197,13 +197,16 @@ def _cmd_elicit_check(args):
     functional._check_law(dist)
     law = Empirical(dist.atoms(args.grid_m))
     direct = functional.evaluate(law)
+    lo, hi = functional.interval(law)
     indirect = argmin_expected_score(score, law, z_lo, z_hi, steps=args.steps)
-    deviation = abs(direct - indirect)
+    # the distance to the functional's set: |direct - indirect| where it is a point
+    deviation = max(lo - indirect, indirect - hi, 0.0)
     return {
         "functional": specs.render_functional(functional),
         "score": specs.render_score(score),
         "dist": specs.render_distribution(dist),
         "functional_value": direct,
+        **({"interval": [lo, hi]} if lo < hi else {}),
         "argmin": indirect,
         "deviation": deviation,
         "tolerance": args.tol,

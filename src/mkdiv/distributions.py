@@ -476,8 +476,9 @@ def quantile_grid(
 
 
 def read_value_csv(path) -> list[float]:
-    """Read one numeric value per line, with no digit separator ``_``; an
-    optional header ``value`` and a UTF-8 byte-order mark are allowed."""
+    """Read one numeric value per line, in ASCII and with no digit separator
+    ``_``; an optional header ``value`` and a UTF-8 byte-order mark are
+    allowed."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -492,7 +493,8 @@ def read_value_csv(path) -> list[float]:
         if lineno == 1 and text.lower() == "value":
             continue
         try:
-            if "_" in text:  # a digit separator, which float() would read
+            # float() also reads digit separators and non-ASCII digits
+            if "_" in text or not text.isascii():
                 raise ValueError(text)
             out.append(float(text))
         except ValueError as exc:

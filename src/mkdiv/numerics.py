@@ -10,7 +10,7 @@ entries along that axis, and :class:`_BlockSum` folds each block by
 worst-case value and the payoff cost, and means are such sums divided by the
 count, :func:`pairwise_mean` for a single array.
 Every open-domain check goes through :func:`first_outside`.
-:func:`brent_root` and :func:`golden_section` are the 1-D searches; the robust
+:func:`brent_root` and :func:`brent_minimize` are the 1-D searches; the robust
 solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.
 """
 
@@ -28,7 +28,7 @@ __all__ = [
     "pairwise_sum",
     "pairwise_mean",
     "brent_root",
-    "golden_section",
+    "brent_minimize",
     "Rule",
     "midpoint_rule",
 ]
@@ -274,42 +274,73 @@ def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1
     return b, fb
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2, the golden step's fraction
 
 
-def golden_section(f, a: float, b: float, width_tol: float = 1e-8):
-    """Minimiser of a unimodal ``f`` on ``[a, b]`` by golden-section search.
+def brent_minimize(f, a: float, b: float, width_tol: float = 1e-8) -> float:
+    """Minimiser of a unimodal ``f`` on ``[a, b]`` by Brent's method.
 
-    On ties the right part of the bracket is discarded, so the search drifts
-    toward the smallest minimiser of a flat-bottomed objective.  An end that
-    was a probe keeps its value; only an original end is evaluated, once,
-    and only if it is still an end at the final pick.
+    Each step fits a parabola through the best three probes and steps to its
+    vertex when that lies inside the bracket and moves less than half the
+    step before last; otherwise, or when the parabola's p or q is not finite,
+    it takes a golden-section step into the larger part of the bracket.  The
+    search ends once the bracket is at most ``W = width_tol * (1 + |a| + |b|)``
+    wide, a width summed from halved terms so that it stays finite near
+    overflow.  Each step moves at least W/4, and a parabolic step stays W/2
+    clear of the ends, so the bracket closes in on the best probe from both
+    sides.  A probe that ties the best one drops the part of the bracket to
+    its right, so the search drifts toward the smallest minimiser of a
+    flat-bottomed objective.  ``f`` returns Python floats, whose overflow in
+    the parabola gives inf rather than a numpy warning.
+
+    Returns the best probe; the ends of the bracket are never evaluated.
+    Reference: R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5.
     """
     if b < a:
         a, b = b, a
-    h = b - a
-    if h <= width_tol:
-        return 0.5 * (a + b)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    fa = fb = None  # unknown until an end is a former probe
+    if b - a <= width_tol:
+        return 0.5 * a + 0.5 * b
+    x = w = v = a + _INVPHI2 * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step and the one before it
     for _ in range(_MAX_ITER):
-        if 0.5 * h <= width_tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b)):
+        half = width_tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b))
+        mid = 0.5 * a + 0.5 * b
+        if 0.5 * b - 0.5 * a <= half:
             break
-        if fc <= fd:  # keep [a, d]; ties move left
-            b, fb, d, fd = d, fd, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
+        tol = 0.5 * half
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            if (math.isfinite(p) and math.isfinite(q) and abs(p) < abs(0.5 * q * e)
+                    and q * (a - x) < p < q * (b - x)):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if golden:
+            e = (a if x >= mid else b) - x
+            d = _INVPHI2 * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if (fu, u) < (fx, x):  # u is the new best; a tie goes to the smaller
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, fa, c, fc = c, fc, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    # final pick among probes, preferring the smallest argument on ties
-    xs = (a, c, d, b)
-    fs = (f(a) if fa is None else fa, fc, fd, f(b) if fb is None else fb)
-    best = min(range(4), key=lambda i: (fs[i], xs[i]))
-    return xs[best]
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x

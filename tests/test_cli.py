@@ -305,6 +305,18 @@ class TestElicitCheck:
         message = f"exponential moment not finite for the {kind} law (gamma=1.0)"
         assert run_cli(argv) == (1, "", canonical_json({"error": message}) + "\n")
 
+    def test_a_flat_quantile_passes_at_distance_zero(self):
+        # 0.9 * 10^4 grid atoms is an integer: the argmin may stop anywhere
+        # between the 9000th and the 9001st atom, 5.7e-4 apart
+        code, out, _ = run_cli(["elicit-check", "--functional", "functional:quantile,alpha=0.9",
+                                "--score", "score:gpl,alpha=0.9,g=identity",
+                                "--dist", "normal:mu=-1,sigma=1"])
+        payload = json.loads(out)
+        lo, hi = payload["interval"]
+        assert code == 0 and payload["passed"] is True
+        assert lo == payload["functional_value"] < hi
+        assert lo <= payload["argmin"] <= hi and payload["deviation"] == 0.0
+
     def test_payload_keys(self):
         code, out, _ = run_cli(["elicit-check", "--functional", "functional:mean",
                                 "--score", "score:bregman,phi=quadratic",

@@ -20,7 +20,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +39,9 @@ SAMPLES = 33  # entries kept of a long list of numbers, both ends included
 # for the comparison by numbers.  Measured on an x86-64 host with numpy 2.4.6
 # and the AVX-512 targets, or all dispatch targets, turned off
 # (NPY_DISABLE_CPU_FEATURES): 29 of the 66 outputs moved; an argmin by 1.8e-8
-# relative, within the flat bottom that golden-section search at width 1e-8
-# cannot resolve, and the deviation with it; every other number by at most
+# relative, within the flat bottom that the argmin's end game cannot resolve
+# at width 1e-8 (measured with golden-section search; Brent's minimiser stops
+# at the same width), and the deviation with it; every other number by at most
 # 1.5e-14 relative.  Round-off measures are bounded absolutely.
 DEFAULT_BOUND = (1e-12, 1e-15)
 BOUNDS = {
@@ -150,6 +154,34 @@ def test_seeded_output_is_the_recorded_one(case, monkeypatch):
     else:
         assert mismatches(case["stdout"], got["stdout"]) == []
         assert mismatches(abridged(case["stderr"]), abridged(got["stderr"])) == []
+
+
+def replay_by_numbers() -> list:
+    """Every case replayed from the repository root and compared by numbers,
+    whatever the fingerprint: the mismatches, each after its case's index."""
+    os.chdir(ROOT)
+    found = []
+    for i, case in enumerate(RECORDED["cases"]):
+        got = run(case["argv"])
+        if got["exit"] != case["exit"]:
+            found.append(f"{i}: exit {got['exit']} != {case['exit']}")
+        found += [f"{i}{m}" for m in mismatches(case["stdout"], got["stdout"])]
+        found += [f"{i}{m}" for m in mismatches(abridged(case["stderr"]), abridged(got["stderr"]))]
+    return found
+
+
+def test_the_corpus_replays_within_its_bounds_on_other_kernels():
+    # numpy without its AVX-512 kernels, in a process of its own: on an
+    # AVX-512 host that runs other kernels than those that recorded the
+    # corpus, and the comparison by numbers runs on any host
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                                          os.environ.get("PYTHONPATH", "")])}
+    code = "import json, test_cli_corpus; print(json.dumps(test_cli_corpus.replay_by_numbers()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_the_number_comparison_holds_each_key_to_its_bound():

@@ -337,6 +337,23 @@ class TestCsv:
             read_value_csv(p)
         assert str(exc.value) == f"{p}: line 3 is not numeric: '1_000'"
 
+    @pytest.mark.parametrize(
+        "digits",
+        [
+            "\u0661\u0662",  # Arabic-Indic
+            "\uff11\uff12",  # full-width
+            "\u0967\u0968",  # Devanagari
+            "1\u0662.5",  # one non-ASCII digit among ASCII ones
+        ],
+    )
+    def test_non_ascii_digits_are_not_numeric(self, tmp_path, digits):
+        # float() reads each of these as a number, 12.0 for the first three
+        p = tmp_path / "e.csv"
+        p.write_text(f"value\n2.5\n{digits}\n", encoding="utf-8")
+        with pytest.raises(IngestionError) as exc:
+            read_value_csv(p)
+        assert str(exc.value) == f"{p}: line 3 is not numeric: {digits!r}"
+
 
 class TestConstructionErrors:
     def test_uniform_needs_a_below_b(self):

@@ -8,9 +8,9 @@ from mkdiv import COMONOTONIC, from_samples
 from mkdiv.errors import EvaluationError
 from mkdiv.numerics import (
     _BlockSum,
+    brent_minimize,
     brent_root,
     first_outside,
-    golden_section,
     midpoint_rule,
     pairwise_mean,
     pairwise_sum,
@@ -238,35 +238,82 @@ class TestBrent:
             brent_root(lambda x: x, 1.0, 2.0, 1.0, 2.0)
 
 
-class TestGolden:
+class TestBrentMinimize:
     def test_parabola(self):
-        x = golden_section(lambda z: (z - 0.3) ** 2, -1.0, 1.0, width_tol=1e-10)
+        x = brent_minimize(lambda z: (z - 0.3) ** 2, -1.0, 1.0, width_tol=1e-10)
         assert x == pytest.approx(0.3, abs=1e-8)
 
     def test_v_shape_kink(self):
-        x = golden_section(lambda z: abs(z - 0.25), -2.0, 2.0, width_tol=1e-10)
+        x = brent_minimize(lambda z: abs(z - 0.25), -2.0, 2.0, width_tol=1e-10)
         assert x == pytest.approx(0.25, abs=1e-8)
 
     def test_flat_bottom_prefers_left(self):
         f = lambda z: max(abs(z) - 1.0, 0.0)  # flat minimum on [-1, 1]
-        x = golden_section(f, -3.0, 3.0, width_tol=1e-10)
+        x = brent_minimize(f, -3.0, 3.0, width_tol=1e-10)
         assert x <= -0.99
 
     @pytest.mark.parametrize(
-        "f, original_ends",
+        "f",
         [
-            (lambda z: (z - 0.3) ** 2, 0),  # both ends are former probes at the end
-            (lambda z: z, 1),  # the left end never moves
-            (lambda z: -z, 1),  # the right end never moves
+            lambda z: (z - 0.3) ** 2,
+            lambda z: z,  # the minimum at the left end
+            lambda z: -z,  # the minimum at the right end
+            lambda z: max(abs(z) - 0.5, 0.0),  # flat on [-0.5, 0.5]
         ],
     )
-    def test_each_point_is_evaluated_once(self, f, original_ends):
+    def test_each_point_is_evaluated_once_and_no_end(self, f):
         seen = []
 
         def probe(z):
             seen.append(z)
             return f(z)
 
-        golden_section(probe, -1.0, 1.0)
+        brent_minimize(probe, -1.0, 1.0)
         assert len(seen) == len(set(seen))
-        assert (-1.0 in seen) + (1.0 in seen) == original_ends
+        assert -1.0 not in seen and 1.0 not in seen
+        assert all(-1.0 < z < 1.0 for z in seen)
+
+    @pytest.mark.parametrize("center", [0.3, -0.7, 1e-3])
+    def test_the_end_is_within_the_stopping_width(self, center):
+        # the minimiser stays inside the bracket, so the best probe lies
+        # within its final width, 1e-8 * (1 + |a| + |b|) <= 3e-8 here
+        x = brent_minimize(lambda z: abs(z - center) + 0.1 * (z - center) ** 2, -1.0, 1.0)
+        assert abs(x - center) <= 3e-8
+
+    def test_a_smooth_minimum_takes_few_probes(self):
+        # parabolic steps converge superlinearly where golden-section takes
+        # log(2e-8 / 2) / log(0.618), about 38 probes; the minimum value 0
+        # keeps the objective from being flat to rounding around it
+        seen = []
+
+        def probe(z):
+            seen.append(z)
+            return (z - 0.3) ** 2 * (2.0 + math.sin(5.0 * z))
+
+        x = brent_minimize(probe, -1.0, 1.0)
+        assert abs(x - 0.3) <= 2e-8
+        assert len(seen) <= 12
+
+    def test_an_overflowing_parabola_takes_a_golden_step(self):
+        # the second and third probes lie 1.7e308 above the first, so the
+        # parabola through the three has a q that overflows and a finite p;
+        # the fourth probe is then the golden step into the larger part
+        # [x0, b] of the bracket, not a minimum-length step beside x0
+        seen = []
+
+        def probe(z):
+            seen.append(z)
+            return (z - x0) ** 2 if abs(z - x0) <= 0.2 else 1.7e308
+
+        x0 = -1.0 + (3.0 - math.sqrt(5.0))  # the first probe of [-1, 1]
+        assert brent_minimize(probe, -1.0, 1.0) == x0
+        assert seen[0] == x0 and seen[1] > x0 > seen[2]
+        assert seen[3] == pytest.approx(x0 + (3.0 - math.sqrt(5.0)) / 2.0 * (seen[1] - x0))
+
+    def test_infinite_values_take_golden_steps(self):
+        x = brent_minimize(lambda z: math.inf if z > 0.5 else (z - 0.2) ** 2, -1.0, 1.0)
+        assert abs(x - 0.2) <= 3e-8
+
+    def test_a_bracket_narrower_than_the_width_gives_its_midpoint(self):
+        assert brent_minimize(lambda z: 1.0 / 0.0, 2.0, 2.0 + 1e-9) == 2.0 + 5e-10
+        assert brent_minimize(lambda z: 1.0 / 0.0, 1e308, 1e308) == 1e308

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mkdiv import (
     DomainError,
+    Exponential,
     LogNormal,
     MarketSpec,
     Normal,
@@ -12,6 +14,7 @@ from mkdiv import (
     Uniform,
     UniquenessWarning,
     cheapest_payoff,
+    generator_catalog,
     payoff_cost,
     quadratic,
     quantile_grid,
@@ -19,7 +22,7 @@ from mkdiv import (
 from mkdiv.distributions import QuantileGrid
 from mkdiv.numerics import midpoint_rule, pairwise_mean
 from mkdiv.robust import perturbed_nodes
-from test_robust import bw_divergence_nodes
+from test_robust import IDENTITY_CASES, bw_divergence_nodes, same_bits
 
 
 def unit_market():
@@ -192,3 +195,18 @@ def test_a_generator_not_strictly_convex_warns_the_caller():
         (UniquenessWarning, "generator 'flat' is not strictly convex; the solution may not be unique",
          __file__)
     ]
+
+
+class TestPayoffCostIdentity:
+    @pytest.mark.parametrize("name", sorted(generator_catalog()))
+    @pytest.mark.parametrize(
+        "spd", [Exponential(1.0), LogNormal(-0.1, 0.2), Uniform(0.0, 1.5)], ids=lambda d: d.kind
+    )
+    def test_cost_is_the_payoff_cost_of_the_payoff_quantile(self, name, spd):
+        gen, market = generator_catalog()[name], MarketSpec(spd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UniquenessWarning)
+            for benchmark, eps, m in IDENTITY_CASES:
+                sol = cheapest_payoff(gen, benchmark, market, eps, m=m)
+                cost = payoff_cost(market, sol.payoff_quantile)
+                assert same_bits(sol.cost, cost), (benchmark, eps, m)

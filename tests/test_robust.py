@@ -1,6 +1,8 @@
 import gc
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mkdiv import (
     exponential_generator,
     generator_catalog,
     identity_distortion,
+    power_distortion,
     quadratic,
     quantile_grid,
     quartic,
@@ -844,3 +847,29 @@ class _nullcontext:
 
     def __exit__(self, *exc):
         return False
+
+
+# the references, budgets and grid sizes of the solver-value identities
+# below; 2 * 10^4 nodes span more than one block of the probes
+IDENTITY_CASES = list(itertools.product(
+    (Uniform(0.5, 1.5), LogNormal(0.0, 0.25)), (0.01, 0.1), (10**3, 2 * 10**4)))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestSolverValues:
+    """A solver's value is the public functional of its own curve, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(generator_catalog()))
+    @pytest.mark.parametrize(
+        "d", [dual_power(2.0), tvar_distortion(0.8), power_distortion(0.6)], ids=lambda d: d.name
+    )
+    def test_worst_value_is_the_choquet_value_of_the_worst_quantile(self, name, d):
+        gen = generator_catalog()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UniquenessWarning)
+            for ref, eps, m in IDENTITY_CASES:
+                sol = solve_worst_case(gen, d, ref, eps, m=m)
+                assert same_bits(sol.worst_value, choquet(d, sol.worst_quantile)), (ref, eps, m)
