@@ -411,8 +411,16 @@ class Empirical(Distribution):
         return self.values
 
     def _upper_quantile(self, level):
-        """The first atom whose cdf exceeds ``level``: it steps over a flat."""
-        return float(self.values[np.searchsorted(self._cdf(self.values), level, "right")])
+        """The first atom whose cdf exceeds ``level`` in (0, 1): it steps over
+        a flat.  That is the first atom tied with the c-th, for the smallest
+        count c with ``c / n > level``, divided as :meth:`_cdf` divides."""
+        n, values = self.n, self.values
+        c = min(int(level * n) + 1, n)  # level * n rounds, so c may be one off
+        while c > 1 and (c - 1) / n > level:
+            c -= 1
+        while c / n <= level:
+            c += 1
+        return float(values[np.searchsorted(values, values[c - 1], "left")])
 
     @property
     def support(self):

@@ -26,6 +26,13 @@ runs along the atoms: in tiles of several reports by all the atoms, or one
 report's 1-D row, in blocks where it holds more than ``_BLOCK`` atoms.
 Brent's minimiser (:func:`mkdiv.numerics.brent_minimize`) then refines the
 grid's minimum one report a call.
+
+:func:`check_axioms` evaluates its samples in stacks through
+:meth:`Functional._evaluate_rows`, one value per row, each bit-identical to
+``evaluate(from_samples(row))``.  The expectile and the entropic functional
+(so the exponential shortfall too) run one kernel, on a stack of sorted rows,
+for both: ``evaluate`` passes it the law's atoms as a single row.  Every
+other functional evaluates the rows one by one.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution, from_samples
-from .errors import AmbiguityError, DomainError, EvaluationError, MomentError
+from .errors import AmbiguityError, DomainError, EvaluationError, IngestionError, MomentError
 from .numerics import (
     _BLOCK,
     _DEFAULT_DELTA,
@@ -45,6 +52,7 @@ from .numerics import (
     _check_finite,
     _check_size,
     _check_tolerance,
+    _split_sums,
     brent_minimize,
     brent_root,
     pairwise_mean,
@@ -80,12 +88,19 @@ def _nudged(level: float, sign: float) -> float:
 
 
 class Functional:
-    """Base class; subclasses implement ``evaluate``."""
+    """Base class; subclasses implement ``evaluate``, and may override
+    ``_evaluate_rows`` to evaluate a stack of samples at once."""
 
     kind = "abstract"
 
     def evaluate(self, dist: Distribution, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA) -> float:
         raise NotImplementedError
+
+    def _evaluate_rows(self, samples: np.ndarray) -> np.ndarray:
+        """``evaluate(from_samples(row))`` for each row of the 2-D
+        ``samples``, bit for bit; it raises where one of those calls would,
+        though not always the same error.  The default makes those calls."""
+        return np.array([self.evaluate(from_samples(row)) for row in samples])
 
     def interval(self, dist: Distribution, m: int = _DEFAULT_M,
                  delta: float = _DEFAULT_DELTA) -> tuple[float, float]:
@@ -160,26 +175,42 @@ class Expectile(Functional):
         return self.alpha * up - (1.0 - self.alpha) * down
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        sample = dist.atoms(m, delta)
-        if not np.all(np.isfinite(sample)):
+        return float(self._on_atoms(dist.atoms(m, delta)[None])[0])
+
+    def _evaluate_rows(self, samples):
+        return self._on_atoms(np.sort(samples, axis=1))
+
+    def _on_atoms(self, atoms: np.ndarray) -> np.ndarray:
+        """The expectile of each row of sorted atoms; a constant row is its
+        own expectile, and the others are computed together."""
+        if not np.all(np.isfinite(atoms)):
             raise MomentError("expectile needs a finite-mean distribution")
-        lo, hi = float(sample[0]), float(sample[-1])
-        if lo == hi:
-            return lo
+        out = atoms[:, 0].copy()
+        live = np.flatnonzero(atoms[:, 0] != atoms[:, -1])
+        if live.size == 0:
+            return out
+        sample = atoms if live.size == out.size else atoms[live]
         # the residual is linear on [y_j, y_{j+1}] between the sorted atoms;
         # j, the last atom where n * residual >= 0, is searched with cumsum
         # and kept in [1, n-1].  The root is the weighted mean below (Newey
         # and Powell, 1987); clipping to [y_j, y_{j+1}] removes only rounding
-        a, n = self.alpha, sample.size
+        a, n = self.alpha, sample.shape[1]
         k = np.arange(1, n + 1)
-        c = np.cumsum(sample)
-        r = a * (c[-1] - c - (n - k) * sample) - (1.0 - a) * (k * sample - c)
-        j = min(max(int(np.count_nonzero(r >= 0.0)), 1), n - 1)
-        num = a * pairwise_sum(sample[j:]) + (1.0 - a) * pairwise_sum(sample[:j])
+        c = np.cumsum(sample, axis=1)
+        r = a * (c[:, -1:] - c - (n - k) * sample) - (1.0 - a) * (k * sample - c)
+        j = np.minimum(np.maximum(np.count_nonzero(r >= 0.0, axis=1), 1), n - 1)
+        head, tail = _split_sums(sample, j)
+        num = a * tail + (1.0 - a) * head
         z = num / (a * (n - j) + (1.0 - a) * j)
-        if not (np.isfinite(z) and np.all(np.isfinite(r))):
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(r))):
             raise MomentError("expectile sums overflow the float range")
-        return min(max(z, float(sample[j - 1])), float(sample[j]))
+        # clipped as min(max(z, below), above) clips: a tie keeps z, where
+        # np.maximum and np.minimum may return either of -0.0 and +0.0
+        row = np.arange(j.size)
+        below, above = sample[row, j - 1], sample[row, j]
+        z = np.where(below > z, below, z)
+        out[live] = np.where(above < z, above, z)
+        return out
 
     def describe(self):
         return f"expectile[{self.alpha}]"
@@ -209,6 +240,11 @@ class Shortfall(Functional):
     def _check_law(self, dist):
         if self.loss.kind == "exponential":
             Entropic(self.loss.gamma)._check_law(dist)
+
+    def _evaluate_rows(self, samples):
+        if self.loss.kind == "exponential":
+            return Entropic(self.loss.gamma)._evaluate_rows(samples)
+        return super()._evaluate_rows(samples)
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         if self.loss.kind == "exponential":
@@ -300,16 +336,24 @@ class Entropic(Functional):
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         self._check_law(dist)
-        gamma = self.gamma
+        return float(self._on_atoms(dist.atoms(m, delta)[None])[0])
+
+    def _evaluate_rows(self, samples):
+        return self._on_atoms(np.sort(samples, axis=1))
+
+    def _on_atoms(self, atoms: np.ndarray) -> np.ndarray:
+        """The entropic functional of each row of sorted atoms."""
+        gamma, n = self.gamma, atoms.shape[1]
         # log of the mean of e^{gamma w} over the sorted atoms, shifted by the
-        # last atom so that no exponential overflows; an infinite atom gives nan
-        sample = dist.atoms(m, delta)
-        hi = float(sample[-1])
+        # last atom so that no exponential overflows; an infinite atom gives
+        # nan.  math.log, not np.log, whose rounding may differ
+        hi = atoms[:, -1]
         with np.errstate(over="ignore", invalid="ignore"):  # -inf exponents give exactly 0
-            value = hi + math.log(pairwise_mean(np.exp(gamma * (sample - hi)))) / gamma
-        # e^{gamma value}, the mean of e^{gamma w}, must be a finite float
-        if math.isfinite(value) and gamma * value <= np.log(np.finfo(float).max):
-            return value
+            means = pairwise_sum(np.exp(gamma * (atoms - hi[:, None]))) / n
+            value = hi + np.array([math.log(v) for v in means.tolist()]) / gamma
+            # e^{gamma value}, the mean of e^{gamma w}, must be a finite float
+            if np.all(np.isfinite(value) & (gamma * value <= np.log(np.finfo(float).max))):
+                return value
         raise MomentError(f"exponential moment not finite under quadrature (gamma={gamma})")
 
     def describe(self):
@@ -479,6 +523,17 @@ class AxiomReport:
 
 # the shifts m, scales s and mixes lam every axiom check tries
 _SHIFTS, _SCALES, _MIXES = (-1.5, 2.0), (0.5, 2.0), (0.5,)
+# the samples an axiom check evaluates on a pair (x, y), or on pairs stacked
+# as rows, each made when it is drawn, stage by stage: the pair, then each
+# axiom's in the order they are reported
+_STAGES = (
+    lambda x, y: iter((x, y)),
+    lambda x, y: (x + m for m in _SHIFTS),
+    lambda x, y: (s * x for s in _SCALES),
+    lambda x, y: (lam * x + (1.0 - lam) * y for lam in _MIXES),
+    lambda x, y: (f(x, y) for f in (np.minimum, np.maximum)),
+)
+_PER_PAIR = 2 + len(_SHIFTS) + len(_SCALES) + len(_MIXES) + 2
 
 
 def check_axioms(functional: Functional, sample_pairs, tol: float = 1e-9) -> AxiomReport:
@@ -495,6 +550,16 @@ def check_axioms(functional: Functional, sample_pairs, tol: float = 1e-9) -> Axi
 
     The report carries the worst violation and a witness per failed axiom;
     it never raises on a failed check.
+
+    T is ``functional.evaluate(from_samples(sample))``, bit for bit, at each
+    of the nine samples of a pair, but the samples of one length are
+    evaluated together: stacked, about ``_BLOCK`` values at a time, and
+    passed to ``Functional._evaluate_rows``, which the expectile and the
+    entropic functional answer with one set of numpy calls on the stack
+    sorted along its rows.  Memory holds one stack besides the values.  If
+    a stack raises, the samples are evaluated one by one in the order of
+    the checks above, every pair's x and y first, and the first that fails
+    raises its own error.
     """
     pairs = [
         (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -506,37 +571,57 @@ def check_axioms(functional: Functional, sample_pairs, tol: float = 1e-9) -> Axi
     for k, (x, y) in enumerate(pairs):
         if x.size == 0 or x.shape != y.shape:
             raise DomainError(f"sample pair {k} is empty or misaligned")
-
-    def T(sample):
-        return functional.evaluate(from_samples(sample))
-
-    rows = [(x, y, T(x), T(y)) for x, y in pairs]  # T[X] and T[Y] once per pair
-    # (axiom, witness key, parameters, violation at one row and parameter)
+    try:
+        rows = _axiom_values(functional, pairs).tolist()
+    except Exception:  # of any type: the one-by-one rerun raises the error to report
+        for stage in _STAGES:
+            for x, y in pairs:
+                for sample in stage(x, y):
+                    functional.evaluate(from_samples(sample))
+        raise
+    # (axiom, witness key, parameters, violation from T[X], T[Y] and T at a parameter)
     table = (
         ("translation_invariance", "shift", _SHIFTS,
-         lambda x, y, tx, ty, m: abs(T(x + m) - (tx + m))),
+         lambda tx, ty, t, m: abs(t - (tx + m))),
         ("positive_homogeneity", "scale", _SCALES,
-         lambda x, y, tx, ty, s: abs(T(s * x) - s * tx)),
+         lambda tx, ty, t, s: abs(t - s * tx)),
         ("convexity", "mix", _MIXES,
-         lambda x, y, tx, ty, lam: T(lam * x + (1.0 - lam) * y)
-         - (lam * tx + (1.0 - lam) * ty)),
+         lambda tx, ty, t, lam: t - (lam * tx + (1.0 - lam) * ty)),
     )
-    checks = [
-        _worst(
-            ((violation(*row, p), {"pair": k, key: p})
-             for k, row in enumerate(rows) for p in params),
+    checks, at = [], 2  # a row holds T[X], T[Y], then each axiom's values
+    for name, key, params, violation in table:
+        checks.append(_worst(
+            ((violation(row[0], row[1], row[i], p), {"pair": k, key: p})
+             for k, row in enumerate(rows) for i, p in enumerate(params, at)),
             tol,
             name,
-        )
-        for name, key, params, violation in table
-    ]
+        ))
+        at += len(params)
     monotonicity = _worst(
-        ((T(np.minimum(x, y)) - T(np.maximum(x, y)), {"pair": k})
-         for k, (x, y, _, _) in enumerate(rows)),
-        tol,
-        "monotonicity",
+        ((row[-2] - row[-1], {"pair": k}) for k, row in enumerate(rows)), tol, "monotonicity"
     )
     return AxiomReport(checks=(*checks, monotonicity))
+
+
+def _axiom_values(functional: Functional, pairs) -> np.ndarray:
+    """T at each of the samples ``_STAGES`` makes of every pair, a row per
+    pair.  The pairs of one length are taken about ``_BLOCK`` values at a
+    time, one pair where its samples hold more: ``_STAGES`` makes their
+    samples from the pairs stacked, and they are evaluated as one stack."""
+    values = np.empty((len(pairs), _PER_PAIR))
+    groups = {}
+    for k, (x, _) in enumerate(pairs):
+        groups.setdefault(x.shape, []).append(k)
+    for shape, ks in groups.items():
+        if len(shape) != 1:
+            raise IngestionError(f"a sample must be 1-D, got shape {shape}")
+        step = max(1, _BLOCK // (_PER_PAIR * shape[0]))
+        for i in range(0, len(ks), step):
+            chunk = ks[i : i + step]
+            x, y = (np.array([pairs[k][side] for k in chunk]) for side in (0, 1))
+            stack = np.concatenate([s for stage in _STAGES for s in stage(x, y)])
+            values[chunk] = functional._evaluate_rows(stack).reshape(_PER_PAIR, -1).T
+    return values
 
 
 def _worst(violations, tol: float, name: str) -> AxiomCheck:

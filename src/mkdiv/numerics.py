@@ -5,10 +5,12 @@ values.  :func:`pairwise_sum` folds the last axis by a fixed tree
 (index-ascending, adjacent pairing), so results are bit-stable across runs;
 values too many to fold at once arrive in aligned blocks of ``_BLOCK``
 entries along that axis, and :class:`_BlockSum` folds each block by
-:func:`pairwise_sum` and merges the block sums by the same tree.  A
-:class:`Rule` integrates over the quantile level u in the divergences, the
-worst-case value and the payoff cost, and means are such sums divided by the
-count, :func:`pairwise_mean` for a single array.
+:func:`pairwise_sum` and merges the block sums by the same tree.
+:func:`_split_sums` folds the two sides of a cut in each row of a stack,
+each by the tree it would have alone.  A :class:`Rule` integrates over the
+quantile level u in the divergences, the worst-case value and the payoff
+cost, and means are such sums divided by the count, :func:`pairwise_mean`
+for a single array.
 Every open-domain check goes through :func:`first_outside`.
 :func:`brent_root` and :func:`brent_minimize` are the 1-D searches; the robust
 solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.
@@ -72,6 +74,37 @@ def _fold(a: np.ndarray) -> np.ndarray:
     while a.shape[-1] > 1:
         a = a[..., ::2] + a[..., 1::2]
     return a[..., 0]
+
+
+def _split_sums(a: np.ndarray, cut: np.ndarray):
+    """``pairwise_sum(a[i, :cut[i]])`` and ``pairwise_sum(a[i, cut[i]:])``
+    for each row i of the 2-D ``a``, bit for bit, as two arrays; every cut
+    must lie strictly inside the row.
+
+    Each segment is moved to the front of a zeroed row as wide as the axis
+    padded to a power of two, and all the rows are folded at once, level by
+    level.  A segment of L entries reads the first node of level
+    ``(L - 1).bit_length()``: the root of its own tree, padded with +0.0 as
+    :func:`_fold` pads it.  No node above it is read, since pairing a -0.0
+    sum with the zeros beyond its tree would turn it into +0.0.
+    """
+    rows, n = a.shape
+    if rows == 1:  # one row, its two segments folded where they lie
+        c = int(cut[0])
+        return np.array([pairwise_sum(a[0, :c])]), np.array([pairwise_sum(a[0, c:])])
+    at = np.arange(n)
+    level = np.zeros((2 * rows, 1 << (n - 1).bit_length()))
+    level[:rows, :n] = np.where(at < cut[:, None], a, 0.0)
+    moved = cut[:, None] + at
+    tails = a.take(np.minimum(moved, n - 1) + n * np.arange(rows)[:, None])
+    level[rows:, :n] = np.where(moved < n, tails, 0.0)
+    firsts = [level[:, 0]]
+    while level.shape[1] > 1:
+        level = level[:, ::2] + level[:, 1::2]
+        firsts.append(level[:, 0])
+    depth = np.frexp(np.concatenate((cut, n - cut)) - 1)[1]  # the bit length of L - 1
+    sums = np.stack(firsts, axis=1)[np.arange(2 * rows), depth]
+    return sums[:rows], sums[rows:]
 
 
 # entries per block: 128 KiB, glibc's default mmap threshold, so a block's

@@ -192,6 +192,20 @@ class TestFromSamples:
         with pytest.raises(IngestionError, match=r"got shape \(\)"):
             Empirical(np.float64(1.0))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_upper_quantile_is_the_cdf_scan_bit_for_bit(self, seed):
+        # the scan the O(1) count replaced: the first atom whose cdf exceeds
+        # the level, on tied samples, -0.0 and +0.0 among them
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, 7, 10, 25, 40):
+            values = rng.choice([-0.0, 0.0, 1.0, -2.5, 3.0], n) if seed % 2 else rng.integers(0, 4, n)
+            d = from_samples(values)
+            scan = lambda level: float(d.values[np.searchsorted(d._cdf(d.values), level, "right")])
+            for k in range(n + 1):
+                for level in (k / n, k / n - 1e-12, k / n + 1e-12, 0.56, 0.1):
+                    if 0.0 < level < 1.0:
+                        assert d._upper_quantile(level).hex() == scan(level).hex()
+
 
 class TestQuantileGrid:
     def test_uniform_midpoints(self):

@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from mkdiv import (
     DomainError,
     Entropic,
     EvaluationError,
+    IngestionError,
     Expectile,
     Exponential,
     GPLScore,
@@ -42,7 +45,7 @@ from mkdiv import (
 )
 from mkdiv import functionals
 from mkdiv.functionals import _mean_scores
-from mkdiv.numerics import _BLOCK, brent_minimize, pairwise_mean
+from mkdiv.numerics import _BLOCK, brent_minimize, pairwise_mean, pairwise_sum
 from mkdiv.scores import (
     EntropicScore,
     ExpectileScore,
@@ -849,3 +852,241 @@ class TestAxioms:
         assert report["monotonicity"].passed
         # the entropic premium is not positively homogeneous
         assert not report["positive_homogeneity"].passed
+
+
+def _reference_check_axioms(functional, sample_pairs, tol=1e-9):
+    """check_axioms as it was before stacking, the reference for its values,
+    witnesses and errors: one evaluate(from_samples(sample)) per sample, in
+    the order of the checks.  The checks of its arguments are left out."""
+    pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in sample_pairs]
+
+    def T(sample):
+        return functional.evaluate(from_samples(sample))
+
+    rows = [(x, y, T(x), T(y)) for x, y in pairs]
+    table = (
+        ("translation_invariance", "shift", functionals._SHIFTS,
+         lambda x, y, tx, ty, m: abs(T(x + m) - (tx + m))),
+        ("positive_homogeneity", "scale", functionals._SCALES,
+         lambda x, y, tx, ty, s: abs(T(s * x) - s * tx)),
+        ("convexity", "mix", functionals._MIXES,
+         lambda x, y, tx, ty, lam: T(lam * x + (1.0 - lam) * y)
+         - (lam * tx + (1.0 - lam) * ty)),
+    )
+    checks = [
+        functionals._worst(
+            ((violation(*row, p), {"pair": k, key: p})
+             for k, row in enumerate(rows) for p in params),
+            tol,
+            name,
+        )
+        for name, key, params, violation in table
+    ]
+    monotonicity = functionals._worst(
+        ((T(np.minimum(x, y)) - T(np.maximum(x, y)), {"pair": k})
+         for k, (x, y, _, _) in enumerate(rows)),
+        tol,
+        "monotonicity",
+    )
+    return functionals.AxiomReport(checks=(*checks, monotonicity))
+
+
+
+def _reference_expectile(alpha, sample):
+    """The expectile of sorted finite atoms as computed one sample at a
+    time before the stacked kernel, the reference for its bits."""
+    lo, hi = float(sample[0]), float(sample[-1])
+    if lo == hi:
+        return lo
+    a, n = alpha, sample.size
+    k = np.arange(1, n + 1)
+    c = np.cumsum(sample)
+    r = a * (c[-1] - c - (n - k) * sample) - (1.0 - a) * (k * sample - c)
+    j = min(max(int(np.count_nonzero(r >= 0.0)), 1), n - 1)
+    num = a * pairwise_sum(sample[j:]) + (1.0 - a) * pairwise_sum(sample[:j])
+    z = num / (a * (n - j) + (1.0 - a) * j)
+    return min(max(z, float(sample[j - 1])), float(sample[j]))
+
+
+def _reference_entropic(gamma, sample):
+    """The entropic functional of sorted finite atoms as computed one sample
+    at a time before the stacked kernel."""
+    hi = float(sample[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return hi + math.log(pairwise_mean(np.exp(gamma * (sample - hi)))) / gamma
+
+def _axiom_outcome(check, functional, pairs):
+    """Every check's name, pass, worst violation by float.hex and witness,
+    or the type and message of the error raised."""
+    try:
+        report = check(functional, pairs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(c.name, c.passed, float(c.max_violation).hex(), c.witness) for c in report.checks]
+
+
+AXIOM_FUNCTIONALS = [
+    Mean(),
+    Quantile(0.3),
+    Quantile(0.5),
+    Expectile(0.3),
+    Expectile(0.5),
+    Expectile(0.8),
+    Shortfall(linear_loss()),
+    Shortfall(exponential_loss(1.3)),
+    Shortfall(power_loss(2.0)),
+    Entropic(0.7),
+    LambdaQuantile(StepFunction([0.0], [0.6, 0.3])),  # a falling step crosses once
+]
+
+# ties, both zeros, and values spread over many binades
+_AXIOM_VALUE = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([-0.0, 0.0, 1.0, -2.5])
+)
+
+
+def _axiom_sample(n):
+    return st.one_of(
+        st.lists(_AXIOM_VALUE, min_size=n, max_size=n),
+        _AXIOM_VALUE.map(lambda v: [v] * n),
+        st.just([-0.0] * n),
+    )
+
+
+_AXIOM_PAIRS = st.lists(
+    st.sampled_from([1, 2, 32, 33, 40]).flatmap(
+        lambda n: st.tuples(_axiom_sample(n), _axiom_sample(n))
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestStackedAxioms:
+    """check_axioms evaluates the samples of one length together; every
+    report and every error is that of the one-by-one reference."""
+
+    @settings(max_examples=300)
+    @given(
+        # a rising step may cross twice, and raise
+        functional=st.sampled_from([*AXIOM_FUNCTIONALS, LambdaQuantile(StepFunction([0.0], [0.3, 0.6]))]),
+        pairs=_AXIOM_PAIRS,
+        block=st.sampled_from([_BLOCK, 40, 100]),  # small stacks: pairs span several
+    )
+    def test_reports_are_the_references_bit_for_bit(self, functional, pairs, block):
+        want = _axiom_outcome(_reference_check_axioms, functional, pairs)
+        with mock.patch.object(functionals, "_BLOCK", block):
+            assert _axiom_outcome(check_axioms, functional, pairs) == want
+
+    @pytest.mark.parametrize("functional", AXIOM_FUNCTIONALS, ids=lambda f: f.describe())
+    def test_pairs_spanning_two_stacks(self, functional):
+        # 60 pairs of 40 atoms are 540 samples, over the 405 (45 pairs) of one stack
+        rng = np.random.default_rng(7)
+        pairs = [(rng.normal(0, 1, n), rng.normal(0, 1, n)) for n in [40] * 60 + [33, 1, 40]]
+        pairs[3] = (np.round(pairs[3][0]), np.full(40, -0.0))
+        want = _axiom_outcome(_reference_check_axioms, functional, pairs)
+        assert _axiom_outcome(check_axioms, functional, pairs) == want
+
+    @pytest.mark.parametrize("functional", AXIOM_FUNCTIONALS, ids=lambda f: f.describe())
+    def test_values_are_each_samples_evaluate(self, functional):
+        # T at every sample, not only the worst violations: ties of -0.0
+        # and +0.0 in every sample, which np.sort may reorder on a second
+        # pass, and rows where np.log and math.log may round apart
+        rng = np.random.default_rng(8)
+        pairs = [tuple(rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5], (2, n)))
+                 for n in [40] * 40 + [33] * 20 + [17, 2, 1]]
+        pairs += [tuple(rng.normal(0, 1, (2, 40))) for _ in range(40)]
+        want = [[functional.evaluate(from_samples(s)) for stage in functionals._STAGES
+                 for s in stage(x, y)] for x, y in pairs]
+        assert functionals._axiom_values(functional, pairs).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "functional",
+        [Expectile(0.5), Expectile(0.3), Expectile(0.8), Entropic(0.7), Shortfall(exponential_loss(1.3))],
+        ids=lambda f: f.describe(),
+    )
+    def test_stacked_kernels_are_the_one_sample_code(self, functional):
+        # balanced -1s and 1s among zeros of both signs: at 1/2 the
+        # expectile is a zero tied with the atoms beside it, where
+        # np.maximum and np.minimum would pick the other zero; and normal
+        # rows, where np.log and math.log round apart about once in 300
+        rng = np.random.default_rng(9)
+        rows = [rng.permutation(np.r_[[-1.0, 1.0] * k, rng.choice([-0.0, 0.0], 40 - 2 * k)])
+                for k in rng.integers(1, 20, 500)]
+        rows += list(rng.normal(0, 1, (1500, 40)) * 10.0 ** rng.integers(-3, 3, (1500, 1)))
+        if isinstance(functional, Expectile):
+            reference = lambda atoms: _reference_expectile(functional.alpha, atoms)
+        else:
+            gamma = getattr(functional, "gamma", None) or functional.loss.gamma
+            reference = lambda atoms: _reference_entropic(gamma, atoms)
+        want = np.array([reference(from_samples(row).values) for row in rows]).tobytes()
+        assert functional._evaluate_rows(np.array(rows)).tobytes() == want
+        assert np.array([functional.evaluate(from_samples(row)) for row in rows]).tobytes() == want
+
+    def _errors_match(self, functional, pairs):
+        want = _axiom_outcome(_reference_check_axioms, functional, pairs)
+        assert isinstance(want[0], type) and issubclass(want[0], Exception)
+        assert _axiom_outcome(check_axioms, functional, pairs) == want
+        return want
+
+    @pytest.mark.parametrize("functional", [Mean(), Quantile(0.5), Expectile(0.7)],
+                             ids=lambda f: f.describe())
+    def test_errors_are_the_first_failing_samples(self, functional):
+        ok = np.linspace(-1.0, 1.0, 5)
+        # a non-finite entry
+        assert self._errors_match(functional, [(ok, ok), (ok, np.array([0, 1, np.nan, 3, 4.0]))]) == (
+            IngestionError, "non-finite sample value at index 2: nan")
+        # a scale that overflows: 2 x is inf, though T[x] is finite (a shift
+        # of -1.5 or 2 cannot overflow a finite x); under the suite's warning
+        # filter the overflow itself raises first
+        one, big = np.array([0.5]), np.array([1e308])
+        assert self._errors_match(functional, [(one, one), (big, one)])[0] is RuntimeWarning
+        with np.errstate(over="ignore"):
+            assert self._errors_match(functional, [(one, one), (big, one)]) == (
+                IngestionError, "non-finite sample value at index 0: inf")
+            # pair 1's y fails before pair 0's scale
+            assert self._errors_match(functional, [(big, one), (one, np.array([np.inf]))]) == (
+                IngestionError, "non-finite sample value at index 0: inf")
+
+    @pytest.mark.parametrize("gamma, functional", [(1.0, Entropic(1.0)),
+                                                   (2.0, Shortfall(exponential_loss(2.0)))])
+    def test_entropic_errors_are_the_first_failing_samples(self, gamma, functional):
+        ok = np.linspace(-1.0, 1.0, 5)
+        assert self._errors_match(functional, [(ok, ok), (ok, np.array([0, 1, np.nan, 3, 4.0]))]) == (
+            IngestionError, "non-finite sample value at index 2: nan")
+        # e^{gamma x} overflows at x = 400 for gamma 2, and at 2 x = 800 for gamma 1
+        assert self._errors_match(functional, [(ok, ok), (ok + 400.0, ok)]) == (
+            MomentError, f"exponential moment not finite under quadrature (gamma={gamma})")
+
+    def test_overflowing_expectile_sums_raise_the_references_error(self):
+        huge = np.array([1e308, 1.1e308, 1.2e308, 1.3e308])
+        pairs = [(np.ones(4), np.zeros(4)), (huge, huge / 2)]
+        assert self._errors_match(Expectile(0.3), pairs)[0] is RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self._errors_match(Expectile(0.3), pairs) == (
+                MomentError, "expectile sums overflow the float range")
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (3, 1)])
+    def test_two_dimensional_samples_are_rejected(self, shape):
+        # equal shapes pass the alignment check; a stack must not broadcast
+        # them, nor take a (1, 1) sample for one value
+        pairs = [(np.ones(3), np.zeros(3)), (np.ones(shape), np.zeros(shape))]
+        for functional in (Mean(), Expectile(0.7), Entropic(1.0)):
+            assert self._errors_match(functional, pairs) == (
+                IngestionError, f"a sample must be 1-D, got shape {shape}")
+
+    def test_memory_is_bounded_by_the_values_and_a_stack(self):
+        # the nine values of each pair, and the expectile's working set on
+        # one stack of _BLOCK values: the sorted copy, cumulative sums,
+        # residuals and the padded fold, about a dozen arrays its size.  The
+        # 18,000 samples at once would take 5.8 MB
+        rng = np.random.default_rng(2)
+        pairs = [(rng.normal(0, 1, 40), rng.normal(0, 1, 40)) for _ in range(2000)]
+        check_axioms(Expectile(0.7), pairs[:3])  # warm
+        tracemalloc.start()
+        try:
+            check_axioms(Expectile(0.7), pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * len(pairs) * 8 + 16 * _BLOCK * 8

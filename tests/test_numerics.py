@@ -8,6 +8,7 @@ from mkdiv import COMONOTONIC, from_samples
 from mkdiv.errors import EvaluationError
 from mkdiv.numerics import (
     _BlockSum,
+    _split_sums,
     brent_minimize,
     brent_root,
     first_outside,
@@ -79,6 +80,22 @@ class TestPairwise:
         assert rows.total().tobytes() == pairwise_sum(x).tobytes()
         assert type(row.total()) is float
         assert np.float64(row.total()).tobytes() == np.float64(pairwise_sum(x[1])).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 33, 40])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_split_sums_are_each_segments_own_fold(self, n, rows):
+        # a segment of -0.0 entries must keep its sign, whatever the width
+        # of the row it was cut from
+        rng = np.random.default_rng(n + rows)
+        x = rng.normal(0, 1, (rows, n)) * 10.0 ** rng.integers(-12, 12, (rows, n))
+        x[rng.random(x.shape) < 0.4] = -0.0
+        x[0, : n // 2] = -0.0
+        x[-1, n // 2 :] = -0.0
+        for cut in (np.full(rows, 1), np.full(rows, n - 1), rng.integers(1, n, rows),
+                    np.full(rows, n // 2)):
+            head, tail = _split_sums(x, cut)
+            assert head.tobytes() == np.array([pairwise_sum(r[:c]) for r, c in zip(x, cut)]).tobytes()
+            assert tail.tobytes() == np.array([pairwise_sum(r[c:]) for r, c in zip(x, cut)]).tobytes()
 
 
 INF = np.inf
