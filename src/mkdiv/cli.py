@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -255,8 +256,13 @@ def _add_solver(parser):
 
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as an MkdivError, which ``main`` reports as one
-    JSON line, where argparse would print its usage text; subparsers inherit
-    the class."""
+    JSON line, where argparse would print its usage text, and takes any
+    negative float, ``-1e-3`` too, as a value where argparse before Python
+    3.13 takes only ``-1`` and ``-.5`` forms; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise MkdivError(f"{self.prog}: {message}")

@@ -361,6 +361,15 @@ class PointMass(Distribution):
         return (self.c, self.c)
 
 
+def _sorted_sample(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted along the last axis by the one sort every sample
+    takes: stable, so each row is a permutation of its input bits in which
+    tied values, -0.0 and +0.0 among them, keep their input order, the same
+    on every CPU.  numpy's default sort picks a SIMD kernel by CPU and may
+    mix tied zeros."""
+    return np.sort(values, axis=-1, kind="stable")
+
+
 @dataclass(frozen=True, eq=False)
 class Empirical(Distribution):
     """Equal-weight empirical distribution on a sorted sample.
@@ -369,7 +378,9 @@ class Empirical(Distribution):
     left-continuous generalized inverse of the empirical cdf; ties contribute
     multiplicity to the cdf.  The sample must be a non-empty, finite 1-D
     array; a non-finite entry is named by its index in ``values`` as given,
-    after the ``source_path`` it was read from, if any.
+    after the ``source_path`` it was read from, if any.  ``values`` holds the
+    sample sorted by :func:`_sorted_sample`: its zeros keep their signs and
+    input order on every CPU.
     """
 
     values: np.ndarray
@@ -387,7 +398,7 @@ class Empirical(Distribution):
             i = int(bad[0])
             where = f"{self.source_path}: " if self.source_path else ""
             raise IngestionError(f"{where}non-finite sample value at index {i}: {float(vals[i])}")
-        vals = np.sort(vals)
+        vals = _sorted_sample(vals)
         object.__setattr__(self, "values", vals)
         self.values.setflags(write=False)
 
@@ -429,7 +440,9 @@ class Empirical(Distribution):
 
 def from_samples(values, source_path: str | None = None) -> Empirical:
     """The :class:`Empirical` law of any iterable of values; input order is
-    irrelevant, and an empty or non-finite sample raises IngestionError."""
+    irrelevant but for the order of tied zeros of both signs, which the
+    law's stable sort keeps, and an empty or non-finite sample raises
+    IngestionError."""
     return Empirical(np.asarray(list(values), dtype=float), source_path=source_path)
 
 

@@ -29,10 +29,12 @@ grid's minimum one report a call.
 
 :func:`check_axioms` evaluates its samples in stacks through
 :meth:`Functional._evaluate_rows`, one value per row, each bit-identical to
-``evaluate(from_samples(row))``.  The expectile and the entropic functional
-(so the exponential shortfall too) run one kernel, on a stack of sorted rows,
-for both: ``evaluate`` passes it the law's atoms as a single row.  Every
-other functional evaluates the rows one by one.
+``evaluate(from_samples(row))``.  Each stack is sorted once, along its rows,
+by the stable sort the law itself uses, so the zeros of a sample keep their
+input order on every CPU and a row is the atoms its law would hold.  The
+expectile and the entropic functional (so the exponential shortfall too) run
+one kernel on those sorted rows for both: ``evaluate`` passes it the law's
+atoms as a single row.  Every other functional evaluates the rows one by one.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, from_samples
+from .distributions import Distribution, _sorted_sample, from_samples
 from .errors import AmbiguityError, DomainError, EvaluationError, IngestionError, MomentError
 from .numerics import (
     _BLOCK,
@@ -98,8 +100,10 @@ class Functional:
 
     def _evaluate_rows(self, samples: np.ndarray) -> np.ndarray:
         """``evaluate(from_samples(row))`` for each row of the 2-D
-        ``samples``, bit for bit; it raises where one of those calls would,
-        though not always the same error.  The default makes those calls."""
+        ``samples``, bit for bit, where the rows come sorted by the law's
+        own sort (``distributions._sorted_sample``), as the law holds its
+        atoms; it raises where one of those calls would, though not always
+        the same error.  The default makes those calls."""
         return np.array([self.evaluate(from_samples(row)) for row in samples])
 
     def interval(self, dist: Distribution, m: int = _DEFAULT_M,
@@ -175,12 +179,9 @@ class Expectile(Functional):
         return self.alpha * up - (1.0 - self.alpha) * down
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        return float(self._on_atoms(dist.atoms(m, delta)[None])[0])
+        return float(self._evaluate_rows(dist.atoms(m, delta)[None])[0])
 
-    def _evaluate_rows(self, samples):
-        return self._on_atoms(np.sort(samples, axis=1))
-
-    def _on_atoms(self, atoms: np.ndarray) -> np.ndarray:
+    def _evaluate_rows(self, atoms: np.ndarray) -> np.ndarray:
         """The expectile of each row of sorted atoms; a constant row is its
         own expectile, and the others are computed together."""
         if not np.all(np.isfinite(atoms)):
@@ -336,12 +337,9 @@ class Entropic(Functional):
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         self._check_law(dist)
-        return float(self._on_atoms(dist.atoms(m, delta)[None])[0])
+        return float(self._evaluate_rows(dist.atoms(m, delta)[None])[0])
 
-    def _evaluate_rows(self, samples):
-        return self._on_atoms(np.sort(samples, axis=1))
-
-    def _on_atoms(self, atoms: np.ndarray) -> np.ndarray:
+    def _evaluate_rows(self, atoms: np.ndarray) -> np.ndarray:
         """The entropic functional of each row of sorted atoms."""
         gamma, n = self.gamma, atoms.shape[1]
         # log of the mean of e^{gamma w} over the sorted atoms, shifted by the
@@ -431,8 +429,9 @@ def argmin_expected_score(
     """Grid minimiser of the expected score, refined by Brent's minimiser.
 
     Ties break toward the smallest report.  The grid is ``steps`` points on
-    the finite interval [z_lo, z_hi], refined level by level: the first level
-    takes every s-th point and the last, s the largest power of 4 not above
+    the finite interval [z_lo, z_hi], whose width must be a finite float
+    too, refined level by level: the first level takes every s-th point
+    and the last, s the largest power of 4 not above
     (steps - 1) / 8 (64 at 513 steps), and each next level divides s by 4,
     down to 1, inside a window: from the point before the first value within
     ``1e-12 (1 + |min|)`` of the level's minimum to the point after the last.
@@ -451,6 +450,8 @@ def argmin_expected_score(
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
+    if not math.isfinite(z_hi - z_lo):  # the grid's steps would be inf, its points nan
+        raise DomainError(f"need a finite bracket width z_hi - z_lo, got ({z_lo}, {z_hi})")
     _check_size("argmin", 2, steps=steps)
     sample = dist.atoms(m, delta)
     zs = np.linspace(z_lo, z_hi, steps)
@@ -553,13 +554,15 @@ def check_axioms(functional: Functional, sample_pairs, tol: float = 1e-9) -> Axi
 
     T is ``functional.evaluate(from_samples(sample))``, bit for bit, at each
     of the nine samples of a pair, but the samples of one length are
-    evaluated together: stacked, about ``_BLOCK`` values at a time, and
-    passed to ``Functional._evaluate_rows``, which the expectile and the
-    entropic functional answer with one set of numpy calls on the stack
-    sorted along its rows.  Memory holds one stack besides the values.  If
-    a stack raises, the samples are evaluated one by one in the order of
-    the checks above, every pair's x and y first, and the first that fails
-    raises its own error.
+    evaluated together: stacked, about ``_BLOCK`` values at a time, sorted
+    once along its rows by the law's stable sort, so that the zeros of a
+    sample keep their input order on every CPU, and passed to
+    ``Functional._evaluate_rows``, which the expectile and the entropic
+    functional answer with one set of numpy calls on the whole stack.
+    Memory holds one stack besides the values.  If a stack raises, the
+    samples are evaluated one by one in the order of the checks above,
+    every pair's x and y first, and the first that fails raises its own
+    error.
     """
     pairs = [
         (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -607,7 +610,8 @@ def _axiom_values(functional: Functional, pairs) -> np.ndarray:
     """T at each of the samples ``_STAGES`` makes of every pair, a row per
     pair.  The pairs of one length are taken about ``_BLOCK`` values at a
     time, one pair where its samples hold more: ``_STAGES`` makes their
-    samples from the pairs stacked, and they are evaluated as one stack."""
+    samples from the pairs stacked, and they are sorted by the law's sort
+    and evaluated as one stack."""
     values = np.empty((len(pairs), _PER_PAIR))
     groups = {}
     for k, (x, _) in enumerate(pairs):
@@ -619,7 +623,7 @@ def _axiom_values(functional: Functional, pairs) -> np.ndarray:
         for i in range(0, len(ks), step):
             chunk = ks[i : i + step]
             x, y = (np.array([pairs[k][side] for k in chunk]) for side in (0, 1))
-            stack = np.concatenate([s for stage in _STAGES for s in stage(x, y)])
+            stack = _sorted_sample(np.concatenate([s for stage in _STAGES for s in stage(x, y)]))
             values[chunk] = functional._evaluate_rows(stack).reshape(_PER_PAIR, -1).T
     return values
 

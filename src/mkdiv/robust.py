@@ -44,6 +44,7 @@ from .numerics import (
     _DEFAULT_DELTA,
     _DEFAULT_M,
     _BlockSum,
+    _check_finite,
     first_outside,
     midpoint_rule,
 )
@@ -300,6 +301,7 @@ def calibrate_lambda(
     """
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
+    _check_finite("calibration", eps=eps)
     probe = _Probes(gen, gen._check_domain(ref.nodes, "second Bregman argument"), weight)
     log_eps = math.log(eps)
     integral = probe.ref_integral

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _sorted_sample
 from .errors import CapacityError, DomainError, EvaluationError, MomentError
 from .numerics import (
     _DEFAULT_DELTA,
@@ -477,8 +477,9 @@ def _draw_instance(score: Score, seed: int, k: int, n_min: int, n_max: int) -> t
 def _batch_deviations(score: Score, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Relative deviations of the closed form from the oracle on the row pairs
     of the (B, n) stacks ``a`` and ``b``, bit for bit those of :func:`mk_divergence`
-    and :func:`oracle_optimal`; with B = 1 an error is theirs too."""
-    closed = _closed_form(score, np.sort(a, axis=1), np.sort(b, axis=1))
+    on their empirical laws, whose sort orders the rows, and of
+    :func:`oracle_optimal`; with B = 1 an error is theirs too."""
+    closed = _closed_form(score, _sorted_sample(a), _sorted_sample(b))
     _, optimum = _optimal_assignments(_transport_cost(score, a[:, :, None], b[:, None, :]))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in float arithmetic
         return np.abs(closed - optimum) / (1.0 + np.abs(optimum))

@@ -445,3 +445,67 @@ def test_the_cli_checks_only_the_flags_it_reads_itself():
         ("_cmd_axioms", "_check_count", "seed", "args.seed"),
         ("_cmd_axioms", "_check_size", "size", "args.size"),
     ]
+
+
+# where the library may sort: the law's one sort of samples, which every
+# reader of sorted atoms shares, and three sorts of things that are not
+# samples: the lattice grids, a permutation and the matching's stable order
+SORT_ALLOWED = {
+    ("distributions.py", "_sorted_sample"),
+    ("scores.py", "check_submodular"),
+    ("transport.py", "coupling_value"),
+    ("transport.py", "_sorted_matching"),
+}
+
+
+def sort_calls(source: str):
+    """(innermost enclosing function or None, line) of each call of a
+    function or method named ``sort`` or ``argsort``, plainly, through a
+    module or on an array."""
+    hits, scope = [], []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name in ("sort", "argsort"):
+                hits.append((scope[-1] if scope else None, node.lineno))
+            self.generic_visit(node)
+
+    Finder().visit(ast.parse(source))
+    return hits
+
+
+def test_the_sort_finder_sees_every_spelling():
+    source = (
+        "def f(x):\n"
+        "    return np.sort(x)\n"
+        "def g(x):\n"
+        "    return numpy.sort(x, kind='stable')\n"
+        "class C:\n"
+        "    def h(self, x):\n"
+        "        x.sort()\n"
+        "        return np.argsort(x)\n"
+        "y = sort(x)\n"
+        "z = sorted(x)\n"
+    )
+    assert sort_calls(source) == [("f", 2), ("g", 4), ("h", 7), ("h", 8), (None, 9)]
+
+
+def test_one_sort_orders_every_sample():
+    # numpy's default sort picks its kernel by CPU and may mix tied zeros;
+    # samples are sorted only by the law's stable sort
+    found = [
+        (path.name, func, line)
+        for path in sorted(SRC.glob("*.py"))
+        for func, line in sort_calls(path.read_text(encoding="utf-8"))
+        if (path.name, func) not in SORT_ALLOWED
+    ]
+    assert found == []

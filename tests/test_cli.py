@@ -59,6 +59,17 @@ class TestCanonicalJson:
             json_args = argparse.Namespace(eps=eps, format="json")
             assert cli._solution_payload(sol, curve, json_args)[1] is None
 
+    def test_none_is_null(self):
+        assert canonical_json({"witness": None}) == '{"witness":null}'
+
+    def test_a_nan_is_not_rendered(self):
+        with pytest.raises(MkdivError, match="^non-finite value in JSON output: nan$"):
+            canonical_json({"value": float("nan")})
+
+    def test_an_unknown_object_is_not_rendered(self):
+        with pytest.raises(MkdivError, match="^cannot serialize object to JSON$"):
+            canonical_json({"value": object()})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_entry_is_named(self, bad):
         nodes = np.array([0.0, 1.0, bad, np.nan])
@@ -147,6 +158,11 @@ class TestVerify:
         "--seed", "7",
     ]
 
+    def test_a_largest_size_below_two_is_one_error(self):
+        code, out, err = run_cli(["verify", "--score", "score:gpl,alpha=0.9", "--n", "1"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "instance sizes must satisfy 2 <= n_min <= n_max <= 64"
+
     def test_passes_and_reports_deviation(self):
         code, out, _ = run_cli(self.ARGS)
         assert code == 0
@@ -185,6 +201,11 @@ class TestWorstCase:
         "--ref", "uniform:a=0,b=1",
         "--eps", "0.03",
     ]
+
+    def test_an_infinite_budget_is_one_error(self):
+        code, out, err = run_cli([*self.ARGS[:-1], "inf"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "calibration needs a finite eps, got eps=inf"
 
     def test_analytic_value(self):
         code, out, _ = run_cli(self.ARGS)
@@ -328,6 +349,14 @@ class TestElicitCheck:
 
 
 class TestAxioms:
+    @pytest.mark.parametrize("flag, message", [
+        ("--pairs", "axiom check needs at least one sample pair"),
+        ("--size", "sample pair 0 is empty or misaligned"),
+    ])
+    def test_no_pair_or_an_empty_sample_is_one_error(self, flag, message):
+        code, out, err = run_cli(["axioms", "--functional", "functional:mean", flag, "0"])
+        assert (code, out, err) == (1, "", json.dumps({"error": message}, separators=(",", ":")) + "\n")
+
     def test_expectile_03_reports_convexity_failure(self):
         code, out, _ = run_cli(
             [
@@ -634,6 +663,26 @@ class TestElicitBracket:
         code, out, _ = run_cli(self.ARGS + ["--z-hi", "-0.5"])
         assert code == 2
         assert json.loads(out)["argmin"] <= -0.5
+
+    def test_a_bracket_whose_width_overflows_is_one_error(self):
+        code, out, err = run_cli(self.ARGS + ["--z-lo=-1e308", "--z-hi=1e308"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == (
+            "need a finite bracket width z_hi - z_lo, got (-1e+308, 1e+308)")
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E+0", "-1.e-1", "-.5e1", "-3"])
+    def test_a_negative_float_is_a_value(self, value):
+        # argparse before Python 3.13 takes -1e-3 for a flag
+        spaced = run_cli(self.ARGS + ["--z-lo", value, "--z-hi", "1"])
+        assert spaced == run_cli(self.ARGS + [f"--z-lo={value}", "--z-hi", "1"])
+        assert spaced[0] != 1
+
+    def test_an_unknown_flag_is_still_a_usage_error(self):
+        code, out, err = run_cli(self.ARGS + ["--z-lo", "-1e-3", "--bogus"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "mkdiv: unrecognized arguments: --bogus"
+        code, _, err = run_cli(self.ARGS + ["--z-lo", "-e"])
+        assert code == 1 and "argument --z-lo: expected one argument" in err
 
     def test_infinite_bound_is_one_error(self):
         code, out, err = run_cli(self.ARGS + ["--z-lo=-inf"])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mkdiv
 from mkdiv import (
     BregmanScore,
     DomainError,
@@ -12,10 +18,12 @@ from mkdiv import (
     LogNormal,
     Normal,
     PointMass,
+    Quantile,
     QuantileGrid,
     Shortfall,
     Uniform,
     argmin_expected_score,
+    check_axioms,
     expected_score,
     from_samples,
     mk_divergence,
@@ -25,7 +33,9 @@ from mkdiv import (
     read_value_csv,
     wasserstein_p,
 )
-from mkdiv.distributions import _EXP_M2, _ndtr, _ndtri
+from mkdiv.distributions import _EXP_M2, _ndtr, _ndtri, _sorted_sample
+from mkdiv.functionals import _axiom_values
+from mkdiv.transport import _batch_deviations
 from mkdiv.numerics import _DEFAULT_DELTA, midpoint_rule, pairwise_mean
 
 # Inverse standard-normal cdf at selected levels, computed beforehand with
@@ -205,6 +215,55 @@ class TestFromSamples:
                 for level in (k / n, k / n - 1e-12, k / n + 1e-12, 0.56, 0.1):
                     if 0.0 < level < 1.0:
                         assert d._upper_quantile(level).hex() == scan(level).hex()
+
+
+def tied_zero_outputs() -> str:
+    """What the law, a quantile, an axiom check and a certification batch
+    give on samples of tied -0.0 and +0.0, one line each, as text."""
+    rng = np.random.default_rng(5)
+    law = from_samples(rng.choice([-0.0, 0.0, 1.0], 60))
+    pairs = [tuple(rng.choice([-0.0, 0.0, -1.0, 1.0], (2, 40))) for _ in range(3)]
+    a, b = rng.choice([-0.0, 0.0, 0.5], (2, 8, 12))
+    return "\n".join([
+        law.values.tobytes().hex(),
+        Quantile(0.5).evaluate(law).hex(),
+        repr(check_axioms(Expectile(0.5), pairs)),
+        _axiom_values(Expectile(0.5), pairs).tobytes().hex(),
+        _batch_deviations(BregmanScore(quadratic()), a, b).tobytes().hex(),
+    ])
+
+
+class TestOneSort:
+    """Every sample is sorted by the law's stable sort, which moves no bit
+    and keeps tied zeros in input order, on every CPU."""
+
+    def test_tied_zeros_keep_their_input_order(self):
+        rows = np.array([[0.0, -0.0, 1.0, -0.0, 0.0, -1.0], [-0.0, 2.0, 0.0, 0.0, -0.0, -3.0]])
+        want = np.array([[-1.0, 0.0, -0.0, -0.0, 0.0, 1.0], [-3.0, -0.0, 0.0, 0.0, -0.0, 2.0]])
+        assert _sorted_sample(rows).tobytes() == want.tobytes()
+        assert _sorted_sample(rows[1]).tobytes() == want[1].tobytes()
+        assert from_samples(rows[0]).values.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_law_keeps_every_negative_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (17, 40, 99, 300):
+            sample = rng.choice([-0.0, 0.0, 1.0], n)
+            values = from_samples(sample).values
+            assert np.count_nonzero(np.signbit(values)) == np.count_nonzero(np.signbit(sample))
+
+    def test_readers_of_tied_zeros_agree_on_every_cpu(self):
+        # numpy without its AVX-512 kernels, in a process of its own: its
+        # default sort mixes tied zeros there otherwise than here
+        here = Path(__file__).parent
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+               "PYTHONPATH": os.pathsep.join([str(Path(mkdiv.__file__).parents[1]), str(here),
+                                              os.environ.get("PYTHONPATH", "")])}
+        code = "import test_distributions; print(test_distributions.tied_zero_outputs())"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == tied_zero_outputs() + "\n"
 
 
 class TestQuantileGrid:

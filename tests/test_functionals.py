@@ -44,6 +44,7 @@ from mkdiv import (
     quartic,
 )
 from mkdiv import functionals
+from mkdiv.distributions import _sorted_sample
 from mkdiv.functionals import _mean_scores
 from mkdiv.numerics import _BLOCK, brent_minimize, pairwise_mean, pairwise_sum
 from mkdiv.scores import (
@@ -482,6 +483,17 @@ class TestArgmin:
         with pytest.raises(DomainError, match="need finite z_lo < z_hi"):
             argmin_expected_score(BregmanScore(quadratic()), from_samples([0, 1]), z_lo, z_hi)
 
+    @pytest.mark.parametrize("z_lo,z_hi", [(-1e308, 1e308), (-1.7e308, 0.5e308)])
+    def test_bracket_width_must_be_finite(self, z_lo, z_hi):
+        # linspace would step by inf and start the grid at nan
+        with pytest.raises(DomainError, match=r"need a finite bracket width z_hi - z_lo, got \("):
+            argmin_expected_score(GPLScore(0.3), Normal(0.0, 1.0), z_lo, z_hi)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_no_report_gives_an_empty_array_of_their_shape(self, shape):
+        out = expected_score(BregmanScore(quadratic()), from_samples([0.0, 1.0]), np.empty(shape))
+        assert type(out) is np.ndarray and out.shape == shape
+
     def test_all_overflow_grid_raises_evaluation_error(self):
         from mkdiv import EntropicScore, EvaluationError, quadratic
 
@@ -826,6 +838,16 @@ class TestAxioms:
         with pytest.raises(DomainError, match=message):
             check_axioms(Mean(), self._pairs(pairs=1), tol=tol)
 
+    def test_no_pair_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="axiom check needs at least one sample pair"):
+            check_axioms(Mean(), [])
+
+    @pytest.mark.parametrize("x, y", [([], []), ([1.0, 2.0], [1.0]), ([1.0, 2.0], [[1.0, 2.0]])])
+    def test_an_empty_or_misaligned_pair_is_a_domain_error(self, x, y):
+        ok = np.array([0.5, 1.5])
+        with pytest.raises(DomainError, match="sample pair 1 is empty or misaligned"):
+            check_axioms(Mean(), [(ok, ok), (x, y)])
+
     def test_mean_trivial_transformations(self):
         # the mean is affine, so every default shift, scale and mix passes
         assert check_axioms(Mean(), self._pairs(pairs=5)).all_passed
@@ -990,8 +1012,8 @@ class TestStackedAxioms:
     @pytest.mark.parametrize("functional", AXIOM_FUNCTIONALS, ids=lambda f: f.describe())
     def test_values_are_each_samples_evaluate(self, functional):
         # T at every sample, not only the worst violations: ties of -0.0
-        # and +0.0 in every sample, which np.sort may reorder on a second
-        # pass, and rows where np.log and math.log may round apart
+        # and +0.0 in every sample, which a sort other than the law's may
+        # reorder, and rows where np.log and math.log may round apart
         rng = np.random.default_rng(8)
         pairs = [tuple(rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5], (2, n)))
                  for n in [40] * 40 + [33] * 20 + [17, 2, 1]]
@@ -1020,7 +1042,7 @@ class TestStackedAxioms:
             gamma = getattr(functional, "gamma", None) or functional.loss.gamma
             reference = lambda atoms: _reference_entropic(gamma, atoms)
         want = np.array([reference(from_samples(row).values) for row in rows]).tobytes()
-        assert functional._evaluate_rows(np.array(rows)).tobytes() == want
+        assert functional._evaluate_rows(_sorted_sample(np.array(rows))).tobytes() == want
         assert np.array([functional.evaluate(from_samples(row)) for row in rows]).tobytes() == want
 
     def _errors_match(self, functional, pairs):

@@ -69,6 +69,10 @@ class TestPayoffCost:
 
 
 class TestCheapestPayoff:
+    def test_an_infinite_budget_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^calibration needs a finite eps, got eps=inf$"):
+            cheapest_payoff(quadratic(), Uniform(0, 1), unit_market(), math.inf)
+
     def test_analytic_reduction(self):
         # bench = U(0,1), xi = U(0,1), eps = 1/48: G(u) = u - (1-u)/(2 lam),
         # divergence = 1/(12 lam^2), cost = 1/6 - 1/(6 lam)

@@ -82,6 +82,12 @@ def perturbed_curve(gen, d, grid, lam):
 
 
 class TestPerturbedCurve:
+    @pytest.mark.parametrize("lam", [0.0, math.nan])
+    def test_multiplier_must_be_positive(self, lam):
+        nodes = np.array([0.25, 0.75])
+        with pytest.raises(DomainError, match=f"^multiplier must be positive, got {lam}$"):
+            perturbed_nodes(quadratic(), nodes, np.ones(2), lam)
+
     def test_quadratic_dual_power_closed_form(self):
         # (2u + 2u * (3/10)) / 2 = 1.3 u nodewise
         grid = quantile_grid(Uniform(0, 1), m=500, delta=0.0)
@@ -130,6 +136,11 @@ class TestPerturbedCurve:
 
 
 class TestSolve:
+    def test_an_infinite_budget_is_a_domain_error(self):
+        # not a calibration failure: no multiplier is probed
+        with pytest.raises(DomainError, match="^calibration needs a finite eps, got eps=inf$"):
+            solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), math.inf)
+
     def test_analytic_reduction(self):
         sol = solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 0.03)
         assert sol.lambda_star == pytest.approx(10.0 / 3.0, abs=1e-6)

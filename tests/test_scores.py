@@ -12,6 +12,7 @@ from mkdiv import (
     ExpectileScore,
     GPLScore,
     LambdaQuantileScore,
+    LossFunction,
     MonotoneMap,
     Score,
     ShortfallScore,
@@ -99,6 +100,11 @@ class TestEvalExamples:
 
 
 class TestStepFunction:
+    @pytest.mark.parametrize("breakpoints", [[0.0, 0.0], [1.0, 0.5]])
+    def test_breakpoints_must_increase(self, breakpoints):
+        with pytest.raises(ConfigError, match="^breakpoints must be strictly increasing$"):
+            StepFunction(breakpoints, [0.2, 0.4, 0.6])
+
     def test_integral_matches_riemann_oracle(self):
         # the midpoint oracle's own error is bounded by the total level jump
         # (0.6) times one cell width, ~1.5e-5 here
@@ -376,6 +382,11 @@ class TestTransforms:
 
 
 class TestSubmodularity:
+    @pytest.mark.parametrize("z_grid, y_grid", [([0.0], [0.0, 1.0]), ([0.0, 1.0], [2.0])])
+    def test_a_one_point_grid_is_a_domain_error(self, z_grid, y_grid):
+        with pytest.raises(DomainError, match="^submodularity check needs grids of size >= 2$"):
+            check_submodular(BregmanScore(quadratic()), z_grid, y_grid)
+
     def test_bregman_quadratic(self):
         ok, witness = check_submodular(
             BregmanScore(quadratic()), [-1, 0, 1, 2], [-1, 0, 1, 2]
@@ -494,6 +505,10 @@ class TestAtomInterval:
 
 
 class TestValidation:
+    def test_unknown_loss_kind(self):
+        with pytest.raises(ConfigError, match="^unknown loss kind 'bogus'$"):
+            LossFunction("bogus")
+
     def test_gpl_alpha_domain(self):
         with pytest.raises(DomainError):
             GPLScore(1.0)

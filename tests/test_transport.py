@@ -462,6 +462,11 @@ class TestWasserstein:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], [])])
+    def test_an_empty_list_is_a_domain_error(self, a, b):
+        with pytest.raises(DomainError, match="^oracle needs non-empty 1-D atom lists$"):
+            oracle_optimal(BregmanScore(quadratic()), a, b)
+
     def test_hand_instance(self):
         rep = oracle_optimal(BregmanScore(quadratic()), [0, 1], [2, 3])
         assert rep.value == 4.0
@@ -912,6 +917,11 @@ def test_exact_merge_matches_lp_oracle(k, n1, n2, data):
 
 
 class TestCertification:
+    @pytest.mark.parametrize("n_min, n_max", [(3, 2), (2, 65)])
+    def test_sizes_must_be_ordered_and_within_the_oracle(self, n_min, n_max):
+        with pytest.raises(DomainError, match=r"instance sizes must satisfy 2 <= n_min <= n_max <= 64"):
+            certify_optimal_coupling(BregmanScore(quadratic()), instances=1, n_min=n_min, n_max=n_max)
+
     def test_one_assignment_solve_per_instance(self, monkeypatch):
         # beyond 8 atoms the oracle imports the solver from scipy.optimize at
         # each call; up to 8 atoms the dynamic program solves, with no call
@@ -1113,6 +1123,15 @@ def test_normal_laws_and_the_cli_load_no_scipy(run_python):
 
 
 class TestCouplingValue:
+    def test_matchings_need_lists_of_equal_size(self):
+        with pytest.raises(DomainError, match="^matchings need equally many atoms on both sides$"):
+            comonotonic_matching([0.0, 1.0], [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("matching", [[0], [0, 1, 2]])
+    def test_a_matching_of_the_wrong_length_is_a_domain_error(self, matching):
+        with pytest.raises(DomainError, match="^coupling_value needs equal-length atoms and matching$"):
+            coupling_value(BregmanScore(quadratic()), [0.0, 1.0], [2.0, 3.0], matching)
+
     def test_identity_and_swap(self):
         s = BregmanScore(quadratic())
         assert coupling_value(s, [0, 1], [2, 3], [0, 1]) == 4.0

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/write_cli_corpus.py
 
-The corpus is 132 argvs, each with the exit code, stdout and stderr of
+The corpus is 138 argvs, each with the exit code, stdout and stderr of
 ``cli.main`` run in process from the repository root, and the fingerprint of
 the platform that ran them:
 
@@ -23,7 +23,13 @@ the platform that ran them:
   ``elicit-check`` for each of the 8 functionals with its score at the
   default grid and at ``--grid-m`` 1000 and 40001 (several reports per tile,
   one report per row, and rows taken in blocks), whatever exit code each
-  gives; and ``verify`` for the shortfall, decomposable and entropic scores.
+  gives; and ``verify`` for the shortfall, decomposable and entropic scores;
+* 6 argvs of the stable sort and of input checks: an ``elicit-check``
+  median on a sample of tied ``0`` and ``-0`` lines, written as
+  ``tests/data/cli_corpus/tied_zeros.csv``, whose sign the law's stable sort
+  fixes on every CPU; ``--z-lo -1e-3``, a negative float in exponent form; a
+  bracket whose width overflows; ``--eps inf``; ``axioms --pairs 0``; and
+  ``verify --n 1``.
 
 Rewrite it only in a change that lists each output it moves; ``git diff``
 of ``corpus.json`` names them.
@@ -145,10 +151,38 @@ SEEDED_ARGVS = [
 ]
 
 
+# tied zeros whose median numpy's default sort gave as 0 with its AVX-512
+# kernels and as -0 without them; the law's stable sort gives -0 on every CPU
+TIED_ZEROS = "+++++--+-+-++-+-++---+"
+
+
+def elicit_quantile(alpha: float) -> list:
+    return ["elicit-check", "--functional", f"functional:quantile,alpha={alpha}",
+            "--score", f"score:gpl,alpha={alpha},g=identity", "--dist", "normal:mu=0,sigma=1"]
+
+
+def one_sort_argvs() -> list:
+    """The argvs of the stable sort and the input checks; the sample of
+    tied zeros they read is written first."""
+    path = CORPUS.parent / "tied_zeros.csv"
+    path.write_text("".join("-0\n" if c == "-" else "0\n" for c in TIED_ZEROS), encoding="utf-8")
+    return [
+        ["elicit-check", "--functional", "functional:quantile,alpha=0.5",
+         "--score", "score:gpl,alpha=0.5,g=identity",
+         "--dist", f"empirical:path={path.relative_to(ROOT)}"],
+        [*elicit_quantile(0.6), "--z-lo", "-1e-3", "--z-hi", "1"],
+        [*elicit_quantile(0.3), "--z-lo=-1e308", "--z-hi=1e308"],
+        ["worst-case", "--phi", "phi:quadratic", "--distortion", "distortion:dualpower,k=2",
+         "--ref", "uniform:a=0.5,b=1.5", "--eps", "inf"],
+        ["axioms", "--functional", "functional:mean", "--pairs", "0"],
+        ["verify", "--score", "score:gpl,alpha=0.9", "--n", "1"],
+    ]
+
+
 def main() -> int:
     os.chdir(ROOT)  # the argvs name their files relative to the root
     argvs = ([argv for seed in SEEDS for argv in oneshot_argvs(seed)] + multi_block_argvs()
-             + FAILING_ARGVS + SEEDED_ARGVS + family_argvs())
+             + FAILING_ARGVS + SEEDED_ARGVS + family_argvs() + one_sort_argvs())
     corpus = {"fingerprint": fingerprint(), "cases": [run(argv) for argv in argvs]}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(argvs)} cases to {CORPUS.relative_to(ROOT)}")
