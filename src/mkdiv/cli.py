@@ -257,7 +257,7 @@ def _add_solver(parser):
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as an MkdivError, which ``main`` reports as one
     JSON line, where argparse would print its usage text, and takes any
-    negative float, ``-1e-3`` too, as a value where argparse before Python
+    negative float, ``-1e-3`` too, as a value where argparse through Python
     3.13 takes only ``-1`` and ``-.5`` forms; subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):

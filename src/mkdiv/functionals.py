@@ -1,14 +1,15 @@
 """Elicitable functionals: evaluation, expected-score minimisation, axioms.
 
 Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`.
-:class:`Mean`, :class:`Quantile` and :class:`LambdaQuantile` are exact on
-every law: they read the law's own mean, quantile, Q+ and cdf.  The others
-read its ``atoms(m, delta)``, which any law gives only for a valid grid: a
-parametric law's m grid nodes, an empirical law's sample.  The expectile is
-solved exactly on the sorted atoms, where its residual is piecewise linear;
-the shortfall of the exponential loss is the entropic functional, that of the
-linear loss the atoms' mean, and the power loss's root is found by Brent's
-method.
+The law readers :class:`Mean`, :class:`Quantile` and :class:`LambdaQuantile`
+are exact on every law: they read its own mean, quantile, Q+ and cdf.  The
+others, the atom functionals, are one kernel on rows of sorted atoms, which
+``evaluate`` runs on the law's ``atoms(m, delta)``; any law gives those only
+for a valid grid: a parametric law's m grid nodes, an empirical law's
+sample.  The expectile is solved exactly on the sorted atoms, where its
+residual is piecewise linear; the shortfall of the exponential loss is the
+entropic functional, that of the linear loss the atoms' mean, and the power
+loss's root is found by Brent's method.
 
 :func:`argmin_expected_score` provides the independent route to the same
 quantities: minimising the expected score over reports.  The two routes are
@@ -25,16 +26,16 @@ preparation about ``_BLOCK`` values at a time, so that every ufunc and fold
 runs along the atoms: in tiles of several reports by all the atoms, or one
 report's 1-D row, in blocks where it holds more than ``_BLOCK`` atoms.
 Brent's minimiser (:func:`mkdiv.numerics.brent_minimize`) then refines the
-grid's minimum one report a call.
+grid's minimum one report a call.  Both stages minimise one objective,
+:func:`_objective`, the mean score with inf where it is not finite.
 
 :func:`check_axioms` evaluates its samples in stacks through
 :meth:`Functional._evaluate_rows`, one value per row, each bit-identical to
 ``evaluate(from_samples(row))``.  Each stack is sorted once, along its rows,
 by the stable sort the law itself uses, so the zeros of a sample keep their
-input order on every CPU and a row is the atoms its law would hold.  The
-expectile and the entropic functional (so the exponential shortfall too) run
-one kernel on those sorted rows for both: ``evaluate`` passes it the law's
-atoms as a single row.  Every other functional evaluates the rows one by one.
+input order on every CPU and a row is the atoms its law would hold.  An atom
+functional runs on those rows the kernel that ``evaluate`` runs on one law's
+atoms; only the three law readers evaluate the rows one by one.
 """
 
 from __future__ import annotations
@@ -90,20 +91,22 @@ def _nudged(level: float, sign: float) -> float:
 
 
 class Functional:
-    """Base class; subclasses implement ``evaluate``, and may override
-    ``_evaluate_rows`` to evaluate a stack of samples at once."""
+    """Base class; a subclass defines one of two methods.  An atom functional
+    defines ``_evaluate_rows``, which ``evaluate`` runs on one law's atoms; a
+    law reader defines ``evaluate``, which ``_evaluate_rows`` runs per row."""
 
     kind = "abstract"
 
     def evaluate(self, dist: Distribution, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA) -> float:
-        raise NotImplementedError
+        self._check_law(dist)
+        return float(self._evaluate_rows(dist.atoms(m, delta)[None])[0])
 
     def _evaluate_rows(self, samples: np.ndarray) -> np.ndarray:
         """``evaluate(from_samples(row))`` for each row of the 2-D
         ``samples``, bit for bit, where the rows come sorted by the law's
         own sort (``distributions._sorted_sample``), as the law holds its
         atoms; it raises where one of those calls would, though not always
-        the same error.  The default makes those calls."""
+        the same error.  The default, the law readers', makes those calls."""
         return np.array([self.evaluate(from_samples(row)) for row in samples])
 
     def interval(self, dist: Distribution, m: int = _DEFAULT_M,
@@ -178,9 +181,6 @@ class Expectile(Functional):
         down = pairwise_mean(np.maximum(z - sample, 0.0))
         return self.alpha * up - (1.0 - self.alpha) * down
 
-    def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        return float(self._evaluate_rows(dist.atoms(m, delta)[None])[0])
-
     def _evaluate_rows(self, atoms: np.ndarray) -> np.ndarray:
         """The expectile of each row of sorted atoms; a constant row is its
         own expectile, and the others are computed together."""
@@ -219,10 +219,11 @@ class Expectile(Functional):
 
 @dataclass(frozen=True)
 class Shortfall(Functional):
-    """Smallest x with E[ell(W - x)] <= 0: the entropic functional for the
-    exponential loss, and the mean of the atoms for the linear loss.  Where
-    the atoms' sum overflows, the linear root is lo + E[W - lo] on the
-    smallest atom lo, and a :class:`MomentError` if that sum overflows too.
+    """Smallest x with E[ell(W - x)] <= 0: the entropic kernel for the
+    exponential loss, and :meth:`_root` on each row for the others, the
+    mean of the atoms for the linear loss.  Where the atoms' sum overflows,
+    the linear root is lo + E[W - lo] on the smallest atom lo, and a
+    :class:`MomentError` if that sum overflows too.
 
     The power loss uses Brent's method on the sample range, which brackets the root:
     ``sample - min >= 0`` holds exactly in floats and ``ell(s) >= 0`` for ``s >= 0``,
@@ -245,12 +246,10 @@ class Shortfall(Functional):
     def _evaluate_rows(self, samples):
         if self.loss.kind == "exponential":
             return Entropic(self.loss.gamma)._evaluate_rows(samples)
-        return super()._evaluate_rows(samples)
+        return np.array([self._root(sample) for sample in samples])
 
-    def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        if self.loss.kind == "exponential":
-            return Entropic(self.loss.gamma).evaluate(dist, m, delta)
-        sample = dist.atoms(m, delta)
+    def _root(self, sample: np.ndarray) -> float:
+        """The root on one row of sorted atoms, for the linear or power loss."""
         lo, hi = float(sample[0]), float(sample[-1])
         res = lambda x: self.residual(sample, x)
         if self.loss.kind == "linear":
@@ -334,10 +333,6 @@ class Entropic(Functional):
             raise MomentError(
                 f"exponential moment not finite for the {dist.kind} law (gamma={self.gamma})"
             )
-
-    def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
-        self._check_law(dist)
-        return float(self._evaluate_rows(dist.atoms(m, delta)[None])[0])
 
     def _evaluate_rows(self, atoms: np.ndarray) -> np.ndarray:
         """The entropic functional of each row of sorted atoms."""
@@ -444,9 +439,13 @@ def argmin_expected_score(
     the whole grid as its window.  Brent's minimiser then refines inside the
     two grid steps around the grid's first minimum down to 1e-8 relative
     width, in about 10 one-report calls; on a flat it stops somewhere
-    inside, drifting toward its left end.  The atoms of ``dist`` are
-    prepared once, and every stage scores its reports against them in tiles,
-    as :func:`expected_score` does.
+    inside, drifting toward its left end, and raises
+    :class:`EvaluationError` where it finds no finite value or spends its
+    step cap.  Both minimise :func:`_objective`, the mean score with inf
+    where it is not finite, under one ``np.errstate`` that silences the
+    overflow it maps to inf; :func:`expected_score` keeps numpy's warnings.
+    The atoms of ``dist`` are prepared once, and every stage scores its
+    reports against them in tiles, as :func:`expected_score` does.
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")
@@ -455,42 +454,39 @@ def argmin_expected_score(
     _check_size("argmin", 2, steps=steps)
     sample = dist.atoms(m, delta)
     zs = np.linspace(z_lo, z_hi, steps)
-    values = np.full(steps, np.nan)  # nan until scored; a non-finite score is inf
+    values = np.full(steps, np.nan)  # nan until scored
     first, last, stride = 0, steps - 1, 1
     while 4 * stride <= (steps - 1) // 8:
         stride *= 4
     prep = None
-    while True:
-        points = np.arange(first, last + stride, stride)
-        points[-1] = last
-        new = points[np.isnan(values[points])]
-        if prep is None:  # the first level: its reports are checked first
-            prep = _prepare_atoms(score, sample, zs[new])
-        values[new] = _finite_or_inf(_mean_scores(score, prep, zs[new]))
-        if stride == 1:
-            break
-        level = values[points]
-        low = float(level.min())  # inf if no value is finite: the window is then the grid
-        near = np.flatnonzero(level <= low + 1e-12 * (1.0 + abs(low)))
-        first, last = points[max(near[0] - 1, 0)], points[min(near[-1] + 1, points.size - 1)]
-        stride //= 4
-    window = values[first : last + 1]
-    if not np.isfinite(window).any():
-        raise EvaluationError("expected score is non-finite over the whole grid")
-    i = first + int(np.argmin(window))  # argmin returns the first, i.e. smallest z
-    lo = zs[max(i - 1, 0)]
-    hi = zs[min(i + 1, steps - 1)]
-    return brent_minimize(lambda z: _one_mean_score(score, prep, z), float(lo), float(hi))
+    # the objective maps an overflowing mean to inf on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            points = np.arange(first, last + stride, stride)
+            points[-1] = last
+            new = points[np.isnan(values[points])]
+            if prep is None:  # the first level: its reports are checked first
+                prep = _prepare_atoms(score, sample, zs[new])
+            values[new] = _objective(score, prep, zs[new])
+            if stride == 1:
+                break
+            level = values[points]
+            low = float(level.min())  # inf if no value is finite: the window is then the grid
+            near = np.flatnonzero(level <= low + 1e-12 * (1.0 + abs(low)))
+            first, last = points[max(near[0] - 1, 0)], points[min(near[-1] + 1, points.size - 1)]
+            stride //= 4
+        window = values[first : last + 1]
+        if not np.isfinite(window).any():
+            raise EvaluationError("expected score is non-finite over the whole grid")
+        i = first + int(np.argmin(window))  # argmin returns the first, i.e. smallest z
+        lo, hi = float(zs[max(i - 1, 0)]), float(zs[min(i + 1, steps - 1)])
+        return brent_minimize(lambda z: float(_objective(score, prep, np.array([z]))[0]), lo, hi)
 
 
-def _one_mean_score(score: Score, prep, z: float) -> float:
-    """The mean score of the one report ``z`` as a Python float, inf where
-    it is not finite, as on the grid."""
-    value = float(_mean_scores(score, prep, np.array([z]))[0])
-    return value if math.isfinite(value) else math.inf
-
-
-def _finite_or_inf(values: np.ndarray) -> np.ndarray:
+def _objective(score: Score, prep, z: np.ndarray) -> np.ndarray:
+    """The mean score of each report in the 1-D ``z``, inf where it is not
+    finite: what the argmin's grid and its end game minimise."""
+    values = _mean_scores(score, prep, z)
     return np.where(np.isfinite(values), values, np.inf)
 
 
@@ -557,12 +553,12 @@ def check_axioms(functional: Functional, sample_pairs, tol: float = 1e-9) -> Axi
     evaluated together: stacked, about ``_BLOCK`` values at a time, sorted
     once along its rows by the law's stable sort, so that the zeros of a
     sample keep their input order on every CPU, and passed to
-    ``Functional._evaluate_rows``, which the expectile and the entropic
-    functional answer with one set of numpy calls on the whole stack.
-    Memory holds one stack besides the values.  If a stack raises, the
-    samples are evaluated one by one in the order of the checks above,
-    every pair's x and y first, and the first that fails raises its own
-    error.
+    ``Functional._evaluate_rows``, the kernel ``evaluate`` runs on one law's
+    atoms; only the three law readers evaluate the rows one by one, each
+    through its law.  Memory holds one stack besides the values.  If a stack
+    raises, the samples are evaluated one by one in the order of the checks
+    above, every pair's x and y first, and the first that fails raises its
+    own error.
     """
     pairs = [
         (np.asarray(x, dtype=float), np.asarray(y, dtype=float))

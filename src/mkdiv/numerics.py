@@ -12,8 +12,12 @@ quantile level u in the divergences, the worst-case value and the payoff
 cost, and means are such sums divided by the count, :func:`pairwise_mean`
 for a single array.
 Every open-domain check goes through :func:`first_outside`.
-:func:`brent_root` and :func:`brent_minimize` are the 1-D searches; the robust
-solvers' multiplier has its own, :func:`mkdiv.robust.calibrate_lambda`.
+:func:`brent_root` and :func:`brent_minimize` are the 1-D searches, each
+capped at ``_MAX_ITER`` steps, twice the golden steps that close the widest
+finite bracket to a width of 1e-8.  The minimiser raises
+:class:`~mkdiv.errors.EvaluationError` where it spends the cap or finds no
+finite value; the root finder returns its best end.  The robust solvers'
+multiplier has its own search, :func:`mkdiv.robust.calibrate_lambda`.
 """
 
 from __future__ import annotations
@@ -248,7 +252,11 @@ def _check_size(owner: str, low: int, **params) -> None:
             raise DomainError(f"{owner} needs {name} <= {cap}, got {name}={value}")
 
 
-_MAX_ITER = 200  # steps either 1-D search takes at most
+# steps either 1-D search takes at most.  A golden step keeps at most 0.618
+# of the bracket, so log(1.8e308 / 1e-8) / log(1.618), about 1,514 of them,
+# take the widest finite bracket down to the smallest stopping width, 1e-8;
+# the cap is twice that, room for the parabolic steps between them
+_MAX_ITER = 3028
 
 
 def brent_root(f, a: float, b: float, fa: float, fb: float, width_tol: float = 1e-14):
@@ -326,7 +334,11 @@ def brent_minimize(f, a: float, b: float, width_tol: float = 1e-8) -> float:
     flat-bottomed objective.  ``f`` returns Python floats, whose overflow in
     the parabola gives inf rather than a numpy warning.
 
-    Returns the best probe; the ends of the bracket are never evaluated.
+    Returns the best probe; the ends of the bracket are never evaluated.  At
+    most ``_MAX_ITER`` = 3,028 steps are taken, twice the golden steps that
+    close the widest finite bracket to the smallest stopping width, 1e-8.
+    Raises :class:`EvaluationError` if the cap is spent with the bracket
+    still open, or if the best probe is not finite.
     Reference: R. P. Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 5.
     """
@@ -334,14 +346,19 @@ def brent_minimize(f, a: float, b: float, width_tol: float = 1e-8) -> float:
         a, b = b, a
     if b - a <= width_tol:
         return 0.5 * a + 0.5 * b
+    lo, hi = a, b
     x = w = v = a + _INVPHI2 * (b - a)
     fx = fw = fv = f(x)
     d = e = 0.0  # the last step and the one before it
-    for _ in range(_MAX_ITER):
+    for step in range(_MAX_ITER + 1):  # the last pass only checks the width
         half = width_tol * (0.5 + 0.5 * abs(a) + 0.5 * abs(b))
         mid = 0.5 * a + 0.5 * b
         if 0.5 * b - 0.5 * a <= half:
             break
+        if step == _MAX_ITER:
+            raise EvaluationError(
+                f"Brent's minimiser spent its {_MAX_ITER} steps on [{lo!r}, {hi!r}] with "
+                f"the bracket [{a!r}, {b!r}] still open")
         tol = 0.5 * half
         golden = True
         if abs(e) > tol:
@@ -376,4 +393,6 @@ def brent_minimize(f, a: float, b: float, width_tol: float = 1e-8) -> float:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    if not math.isfinite(fx):
+        raise EvaluationError(f"Brent's minimiser found no finite value on [{lo!r}, {hi!r}]")
     return x

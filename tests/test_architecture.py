@@ -458,10 +458,10 @@ SORT_ALLOWED = {
 }
 
 
-def sort_calls(source: str):
+def named_calls(source: str, names):
     """(innermost enclosing function or None, line) of each call of a
-    function or method named ``sort`` or ``argsort``, plainly, through a
-    module or on an array."""
+    function or method named in ``names``, plainly, through a module or on
+    an object."""
     hits, scope = [], []
 
     class Finder(ast.NodeVisitor):
@@ -475,7 +475,7 @@ def sort_calls(source: str):
         def visit_Call(self, node):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name in ("sort", "argsort"):
+            if name in names:
                 hits.append((scope[-1] if scope else None, node.lineno))
             self.generic_visit(node)
 
@@ -496,7 +496,8 @@ def test_the_sort_finder_sees_every_spelling():
         "y = sort(x)\n"
         "z = sorted(x)\n"
     )
-    assert sort_calls(source) == [("f", 2), ("g", 4), ("h", 7), ("h", 8), (None, 9)]
+    assert named_calls(source, {"sort", "argsort"}) == [
+        ("f", 2), ("g", 4), ("h", 7), ("h", 8), (None, 9)]
 
 
 def test_one_sort_orders_every_sample():
@@ -505,7 +506,73 @@ def test_one_sort_orders_every_sample():
     found = [
         (path.name, func, line)
         for path in sorted(SRC.glob("*.py"))
-        for func, line in sort_calls(path.read_text(encoding="utf-8"))
+        for func, line in named_calls(path.read_text(encoding="utf-8"), {"sort", "argsort"})
         if (path.name, func) not in SORT_ALLOWED
     ]
     assert found == []
+
+
+def method_definitions(source: str):
+    """{class name: (names of its bases, names of the methods it defines)}
+    for each class of ``source``."""
+    return {
+        node.name: ({ast.unparse(b) for b in node.bases},
+                    {f.name for f in node.body
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))})
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+    }
+
+
+def test_the_method_finder_and_the_call_finder_see_every_spelling():
+    source = (
+        "class Mean(Functional):\n"
+        "    def evaluate(self, dist):\n"
+        "        return _mean_scores(dist)\n"
+        "    async def describe(self):\n"
+        "        return 'mean'\n"
+        "    kind = 'mean'\n"
+        "class Outer(base.Functional, Mixin):\n"
+        "    def _evaluate_rows(self, rows):\n"
+        "        return functionals._mean_scores(rows)\n"
+        "def _mean_scores(z):\n"
+        "    return z\n"
+        "x = _mean_scores\n"
+    )
+    assert method_definitions(source) == {
+        "Mean": ({"Functional"}, {"evaluate", "describe"}),
+        "Outer": ({"base.Functional", "Mixin"}, {"_evaluate_rows"}),
+    }
+    assert named_calls(source, {"_mean_scores"}) == [("evaluate", 3), ("_evaluate_rows", 9)]
+
+
+def test_one_evaluation_path_per_functional():
+    # an atom functional defines only its kernel on rows of sorted atoms,
+    # which the base evaluate runs on one law's atoms; a law reader defines
+    # only evaluate, which the base row loop calls on each row's law
+    source = (SRC / "functionals.py").read_text(encoding="utf-8")
+    paths = {
+        name: methods & {"evaluate", "_evaluate_rows"}
+        for name, (bases, methods) in method_definitions(source).items()
+        if "Functional" in bases
+    }
+    functional = importlib.import_module("mkdiv.functionals").Functional
+    assert set(paths) == {c.__name__ for c in functional.__subclasses__()}
+    assert paths == {
+        "Mean": {"evaluate"},
+        "Quantile": {"evaluate"},
+        "LambdaQuantile": {"evaluate"},
+        "Expectile": {"_evaluate_rows"},
+        "Shortfall": {"_evaluate_rows"},
+        "Entropic": {"_evaluate_rows"},
+    }
+
+
+def test_one_objective_for_the_argmin():
+    # the grid and the end game minimise one objective, which maps a
+    # non-finite mean to inf in one place
+    source = (SRC / "functionals.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_finite_or_inf", "_one_mean_score"}
+    assert {func for func, _ in named_calls(source, {"_mean_scores"})} == {
+        "expected_score", "_objective"}

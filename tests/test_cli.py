@@ -670,9 +670,22 @@ class TestElicitBracket:
         assert json.loads(err)["error"] == (
             "need a finite bracket width z_hi - z_lo, got (-1e+308, 1e+308)")
 
+    def test_a_wide_bracket_is_searched_to_the_end(self):
+        code, out, _ = run_cli(["elicit-check", "--functional", "functional:quantile,alpha=0.3",
+                                "--score", "score:gpl,alpha=0.3,g=identity",
+                                "--dist", "normal:mu=0,sigma=1", "--z-lo=-1e60", "--z-hi=1e60"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_an_end_game_with_no_finite_probe_is_one_error(self):
+        code, out, err = run_cli(self.ARGS + ["--z-lo=-1e200", "--z-hi=1e200"])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("Brent's minimiser found no finite value on")
+
     @pytest.mark.parametrize("value", ["-1e-3", "-2E+0", "-1.e-1", "-.5e1", "-3"])
     def test_a_negative_float_is_a_value(self, value):
-        # argparse before Python 3.13 takes -1e-3 for a flag
+        # argparse through Python 3.13 takes -1e-3 for a flag
         spaced = run_cli(self.ARGS + ["--z-lo", value, "--z-hi", "1"])
         assert spaced == run_cli(self.ARGS + [f"--z-lo={value}", "--z-hi", "1"])
         assert spaced[0] != 1

@@ -561,7 +561,8 @@ def _whole_grid_argmin(score, dist, z_lo, z_hi, steps, m):
         raise EvaluationError("expected score is non-finite over the whole grid")
     i = int(np.argmin(np.where(finite, values, np.inf)))
     lo, hi = float(zs[max(i - 1, 0)]), float(zs[min(i + 1, steps - 1)])
-    return brent_minimize(lambda z: functionals._one_mean_score(score, prep, z), lo, hi)
+    return brent_minimize(lambda z: float(functionals._objective(score, prep, np.array([z]))[0]),
+                          lo, hi)
 
 
 _SCAN_SCORES = [
@@ -692,6 +693,37 @@ class TestEndGame:
         assert len(calls) == 12
         assert np.mean(calls) <= 12
         assert max(errors) <= 5e-8
+
+    @pytest.mark.parametrize(
+        "alpha, half_width",
+        [(0.3, 1e40), (0.3, 1e60), (0.3, 3.9e305), (0.9, 8.9e307)],
+    )
+    def test_a_wide_bracket_is_searched_to_the_end(self, alpha, half_width):
+        # the grid's two steps around the minimum span up to 7e305, which
+        # Brent's search closes to the stopping width in up to 1,500 probes
+        law = from_samples(Normal(0.0, 1.0).atoms(1000))
+        lo, hi = Quantile(alpha).interval(law)
+        z = argmin_expected_score(GPLScore(alpha), law, -half_width, half_width)
+        assert max(lo - z, z - hi, 0.0) <= 1e-8
+
+    def test_a_bracket_past_the_square_root_of_the_float_range(self):
+        z = argmin_expected_score(BregmanScore(quadratic()), Normal(0.25, 1.0), -1.0, 1.3e153)
+        assert abs(z - 0.25) <= 3e-8
+
+    def test_no_finite_probe_is_an_error(self):
+        # the squared error overflows beyond about 1.3e154, so only the
+        # grid's report nearest the mean has a finite expected score; the end
+        # game's probes, 1e196 and more from it, all tie at inf
+        with pytest.raises(EvaluationError, match="no finite value"):
+            argmin_expected_score(BregmanScore(quadratic()), Normal(0.25, 1.0), -1e200, 1e200)
+
+    def test_an_overflowing_sum_is_inf_without_a_warning(self):
+        # every score at the grid's last report is finite, and their sum
+        # overflows; the suite turns RuntimeWarning into an error
+        score, law = EntropicScore(1.0, quadratic()), Normal(0.25, 1.0)
+        assert repr(argmin_expected_score(score, law, -5.0, 352.0)) == "0.7496697876208566"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert expected_score(score, law, 352.0) == math.inf
 
 
 _TIED_VALUES = st.one_of(

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mkdiv import COMONOTONIC, from_samples
+from mkdiv import COMONOTONIC, from_samples, numerics
 from mkdiv.errors import EvaluationError
 from mkdiv.numerics import (
     _BlockSum,
@@ -334,3 +334,19 @@ class TestBrentMinimize:
     def test_a_bracket_narrower_than_the_width_gives_its_midpoint(self):
         assert brent_minimize(lambda z: 1.0 / 0.0, 2.0, 2.0 + 1e-9) == 2.0 + 5e-10
         assert brent_minimize(lambda z: 1.0 / 0.0, 1e308, 1e308) == 1e308
+
+    def test_a_v_shape_on_a_huge_bracket_converges(self):
+        # the bracket closes from 2e300 to the stopping width in about 1,280 probes
+        x = brent_minimize(lambda z: abs(z - 0.25), -1e300, 1e300)
+        assert abs(x - 0.25) <= 3e-8
+
+    def test_no_finite_probe_raises(self):
+        # finite only within 1e-12 of a point that no probe reaches
+        f = lambda z: 0.0 if abs(z - 0.123456789) < 1e-12 else math.inf
+        with pytest.raises(EvaluationError, match=r"no finite value on \[-1.0, 1.0\]"):
+            brent_minimize(f, -1.0, 1.0)
+
+    def test_a_spent_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 5)
+        with pytest.raises(EvaluationError, match=r"spent its 5 steps on \[-1.0, 1.0\]"):
+            brent_minimize(lambda z: abs(z - 0.25), -1.0, 1.0)

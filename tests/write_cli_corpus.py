@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/write_cli_corpus.py
 
-The corpus is 138 argvs, each with the exit code, stdout and stderr of
+The corpus is 147 argvs, each with the exit code, stdout and stderr of
 ``cli.main`` run in process from the repository root, and the fingerprint of
 the platform that ran them:
 
@@ -29,7 +29,14 @@ the platform that ran them:
   ``tests/data/cli_corpus/tied_zeros.csv``, whose sign the law's stable sort
   fixes on every CPU; ``--z-lo -1e-3``, a negative float in exponent form; a
   bracket whose width overflows; ``--eps inf``; ``axioms --pairs 0``; and
-  ``verify --n 1``.
+  ``verify --n 1``;
+* 9 argvs of the evaluation path and the argmin's end game: ``axioms`` for
+  the mean, a quantile, the linear and power shortfall, a lambda-quantile
+  and the entropic functional, which evaluate rows as the law does; and
+  ``elicit-check`` on a quantile over +-1e60, which Brent's search must
+  bring down from that bracket, on a mean over +-1e200, whose expected
+  score overflows at every probe of the end game, and on an entropic score
+  whose sum overflows at the grid's last report.
 
 Rewrite it only in a change that lists each output it moves; ``git diff``
 of ``corpus.json`` names them.
@@ -179,10 +186,34 @@ def one_sort_argvs() -> list:
     ]
 
 
+AXIOM_FUNCTIONALS = (
+    "functional:mean",
+    "functional:quantile,alpha=0.3",
+    "functional:shortfall,loss=linear",
+    "functional:shortfall,loss=power,p=3",
+    f"functional:lambda,file={STEPS}",
+    "functional:entropic,gamma=1",
+)
+
+
+def evaluation_argvs() -> list:
+    """The argvs of the one evaluation path and of the argmin's end game."""
+    near = "normal:mu=0.25,sigma=1"
+    return [
+        *(["axioms", "--functional", functional, "--pairs", "5", "--size", "40", "--seed", "11"]
+          for functional in AXIOM_FUNCTIONALS),
+        [*elicit_quantile(0.3), "--z-lo=-1e60", "--z-hi=1e60"],
+        ["elicit-check", "--functional", "functional:mean", "--score",
+         "score:bregman,phi=quadratic", "--dist", near, "--z-lo=-1e200", "--z-hi=1e200"],
+        ["elicit-check", "--functional", "functional:entropic,gamma=1", "--score",
+         "score:entropic,gamma=1,phi=quadratic", "--dist", near, "--z-lo=-5", "--z-hi=352"],
+    ]
+
+
 def main() -> int:
     os.chdir(ROOT)  # the argvs name their files relative to the root
     argvs = ([argv for seed in SEEDS for argv in oneshot_argvs(seed)] + multi_block_argvs()
-             + FAILING_ARGVS + SEEDED_ARGVS + family_argvs() + one_sort_argvs())
+             + FAILING_ARGVS + SEEDED_ARGVS + family_argvs() + one_sort_argvs() + evaluation_argvs())
     corpus = {"fingerprint": fingerprint(), "cases": [run(argv) for argv in argvs]}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(argvs)} cases to {CORPUS.relative_to(ROOT)}")
