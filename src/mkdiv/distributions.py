@@ -6,17 +6,20 @@ Every distribution exposes
 * ``quantile(u)`` -- the left-continuous generalized inverse
   ``inf{y : F(y) >= u}`` for ``u`` in (0, 1),
 * ``mean()``      -- closed form where available, exact for samples,
-* ``atoms(m, delta)`` -- once the grid ``(m, delta)`` is checked, the sorted
-  equal-weight atoms every computation reads: a sample, else the grid's nodes,
+* ``_atom_reader(m, delta)`` -- once the grid ``(m, delta)`` is checked,
+  ``(n, read)``: the count of the sorted equal-weight atoms every computation
+  reads, a sample, else the grid's nodes, and ``read(cells)``, the atoms of a
+  slice of them; the one hook a law overrides for its atoms, which
+  ``atoms(m, delta)`` reads all at once and a subclass may not override,
 * ``_upper_quantile(level)`` -- Q+(level) = inf{y : F(y) > level},
 * ``_exp_moment_finite(gamma)`` -- whether E[e^{gamma Y}] is finite, gamma > 0,
 
-and every downstream integral over u is a :class:`~mkdiv.numerics.Rule` on
-the atoms: the midpoint rule of a :class:`QuantileGrid`, whose non-decreasing
-nodes are the quantiles at ``u_i = (i - 1/2) / m``, or the merged breakpoints
-of two atom lists.  A grid is its nodes: ``m`` is their count, and a
-decreasing node is an error, never repaired.  :func:`quantile_grid` still
-takes a tail level ``delta``, which :func:`~mkdiv.numerics.midpoint_rule` checks.
+and every downstream integral over u is one fold of a
+:class:`~mkdiv.numerics.Rule` on the atoms, read a block at a time: the
+midpoint rule of a :class:`QuantileGrid`, whose non-decreasing nodes are the
+quantiles at ``u_i = (i - 1/2) / m``, or the merged breakpoints of two atom
+lists.  A grid is its nodes: ``m`` is their count, and a decreasing node is
+an error, never repaired.  :func:`~mkdiv.numerics.midpoint_rule` checks ``delta``.
 
 Objects are immutable after construction; every method is pure and safe for
 concurrent reads.
@@ -36,7 +39,6 @@ import numpy as np
 
 from .errors import DomainError, IngestionError, MomentError
 from .numerics import (
-    _BLOCK,
     _DEFAULT_DELTA,
     _DEFAULT_M,
     Rule,
@@ -89,9 +91,35 @@ class Distribution:
     def mean(self) -> float:
         raise NotImplementedError
 
+    def __init_subclass__(cls):  # the divergences read _atom_reader, so every reader gets its atoms
+        if "atoms" in vars(cls):
+            raise TypeError(f"{cls.__name__} overrides atoms; override _atom_reader instead")
+
     def atoms(self, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA) -> np.ndarray:
-        """The nodes of the checked midpoint grid ``(m, delta)``."""
-        return quantile_grid(self, m, delta).nodes
+        """All the atoms of :meth:`_atom_reader`, read at once."""
+        n, read = self._atom_reader(m, delta)
+        return read(slice(0, n))
+
+    def _atom_reader(self, m: int = _DEFAULT_M, delta: float = _DEFAULT_DELTA):
+        """``(n, read)``: n atoms and ``read(cells)``, those of a slice; here grid
+        node i is the quantile at ``(i + 1/2) / m``, checked against the node
+        next to the slice that the read before gave, else against node i - 1."""
+        midpoint_rule(m, delta)
+        ends = {}  # index: [that node], at both ends of the slice read before
+
+        def read(cells):
+            a, b = cells.start, cells.stop
+            before, after = ends.get(a - 1, []), ends.get(b, [])
+            seam = before or after
+            lo, hi = (a, b) if seam else (max(a - 1, 0), max(b, 2))
+            nodes = self.quantile(np.arange(lo + 0.5, hi) / m)
+            nodes = QuantileGrid(np.concatenate((before, nodes, after)) if seam else nodes).nodes
+            nodes = nodes[len(before) + a - lo : len(before) + b - lo]
+            ends.clear()
+            ends.update({a: [nodes[0]], b - 1: [nodes[-1]]})
+            return nodes
+
+        return m, read
 
     def _upper_quantile(self, level: float) -> float:
         """Q+(level) of a law without flats; an overflow raises MomentError."""
@@ -195,9 +223,8 @@ def _ndtri(u):
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
     out = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        b = flat[start:start + _BLOCK]
-        o = out[start:start + _BLOCK]
+    for cells in Rule(None, flat.size).blocks():
+        b, o = flat[cells], out[cells]
         upper = b > 1.0 - _EXP_M2
         y = np.subtract(1.0, b, out=b.copy(), where=upper)
         central = y > _EXP_M2
@@ -416,10 +443,10 @@ class Empirical(Distribution):
     def mean(self):
         return pairwise_mean(self.values)
 
-    def atoms(self, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+    def _atom_reader(self, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         """The sorted sample, once the grid ``(m, delta)`` is checked."""
         midpoint_rule(m, delta)
-        return self.values
+        return self.n, self.values.__getitem__
 
     def _upper_quantile(self, level):
         """The first atom whose cdf exceeds ``level`` in (0, 1): it steps over

@@ -24,7 +24,7 @@ grid's first argmin.  The atoms are prepared for the score once per call
 (:meth:`mkdiv.scores.Score._prepare`), and reports are scored against the
 preparation about ``_BLOCK`` values at a time, so that every ufunc and fold
 runs along the atoms: in tiles of several reports by all the atoms, or one
-report's 1-D row, in blocks where it holds more than ``_BLOCK`` atoms.
+report's 1-D row, folded by the midpoint rule a block of atoms at a time.
 Brent's minimiser (:func:`mkdiv.numerics.brent_minimize`) then refines the
 grid's minimum one report a call.  Both stages minimise one objective,
 :func:`_objective`, the mean score with inf where it is not finite.
@@ -51,7 +51,7 @@ from .numerics import (
     _BLOCK,
     _DEFAULT_DELTA,
     _DEFAULT_M,
-    _BlockSum,
+    Rule,
     _check_finite,
     _check_size,
     _check_tolerance,
@@ -106,7 +106,11 @@ class Functional:
         ``samples``, bit for bit, where the rows come sorted by the law's
         own sort (``distributions._sorted_sample``), as the law holds its
         atoms; it raises where one of those calls would, though not always
-        the same error.  The default, the law readers', makes those calls."""
+        the same error.  The default, the law readers', makes those calls,
+        and raises NotImplementedError where ``evaluate`` is not defined."""
+        if type(self).evaluate is Functional.evaluate:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither evaluate nor _evaluate_rows")
         return np.array([self.evaluate(from_samples(row)) for row in samples])
 
     def interval(self, dist: Distribution, m: int = _DEFAULT_M,
@@ -366,31 +370,20 @@ def _mean_scores(score: Score, prep, z: np.ndarray) -> np.ndarray:
     """Mean of S(z_i, Y) over the m atoms prepared in ``prep``, as
     :func:`_prepare_atoms` returns them, for each report in the 1-D ``z``.
 
-    Scores are taken about ``_BLOCK`` values at a time.  Where that holds two
-    reports or more, tiles of ``_BLOCK // m`` reports down and all the atoms
-    across are scored, and :func:`pairwise_sum` folds each tile's rows at
-    once.  Otherwise each report's scores are one 1-D row, folded by
-    :func:`pairwise_sum` up to ``_BLOCK`` atoms, and beyond that taken in
-    aligned blocks of ``_BLOCK`` atoms merged by
-    :class:`mkdiv.numerics._BlockSum`.  So every mean is bit-identical to the
+    Scores are taken about ``_BLOCK`` values at a time: tiles of
+    ``_BLOCK // m`` reports down and all the atoms across where that holds two
+    reports or more, else one report's 1-D row, in blocks of the atoms.  Each
+    tile's rows are one fold of the midpoint rule
+    (:meth:`mkdiv.numerics.Rule.fold`), so every mean is bit-identical to the
     fold of its own row of scores, and memory stays bounded by a tile.
     """
     m = prep[0].size
-    rows = _BLOCK // m
-    out = np.empty(z.size)
-    if rows >= 2:
-        tile = _Prepared(p[None] for p in prep)
-        for j in range(0, z.size, rows):
-            out[j : j + rows] = pairwise_sum(score(z[j : j + rows, None], tile)) / m
-        return out
-    for j in range(z.size):
-        if m <= _BLOCK:
-            out[j] = pairwise_sum(score(z[j : j + 1], prep)) / m
-            continue
-        sums = _BlockSum()
-        for i in range(0, m, _BLOCK):
-            sums.add(score(z[j : j + 1], _Prepared(p[i : i + _BLOCK] for p in prep)))
-        out[j] = sums.total() / m
+    rows, rule, out = max(1, _BLOCK // m), Rule(None, m), np.empty(z.size)
+    if rows > 1:  # a tile is 2-D, reports down and atoms across; one report's row is 1-D
+        z, prep = z[:, None], _Prepared(p[None] for p in prep)
+    for j in range(0, z.shape[0], rows):
+        out[j : j + rows] = rule.fold(
+            lambda cells: score(z[j : j + rows], _Prepared(p[..., cells] for p in prep)))
     return out
 
 
@@ -444,8 +437,9 @@ def argmin_expected_score(
     step cap.  Both minimise :func:`_objective`, the mean score with inf
     where it is not finite, under one ``np.errstate`` that silences the
     overflow it maps to inf; :func:`expected_score` keeps numpy's warnings.
-    The atoms of ``dist`` are prepared once, and every stage scores its
-    reports against them in tiles, as :func:`expected_score` does.
+    The m atoms of ``dist`` are prepared once and held, not streamed, as each
+    of the search's 14 or so objective calls scores them all; every stage
+    scores its reports against them in tiles, as :func:`expected_score` does.
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi):
         raise DomainError(f"need finite z_lo < z_hi, got ({z_lo}, {z_hi})")

@@ -2,15 +2,12 @@
 
 One fold rule and one block size serve every reduction used for reported
 values.  :func:`pairwise_sum` folds the last axis by a fixed tree
-(index-ascending, adjacent pairing), so results are bit-stable across runs;
-values too many to fold at once arrive in aligned blocks of ``_BLOCK``
-entries along that axis, and :class:`_BlockSum` folds each block by
-:func:`pairwise_sum` and merges the block sums by the same tree.
+(index-ascending, adjacent pairing), so results are bit-stable across runs.
 :func:`_split_sums` folds the two sides of a cut in each row of a stack,
-each by the tree it would have alone.  A :class:`Rule` integrates over the
-quantile level u in the divergences, the worst-case value and the payoff
-cost, and means are such sums divided by the count, :func:`pairwise_mean`
-for a single array.
+each by the tree it would have alone.  Every integral over the quantile
+level u is one :meth:`Rule.fold` of values given a block of ``_BLOCK`` cells
+at a time, and means are such sums divided by the count,
+:func:`pairwise_mean` for a single array.
 Every open-domain check goes through :func:`first_outside`.
 :func:`brent_root` and :func:`brent_minimize` are the 1-D searches, each
 capped at ``_MAX_ITER`` steps, twice the golden steps that close the widest
@@ -116,40 +113,6 @@ def _split_sums(a: np.ndarray, cut: np.ndarray):
 _BLOCK = 1 << 14
 
 
-class _BlockSum:
-    """:func:`pairwise_sum` of values that arrive in consecutive blocks along
-    the last axis: aligned blocks of one power of two of entries, ``_BLOCK``
-    in the package, of which only the last may be shorter.
-
-    Each block is folded by :func:`pairwise_sum`, and the sums of the blocks
-    merge as they complete, by the same tree, on a stack of aligned subtrees
-    whose levels strictly decrease, like a binary counter.  So :meth:`total`
-    is bit-identical to the fold of all the values at once, and the stack holds
-    at most log2 of the number of blocks sums.
-    """
-
-    def __init__(self):
-        self._stack = []  # (level, sums of an aligned subtree of 2**level entries)
-
-    def add(self, block) -> None:
-        sums, level = pairwise_sum(block), (np.shape(block)[-1] - 1).bit_length()
-        while self._stack and self._stack[-1][0] == level:
-            sums = self._stack.pop()[1] + sums
-            level += 1
-        self._stack.append((level, sums))
-
-    def total(self):
-        """The sum so far: a float for 1-D blocks, else an array; at least
-        one block must have been added."""
-        level, sums = self._stack[-1]
-        for left_level, left in reversed(self._stack[:-1]):
-            if level < left_level:
-                sums = sums + 0.0  # paired with its all-zero sibling, as the padded tree does
-            sums = left + sums
-            level = left_level + 1
-        return sums
-
-
 def pairwise_sum(values):
     """Sum the last axis of an array by adjacent pairing in index-ascending
     order: a float for a 0-D or 1-D array, else the array of its row sums.
@@ -189,9 +152,9 @@ _DEFAULT_DELTA = 0.0
 
 @dataclass(frozen=True, eq=False)
 class Rule:
-    """Quadrature over u in (0, 1): cell k has mass ``counts[k] / total`` and
-    midpoint level ``u[k]``, computed when read; ``counts=None`` means
-    ``total`` equal cells, the midpoint grid."""
+    """Quadrature over u in (0, 1), each integral one :meth:`fold`: cell k has
+    mass ``counts[k] / total`` and midpoint level ``u[k]``, computed when
+    read; ``counts=None`` means ``total`` equal cells, the midpoint grid."""
 
     counts: np.ndarray | None
     total: int
@@ -202,12 +165,34 @@ class Rule:
             return np.arange(0.5, self.total) / self.total  # exact numerators i - 1/2
         return (np.cumsum(self.counts) - 0.5 * self.counts) / self.total
 
+    def blocks(self):
+        """The cells as aligned slices of ``_BLOCK``, the last one shorter."""
+        size = self.total if self.counts is None else self.counts.size
+        return (slice(i, min(i + _BLOCK, size)) for i in range(0, size, _BLOCK))
+
+    def fold(self, f):
+        """Sum of cell mass times ``f(cells)`` over the slices of :meth:`blocks`,
+        one integral per row where values stack along leading axes, and an
+        array of the integrals where ``f`` gives a tuple of values: bit for
+        bit :func:`pairwise_sum` of all the products, or on equal cells of the
+        values, but holding one block of them and the blocks' sums."""
+        sums = []
+        for cells in self.blocks():
+            sums.append(self._block_sum(cells, f(cells)))  # no block kept past its sum
+        if len(sums) > 1 and cells.stop - cells.start < _BLOCK:
+            sums[-1] = sums[-1] + 0.0  # a short last block, paired with zeros by the padded tree
+        while len(sums) > 1:  # the levels above the blocks, an odd last sum paired with 0.0
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2] + [0.0])]
+        return sums[0] / self.total
+
+    def _block_sum(self, cells, values):
+        if isinstance(values, tuple):  # several integrals, each folded by its own tree
+            return np.array([self._block_sum(cells, v) for v in values])
+        return pairwise_sum(values if self.counts is None else self.counts[cells] * values)
+
     def integrate(self, values):
-        """Sum of cell mass times value, by the tree of :func:`pairwise_sum`;
-        on equal cells ``values`` is folded as it is, with no product.  Stacked
-        values give an array, one integral per slice along the last axis."""
-        weighted = values if self.counts is None else self.counts * values
-        return pairwise_sum(weighted) / self.total
+        """:meth:`fold` of the cells' ``values``, given along the last axis."""
+        return self.fold(lambda cells: np.asarray(values)[..., cells])
 
 
 def midpoint_rule(m: int, delta: float = 0.0) -> Rule:

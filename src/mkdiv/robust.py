@@ -40,10 +40,9 @@ from .distributions import Distribution, QuantileGrid
 from .errors import CalibrationError, DomainError, InfeasibleLambdaError
 from .generators import ConvexGenerator, DistortionSpec
 from .numerics import (
-    _BLOCK,
     _DEFAULT_DELTA,
     _DEFAULT_M,
-    _BlockSum,
+    Rule,
     _check_finite,
     first_outside,
     midpoint_rule,
@@ -128,9 +127,9 @@ def perturbed_nodes(
 
     ``dphi_ref``, when given, is ``gen.dphi(ref_nodes)`` computed once by a
     caller that perturbs the same nodes at many multipliers.  The argument
-    is formed, checked and inverted in blocks of ``_BLOCK`` nodes, written
-    into the result, so the result is the only array of the nodes' size
-    that a call allocates.
+    is formed, checked and inverted in the blocks of
+    :meth:`mkdiv.numerics.Rule.blocks`, written into the result, so the
+    result is the only array of the nodes' size that a call allocates.
 
     Raises
     ------
@@ -144,8 +143,7 @@ def perturbed_nodes(
         raise DomainError(f"multiplier must be positive, got {lam}")
     nodes = np.empty(len(ref_nodes))
     failure = None  # (node, problem) of the first failure found
-    for start in range(0, nodes.size, _BLOCK):
-        blk = slice(start, start + _BLOCK)
+    for blk in Rule(None, nodes.size).blocks():
         dphi = gen.dphi(ref_nodes[blk]) if dphi_ref is None else dphi_ref[blk]
         target = dphi + weight[blk] / lam
         node = first_outside(target, gen.dphi_range)
@@ -156,7 +154,7 @@ def perturbed_nodes(
             first_inf = int(np.argmax(infinite))
             node = first_inf if node is None else min(node, first_inf)
         if node is not None:
-            failure = (start + node, "perturbed derivative leaves the range of phi'")
+            failure = (blk.start + node, "perturbed derivative leaves the range of phi'")
             break
         if failure is None:  # past a domain failure only the range is checked
             nodes[blk] = gen.inv_dphi_fn(target)
@@ -164,7 +162,8 @@ def perturbed_nodes(
             # xlogx's exp(y - 1) underflows to 0.0 at small multipliers
             node = first_outside(nodes[blk], gen.domain)
             if node is not None:
-                failure = (start + node, f"perturbed node leaves the domain {gen.domain} of phi")
+                failure = (blk.start + node,
+                           f"perturbed node leaves the domain {gen.domain} of phi")
     if failure is not None:
         node, problem = failure
         raise InfeasibleLambdaError(
@@ -191,28 +190,34 @@ def _inverse_curvature_terms(gen, nodes, phi_nodes, weight):
 
 class _Probes:
     """A calibration's probes: phi(ref) and phi'(ref), kept, and I(ref),
-    computed once in blocks of ``_BLOCK`` nodes; each call then probes one
-    multiplier, as :func:`calibrate_lambda` describes."""
+    computed once by a fold of the reference's rule; each call then probes
+    one multiplier, as :func:`calibrate_lambda` describes."""
 
     def __init__(self, gen: ConvexGenerator, ref_nodes: np.ndarray, weight: np.ndarray):
         self.gen, self.ref_nodes, self.weight = gen, ref_nodes, weight
-        m = ref_nodes.size
-        self.phi_ref, self.dphi_ref = np.empty(m), np.empty(m)
-        integral = _BlockSum()
+        self.rule = Rule(None, ref_nodes.size)
+        self.phi_ref, self.dphi_ref = np.empty(ref_nodes.size), np.empty(ref_nodes.size)
+
+        def ref_terms(blk):
+            ref = ref_nodes[blk]
+            self.phi_ref[blk], self.dphi_ref[blk] = gen.phi(ref), gen.dphi(ref)
+            return _inverse_curvature_terms(gen, ref, self.phi_ref[blk], weight[blk])
+
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, m, _BLOCK):
-                blk = slice(start, start + _BLOCK)
-                ref = ref_nodes[blk]
-                self.phi_ref[blk], self.dphi_ref[blk] = gen.phi(ref), gen.dphi(ref)
-                integral.add(_inverse_curvature_terms(gen, ref, self.phi_ref[blk], weight[blk]))
-        self.ref_integral = integral.total() / m
+            self.ref_integral = self.rule.fold(ref_terms)
 
     def __call__(self, lam: float):
         """``(D, I(G), G)`` at ``lam``, D and I by the equal-cell rule of the
         reference; ``(inf, nan, None)`` where the curve is infinitely far."""
         gen, ref_nodes, weight = self.gen, self.ref_nodes, self.weight
-        m = ref_nodes.size
-        div, integral = _BlockSum(), _BlockSum()
+
+        def terms(blk):  # the Bregman terms and those of I(G), sharing phi(G)
+            g = nodes[blk]
+            phi_g = gen.phi(g)
+            return (gen._bregman_terms(g, phi_g, ref_nodes[blk], self.phi_ref[blk],
+                                       self.dphi_ref[blk]),
+                    _inverse_curvature_terms(gen, g, phi_g, weight[blk]))
+
         # extreme multipliers may overflow the generator transform; both an
         # out-of-range argument and a non-finite divergence mean the curve
         # is infinitely far, so the search treats them as +inf
@@ -221,17 +226,10 @@ class _Probes:
                 nodes = perturbed_nodes(gen, ref_nodes, weight, lam, self.dphi_ref)
             except InfeasibleLambdaError:
                 return math.inf, math.nan, None
-            for start in range(0, m, _BLOCK):
-                blk = slice(start, start + _BLOCK)
-                g = nodes[blk]
-                phi_g = gen.phi(g)
-                div.add(gen._bregman_terms(
-                    g, phi_g, ref_nodes[blk], self.phi_ref[blk], self.dphi_ref[blk]))
-                integral.add(_inverse_curvature_terms(gen, g, phi_g, weight[blk]))
-        d = div.total() / m
+            d, integral = (float(v) for v in self.rule.fold(terms))
         if not math.isfinite(d):
             return math.inf, math.nan, None
-        return d, integral.total() / m, nodes
+        return d, integral, nodes
 
 
 def calibrate_lambda(
@@ -281,13 +279,13 @@ def calibrate_lambda(
     G - Q falls below the ulp of Q and its term drops to 0.
 
     The domain check of the reference, phi(ref), phi'(ref) and I(ref) are
-    computed once.  Each probe is one :func:`perturbed_nodes` call and one
-    pass over the grid in blocks of ``_BLOCK`` nodes that computes phi(G),
-    the Bregman terms by the generator's kernel, the one
-    :meth:`ConvexGenerator.bregman` uses, and the terms of I(G_lam), and
-    folds each block by :func:`mkdiv.numerics.pairwise_sum`.  The block sums
-    merge by the same tree, so D and I are the whole-array folds bit for
-    bit, and every divergence is repr-equal to ``pairwise_mean(gen.bregman(G,
+    computed once, by a fold of the reference's rule
+    (:meth:`mkdiv.numerics.Rule.fold`) over blocks of ``_BLOCK`` nodes.  Each
+    probe is one :func:`perturbed_nodes` call and one fold whose blocks
+    compute phi(G), then the Bregman terms, by the kernel
+    :meth:`ConvexGenerator.bregman` uses, and the terms of I(G_lam), each
+    folded by its own tree.  A fold is the whole-array sum bit for bit, so
+    every divergence is repr-equal to ``pairwise_mean(gen.bregman(G,
     Q))`` on the probe's curve G and the reference nodes Q.  A probe keeps
     its curve and nothing else of the grid's size, so a calibration holds
     four such arrays beyond its inputs, plus a block's temporaries:

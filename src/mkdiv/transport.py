@@ -140,20 +140,32 @@ def _checked_atoms(atoms, which) -> np.ndarray:
     return x
 
 
-def _paired_quantiles(q1: np.ndarray, q2: np.ndarray, coupling: str):
-    """Paired atoms ``(q1, q2, rule)`` of sorted atom lists, one list or a
-    stack of them along the last axis: cell k of ``rule`` pairs Q1(u) with
-    Q2(u), or when antitonic with Q2(1 - u), the reversed list, at its level
-    u.  Lists of n atoms pair cell by cell, lists of n1 != n2 atoms on the
-    merged breakpoints {k/n1} and {j/n2}, in cells of 1/lcm(n1, n2)."""
-    q2 = q2 if coupling == COMONOTONIC else q2[..., ::-1]
-    n1, n2 = q1.shape[-1], q2.shape[-1]
+def _listed(q: np.ndarray):
+    """The side ``(n, read)`` of sorted atom lists ``q`` along the last axis."""
+    return q.shape[-1], lambda cells: q[..., cells]
+
+
+def _paired_quantiles(side1, side2, coupling: str):
+    """``(rule, pair)`` of sides ``(n, read)`` of sorted atoms: ``pair(cells)``
+    reads the atoms ``(q1, q2)`` of a slice of cells, cell k pairing Q1(u)
+    with Q2(u), or when antitonic with Q2(1 - u), at its level u.  Lists of
+    n atoms pair cell by cell, lists of n1 != n2 atoms on the merged
+    breakpoints {k/n1} and {j/n2}, in cells of 1/lcm(n1, n2)."""
+    (n1, read1), (n2, read2) = side1, side2
+    if coupling != COMONOTONIC:  # a slice of the reversed list: the mirrored one, read backwards
+        read2 = lambda cells, read=read2: read(slice(n2 - cells.stop, n2 - cells.start))[..., ::-1]
     if n1 == n2:
-        return q1, q2, Rule(None, n1)
+        return Rule(None, n1), lambda cells: (read1(cells), read2(cells))
     total = math.lcm(n1, n2)
     step1, step2 = total // n1, total // n2
     cuts = np.union1d(np.arange(n1) * step1, np.arange(n2) * step2)
-    return q1[..., cuts // step1], q2[..., cuts // step2], Rule(np.diff(cuts, append=total), total)
+
+    def pair(cells):  # each side reads the span of atoms the cells take
+        at1, at2 = cuts[cells] // step1, cuts[cells] // step2
+        return (read1(slice(at1[0], at1[-1] + 1))[..., at1 - at1[0]],
+                read2(slice(at2[0], at2[-1] + 1))[..., at2 - at2[0]])
+
+    return Rule(np.diff(cuts, append=total), total), pair
 
 
 def mk_divergence(
@@ -168,25 +180,30 @@ def mk_divergence(
     One rule serves every pair: it pairs both laws' atoms as step quantile
     functions, so a pair is exact on each empirical side, at any sizes.  Each
     law checks the midpoint grid ``(m, delta)``, whose m nodes are a
-    parametric law's atoms; an empirical law's atoms are its sample.  The
-    result is non-negative; finite negative float dust from cancellation is
-    clamped to zero.  A NaN or -inf sum, as from an overflowing score, raises
-    :class:`MomentError`.  A domain violation of the score propagates with the
-    u-node of the entry its check rejected.
+    parametric law's atoms, read a block at a time; an empirical law's atoms
+    are its sample.  The result is non-negative; finite negative float dust
+    from cancellation is clamped to zero.  A NaN or -inf sum, as from an
+    overflowing score, raises :class:`MomentError`.  A domain violation of
+    the score propagates with the u-node of the entry its check rejected.
     """
-    return float(_closed_form(score, f1.atoms(m, delta), f2.atoms(m, delta)))
+    return float(_closed_form(score, f1._atom_reader(m, delta), f2._atom_reader(m, delta)))
 
 
-def _closed_form(score: Score, q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """:func:`mk_divergence` of sorted atom lists ``q1`` to ``q2``, or of each
-    pair in stacks of them along the last axis, in one score call."""
-    q1, q2, rule = _paired_quantiles(q1, q2, score.coupling)
+def _closed_form(score: Score, side1, side2) -> np.ndarray:
+    """:func:`mk_divergence` of sides ``(n, read)``, one value per pair of lists;
+    a block's DomainError is raised again by the whole lists, as they raise it."""
+    rule, pair = _paired_quantiles(side1, side2, score.coupling)
     try:
-        vals = np.asarray(score(q2, q1))
-    except DomainError as exc:
-        node = float("nan") if exc.index is None else float(rule.u[exc.index % q1.shape[-1]])
-        raise DomainError(f"{exc} (first offending grid node: u={node})", index=exc.index) from exc
-    value = np.asarray(rule.integrate(vals))
+        value = np.asarray(rule.fold(lambda cells: score(*pair(cells)[::-1])))
+    except DomainError:
+        q1, q2 = pair(slice(0, rule.total))
+        try:
+            score(q2, q1)
+        except DomainError as exc:
+            node = float("nan") if exc.index is None else float(rule.u[exc.index % q1.shape[-1]])
+            raise DomainError(f"{exc} (first offending grid node: u={node})",
+                              index=exc.index) from exc
+        raise
     undefined = np.isnan(value) | (value == -np.inf)
     if undefined.any():
         raise MomentError(f"divergence is undefined: the score values sum to {value[undefined][0]}")
@@ -201,7 +218,7 @@ def wasserstein_p(
     delta: float = _DEFAULT_DELTA,
 ) -> float:
     """p-Wasserstein distance via the quantile representation
-    (int |Q1 - Q2|^p du)^(1/p), on the one pairing rule of
+    (int |Q1 - Q2|^p du)^(1/p), on the pairs and by the fold of
     :func:`mk_divergence`: exact on each empirical side, at any sizes, with
     the grid ``(m, delta)`` checked on each law and setting a parametric
     law's atoms.  A NaN sum, as from two quantiles that overflow to the same
@@ -210,15 +227,24 @@ def wasserstein_p(
     the gaps divided by the largest one, which then scales the root."""
     if not (p >= 1.0 and math.isfinite(p)):
         raise DomainError(f"wasserstein order must be a finite p >= 1, got {p}")
-    q1, q2, rule = _paired_quantiles(f1.atoms(m, delta), f2.atoms(m, delta), COMONOTONIC)
-    gaps = np.abs(q1 - q2)
-    with np.errstate(over="ignore"):
-        value = rule.integrate(gaps ** p)
+    rule, pair = _paired_quantiles(f1._atom_reader(m, delta), f2._atom_reader(m, delta), COMONOTONIC)
+
+    def powers(cells, top=1.0):
+        gaps = np.abs(np.subtract(*pair(cells)))
+        with np.errstate(over="ignore"):
+            return (gaps if top == 1.0 else gaps / top) ** p
+
+    try:
+        value = rule.fold(powers)
+    except DomainError:
+        pair(slice(0, rule.total))  # the whole lists raise the error they raise first
+        raise
     if math.isnan(value):
         raise MomentError("wasserstein distance is undefined: the |Q1 - Q2|^p values sum to nan")
-    if value == math.inf and np.all(np.isfinite(gaps)):
-        top = float(gaps.max())
-        return float(top * rule.integrate((gaps / top) ** p) ** (1.0 / p))
+    if value == math.inf:
+        top = max(float(np.abs(np.subtract(*pair(cells))).max()) for cells in rule.blocks())
+        if top < math.inf:
+            return float(top * rule.fold(lambda cells: powers(cells, top)) ** (1.0 / p))
     return float(value ** (1.0 / p))
 
 
@@ -479,7 +505,7 @@ def _batch_deviations(score: Score, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of the (B, n) stacks ``a`` and ``b``, bit for bit those of :func:`mk_divergence`
     on their empirical laws, whose sort orders the rows, and of
     :func:`oracle_optimal`; with B = 1 an error is theirs too."""
-    closed = _closed_form(score, _sorted_sample(a), _sorted_sample(b))
+    closed = _closed_form(score, _listed(_sorted_sample(a)), _listed(_sorted_sample(b)))
     _, optimum = _optimal_assignments(_transport_cost(score, a[:, :, None], b[:, None, :]))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in float arithmetic
         return np.abs(closed - optimum) / (1.0 + np.abs(optimum))

@@ -576,3 +576,88 @@ def test_one_objective_for_the_argmin():
     assert not defined & {"_finite_or_inf", "_one_mean_score"}
     assert {func for func, _ in named_calls(source, {"_mean_scores"})} == {
         "expected_score", "_objective"}
+
+
+def block_loops(source: str):
+    """(innermost enclosing function or None, line) of each loop or
+    comprehension over ``range(0, ..., _BLOCK)``, with ``range`` and the
+    block size named plainly or through a module."""
+    hits, scope = [], []
+
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_For(self, node):
+            self.check(node.iter)
+            self.generic_visit(node)
+
+        visit_AsyncFor = visit_For
+
+        def visit_comprehension(self, node):
+            self.check(node.iter)
+            self.generic_visit(node)
+
+        def check(self, it):
+            if (isinstance(it, ast.Call) and name(it.func) == "range" and len(it.args) == 3
+                    and isinstance(it.args[0], ast.Constant) and it.args[0].value == 0
+                    and name(it.args[2]) == "_BLOCK"):
+                hits.append((scope[-1] if scope else None, it.lineno))
+
+    Finder().visit(ast.parse(source))
+    return hits
+
+
+def test_the_block_loop_finder_sees_every_spelling():
+    source = (
+        "def f(x):\n"
+        "    for start in range(0, x.size, _BLOCK):\n"
+        "        pass\n"
+        "def g(n):\n"
+        "    return [i for i in range(0, n, numerics._BLOCK)]\n"
+        "class C:\n"
+        "    async def h(self, n):\n"
+        "        async for i in range(0, n, _BLOCK):\n"
+        "            pass\n"
+        "for i in builtins.range(0, 9, _BLOCK):\n"
+        "    pass\n"
+        "for i in range(1, 9, _BLOCK):\n"
+        "    pass\n"
+        "for i in range(0, 9, BLOCK):\n"
+        "    pass\n"
+        "blocks = range(0, 9, _BLOCK)\n"
+    )
+    assert block_loops(source) == [("f", 2), ("g", 5), ("h", 8), (None, 10)]
+
+
+def test_only_the_rule_steps_through_blocks():
+    # every integral over u is one Rule.fold, and every other loop over
+    # aligned blocks takes the slices of Rule.blocks: the slicing is written
+    # once, in numerics
+    found = {
+        path.name: block_loops(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert [func for func, _ in found.pop("numerics.py")] == ["blocks"]
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_source_parses_as_python_3_10():
+    # the CI matrix runs Python 3.10, the oldest version pyproject admits;
+    # ast's feature_version check is best-effort, so this pins the grammar
+    # the parser knows to be newer, not the runtime behaviour
+    paths = [path for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) >= 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -321,6 +321,15 @@ class TestEvaluateErrors:
         v = Entropic(1.0).evaluate(Normal(-800.0, 1.0))
         assert v == pytest.approx(Entropic(1.0).evaluate(Normal(0.0, 1.0)) - 800.0, abs=1e-12)
 
+    def test_a_functional_with_neither_method_is_not_implemented(self):
+        # the base evaluate runs _evaluate_rows, whose default runs evaluate
+        # on each row: with neither overridden the pair must not recurse
+        bare = functionals.Functional()
+        with pytest.raises(NotImplementedError, match="^Functional defines neither evaluate"):
+            bare.evaluate(from_samples([1.0, 2.0]))
+        with pytest.raises(NotImplementedError):
+            check_axioms(bare, [(np.array([1.0, 2.0]), np.array([0.5, 3.0]))])
+
 
 class TestExpectileFOC:
     def test_residual_at_solution(self):

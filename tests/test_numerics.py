@@ -7,7 +7,7 @@ import pytest
 from mkdiv import COMONOTONIC, from_samples, numerics
 from mkdiv.errors import EvaluationError
 from mkdiv.numerics import (
-    _BlockSum,
+    Rule,
     _split_sums,
     brent_minimize,
     brent_root,
@@ -67,19 +67,23 @@ class TestPairwise:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 33, 100])
     @pytest.mark.parametrize("block", [1, 2, 4, 8, 64])
-    def test_block_sum_is_the_fold_of_the_whole(self, n, block):
-        # blocks arrive along the last axis, as report-by-atom tiles do
+    def test_block_sum_is_the_fold_of_the_whole(self, n, block, monkeypatch):
+        # blocks arrive along the last axis, as report-by-atom tiles do; a
+        # rule with a total of 1 and unit counts folds the values themselves
         rng = np.random.default_rng(n)
         x = rng.normal(0, 1, (3, n)) * 10.0 ** rng.integers(-12, 12, (3, n))
         x[rng.random(x.shape) < 0.3] = -0.0
         x[0] = -0.0  # an all-negative-zero row
-        rows, row = _BlockSum(), _BlockSum()
-        for i in range(0, n, block):
-            rows.add(x[:, i : i + block])
-            row.add(x[1, i : i + block])
-        assert rows.total().tobytes() == pairwise_sum(x).tobytes()
-        assert type(row.total()) is float
-        assert np.float64(row.total()).tobytes() == np.float64(pairwise_sum(x[1])).tobytes()
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        rule = Rule(np.ones(n, dtype=int), 1)
+        assert [(c.start, c.stop) for c in rule.blocks()] == [
+            (i, min(i + block, n)) for i in range(0, n, block)]
+        assert rule.fold(lambda cells: x[:, cells]).tobytes() == pairwise_sum(x).tobytes()
+        row = rule.fold(lambda cells: x[1, cells])
+        assert type(row) is float
+        assert np.float64(row).tobytes() == np.float64(pairwise_sum(x[1])).tobytes()
+        equal = Rule(None, n).fold(lambda cells: x[:, cells])
+        assert equal.tobytes() == (pairwise_sum(x) / n).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 33, 40])
     @pytest.mark.parametrize("rows", [1, 5])
@@ -146,7 +150,8 @@ class TestRule:
     def test_merge_rule_has_the_merged_cells(self, n1, n2):
         rng = np.random.default_rng([n1, n2])
         f1, f2 = from_samples(rng.normal(size=n1)), from_samples(rng.normal(size=n2))
-        rule = _paired_quantiles(f1.atoms(10, 0.0), f2.atoms(10, 0.0), COMONOTONIC)[2]
+        rule, _ = _paired_quantiles(
+            f1._atom_reader(10, 0.0), f2._atom_reader(10, 0.0), COMONOTONIC)
         total = math.lcm(n1, n2)
         cuts = np.union1d(np.arange(n1) * (total // n1), np.arange(n2) * (total // n2))
         counts = np.diff(cuts, append=total)

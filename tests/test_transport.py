@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,9 @@ from mkdiv import (
     reciprocal_map,
     wasserstein_p,
 )
-from mkdiv.numerics import _DEFAULT_M, midpoint_rule, pairwise_mean, pairwise_sum
+from mkdiv.distributions import Distribution
+from mkdiv.functionals import Entropic, Expectile, Shortfall
+from mkdiv.numerics import _BLOCK, _DEFAULT_M, midpoint_rule, pairwise_mean, pairwise_sum
 from mkdiv.scores import Score, _transport_cost, transform_catalog
 from mkdiv.transport import (
     _assignment_dp,
@@ -319,6 +322,163 @@ class TestOnePairingRule:
                 assert got == pytest.approx(ref, rel=rel, abs=0.0), (s.describe(), f1, f2)
             diff = np.abs(f1.quantile(rule.u) - f2.quantile(rule.u))
             assert repr(wasserstein_p(f1, f2, 2.0, m=m)) == repr(rule.integrate(diff**2.0) ** 0.5)
+
+
+# three blocks of cells, the last one shorter; and two, the last of one cell
+STREAM_M = 2 * _BLOCK + 3
+STREAM_MS = [_BLOCK + 1, STREAM_M]
+
+
+def whole_list_value(score, q1, q2):
+    """Reference: the closed form on whole sorted atom lists, one product and
+    one fold of every cell: ``q2`` reversed when antitonic, and lists of
+    unequal sizes on the merged breakpoints, in cells of 1/lcm(n1, n2)."""
+    q2 = q2 if score.coupling == COMONOTONIC else q2[::-1]
+    total = math.lcm(q1.size, q2.size)
+    step1, step2 = total // q1.size, total // q2.size
+    cuts = np.union1d(np.arange(q1.size) * step1, np.arange(q2.size) * step2)
+    values = np.asarray(score(q2[cuts // step2], q1[cuts // step1]))
+    value = pairwise_sum(values if cuts.size == total else np.diff(cuts, append=total) * values)
+    value /= total
+    return value if value > 0.0 else 0.0
+
+
+class Dip(Distribution):
+    """The uniform law on (0, 1), but -5 on levels in (at, at + 1e-4)."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def _quantile(self, u):
+        return np.where((u > self.at) & (u < self.at + 1e-4), -5.0, u)
+
+
+class TestStreamedDivergence:
+    """Both integrals read the atoms a block of cells at a time; values and
+    errors are those of the whole lists."""
+
+    @pytest.mark.parametrize("m", STREAM_MS)
+    @pytest.mark.parametrize("flip", [False, True], ids=["comonotonic", "antitonic"])
+    def test_blocks_give_the_bits_of_the_whole_lists(self, flip, m):
+        # the mixed pairs merge 777 atoms with m nodes into more than m cells
+        sample = from_samples(np.random.default_rng(7).normal(0.3, 1.2, 777))
+        pairs = [(Normal(0.0, 1.0), LogNormal(0.0, 0.5)), (Exponential(1.5), Uniform(-1.0, 2.0)),
+                 (sample, Normal(0.5, 1.5)), (Uniform(-1.0, 2.0), sample)]
+        for s in catalog_scores():
+            s = osband_transform(s, negation_map()) if flip else s
+            for f1, f2 in pairs:
+                want = whole_list_value(s, f1.atoms(m), f2.atoms(m))
+                assert repr(mk_divergence(s, f1, f2, m=m)) == repr(want), (s, f1, f2)
+
+    @pytest.mark.parametrize("m", STREAM_MS)
+    def test_wasserstein_blocks_give_the_bits_of_the_whole_lists(self, m):
+        rule = midpoint_rule(m)
+        for f1, f2 in [(Normal(0.0, 1.0), LogNormal(0.0, 0.5)),
+                       (Normal(0.0, 1e300), Normal(0.0, 1e-300))]:
+            gaps = np.abs(f1.atoms(m) - f2.atoms(m))
+            for p in (1.0, 2.0, 3.5):
+                with np.errstate(over="ignore"):
+                    value = rule.integrate(gaps**p)
+                want = value ** (1.0 / p)
+                if value == math.inf:  # the rescale pass, by the largest gap
+                    top = float(gaps.max())
+                    want = top * rule.integrate((gaps / top) ** p) ** (1.0 / p)
+                assert repr(wasserstein_p(f1, f2, p, m=m)) == repr(want), (f1, p)
+
+    def test_the_score_error_is_the_first_of_the_whole_lists(self):
+        # the report z = Q2(1 - u) leaves (0, inf) only in the second block,
+        # while y = Q1(u) is negative from the first cell on; the whole
+        # lists check z first, so z's error names its own cell
+        s = osband_transform(BregmanScore(entropy_generator()), reciprocal_map())
+        f1, f2 = Uniform(-1.0, 3.0), Uniform(-2.0, 3.0)
+        with pytest.raises(DomainError) as whole:
+            s(f2.atoms(STREAM_M)[::-1], f1.atoms(STREAM_M))
+        u = midpoint_rule(STREAM_M).u[whole.value.index]
+        with pytest.raises(DomainError) as info:
+            mk_divergence(s, f1, f2, m=STREAM_M)
+        assert str(info.value) == f"{whole.value} (first offending grid node: u={u})"
+        assert info.value.index == whole.value.index > _BLOCK
+
+    def test_the_first_law_is_checked_first(self):
+        # the second law dips in the first block, the first law in the second:
+        # as on the whole lists, the first law's grid check raises
+        late, early = Dip(0.7), Dip(0.2)
+        with pytest.raises(DomainError) as whole:
+            late.atoms(STREAM_M)
+        assert whole.value.index > _BLOCK
+        for divergence in (lambda: mk_divergence(GPLScore(0.5), late, early, m=STREAM_M),
+                           lambda: wasserstein_p(late, early, 2.0, m=STREAM_M)):
+            with pytest.raises(DomainError) as info:
+                divergence()
+            assert str(info.value) == str(whole.value)
+            assert info.value.index == whole.value.index
+
+    @pytest.mark.parametrize("k", [_BLOCK - 1, _BLOCK, 2 * _BLOCK])
+    def test_a_dip_at_a_block_edge_is_found_in_either_reading_order(self, k):
+        # node k lies below node k - 1; at k = _BLOCK or 2 * _BLOCK only the
+        # check across the edge of two blocks sees it, read forwards or,
+        # for the antitonic score's second law, backwards
+        class Seam(Distribution):
+            def _quantile(self, u):
+                return np.where(u == (k + 0.5) / STREAM_M, -5.0, u)
+
+        with pytest.raises(DomainError) as whole:
+            Seam().atoms(STREAM_M)
+        assert whole.value.index == k
+        flipped = osband_transform(GPLScore(0.5), negation_map())
+        for score, f1, f2 in [(GPLScore(0.5), Seam(), Uniform(0.0, 1.0)),
+                              (flipped, Uniform(0.0, 1.0), Seam())]:
+            with pytest.raises(DomainError) as info:
+                mk_divergence(score, f1, f2, m=STREAM_M)
+            assert str(info.value) == str(whole.value)
+
+    @pytest.mark.parametrize(
+        "score", catalog_scores() + [osband_transform(s, negation_map()) for s in catalog_scores()],
+        ids=lambda s: s.describe())
+    def test_a_parametric_pair_holds_a_few_blocks(self, score):
+        # whole lists held 4 to 9 arrays of m floats: 128 to 288 MB here
+        f1, f2 = Uniform(-1.0, 2.0), Normal(1.0, 2.0)
+        mk_divergence(score, f1, f2, m=STREAM_M)  # warm: interpreter state
+        tracemalloc.start()
+        try:
+            mk_divergence(score, f1, f2, m=4_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * _BLOCK * 8
+
+
+class Listed(Distribution):
+    """A law that gives a fixed sorted list of atoms through the one hook."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    @property
+    def support(self):
+        return float(self.values[0]), float(self.values[-1])
+
+    def _atom_reader(self, m=_DEFAULT_M, delta=0.0):
+        return self.values.size, self.values.__getitem__
+
+
+class TestAtomHook:
+    """``Distribution._atom_reader`` is the one place a law gives its atoms."""
+
+    def test_every_reader_gets_the_atoms_of_the_hook(self):
+        atoms = [0.5, 1.0, 1.0, 2.0, 3.5]
+        law, sample, other = Listed(atoms), from_samples(atoms), LogNormal(0.0, 0.5)
+        for s in catalog_scores():
+            for f1, f2, g1, g2 in [(law, other, sample, other), (other, law, other, sample)]:
+                assert repr(mk_divergence(s, f1, f2)) == repr(mk_divergence(s, g1, g2)), s
+        assert repr(wasserstein_p(law, other, 2.0)) == repr(wasserstein_p(sample, other, 2.0))
+        for functional in (Expectile(0.3), Shortfall(exponential_loss(0.7)), Entropic(0.7)):
+            assert repr(functional.evaluate(law)) == repr(functional.evaluate(sample))
+        assert np.array_equal(law.atoms(), sample.atoms())
+
+    def test_a_law_may_not_override_atoms(self):
+        with pytest.raises(TypeError, match="override _atom_reader instead"):
+            type("Atoms", (Listed,), {"atoms": lambda self, m=_DEFAULT_M, delta=0.0: self.values})
 
 
 def quantile_class_theta_sum(alpha, g, x1, x2):
