@@ -2,14 +2,16 @@
 
 Each functional evaluates on a :class:`~mkdiv.distributions.Distribution`.
 The law readers :class:`Mean`, :class:`Quantile` and :class:`LambdaQuantile`
-are exact on every law: they read its own mean, quantile, Q+ and cdf.  The
-others, the atom functionals, are one kernel on rows of sorted atoms, which
-``evaluate`` runs on the law's ``atoms(m, delta)``; any law gives those only
-for a valid grid: a parametric law's m grid nodes, an empirical law's
-sample.  The expectile is solved exactly on the sorted atoms, where its
-residual is piecewise linear; the shortfall of the exponential loss is the
-entropic functional, that of the linear loss the atoms' mean, and the power
-loss's root is found by Brent's method.
+are exact on every law: they read its own mean, quantile, Q+ and cdf, and
+no atoms, but check the grid ``(m, delta)`` by
+:func:`~mkdiv.numerics.midpoint_rule`, so every functional rejects the same
+grids.  The others, the atom functionals, are one kernel on rows of sorted
+atoms, which ``evaluate`` runs on the law's ``atoms(m, delta)``; any law
+gives those only for a valid grid: a parametric law's m grid nodes, an
+empirical law's sample.  The expectile is solved exactly on the sorted
+atoms, where its residual is piecewise linear; the shortfall of the
+exponential loss is the entropic functional, that of the linear loss the
+atoms' mean, and the power loss's root is found by Brent's method.
 
 :func:`argmin_expected_score` provides the independent route to the same
 quantities: minimising the expected score over reports.  The two routes are
@@ -58,6 +60,7 @@ from .numerics import (
     _split_sums,
     brent_minimize,
     brent_root,
+    midpoint_rule,
     pairwise_mean,
     pairwise_sum,
 )
@@ -140,6 +143,7 @@ class Mean(Functional):
     kind = "mean"
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+        midpoint_rule(m, delta)
         value = dist.mean()
         if not np.isfinite(value):
             raise MomentError(f"mean of {dist.kind} distribution is not finite")
@@ -156,12 +160,14 @@ class Quantile(Functional):
             raise DomainError(f"quantile level must lie in (0, 1), got {self.alpha}")
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+        midpoint_rule(m, delta)
         return float(dist.quantile(self.alpha))
 
     def interval(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
         """``(Q(alpha - tau), Q+(alpha + tau))``: on atoms with alpha * n = k
         an integer, the closed interval between the k-th and the next order
         statistic, where every expected GPL score of the level is flat."""
+        midpoint_rule(m, delta)
         lo = float(dist.quantile(_nudged(self.alpha, -1.0)))
         return lo, dist._upper_quantile(_nudged(self.alpha, 1.0))
 
@@ -284,9 +290,11 @@ class LambdaQuantile(Functional):
     kind = "lambda_quantile"
 
     def evaluate(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+        midpoint_rule(m, delta)
         return self._crossings(dist, (0.0,))[0]
 
     def interval(self, dist, m=_DEFAULT_M, delta=_DEFAULT_DELTA):
+        midpoint_rule(m, delta)
         lo, _, hi = self._crossings(dist, (-1.0, 0.0, 1.0))
         return lo, hi
 

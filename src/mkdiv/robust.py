@@ -102,6 +102,15 @@ def _checked_weight(what: str, weight_of, u: np.ndarray) -> np.ndarray:
     return weight
 
 
+def _check_weight_shape(weight: np.ndarray, ref_nodes: np.ndarray) -> None:
+    """Reject a weight that is not one value per reference node: numpy
+    would broadcast a length-1 weight, and slicing would drop the extra
+    entries of a longer one."""
+    if np.shape(weight) != np.shape(ref_nodes):
+        raise DomainError(f"weight of shape {np.shape(weight)} does not match the "
+                          f"reference nodes of shape {np.shape(ref_nodes)}")
+
+
 def choquet(d: DistortionSpec, grid: QuantileGrid) -> float:
     """Choquet integral on the grid: the grid's rule integrates gamma(u) * node.
 
@@ -133,12 +142,16 @@ def perturbed_nodes(
 
     Raises
     ------
+    DomainError
+        If ``weight`` is not of the shape of ``ref_nodes``, or ``lam`` is not
+        positive.
     InfeasibleLambdaError
         If the argument leaves the range of phi', or else the result the
         domain of phi, at any node, reported with the first offending node
         index: a node outside the range is reported before any node outside
         the domain, wherever the two lie.
     """
+    _check_weight_shape(weight, ref_nodes)
     if not lam > 0.0:
         raise DomainError(f"multiplier must be positive, got {lam}")
     nodes = np.empty(len(ref_nodes))
@@ -300,6 +313,7 @@ def calibrate_lambda(
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
     _check_finite("calibration", eps=eps)
+    _check_weight_shape(weight, ref.nodes)
     probe = _Probes(gen, gen._check_domain(ref.nodes, "second Bregman argument"), weight)
     log_eps = math.log(eps)
     integral = probe.ref_integral

@@ -1,10 +1,11 @@
-"""Layout rules of the library, checked on its source."""
+"""Layout rules of the library and its CI workflows, checked on their source."""
 
 import ast
 import dataclasses
 import importlib
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -661,3 +662,41 @@ def test_every_source_parses_as_python_3_10():
     assert len(paths) >= 30
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# what a workflow step must not run itself: each is a check that no local
+# run makes, which belongs in a test
+INLINE_CHECKS = re.compile(r"\bpython3? - <<|\bjson\.load|\bsys\.exit")
+
+
+def inline_checks(text: str):
+    """Lines of a workflow, read as text (pyyaml is no test dependency),
+    outside comments, that run a Python heredoc, load JSON or call
+    ``sys.exit``."""
+    return [i for i, line in enumerate(text.splitlines(), 1)
+            if not line.lstrip().startswith("#") and INLINE_CHECKS.search(line)]
+
+
+def test_the_inline_check_finder_sees_every_spelling():
+    source = (
+        "steps:\n"
+        "  - run: python -c \"import numpy; numpy.show_runtime()\"\n"
+        "  - run: |\n"
+        "      python3 - <<'PY'\n"
+        "      print(1)\n"
+        "      PY\n"
+        "  - run: tail -n 1 out | python -c 'import json, sys; json.loads(sys.stdin.read())'\n"
+        "  - run: >\n"
+        "      python -c 'import sys; sys.exit(1)'\n"
+        "  # a comment naming json.load runs nothing\n"
+        "  - run: python - <<EOF\n"
+    )
+    assert inline_checks(source) == [4, 7, 9, 11]
+
+
+def test_the_workflows_run_no_inline_checks():
+    # a workflow installs, runs pytest and what needs more time than
+    # tier-1 has; every check it makes lives in a test
+    found = {path.name: inline_checks(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / ".github" / "workflows").glob("*.y*ml"))}
+    assert found and not any(found.values()), found

@@ -1,6 +1,10 @@
-"""The benchmark's traced smoke runs, with the bounds the CI workflow
-asserts on them: each bound shows that a workload's hot path ran, and that
-its reductions went through ``pairwise_sum``, which the tracer wraps."""
+"""The benchmark's smoke runs: the traced ones, each with bounds that show
+that a workload's hot path ran and that its reductions went through
+``pairwise_sum``, which the tracer wraps, and cli-oneshot's untraced one,
+the only run that starts a fresh CLI process per op.  The untraced runs of
+the other workloads need no test of their own: a traced run runs the same
+op list untraced first, and its ``correct`` counts the failed gates of
+both."""
 
 import json
 import subprocess
@@ -10,17 +14,26 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-def traced_smoke(workload: str):
+def traced_smoke(workload: str, trace: bool = True):
     """``(correct, metric values, ops)`` of ``run.py --workload W --smoke
-    --trace 1``; its ``attempted`` counts the op list twice, once untraced
-    and once traced, so ``ops`` is half of it."""
+    --trace 1``, or of the untraced run without ``trace``; a traced run's
+    ``attempted`` counts the op list twice, once untraced and once traced,
+    so ``ops`` is half of it."""
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--smoke", "--trace", "1"],
+        [sys.executable, str(RUN), "--workload", workload, "--smoke",
+         *(["--trace", "1"] if trace else [])],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
-    return result["correct"], metrics, result["attempted"] / 2
+    return result["correct"], metrics, result["attempted"] / (2 if trace else 1)
+
+
+def test_cli_oneshot_smoke_run():
+    # the traced op list calls cli.main in process, so only this run starts
+    # the mkdiv CLI in processes of its own
+    correct, _, ops = traced_smoke("cli-oneshot", trace=False)
+    assert correct and ops > 0
 
 
 def test_traced_robust_smoke_run():

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,6 +497,14 @@ class TestConsoleEntry:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+    def test_the_installed_script_is_console_main(self):
+        # the tests run the script as python -m mkdiv.cli; the installed
+        # mkdiv must run the same function.  Read as text: Python 3.10 has
+        # no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'mkdiv = "mkdiv.cli:console_main"'
 
     def test_in_process_runs_report_their_warning_each_time(self):
         for _ in range(2):

@@ -3,7 +3,11 @@
 Every argv of ``data/cli_corpus/corpus.json`` runs in process through
 ``cli.main`` from the repository root, so that the sample and step files it
 names resolve by relative path, and its exit code, stdout and stderr are
-compared with the recorded ones.
+compared with the recorded ones.  The first argv of each subcommand that
+exits 0, and the first that exits 1 and 2, also run as ``python -m
+mkdiv.cli``, which is ``console_main``, the ``mkdiv`` script, in a process of
+their own: each subcommand imports its own modules there, and the script
+writes what ``cli.main`` returns to the process's streams and exit status.
 
 The corpus records the fingerprint of the platform that wrote it: the Python
 and numpy versions and the SIMD targets numpy dispatches to.  Where this
@@ -97,18 +101,23 @@ def abridged(text: str) -> list:
     return lines
 
 
-def run(argv) -> dict:
+def run(argv, run_python=None) -> dict:
     """Exit code, stdout and stderr of ``cli.main(argv)`` in this process,
-    as the corpus records them."""
-    out, err = io.StringIO(), io.StringIO()
-    code = cli.main(list(argv), out=out, err=err)
-    stdout = out.getvalue()
+    or, given the ``run_python`` fixture, of ``python -m mkdiv.cli argv`` in
+    a child, as the corpus records them."""
+    if run_python is None:
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(list(argv), out=out, err=err)
+        stdout, stderr = out.getvalue(), err.getvalue()
+    else:
+        proc = run_python("-m", "mkdiv.cli", *argv)
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
     return {
         "argv": list(argv),
         "exit": code,
         "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
         "stdout": abridged(stdout),
-        "stderr": err.getvalue(),
+        "stderr": stderr,
     }
 
 
@@ -139,13 +148,31 @@ RECORDED = json.loads(CORPUS.read_text(encoding="utf-8"))
 COMPARISON = "bytes" if fingerprint() == RECORDED["fingerprint"] else "numbers"
 
 
+def console_cases() -> dict:
+    """{index: case} of the first case of each subcommand that exits 0, and
+    of the first that exits 1 and the first that exits 2."""
+    first = {}
+    for i, case in enumerate(RECORDED["cases"]):
+        first.setdefault(case["argv"][0] if case["exit"] == 0 else case["exit"], i)
+    return {i: RECORDED["cases"][i] for i in sorted(first.values())}
+
+
+CONSOLE = console_cases()
+
+
+def test_the_console_runs_cover_every_subcommand_and_failing_exit():
+    assert sorted(case["exit"] for case in CONSOLE.values()) == [0] * 6 + [1, 2]
+
+
 @pytest.mark.parametrize(
-    "case", RECORDED["cases"],
-    ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(RECORDED["cases"])],
+    "case, console",
+    [(case, False) for case in RECORDED["cases"]] + [(case, True) for case in CONSOLE.values()],
+    ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(RECORDED["cases"])]
+    + [f"console-{i:02d}-{case['argv'][0]}" for i, case in CONSOLE.items()],
 )
-def test_seeded_output_is_the_recorded_one(case, monkeypatch):
+def test_seeded_output_is_the_recorded_one(case, console, monkeypatch, run_python):
     monkeypatch.chdir(ROOT)
-    got = run(case["argv"])
+    got = run(case["argv"], run_python if console else None)
     assert got["exit"] == case["exit"]
     if COMPARISON == "bytes":
         assert got["stdout"] == case["stdout"]

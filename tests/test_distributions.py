@@ -15,12 +15,15 @@ from mkdiv import (
     Expectile,
     Exponential,
     IngestionError,
+    LambdaQuantile,
     LogNormal,
+    Mean,
     Normal,
     PointMass,
     Quantile,
     QuantileGrid,
     Shortfall,
+    StepFunction,
     Uniform,
     argmin_expected_score,
     check_axioms,
@@ -327,7 +330,8 @@ class TestQuantileGrid:
         assert not g.nodes.flags.writeable and nodes.flags.writeable
 
 
-# every reader of a law's atoms, called on a pair of laws or on the first
+# every reader of a law's atoms, called on a pair of laws or on the first;
+# the law readers read none, but take the same grid and check it alike
 GRID_READERS = {
     "mk_divergence": lambda f1, f2, **grid: mk_divergence(BregmanScore(quadratic()), f1, f2, **grid),
     "wasserstein_p": lambda f1, f2, **grid: wasserstein_p(f1, f2, 2.0, **grid),
@@ -338,6 +342,13 @@ GRID_READERS = {
     "Expectile": lambda f1, _, **grid: Expectile(0.7).evaluate(f1, **grid),
     "Shortfall": lambda f1, _, **grid: Shortfall(power_loss()).evaluate(f1, **grid),
     "Entropic": lambda f1, _, **grid: Entropic(1.0).evaluate(f1, **grid),
+    "Mean": lambda f1, _, **grid: Mean().evaluate(f1, **grid),
+    "Quantile": lambda f1, _, **grid: Quantile(0.5).evaluate(f1, **grid),
+    "Quantile.interval": lambda f1, _, **grid: Quantile(0.5).interval(f1, **grid),
+    "LambdaQuantile": lambda f1, _, **grid: LambdaQuantile(
+        StepFunction([], [0.5])).evaluate(f1, **grid),
+    "LambdaQuantile.interval": lambda f1, _, **grid: LambdaQuantile(
+        StepFunction([], [0.5])).interval(f1, **grid),
 }
 BAD_GRIDS = [{"m": m} for m in (-5, 0, 1, 2.5, True, 2**61)] + [
     {"m": 8, "delta": delta} for delta in (-1e-9, 0.5 / 8, float("nan"))

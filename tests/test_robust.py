@@ -135,6 +135,19 @@ class TestPerturbedCurve:
         assert info.value.node == node
 
 
+@pytest.mark.parametrize("shape", [(4,), (1,), (2,), (3, 1)], ids=str)
+def test_a_weight_of_another_shape_is_a_domain_error(shape):
+    # numpy would broadcast a length-1 weight, and the blocks' slices would
+    # drop the extra entries of a longer one
+    nodes, weight = np.array([1.0, 2.0, 3.0]), np.ones(shape)
+    message = (f"^weight of shape {re.escape(str(shape))} does not match "
+               r"the reference nodes of shape \(3,\)$")
+    with pytest.raises(DomainError, match=message):
+        perturbed_nodes(quadratic(), nodes, weight, 1.0)
+    with pytest.raises(DomainError, match=message):
+        calibrate_lambda(quadratic(), QuantileGrid(nodes), weight, 0.02)
+
+
 class TestSolve:
     def test_an_infinite_budget_is_a_domain_error(self):
         # not a calibration failure: no multiplier is probed
