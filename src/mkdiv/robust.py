@@ -151,6 +151,7 @@ def perturbed_nodes(
         index: a node outside the range is reported before any node outside
         the domain, wherever the two lie.
     """
+    ref_nodes, weight = np.asarray(ref_nodes, dtype=float), np.asarray(weight, dtype=float)
     _check_weight_shape(weight, ref_nodes)
     if not lam > 0.0:
         raise DomainError(f"multiplier must be positive, got {lam}")
@@ -313,6 +314,7 @@ def calibrate_lambda(
     if not eps > 0.0:
         raise DomainError(f"divergence budget must be positive, got {eps}")
     _check_finite("calibration", eps=eps)
+    weight = np.asarray(weight, dtype=float)
     _check_weight_shape(weight, ref.nodes)
     probe = _Probes(gen, gen._check_domain(ref.nodes, "second Bregman argument"), weight)
     log_eps = math.log(eps)

@@ -1,4 +1,13 @@
-"""Layout rules of the library and its CI workflows, checked on their source."""
+"""Layout rules of the library and its CI workflows, checked on their source.
+
+A rule on the library's source is one ``match(node)`` generator, which
+yields a record tuple for each AST node that breaks the rule, a scope mode
+(:func:`innermost`, :func:`outermost` or :func:`top_level`), which names the
+function a hit sits in, and a set of the (module, function) pairs where a hit
+is allowed.  :func:`library_occurrences` runs the match over every module;
+give the match a spelling test, which runs it through :func:`occurrences` on
+one source that holds every spelling of its pattern.
+"""
 
 import ast
 import dataclasses
@@ -12,36 +21,108 @@ import pytest
 import mkdiv
 
 SRC = pathlib.Path(mkdiv.__file__).parent
+LIBRARY = sorted(SRC.glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def innermost(scopes):
+    """The innermost function of ``scopes`` (the functions and classes
+    enclosing a node, outermost first), or None; a class opens no scope."""
+    return next((node.name for node in reversed(scopes) if isinstance(node, FUNCTIONS)), None)
+
+
+def outermost(scopes):
+    """The outermost function of ``scopes``, or None."""
+    return next((node.name for node in scopes if isinstance(node, FUNCTIONS)), None)
+
+
+def top_level(scopes):
+    """The top-level function of ``scopes``, or None where the outermost
+    scope is a class."""
+    return scopes[0].name if scopes and isinstance(scopes[0], FUNCTIONS) else None
+
+
+def occurrences(source: str, match, scope=innermost):
+    """(enclosing function or None, *record) of each record that
+    ``match(node)`` yields, over the nodes of ``source`` in the order
+    ``ast.NodeVisitor.generic_visit`` visits them; ``scope`` names the
+    function from the enclosing functions and classes."""
+
+    def walk(node, scopes):
+        for record in match(node):
+            yield (scope(scopes), *record)
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            scopes = [*scopes, node]
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scopes)
+
+    return list(walk(ast.parse(source), []))
+
+
+def library_occurrences(match, scope=innermost):
+    """(module file name, enclosing function or None, *record) of each
+    occurrence of ``match`` in the library's modules."""
+    return [(path.name, *hit) for path in LIBRARY
+            for hit in occurrences(path.read_text(encoding="utf-8"), match, scope)]
+
+
+def name_of(node) -> str:
+    """The name a node names: plainly, through a module or on an object."""
+    return getattr(node, "id", getattr(node, "attr", ""))
+
+
+def named_calls(names):
+    """A match of each call of a function or method named in ``names``,
+    with its line."""
+
+    def match(node):
+        if isinstance(node, ast.Call) and name_of(node.func) in names:
+            yield (node.lineno,)
+
+    return match
+
+
+def test_the_walker_names_the_scope_as_each_mode_says():
+    source = (
+        "hit()\n"
+        "def f():\n"
+        "    hit()\n"
+        "    class K:\n"
+        "        hit()\n"
+        "        def m(self):\n"
+        "            hit()\n"
+        "    return lambda: hit()\n"
+        "class C:\n"
+        "    hit()\n"
+        "    def method(self):\n"
+        "        def nested():\n"
+        "            return [hit() for _ in ()]\n"
+        "        return nested\n"
+        "async def g():\n"
+        "    hit()\n"
+    )
+    lines = [1, 3, 5, 7, 8, 10, 13, 16]
+    scopes = {
+        innermost: [None, "f", "f", "m", "f", None, "nested", "g"],
+        outermost: [None, "f", "f", "f", "f", None, "method", "g"],
+        top_level: [None, "f", "f", "f", "f", None, None, "g"],
+    }
+    for scope, names in scopes.items():
+        assert occurrences(source, named_calls({"hit"}), scope) == list(zip(names, lines))
+
 
 # where the library may ask whether a law is empirical: the law's own module,
 # and the spec renderer, which names the kind
 ALLOWED = {("distributions.py", None), ("specs.py", "render_distribution")}
 
 
-def empirical_type_tests(source: str):
-    """(outermost enclosing function, line) of each ``isinstance(x, ...)``
-    whose types name ``Empirical``, plainly, through a module or in a tuple."""
-    hits, scope = [], []
-
-    class Finder(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            scope.append(node.name)
-            self.generic_visit(node)
-            scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_Call(self, node):
-            if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
-                    and len(node.args) == 2):
-                names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
-                names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
-                if "Empirical" in names:
-                    hits.append((scope[0] if scope else None, node.lineno))
-            self.generic_visit(node)
-
-    Finder().visit(ast.parse(source))
-    return hits
+def empirical_type_tests(node):
+    """The line of an ``isinstance(x, ...)`` whose types name ``Empirical``,
+    plainly, through a module or in a tuple; read with :func:`outermost`."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        if "Empirical" in {name_of(n) for n in ast.walk(node.args[1])}:
+            yield (node.lineno,)
 
 
 def test_the_finder_sees_every_spelling():
@@ -53,17 +134,13 @@ def test_the_finder_sees_every_spelling():
         "        return isinstance(d, (Normal, distributions.Empirical))\n"
         "ok = isinstance(x, Normal)\n"
     )
-    assert empirical_type_tests(source) == [("f", 2), ("g", 5)]
+    assert occurrences(source, empirical_type_tests, outermost) == [("f", 2), ("g", 5)]
 
 
-def json_layouts(source: str):
-    """Sorted lines of the functions and methods named ``to_json_dict``."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name == "to_json_dict"
-    )
+def json_layouts(node):
+    """The line of a function or method named ``to_json_dict``."""
+    if isinstance(node, FUNCTIONS) and node.name == "to_json_dict":
+        yield (node.lineno,)
 
 
 def test_the_layout_finder_sees_methods_and_functions():
@@ -76,28 +153,19 @@ def test_the_layout_finder_sees_methods_and_functions():
         "def to_json(x):\n"
         "    return {}\n"
     )
-    assert json_layouts(source) == [2, 4]
+    assert [line for _, line in occurrences(source, json_layouts)] == [2, 4]
 
 
 def test_only_the_cli_lays_out_json():
     # result objects are plain data; cli.py builds every payload from their fields
-    found = [
-        (path.name, line)
-        for path in sorted(SRC.glob("*.py"))
-        for line in json_layouts(path.read_text(encoding="utf-8"))
-    ]
-    assert found == []
+    assert library_occurrences(json_layouts) == []
 
 
 def test_only_the_law_asks_whether_it_is_empirical():
     # every other module reads a law through its methods: atoms,
     # _upper_quantile, quantile, cdf and mean
-    found = [
-        (path.name, func, line)
-        for path in sorted(SRC.glob("*.py"))
-        for func, line in empirical_type_tests(path.read_text(encoding="utf-8"))
-        if (path.name, None) not in ALLOWED and (path.name, func) not in ALLOWED
-    ]
+    found = [hit for hit in library_occurrences(empirical_type_tests, outermost)
+             if (hit[0], None) not in ALLOWED and hit[:2] not in ALLOWED]
     assert found == []
 
 
@@ -106,37 +174,17 @@ def test_only_the_law_asks_whether_it_is_empirical():
 SCIPY_ALLOWED = {("transport.py", "_optimal_assignments"), ("transport.py", "_oracle_lp")}
 
 
-def scipy_imports(source: str):
-    """(enclosing top-level function or None, line) of each import of
-    ``scipy`` or a submodule, in any spelling; an import inside a class, or
-    in a function nested in one, has no top-level function."""
-    hits, scope = [], []
-
-    class Finder(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            scope.append(node.name)
-            self.generic_visit(node)
-            scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-        visit_ClassDef = visit_FunctionDef
-
-        def visit_Import(self, node):
-            self.record(node, [alias.name for alias in node.names])
-
-        def visit_ImportFrom(self, node):
-            self.record(node, [node.module or ""] if node.level == 0 else [])
-
-        def record(self, node, modules):
-            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
-                top = scope[0] if scope else None
-                hits.append((top if top in top_level else None, node.lineno))
-
-    tree = ast.parse(source)
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    top_level = {n.name for n in tree.body if isinstance(n, functions)}
-    Finder().visit(tree)
-    return hits
+def scipy_imports(node):
+    """The line of an import of ``scipy`` or a submodule, in any spelling;
+    read with :func:`top_level`."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        modules = [node.module]
+    else:
+        return
+    if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+        yield (node.lineno,)
 
 
 def test_the_scipy_finder_sees_every_spelling():
@@ -153,18 +201,15 @@ def test_the_scipy_finder_sees_every_spelling():
         "from scipyish import x\n"
         "from .scipy import y\n"
     )
-    assert scipy_imports(source) == [(None, 1), (None, 2), ("f", 4), ("f", 6), (None, 9)]
+    assert occurrences(source, scipy_imports, top_level) == [
+        (None, 1), (None, 2), ("f", 4), ("f", 6), (None, 9)]
 
 
 def test_only_the_oracle_solvers_import_scipy():
     # numpy serves every other path: a default verify, and every other
     # subcommand, load no scipy module
-    found = [
-        (path.name, func, line)
-        for path in sorted(SRC.glob("*.py"))
-        for func, line in scipy_imports(path.read_text(encoding="utf-8"))
-        if (path.name, func) not in SCIPY_ALLOWED
-    ]
+    found = [hit for hit in library_occurrences(scipy_imports, top_level)
+             if hit[:2] not in SCIPY_ALLOWED]
     assert found == []
 
 
@@ -248,7 +293,7 @@ def test_every_public_name_is_its_module_object():
     # importing every module binds each name wherever it is defined or
     # imported; the package resolves each name to that one object
     modules = [importlib.import_module(f"mkdiv.{path.stem}")
-               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+               for path in LIBRARY if path.stem != "__init__"]
     for name in mkdiv.__all__:
         bound = [vars(module)[name] for module in modules if name in vars(module)]
         assert bound and all(obj is getattr(mkdiv, name) for obj in bound), name
@@ -266,26 +311,11 @@ def test_star_import_dir_and_submodules_resolve(run_python):
     assert proc.returncode == 0, proc.stderr
 
 
-def describe_calls(source: str):
-    """(innermost enclosing function or None, line) of each ``x.describe()``
-    call."""
-    hits, scope = [], []
-
-    class Finder(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            scope.append(node.name)
-            self.generic_visit(node)
-            scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_Call(self, node):
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "describe":
-                hits.append((scope[-1] if scope else None, node.lineno))
-            self.generic_visit(node)
-
-    Finder().visit(ast.parse(source))
-    return hits
+def describe_calls(node):
+    """The line of an ``x.describe()`` call."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "describe"):
+        yield (node.lineno,)
 
 
 def test_the_describe_finder_sees_every_call():
@@ -299,53 +329,25 @@ def test_the_describe_finder_sees_every_call():
         "def describe_all(items):\n"
         "    return [describe(x) for x in items]\n"
     )
-    assert describe_calls(source) == [("describe", 3), ("certify", 5), (None, 6)]
+    assert occurrences(source, describe_calls) == [("describe", 3), ("certify", 5), (None, 6)]
 
 
 def test_only_describe_methods_and_the_cli_call_describe():
     # a result holds what its call computed; the name of the score or
     # functional it ran on is the caller's, and the cli renders it
-    found = [
-        (path.name, func, line)
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "cli.py"
-        for func, line in describe_calls(path.read_text(encoding="utf-8"))
-        if func != "describe"
-    ]
+    found = [hit for hit in library_occurrences(describe_calls)
+             if hit[0] != "cli.py" and hit[1] != "describe"]
     assert found == []
 
 
-def fold_references(source: str):
-    """(innermost enclosing function or None, line) of each reference to
-    ``_fold``: a call, a bare name, an attribute or an import."""
-    hits, scope = [], []
-
-    class Finder(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            scope.append(node.name)
-            self.generic_visit(node)
-            scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_Name(self, node):
-            if node.id == "_fold" and isinstance(node.ctx, ast.Load):
-                self.record(node)
-
-        def visit_Attribute(self, node):
-            if node.attr == "_fold":
-                self.record(node)
-            self.generic_visit(node)
-
-        def visit_ImportFrom(self, node):
-            if any(alias.name == "_fold" for alias in node.names):
-                self.record(node)
-
-        def record(self, node):
-            hits.append((scope[-1] if scope else None, node.lineno))
-
-    Finder().visit(ast.parse(source))
-    return hits
+def fold_references(node):
+    """The line of a reference to ``_fold``: a call, a bare name, an
+    attribute or an import."""
+    if ((isinstance(node, ast.Name) and node.id == "_fold" and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "_fold")
+            or (isinstance(node, ast.ImportFrom)
+                and any(alias.name == "_fold" for alias in node.names))):
+        yield (node.lineno,)
 
 
 def test_the_fold_finder_sees_every_spelling():
@@ -361,18 +363,15 @@ def test_the_fold_finder_sees_every_spelling():
         "fold = _fold\n"
         "_fold_count = 0\n"
     )
-    assert fold_references(source) == [(None, 1), ("pairwise_sum", 5), ("add", 8), (None, 9)]
+    assert occurrences(source, fold_references) == [
+        (None, 1), ("pairwise_sum", 5), ("add", 8), (None, 9)]
 
 
 def test_only_pairwise_sum_folds():
     # every reduction, the blocked ones included, goes through pairwise_sum,
     # which fixes the summation tree and which a tracer can wrap
-    found = [
-        (path.name, func, line)
-        for path in sorted(SRC.glob("*.py"))
-        for func, line in fold_references(path.read_text(encoding="utf-8"))
-        if (path.name, func) != ("numerics.py", "pairwise_sum")
-    ]
+    found = [hit for hit in library_occurrences(fold_references)
+             if hit[:2] != ("numerics.py", "pairwise_sum")]
     assert found == []
 
 
@@ -395,30 +394,12 @@ def test_results_hold_only_what_their_call_computed(result, names):
     assert [f.name for f in dataclasses.fields(result)] == names
 
 
-def check_calls(source: str):
-    """(innermost enclosing function or None, callee, keyword, value) of each
-    keyword argument of a call to a ``_check_*`` function, plainly or
-    through a module."""
-    hits, scope = [], []
-
-    class Finder(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            scope.append(node.name)
-            self.generic_visit(node)
-            scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_Call(self, node):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name.startswith("_check_"):
-                hits.extend((scope[-1] if scope else None, name, kw.arg, ast.unparse(kw.value))
-                            for kw in node.keywords)
-            self.generic_visit(node)
-
-    Finder().visit(ast.parse(source))
-    return hits
+def check_calls(node):
+    """(callee, keyword, value) of each keyword argument of a call to a
+    ``_check_*`` function, plainly or through a module."""
+    if isinstance(node, ast.Call) and name_of(node.func).startswith("_check_"):
+        for kw in node.keywords:
+            yield name_of(node.func), kw.arg, ast.unparse(kw.value)
 
 
 def test_the_check_finder_sees_every_spelling():
@@ -430,7 +411,7 @@ def test_the_check_finder_sees_every_spelling():
         "    check_size('grid', 2, m=m)\n"
         "_check_tolerance('t', tol=1.0)\n"
     )
-    assert check_calls(source) == [
+    assert occurrences(source, check_calls) == [
         ("_cmd_a", "_check_size", "m", "args.grid_m"),
         ("_cmd_a", "_check_count", "seed", "args.seed"),
         ("_cmd_a", "_check_count", "n", "n"),
@@ -441,7 +422,7 @@ def test_the_check_finder_sees_every_spelling():
 def test_the_cli_checks_only_the_flags_it_reads_itself():
     # every other flag goes to a library call, which checks it on every
     # input it takes: --grid-m, say, is checked by the law reading its atoms
-    assert check_calls((SRC / "cli.py").read_text(encoding="utf-8")) == [
+    assert occurrences((SRC / "cli.py").read_text(encoding="utf-8"), check_calls) == [
         ("_cmd_elicit_check", "_check_tolerance", "tol", "args.tol"),
         ("_cmd_axioms", "_check_count", "seed", "args.seed"),
         ("_cmd_axioms", "_check_size", "size", "args.size"),
@@ -459,31 +440,6 @@ SORT_ALLOWED = {
 }
 
 
-def named_calls(source: str, names):
-    """(innermost enclosing function or None, line) of each call of a
-    function or method named in ``names``, plainly, through a module or on
-    an object."""
-    hits, scope = [], []
-
-    class Finder(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            scope.append(node.name)
-            self.generic_visit(node)
-            scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_Call(self, node):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name in names:
-                hits.append((scope[-1] if scope else None, node.lineno))
-            self.generic_visit(node)
-
-    Finder().visit(ast.parse(source))
-    return hits
-
-
 def test_the_sort_finder_sees_every_spelling():
     source = (
         "def f(x):\n"
@@ -497,19 +453,15 @@ def test_the_sort_finder_sees_every_spelling():
         "y = sort(x)\n"
         "z = sorted(x)\n"
     )
-    assert named_calls(source, {"sort", "argsort"}) == [
+    assert occurrences(source, named_calls({"sort", "argsort"})) == [
         ("f", 2), ("g", 4), ("h", 7), ("h", 8), (None, 9)]
 
 
 def test_one_sort_orders_every_sample():
     # numpy's default sort picks its kernel by CPU and may mix tied zeros;
     # samples are sorted only by the law's stable sort
-    found = [
-        (path.name, func, line)
-        for path in sorted(SRC.glob("*.py"))
-        for func, line in named_calls(path.read_text(encoding="utf-8"), {"sort", "argsort"})
-        if (path.name, func) not in SORT_ALLOWED
-    ]
+    found = [hit for hit in library_occurrences(named_calls({"sort", "argsort"}))
+             if hit[:2] not in SORT_ALLOWED]
     assert found == []
 
 
@@ -518,8 +470,7 @@ def method_definitions(source: str):
     for each class of ``source``."""
     return {
         node.name: ({ast.unparse(b) for b in node.bases},
-                    {f.name for f in node.body
-                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))})
+                    {f.name for f in node.body if isinstance(f, FUNCTIONS)})
         for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
     }
 
@@ -543,7 +494,8 @@ def test_the_method_finder_and_the_call_finder_see_every_spelling():
         "Mean": ({"Functional"}, {"evaluate", "describe"}),
         "Outer": ({"base.Functional", "Mixin"}, {"_evaluate_rows"}),
     }
-    assert named_calls(source, {"_mean_scores"}) == [("evaluate", 3), ("_evaluate_rows", 9)]
+    assert occurrences(source, named_calls({"_mean_scores"})) == [
+        ("evaluate", 3), ("_evaluate_rows", 9)]
 
 
 def test_one_evaluation_path_per_functional():
@@ -575,45 +527,18 @@ def test_one_objective_for_the_argmin():
     defined = {node.name for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_finite_or_inf", "_one_mean_score"}
-    assert {func for func, _ in named_calls(source, {"_mean_scores"})} == {
+    assert {func for func, _ in occurrences(source, named_calls({"_mean_scores"}))} == {
         "expected_score", "_objective"}
 
 
-def block_loops(source: str):
-    """(innermost enclosing function or None, line) of each loop or
-    comprehension over ``range(0, ..., _BLOCK)``, with ``range`` and the
-    block size named plainly or through a module."""
-    hits, scope = [], []
-
-    def name(node):
-        return getattr(node, "id", getattr(node, "attr", None))
-
-    class Finder(ast.NodeVisitor):
-        def visit_FunctionDef(self, node):
-            scope.append(node.name)
-            self.generic_visit(node)
-            scope.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_For(self, node):
-            self.check(node.iter)
-            self.generic_visit(node)
-
-        visit_AsyncFor = visit_For
-
-        def visit_comprehension(self, node):
-            self.check(node.iter)
-            self.generic_visit(node)
-
-        def check(self, it):
-            if (isinstance(it, ast.Call) and name(it.func) == "range" and len(it.args) == 3
-                    and isinstance(it.args[0], ast.Constant) and it.args[0].value == 0
-                    and name(it.args[2]) == "_BLOCK"):
-                hits.append((scope[-1] if scope else None, it.lineno))
-
-    Finder().visit(ast.parse(source))
-    return hits
+def block_loops(node):
+    """The line of a loop or comprehension over ``range(0, ..., _BLOCK)``,
+    with ``range`` and the block size named plainly or through a module."""
+    it = getattr(node, "iter", None)  # of a for, an async for or a comprehension
+    if (isinstance(it, ast.Call) and name_of(it.func) == "range" and len(it.args) == 3
+            and isinstance(it.args[0], ast.Constant) and it.args[0].value == 0
+            and name_of(it.args[2]) == "_BLOCK"):
+        yield (it.lineno,)
 
 
 def test_the_block_loop_finder_sees_every_spelling():
@@ -635,19 +560,56 @@ def test_the_block_loop_finder_sees_every_spelling():
         "    pass\n"
         "blocks = range(0, 9, _BLOCK)\n"
     )
-    assert block_loops(source) == [("f", 2), ("g", 5), ("h", 8), (None, 10)]
+    assert occurrences(source, block_loops) == [("f", 2), ("g", 5), ("h", 8), (None, 10)]
 
 
 def test_only_the_rule_steps_through_blocks():
     # every integral over u is one Rule.fold, and every other loop over
     # aligned blocks takes the slices of Rule.blocks: the slicing is written
     # once, in numerics
-    found = {
-        path.name: block_loops(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.glob("*.py"))
-    }
-    assert [func for func, _ in found.pop("numerics.py")] == ["blocks"]
-    assert {name: hits for name, hits in found.items() if hits} == {}
+    found = library_occurrences(block_loops)
+    assert [func for module, func, _ in found if module == "numerics.py"] == ["blocks"]
+    assert [hit for hit in found if hit[0] != "numerics.py"] == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_reads(node):
+    """The line of an attribute named ``environ``, ``environb``, ``getenv``,
+    ``getenvb``, ``putenv`` or ``unsetenv``, however it is then used, or of
+    an import of one of them from ``os``."""
+    if ((isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name in ENVIRONMENT for alias in node.names))):
+        yield (node.lineno,)
+
+
+def test_the_environment_finder_sees_every_spelling():
+    source = (
+        "import os\n"
+        "from os import environ, getenv as ge\n"
+        "from os import path\n"
+        "def f():\n"
+        "    return os.environ['X'], os.environ.get('X'), os.environb[b'X']\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        os.putenv('X', '1')\n"
+        "        os.unsetenv('X')\n"
+        "        return os.getenv('X') or os.getenvb(b'X')\n"
+        "m = int(os.environ.get('MKDIV_GRID_M', '0'))\n"
+        "p = os.path.join('a', 'b')\n"
+        "environment = {}\n"
+    )
+    assert occurrences(source, environment_reads) == [
+        (None, 2), ("f", 5), ("f", 5), ("f", 5), ("g", 8), ("g", 9), ("g", 10), ("g", 10),
+        (None, 11)]
+
+
+def test_the_library_reads_no_environment_variable():
+    # a run is set by its arguments alone: the same call or argv gives the
+    # same result in every environment
+    assert library_occurrences(environment_reads) == []
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

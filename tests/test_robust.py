@@ -148,6 +148,21 @@ def test_a_weight_of_another_shape_is_a_domain_error(shape):
         calibrate_lambda(quadratic(), QuantileGrid(nodes), weight, 0.02)
 
 
+@pytest.mark.parametrize("nodes", [[1, 2, 3], [1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0])],
+                         ids=["ints", "floats", "array"])
+def test_perturbed_nodes_reads_a_list_as_its_array(nodes):
+    expected = perturbed_nodes(quadratic(), np.array([1.0, 2.0, 3.0]), np.ones(3), 1.0)
+    assert perturbed_nodes(quadratic(), nodes, [1, 1, 1], 1.0).tobytes() == expected.tobytes()
+
+
+def test_calibrate_lambda_reads_a_list_weight_as_its_array():
+    grid = QuantileGrid(np.array([1.0, 2.0, 3.0]))
+    lam, div, binding, curve = calibrate_lambda(quadratic(), grid, [1.0, 1.0, 1.0], 0.1)
+    expected = calibrate_lambda(quadratic(), grid, np.ones(3), 0.1)
+    assert (lam, div, binding) == expected[:3]
+    assert curve.tobytes() == expected[3].tobytes()
+
+
 class TestSolve:
     def test_an_infinite_budget_is_a_domain_error(self):
         # not a calibration failure: no multiplier is probed
