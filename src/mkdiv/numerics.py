@@ -108,8 +108,12 @@ def _split_sums(a: np.ndarray, cut: np.ndarray):
     return sums[:rows], sums[rows:]
 
 
-# entries per block: 128 KiB, glibc's default mmap threshold, so a block's
-# temporaries stay in cache; larger ones faulted in fresh pages on every call
+# entries per block: 128 KiB of floats, glibc's default mmap threshold.  In a
+# fresh process glibc maps each block's temporaries and faults their pages in
+# again on every block: mk_divergence(GPLScore(0.7, identity_map()),
+# Normal(0, 1), Normal(1, 2), m=10**6) took 20,548 minor faults and 78-130 ms
+# per call on a shared 2-core x86-64 host, and 0 faults and 46-64 ms once the
+# process had freed a 16 MB array, which raises glibc's thresholds
 _BLOCK = 1 << 14
 
 

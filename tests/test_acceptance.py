@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the suite is also part of the regular ``pytest`` run.
 """
 
-import io
 import json
 import time
 from contextlib import contextmanager
@@ -56,7 +55,6 @@ from mkdiv import (
     solve_worst_case,
     wasserstein_p,
 )
-from mkdiv.cli import main as cli_main
 from mkdiv.generators import exponential_generator
 from mkdiv.numerics import midpoint_rule, pairwise_mean
 from mkdiv.robust import perturbed_nodes
@@ -292,14 +290,7 @@ def test_criterion_8_submodularity_grids():
             assert not ok and witness is not None
 
 
-def _run_cli(argv):
-    out = io.StringIO()
-    err = io.StringIO()
-    code = cli_main(argv, out=out, err=err)
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_criterion_9_determinism():
+def test_criterion_9_determinism(run_python):
     with criterion(9, "byte-identical seeded CLI output"):
         verify_args = [
             "verify",
@@ -308,10 +299,9 @@ def test_criterion_9_determinism():
             "--instances", "40",
             "--seed", "123",
         ]
-        code1, out1, _ = _run_cli(verify_args)
-        code2, out2, _ = _run_cli(verify_args)
-        assert code1 == code2 == 0
-        assert out1 == out2
+        run1, run2 = (run_python("-m", "mkdiv.cli", *verify_args) for _ in range(2))
+        assert run1.returncode == run2.returncode == 0
+        assert run1.stdout == run2.stdout
 
         wc_args = [
             "worst-case",
@@ -320,8 +310,7 @@ def test_criterion_9_determinism():
             "--ref", "uniform:a=0,b=1",
             "--eps", "0.03",
         ]
-        _, wc1, _ = _run_cli(wc_args)
-        _, wc2, _ = _run_cli(wc_args)
+        wc1, wc2 = (run_python("-m", "mkdiv.cli", *wc_args).stdout for _ in range(2))
         assert wc1 == wc2
         payload = json.loads(wc1)
         assert payload["worst_value"] == pytest.approx(0.8666667, abs=1e-6)

@@ -1,4 +1,5 @@
-"""Layout rules of the library and its CI workflows, checked on their source.
+"""Layout rules of the library, its tests and its CI workflows, checked on
+their source, and checks of the probes that ``conftest.py`` gives the tests.
 
 A rule on the library's source is one ``match(node)`` generator, which
 yields a record tuple for each AST node that breaks the rule, a scope mode
@@ -15,10 +16,13 @@ import importlib
 import json
 import pathlib
 import re
+import sys
 
+import numpy as np
 import pytest
 
 import mkdiv
+from mkdiv import numerics
 
 SRC = pathlib.Path(mkdiv.__file__).parent
 LIBRARY = sorted(SRC.glob("*.py"))
@@ -174,17 +178,21 @@ def test_only_the_law_asks_whether_it_is_empirical():
 SCIPY_ALLOWED = {("transport.py", "_optimal_assignments"), ("transport.py", "_oracle_lp")}
 
 
-def scipy_imports(node):
-    """The line of an import of ``scipy`` or a submodule, in any spelling;
-    read with :func:`top_level`."""
-    if isinstance(node, ast.Import):
-        modules = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom) and node.level == 0:
-        modules = [node.module]
-    else:
-        return
-    if any(m == "scipy" or m.startswith("scipy.") for m in modules):
-        yield (node.lineno,)
+def imports_of(package):
+    """A match of each import of ``package`` or a submodule, in any
+    spelling, with its line."""
+
+    def match(node):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            return
+        if any(m == package or m.startswith(package + ".") for m in modules):
+            yield (node.lineno,)
+
+    return match
 
 
 def test_the_scipy_finder_sees_every_spelling():
@@ -201,16 +209,65 @@ def test_the_scipy_finder_sees_every_spelling():
         "from scipyish import x\n"
         "from .scipy import y\n"
     )
-    assert occurrences(source, scipy_imports, top_level) == [
+    assert occurrences(source, imports_of("scipy"), top_level) == [
         (None, 1), (None, 2), ("f", 4), ("f", 6), (None, 9)]
 
 
 def test_only_the_oracle_solvers_import_scipy():
     # numpy serves every other path: a default verify, and every other
     # subcommand, load no scipy module
-    found = [hit for hit in library_occurrences(scipy_imports, top_level)
+    found = [hit for hit in library_occurrences(imports_of("scipy"), top_level)
              if hit[:2] not in SCIPY_ALLOWED]
     assert found == []
+
+
+def test_the_tracemalloc_finder_sees_every_spelling():
+    source = (
+        "import tracemalloc\n"
+        "def f():\n"
+        "    import tracemalloc as tm\n"
+        "from tracemalloc import start\n"
+        "import tracemallocx\n"
+    )
+    assert occurrences(source, imports_of("tracemalloc")) == [(None, 1), ("f", 3), (None, 4)]
+
+
+def test_only_the_conftest_imports_tracemalloc():
+    # every peak-memory pin goes through the peak_bytes fixture, which
+    # measures one way: the peak a call holds beyond what was traced
+    found = [(path.name, *hit) for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))
+             if path.name != "conftest.py"
+             for hit in occurrences(path.read_text(encoding="utf-8"), imports_of("tracemalloc"))]
+    assert found == []
+
+
+def test_peak_bytes_counts_what_the_call_holds(peak_bytes):
+    held = np.ones(2**20)  # 8 MiB, allocated before the call started
+    assert 8 * 2**20 <= peak_bytes(lambda: np.ones(2**20)) < 9 * 2**20
+    assert peak_bytes(lambda: held.sum()) < 2**20
+    assert not sys.modules["tracemalloc"].is_tracing()  # the module conftest loaded
+
+
+@pytest.fixture
+def wrapped():
+    """The functions the calls_to test wraps, which are the originals again
+    once the test's later fixtures are torn down."""
+    originals = (numerics.pairwise_sum, numerics.Rule.integrate, numerics.midpoint_rule)
+    yield originals
+    assert (numerics.pairwise_sum, numerics.Rule.integrate, numerics.midpoint_rule) == originals
+
+
+def test_calls_to_records_each_call_and_runs_the_original(wrapped, calls_to):
+    # a module's function, a class's method and a dotted path; wrapped is
+    # set up before calls_to, so it checks after calls_to is undone
+    sums = calls_to(numerics, "pairwise_sum", pick=np.size)
+    integrals = calls_to(numerics.Rule, "integrate", pick=lambda rule, values: rule.total)
+    rules = calls_to("mkdiv.numerics.midpoint_rule")
+    assert numerics.midpoint_rule(4).integrate(np.arange(4.0)) == 1.5
+    assert numerics.pairwise_sum(np.ones(3)) == 3.0
+    assert numerics.midpoint_rule(2, 0.1).total == 2
+    # the integral's fold calls the wrapped pairwise_sum too
+    assert (sums, integrals, rules) == ([4, 3], [4], [(4,), (2, 0.1)])
 
 
 # what a fresh interpreter has loaded after running some statements: the
@@ -368,8 +425,12 @@ def test_the_fold_finder_sees_every_spelling():
 
 
 def test_only_pairwise_sum_folds():
-    # every reduction, the blocked ones included, goes through pairwise_sum,
-    # which fixes the summation tree and which a tracer can wrap
+    # every fold of values goes through pairwise_sum, which fixes the
+    # summation tree and which a tracer can wrap.  Two levels of the same
+    # tree are written by hand outside it: Rule.fold's merge of the block
+    # sums and _split_sums' level loop, each pinned bit for bit against
+    # pairwise_sum by TestPairwise::test_block_sum_is_the_fold_of_the_whole
+    # and ::test_split_sums_are_each_segments_own_fold in test_numerics.py
     found = [hit for hit in library_occurrences(fold_references)
              if hit[:2] != ("numerics.py", "pairwise_sum")]
     assert found == []

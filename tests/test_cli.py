@@ -257,15 +257,13 @@ class TestPayoff:
         assert set(payload["grid"]) == {"M", "nodes"}
 
 
-    def test_non_finite_weight_exits_one_before_any_probe(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("perturbed_nodes called")
-
-        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", refuse)
+    def test_non_finite_weight_exits_one_before_any_probe(self, calls_to):
+        probes = calls_to("mkdiv.robust.perturbed_nodes")
         code, out, err = run_cli(
             ["payoff", "--phi", "phi:quadratic", "--benchmark", "uniform:a=0,b=1",
              "--market", "market:spd=lognormal:mu=706,sigma=1;r=0;T=1", "--eps", "0.02"]
         )
+        assert probes == []
         assert (code, out) == (1, "")
         assert err == canonical_json({
             "error": "state-price density 'lognormal' has a non-finite weight -inf "

@@ -14,7 +14,8 @@ and numpy versions and the SIMD targets numpy dispatches to.  Where this
 platform's fingerprint matches, every output must be byte-identical.
 Elsewhere numpy may pick other kernels, whose last bits differ, so each JSON
 number is compared within the bound of its key in ``BOUNDS`` and every other
-value exactly.  The pytest header names the comparison that ran.
+value exactly.  The pytest header names the comparison that ran and, when
+it is by numbers, the fingerprint fields that differ.
 
 ``write_cli_corpus.py`` rewrites the corpus; ``git diff`` of it lists each
 output that moved.
@@ -26,8 +27,6 @@ import json
 import math
 import os
 import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +144,25 @@ def mismatches(want, got, keys=(), where="") -> list:
 
 
 RECORDED = json.loads(CORPUS.read_text(encoding="utf-8"))
-COMPARISON = "bytes" if fingerprint() == RECORDED["fingerprint"] else "numbers"
+
+
+def differing(found: dict) -> list:
+    """The fields in which the fingerprint ``found`` differs from the
+    recorded one."""
+    recorded = RECORDED["fingerprint"]
+    return [key for key in {**recorded, **found} if found.get(key) != recorded.get(key)]
+
+
+def corpus_header(found: dict) -> str:
+    """The pytest header line on a platform of fingerprint ``found``: how
+    the corpus is compared there, and why where it is by numbers."""
+    fields = differing(found)
+    if not fields:
+        return "cli corpus: compared by bytes"
+    return f"cli corpus: compared by numbers; the fingerprint differs in {', '.join(fields)}"
+
+
+COMPARISON = "numbers" if differing(fingerprint()) else "bytes"
 
 
 def console_cases() -> dict:
@@ -197,16 +214,19 @@ def replay_by_numbers() -> list:
     return found
 
 
-def test_the_corpus_replays_within_its_bounds_on_other_kernels():
+def test_the_header_names_the_fields_that_differ():
+    recorded = RECORDED["fingerprint"]
+    assert corpus_header(recorded) == "cli corpus: compared by bytes"
+    assert corpus_header({**recorded, "numpy": "1.26.4"}) == (
+        "cli corpus: compared by numbers; the fingerprint differs in numpy")
+
+
+def test_the_corpus_replays_within_its_bounds_on_other_kernels(run_python):
     # numpy without its AVX-512 kernels, in a process of its own: on an
     # AVX-512 host that runs other kernels than those that recorded the
     # corpus, and the comparison by numbers runs on any host
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
-           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
-                                          os.environ.get("PYTHONPATH", "")])}
     code = "import json, test_cli_corpus; print(json.dumps(test_cli_corpus.replay_by_numbers()))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=600)
+    proc = run_python("-c", code, env={"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 

@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import mkdiv
 from mkdiv import (
     BregmanScore,
     DomainError,
@@ -255,16 +249,12 @@ class TestOneSort:
             values = from_samples(sample).values
             assert np.count_nonzero(np.signbit(values)) == np.count_nonzero(np.signbit(sample))
 
-    def test_readers_of_tied_zeros_agree_on_every_cpu(self):
+    def test_readers_of_tied_zeros_agree_on_every_cpu(self, run_python):
         # numpy without its AVX-512 kernels, in a process of its own: its
         # default sort mixes tied zeros there otherwise than here
-        here = Path(__file__).parent
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
-               "PYTHONPATH": os.pathsep.join([str(Path(mkdiv.__file__).parents[1]), str(here),
-                                              os.environ.get("PYTHONPATH", "")])}
         code = "import test_distributions; print(test_distributions.tied_zero_outputs())"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=300)
+        proc = run_python("-c", code, timeout=300,
+                          env={"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == tied_zero_outputs() + "\n"
 

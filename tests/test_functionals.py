@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -376,13 +375,11 @@ class TestExactExpectile:
         with pytest.raises(MomentError), np.errstate(over="ignore", invalid="ignore"):
             Expectile(0.3).evaluate(from_samples([1e308, 1.1e308, 1.2e308, 1.3e308]))
 
-    def test_makes_no_residual_call(self, monkeypatch):
-        def refuse(self, sample, z):
-            raise AssertionError("residual called")
-
-        monkeypatch.setattr(Expectile, "residual", refuse)
+    def test_makes_no_residual_call(self, calls_to):
+        calls = calls_to(Expectile, "residual")
         for d in TEST_DISTS:
             Expectile(0.7).evaluate(d)
+        assert calls == []
 
 
 _ATOMS = st.lists(
@@ -412,23 +409,14 @@ def test_exact_expectile_first_order_condition_and_translation(sample, alpha, sh
 class TestShortfallBrent:
     LOSSES = (linear_loss(), exponential_loss(1.0), power_loss(3.0), power_loss(0.5))
 
-    def test_exponential_makes_no_residual_call(self, monkeypatch):
-        def refuse(self, sample, x):
-            raise AssertionError("residual called")
-
-        monkeypatch.setattr(Shortfall, "residual", refuse)
+    def test_exponential_makes_no_residual_call(self, calls_to):
+        calls = calls_to(Shortfall, "residual")
         for d in TEST_DISTS:
             Shortfall(exponential_loss(0.7)).evaluate(d)
+        assert calls == []
 
-    def test_residual_calls_per_evaluate(self, monkeypatch):
-        calls = []
-        residual = Shortfall.residual
-
-        def counted(self, sample, x):
-            calls.append(x)
-            return residual(self, sample, x)
-
-        monkeypatch.setattr(Shortfall, "residual", counted)
+    def test_residual_calls_per_evaluate(self, calls_to):
+        calls = calls_to(Shortfall, "residual", pick=lambda self, sample, x: x)
         rng = np.random.default_rng(23)
         dists = [from_samples(rng.normal(0.0, 1.5, int(rng.integers(5, 41)))) for _ in range(25)]
         for loss in self.LOSSES:
@@ -545,19 +533,11 @@ class TestArgmin:
             with pytest.raises(DomainError, match=message):
                 argmin_expected_score(score, dist, *zs)
 
-    def test_argmin_memory_is_bounded(self):
+    def test_argmin_memory_is_bounded(self, peak_bytes):
         # the 513 x 10^4 report-by-atom matrix alone would take 39 MiB
-        import tracemalloc
-
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            argmin_expected_score(ExpectileScore(0.7, quadratic()), Normal(0, 1), -4.0, 4.0,
-                                  steps=513, m=10_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak_bytes(lambda: argmin_expected_score(
+            ExpectileScore(0.7, quadratic()), Normal(0, 1), -4.0, 4.0, steps=513, m=10_000,
+        )) < 32 * 2**20
 
 
 def _whole_grid_argmin(score, dist, z_lo, z_hi, steps, m):
@@ -591,17 +571,9 @@ _SCAN_DISTS = [
 ]
 
 
-def _counting_reports(monkeypatch):
+def _counting_reports(calls_to):
     """Wrap ``_mean_scores``; returns the list of report counts per call."""
-    sizes = []
-    inner = functionals._mean_scores
-
-    def counted(score, prep, z):
-        sizes.append(z.size)
-        return inner(score, prep, z)
-
-    monkeypatch.setattr(functionals, "_mean_scores", counted)
-    return sizes
+    return calls_to(functionals, "_mean_scores", pick=lambda score, prep, z: z.size)
 
 
 class TestCoarseToFineScan:
@@ -628,7 +600,7 @@ class TestCoarseToFineScan:
         assert repr(argmin_expected_score(score, dist, -1.92, 2.32)) == repr(want)
         assert 1.04 <= want <= 1.82  # on the flat
 
-    def test_no_finite_coarse_value_scans_the_whole_grid(self, monkeypatch):
+    def test_no_finite_coarse_value_scans_the_whole_grid(self, calls_to):
         class Window(Score):
             """Squared error, finite only for reports strictly between the
             points 16 and 32 of the integer grid 0, ..., 512: no point of the
@@ -640,7 +612,7 @@ class TestCoarseToFineScan:
                 return np.where((z > 16.0) & (z < 32.0), (z - y) ** 2, np.inf)
 
         dist = from_samples([20.0, 21.0])
-        sizes = _counting_reports(monkeypatch)
+        sizes = _counting_reports(calls_to)
         got = argmin_expected_score(Window(), dist, 0.0, 512.0)
         # 9 at stride 64, then the rest of the whole grid at strides 16 and
         # 4, then 6 around the minimum at 20
@@ -648,8 +620,8 @@ class TestCoarseToFineScan:
         assert repr(got) == repr(_whole_grid_argmin(Window(), dist, 0.0, 512.0, 513, 2))
         assert got == pytest.approx(20.5, abs=1e-6)
 
-    def test_a_unimodal_grid_scores_27_reports_in_4_calls(self, monkeypatch):
-        sizes = _counting_reports(monkeypatch)
+    def test_a_unimodal_grid_scores_27_reports_in_4_calls(self, calls_to):
+        sizes = _counting_reports(calls_to)
         argmin_expected_score(ExpectileScore(0.7, quadratic()), Normal(0, 1), -4.0, 4.0)
         # 9 at stride 64, then the 6 new points of each window at strides 16, 4 and 1
         assert sizes[:4] == [9, 6, 6, 6]
@@ -686,8 +658,8 @@ def _workload_draws():
 
 
 class TestEndGame:
-    def test_cost_and_accuracy_on_the_workload_pairs(self, monkeypatch):
-        sizes = _counting_reports(monkeypatch)
+    def test_cost_and_accuracy_on_the_workload_pairs(self, calls_to):
+        sizes = _counting_reports(calls_to)
         calls, errors = [], []
         for functional, score, dist in _workload_draws():
             z_lo = float(dist.quantile(0.001)) - 1.0
@@ -844,20 +816,14 @@ class TestTiledMeans:
             assert _tiled(score, atoms, zs) == _per_report(score, atoms, zs)
 
     @pytest.mark.parametrize("m, reports", [(10_000, 513), (1_000_000, 65)])
-    def test_memory_is_bounded(self, m, reports):
+    def test_memory_is_bounded(self, m, reports, peak_bytes):
         # a tile, its fold and the stack of partial sums, at any m
         score = ExpectileScore(0.7, quadratic())
         atoms, zs = np.linspace(-3.0, 3.0, m), np.linspace(-2.0, 2.0, reports)
         # warm: the first call allocates interpreter state
         _mean_scores(score, score._prepare(atoms[:64]), zs)
         prep = score._prepare(atoms)  # the caller's: two arrays the size of the atoms
-        tracemalloc.start()
-        try:
-            _mean_scores(score, prep, zs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak_bytes(lambda: _mean_scores(score, prep, zs)) <= 2 * 2**20
 
 
 class TestAxioms:
@@ -1138,7 +1104,7 @@ class TestStackedAxioms:
             assert self._errors_match(functional, pairs) == (
                 IngestionError, f"a sample must be 1-D, got shape {shape}")
 
-    def test_memory_is_bounded_by_the_values_and_a_stack(self):
+    def test_memory_is_bounded_by_the_values_and_a_stack(self, peak_bytes):
         # the nine values of each pair, and the expectile's working set on
         # one stack of _BLOCK values: the sorted copy, cumulative sums,
         # residuals and the padded fold, about a dozen arrays its size.  The
@@ -1146,10 +1112,5 @@ class TestStackedAxioms:
         rng = np.random.default_rng(2)
         pairs = [(rng.normal(0, 1, 40), rng.normal(0, 1, 40)) for _ in range(2000)]
         check_axioms(Expectile(0.7), pairs[:3])  # warm
-        tracemalloc.start()
-        try:
-            check_axioms(Expectile(0.7), pairs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * len(pairs) * 8 + 16 * _BLOCK * 8
+        assert peak_bytes(lambda: check_axioms(Expectile(0.7), pairs)) <= (
+            9 * len(pairs) * 8 + 16 * _BLOCK * 8)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,21 +160,13 @@ class TestRule:
         assert rule.counts is None or rule.counts.tobytes() == counts.tobytes()
         assert rule.u.tobytes() == ((cuts + 0.5 * counts) / total).tobytes()
 
-    def test_equal_cells_add_no_array_to_the_peak(self):
+    def test_equal_cells_add_no_array_to_the_peak(self, peak_bytes):
         # a counts * x product would add one 2 MB array to the fold's 1.5 MB
         x = np.random.default_rng(3).normal(size=250_000)
         rule = midpoint_rule(x.size)
-
-        def peak(f):
-            f()  # warm: the first call allocates interpreter state
-            tracemalloc.start()
-            try:
-                f()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(lambda: rule.integrate(x)) <= peak(lambda: pairwise_sum(x))
+        integrate, fold = lambda: rule.integrate(x), lambda: pairwise_sum(x)
+        integrate(), fold()  # warm: the first call allocates interpreter state
+        assert peak_bytes(integrate) <= peak_bytes(fold)
 
 
 class _Probes:

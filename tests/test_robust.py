@@ -370,32 +370,24 @@ def two_phase_calibrate(gen, ref_nodes, weight, eps):
     return (lam, div, bool(abs(div - eps) <= 1e-8 * eps)), len(seen)
 
 
-def recorded_probes(monkeypatch):
+def recorded_probes(calls_to):
     """The list of multipliers the calibration passes to perturbed_nodes,
     filled in as it runs."""
-    calls = []
-    original = perturbed_nodes
-
-    def recorded(*args, **kwargs):
-        calls.append(args[3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr("mkdiv.robust.perturbed_nodes", recorded)
-    return calls
+    return calls_to("mkdiv.robust.perturbed_nodes", pick=lambda *args: args[3])
 
 
 class TestNonFiniteWeight:
     """A weight that is not finite at some node is rejected, naming the node,
     before the calibration probes any multiplier."""
 
-    def test_worst_case(self, monkeypatch):
+    def test_worst_case(self, calls_to):
         from mkdiv.generators import DistortionSpec
 
         spike = DistortionSpec(
             name="spike",
             gamma_fn=lambda u: np.where(u > 0.9, np.inf, 1.0),
         )
-        probes = recorded_probes(monkeypatch)
+        probes = recorded_probes(calls_to)
         with pytest.raises(
             DomainError,
             match=r"^distortion 'spike' has a non-finite weight inf at node 90 \(u=0\.905\)$",
@@ -404,10 +396,10 @@ class TestNonFiniteWeight:
         assert exc.value.index == 90
         assert probes == []
 
-    def test_payoff(self, monkeypatch):
+    def test_payoff(self, calls_to):
         # Q_xi(1 - u) = exp(706 + ndtri(1 - u)) overflows at the first node
         market = MarketSpec(LogNormal(706.0, 1.0))
-        probes = recorded_probes(monkeypatch)
+        probes = recorded_probes(calls_to)
         with pytest.raises(
             DomainError,
             match=r"^state-price density 'lognormal' has a non-finite weight -inf "
@@ -440,10 +432,10 @@ def calibration_inputs(name, ref, kind):
 
 class TestCalibration:
     @pytest.mark.parametrize("name, ref, kind", list(calibration_cases()))
-    def test_matches_bisection_in_at_most_16_evaluations(self, name, ref, kind, monkeypatch):
+    def test_matches_bisection_in_at_most_16_evaluations(self, name, ref, kind, calls_to):
         gen, nodes, weight = calibration_inputs(name, ref, kind)
         expected, _ = bisection_calibrate(gen, nodes, weight, 0.02)
-        calls = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         lam, div, binding, _ = calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02)
         assert lam == pytest.approx(expected, rel=1e-12)
         assert binding and abs(div - 0.02) <= 1e-8 * 0.02
@@ -458,7 +450,7 @@ class TestCalibration:
             assert curve.tobytes() == perturbed_nodes(gen, nodes, weight, lam).tobytes()
             assert repr(div) == repr(bw_divergence_nodes(gen, curve, nodes))
 
-    def test_tiny_budget_returns_the_best_probe(self, monkeypatch):
+    def test_tiny_budget_returns_the_best_probe(self, calls_to):
         # at eps = 1e-12 the divergence is at the level of float noise, and
         # the last bracket of the search need not hold the closest probe:
         # here an earlier probe is about 30 times closer than its ends
@@ -466,9 +458,9 @@ class TestCalibration:
         grid = quantile_grid(Uniform(0.0, 1.0), CALIBRATION_M, 1e-7)
         weight = dual_power(2.0).gamma(grid.rule.u)
         gen = quadratic()
-        probes = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         lam, div, _, _ = calibrate_lambda(gen, grid, weight, eps)
-        monkeypatch.undo()
+        probes = calls[:]  # the references below are not the calibration's
         gaps = [abs(reference_divergence(gen, grid.nodes, weight, x) - eps) for x in probes]
         assert lam in probes
         assert abs(div - eps) == min(gaps)
@@ -529,7 +521,7 @@ class TestCalibration:
         "bench", [Uniform(0.5, 1.5), Exponential(1.0), LogNormal(0.0, 0.5), Uniform(0.0, 1.0)]
     )
     @pytest.mark.parametrize("name", ["exp", "xlogx"])
-    def test_one_search_matches_two_phase_search(self, name, bench, eps, monkeypatch):
+    def test_one_search_matches_two_phase_search(self, name, bench, eps, calls_to):
         # for exp, lam* lies on the feasibility boundary: the Newton start is
         # infeasible, and the bracket closes on the boundary to the two-phase
         # search's stopping width; for xlogx, Newton steps from the
@@ -539,7 +531,7 @@ class TestCalibration:
         weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_rule(m, 1e-7).u)
         gen = generator_catalog()[name]
         expected, evals = two_phase_calibrate(gen, nodes, weight, eps)
-        calls = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         lam, div, binding, curve = calibrate_lambda(gen, QuantileGrid(nodes), weight, eps)
         assert len(set(calls)) == len(calls)
         if name == "exp":
@@ -561,7 +553,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("eps", [0.02, 0.3])
     @pytest.mark.parametrize("d", [dual_power(2.0), tvar_distortion(0.9)], ids=["dualpower", "tvar"])
-    def test_vanishing_curvature_at_a_node_still_takes_newton_steps(self, d, eps, monkeypatch):
+    def test_vanishing_curvature_at_a_node_still_takes_newton_steps(self, d, eps, calls_to):
         # quartic phi'' = 12 x^2 vanishes at the middle node of Normal(0, 1)
         # at odd m; the dual-power weight is 1 there, so I(ref) is infinite
         # and the search starts at lam = 1, while the TVaR weight is 0 there,
@@ -571,14 +563,14 @@ class TestCalibration:
         weight = d.gamma(grid.rule.u)
         gen = generator_catalog()["quartic"]
         expected, _ = bisection_calibrate(gen, grid.nodes, weight, eps)
-        calls = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         lam, div, binding, _ = calibrate_lambda(gen, grid, weight, eps)
         assert (calls[0] == 1.0) == (weight[1000] != 0.0)
         assert lam == pytest.approx(expected, rel=1e-12)
         assert binding and abs(math.log(div) - math.log(eps)) <= 1e-13
         assert len(calls) <= 7
 
-    def test_infeasible_start_steps_up_a_decade_then_bisects(self, monkeypatch):
+    def test_infeasible_start_steps_up_a_decade_then_bisects(self, calls_to):
         # on the feasibility boundary lam0 is infeasible, so it is the lower
         # end of a bracket with no upper end yet: the next probe is a decade
         # up; once both ends are known, a probe Newton cannot place inside
@@ -587,7 +579,7 @@ class TestCalibration:
         nodes = quantile_grid(Uniform(0.5, 1.5), m).nodes
         weight = MarketSpec(Exponential(1.0)).neg_weight(midpoint_rule(m).u)
         gen = exponential_generator()
-        calls = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         calibrate_lambda(gen, QuantileGrid(nodes), weight, 0.02)
         assert reference_divergence(gen, nodes, weight, calls[0]) == math.inf
         assert calls[1] == 10.0 * calls[0]
@@ -605,10 +597,10 @@ class TestCalibration:
             (1e15, 1.0, 1e12),  # D(1e12) still exceeds it
         ],
     )
-    def test_unreachable_budget_raises_past_the_range_end(self, scale, eps, end, monkeypatch):
+    def test_unreachable_budget_raises_past_the_range_end(self, scale, eps, end, calls_to):
         grid = quantile_grid(Uniform(0.0, 1.0), 100)
         weight = scale * dual_power(2.0).gamma(grid.rule.u)
-        calls = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         message = r"no multiplier in \[1e-12, 1e\+12\] meets the divergence budget"
         with pytest.raises(CalibrationError, match=message) as info:
             calibrate_lambda(quadratic(), grid, weight, eps)
@@ -617,10 +609,10 @@ class TestCalibration:
         assert info.value.achieved_range == (min(divs), max(divs))
         assert all(math.isfinite(x) for x in info.value.achieved_range)
 
-    def test_newton_sweep_meets_the_residual_stop(self, monkeypatch):
+    def test_newton_sweep_meets_the_residual_stop(self, calls_to):
         # every binding case stops on |log div - log eps| <= 1e-13 with lam
         # within 5e-14 of the two-phase search's, in fewer evaluations overall
-        calls = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         binding, newton_evals, two_phase_evals = 0, 0, 0
         for ref in (Uniform(0.5, 1.5), Exponential(1.0), LogNormal(0.0, 0.5)):
             grid = quantile_grid(ref, CALIBRATION_M, 1e-7)
@@ -650,9 +642,9 @@ class TestCalibration:
         assert newton_evals < two_phase_evals
 
     @pytest.mark.parametrize("kind", ["worst-case", "payoff"])
-    def test_analytic_reductions_calibrate_in_one_evaluation(self, kind, monkeypatch):
+    def test_analytic_reductions_calibrate_in_one_evaluation(self, kind, calls_to):
         # for the quadratic generator the small-budget multiplier is exact
-        calls = recorded_probes(monkeypatch)
+        calls = recorded_probes(calls_to)
         if kind == "worst-case":
             sol = solve_worst_case(quadratic(), dual_power(2.0), Uniform(0, 1), 0.03)
             assert sol.lambda_star == pytest.approx(10.0 / 3.0, abs=1e-6)
@@ -827,30 +819,17 @@ class TestBlockedProbes:
         assert low <= high and high > 1e290
 
     @pytest.mark.parametrize("name", sorted(generator_catalog()))
-    def test_every_block_is_folded_by_pairwise_sum(self, name, monkeypatch):
-        # I(ref) once, then D and I(G) on every probe whose curve exists,
-        # each over the whole grid, block by block
-        import mkdiv.numerics
-
+    def test_every_block_is_folded_by_pairwise_sum(self, name, calls_to):
+        # I(ref) once, then D and I(G) on every probe (each is feasible
+        # here), each over the whole grid, block by block
         m = 3 * _BLOCK + 1
         grid = quantile_grid(Uniform(0.5, 1.5), m, 0.0)
         weight = dual_power(2.0).gamma(grid.rule.u)
-        folded, curves = [], []
-        original_sum, original_nodes = mkdiv.numerics.pairwise_sum, perturbed_nodes
-
-        def counted_sum(values):
-            folded.append(np.size(values))
-            return original_sum(values)
-
-        def counted_nodes(*args):
-            curves.append(original_nodes(*args))
-            return curves[-1]
-
-        monkeypatch.setattr(mkdiv.numerics, "pairwise_sum", counted_sum)
-        monkeypatch.setattr("mkdiv.robust.perturbed_nodes", counted_nodes)
+        folded = calls_to("mkdiv.numerics.pairwise_sum", pick=np.size)
+        probes = recorded_probes(calls_to)
         calibrate_lambda(generator_catalog()[name], grid, weight, 0.02)
-        assert curves and all(size <= _BLOCK for size in folded)
-        assert sum(folded) == (1 + 2 * len(curves)) * m
+        assert probes and all(size <= _BLOCK for size in folded)
+        assert sum(folded) == (1 + 2 * len(probes)) * m
 
     @pytest.mark.parametrize("m", [_BLOCK + 1, 250_000])
     def test_the_quadratic_probe_folds_the_terms_of_its_reference(self, m):
@@ -862,19 +841,11 @@ class TestBlockedProbes:
             assert repr(probe(lam)[1]) == repr(probe.ref_integral)
 
     @pytest.mark.parametrize("name", sorted(generator_catalog()))
-    def test_calibration_holds_four_grids_and_a_few_blocks(self, name):
-        import tracemalloc
-
+    def test_calibration_holds_four_grids_and_a_few_blocks(self, name, peak_bytes):
         m = 1 << 18
         grid = quantile_grid(Uniform(0.5, 1.5), m, 0.0)
         weight = dual_power(2.0).gamma(grid.rule.u)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            calibrate_lambda(generator_catalog()[name], grid, weight, 0.02)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: calibrate_lambda(generator_catalog()[name], grid, weight, 0.02))
         # phi(ref), phi'(ref), the best curve and the probe's own; the
         # whole-array probes held 6 (quadratic) or 7 such arrays
         assert peak <= 8 * (4 * m + 6 * _BLOCK)

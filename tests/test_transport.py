@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,17 +434,11 @@ class TestStreamedDivergence:
     @pytest.mark.parametrize(
         "score", catalog_scores() + [osband_transform(s, negation_map()) for s in catalog_scores()],
         ids=lambda s: s.describe())
-    def test_a_parametric_pair_holds_a_few_blocks(self, score):
+    def test_a_parametric_pair_holds_a_few_blocks(self, score, peak_bytes):
         # whole lists held 4 to 9 arrays of m floats: 128 to 288 MB here
         f1, f2 = Uniform(-1.0, 2.0), Normal(1.0, 2.0)
         mk_divergence(score, f1, f2, m=STREAM_M)  # warm: interpreter state
-        tracemalloc.start()
-        try:
-            mk_divergence(score, f1, f2, m=4_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * _BLOCK * 8
+        assert peak_bytes(lambda: mk_divergence(score, f1, f2, m=4_000_000)) <= 16 * _BLOCK * 8
 
 
 class Listed(Distribution):
@@ -1082,19 +1075,10 @@ class TestCertification:
         with pytest.raises(DomainError, match=r"instance sizes must satisfy 2 <= n_min <= n_max <= 64"):
             certify_optimal_coupling(BregmanScore(quadratic()), instances=1, n_min=n_min, n_max=n_max)
 
-    def test_one_assignment_solve_per_instance(self, monkeypatch):
+    def test_one_assignment_solve_per_instance(self, calls_to):
         # beyond 8 atoms the oracle imports the solver from scipy.optimize at
         # each call; up to 8 atoms the dynamic program solves, with no call
-        import scipy.optimize
-
-        calls = []
-        original = scipy.optimize.linear_sum_assignment
-
-        def counted(cost):
-            calls.append(cost.shape)
-            return original(cost)
-
-        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", counted)
+        calls = calls_to("scipy.optimize.linear_sum_assignment", pick=np.shape)
         for s in certify_scores():
             calls.clear()
             result = certify_optimal_coupling(s, instances=5, n_min=9, n_max=12, seed=3)
